@@ -7,7 +7,7 @@ centroids; fine-tune with cross-domain mixup against the usual baselines;
 diagnose forgetting (linear probes) and feature collapse (tail spectra).
 """
 
-from .dataset import Dataset, Domain, PlantedMapping, Sample, gen_source, gen_target
+from .dataset import Dataset, Domain, PlantedMapping, gen_source, gen_target
 from .errors import ConfigError, DataError, NumericError, ParseError
 from .mixup import MixupConfig, sample_beta
 from .model import ModelParams, TrainConfig
@@ -28,7 +28,6 @@ __all__ = [
     "ParseError",
     "PlantedMapping",
     "RunResult",
-    "Sample",
     "Strategy",
     "StrategyKind",
     "TrainConfig",

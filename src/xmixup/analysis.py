@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, require_finite
 from .model import ModelParams, forward, init_linear, log_softmax
 from .pairing import PairingPlan
 
@@ -38,6 +38,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.iterations < 1 or self.lr <= 0:
             raise ValueError("probe needs iterations >= 1 and lr > 0")
         if not 0.0 < self.test_fraction < 1.0:
@@ -108,10 +109,10 @@ def linear_probe(
     if compact.class_count < 2:
         raise DataError("degenerate probe: subset has a single class")
     train, test = split(compact, cfg.test_fraction, cfg.seed)
-    f_train, _ = forward(params, train.xs())
-    f_test, _ = forward(params, test.xs())
-    w, b = _train_probe_head(f_train, train.labels(), compact.class_count, cfg)
-    return ProbeResult(kind, probe_accuracy(w, b, f_test, test.labels()))
+    f_train, _ = forward(params, train.X)
+    f_test, _ = forward(params, test.X)
+    w, b = _train_probe_head(f_train, train.y, compact.class_count, cfg)
+    return ProbeResult(kind, probe_accuracy(w, b, f_test, test.y))
 
 
 def source_subsets(src: Dataset, plan: PairingPlan) -> dict[ProbeSubset, Dataset]:
@@ -179,7 +180,7 @@ def spectrum(params: ModelParams, ds: Dataset, batch: int, seed: int = 0) -> Spe
         raise DataError(f"dataset has {len(ds)} samples, need {batch}")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(ds))[:batch]
-    feats, _ = forward(params, ds.xs()[idx])
+    feats, _ = forward(params, ds.X[idx])
     svals = singular_values(feats)
     if svals[0] <= 0.0:
         raise NumericError("feature matrix has rank 0; cannot normalize spectrum")

@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, jobs: bool = False):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, type=Path, help="artifact directory")
@@ -91,14 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a (dotted) config key, e.g. data.noise=0.2",
         )
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         return p
 
     add("gen-data", "generate and save the synthetic source/target datasets")
     add("pretrain", "train the source model from scratch")
     add("pair", "pair target classes to source classes via feature centroids")
-    p = add("finetune", "run fine-tuning strategies across seeds", jobs=True)
+    p = add("finetune", "run fine-tuning strategies across seeds")
     p.add_argument(
         "--strategy",
         action="append",
@@ -108,10 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p = add("eval", "evaluate a saved checkpoint on the target test set")
     p.add_argument("--params", required=True, help="checkpoint file to evaluate")
-    add("sweep-alpha", "accuracy across the mixing-strength grid", jobs=True)
-    add("sweep-size", "accuracy across auxiliary-budget thresholds", jobs=True)
-    add("randomize-aux", "compare centroid pairing against random pairing", jobs=True)
-    add("ablate", "run the mixing ablations (cross-domain/in-domain/no-label)", jobs=True)
+    add("sweep-alpha", "accuracy across the mixing-strength grid")
+    add("sweep-size", "accuracy across auxiliary-budget thresholds")
+    add("randomize-aux", "compare centroid pairing against random pairing")
+    add("ablate", "run the mixing ablations (cross-domain/in-domain/no-label)")
     add("report", "join run records into comparison CSVs and a chart")
     return parser
 
@@ -140,22 +138,22 @@ def _dispatch(args) -> None:
             if args.strategies
             else None
         )
-        for r in step_finetune(cfg, out, strategies=kinds, jobs=args.jobs):
+        for r in step_finetune(cfg, out, strategies=kinds):
             print(f"{r['strategy']} seed {r['seed']}: accuracy {r['accuracy']:.4f}")
     elif cmd == "eval":
         info = step_eval(cfg, out, args.params)
         print(f"accuracy {info['accuracy']:.4f}")
     elif cmd == "sweep-alpha":
-        rows = step_sweep_alpha(cfg, out, jobs=args.jobs)
+        rows = step_sweep_alpha(cfg, out)
         print(f"wrote sweep_alpha.csv ({len(rows)} runs)")
     elif cmd == "sweep-size":
-        rows = step_sweep_size(cfg, out, jobs=args.jobs)
+        rows = step_sweep_size(cfg, out)
         print(f"wrote sweep_size.csv ({len(rows)} runs)")
     elif cmd == "randomize-aux":
-        rows = step_randomize_aux(cfg, out, jobs=args.jobs)
+        rows = step_randomize_aux(cfg, out)
         print(f"wrote randomize_aux.csv ({len(rows)} runs)")
     elif cmd == "ablate":
-        records = step_ablate(cfg, out, jobs=args.jobs)
+        records = step_ablate(cfg, out)
         print(f"wrote ablate.csv ({len(records)} runs)")
     elif cmd == "report":
         for row in step_report(cfg, out):

@@ -10,6 +10,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,55 +28,43 @@ class Domain(Enum):
 
 
 @dataclass(eq=False)
-class Sample:
-    """One feature vector with its class label and originating domain."""
-
-    x: np.ndarray
-    label: int
-    domain: Domain
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.domain is other.domain
-            and np.array_equal(self.x, other.x)
-        )
-
-
-@dataclass(eq=False)
 class Dataset:
-    """A list of samples sharing one feature dimension and label range.
+    """Feature rows `X` (N×d float64) with integer labels `y` in [0, class_count).
 
-    Labels must lie in [0, class_count); classes may be empty (subset
-    datasets produced by filtering have gaps). Samples are treated as
-    immutable after construction.
+    Classes may be empty (subset datasets produced by filtering have gaps).
+    The arrays are treated as immutable after construction.
     """
 
-    samples: list[Sample]
+    X: np.ndarray
+    y: np.ndarray
     class_count: int
     domain: Domain
-    d: int
     _class_indices: dict[int, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
 
     def __post_init__(self):
-        if self.class_count < 1 or self.d < 1:
-            raise ValueError("class_count and d must be positive")
-        for i, s in enumerate(self.samples):
-            if s.x.shape != (self.d,):
-                raise ValueError(
-                    f"sample {i} has shape {s.x.shape}, expected ({self.d},)"
-                )
-            if not 0 <= s.label < self.class_count:
-                raise ValueError(
-                    f"sample {i} label {s.label} outside [0, {self.class_count})"
-                )
+        self.X = np.asarray(self.X, dtype=float)
+        self.y = np.asarray(self.y, dtype=int)
+        if self.class_count < 1:
+            raise ValueError("class_count must be positive")
+        if self.X.ndim != 2 or self.X.shape[1] < 1:
+            raise ValueError(f"X must be N×d with d >= 1, got shape {self.X.shape}")
+        if self.y.shape != (len(self.X),):
+            raise ValueError(f"{self.y.shape} labels for {len(self.X)} feature rows")
+        bad = np.flatnonzero((self.y < 0) | (self.y >= self.class_count))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"sample {i} label {self.y[i]} outside [0, {self.class_count})"
+            )
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.y)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -83,27 +72,15 @@ class Dataset:
         return (
             self.class_count == other.class_count
             and self.domain is other.domain
-            and self.d == other.d
-            and self.samples == other.samples
+            and np.array_equal(self.X, other.X)
+            and np.array_equal(self.y, other.y)
         )
-
-    def xs(self) -> np.ndarray:
-        """All feature vectors stacked into an (N, d) matrix."""
-        if not self.samples:
-            return np.empty((0, self.d))
-        return np.stack([s.x for s in self.samples])
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
 
     def indices_by_class(self) -> dict[int, np.ndarray]:
         """Sample indices grouped by class, cached on first use."""
         if self._class_indices is None:
-            groups: dict[int, list[int]] = {c: [] for c in range(self.class_count)}
-            for i, s in enumerate(self.samples):
-                groups[s.label].append(i)
             self._class_indices = {
-                c: np.array(idx, dtype=int) for c, idx in groups.items()
+                c: np.flatnonzero(self.y == c) for c in range(self.class_count)
             }
         return self._class_indices
 
@@ -171,11 +148,10 @@ def gen_source(m: int, per_class: int, d: int, spread: float, seed: int) -> Data
     _check_gen_args(m, per_class, d, spread)
     rng = np.random.default_rng(seed)
     means = _draw_means(rng, m, d, min_dist=0.5 * spread)
-    samples = []
-    for c in range(m):
-        xs = means[c] + spread * rng.standard_normal((per_class, d))
-        samples.extend(Sample(x, c, Domain.SOURCE) for x in xs)
-    return Dataset(samples, m, Domain.SOURCE, d)
+    X = np.concatenate(
+        [means[c] + spread * rng.standard_normal((per_class, d)) for c in range(m)]
+    )
+    return Dataset(X, np.repeat(np.arange(m), per_class), m, Domain.SOURCE)
 
 
 def source_class_means(m: int, d: int, spread: float, seed: int) -> np.ndarray:
@@ -218,31 +194,26 @@ def gen_target(
 
     rng = np.random.default_rng(seed)
     n = len(planted) + novel
-    samples = []
-    for t, src_cls in enumerate(planted):
-        pool = src.indices_by_class()[src_cls]
+    by_class = src.indices_by_class()
+    blocks = []
+    for src_cls in planted:
+        pool = by_class[src_cls]
         if len(pool) == 0:
             raise DataError(f"source class {src_cls} has no samples to copy")
         chosen = rng.choice(pool, size=per_class, replace=len(pool) < per_class)
         jitter = rng.standard_normal((per_class, src.d))
-        for j, idx in enumerate(chosen):
-            x = src.samples[idx].x + noise * jitter[j]
-            samples.append(Sample(x, t, Domain.TARGET))
+        blocks.append(src.X[chosen] + noise * jitter)
     if novel:
-        anchors = [
-            np.stack([src.samples[i].x for i in idx]).mean(axis=0)
-            for idx in src.indices_by_class().values()
-            if len(idx) > 0
-        ]
+        anchors = [src.X[idx].mean(axis=0) for idx in by_class.values() if len(idx) > 0]
         means = _draw_means(rng, novel, src.d, min_dist=0.5 * noise, avoid=anchors)
         for k in range(novel):
-            t = len(planted) + k
-            xs = means[k] + noise * rng.standard_normal((per_class, src.d))
-            samples.extend(Sample(x, t, Domain.TARGET) for x in xs)
+            blocks.append(means[k] + noise * rng.standard_normal((per_class, src.d)))
+    X = np.concatenate(blocks)
+    y = np.repeat(np.arange(n), per_class)
 
     mapping = {t: src_cls for t, src_cls in enumerate(planted)}
     mapping.update({len(planted) + k: None for k in range(novel)})
-    return Dataset(samples, n, Domain.TARGET, src.d), PlantedMapping(mapping)
+    return Dataset(X, y, n, Domain.TARGET), PlantedMapping(mapping)
 
 
 def _fmt(v: float) -> str:
@@ -256,8 +227,8 @@ def save_dataset(ds: Dataset, path) -> None:
     """
     with open(Path(path), "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{ds.domain.value},{ds.class_count},{ds.d}\n")
-        for s in ds.samples:
-            f.write(f"{s.label}," + ",".join(_fmt(v) for v in s.x) + "\n")
+        for label, x in zip(ds.y.tolist(), ds.X.tolist()):
+            f.write(f"{label}," + ",".join(_fmt(v) for v in x) + "\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -283,7 +254,7 @@ def load_dataset(path) -> Dataset:
     if class_count < 1 or d < 1:
         raise ParseError("class_count and d must be positive", line=1)
 
-    samples = []
+    labels, rows = [], []
     for lineno, row in enumerate(lines[1:], start=2):
         cols = row.split(",")
         if len(cols) != 1 + d:
@@ -297,15 +268,16 @@ def load_dataset(path) -> Dataset:
                 f"label {label} outside [0, {class_count})", line=lineno
             )
         try:
-            x = np.array([float(v) for v in cols[1:]])
+            x = [float(v) for v in cols[1:]]
         except ValueError:
             raise ParseError("non-numeric feature value", line=lineno) from None
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, x)):
             raise ParseError("non-finite feature value", line=lineno)
-        samples.append(Sample(x, label, domain))
-    if not samples:
+        labels.append(label)
+        rows.append(x)
+    if not rows:
         raise DataError(f"{path}: dataset file has no sample rows")
-    return Dataset(samples, class_count, domain, d)
+    return Dataset(np.array(rows), np.array(labels), class_count, domain)
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -313,8 +285,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    train_samples: list[Sample] = []
-    test_samples: list[Sample] = []
+    train_idx, test_idx = [], []
     for c in range(ds.class_count):
         idx = ds.indices_by_class()[c]
         if len(idx) < 2:
@@ -324,10 +295,14 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
         perm = rng.permutation(idx)
         n_test = int(round(len(idx) * test_fraction))
         n_test = min(max(n_test, 0), len(idx) - 1)
-        test_samples.extend(ds.samples[i] for i in perm[:n_test])
-        train_samples.extend(ds.samples[i] for i in perm[n_test:])
-    mk = lambda ss: Dataset(ss, ds.class_count, ds.domain, ds.d)  # noqa: E731
-    return mk(train_samples), mk(test_samples)
+        test_idx.append(perm[:n_test])
+        train_idx.append(perm[n_test:])
+    return _take(ds, np.concatenate(train_idx)), _take(ds, np.concatenate(test_idx))
+
+
+def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
+    """The rows `idx` of ds, in that order, with ds's label range and domain."""
+    return Dataset(ds.X[idx], ds.y[idx], ds.class_count, ds.domain)
 
 
 def class_subset(ds: Dataset, classes) -> Dataset:
@@ -337,8 +312,7 @@ def class_subset(ds: Dataset, classes) -> Dataset:
     bad = [c for c in keep if not 0 <= c < ds.class_count]
     if bad:
         raise ValueError(f"classes {sorted(bad)} outside [0, {ds.class_count})")
-    samples = [s for s in ds.samples if s.label in keep]
-    return Dataset(samples, ds.class_count, ds.domain, ds.d)
+    return _take(ds, np.flatnonzero(np.isin(ds.y, list(keep))))
 
 
 def compact_classes(ds: Dataset) -> tuple[Dataset, dict[int, int]]:
@@ -347,9 +321,9 @@ def compact_classes(ds: Dataset) -> tuple[Dataset, dict[int, int]]:
     Returns the relabeled dataset and the old->new label map. Used before
     splitting subset datasets whose class range has gaps.
     """
-    present = sorted({s.label for s in ds.samples})
-    if not present:
+    present = np.unique(ds.y)
+    if not present.size:
         raise DataError("cannot compact an empty dataset")
-    remap = {old: new for new, old in enumerate(present)}
-    samples = [Sample(s.x, remap[s.label], s.domain) for s in ds.samples]
-    return Dataset(samples, len(present), ds.domain, ds.d), remap
+    remap = {old: new for new, old in enumerate(present.tolist())}
+    relabeled = np.searchsorted(present, ds.y)
+    return Dataset(ds.X, relabeled, len(present), ds.domain), remap

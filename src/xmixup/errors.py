@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness check that
+every config dataclass runs.
 
 Argument-validation failures raise plain ValueError; lookups of missing
 plan entries raise KeyError. Everything else funnels through the classes
 below so the CLI can map failures to stable exit codes.
 """
+
+import dataclasses
+import math
 
 
 class DataError(Exception):
@@ -26,3 +30,14 @@ class NumericError(Exception):
 
 class ConfigError(Exception):
     """An experiment configuration or strategy parameter set is invalid."""
+
+
+def require_finite(config) -> None:
+    """Raise ConfigError if any float field of a config dataclass is NaN or ±inf.
+
+    NaN slips through every `<`/`<=` range check, so this runs first.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .dataset import (
     save_dataset,
     split,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError, require_finite
 from .mixup import MixupConfig
 from .model import ModelParams, TrainConfig, load_params, save_params
 from .pairing import (
@@ -80,6 +80,7 @@ class DataSpec:
     target_test_fraction: float = 0.8
 
     def __post_init__(self):
+        require_finite(self)
         object.__setattr__(self, "planted", tuple(self.planted))
 
 
@@ -110,6 +111,10 @@ class ExperimentConfig:
             raise ConfigError("strategy list must be non-empty")
         if not self.hidden:
             raise ConfigError("hidden layer list must be non-empty")
+        require_finite(self)
+        bad = [a for a in self.alpha_grid if not math.isfinite(a)]
+        if bad:
+            raise ConfigError(f"alpha_grid must be finite, got {bad}")
 
     def strategy_for(self, kind: StrategyKind) -> Strategy:
         if kind is StrategyKind.L2SP:
@@ -231,6 +236,14 @@ def _write_json(obj, path: Path) -> None:
         f.write("\n")
 
 
+def _read_json(path: Path):
+    """Parse a JSON artifact; an unreadable one is a data error, not a config error."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _require(path: Path, hint: str) -> Path:
     if not path.exists():
         raise DataError(f"missing artifact {path}; run `{hint}` first")
@@ -243,7 +256,7 @@ def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -
     path = out / MANIFEST
     manifest = {"config_hash": cfg.hash(), "artifacts": {}}
     if path.exists():
-        old = json.loads(path.read_text(encoding="utf-8"))
+        old = _read_json(path)
         if old.get("config_hash") == cfg.hash():
             manifest["artifacts"] = old.get("artifacts", {})
     manifest["artifacts"].update(entries)
@@ -404,15 +417,6 @@ def run_record(
     }
 
 
-def _parallel(jobs: int, tasks: list):
-    """Run zero-arg callables, preserving input order in the results."""
-    if jobs <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def run_name(kind: StrategyKind, seed: int) -> str:
     return f"{kind.value}-s{seed}"
 
@@ -421,7 +425,6 @@ def step_finetune(
     cfg: ExperimentConfig,
     out: Path,
     strategies: tuple[StrategyKind, ...] | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     src_train, _, tgt_train, tgt_test = load_data(out)
     pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
@@ -429,20 +432,13 @@ def step_finetune(
     runs = out / RUNS_DIR
     runs.mkdir(exist_ok=True)
     kinds = strategies if strategies is not None else cfg.strategies
-    tasks = [
-        (
-            kind,
-            seed,
-            lambda k=kind, s=seed: run_record(
-                cfg, pretrained, src_train, tgt_train, tgt_test, plan, k, s
-            ),
-        )
-        for kind in kinds
-        for seed in cfg.seeds
+    cells = [(kind, seed) for kind in kinds for seed in cfg.seeds]
+    records = [
+        run_record(cfg, pretrained, src_train, tgt_train, tgt_test, plan, kind, seed)
+        for kind, seed in cells
     ]
-    records = _parallel(jobs, [t[2] for t in tasks])
     entries = {}
-    for (kind, seed, _), record in zip(tasks, records):
+    for (kind, seed), record in zip(cells, records):
         name = f"{run_name(kind, seed)}.json"
         _write_json(record, runs / name)
         entries[f"run_{run_name(kind, seed)}"] = f"{RUNS_DIR}/{name}"
@@ -550,7 +546,7 @@ def load_run_records(out: Path) -> list[dict]:
         raise DataError(f"missing artifact {runs}; run `finetune` first")
     records = []
     for path in sorted(runs.glob("*.json")):
-        records.append(json.loads(path.read_text(encoding="utf-8")))
+        records.append(_read_json(path))
     if not records:
         raise DataError(f"no run records under {runs}; run `finetune` first")
     return records
@@ -604,30 +600,29 @@ def _light_accuracy(
     return result.accuracy
 
 
-def step_sweep_alpha(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
+def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
     src_train, _, tgt_train, tgt_test = load_data(out)
     pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
     plan = load_plan(_require(out / PLAN, "pair"))
     cells = [(alpha, seed) for alpha in cfg.alpha_grid for seed in cfg.seeds]
-    tasks = [
-        lambda a=alpha, s=seed: _light_accuracy(
-            cfg,
-            pretrained,
-            src_train,
-            tgt_train,
-            tgt_test,
-            plan,
-            Strategy.xmixup(replace(cfg.mixup, alpha=a)),
-            s,
-        )
-        for alpha, seed in cells
-    ]
-    accs = _parallel(jobs, tasks)
     rows = [
-        {"alpha": alpha, "seed": seed, "accuracy": acc}
-        for (alpha, seed), acc in zip(cells, accs)
+        {
+            "alpha": alpha,
+            "seed": seed,
+            "accuracy": _light_accuracy(
+                cfg,
+                pretrained,
+                src_train,
+                tgt_train,
+                tgt_test,
+                plan,
+                Strategy.xmixup(replace(cfg.mixup, alpha=alpha)),
+                seed,
+            ),
+        }
+        for alpha, seed in cells
     ]
     with open(out / "sweep_alpha.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("alpha,seed,accuracy\n")
@@ -653,7 +648,7 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[di
     return rows
 
 
-def step_sweep_size(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
+def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
     src_train, _, tgt_train, tgt_test = load_data(out)
     pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
@@ -666,23 +661,19 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dic
     }
     sizes = src_train.class_sizes()
     cells = [(t, seed) for t in grid for seed in cfg.seeds]
-    tasks = [
-        lambda t=thr, s=seed: _light_accuracy(
+    rows = []
+    for thr, seed in cells:
+        selected = plans[thr].selected_sources()
+        acc = _light_accuracy(
             cfg,
             pretrained,
             src_train,
             tgt_train,
             tgt_test,
-            plans[t],
+            plans[thr],
             Strategy.xmixup(cfg.mixup),
-            s,
+            seed,
         )
-        for thr, seed in cells
-    ]
-    accs = _parallel(jobs, tasks)
-    rows = []
-    for (thr, seed), acc in zip(cells, accs):
-        selected = plans[thr].selected_sources()
         rows.append(
             {
                 "threshold": thr,
@@ -745,7 +736,7 @@ def random_plan(
     return PairingPlan(per_target, scores, n_rounds, exhausted=taken >= m)
 
 
-def step_randomize_aux(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
+def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
     src_train, _, tgt_train, tgt_test = load_data(out)
@@ -771,23 +762,22 @@ def step_randomize_aux(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[
                 ),
             )
         )
-    tasks = [
-        lambda p=plan, s=seed: _light_accuracy(
-            cfg,
-            pretrained,
-            src_train,
-            tgt_train,
-            tgt_test,
-            p,
-            Strategy.xmixup(cfg.mixup),
-            s,
-        )
-        for _, seed, plan in cells
-    ]
-    accs = _parallel(jobs, tasks)
     rows = [
-        {"mode": mode, "seed": seed, "accuracy": acc}
-        for (mode, seed, _), acc in zip(cells, accs)
+        {
+            "mode": mode,
+            "seed": seed,
+            "accuracy": _light_accuracy(
+                cfg,
+                pretrained,
+                src_train,
+                tgt_train,
+                tgt_test,
+                plan,
+                Strategy.xmixup(cfg.mixup),
+                seed,
+            ),
+        }
+        for mode, seed, plan in cells
     ]
     rows.sort(key=lambda r: (r["mode"], r["seed"]))
     with open(out / "randomize_aux.csv", "w", encoding="utf-8", newline="\n") as f:
@@ -798,7 +788,7 @@ def step_randomize_aux(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[
     return rows
 
 
-def step_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
+def step_ablate(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Ablation over the mixing recipe: cross-domain vs in-domain vs
     label-free mixing."""
     kinds = (
@@ -806,7 +796,7 @@ def step_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
         StrategyKind.MIXUP_IN_DOMAIN,
         StrategyKind.XMIXUP_NO_LABEL,
     )
-    records = step_finetune(cfg, out, strategies=kinds, jobs=jobs)
+    records = step_finetune(cfg, out, strategies=kinds)
     order = {k.value: i for i, k in enumerate(kinds)}
     records.sort(key=lambda r: (order[r["strategy"]], r["seed"]))
     write_comparison_csv(records, out / "ablate.csv")

@@ -1,22 +1,26 @@
 """Cross-domain mixup: Beta(α, β) coefficients and target/auxiliary blending.
 
-A mixed example is x = λ·x_t + (1−λ)·x_s with the labels blended the same
-way over the unified label space (target classes first, then the selected
-source classes). λ is drawn fresh per example. The Beta sampler is built from
-scratch: an exact inverse-CDF path for β = 1 and a Marsaglia–Tsang Gamma
-ratio otherwise.
+A mixed row is x = λ·x_t + (1−λ)·x_s with the labels blended the same way
+over the unified label space (target classes first, then the selected source
+classes). λ is drawn fresh per row. The Beta sampler is built from scratch:
+an exact inverse-CDF path for β = 1 and a Marsaglia–Tsang Gamma ratio
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Sample
-from .errors import DataError
+from .dataset import Dataset
+from .errors import DataError, NumericError, require_finite
 from .pairing import PairingPlan
+
+#: Redraws sample_beta allows before it gives up: λ rounds to exactly 0 or 1
+#: only for extreme shapes, where every draw would.
+MAX_BETA_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,7 @@ class MixupConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError(
                 f"Beta shapes must be positive, got alpha={self.alpha} beta={self.beta}"
@@ -37,10 +42,15 @@ class MixupConfig:
 @dataclass
 class LabelSpace:
     """Unified label indexing: target classes take [0, n), selected source
-    classes take [n, L) in ascending original-id order."""
+    classes take [n, L) in ascending original-id order.
+
+    `source_columns[c]` is the unified column of source class c, or -1 when c
+    is not selected; it covers source ids up to the largest selected one.
+    """
 
     n_target: int
     source_classes: tuple[int, ...]
+    source_columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_target < 1:
@@ -48,41 +58,14 @@ class LabelSpace:
         self.source_classes = tuple(self.source_classes)
         if list(self.source_classes) != sorted(set(self.source_classes)):
             raise ValueError("source classes must be sorted and distinct")
+        self.source_columns = np.full(max(self.source_classes, default=-1) + 1, -1)
+        self.source_columns[list(self.source_classes)] = self.n_target + np.arange(
+            len(self.source_classes)
+        )
 
     @property
     def size(self) -> int:
         return self.n_target + len(self.source_classes)
-
-    def source_index(self, source_class: int) -> int:
-        try:
-            return self.n_target + self.source_classes.index(source_class)
-        except ValueError:
-            raise KeyError(source_class) from None
-
-    def target_onehot(self, target_class: int) -> np.ndarray:
-        if not 0 <= target_class < self.n_target:
-            raise ValueError(f"target class {target_class} out of range")
-        y = np.zeros(self.size)
-        y[target_class] = 1.0
-        return y
-
-    def source_onehot(self, source_class: int) -> np.ndarray:
-        y = np.zeros(self.size)
-        y[self.source_index(source_class)] = 1.0
-        return y
-
-
-@dataclass
-class MixedExample:
-    x: np.ndarray
-    y: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if np.any(self.y < -1e-12) or abs(self.y.sum() - 1.0) > 1e-9:
-            raise ValueError("mixed label must lie on the simplex")
 
 
 #: (α, β) pairs covered by the sampler's distributional self-checks — spans
@@ -105,7 +88,7 @@ def sample_gamma(shape: float, rng) -> float:
 
     For shape < 1 the standard boost applies: G(a) = G(a+1) · U^{1/a}.
     """
-    if shape <= 0:
+    if not shape > 0:
         raise ValueError(f"shape must be positive, got {shape}")
     if shape < 1.0:
         return sample_gamma(shape + 1.0, rng) * _open_uniform(rng) ** (1.0 / shape)
@@ -128,9 +111,9 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
 
     β = 1 uses the exact inverse CDF λ = U^{1/α} (the CDF is x^α); any other
     β uses λ = G_α / (G_α + G_β). Boundary values from float rounding are
-    redrawn so the open interval holds.
+    redrawn so the open interval holds, at most MAX_BETA_DRAWS times.
     """
-    while True:
+    for _ in range(MAX_BETA_DRAWS):
         if cfg.beta == 1.0:
             lam = _open_uniform(rng) ** (1.0 / cfg.alpha)
         else:
@@ -139,32 +122,9 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
             lam = g_a / (g_a + g_b)
         if 0.0 < lam < 1.0:
             return lam
-
-
-def draw_auxiliary(plan: PairingPlan, target_class: int, src: Dataset, rng) -> Sample:
-    """One source sample for a target class: uniform over the classes paired
-    to it (across all rounds), then uniform over that class's samples."""
-    paired = plan.per_target[target_class]
-    cls = paired[int(rng.integers(len(paired)))]
-    pool = src.indices_by_class()[cls]
-    if len(pool) == 0:
-        raise DataError(f"source class {cls} has no samples to draw from")
-    return src.samples[int(pool[int(rng.integers(len(pool)))])]
-
-
-def mix(
-    x_t: np.ndarray, y_t: np.ndarray, x_s: np.ndarray, y_s: np.ndarray, lam: float
-) -> MixedExample:
-    """x = λ·x_t + (1−λ)·x_s and likewise for the labels."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    x_t, y_t, x_s, y_s = (np.asarray(a, dtype=float) for a in (x_t, y_t, x_s, y_s))
-    if x_t.shape != x_s.shape:
-        raise ValueError(f"input shapes differ: {x_t.shape} vs {x_s.shape}")
-    if y_t.shape != y_s.shape:
-        raise ValueError(f"label shapes differ: {y_t.shape} vs {y_s.shape}")
-    return MixedExample(
-        lam * x_t + (1.0 - lam) * x_s, lam * y_t + (1.0 - lam) * y_s, lam
+    raise NumericError(
+        f"Beta({cfg.alpha}, {cfg.beta}) gave no draw inside (0, 1) "
+        f"in {MAX_BETA_DRAWS} tries"
     )
 
 
@@ -172,30 +132,36 @@ def make_batch(
     tgt_train: Dataset,
     src: Dataset,
     plan: PairingPlan,
+    space: LabelSpace,
     cfg: MixupConfig,
     batch_size: int,
     rng,
-) -> list[MixedExample]:
-    """A mini-batch of mixed examples: target samples drawn uniformly with
-    replacement, then one auxiliary draw and one fresh λ per example."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """A mini-batch of mixed rows as stacked inputs X and soft labels P.
+
+    Target rows are drawn uniformly with replacement. Then, per row, one
+    source class paired to its target class (uniform over all rounds), one
+    sample of that class and one fresh λ. The per-row draws stay scalar and
+    in this order because every run record depends on the random stream.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(tgt_train) == 0:
         raise DataError("cannot draw a batch from an empty target dataset")
-    space = LabelSpace(tgt_train.class_count, tuple(plan.selected_sources()))
     picks = rng.integers(len(tgt_train), size=batch_size)
-    batch = []
-    for i in picks:
-        t = tgt_train.samples[int(i)]
-        aux = draw_auxiliary(plan, t.label, src, rng)
-        lam = sample_beta(cfg, rng)
-        batch.append(
-            mix(
-                t.x,
-                space.target_onehot(t.label),
-                aux.x,
-                space.source_onehot(aux.label),
-                lam,
-            )
-        )
-    return batch
+    targets = tgt_train.y[picks]
+    by_class = src.indices_by_class()
+    aux = np.empty(batch_size, dtype=int)
+    lam = np.empty((batch_size, 1))
+    for i, t in enumerate(targets.tolist()):
+        paired = plan.per_target[t]
+        cls = paired[int(rng.integers(len(paired)))]
+        pool = by_class[cls]
+        if len(pool) == 0:
+            raise DataError(f"source class {cls} has no samples to draw from")
+        aux[i] = pool[int(rng.integers(len(pool)))]
+        lam[i] = sample_beta(cfg, rng)
+    eye = np.eye(space.size)
+    X = lam * tgt_train.X[picks] + (1.0 - lam) * src.X[aux]
+    P = lam * eye[targets] + (1.0 - lam) * eye[space.source_columns[src.y[aux]]]
+    return X, P

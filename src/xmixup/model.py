@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParseError
+from .errors import NumericError, ParseError, require_finite
 
 Layer = tuple[np.ndarray, np.ndarray]  # (W: out x in, b: out)
 
@@ -31,6 +31,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
@@ -129,14 +130,6 @@ def init(d: int, hidden: list[int], label_count: int, seed: int) -> ModelParams:
     return ModelParams(layers, head)
 
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    if not 0 <= index < size:
-        raise ValueError(f"one-hot index {index} outside [0, {size})")
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (features, logits) for a single vector (d,) or a batch (N, d)."""
     x = np.asarray(x, dtype=float)
@@ -228,17 +221,6 @@ def loss_and_grad_arrays(
     loss = float(-(P * logp).sum(axis=1).mean())
     dlogits = (np.exp(logp) - P) / X.shape[0]
     return loss, backward_from_dlogits(params, acts, pres, dlogits)
-
-
-def loss_and_grad(
-    params: ModelParams, batch: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[float, ModelParams]:
-    """Same as loss_and_grad_arrays for a list of (x, soft_label) pairs."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    X = np.stack([x for x, _ in batch])
-    P = np.stack([p for _, p in batch])
-    return loss_and_grad_arrays(params, X, P)
 
 
 def sgd_step(

@@ -112,7 +112,7 @@ class PairingPlan:
 
 def compute_centroids(ds: Dataset, params: ModelParams) -> CentroidBank:
     """Mean extractor feature per class: centroid(c) = (1/|c|) sum_x features(x)."""
-    feats, _ = forward(params, ds.xs())
+    feats, _ = forward(params, ds.X)
     centroids = {}
     counts = {}
     by_class = ds.indices_by_class()

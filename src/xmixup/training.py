@@ -182,7 +182,7 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
         raise DataError("cannot pre-train on an empty dataset")
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
-    X, y = src_train.xs(), src_train.labels()
+    X, y = src_train.X, src_train.y
     eye = np.eye(src_train.class_count)
 
     def step(p, it):
@@ -201,9 +201,9 @@ def evaluate(params: ModelParams, test: Dataset) -> float:
         raise ValueError(
             f"head has {params.label_count} outputs for {test.class_count} classes"
         )
-    _, logits = forward(params, test.xs())
+    _, logits = forward(params, test.X)
     pred = logits[:, : test.class_count].argmax(axis=1)
-    return float((pred == test.labels()).mean())
+    return float((pred == test.y).mean())
 
 
 def sp_penalty(
@@ -259,12 +259,11 @@ def masked_loss_and_grad(
     return total / total_rows, backward_from_dlogits(params, acts, pres, dlogits)
 
 
-def _aux_pool(src: Dataset, plan: PairingPlan, space: LabelSpace):
+def _aux_pool(src: Dataset, space: LabelSpace):
     """Indices of all selected-class source samples and their unified labels."""
     by_class = src.indices_by_class()
-    idx = np.concatenate([by_class[c] for c in plan.selected_sources()])
-    labels = np.array([space.source_index(src.samples[i].label) for i in idx])
-    return idx, labels
+    idx = np.concatenate([by_class[c] for c in space.source_classes])
+    return idx, space.source_columns[src.y[idx]]
 
 
 def _rescale_drop(cfg: TrainConfig, iterations: int) -> int:
@@ -319,7 +318,7 @@ def finetune(
     )
     rng_batch = np.random.default_rng([cfg.seed, 1])
     eye = np.eye(space.size)
-    tgt_X, tgt_y = tgt_train.xs(), tgt_train.labels()
+    tgt_X, tgt_y = tgt_train.X, tgt_train.y
 
     def target_step(p, it):
         idx = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
@@ -366,11 +365,9 @@ def finetune(
         drop_label = kind is StrategyKind.XMIXUP_NO_LABEL
 
         def step(p, it):
-            batch = make_batch(
-                tgt_train, src, plan, strategy.mixup, cfg.batch_size, rng_mix
+            X, P = make_batch(
+                tgt_train, src, plan, space, strategy.mixup, cfg.batch_size, rng_mix
             )
-            X = np.stack([e.x for e in batch])
-            P = np.stack([e.y for e in batch])
             if drop_label:
                 # keep the mixed inputs, relabel with the pure target class
                 # (the lone nonzero in the target block)
@@ -388,13 +385,12 @@ def finetune(
                 f"midtune budget {mid} exceeds total iterations {cfg.iterations}"
             )
         config["strategy"]["midtune_iterations"] = mid
-        pool, pool_labels = _aux_pool(src, plan, space)
-        src_X = src.xs()
+        pool, pool_labels = _aux_pool(src, space)
         rng_aux = np.random.default_rng([cfg.seed, 3])
 
         def aux_step(p, it):
             idx = rng_aux.integers(len(pool), size=cfg.batch_size)
-            return loss_and_grad_arrays(p, src_X[pool[idx]], eye[pool_labels[idx]])
+            return loss_and_grad_arrays(p, src.X[pool[idx]], eye[pool_labels[idx]])
 
         cfg1 = replace(cfg, iterations=mid, lr_drop_at=_rescale_drop(cfg, mid))
         rest = cfg.iterations - mid
@@ -404,14 +400,13 @@ def finetune(
         trace = trace1 + trace2
 
     elif kind is StrategyKind.CO_TRAIN:
-        pool, pool_labels = _aux_pool(src, plan, space)
-        src_X = src.xs()
+        pool, pool_labels = _aux_pool(src, space)
         half = cfg.batch_size // 2
 
         def step(p, it):
             ti = rng_batch.integers(len(tgt_X), size=half)
             si = rng_batch.integers(len(pool), size=cfg.batch_size - half)
-            X = np.vstack([tgt_X[ti], src_X[pool[si]]])
+            X = np.vstack([tgt_X[ti], src.X[pool[si]]])
             labels = np.concatenate([tgt_y[ti], pool_labels[si]])
             return masked_loss_and_grad(p, X, labels, n, half)
 

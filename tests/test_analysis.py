@@ -123,7 +123,9 @@ def test_probe_handles_gappy_label_ranges(toy_pretrained, toy_source):
 def test_probe_rejects_degenerate_subsets(toy_pretrained, toy_source):
     with pytest.raises(DataError):
         linear_probe(
-            toy_pretrained, Dataset([], 5, Domain.SOURCE, 4), ProbeConfig()
+            toy_pretrained,
+            Dataset(np.empty((0, 4)), [], 5, Domain.SOURCE),
+            ProbeConfig(),
         )
     with pytest.raises(DataError):
         linear_probe(toy_pretrained, class_subset(toy_source, [2]), ProbeConfig())
@@ -143,8 +145,8 @@ def test_source_subsets_partition_the_classes(toy_source, toy_plan):
     aux = subsets[ProbeSubset.AUXILIARY]
     aba = subsets[ProbeSubset.ABA]
     assert subsets[ProbeSubset.ALL] is toy_source
-    aux_classes = {s.label for s in aux.samples}
-    aba_classes = {s.label for s in aba.samples}
+    aux_classes = set(aux.y.tolist())
+    aba_classes = set(aba.y.tolist())
     assert aux_classes == set(toy_plan.selected_sources())
     assert not aux_classes & aba_classes
     assert aux_classes | aba_classes == set(range(toy_source.class_count))

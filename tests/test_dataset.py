@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from xmixup.dataset import (
     Dataset,
     Domain,
-    Sample,
     class_subset,
     compact_classes,
     gen_source,
@@ -27,7 +26,8 @@ def test_gen_source_shape_and_counts():
     assert ds.d == 3
     assert ds.domain is Domain.SOURCE
     assert ds.class_sizes() == {c: 9 for c in range(6)}
-    assert ds.xs().shape == (54, 3)
+    assert ds.X.shape == (54, 3)
+    assert ds.y.shape == (54,)
 
 
 def test_gen_source_is_deterministic():
@@ -55,7 +55,7 @@ def test_gen_source_means_replay_matches_dataset():
     means = source_class_means(5, 3, 0.1, seed=9)
     by_class = ds.indices_by_class()
     for c in range(5):
-        centroid = np.stack([ds.samples[i].x for i in by_class[c]]).mean(axis=0)
+        centroid = ds.X[by_class[c]].mean(axis=0)
         assert np.linalg.norm(centroid - means[c]) < 0.05
 
 
@@ -80,10 +80,8 @@ def test_gen_target_zero_noise_copies_whole_class_exactly():
     assert planted.mapping == {0: 2, 1: 0}
     by_src = src.indices_by_class()
     for t, s in planted.mapping.items():
-        src_xs = np.stack([src.samples[i].x for i in by_src[s]])
-        tgt_xs = np.stack(
-            [smp.x for smp in tgt.samples if smp.label == t]
-        )
+        src_xs = src.X[by_src[s]]
+        tgt_xs = tgt.X[tgt.y == t]
         # per_class == source class size: the copy is a permutation
         assert np.allclose(
             np.sort(src_xs, axis=0), np.sort(tgt_xs, axis=0), rtol=0, atol=0
@@ -94,8 +92,8 @@ def test_gen_target_zero_noise_copies_whole_class_exactly():
 def test_gen_target_noise_perturbs_but_stays_close():
     src = gen_source(4, 30, 3, 0.5, seed=5)
     tgt, _ = gen_target(src, [0], 0, 30, 0.05, seed=6)
-    src_xs = np.stack([s.x for s in src.samples if s.label == 0])
-    tgt_xs = tgt.xs()
+    src_xs = src.X[src.y == 0]
+    tgt_xs = tgt.X
     assert not np.allclose(np.sort(src_xs, axis=0), np.sort(tgt_xs, axis=0))
     # centroid moves by about noise/sqrt(per_class), far below the spread
     drift = np.linalg.norm(src_xs.mean(axis=0) - tgt_xs.mean(axis=0))
@@ -110,14 +108,14 @@ def test_gen_target_novel_classes_follow_planted():
     assert planted.novel_classes() == [2, 3]
     assert planted.mapping[2] is None and planted.mapping[3] is None
     assert tgt.class_sizes() == {c: 8 for c in range(4)}
-    assert all(s.domain is Domain.TARGET for s in tgt.samples)
+    assert tgt.domain is Domain.TARGET
 
 
 def test_gen_target_does_not_mutate_source():
     src = gen_source(3, 6, 3, 0.3, seed=4)
-    before = src.xs().copy()
+    before = src.X.copy()
     gen_target(src, [0, 1], 1, 6, 0.2, seed=9)
-    assert np.array_equal(src.xs(), before)
+    assert np.array_equal(src.X, before)
 
 
 @pytest.mark.parametrize(
@@ -146,14 +144,16 @@ def test_planted_mapping_must_be_injective():
 
 
 def test_dataset_validates_members():
-    x = np.zeros(3)
+    X = np.zeros((1, 3))
     with pytest.raises(ValueError):
-        Dataset([Sample(x, 5, Domain.SOURCE)], 2, Domain.SOURCE, 3)
+        Dataset(X, [5], 2, Domain.SOURCE)
     with pytest.raises(ValueError):
-        Dataset([Sample(np.zeros(4), 0, Domain.SOURCE)], 2, Domain.SOURCE, 3)
-    empty = Dataset([], 2, Domain.SOURCE, 3)
+        Dataset(X, [0, 1], 2, Domain.SOURCE)
+    with pytest.raises(ValueError):
+        Dataset(np.zeros(3), [0], 2, Domain.SOURCE)
+    empty = Dataset(np.empty((0, 3)), [], 2, Domain.SOURCE)
     assert len(empty) == 0
-    assert empty.xs().shape == (0, 3)
+    assert empty.d == 3
 
 
 def test_save_load_round_trip(tmp_path):
@@ -181,16 +181,11 @@ def test_save_load_round_trip(tmp_path):
     )
 )
 def test_save_load_preserves_floats_exactly(tmp_path_factory, values):
-    ds = Dataset(
-        [Sample(np.array(values, dtype=float), 0, Domain.TARGET)],
-        1,
-        Domain.TARGET,
-        2,
-    )
+    ds = Dataset([values], [0], 1, Domain.TARGET)
     path = tmp_path_factory.mktemp("rt") / "one.csv"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert np.array_equal(back.samples[0].x, ds.samples[0].x)
+    assert np.array_equal(back.X, ds.X)
 
 
 @pytest.mark.parametrize(
@@ -226,8 +221,8 @@ def test_split_is_stratified_and_disjoint():
     train, test = split(ds, 0.25, seed=0)
     assert train.class_sizes() == {c: 15 for c in range(5)}
     assert test.class_sizes() == {c: 5 for c in range(5)}
-    train_keys = {(s.label, s.x.tobytes()) for s in train.samples}
-    test_keys = {(s.label, s.x.tobytes()) for s in test.samples}
+    train_keys = {(int(y), x.tobytes()) for x, y in zip(train.X, train.y)}
+    test_keys = {(int(y), x.tobytes()) for x, y in zip(test.X, test.y)}
     assert not train_keys & test_keys
     assert len(train_keys | test_keys) == len(ds)
 
@@ -259,12 +254,7 @@ def test_split_rejects_degenerate_fractions(fraction):
 
 
 def test_split_needs_two_samples_per_class():
-    ds = Dataset(
-        [Sample(np.zeros(2), 0, Domain.SOURCE), Sample(np.ones(2), 1, Domain.SOURCE)],
-        2,
-        Domain.SOURCE,
-        2,
-    )
+    ds = Dataset([np.zeros(2), np.ones(2)], [0, 1], 2, Domain.SOURCE)
     with pytest.raises(DataError):
         split(ds, 0.5, seed=0)
 
@@ -273,7 +263,7 @@ def test_class_subset_keeps_original_labels():
     ds = gen_source(5, 6, 3, 0.4, seed=2)
     sub = class_subset(ds, [1, 3])
     assert sub.class_count == 5
-    assert sorted({s.label for s in sub.samples}) == [1, 3]
+    assert sorted(set(sub.y.tolist())) == [1, 3]
     assert len(sub) == 12
     with pytest.raises(ValueError):
         class_subset(ds, [1, 9])
@@ -285,6 +275,7 @@ def test_compact_classes_relabels_densely():
     compact, remap = compact_classes(sub)
     assert remap == {1: 0, 4: 1}
     assert compact.class_count == 2
-    assert sorted({s.label for s in compact.samples}) == [0, 1]
+    assert sorted(set(compact.y.tolist())) == [0, 1]
+    assert np.array_equal(compact.X, sub.X)
     with pytest.raises(DataError):
-        compact_classes(Dataset([], 3, Domain.SOURCE, 2))
+        compact_classes(Dataset(np.empty((0, 2)), [], 3, Domain.SOURCE))

@@ -216,18 +216,6 @@ def test_finetune_strategy_flag_limits_runs(tmp_path):
     assert [p.name for p in sorted((out / "runs").glob("*.json"))] == ["l2-s0.json"]
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    config = mini_config(tmp_path)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    for out, jobs in ((serial, "1"), (parallel, "3")):
-        for cmd in ("gen-data", "pretrain", "pair"):
-            assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
-        assert main([
-            "finetune", "--config", str(config), "--out", str(out), "--jobs", jobs,
-        ]) == 0
-    assert read_tree(serial / "runs") == read_tree(parallel / "runs")
-
-
 def test_sweeps_and_ablations_write_their_tables(tmp_path):
     config = mini_config(tmp_path, seeds=[0])
     out = tmp_path / "out"
@@ -309,6 +297,44 @@ def test_exit_codes(tmp_path):
             "finetune", "--config", str(config), "--out", str(out),
             "--strategy", "l2", "--set", "finetune.lr=1e9",
         ]) == 4
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        "data.spread=NaN",
+        "data.noise=Infinity",
+        "data.source_test_fraction=NaN",
+        "data.target_test_fraction=-Infinity",
+        "pretrain.lr=NaN",
+        "finetune.lr=NaN",
+        "finetune.momentum=NaN",
+        "finetune.weight_decay=Infinity",
+        "finetune.lr_drop_factor=NaN",
+        "mixup.alpha=NaN",
+        "mixup.beta=Infinity",
+        "probe.lr=NaN",
+        "probe.test_fraction=NaN",
+        "sp_weight=NaN",
+        "alpha_grid=[1.0, NaN]",
+    ],
+)
+def test_non_finite_config_floats_are_config_errors(tmp_path, assignment):
+    config = mini_config(tmp_path)
+    assert main([
+        "finetune", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--set", assignment,
+    ]) == 2
+
+
+def test_corrupt_artifacts_are_data_errors(tmp_path):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "runs").mkdir(parents=True)
+    (out / "runs" / "zz.json").write_text("{\"strategy\": \x01}")
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+    (out / "manifest.json").write_bytes(b"\xff\xfe")
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 3
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from xmixup.dataset import gen_source, gen_target
-from xmixup.errors import DataError
+from xmixup.dataset import Dataset, Domain, gen_source, gen_target
+from xmixup.errors import DataError, NumericError
 from xmixup.mixup import (
     SHAPE_GRID,
     LabelSpace,
-    MixedExample,
     MixupConfig,
-    draw_auxiliary,
     make_batch,
-    mix,
     sample_beta,
     sample_gamma,
 )
@@ -88,68 +85,31 @@ def test_mixup_config_rejects_non_positive_shapes(alpha, beta):
         MixupConfig(alpha=alpha, beta=beta, seed=0)
 
 
+@pytest.mark.parametrize("shape", [0.0, -1.0, float("nan")])
+def test_sample_gamma_rejects_non_positive_shapes(shape):
+    with pytest.raises(ValueError):
+        sample_gamma(shape, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])  # inverse-CDF and gamma-ratio paths
+def test_sample_beta_gives_up_when_every_draw_rounds_to_one(beta):
+    # at alpha = 1e300 every lambda rounds to exactly 1.0 and is redrawn
+    cfg = MixupConfig(alpha=1e300, beta=beta, seed=0)
+    with pytest.raises(NumericError):
+        sample_beta(cfg, np.random.default_rng(0))
+
+
 def test_label_space_indexing():
     space = LabelSpace(3, (2, 5, 7))
     assert space.size == 6
-    assert space.source_index(2) == 3
-    assert space.source_index(7) == 5
-    with pytest.raises(KeyError):
-        space.source_index(4)
-    assert space.target_onehot(1).tolist() == [0, 1, 0, 0, 0, 0]
-    assert space.source_onehot(5).tolist() == [0, 0, 0, 0, 1, 0]
+    assert space.source_columns.tolist() == [-1, -1, 3, -1, -1, 4, -1, 5]
+    assert LabelSpace(3, ()).source_columns.size == 0
     with pytest.raises(ValueError):
-        space.target_onehot(3)
+        LabelSpace(0, (2,))
     with pytest.raises(ValueError):
         LabelSpace(3, (5, 2))
     with pytest.raises(ValueError):
         LabelSpace(3, (2, 2))
-
-
-def test_mix_convex_combination():
-    x_t = np.array([1.0, 0.0])
-    x_s = np.array([0.0, 2.0])
-    y_t = np.array([1.0, 0.0, 0.0])
-    y_s = np.array([0.0, 0.0, 1.0])
-    ex = mix(x_t, y_t, x_s, y_s, 0.25)
-    assert np.allclose(ex.x, [0.25, 1.5])
-    assert np.allclose(ex.y, [0.25, 0.0, 0.75])
-    assert ex.lam == 0.25
-    # endpoints reproduce the inputs bit-for-bit
-    assert np.array_equal(mix(x_t, y_t, x_s, y_s, 1.0).x, x_t)
-    assert np.array_equal(mix(x_t, y_t, x_s, y_s, 0.0).y, y_s)
-
-
-def test_mix_validates_inputs():
-    x = np.zeros(2)
-    y = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        mix(x, y, np.zeros(3), y, 0.5)
-    with pytest.raises(ValueError):
-        mix(x, y, x, np.array([1.0, 0.0, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        mix(x, y, x, y, 1.5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    lam=st.floats(min_value=0.0, max_value=1.0),
-    ti=st.integers(min_value=0, max_value=2),
-    si=st.integers(min_value=0, max_value=1),
-)
-def test_mix_outputs_stay_on_the_label_simplex(lam, ti, si):
-    space = LabelSpace(3, (4, 6))
-    y_t = space.target_onehot(ti)
-    y_s = space.source_onehot((4, 6)[si])
-    ex = mix(np.zeros(2), y_t, np.ones(2), y_s, lam)
-    assert ex.y.min() >= 0.0
-    assert ex.y.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mixed_example_rejects_off_simplex_labels():
-    with pytest.raises(ValueError):
-        MixedExample(np.zeros(2), np.array([0.6, 0.6]), 0.5)
-    with pytest.raises(ValueError):
-        MixedExample(np.zeros(2), np.array([0.5, 0.5]), 1.2)
 
 
 @pytest.fixture(scope="module")
@@ -165,58 +125,113 @@ def mix_world():
     return src, tgt, plan
 
 
-def test_draw_auxiliary_only_uses_planned_classes(mix_world):
-    src, _, plan = mix_world
-    rng = np.random.default_rng(12)
-    seen = set()
-    for _ in range(200):
-        s = draw_auxiliary(plan, 0, src, rng)
-        assert s.label in {0, 4}
-        seen.add(s.label)
-    assert seen == {0, 4}  # both rounds contribute
-    for _ in range(50):
-        assert draw_auxiliary(plan, 1, src, rng).label == 2
-    with pytest.raises(KeyError):
-        draw_auxiliary(plan, 9, src, rng)
+def reference_batch(tgt, src, plan, space, cfg, batch_size, rng):
+    """Row-at-a-time mixing: draw a target row, a paired source class, one of
+    its samples and a lambda, then blend the row and its one-hot labels."""
+    by_class = src.indices_by_class()
+    xs, ps = [], []
+    for i in rng.integers(len(tgt), size=batch_size):
+        t = int(tgt.y[i])
+        paired = plan.per_target[t]
+        pool = by_class[paired[int(rng.integers(len(paired)))]]
+        j = int(pool[int(rng.integers(len(pool)))])
+        lam = sample_beta(cfg, rng)
+        y_t = np.zeros(space.size)
+        y_t[t] = 1.0
+        y_s = np.zeros(space.size)
+        y_s[space.n_target + space.source_classes.index(int(src.y[j]))] = 1.0
+        xs.append(lam * tgt.X[i] + (1.0 - lam) * src.X[j])
+        ps.append(lam * y_t + (1.0 - lam) * y_s)
+    return np.stack(xs), np.stack(ps)
+
+
+def mix_space(tgt, plan):
+    return LabelSpace(tgt.class_count, tuple(plan.selected_sources()))
+
+
+def test_mix_convex_combination(mix_world):
+    # the gathered batch is bit-for-bit the per-row convex combination,
+    # drawn from the random stream in the same order
+    src, tgt, plan = mix_world
+    space = mix_space(tgt, plan)
+    for alpha, beta in ((2.0, 1.0), (2.0, 2.0), (0.5, 0.5)):
+        cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
+        rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+        for _ in range(20):
+            X, P = make_batch(tgt, src, plan, space, cfg, 8, rng_a)
+            X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
+            assert np.array_equal(X, X_ref)
+            assert np.array_equal(P, P_ref)
+
+
+def test_mix_validates_inputs(mix_world):
+    src, tgt, plan = mix_world
+    cfg = MixupConfig(alpha=2.0, beta=1.0, seed=0)
+    wide = Dataset(np.hstack([src.X, src.X]), src.y, src.class_count, Domain.SOURCE)
+    with pytest.raises(ValueError):
+        make_batch(
+            tgt, wide, plan, mix_space(tgt, plan), cfg, 4, np.random.default_rng(0)
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.1, max_value=50.0),
+    beta=st.floats(min_value=0.1, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
+    src, tgt, plan = mix_world
+    cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
+    _, P = make_batch(
+        tgt, src, plan, mix_space(tgt, plan), cfg, 16, np.random.default_rng(seed)
+    )
+    assert P.min() >= 0.0
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_make_batch_shapes_and_label_structure(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=2.0, beta=1.0, seed=0)
-    space = LabelSpace(tgt.class_count, tuple(plan.selected_sources()))
-    batch = make_batch(tgt, src, plan, cfg, 32, np.random.default_rng(13))
-    assert len(batch) == 32
-    for ex in batch:
-        assert ex.x.shape == (3,)
-        nz = np.nonzero(ex.y)[0]
-        assert len(nz) == 2
-        t, s_pos = int(nz[0]), int(nz[1])
-        assert t < tgt.class_count <= s_pos < space.size
-        src_cls = space.source_classes[s_pos - tgt.class_count]
-        assert src_cls in plan.per_target[t]
-        assert ex.y[t] == pytest.approx(ex.lam, abs=1e-12)
-        assert ex.y[s_pos] == pytest.approx(1.0 - ex.lam, abs=1e-12)
-        assert 0.0 < ex.lam < 1.0
+    space = mix_space(tgt, plan)
+    rng = np.random.default_rng(13)
+    seen = {t: set() for t in plan.per_target}
+    for _ in range(10):
+        X, P = make_batch(tgt, src, plan, space, cfg, 32, rng)
+        assert X.shape == (32, 3)
+        assert P.shape == (32, space.size)
+        for row in P:
+            nz = np.nonzero(row)[0]
+            assert len(nz) == 2
+            t, s_pos = int(nz[0]), int(nz[1])
+            assert t < tgt.class_count <= s_pos < space.size
+            src_cls = space.source_classes[s_pos - tgt.class_count]
+            assert src_cls in plan.per_target[t]
+            seen[t].add(src_cls)
+            assert row[t] + row[s_pos] == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 < row[t] < 1.0
+    assert seen == {0: {0, 4}, 1: {2}}  # both rounds contribute
 
 
 def test_make_batch_is_deterministic(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=1.0, beta=2.0, seed=0)
-    a = make_batch(tgt, src, plan, cfg, 8, np.random.default_rng(14))
-    b = make_batch(tgt, src, plan, cfg, 8, np.random.default_rng(14))
-    for ea, eb in zip(a, b):
-        assert np.array_equal(ea.x, eb.x)
-        assert np.array_equal(ea.y, eb.y)
-        assert ea.lam == eb.lam
+    space = mix_space(tgt, plan)
+    a = make_batch(tgt, src, plan, space, cfg, 8, np.random.default_rng(14))
+    b = make_batch(tgt, src, plan, space, cfg, 8, np.random.default_rng(14))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=1.0, beta=1.0, seed=0)
-    from xmixup.dataset import Dataset, Domain
-
-    empty = Dataset([], tgt.class_count, Domain.TARGET, 3)
+    space = mix_space(tgt, plan)
+    empty = Dataset(np.empty((0, 3)), [], tgt.class_count, Domain.TARGET)
     with pytest.raises(DataError):
-        make_batch(empty, src, plan, cfg, 4, np.random.default_rng(0))
+        make_batch(empty, src, plan, space, cfg, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        make_batch(tgt, src, plan, cfg, 0, np.random.default_rng(0))
+        make_batch(tgt, src, plan, space, cfg, 0, np.random.default_rng(0))
+    partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
+    with pytest.raises(KeyError):  # target class 1 has no paired source
+        make_batch(tgt, src, partial, space, cfg, 32, np.random.default_rng(0))

@@ -18,9 +18,7 @@ from xmixup.model import (
     init_linear,
     load_params,
     log_softmax,
-    loss_and_grad,
     loss_and_grad_arrays,
-    one_hot,
     save_params,
     sgd_step,
 )
@@ -75,15 +73,6 @@ def test_log_softmax_is_shift_invariant_and_stable():
     assert np.allclose(lp, shifted, atol=1e-9)
 
 
-def test_one_hot():
-    v = one_hot(2, 4)
-    assert v.tolist() == [0.0, 0.0, 1.0, 0.0]
-    with pytest.raises(ValueError):
-        one_hot(4, 4)
-    with pytest.raises(ValueError):
-        one_hot(-1, 4)
-
-
 def test_init_is_deterministic_with_glorot_scaled_weights():
     a = init(6, [8, 4], 3, seed=12)
     b = init(6, [8, 4], 3, seed=12)
@@ -117,17 +106,6 @@ def test_gradients_match_finite_differences(arch):
     )
     a, n = flat(analytic.arrays()), flat(numeric)
     assert np.linalg.norm(a - n) <= GRAD_CHECK_TOL * max(np.linalg.norm(n), 1.0)
-
-
-def test_loss_and_grad_list_form_agrees_with_arrays():
-    params = init(3, [5], 2, seed=1)
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(3, 3))
-    P = rng.dirichlet(np.ones(2), size=3)
-    la, ga = loss_and_grad_arrays(params, X, P)
-    lb, gb = loss_and_grad(params, [(X[i], P[i]) for i in range(3)])
-    assert la == lb
-    assert all(np.array_equal(x, y) for x, y in zip(ga.arrays(), gb.arrays()))
 
 
 def test_loss_and_grad_rejects_bad_batches():

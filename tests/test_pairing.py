@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from xmixup.dataset import Dataset, Domain, Sample, gen_source
+from xmixup.dataset import Dataset, Domain, gen_source
 from xmixup.errors import DataError, NumericError, ParseError
 from xmixup.model import forward, init
 from xmixup.pairing import (
@@ -33,8 +33,8 @@ def brute_best(sims: np.ndarray) -> float:
 class TestCentroids:
     def test_matches_manual_feature_means(self, toy_source, toy_pretrained):
         bank = compute_centroids(toy_source, toy_pretrained)
-        feats, _ = forward(toy_pretrained, toy_source.xs())
-        labels = toy_source.labels()
+        feats, _ = forward(toy_pretrained, toy_source.X)
+        labels = toy_source.y
         for c in range(toy_source.class_count):
             manual = feats[labels == c].mean(axis=0)
             assert np.allclose(bank.centroids[c], manual, atol=1e-12)
@@ -42,13 +42,7 @@ class TestCentroids:
         assert bank.feature_width == toy_pretrained.feature_width
 
     def test_empty_class_is_an_error(self, toy_pretrained):
-        ds = Dataset(
-            [Sample(np.zeros(4), 0, Domain.SOURCE),
-             Sample(np.ones(4), 0, Domain.SOURCE)],
-            2,
-            Domain.SOURCE,
-            4,
-        )
+        ds = Dataset([np.zeros(4), np.ones(4)], [0, 0], 2, Domain.SOURCE)
         with pytest.raises(DataError):
             compute_centroids(ds, toy_pretrained)
 

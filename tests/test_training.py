@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import flat, numeric_gradient
-from xmixup.dataset import Dataset, Domain, Sample, split
+from xmixup.dataset import Dataset, Domain, split
 from xmixup.errors import ConfigError, DataError
 from xmixup.mixup import MixupConfig
 from xmixup.model import ModelParams, TrainConfig, forward_cache, init
@@ -72,19 +72,16 @@ def test_source_strategies_require_plan_and_source(world):
 
 def test_finetune_rejects_mismatched_shapes(world):
     wrong_d = Dataset(
-        [Sample(np.zeros(7), 0, Domain.TARGET), Sample(np.ones(7), 1, Domain.TARGET)],
-        world["train"].class_count,
-        Domain.TARGET,
-        7,
+        [np.zeros(7), np.ones(7)], [0, 1], world["train"].class_count, Domain.TARGET
     )
     with pytest.raises(ValueError):
         finetune(world["pre"], wrong_d, None, None, Strategy.l2(), FAST, world["test"])
     bad_test = Dataset(
-        world["test"].samples, world["test"].class_count + 1, Domain.TARGET, 4
+        world["test"].X, world["test"].y, world["test"].class_count + 1, Domain.TARGET
     )
     with pytest.raises(ValueError):
         finetune(world["pre"], world["train"], None, None, Strategy.l2(), FAST, bad_test)
-    empty = Dataset([], world["train"].class_count, Domain.TARGET, 4)
+    empty = Dataset(np.empty((0, 4)), [], world["train"].class_count, Domain.TARGET)
     with pytest.raises(DataError):
         finetune(world["pre"], empty, None, None, Strategy.l2(), FAST, world["test"])
 
@@ -188,16 +185,11 @@ def test_pretrain_learns_the_source_task(toy_source, toy_pretrained):
 
 
 def test_pretrain_validation(toy_source):
-    one_class = Dataset(
-        [Sample(np.zeros(4), 0, Domain.SOURCE), Sample(np.ones(4), 0, Domain.SOURCE)],
-        1,
-        Domain.SOURCE,
-        4,
-    )
+    one_class = Dataset([np.zeros(4), np.ones(4)], [0, 0], 1, Domain.SOURCE)
     with pytest.raises(ValueError):
         pretrain(one_class, FAST, [6])
     with pytest.raises(DataError):
-        pretrain(Dataset([], 3, Domain.SOURCE, 4), FAST, [6])
+        pretrain(Dataset(np.empty((0, 4)), [], 3, Domain.SOURCE), FAST, [6])
 
 
 def test_pretrain_zero_iterations_returns_the_init(toy_source):
@@ -217,12 +209,7 @@ def _constant_logit_params(biases):
 
 
 def _two_class_ds(labels):
-    return Dataset(
-        [Sample(np.zeros(2), int(v), Domain.TARGET) for v in labels],
-        2,
-        Domain.TARGET,
-        2,
-    )
+    return Dataset(np.zeros((len(labels), 2)), labels, 2, Domain.TARGET)
 
 
 def test_evaluate_ignores_source_logits():
@@ -244,7 +231,7 @@ def test_evaluate_validation():
     with pytest.raises(DataError):
         evaluate(
             _constant_logit_params([0.0, 0.0]),
-            Dataset([], 2, Domain.TARGET, 2),
+            Dataset(np.empty((0, 2)), [], 2, Domain.TARGET),
         )
 
 
