@@ -190,6 +190,28 @@ def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+def test_draw_auxiliary_only_uses_planned_classes(mix_world):
+    # the auxiliary source class of each row comes only from the classes
+    # paired to that row's target class, over all rounds
+    src, tgt, plan = mix_world
+    cfg = MixupConfig(alpha=2.0, beta=1.0, seed=0)
+    space = mix_space(tgt, plan)
+    rng = np.random.default_rng(12)
+
+    def aux_classes(target_class, batch_size, which_plan=plan):
+        keep = tgt.y == target_class
+        only = Dataset(tgt.X[keep], tgt.y[keep], tgt.class_count, Domain.TARGET)
+        _, P = make_batch(only, src, which_plan, space, cfg, batch_size, rng)
+        cols = np.argmax(P[:, space.n_target :], axis=1)
+        return {space.source_classes[c] for c in cols.tolist()}
+
+    assert aux_classes(0, 200) == {0, 4}  # both rounds contribute
+    assert aux_classes(1, 50) == {2}
+    unknown = PairingPlan({1: [2]}, {1: [0.8]}, 1, False)
+    with pytest.raises(KeyError):  # target class 0 is not in the plan
+        aux_classes(0, 4, unknown)
+
+
 def test_make_batch_shapes_and_label_structure(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=2.0, beta=1.0, seed=0)
