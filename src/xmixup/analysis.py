@@ -2,15 +2,23 @@
 
 A linear probe freezes the extractor, trains a fresh linear classifier on a
 source subset's features, and reports held-out accuracy — how much source
-knowledge the extractor still carries. The spectrum diagnostic computes the
-singular values of a feature matrix (hand-rolled one-sided Jacobi) and
-normalizes by the largest; the mean of the smallest values indicates how much
-feature-space volume fine-tuning has collapsed.
+knowledge the extractor still carries. The probe is fitted class-major: the
+features are transposed once to h x N, so each full-batch step is one k x N
+logit matrix whose columns are softmaxed in place; the softmax minus the
+one-hot targets is the gradient of the cross-entropy, so no log is taken.
+
+The spectrum diagnostic computes the singular values of a feature matrix
+(hand-rolled one-sided Jacobi) and normalizes by the largest; the mean of the
+smallest values indicates how much feature-space volume fine-tuning has
+collapsed. The Jacobi sweep uses the Brent–Luk round-robin ordering: the
+columns (padded with one zero column to an even count n) are paired as in a
+round-robin tournament, n - 1 rounds of n / 2 disjoint pairs that together
+meet every pair once, so all rotations of a round are applied as one array
+operation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +26,7 @@ import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
 from .errors import DataError, NumericError, require_finite
-from .model import ModelParams, forward, init_linear, log_softmax
+from .model import ModelParams, forward, init_linear
 from .pairing import PairingPlan
 
 
@@ -82,13 +90,20 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
     """Full-batch softmax-regression fit on frozen features; returns (W, b)."""
     rng = np.random.default_rng(cfg.seed)
     w, b = init_linear(k, F.shape[1], rng)
-    eye = np.eye(k)
-    target = eye[y]
+    n = len(F)
+    Ft = np.ascontiguousarray(F.T)
+    target = np.zeros((k, n))
+    target[y, np.arange(n)] = 1.0
+    step = cfg.lr / n
     for _ in range(cfg.iterations):
-        logp = log_softmax(F @ w.T + b)
-        g = (np.exp(logp) - target) / len(F)
-        w = w - cfg.lr * (g.T @ F)
-        b = b - cfg.lr * g.sum(axis=0)
+        G = w @ Ft
+        G += b[:, None]
+        G -= G.max(axis=0)
+        np.exp(G, out=G)
+        G /= G.sum(axis=0)
+        G -= target  # softmax - onehot: the cross-entropy gradient per sample
+        w -= step * (G @ F)
+        b -= step * G.sum(axis=1)
     return w, b
 
 
@@ -126,6 +141,44 @@ def source_subsets(src: Dataset, plan: PairingPlan) -> dict[ProbeSubset, Dataset
     }
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """n - 1 rounds of n / 2 disjoint column pairs (p, q) meeting every pair once.
+
+    The circle method: column 0 stays put, the others rotate one seat per
+    round, and seat i plays seat n - 1 - i. n must be even.
+    """
+    seats = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        rounds.append((np.array(seats[: n // 2]), np.array(seats[: n // 2 - 1 : -1])))
+        seats = [seats[0], seats[-1], *seats[1:-1]]
+    return rounds
+
+
+def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> bool:
+    """One sweep over the rows of C in place; True if any pair was rotated."""
+    rotated = False
+    for p, q in rounds:
+        ap, aq = C[p], C[q]
+        app = np.einsum("ij,ij->i", ap, ap)
+        aqq = np.einsum("ij,ij->i", aq, aq)
+        apq = np.einsum("ij,ij->i", ap, aq)
+        hit = np.abs(apq) > tol * np.sqrt(app * aqq)
+        if not hit.any():
+            continue
+        rotated = True
+        if not hit.all():
+            p, q, ap, aq = p[hit], q[hit], ap[hit], aq[hit]
+            app, aqq, apq = app[hit], aqq[hit], apq[hit]
+        tau = (aqq - app) / (2.0 * apq)
+        t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+        s = c * t[:, None]
+        C[p] = c * ap - s * aq
+        C[q] = s * ap + c * aq
+    return rotated
+
+
 def singular_values(
     A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
 ) -> np.ndarray:
@@ -133,7 +186,8 @@ def singular_values(
 
     Columns are repeatedly rotated in pairs until every pair satisfies
     |<a_i, a_j>| <= tol * ||a_i|| * ||a_j||; the singular values are then the
-    column norms.
+    column norms. A sweep visits the pairs in round-robin order (Brent & Luk
+    1985), rotating the disjoint pairs of one round together.
     """
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -142,29 +196,19 @@ def singular_values(
         raise NumericError("non-finite entries in matrix")
     if A.shape[0] < A.shape[1]:
         A = A.T
-    n = A.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                apq = float(A[:, p] @ A[:, q])
-                if abs(apq) <= tol * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                ap = A[:, p].copy()
-                A[:, p] = c * ap - s * A[:, q]
-                A[:, q] = s * ap + c * A[:, q]
-        if not rotated:
-            break
-    else:
-        raise NumericError(f"Jacobi iteration did not settle in {max_sweeps} sweeps")
-    return np.sort(np.linalg.norm(A, axis=0))[::-1]
+    m, n = A.shape
+    # Row i of C is column i of A; a zero row pads to an even count and is
+    # never rotated, since its inner products are exactly 0.
+    C = np.zeros((n + n % 2, m))
+    C[:n] = A.T
+    rounds = _round_robin(len(C))
+    with np.errstate(over="ignore"):  # tau * tau = inf gives t = 0, no rotation
+        for _ in range(max_sweeps):
+            if not _jacobi_sweep(C, rounds, tol):
+                break
+        else:
+            raise NumericError(f"Jacobi iteration did not settle in {max_sweeps} sweeps")
+    return np.sort(np.linalg.norm(C[:n], axis=1))[::-1]
 
 
 def spectrum(params: ModelParams, ds: Dataset, batch: int, seed: int = 0) -> Spectrum:

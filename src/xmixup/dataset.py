@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DataError, ParseError
 
 _MAX_MEAN_TRIES = 100_000
@@ -225,7 +226,7 @@ def save_dataset(ds: Dataset, path) -> None:
 
     Floats carry 17 significant digits so load(save(ds)) == ds exactly.
     """
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(f"{ds.domain.value},{ds.class_count},{ds.d}\n")
         for label, x in zip(ds.y.tolist(), ds.X.tolist()):
             f.write(f"{label}," + ",".join(_fmt(v) for v in x) + "\n")

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ProbeConfig, ProbeSubset, linear_probe, source_subsets, spectrum
+from .atomic import atomic_open
 from .dataset import (
     Dataset,
     gen_source,
@@ -231,7 +232,7 @@ def _fmt17(v: float) -> str:
 
 
 def _write_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -470,7 +471,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def write_comparison_csv(records: list[dict], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(COMPARISON_HEADER + "\n")
         for r in records:
             f.write(
@@ -521,7 +522,7 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
         "strategy,runs,accuracy_mean,accuracy_std,"
         "forgetting_aux_mean,forgetting_aba_mean,spectrum_tail_mean"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(header + "\n")
         for r in rows:
             f.write(
@@ -624,7 +625,7 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
         }
         for alpha, seed in cells
     ]
-    with open(out / "sweep_alpha.csv", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(out / "sweep_alpha.csv") as f:
         f.write("alpha,seed,accuracy\n")
         for r in rows:
             f.write(f"{_fmt17(r['alpha'])},{r['seed']},{_fmt17(r['accuracy'])}\n")
@@ -683,7 +684,7 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[dict]:
                 "accuracy": acc,
             }
         )
-    with open(out / "sweep_size.csv", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(out / "sweep_size.csv") as f:
         f.write("threshold,selected_classes,selected_samples,seed,accuracy\n")
         for r in rows:
             f.write(
@@ -780,7 +781,7 @@ def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[dict]:
         for mode, seed, plan in cells
     ]
     rows.sort(key=lambda r: (r["mode"], r["seed"]))
-    with open(out / "randomize_aux.csv", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(out / "randomize_aux.csv") as f:
         f.write("mode,seed,accuracy\n")
         for r in rows:
             f.write(f"{r['mode']},{r['seed']},{_fmt17(r['accuracy'])}\n")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import NumericError, ParseError, require_finite
 
 Layer = tuple[np.ndarray, np.ndarray]  # (W: out x in, b: out)
@@ -264,7 +265,7 @@ def save_params(params: ModelParams, path) -> None:
     then the arrays of ModelParams.arrays() concatenated row-major. The file
     is a pure function of the parameter values, so round-trips are bit-exact.
     """
-    with open(Path(path), "wb") as f:
+    with atomic_open(path, binary=True) as f:
         f.write(_CKPT_MAGIC + b"\n")
         f.write(f"{len(params.layers)}\n".encode())
         for w, _ in params.layers + [params.head]:

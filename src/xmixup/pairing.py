@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dataset import Dataset
 from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, forward
@@ -224,23 +225,31 @@ def expand_until_threshold(
     return PairingPlan(per_target, scores, n_rounds, exhausted=not avail.any())
 
 
+_PLAN_HEADER = "round,target_class,source_class,similarity"
+
+
 def save_plan(plan: PairingPlan, path) -> None:
-    """Write a plan as CSV: `round,target_class,source_class,similarity`."""
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as f:
-        f.write("round,target_class,source_class,similarity\n")
+    """Write a plan as CSV: an `exhausted,true|false` line, then the header
+    `round,target_class,source_class,similarity` and one row per pairing."""
+    with atomic_open(path) as f:
+        f.write(f"exhausted,{'true' if plan.exhausted else 'false'}\n")
+        f.write(_PLAN_HEADER + "\n")
         for rnd, t, s, score in plan.entries():
             f.write(f"{rnd},{t},{s},{score:.17g}\n")
 
 
 def load_plan(path) -> PairingPlan:
-    """Read a plan CSV; the exhaustion flag is not persisted and loads as False."""
+    """Read a plan CSV written by save_plan."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != "round,target_class,source_class,similarity":
-        raise ParseError("bad plan header", line=1)
+    flags = {"exhausted,true": True, "exhausted,false": False}
+    if not lines or lines[0] not in flags:
+        raise ParseError("expected `exhausted,true` or `exhausted,false`", line=1)
+    if len(lines) < 2 or lines[1] != _PLAN_HEADER:
+        raise ParseError("bad plan header", line=2)
     rows = []
-    for lineno, row in enumerate(lines[1:], start=2):
+    for lineno, row in enumerate(lines[2:], start=3):
         cols = row.split(",")
         if len(cols) != 4:
             raise ParseError(f"expected 4 columns, got {len(cols)}", line=lineno)
@@ -258,4 +267,4 @@ def load_plan(path) -> PairingPlan:
         scores.setdefault(t, []).append(score)
         if len(per_target[t]) != rnd:
             raise ParseError(f"target {t} is missing round {len(per_target[t])}")
-    return PairingPlan(per_target, scores, max(r for r, *_ in rows))
+    return PairingPlan(per_target, scores, max(r for r, *_ in rows), flags[lines[0]])

@@ -7,7 +7,7 @@ pipeline reproduces every chart byte for byte.
 
 from __future__ import annotations
 
-from pathlib import Path
+from .atomic import atomic_open
 
 _PALETTE = [
     "#1f77b4",
@@ -161,5 +161,5 @@ def bar_chart(
 
 
 def write_svg(svg: str, path) -> None:
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(svg)

@@ -8,13 +8,17 @@ from xmixup.analysis import (
     ProbeConfig,
     ProbeSubset,
     Spectrum,
+    _round_robin,
+    _train_probe_head,
     linear_probe,
+    probe_accuracy,
     singular_values,
     source_subsets,
     spectrum,
 )
-from xmixup.dataset import Dataset, Domain, class_subset
+from xmixup.dataset import Dataset, Domain, class_subset, compact_classes, split
 from xmixup.errors import DataError, NumericError
+from xmixup.model import forward, init_linear, log_softmax
 
 SVD_TOL = 1e-9
 
@@ -67,6 +71,38 @@ def test_singular_values_zero_matrix_and_bad_input():
     assert np.array_equal(singular_values(np.zeros((4, 3))), np.zeros(3))
     with pytest.raises(NumericError):
         singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "shape", [(60, 32), (240, 32), (512, 32), (61, 33), (7, 5), (33, 61)]
+)
+def test_singular_values_match_lapack_at_spectrum_shapes(shape):
+    """The spectrum's real shapes, and odd column counts that need a pad column."""
+    A = np.random.default_rng(sum(shape)).normal(size=shape)
+    mine = singular_values(A)
+    ref = reference_svd(A)
+    assert mine.shape == (min(shape),)
+    assert np.all(np.diff(mine) <= 0.0)
+    assert np.max(np.abs(mine - ref)) <= SVD_TOL * ref[0]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 34])
+def test_round_robin_meets_every_pair_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1
+    seen = set()
+    for p, q in rounds:
+        assert len(p) == len(q) == n // 2
+        assert sorted(np.concatenate([p, q]).tolist()) == list(range(n))
+        seen |= {frozenset(pair) for pair in zip(p.tolist(), q.tolist())}
+    assert len(seen) == n * (n - 1) // 2
+
+
+def test_singular_values_that_cannot_settle_raise():
+    A = np.random.default_rng(53).normal(size=(8, 5))
+    with pytest.raises(NumericError):
+        singular_values(A, max_sweeps=1)
+    assert np.max(np.abs(singular_values(A) - reference_svd(A))) <= SVD_TOL
 
 
 def test_spectrum_normalization_rules():
@@ -162,3 +198,51 @@ def test_probe_tracks_feature_quality(toy_source, toy_pretrained):
         init(toy_source.d, [10, 8], 5, seed=77), toy_source, ProbeConfig()
     )
     assert trained.accuracy >= blank.accuracy
+
+
+def reference_probe_head(F, y, k, cfg):
+    """The row-major probe fit: log-softmax of N x k logits, then exp."""
+    rng = np.random.default_rng(cfg.seed)
+    w, b = init_linear(k, F.shape[1], rng)
+    target = np.eye(k)[y]
+    for _ in range(cfg.iterations):
+        logp = log_softmax(F @ w.T + b)
+        g = (np.exp(logp) - target) / len(F)
+        w = w - cfg.lr * (g.T @ F)
+        b = b - cfg.lr * g.sum(axis=0)
+    return w, b
+
+
+def test_probe_head_matches_row_major_reference_on_gappy_subset(
+    toy_pretrained, toy_source
+):
+    cfg = ProbeConfig()
+    sub = class_subset(toy_source, [1, 3])
+    compact, _ = compact_classes(sub)
+    train, test = split(compact, cfg.test_fraction, cfg.seed)
+    f_train, _ = forward(toy_pretrained, train.X)
+    f_test, _ = forward(toy_pretrained, test.X)
+    w, b = _train_probe_head(f_train, train.y, compact.class_count, cfg)
+    w_ref, b_ref = reference_probe_head(f_train, train.y, compact.class_count, cfg)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12
+    assert np.max(np.abs(b - b_ref)) <= 1e-12
+    res = linear_probe(toy_pretrained, sub, cfg, ProbeSubset.AUXILIARY)
+    assert res.accuracy == probe_accuracy(w_ref, b_ref, f_test, test.y)
+
+
+def test_probe_head_matches_row_major_reference_at_scale():
+    """A few thousand rows of 32 features, as the large-source probes see."""
+    rng = np.random.default_rng(54)
+    k, h = 12, 32
+    centers = rng.normal(size=(k, h))
+    y = rng.integers(0, k, size=3600)
+    F = np.maximum(centers[y] + rng.normal(size=(len(y), h)), 0.0)
+    cfg = ProbeConfig()
+    train, test = slice(0, 2880), slice(2880, None)
+    w, b = _train_probe_head(F[train], y[train], k, cfg)
+    w_ref, b_ref = reference_probe_head(F[train], y[train], k, cfg)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12
+    assert np.max(np.abs(b - b_ref)) <= 1e-12
+    acc = probe_accuracy(w, b, F[test], y[test])
+    assert acc == probe_accuracy(w_ref, b_ref, F[test], y[test])
+    assert acc > 1.0 / k

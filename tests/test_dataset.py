@@ -167,6 +167,28 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that fails part-way leaves the old artifact and no temp file."""
+    import xmixup.dataset as dataset_module
+
+    path = tmp_path / "ds.csv"
+    save_dataset(gen_source(2, 3, 2, 0.3, seed=22), path)
+    before = path.read_bytes()
+    calls = []
+
+    def failing_fmt(v):
+        calls.append(v)
+        if len(calls) > 5:
+            raise KeyboardInterrupt
+        return repr(float(v))
+
+    monkeypatch.setattr(dataset_module, "_fmt", failing_fmt)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(gen_source(2, 30, 2, 0.3, seed=23), path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["ds.csv"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(

@@ -197,22 +197,30 @@ class TestExpansion:
 class TestPlanRoundTrip:
     def test_save_load_preserves_structure(self, tmp_path, toy_plan):
         path = tmp_path / "plan.csv"
-        save_plan(toy_plan, path)
-        back = load_plan(path)
-        assert back.per_target == toy_plan.per_target
-        assert back.n_rounds == toy_plan.n_rounds
-        for t in toy_plan.per_target:
-            assert np.allclose(back.scores[t], toy_plan.scores[t], atol=0)
-        # exhaustion is a property of the source pool, not of the file
-        assert back.exhausted is False
+        for exhausted in (False, True):
+            plan = PairingPlan(
+                toy_plan.per_target, toy_plan.scores, toy_plan.n_rounds, exhausted
+            )
+            save_plan(plan, path)
+            back = load_plan(path)
+            assert back.per_target == plan.per_target
+            assert back.n_rounds == plan.n_rounds
+            for t in plan.per_target:
+                assert np.allclose(back.scores[t], plan.scores[t], atol=0)
+            assert back.exhausted is exhausted
 
     def test_load_rejects_malformed_files(self, tmp_path):
+        head = "exhausted,false\nround,target_class,source_class,similarity\n"
         cases = {
             "nope\n": ParseError,
-            "round,target_class,source_class,similarity\n1,2\n": ParseError,
-            "round,target_class,source_class,similarity\n1,a,0,0.5\n": ParseError,
-            "round,target_class,source_class,similarity\n": DataError,
-            "round,target_class,source_class,similarity\n2,0,1,0.5\n": ParseError,
+            "round,target_class,source_class,similarity\n1,0,0,0.5\n": ParseError,
+            "exhausted,maybe\nround,target_class,source_class,similarity\n": ParseError,
+            "exhausted,true\nnope\n": ParseError,
+            "exhausted,true\n": ParseError,
+            head + "1,2\n": ParseError,
+            head + "1,a,0,0.5\n": ParseError,
+            head: DataError,
+            head + "2,0,1,0.5\n": ParseError,
         }
         for text, err in cases.items():
             path = tmp_path / "plan.csv"
