@@ -9,7 +9,7 @@ diagnose forgetting (linear probes) and feature collapse (tail spectra).
 
 from .dataset import Dataset, Domain, PlantedMapping, gen_source, gen_target
 from .errors import ConfigError, DataError, NumericError, ParseError
-from .mixup import MixupConfig, sample_beta
+from .mixup import MixupConfig, sample_beta, sample_beta_batch
 from .model import ModelParams, TrainConfig
 from .pairing import PairingPlan, expand_until_threshold, greedy_pair, optimal_pair
 from .training import RunResult, Strategy, StrategyKind, evaluate, finetune, pretrain
@@ -40,4 +40,5 @@ __all__ = [
     "optimal_pair",
     "pretrain",
     "sample_beta",
+    "sample_beta_batch",
 ]

@@ -43,6 +43,9 @@ class Dataset:
     _class_indices: dict[int, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
+    _class_layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -84,6 +87,19 @@ class Dataset:
                 c: np.flatnonzero(self.y == c) for c in range(self.class_count)
             }
         return self._class_indices
+
+    def class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, sizes), cached on first use: `order` lists the
+        sample indices class by class, ascending within a class, and class c
+        fills order[starts[c] : starts[c] + sizes[c]]."""
+        if self._class_layout is None:
+            sizes = np.bincount(self.y, minlength=self.class_count)
+            self._class_layout = (
+                np.argsort(self.y, kind="stable"),
+                np.cumsum(sizes) - sizes,
+                sizes,
+            )
+        return self._class_layout
 
     def class_sizes(self) -> dict[int, int]:
         return {c: len(idx) for c, idx in self.indices_by_class().items()}
@@ -281,6 +297,12 @@ def load_dataset(path) -> Dataset:
     return Dataset(np.array(rows), np.array(labels), class_count, domain)
 
 
+def split_test_count(class_size: int, test_fraction: float) -> int:
+    """How many of a class's samples split puts in the test part: the
+    rounded fraction, leaving at least one train sample."""
+    return min(max(int(round(class_size * test_fraction)), 0), class_size - 1)
+
+
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split; every class keeps at least one train sample."""
     if not 0 < test_fraction < 1:
@@ -294,8 +316,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
                 f"class {c} has {len(idx)} samples; need >= 2 to split"
             )
         perm = rng.permutation(idx)
-        n_test = int(round(len(idx) * test_fraction))
-        n_test = min(max(n_test, 0), len(idx) - 1)
+        n_test = split_test_count(len(idx), test_fraction)
         test_idx.append(perm[:n_test])
         train_idx.append(perm[n_test:])
     return _take(ds, np.concatenate(train_idx)), _take(ds, np.concatenate(test_idx))

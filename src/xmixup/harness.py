@@ -26,6 +26,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
     split,
+    split_test_count,
 )
 from .errors import ConfigError, DataError, ParseError, require_finite
 from .mixup import MixupConfig
@@ -116,6 +117,19 @@ class ExperimentConfig:
         bad = [a for a in self.alpha_grid if not math.isfinite(a)]
         if bad:
             raise ConfigError(f"alpha_grid must be finite, got {bad}")
+        # every run record's spectrum takes min(512, rows) target-train rows
+        # and needs at least as many as the feature width
+        ds = self.data
+        if 0 < ds.target_test_fraction < 1 and ds.target_per_class >= 1:
+            per_class = ds.target_per_class - split_test_count(
+                ds.target_per_class, ds.target_test_fraction
+            )
+            rows = (len(ds.planted) + ds.novel) * per_class
+            if rows < self.hidden[-1]:
+                raise ConfigError(
+                    f"the target split leaves {rows} training rows, fewer than "
+                    f"the feature width {self.hidden[-1]} the spectrum needs"
+                )
 
     def strategy_for(self, kind: StrategyKind) -> Strategy:
         if kind is StrategyKind.L2SP:

@@ -5,6 +5,14 @@ over the unified label space (target classes first, then the selected source
 classes). λ is drawn fresh per row. The Beta sampler is built from scratch:
 an exact inverse-CDF path for β = 1 and a Marsaglia–Tsang Gamma ratio
 otherwise.
+
+Training draws everything a batch needs as arrays: make_batch takes the
+target rows, the paired source classes, the auxiliary samples and the λ
+column in one call each, with no per-row Python loop, and
+sample_beta_batch / sample_gamma_batch run the two sampler paths over a
+whole batch, Marsaglia–Tsang as a masked rejection loop. The scalar
+sample_beta / sample_gamma are their one-draw reference and are not used in
+training.
 """
 
 from __future__ import annotations
@@ -128,6 +136,84 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
     )
 
 
+def _beta_draws(cfg: MixupConfig, n: int, rng) -> np.ndarray:
+    """n raw Beta(α, β) draws by sample_beta's two paths, not yet checked
+    for the open interval (a uniform of exactly 0 gives λ = 0 here)."""
+    if cfg.beta == 1.0:
+        return rng.random(n) ** (1.0 / cfg.alpha)
+    shapes = np.empty(2 * n)
+    shapes[:n] = cfg.alpha
+    shapes[n:] = cfg.beta
+    g = sample_gamma_batch(shapes, rng)
+    with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
+        return g[:n] / (g[:n] + g[n:])
+
+
+def sample_gamma_batch(shapes, rng) -> np.ndarray:
+    """One Gamma(shapes[i], 1) variate per entry: Marsaglia–Tsang as a masked
+    rejection loop (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
+
+    Each round gives every pending entry two candidates, (x, u) pairs of a
+    normal and a uniform, and keeps the first that passes sample_gamma's
+    log test, log u < x²/2 + d(1 − v + log v); at the acceptance rate of at
+    least 0.95 that shapes >= 2/3 give, nearly every call takes one round.
+    The squeeze test is left out: it only saves the logarithm, which an
+    array computes anyway. Shapes below 1 run the loop at shape + 1 and are
+    then boosted, G(a) = G(a+1) · U^{1/a}, with uniforms drawn after it.
+    """
+    shapes = np.asarray(shapes, dtype=float)
+    if not shapes.min() > 0:
+        raise ValueError(f"shapes must be positive, got {shapes[~(shapes > 0)][0]}")
+    boost = shapes < 1.0
+    d = np.where(boost, shapes + 1.0, shapes) - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.empty_like(d)
+    todo = np.arange(d.size)
+    # v <= 0 makes log v NaN or -inf and u = 0 makes log u -inf: the first
+    # fails the test and the second passes it, both as they should
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while todo.size:
+            x = rng.standard_normal((2, todo.size))
+            v = 1.0 + c[todo] * x
+            v = v * v * v  # three products: an array ** 3 takes the slow pow path
+            dt = d[todo]
+            ok = np.log(rng.random((2, todo.size))) < 0.5 * x * x + dt * (
+                1.0 - v + np.log(v)
+            )
+            # entries that fail both candidates are written over next round
+            out[todo] = dt * np.where(ok[0], v[0], v[1])
+            todo = todo[~(ok[0] | ok[1])]
+    if boost.any():
+        u = 1.0 - rng.random(np.count_nonzero(boost))  # in (0, 1]: never 0
+        out[boost] *= u ** (1.0 / shapes[boost])
+    return out
+
+
+def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
+    """n independent λ ~ Beta(α, β) in (0, 1), drawn as arrays.
+
+    β = 1 uses the inverse CDF λ = U^{1/α}; any other β uses the ratio of
+    two sample_gamma_batch draws, both shapes in one call. Entries that round
+    to 0 or 1 (or are NaN) are redrawn together, at most MAX_BETA_DRAWS draws
+    per entry, after which NumericError is raised. This is the sampler
+    training uses; sample_beta is its one-draw reference.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+    lam = np.empty(n)
+    redo, k = slice(None), n
+    for _ in range(MAX_BETA_DRAWS):
+        lam[redo] = _beta_draws(cfg, k, rng)
+        if lam.min() > 0.0 and lam.max() < 1.0:
+            return lam
+        redo = np.flatnonzero(~((lam > 0.0) & (lam < 1.0)))
+        k = redo.size
+    raise NumericError(
+        f"Beta({cfg.alpha}, {cfg.beta}) gave no draw inside (0, 1) "
+        f"in {MAX_BETA_DRAWS} tries"
+    )
+
+
 def make_batch(
     tgt_train: Dataset,
     src: Dataset,
@@ -139,29 +225,36 @@ def make_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A mini-batch of mixed rows as stacked inputs X and soft labels P.
 
-    Target rows are drawn uniformly with replacement. Then, per row, one
-    source class paired to its target class (uniform over all rounds), one
-    sample of that class and one fresh λ. The per-row draws stay scalar and
-    in this order because every run record depends on the random stream.
+    Every draw is one array per batch, in this order: the target rows
+    (uniform with replacement), for each row one source class paired to its
+    target class (uniform over all rounds), one sample of that class, and
+    the λ column from sample_beta_batch. A target class the plan misses
+    raises KeyError.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(tgt_train) == 0:
         raise DataError("cannot draw a batch from an empty target dataset")
+    if src.d != tgt_train.d:
+        raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
+    table, counts = plan.paired_table(space.n_target)
+    order, starts, sizes = src.class_layout()
     picks = rng.integers(len(tgt_train), size=batch_size)
     targets = tgt_train.y[picks]
-    by_class = src.indices_by_class()
-    aux = np.empty(batch_size, dtype=int)
-    lam = np.empty((batch_size, 1))
-    for i, t in enumerate(targets.tolist()):
-        paired = plan.per_target[t]
-        cls = paired[int(rng.integers(len(paired)))]
-        pool = by_class[cls]
-        if len(pool) == 0:
-            raise DataError(f"source class {cls} has no samples to draw from")
-        aux[i] = pool[int(rng.integers(len(pool)))]
-        lam[i] = sample_beta(cfg, rng)
-    eye = np.eye(space.size)
-    X = lam * tgt_train.X[picks] + (1.0 - lam) * src.X[aux]
-    P = lam * eye[targets] + (1.0 - lam) * eye[space.source_columns[src.y[aux]]]
+    n_paired = counts[targets]
+    if not n_paired.all():
+        missing = sorted(set(targets[n_paired == 0].tolist()))
+        raise KeyError(f"pairing plan has no source class for target classes {missing}")
+    cls = table[targets, rng.integers(n_paired)]
+    pool = sizes[cls]
+    if not pool.all():
+        raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
+    aux = order[starts[cls] + rng.integers(pool)]
+    lam = sample_beta_batch(cfg, batch_size, rng)
+    mu = 1.0 - lam
+    X = lam[:, None] * tgt_train.X.take(picks, 0) + mu[:, None] * src.X.take(aux, 0)
+    P = np.zeros((batch_size, space.size))
+    rows = np.arange(batch_size)
+    P[rows, targets] = lam
+    P[rows, space.source_columns[cls]] = mu
     return X, P

@@ -4,12 +4,18 @@ The extractor is a stack of fully connected layers with ReLU after every
 layer (features are the post-ReLU output of the last one); a linear head
 maps features to logits over the unified label space. Everything runs in
 64-bit numpy; there is no autodiff anywhere.
+
+All parameters of a model live in one flat buffer (see ModelParams), so the
+training loop keeps one gradient buffer and one velocity per run:
+backpropagation writes into the gradient buffer and sgd_step updates
+velocity and parameters in place, in the rounding order of the out-of-place
+formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +55,29 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Extractor layers plus a linear classification head."""
+    """Extractor layers plus a linear classification head in one flat buffer.
+
+    `flat` is a float64 vector holding the extractor biases b0, b1, ..., then
+    the extractor weights W0, W1, ..., then the head weight and the head bias,
+    each row-major. `layers`, `head`, `arrays()` and the two segments
+    `extractor` (every extractor parameter) and `weights` (every weight
+    matrix, the arrays weight decay applies to) are views into it, so a write
+    through any of them is a write to `flat`. The constructor copies the
+    given arrays into a new buffer.
+    """
 
     layers: list[Layer]
     head: Layer
+    flat: np.ndarray = field(init=False, repr=False)
+    extractor: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("extractor must have at least one layer")
+        given = self.layers + [self.head]
         prev = self.layers[0][0].shape[1]
-        for i, (w, b) in enumerate(self.layers + [self.head]):
+        for i, (w, b) in enumerate(given):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: inconsistent shapes {w.shape}, {b.shape}")
             if w.shape[1] != prev:
@@ -66,6 +85,37 @@ class ModelParams:
                     f"layer {i}: fan-in {w.shape[1]} does not chain from {prev}"
                 )
             prev = w.shape[0]
+        shapes = [w.shape for w, _ in given]
+        self._bind(shapes, np.empty(sum(o * i + o for o, i in shapes)))
+        for (w, b), (w2, b2) in zip(given, self.layers + [self.head]):
+            w2[...] = w
+            b2[...] = b
+
+    def _bind(self, shapes: list[tuple[int, int]], flat: np.ndarray) -> None:
+        """Point every view at `flat`, laid out as the class docstring says."""
+        offset = 0
+        biases = []
+        for out_dim, _ in shapes[:-1]:
+            biases.append(flat[offset : offset + out_dim])
+            offset += out_dim
+        first_weight = offset
+        weights = []
+        for out_dim, in_dim in shapes:
+            size = out_dim * in_dim
+            weights.append(flat[offset : offset + size].reshape(out_dim, in_dim))
+            offset += size
+        self.flat = flat
+        self.layers = list(zip(weights[:-1], biases))
+        self.head = (weights[-1], flat[offset:])
+        self.extractor = flat[: offset - weights[-1].size]
+        self.weights = flat[first_weight:offset]
+
+    @classmethod
+    def _over(cls, template: "ModelParams", flat: np.ndarray) -> "ModelParams":
+        """Views over `flat` (not copied) with the shapes of template."""
+        params = cls.__new__(cls)
+        params._bind([w.shape for w, _ in template.layers + [template.head]], flat)
+        return params
 
     @property
     def d(self) -> int:
@@ -86,22 +136,12 @@ class ModelParams:
             out.extend((w, b))
         return out
 
-    def decay_mask(self) -> list[bool]:
-        """Parallel to arrays(): True where weight decay applies (weights, not biases)."""
-        return [True, False] * (len(self.layers) + 1)
-
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [(w.copy(), b.copy()) for w, b in self.layers],
-            (self.head[0].copy(), self.head[1].copy()),
-        )
+        return ModelParams._over(self, self.flat.copy())
 
     @staticmethod
     def zeros_like(p: "ModelParams") -> "ModelParams":
-        return ModelParams(
-            [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers],
-            (np.zeros_like(p.head[0]), np.zeros_like(p.head[1])),
-        )
+        return ModelParams._over(p, np.zeros_like(p.flat))
 
     @staticmethod
     def from_arrays(template: "ModelParams", arrays: list[np.ndarray]) -> "ModelParams":
@@ -168,38 +208,51 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def backward_from_dlogits(
-    params: ModelParams, acts, pres, dlogits: np.ndarray
+    params: ModelParams, acts, pres, dlogits: np.ndarray, out: ModelParams | None = None
 ) -> ModelParams:
-    """Backpropagate gradients of a scalar loss given d(loss)/d(logits)."""
-    features = acts[-1]
-    wh, _ = params.head
-    g_head = (dlogits.T @ features, dlogits.sum(axis=0))
-    da = dlogits @ wh
-    g_layers: list[Layer] = []
+    """Backpropagate gradients of a scalar loss given d(loss)/d(logits).
+
+    The gradients are written into `out` (a ModelParams shaped like params,
+    new when None) and returned.
+    """
+    if out is None:
+        out = ModelParams.zeros_like(params)
+    np.matmul(dlogits.T, acts[-1], out=out.head[0])
+    dlogits.sum(axis=0, out=out.head[1])
+    da = dlogits @ params.head[0]
     for i in reversed(range(len(params.layers))):
         dz = da * (pres[i] > 0)
-        w, _ = params.layers[i]
-        g_layers.append((dz.T @ acts[i], dz.sum(axis=0)))
-        da = dz @ w
-    g_layers.reverse()
-    return ModelParams(g_layers, g_head)
+        gw, gb = out.layers[i]
+        np.matmul(dz.T, acts[i], out=gw)
+        dz.sum(axis=0, out=gb)
+        if i:
+            da = dz @ params.layers[i][0]
+    return out
 
 
 def _check_soft_labels(P: np.ndarray):
-    if np.any(P < -1e-12):
+    """P must be finite and non-negative with rows summing to 1 within 1e-9.
+
+    Two comparisons decide the common case; only a failing batch is looked
+    at again to name the rule it breaks. A NaN or infinity fails both.
+    """
+    if P.min() >= -1e-12 and np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-9:
+        return
+    if not np.isfinite(P).all():
+        raise NumericError("non-finite values in batch")
+    if P.min() < -1e-12:
         raise ValueError("soft labels must be non-negative")
-    sums = P.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError("soft label rows must sum to 1 within 1e-9")
+    raise ValueError("soft label rows must sum to 1 within 1e-9")
 
 
 def loss_and_grad_arrays(
-    params: ModelParams, X: np.ndarray, P: np.ndarray
+    params: ModelParams, X: np.ndarray, P: np.ndarray, out: ModelParams | None = None
 ) -> tuple[float, ModelParams]:
     """Soft-target cross-entropy loss and exact gradients for a stacked batch.
 
     loss = mean_i -sum_k P[i,k] * log softmax(logits[i])_k. Weight decay is
-    *not* part of the loss; the optimizer applies it.
+    *not* part of the loss; the optimizer applies it. The gradients go into
+    `out` as in backward_from_dlogits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -211,17 +264,20 @@ def loss_and_grad_arrays(
         raise ValueError(
             f"label width {P.shape[1]} != head size {params.label_count}"
         )
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(P))):
+    if not np.isfinite(X).all():
         raise NumericError("non-finite values in batch")
     _check_soft_labels(P)
 
     acts, pres, features, logits = forward_cache(params, X)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("non-finite logits (diverged parameters?)")
     logp = log_softmax(logits)
-    loss = float(-(P * logp).sum(axis=1).mean())
-    dlogits = (np.exp(logp) - P) / X.shape[0]
-    return loss, backward_from_dlogits(params, acts, pres, dlogits)
+    # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
+    loss = float(-(P * logp).sum(axis=1).sum() / X.shape[0])
+    dlogits = np.exp(logp)
+    dlogits -= P
+    dlogits /= X.shape[0]
+    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
 
 
 def sgd_step(
@@ -230,29 +286,23 @@ def sgd_step(
     velocity: ModelParams,
     cfg: TrainConfig,
     iteration: int,
-) -> tuple[ModelParams, ModelParams]:
-    """One SGD-with-momentum update; biases are excluded from weight decay.
+) -> None:
+    """One SGD-with-momentum update of params and velocity, in place.
 
     effective_lr = lr * (lr_drop_factor if iteration >= lr_drop_at else 1);
-    v <- momentum*v - effective_lr*(g + weight_decay*w); w <- w + v.
+    g <- g + weight_decay*w on the weight segment only (biases are not
+    decayed; this writes into grads); v <- momentum*v - effective_lr*g;
+    w <- w + v. Each line rounds as the out-of-place formula does, so the
+    result is bit-identical to it.
     """
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("non-finite gradient")
     eff_lr = cfg.lr * (cfg.lr_drop_factor if iteration >= cfg.lr_drop_at else 1.0)
-    new_w = []
-    new_v = []
-    for w, g, v, decays in zip(
-        params.arrays(), grads.arrays(), velocity.arrays(), params.decay_mask()
-    ):
-        step_g = g + cfg.weight_decay * w if decays else g
-        v2 = cfg.momentum * v - eff_lr * step_g
-        new_v.append(v2)
-        new_w.append(w + v2)
-    return (
-        ModelParams.from_arrays(params, new_w),
-        ModelParams.from_arrays(params, new_v),
-    )
+    grads.weights += cfg.weight_decay * params.weights
+    v = velocity.flat
+    v *= cfg.momentum
+    v -= eff_lr * grads.flat
+    params.flat += v
 
 
 _CKPT_MAGIC = b"XMIXUP-CKPT-1"
@@ -299,12 +349,12 @@ def load_params(path) -> ModelParams:
         raise ParseError("checkpoint payload is not float64-aligned") from None
     if buf.size != sum(o * i + o for o, i in shapes):
         raise ParseError("checkpoint payload size mismatch")
-    arrays = []
+    arrays = []  # views into buf; the constructor copies them out
     offset = 0
     for out_dim, in_dim in shapes:
-        w = buf[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim).copy()
+        w = buf[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim)
         offset += out_dim * in_dim
-        b = buf[offset : offset + out_dim].copy()
+        b = buf[offset : offset + out_dim]
         offset += out_dim
         arrays.extend((w, b))
     layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_layers)]

@@ -11,7 +11,7 @@ classes until the selected source samples reach a size threshold.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,9 @@ class PairingPlan:
     scores: dict[int, list[float]]
     n_rounds: int
     exhausted: bool = False
+    _tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for t, srcs in self.per_target.items():
@@ -93,6 +96,23 @@ class PairingPlan:
 
     def selected_sources(self) -> list[int]:
         return sorted({s for srcs in self.per_target.values() for s in srcs})
+
+    def paired_table(self, n_target: int) -> tuple[np.ndarray, np.ndarray]:
+        """Targets 0..n_target-1 as a padded (n_target, width) table of their
+        source classes plus per-target counts, cached per n_target.
+
+        Row t holds per_target[t] in round order, padded with -1;
+        counts[t] is its length, 0 for a target the plan misses. The plan is
+        treated as immutable once a table has been built.
+        """
+        if n_target not in self._tables:
+            rows = [self.per_target.get(t, []) for t in range(n_target)]
+            counts = np.array([len(r) for r in rows], dtype=np.intp)
+            table = np.full((n_target, counts.max(initial=0)), -1, dtype=np.intp)
+            for t, r in enumerate(rows):
+                table[t, : len(r)] = r
+            self._tables[n_target] = (table, counts)
+        return self._tables[n_target]
 
     def round_map(self, round_index: int) -> dict[int, int]:
         """target -> source assignments of one round (1-based)."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .mixup import LabelSpace, MixupConfig, make_batch, sample_beta
+from .mixup import LabelSpace, MixupConfig, make_batch, sample_beta_batch
 from .model import (
     ModelParams,
     TrainConfig,
@@ -161,17 +161,23 @@ def result_to_json(result: RunResult) -> dict:
 
 
 def _run_sgd(params, cfg, step_fn):
-    """Drive `cfg.iterations` steps of step_fn(params, it) -> (loss, grads)."""
+    """Drive `cfg.iterations` steps of step_fn(params, it, out) -> (loss,
+    grads), updating params in place; returns the loss trace.
+
+    One gradient buffer `out` and one velocity live for the whole run;
+    step_fn writes the gradients into `out`.
+    """
     velocity = ModelParams.zeros_like(params)
+    out = ModelParams.zeros_like(params)
     trace = []
     for it in range(cfg.iterations):
         try:
-            loss, grads = step_fn(params, it)
-            params, velocity = sgd_step(params, grads, velocity, cfg, it)
+            loss, grads = step_fn(params, it, out)
+            sgd_step(params, grads, velocity, cfg, it)
         except NumericError as e:
             raise NumericError(f"iteration {it}: {e}") from None
         trace.append(float(loss))
-    return params, trace
+    return trace
 
 
 def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelParams:
@@ -185,11 +191,11 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     X, y = src_train.X, src_train.y
     eye = np.eye(src_train.class_count)
 
-    def step(p, it):
+    def step(p, it, out):
         idx = rng.integers(len(X), size=cfg.batch_size)
-        return loss_and_grad_arrays(p, X[idx], eye[y[idx]])
+        return loss_and_grad_arrays(p, X.take(idx, 0), eye.take(y[idx], 0), out)
 
-    params, _ = _run_sgd(params, cfg, step)
+    _run_sgd(params, cfg, step)
     return params
 
 
@@ -215,23 +221,31 @@ def sp_penalty(
         raise ValueError(f"mu must be >= 0, got {mu}")
     if len(params.layers) != len(reference.layers):
         raise ValueError("extractor depths differ")
-    value = 0.0
-    glayers = []
-    for (w, b), (w0, b0) in zip(params.layers, reference.layers):
+    for (w, _), (w0, _) in zip(params.layers, reference.layers):
         if w.shape != w0.shape:
             raise ValueError(f"layer shapes differ: {w.shape} vs {w0.shape}")
-        dw, db = w - w0, b - b0
+    # the extractor difference, in place in the gradient's buffer, becomes
+    # the gradient once scaled; the head part stays zero
+    grads = ModelParams.zeros_like(params)
+    np.subtract(params.extractor, reference.extractor, out=grads.extractor)
+    value = 0.0
+    for dw, db in grads.layers:
         value += float((dw * dw).sum() + (db * db).sum())
-        glayers.append((2.0 * mu * dw, 2.0 * mu * db))
-    wh, bh = params.head
-    return mu * value, ModelParams(glayers, (np.zeros_like(wh), np.zeros_like(bh)))
+    grads.extractor *= 2.0 * mu
+    return mu * value, grads
 
 
 def masked_loss_and_grad(
-    params: ModelParams, X: np.ndarray, labels: np.ndarray, n_target: int, split: int
+    params: ModelParams,
+    X: np.ndarray,
+    labels: np.ndarray,
+    n_target: int,
+    split: int,
+    out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """Joint-batch loss where rows [0, split) softmax over target logits
-    [0, n_target) and the remaining rows over source logits [n_target, L)."""
+    [0, n_target) and the remaining rows over source logits [n_target, L).
+    The gradients go into `out` as in backward_from_dlogits."""
     acts, pres, _, logits = forward_cache(params, X)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in masked loss")
@@ -256,7 +270,7 @@ def masked_loss_and_grad(
         dsub = np.exp(logp)
         dsub[rows_idx, li] -= 1.0
         dlogits[rows, lo:hi] = dsub / total_rows
-    return total / total_rows, backward_from_dlogits(params, acts, pres, dlogits)
+    return total / total_rows, backward_from_dlogits(params, acts, pres, dlogits, out)
 
 
 def _aux_pool(src: Dataset, space: LabelSpace):
@@ -312,17 +326,16 @@ def finetune(
         space = LabelSpace(n, ())
 
     head_rng = np.random.default_rng([cfg.seed, 0])
-    params = ModelParams(
-        [(w.copy(), b.copy()) for w, b in pretrained.layers],
-        init_linear(space.size, pretrained.feature_width, head_rng),
+    params = ModelParams(  # copies the pre-trained layers in
+        pretrained.layers, init_linear(space.size, pretrained.feature_width, head_rng)
     )
     rng_batch = np.random.default_rng([cfg.seed, 1])
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
 
-    def target_step(p, it):
+    def target_step(p, it, out):
         idx = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
-        return loss_and_grad_arrays(p, tgt_X[idx], eye[tgt_y[idx]])
+        return loss_and_grad_arrays(p, tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0), out)
 
     config = {
         "strategy": strategy.to_config(),
@@ -335,46 +348,42 @@ def finetune(
             step = target_step
         else:
 
-            def step(p, it):
-                loss, grads = target_step(p, it)
+            def step(p, it, out):
+                loss, grads = target_step(p, it, out)
                 pen, pgrads = sp_penalty(p, pretrained, strategy.sp_weight)
-                merged = ModelParams.from_arrays(
-                    p, [g + pg for g, pg in zip(grads.arrays(), pgrads.arrays())]
-                )
-                return loss + pen, merged
+                grads.flat += pgrads.flat
+                return loss + pen, grads
 
-        params, trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step)
 
     elif kind is StrategyKind.MIXUP_IN_DOMAIN:
         rng_mix = np.random.default_rng([cfg.seed, 2, strategy.mixup.seed])
 
-        def step(p, it):
+        def step(p, it, out):
             i1 = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
             i2 = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
-            lams = np.array(
-                [sample_beta(strategy.mixup, rng_mix) for _ in range(cfg.batch_size)]
-            )[:, None]
-            X = lams * tgt_X[i1] + (1.0 - lams) * tgt_X[i2]
-            P = lams * eye[tgt_y[i1]] + (1.0 - lams) * eye[tgt_y[i2]]
-            return loss_and_grad_arrays(p, X, P)
+            lams = sample_beta_batch(strategy.mixup, cfg.batch_size, rng_mix)[:, None]
+            X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
+            P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
+            return loss_and_grad_arrays(p, X, P, out)
 
-        params, trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step)
 
     elif kind in (StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL):
         rng_mix = np.random.default_rng([cfg.seed, 2, strategy.mixup.seed])
         drop_label = kind is StrategyKind.XMIXUP_NO_LABEL
 
-        def step(p, it):
+        def step(p, it, out):
             X, P = make_batch(
                 tgt_train, src, plan, space, strategy.mixup, cfg.batch_size, rng_mix
             )
             if drop_label:
                 # keep the mixed inputs, relabel with the pure target class
                 # (the lone nonzero in the target block)
-                P = eye[P[:, :n].argmax(axis=1)]
-            return loss_and_grad_arrays(p, X, P)
+                P = eye.take(P[:, :n].argmax(axis=1), 0)
+            return loss_and_grad_arrays(p, X, P, out)
 
-        params, trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step)
 
     elif kind is StrategyKind.SEQ_TRAIN:
         mid = strategy.midtune_iterations
@@ -388,29 +397,29 @@ def finetune(
         pool, pool_labels = _aux_pool(src, space)
         rng_aux = np.random.default_rng([cfg.seed, 3])
 
-        def aux_step(p, it):
+        def aux_step(p, it, out):
             idx = rng_aux.integers(len(pool), size=cfg.batch_size)
-            return loss_and_grad_arrays(p, src.X[pool[idx]], eye[pool_labels[idx]])
+            return loss_and_grad_arrays(
+                p, src.X.take(pool[idx], 0), eye.take(pool_labels[idx], 0), out
+            )
 
         cfg1 = replace(cfg, iterations=mid, lr_drop_at=_rescale_drop(cfg, mid))
         rest = cfg.iterations - mid
         cfg2 = replace(cfg, iterations=rest, lr_drop_at=_rescale_drop(cfg, rest))
-        params, trace1 = _run_sgd(params, cfg1, aux_step)
-        params, trace2 = _run_sgd(params, cfg2, target_step)
-        trace = trace1 + trace2
+        trace = _run_sgd(params, cfg1, aux_step) + _run_sgd(params, cfg2, target_step)
 
     elif kind is StrategyKind.CO_TRAIN:
         pool, pool_labels = _aux_pool(src, space)
         half = cfg.batch_size // 2
 
-        def step(p, it):
+        def step(p, it, out):
             ti = rng_batch.integers(len(tgt_X), size=half)
             si = rng_batch.integers(len(pool), size=cfg.batch_size - half)
-            X = np.vstack([tgt_X[ti], src.X[pool[si]]])
+            X = np.vstack([tgt_X.take(ti, 0), src.X.take(pool[si], 0)])
             labels = np.concatenate([tgt_y[ti], pool_labels[si]])
-            return masked_loss_and_grad(p, X, labels, n, half)
+            return masked_loss_and_grad(p, X, labels, n, half, out)
 
-        params, trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step)
 
     else:  # pragma: no cover - exhaustive over StrategyKind
         raise ConfigError(f"unknown strategy kind {kind!r}")

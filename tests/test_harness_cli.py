@@ -327,6 +327,25 @@ def test_non_finite_config_floats_are_config_errors(tmp_path, assignment):
     ]) == 2
 
 
+def test_target_split_too_small_for_the_spectrum_is_a_config_error(tmp_path, capsys):
+    # 6 classes x (10 - round(10 * 0.8)) = 12 target-train rows < 32 features:
+    # every command stops before it writes anything
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"target_per_class": 10}, "seeds": [0]}))
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair", "finetune"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "12 training rows" in capsys.readouterr().err
+    # one more row per class (11 - 9 = 2, 12 rows) is still too few; at
+    # target_per_class = 30 the split leaves 36 rows and the config loads
+    for per_class, code in ((11, 2), (30, 0)):
+        config.write_text(
+            json.dumps({"data": {"target_per_class": per_class}, "seeds": [0]})
+        )
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == code
+
+
 def test_corrupt_artifacts_are_data_errors(tmp_path):
     config = mini_config(tmp_path)
     out = tmp_path / "out"

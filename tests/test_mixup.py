@@ -8,12 +8,15 @@ from scipy import stats
 from xmixup.dataset import Dataset, Domain, gen_source, gen_target
 from xmixup.errors import DataError, NumericError
 from xmixup.mixup import (
+    MAX_BETA_DRAWS,
     SHAPE_GRID,
     LabelSpace,
     MixupConfig,
     make_batch,
     sample_beta,
+    sample_beta_batch,
     sample_gamma,
+    sample_gamma_batch,
 )
 from xmixup.pairing import PairingPlan
 
@@ -99,6 +102,107 @@ def test_sample_beta_gives_up_when_every_draw_rounds_to_one(beta):
         sample_beta(cfg, np.random.default_rng(0))
 
 
+# ------------------------------------------------- the batched sampler
+# The oracles of criterion 4 and of the scalar tests above, with criterion
+# 4's sample sizes, levels and seeds, applied to sample_beta_batch and
+# sample_gamma_batch, which training uses.
+
+
+def test_sample_beta_batch_moments_within_three_standard_errors():
+    n = 100_000
+    for a, b in SHAPE_GRID:
+        cfg = MixupConfig(alpha=a, beta=b, seed=0)
+        rng = np.random.default_rng([17, int(a * 100), int(b * 100)])
+        x = sample_beta_batch(cfg, n, rng)
+        m1, m2, m3, m4 = (beta_raw_moment(a, b, k) for k in (1, 2, 3, 4))
+        mean, var = m1, m2 - m1 * m1
+        mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+        assert abs(x.mean() - mean) <= 3.0 * np.sqrt(var / n), (a, b)
+        assert abs(x.var() - var) <= 3.0 * np.sqrt(max(mu4 - var * var, 0.0) / n)
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+def test_sample_beta_batch_paths_agree_in_distribution(alpha):
+    # the inverse-CDF path (beta = 1) against the gamma ratio built from
+    # sample_gamma_batch at shapes (alpha, 1): two-sample KS at the 1% level
+    m = 10_000
+    cfg = MixupConfig(alpha=alpha, beta=1.0, seed=0)
+    rng1 = np.random.default_rng([23, int(alpha * 100), 1])
+    rng2 = np.random.default_rng([23, int(alpha * 100), 2])
+    inverse_cdf = sample_beta_batch(cfg, m, rng1)
+    g = sample_gamma_batch(np.repeat((alpha, 1.0), m), rng2)
+    ratio = g[:m] / (g[:m] + g[m:])
+    assert stats.ks_2samp(inverse_cdf, ratio).statistic < 1.628 * np.sqrt(2.0 / m)
+
+
+def test_sample_gamma_batch_matches_reference_distribution():
+    # one call over mixed shapes: the boost must reach exactly the shapes < 1
+    shapes = (0.4, 1.0, 2.5, 7.0)
+    m = 4000
+    x = sample_gamma_batch(np.repeat(shapes, m), np.random.default_rng(33))
+    assert np.all(x > 0)
+    for i, shape in enumerate(shapes):
+        stat = stats.kstest(x[i * m : (i + 1) * m], stats.gamma(shape).cdf).statistic
+        assert stat < 1.628 * np.sqrt(1.0 / m), shape
+
+
+@pytest.mark.parametrize("alpha,beta", SHAPE_GRID + ((1e-3, 1e-3), (1e-3, 1.0)))
+def test_sample_beta_batch_stays_in_open_interval(alpha, beta):
+    # at shape 1e-3 about half of the draws (U^1000 or the gamma boost)
+    # underflow to 0, so many lambdas are 0, 1 or 0/0 and must be redrawn
+    cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
+    x = sample_beta_batch(cfg, 5000, np.random.default_rng([37, int(alpha * 1000)]))
+    assert x.shape == (5000,)
+    assert np.all(x > 0.0) and np.all(x < 1.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_sample_beta_batch_is_deterministic_per_rng_state(beta):
+    cfg = MixupConfig(alpha=2.0, beta=beta, seed=0)
+    a = sample_beta_batch(cfg, 64, np.random.default_rng(3))
+    b = sample_beta_batch(cfg, 64, np.random.default_rng(3))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_beta_batch(cfg, 64, np.random.default_rng(4)))
+
+
+class CountingRng:
+    """A Generator stand-in that counts the uniform draws asked of it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.random_calls = 0
+
+    def random(self, size=None):
+        self.random_calls += 1
+        return self.rng.random(size)
+
+    def standard_normal(self, size=None):
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])  # inverse-CDF and gamma-ratio paths
+def test_sample_beta_batch_gives_up_after_max_draws(beta):
+    # at alpha = 1e300 every lambda rounds to exactly 1.0 and is redrawn;
+    # the inverse-CDF path asks for one uniform array per draw
+    cfg = MixupConfig(alpha=1e300, beta=beta, seed=0)
+    rng = CountingRng(0)
+    with pytest.raises(NumericError):
+        sample_beta_batch(cfg, 8, rng)
+    if beta == 1.0:
+        assert rng.random_calls == MAX_BETA_DRAWS
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_sample_gamma_batch_rejects_non_positive_shapes(bad):
+    with pytest.raises(ValueError):
+        sample_gamma_batch(np.array([1.0, bad, 2.0]), np.random.default_rng(0))
+
+
+def test_sample_beta_batch_rejects_an_empty_request():
+    with pytest.raises(ValueError):
+        sample_beta_batch(MixupConfig(), 0, np.random.default_rng(0))
+
+
 def test_label_space_indexing():
     space = LabelSpace(3, (2, 5, 7))
     assert space.size == 6
@@ -126,16 +230,22 @@ def mix_world():
 
 
 def reference_batch(tgt, src, plan, space, cfg, batch_size, rng):
-    """Row-at-a-time mixing: draw a target row, a paired source class, one of
-    its samples and a lambda, then blend the row and its one-hot labels."""
+    """Row-at-a-time mixing from make_batch's draws, each one array per
+    batch: the target rows, then each row's round of the plan, then a
+    sample of that source class, then the lambda column. The integer draws
+    are taken with the per-row bounds the loop computes; each row and its
+    one-hot labels are then blended."""
     by_class = src.indices_by_class()
+    rows = rng.integers(len(tgt), size=batch_size)
+    paired = [plan.per_target[int(tgt.y[i])] for i in rows]
+    rounds = rng.integers([len(p) for p in paired])
+    pools = [by_class[p[r]] for p, r in zip(paired, rounds)]
+    picks = rng.integers([len(pool) for pool in pools])
+    lams = sample_beta_batch(cfg, batch_size, rng)
     xs, ps = [], []
-    for i in rng.integers(len(tgt), size=batch_size):
+    for i, pool, k, lam in zip(rows, pools, picks, lams.tolist()):
         t = int(tgt.y[i])
-        paired = plan.per_target[t]
-        pool = by_class[paired[int(rng.integers(len(paired)))]]
-        j = int(pool[int(rng.integers(len(pool)))])
-        lam = sample_beta(cfg, rng)
+        j = int(pool[k])
         y_t = np.zeros(space.size)
         y_t[t] = 1.0
         y_s = np.zeros(space.size)
@@ -151,7 +261,7 @@ def mix_space(tgt, plan):
 
 def test_mix_convex_combination(mix_world):
     # the gathered batch is bit-for-bit the per-row convex combination,
-    # drawn from the random stream in the same order
+    # from the same draws taken in the same order
     src, tgt, plan = mix_world
     space = mix_space(tgt, plan)
     for alpha, beta in ((2.0, 1.0), (2.0, 2.0), (0.5, 0.5)):

@@ -22,6 +22,7 @@ from xmixup.model import (
     save_params,
     sgd_step,
 )
+from xmixup.training import _run_sgd
 
 GRAD_CHECK_EPS = 1e-6
 GRAD_CHECK_TOL = 1e-7
@@ -120,6 +121,10 @@ def test_loss_and_grad_rejects_bad_batches():
         )
     with pytest.raises(ValueError):  # labels must lie on the simplex
         loss_and_grad_arrays(params, np.zeros((1, 3)), np.array([[0.9, 0.5]]))
+    with pytest.raises(ValueError):  # ... with no negative entry
+        loss_and_grad_arrays(params, np.zeros((1, 3)), np.array([[1.5, -0.5]]))
+    with pytest.raises(NumericError):  # and non-finite labels are numeric errors
+        loss_and_grad_arrays(params, np.zeros((1, 3)), np.array([[np.nan, 1.0]]))
 
 
 def _quadratic_params(w):
@@ -143,7 +148,7 @@ def test_sgd_momentum_follows_frozen_quadratic_trajectory():
     snaps = {}
     for it in range(200):
         grads = _quadratic_grads(params.layers[0][0].ravel())
-        params, velocity = sgd_step(params, grads, velocity, cfg, it)
+        sgd_step(params, grads, velocity, cfg, it)
         snaps[it + 1] = params.layers[0][0].ravel().copy()
     assert np.allclose(snaps[1], QUAD_W1, atol=1e-15)
     assert np.allclose(snaps[2], QUAD_W2, atol=1e-15)
@@ -159,7 +164,8 @@ def test_sgd_weight_decay_skips_biases():
     zero_grads = ModelParams.zeros_like(params)
     velocity = ModelParams.zeros_like(params)
     cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5, iterations=10, lr_drop_at=10)
-    after, _ = sgd_step(params, zero_grads, velocity, cfg, 0)
+    after = params.copy()  # sgd_step updates in place
+    sgd_step(after, zero_grads, velocity, cfg, 0)
     for (w0, b0), (w1, b1) in zip(
         params.layers + [params.head], after.layers + [after.head]
     ):
@@ -172,8 +178,12 @@ def test_sgd_learning_rate_drop_applies_at_boundary():
     params = _quadratic_params([0.0, 0.0])
     velocity = ModelParams.zeros_like(params)
     grads = _quadratic_grads([1.0 + QUAD_WSTAR[0], QUAD_WSTAR[1] + 1.0 / 3.0])
-    before_drop, _ = sgd_step(params, grads, velocity, cfg, 4)
-    after_drop, _ = sgd_step(params, grads, velocity, cfg, 5)
+    # each step starts from its own copy of params and velocity: sgd_step
+    # updates both in place
+    before_drop = params.copy()
+    sgd_step(before_drop, grads, velocity.copy(), cfg, 4)
+    after_drop = params.copy()
+    sgd_step(after_drop, grads, velocity.copy(), cfg, 5)
     assert np.allclose(before_drop.layers[0][0], -1.0)
     assert np.allclose(after_drop.layers[0][0], -0.1)
 
@@ -182,8 +192,86 @@ def test_sgd_zero_lr_keeps_params_fixed():
     params = init(3, [4], 2, seed=5)
     grads = ModelParams.from_arrays(params, [np.ones_like(a) for a in params.arrays()])
     cfg = TrainConfig(lr=0.0, momentum=0.9, weight_decay=0.1, iterations=5, lr_drop_at=5)
-    after, _ = sgd_step(params, grads, ModelParams.zeros_like(params), cfg, 0)
+    after = params.copy()  # sgd_step updates in place
+    sgd_step(after, grads, ModelParams.zeros_like(params), cfg, 0)
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), after.arrays()))
+
+
+def _functional_sgd(arrays, grads, velocity, cfg, iteration):
+    """The out-of-place update sgd_step replaced, one array at a time:
+    decay on weights (even positions), never on biases."""
+    eff_lr = cfg.lr * (cfg.lr_drop_factor if iteration >= cfg.lr_drop_at else 1.0)
+    new_w, new_v = [], []
+    for i, (w, g, v) in enumerate(zip(arrays, grads, velocity)):
+        step_g = g + cfg.weight_decay * w if i % 2 == 0 else g
+        v2 = cfg.momentum * v - eff_lr * step_g
+        new_v.append(v2)
+        new_w.append(w + v2)
+    return new_w, new_v
+
+
+def test_sgd_in_place_steps_are_bit_equal_to_the_functional_formula():
+    cfg = TrainConfig(
+        lr=0.05, momentum=0.9, weight_decay=0.01, iterations=50, lr_drop_at=25
+    )
+    params = init(3, [5, 4], 3, seed=7)
+    for _, b in params.layers + [params.head]:
+        b[:] = np.linspace(-0.3, 0.4, b.size)  # biases that decay would move
+    velocity = ModelParams.zeros_like(params)
+    ref_w = [a.copy() for a in params.arrays()]
+    ref_v = [np.zeros_like(a) for a in ref_w]
+    rng = np.random.default_rng(8)
+    for it in range(50):
+        grads = ModelParams.from_arrays(
+            params, [rng.normal(size=a.shape) for a in ref_w]
+        )
+        ref_w, ref_v = _functional_sgd(
+            ref_w, [a.copy() for a in grads.arrays()], ref_v, cfg, it
+        )
+        sgd_step(params, grads, velocity, cfg, it)
+        for got, want in zip(params.arrays() + velocity.arrays(), ref_w + ref_v):
+            assert got.tobytes() == want.tobytes(), it
+
+
+def test_sgd_rejects_a_non_finite_gradient_before_touching_params():
+    params = init(3, [4], 2, seed=5)
+    before = params.copy()
+    grads = ModelParams.zeros_like(params)
+    grads.head[1][0] = np.nan
+    cfg = TrainConfig(iterations=5, lr_drop_at=5)
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        sgd_step(params, grads, ModelParams.zeros_like(params), cfg, 0)
+    assert params.flat.tobytes() == before.flat.tobytes()
+
+
+def test_training_names_the_iteration_of_a_non_finite_gradient():
+    params = init(3, [4], 2, seed=5)
+
+    def step(p, it, out):
+        out.flat[:] = np.inf if it == 3 else 0.0
+        return 0.0, out
+
+    with pytest.raises(NumericError, match="iteration 3: non-finite gradient"):
+        _run_sgd(params, TrainConfig(iterations=10, lr_drop_at=10), step)
+
+
+def test_params_views_share_one_flat_buffer():
+    params = init(3, [5, 4], 2, seed=3)
+    sizes = [a.size for a in params.arrays()]
+    assert params.flat.size == sum(sizes)
+    for a in params.arrays():
+        assert np.shares_memory(a, params.flat)
+    # weights: every weight matrix, contiguous; extractor: everything but the head
+    assert params.weights.size == sum(sizes[0::2])
+    assert params.extractor.size == sum(sizes[:-2])
+    params.weights[:] = 1.0
+    assert all(np.all(w == 1.0) for w, _ in params.layers + [params.head])
+    assert not any(b.any() for _, b in params.layers + [params.head])
+    # construction copies, so the source arrays stay independent
+    w = np.ones((2, 3))
+    built = ModelParams([(w, np.zeros(2))], (np.ones((1, 2)), np.zeros(1)))
+    w[:] = 5.0
+    assert np.all(built.layers[0][0] == 1.0)
 
 
 @pytest.mark.parametrize(
