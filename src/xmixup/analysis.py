@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
-from .errors import DataError, NumericError, require_finite
+from .errors import DataError, NumericError, check_fields
 from .model import ModelParams, forward, init_linear
 from .pairing import PairingPlan
 
@@ -46,11 +46,13 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.iterations < 1 or self.lr <= 0:
             raise ValueError("probe needs iterations >= 1 and lr > 0")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

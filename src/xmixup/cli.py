@@ -5,7 +5,9 @@ artifacts earlier steps left in the output directory. Config precedence is
 `--set` flags over the `XMIXUP_SEED` environment override over the file.
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
-4 numeric failure.
+4 numeric failure. Every config value is checked when the config loads, and
+artifacts are checked against each other when a step loads them, so a
+ValueError from inside a step is a defect and is not mapped to an exit code.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import os
 import sys
 from pathlib import Path
 
+from .config import ExperimentConfig, config_from_json
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
-    ExperimentConfig,
-    config_from_json,
     step_ablate,
     step_eval,
     step_finetune,
@@ -170,9 +171,6 @@ def main(argv=None) -> int:
     try:
         _dispatch(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as e:

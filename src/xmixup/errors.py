@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check that
+"""Exception types shared across the package, and the field check that
 every config dataclass runs.
 
 Argument-validation failures raise plain ValueError; lookups of missing
@@ -8,6 +8,7 @@ below so the CLI can map failures to stable exit codes.
 
 import dataclasses
 import math
+import numbers
 
 
 class DataError(Exception):
@@ -25,19 +26,54 @@ class ParseError(DataError):
 
 
 class NumericError(Exception):
-    """A computation produced or received non-finite or degenerate values."""
+    """A computation produced or received non-finite or degenerate values.
+
+    `cell` is the index of the model of a stack the failure concerns, or
+    None when it concerns no stack.
+    """
+
+    def __init__(self, message, cell=None):
+        super().__init__(message)
+        self.cell = cell
 
 
 class ConfigError(Exception):
     """An experiment configuration or strategy parameter set is invalid."""
 
 
-def require_finite(config) -> None:
-    """Raise ConfigError if any float field of a config dataclass is NaN or ±inf.
+def _check_number(name: str, value, kind: str) -> None:
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    elif not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
-    NaN slips through every `<`/`<=` range check, so this runs first.
+
+def check_fields(config) -> None:
+    """Raise ConfigError if a numeric field of a config dataclass has the
+    wrong type or is NaN or ±inf.
+
+    Fields annotated `int` take integers only, `float` fields take finite
+    integers or floats, and bools pass as neither. `X | None` also takes
+    None and `tuple[X, ...]` checks every element. NaN slips through every
+    `<`/`<=` range check and a string fails them with a TypeError, so this
+    runs before them.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        kind = str(f.type)
+        if kind.endswith(" | None"):
+            if value is None:
+                continue
+            kind = kind[: -len(" | None")]
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind = kind[len("tuple[") : -len(", ...]")]
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{f.name} must be a list, got {value!r}")
+            if kind in ("int", "float"):
+                for item in value:
+                    _check_number(f.name, item, kind)
+        elif kind in ("int", "float"):
+            _check_number(f.name, value, kind)

@@ -1,36 +1,43 @@
-"""Experiment orchestration: config schema, artifact layout, pipeline steps.
+"""Experiment orchestration: artifact layout and pipeline steps.
 
 A pipeline lives in one output directory: generated dataset CSVs, the
 pre-trained checkpoint, the pairing plan, per-run JSON records under runs/,
 and the joined reports. Every step is a pure function of (config, seeds), so
 rerunning a step reproduces its artifacts byte for byte. manifest.json ties
-the artifacts in a directory to the hash of the config that produced them.
+the artifacts in a directory to the hash of the config that produced them,
+and `report` joins only run records carrying that hash.
+
+Every step that fine-tunes lists its runs as cells (a strategy, a seed and
+the pairing plan its source draws follow) and hands them to run_grid, which
+trains the cells sharing a strategy and a plan as one stack
+(training.finetune) and returns one result per cell in cell order.
+`finetune` and `ablate` turn each result into a run record with its probes
+and spectrum; the sweeps keep its accuracy.
+
+Artifacts are checked against each other where they are loaded: datasets,
+checkpoint and plan that do not fit together are a DataError, not a
+failure deep inside a step.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import ProbeConfig, ProbeSubset, linear_probe, source_subsets, spectrum
+from .analysis import ProbeSubset, linear_probe, source_subsets, spectrum
 from .atomic import atomic_open
-from .dataset import (
-    Dataset,
-    gen_source,
-    gen_target,
-    load_dataset,
-    save_dataset,
-    split,
-    split_test_count,
+from .config import (  # noqa: F401  (the config API, re-exported)
+    DataSpec,
+    ExperimentConfig,
+    config_from_json,
+    override_seed,
 )
-from .errors import ConfigError, DataError, ParseError, require_finite
-from .mixup import MixupConfig
-from .model import ModelParams, TrainConfig, load_params, save_params
+from .dataset import Dataset, gen_source, gen_target, load_dataset, save_dataset, split
+from .errors import DataError, ParseError
+from .model import ModelParams, load_params, save_params
 from .pairing import (
     PairingPlan,
     compute_centroids,
@@ -41,6 +48,7 @@ from .pairing import (
 )
 from .svg import bar_chart, line_chart, write_svg
 from .training import (
+    RunResult,
     Strategy,
     StrategyKind,
     evaluate,
@@ -53,6 +61,7 @@ SOURCE_TRAIN = "source_train.csv"
 SOURCE_TEST = "source_test.csv"
 TARGET_TRAIN = "target_train.csv"
 TARGET_TEST = "target_test.csv"
+SPLITS = (SOURCE_TRAIN, SOURCE_TEST, TARGET_TRAIN, TARGET_TEST)
 PLANTED = "planted.json"
 PRETRAINED = "pretrained.ckpt"
 PLAN = "plan.csv"
@@ -62,183 +71,6 @@ MANIFEST = "manifest.json"
 COMPARISON_HEADER = (
     "strategy,seed,accuracy,forgetting_aux,forgetting_aba,spectrum_tail_mean"
 )
-
-
-@dataclass(frozen=True)
-class DataSpec:
-    """Synthetic data shape: a Gaussian-cluster source domain plus a target
-    domain whose planted classes are noisy copies of source classes."""
-
-    m: int = 20
-    source_per_class: int = 40
-    d: int = 4
-    spread: float = 0.8
-    planted: tuple[int, ...] = (0, 1, 2, 3)
-    novel: int = 2
-    target_per_class: int = 50
-    noise: float = 0.3
-    seed: int = 0
-    source_test_fraction: float = 0.2
-    target_test_fraction: float = 0.8
-
-    def __post_init__(self):
-        require_finite(self)
-        object.__setattr__(self, "planted", tuple(self.planted))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data: DataSpec = field(default_factory=DataSpec)
-    hidden: tuple[int, ...] = (64, 32)
-    pretrain: TrainConfig = field(default_factory=TrainConfig)
-    finetune: TrainConfig = field(
-        default_factory=lambda: TrainConfig(iterations=600, lr_drop_at=400)
-    )
-    mixup: MixupConfig = field(default_factory=MixupConfig)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-    sp_weight: float = 0.01
-    midtune_iterations: int | None = None
-    threshold: int | None = None
-    strategies: tuple[StrategyKind, ...] = tuple(StrategyKind)
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    alpha_grid: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    threshold_grid: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for name in ("hidden", "strategies", "seeds", "alpha_grid", "threshold_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.seeds:
-            raise ConfigError("seed list must be non-empty")
-        if not self.strategies:
-            raise ConfigError("strategy list must be non-empty")
-        if not self.hidden:
-            raise ConfigError("hidden layer list must be non-empty")
-        require_finite(self)
-        bad = [a for a in self.alpha_grid if not math.isfinite(a)]
-        if bad:
-            raise ConfigError(f"alpha_grid must be finite, got {bad}")
-        # every run record's spectrum takes min(512, rows) target-train rows
-        # and needs at least as many as the feature width
-        ds = self.data
-        if 0 < ds.target_test_fraction < 1 and ds.target_per_class >= 1:
-            per_class = ds.target_per_class - split_test_count(
-                ds.target_per_class, ds.target_test_fraction
-            )
-            rows = (len(ds.planted) + ds.novel) * per_class
-            if rows < self.hidden[-1]:
-                raise ConfigError(
-                    f"the target split leaves {rows} training rows, fewer than "
-                    f"the feature width {self.hidden[-1]} the spectrum needs"
-                )
-
-    def strategy_for(self, kind: StrategyKind) -> Strategy:
-        if kind is StrategyKind.L2SP:
-            return Strategy.l2sp(self.sp_weight)
-        if kind in (
-            StrategyKind.MIXUP_IN_DOMAIN,
-            StrategyKind.XMIXUP,
-            StrategyKind.XMIXUP_NO_LABEL,
-        ):
-            return Strategy(kind, mixup=self.mixup)
-        if kind is StrategyKind.SEQ_TRAIN:
-            return Strategy.seqtrain(self.midtune_iterations)
-        return Strategy(kind)
-
-    def to_json(self) -> dict:
-        return {
-            "data": asdict(self.data),
-            "hidden": list(self.hidden),
-            "pretrain": asdict(self.pretrain),
-            "finetune": asdict(self.finetune),
-            "mixup": asdict(self.mixup),
-            "probe": asdict(self.probe),
-            "sp_weight": self.sp_weight,
-            "midtune_iterations": self.midtune_iterations,
-            "threshold": self.threshold,
-            "strategies": [k.value for k in self.strategies],
-            "seeds": list(self.seeds),
-            "alpha_grid": list(self.alpha_grid),
-            "threshold_grid": list(self.threshold_grid),
-        }
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _build_section(name: str, base, raw: dict):
-    """Overlay a JSON section onto the default instance, so partial sections
-    keep the experiment defaults for unmentioned fields."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be an object")
-    try:
-        return replace(base, **raw)
-    except TypeError as e:
-        raise ConfigError(f"{name}: {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"{name}: {e}") from None
-
-
-def config_from_json(raw: dict) -> ExperimentConfig:
-    """Build a validated config from parsed JSON; unknown keys are errors."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    defaults = ExperimentConfig()
-    sections = {
-        "data": defaults.data,
-        "pretrain": defaults.pretrain,
-        "finetune": defaults.finetune,
-        "mixup": defaults.mixup,
-        "probe": defaults.probe,
-    }
-    plain = {
-        "hidden",
-        "sp_weight",
-        "midtune_iterations",
-        "threshold",
-        "strategies",
-        "seeds",
-        "alpha_grid",
-        "threshold_grid",
-    }
-    unknown = set(raw) - set(sections) - plain
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, base in sections.items():
-        if key in raw:
-            kwargs[key] = _build_section(key, base, raw[key])
-    for key in plain & set(raw):
-        kwargs[key] = raw[key]
-    if "strategies" in kwargs:
-        try:
-            kwargs["strategies"] = tuple(StrategyKind(s) for s in kwargs["strategies"])
-        except ValueError as e:
-            raise ConfigError(f"strategies: {e}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    return config_from_json(raw)
-
-
-def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Collapse every pipeline seed to one value (the XMIXUP_SEED override)."""
-    return replace(
-        cfg,
-        data=replace(cfg.data, seed=seed),
-        pretrain=replace(cfg.pretrain, seed=seed),
-        seeds=(seed,),
-    )
 
 
 def _fmt17(v: float) -> str:
@@ -257,6 +89,17 @@ def _read_json(path: Path):
         return json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: {e}") from None
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """A CSV with floats at 17 significant digits and everything else as str."""
+    with atomic_open(path) as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(
+                ",".join(_fmt17(v) if isinstance(v, float) else str(v) for v in row)
+                + "\n"
+            )
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -278,6 +121,103 @@ def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -
     _write_json(manifest, path)
 
 
+# --- loading and checking artifacts -----------------------------------------
+
+
+def load_data(out: Path) -> tuple[Dataset, Dataset, Dataset, Dataset]:
+    """The four dataset splits, checked to share one width and, per domain,
+    one class count."""
+    sets = tuple(load_dataset(_require(out / name, "gen-data")) for name in SPLITS)
+    for name, ds in zip(SPLITS, sets):
+        if ds.d != sets[0].d:
+            raise DataError(
+                f"{out / name} has width {ds.d}, {SOURCE_TRAIN} has {sets[0].d}"
+            )
+    for train, test in ((0, 1), (2, 3)):
+        if sets[test].class_count != sets[train].class_count:
+            raise DataError(
+                f"{out / SPLITS[test]} has {sets[test].class_count} classes, "
+                f"{SPLITS[train]} has {sets[train].class_count}"
+            )
+    return sets
+
+
+def _load_checkpoint(path: Path, d: int, hint: str) -> ModelParams:
+    params = load_params(_require(path, hint))
+    if params.d != d:
+        raise DataError(f"{path} takes inputs of width {params.d}, the data has {d}")
+    return params
+
+
+@dataclass(frozen=True)
+class Lab:
+    """The artifacts a fine-tuning step reads, loaded and checked."""
+
+    src_train: Dataset
+    tgt_train: Dataset
+    tgt_test: Dataset
+    pretrained: ModelParams
+    plan: PairingPlan | None
+
+
+def load_lab(out: Path, with_plan: bool = True) -> Lab:
+    src_train, _, tgt_train, tgt_test = load_data(out)
+    pretrained = _load_checkpoint(out / PRETRAINED, src_train.d, "pretrain")
+    plan = None
+    if with_plan:
+        plan = load_plan(_require(out / PLAN, "pair"))
+        if sorted(plan.per_target) != list(range(tgt_train.class_count)) or any(
+            s >= src_train.class_count for s in plan.selected_sources()
+        ):
+            raise DataError(
+                f"{out / PLAN} does not pair the {tgt_train.class_count} target "
+                f"classes with the {src_train.class_count} source classes"
+            )
+    return Lab(src_train, tgt_train, tgt_test, pretrained, plan)
+
+
+# --- the grid runner ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One fine-tuning run: a strategy, a fine-tuning seed and the pairing
+    plan its source draws follow."""
+
+    strategy: Strategy
+    seed: int
+    plan: PairingPlan | None
+
+
+def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResult]:
+    """Fine-tune every cell under cfg.finetune with the cell's seed; one
+    RunResult per cell, in cell order.
+
+    Cells that share a strategy (up to its MixupConfig) and a plan object
+    train as one stack in one finetune call; a cell's result does not depend
+    on which cells share its stack.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        s = cell.strategy
+        key = (s.kind, s.sp_weight, s.midtune_iterations, id(cell.plan))
+        groups.setdefault(key, []).append(i)
+    results: list[RunResult | None] = [None] * len(cells)
+    for members in groups.values():
+        trained = finetune(
+            lab.pretrained,
+            lab.tgt_train,
+            lab.src_train,
+            cells[members[0]].plan,
+            [cells[i].strategy for i in members],
+            [replace(cfg.finetune, seed=cells[i].seed) for i in members],
+            lab.tgt_test,
+        )
+        for i, result in zip(members, trained):
+            results[i] = result
+    return results
+
+
 # --- pipeline steps ---------------------------------------------------------
 
 
@@ -290,10 +230,9 @@ def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
         src_train, list(ds.planted), ds.novel, ds.target_per_class, ds.noise, ds.seed
     )
     tgt_train, tgt_test = split(tgt, ds.target_test_fraction, ds.seed)
-    save_dataset(src_train, out / SOURCE_TRAIN)
-    save_dataset(src_test, out / SOURCE_TEST)
-    save_dataset(tgt_train, out / TARGET_TRAIN)
-    save_dataset(tgt_test, out / TARGET_TEST)
+    splits = dict(zip(SPLITS, (src_train, src_test, tgt_train, tgt_test)))
+    for name, dataset in splits.items():
+        save_dataset(dataset, out / name)
     _write_json(
         {
             "config_hash": cfg.hash(),
@@ -302,32 +241,9 @@ def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
         },
         out / PLANTED,
     )
-    update_manifest(
-        out,
-        cfg,
-        {
-            "source_train": SOURCE_TRAIN,
-            "source_test": SOURCE_TEST,
-            "target_train": TARGET_TRAIN,
-            "target_test": TARGET_TEST,
-            "planted": PLANTED,
-        },
-    )
-    return {
-        "source_train": len(src_train),
-        "source_test": len(src_test),
-        "target_train": len(tgt_train),
-        "target_test": len(tgt_test),
-    }
-
-
-def load_data(out: Path) -> tuple[Dataset, Dataset, Dataset, Dataset]:
-    return (
-        load_dataset(_require(out / SOURCE_TRAIN, "gen-data")),
-        load_dataset(_require(out / SOURCE_TEST, "gen-data")),
-        load_dataset(_require(out / TARGET_TRAIN, "gen-data")),
-        load_dataset(_require(out / TARGET_TEST, "gen-data")),
-    )
+    # manifest keys and counts are named like the files, without ".csv"
+    update_manifest(out, cfg, {n[:-4]: n for n in SPLITS} | {"planted": PLANTED})
+    return {name[:-4]: len(dataset) for name, dataset in splits.items()}
 
 
 def step_pretrain(cfg: ExperimentConfig, out: Path) -> dict:
@@ -353,6 +269,10 @@ def default_threshold(tgt_train: Dataset) -> int:
     return 5 * len(tgt_train) // 2
 
 
+def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
+    return cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
+
+
 def build_plan(
     cfg: ExperimentConfig,
     params: ModelParams,
@@ -361,9 +281,7 @@ def build_plan(
     threshold: int | None = None,
 ) -> PairingPlan:
     if threshold is None:
-        threshold = (
-            cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
-        )
+        threshold = _threshold(cfg, tgt_train)
     sims = similarity(
         compute_centroids(src_train, params), compute_centroids(tgt_train, params)
     )
@@ -371,15 +289,12 @@ def build_plan(
 
 
 def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
-    src_train, _, tgt_train, _ = load_data(out)
-    params = load_params(_require(out / PRETRAINED, "pretrain"))
-    plan = build_plan(cfg, params, src_train, tgt_train)
+    lab = load_lab(out, with_plan=False)
+    plan = build_plan(cfg, lab.pretrained, lab.src_train, lab.tgt_train)
     save_plan(plan, out / PLAN)
     info = {
         "config_hash": cfg.hash(),
-        "threshold": (
-            cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
-        ),
+        "threshold": _threshold(cfg, lab.tgt_train),
         "rounds": plan.n_rounds,
         "exhausted": plan.exhausted,
         "selected_sources": plan.selected_sources(),
@@ -390,27 +305,10 @@ def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_record(
-    cfg: ExperimentConfig,
-    pretrained: ModelParams,
-    src_train: Dataset,
-    tgt_train: Dataset,
-    tgt_test: Dataset,
-    plan: PairingPlan,
-    kind: StrategyKind,
-    seed: int,
+    cfg: ExperimentConfig, lab: Lab, kind: StrategyKind, result: RunResult
 ) -> dict:
-    """One fine-tuning run plus its diagnostics, as a JSON-able record."""
-    strategy = cfg.strategy_for(kind)
-    result = finetune(
-        pretrained,
-        tgt_train,
-        src_train,
-        plan,
-        strategy,
-        replace(cfg.finetune, seed=seed),
-        tgt_test,
-    )
-    subsets = source_subsets(src_train, plan)
+    """One fine-tuning result plus its diagnostics, as a JSON-able record."""
+    subsets = source_subsets(lab.src_train, lab.plan)
     probe_aux = linear_probe(
         result.params, subsets[ProbeSubset.AUXILIARY], cfg.probe, ProbeSubset.AUXILIARY
     )
@@ -418,11 +316,11 @@ def run_record(
         result.params, subsets[ProbeSubset.ABA], cfg.probe, ProbeSubset.ABA
     )
     tail = spectrum(
-        result.params, tgt_train, min(512, len(tgt_train))
+        result.params, lab.tgt_train, min(512, len(lab.tgt_train))
     ).tail_mean(10)
     return {
         "strategy": kind.value,
-        "seed": seed,
+        "seed": result.seed,
         "accuracy": result.accuracy,
         "forgetting_aux": probe_aux.accuracy,
         "forgetting_aba": probe_aba.accuracy,
@@ -441,29 +339,36 @@ def step_finetune(
     out: Path,
     strategies: tuple[StrategyKind, ...] | None = None,
 ) -> list[dict]:
-    src_train, _, tgt_train, tgt_test = load_data(out)
-    pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
-    plan = load_plan(_require(out / PLAN, "pair"))
+    lab = load_lab(out)
+    kinds = strategies if strategies is not None else cfg.strategies
+    cells = [
+        Cell(cfg.strategy_for(kind), seed, lab.plan)
+        for kind in kinds
+        for seed in cfg.seeds
+    ]
+    records = [
+        run_record(cfg, lab, cell.strategy.kind, result)
+        for cell, result in zip(cells, run_grid(cfg, lab, cells))
+    ]
     runs = out / RUNS_DIR
     runs.mkdir(exist_ok=True)
-    kinds = strategies if strategies is not None else cfg.strategies
-    cells = [(kind, seed) for kind in kinds for seed in cfg.seeds]
-    records = [
-        run_record(cfg, pretrained, src_train, tgt_train, tgt_test, plan, kind, seed)
-        for kind, seed in cells
-    ]
     entries = {}
-    for (kind, seed), record in zip(cells, records):
-        name = f"{run_name(kind, seed)}.json"
-        _write_json(record, runs / name)
-        entries[f"run_{run_name(kind, seed)}"] = f"{RUNS_DIR}/{name}"
+    for cell, record in zip(cells, records):
+        name = run_name(cell.strategy.kind, cell.seed)
+        _write_json(record, runs / f"{name}.json")
+        entries[f"run_{name}"] = f"{RUNS_DIR}/{name}.json"
     update_manifest(out, cfg, entries)
     return records
 
 
 def step_eval(cfg: ExperimentConfig, out: Path, params_path) -> dict:
     _, _, _, tgt_test = load_data(out)
-    params = load_params(_require(Path(params_path), "finetune"))
+    params = _load_checkpoint(Path(params_path), tgt_test.d, "finetune")
+    if params.label_count < tgt_test.class_count:
+        raise DataError(
+            f"{params_path} has {params.label_count} outputs for "
+            f"{tgt_test.class_count} target classes"
+        )
     try:
         shown = str(Path(params_path).resolve().relative_to(out.resolve()))
     except ValueError:
@@ -485,22 +390,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def write_comparison_csv(records: list[dict], path: Path) -> None:
-    with atomic_open(path) as f:
-        f.write(COMPARISON_HEADER + "\n")
-        for r in records:
-            f.write(
-                ",".join(
-                    [
-                        r["strategy"],
-                        str(r["seed"]),
-                        _fmt17(r["accuracy"]),
-                        _fmt17(r["forgetting_aux"]),
-                        _fmt17(r["forgetting_aba"]),
-                        _fmt17(r["spectrum_tail_mean"]),
-                    ]
-                )
-                + "\n"
-            )
+    scores = COMPARISON_HEADER.split(",")[2:]
+    rows = ([r["strategy"], r["seed"]] + [float(r[c]) for c in scores] for r in records)
+    _write_table(path, COMPARISON_HEADER, rows)
 
 
 def summarize(records: list[dict], order: tuple[StrategyKind, ...]) -> list[dict]:
@@ -511,64 +403,61 @@ def summarize(records: list[dict], order: tuple[StrategyKind, ...]) -> list[dict
         if not group:
             continue
         acc_mean, acc_std = _mean_std([r["accuracy"] for r in group])
-        rows.append(
-            {
-                "strategy": kind.value,
-                "runs": len(group),
-                "accuracy_mean": acc_mean,
-                "accuracy_std": acc_std,
-                "forgetting_aux_mean": _mean_std(
-                    [r["forgetting_aux"] for r in group]
-                )[0],
-                "forgetting_aba_mean": _mean_std(
-                    [r["forgetting_aba"] for r in group]
-                )[0],
-                "spectrum_tail_mean": _mean_std(
-                    [r["spectrum_tail_mean"] for r in group]
-                )[0],
-            }
-        )
+        row = {"strategy": kind.value, "runs": len(group)}
+        row |= {"accuracy_mean": acc_mean, "accuracy_std": acc_std}
+        for key, column in (
+            ("forgetting_aux_mean", "forgetting_aux"),
+            ("forgetting_aba_mean", "forgetting_aba"),
+            ("spectrum_tail_mean", "spectrum_tail_mean"),
+        ):
+            row[key] = _mean_std([r[column] for r in group])[0]
+        rows.append(row)
     return rows
 
 
+SUMMARY_COLUMNS = (
+    "strategy",
+    "runs",
+    "accuracy_mean",
+    "accuracy_std",
+    "forgetting_aux_mean",
+    "forgetting_aba_mean",
+    "spectrum_tail_mean",
+)
+
+
 def write_summary_csv(rows: list[dict], path: Path) -> None:
-    header = (
-        "strategy,runs,accuracy_mean,accuracy_std,"
-        "forgetting_aux_mean,forgetting_aba_mean,spectrum_tail_mean"
+    _write_table(
+        path, ",".join(SUMMARY_COLUMNS), ([r[c] for c in SUMMARY_COLUMNS] for r in rows)
     )
-    with atomic_open(path) as f:
-        f.write(header + "\n")
-        for r in rows:
-            f.write(
-                ",".join(
-                    [
-                        r["strategy"],
-                        str(r["runs"]),
-                        _fmt17(r["accuracy_mean"]),
-                        _fmt17(r["accuracy_std"]),
-                        _fmt17(r["forgetting_aux_mean"]),
-                        _fmt17(r["forgetting_aba_mean"]),
-                        _fmt17(r["spectrum_tail_mean"]),
-                    ]
-                )
-                + "\n"
-            )
 
 
-def load_run_records(out: Path) -> list[dict]:
+def load_run_records(out: Path, config_hash: str) -> list[dict]:
+    """Every run record under runs/; a record written under another config
+    hash is a DataError naming the first such file, so a report never joins
+    runs of different configs."""
     runs = out / RUNS_DIR
     if not runs.is_dir():
         raise DataError(f"missing artifact {runs}; run `finetune` first")
     records = []
     for path in sorted(runs.glob("*.json")):
-        records.append(_read_json(path))
+        record = _read_json(path)
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: a run record must be a JSON object")
+        if record.get("config_hash") != config_hash:
+            raise DataError(
+                f"{path} has config_hash {record.get('config_hash')!r}, not this "
+                f"config's {config_hash!r}; rerun `finetune` with this config "
+                f"or report it from its own --out directory"
+            )
+        records.append(record)
     if not records:
         raise DataError(f"no run records under {runs}; run `finetune` first")
     return records
 
 
 def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
-    records = load_run_records(out)
+    records = load_run_records(out, cfg.hash())
     order = {k.value: i for i, k in enumerate(cfg.strategies)}
     records.sort(key=lambda r: (order.get(r["strategy"], len(order)), r["seed"]))
     write_comparison_csv(records, out / "comparison.csv")
@@ -593,56 +482,34 @@ def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
     return rows
 
 
-def _light_accuracy(
-    cfg: ExperimentConfig,
-    pretrained: ModelParams,
-    src_train: Dataset,
-    tgt_train: Dataset,
-    tgt_test: Dataset,
-    plan: PairingPlan,
-    strategy: Strategy,
-    seed: int,
-) -> float:
-    result = finetune(
-        pretrained,
-        tgt_train,
-        src_train,
-        plan,
-        strategy,
-        replace(cfg.finetune, seed=seed),
-        tgt_test,
+def _sweep_chart(path: Path, points: list[tuple[float, float]], title, xlabel) -> None:
+    chart = line_chart(
+        [("xmixup", [x for x, _ in points], [y for _, y in points])],
+        title=title,
+        xlabel=xlabel,
+        ylabel="mean accuracy",
     )
-    return result.accuracy
+    write_svg(chart, path)
 
 
 def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
-    src_train, _, tgt_train, tgt_test = load_data(out)
-    pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
-    plan = load_plan(_require(out / PLAN, "pair"))
-    cells = [(alpha, seed) for alpha in cfg.alpha_grid for seed in cfg.seeds]
-    rows = [
-        {
-            "alpha": alpha,
-            "seed": seed,
-            "accuracy": _light_accuracy(
-                cfg,
-                pretrained,
-                src_train,
-                tgt_train,
-                tgt_test,
-                plan,
-                Strategy.xmixup(replace(cfg.mixup, alpha=alpha)),
-                seed,
-            ),
-        }
-        for alpha, seed in cells
+    lab = load_lab(out)
+    cells = [
+        Cell(Strategy.xmixup(replace(cfg.mixup, alpha=alpha)), seed, lab.plan)
+        for alpha in cfg.alpha_grid
+        for seed in cfg.seeds
     ]
-    with atomic_open(out / "sweep_alpha.csv") as f:
-        f.write("alpha,seed,accuracy\n")
-        for r in rows:
-            f.write(f"{_fmt17(r['alpha'])},{r['seed']},{_fmt17(r['accuracy'])}\n")
+    rows = [
+        {"alpha": cell.strategy.mixup.alpha, "seed": cell.seed, "accuracy": r.accuracy}
+        for cell, r in zip(cells, run_grid(cfg, lab, cells))
+    ]
+    _write_table(
+        out / "sweep_alpha.csv",
+        "alpha,seed,accuracy",
+        ((float(r["alpha"]), r["seed"], r["accuracy"]) for r in rows),
+    )
     means = [
         (
             float(np.log2(alpha)),
@@ -650,13 +517,9 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
         )
         for alpha in cfg.alpha_grid
     ]
-    chart = line_chart(
-        [("xmixup", [x for x, _ in means], [y for _, y in means])],
-        title="Accuracy vs mixing strength",
-        xlabel="log2(alpha)",
-        ylabel="mean accuracy",
+    _sweep_chart(
+        out / "sweep_alpha.svg", means, "Accuracy vs mixing strength", "log2(alpha)"
     )
-    write_svg(chart, out / "sweep_alpha.svg")
     update_manifest(
         out, cfg, {"sweep_alpha": "sweep_alpha.csv", "sweep_alpha_chart": "sweep_alpha.svg"}
     )
@@ -665,60 +528,49 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
 
 def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
-    src_train, _, tgt_train, tgt_test = load_data(out)
-    pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
+    lab = load_lab(out, with_plan=False)
     grid = cfg.threshold_grid
     if not grid:
-        base = len(tgt_train)
+        base = len(lab.tgt_train)
         grid = (base, 2 * base, 4 * base, 8 * base)
     plans = {
-        t: build_plan(cfg, pretrained, src_train, tgt_train, threshold=t) for t in grid
+        t: build_plan(cfg, lab.pretrained, lab.src_train, lab.tgt_train, threshold=t)
+        for t in grid
     }
-    sizes = src_train.class_sizes()
-    cells = [(t, seed) for t in grid for seed in cfg.seeds]
-    rows = []
-    for thr, seed in cells:
-        selected = plans[thr].selected_sources()
-        acc = _light_accuracy(
-            cfg,
-            pretrained,
-            src_train,
-            tgt_train,
-            tgt_test,
-            plans[thr],
-            Strategy.xmixup(cfg.mixup),
-            seed,
-        )
-        rows.append(
-            {
-                "threshold": thr,
-                "selected_classes": len(selected),
-                "selected_samples": sum(sizes[c] for c in selected),
-                "seed": seed,
-                "accuracy": acc,
-            }
-        )
-    with atomic_open(out / "sweep_size.csv") as f:
-        f.write("threshold,selected_classes,selected_samples,seed,accuracy\n")
-        for r in rows:
-            f.write(
-                f"{r['threshold']},{r['selected_classes']},{r['selected_samples']},"
-                f"{r['seed']},{_fmt17(r['accuracy'])}\n"
-            )
+    sizes = lab.src_train.class_sizes()
+    selected = {t: sum(sizes[c] for c in plans[t].selected_sources()) for t in grid}
+    thresholds = [t for t in grid for _ in cfg.seeds]
+    cells = [
+        Cell(Strategy.xmixup(cfg.mixup), seed, plans[t])
+        for t in grid
+        for seed in cfg.seeds
+    ]
+    rows = [
+        {
+            "threshold": t,
+            "selected_classes": len(cell.plan.selected_sources()),
+            "selected_samples": selected[t],
+            "seed": cell.seed,
+            "accuracy": r.accuracy,
+        }
+        for t, cell, r in zip(thresholds, cells, run_grid(cfg, lab, cells))
+    ]
+    _write_table(
+        out / "sweep_size.csv",
+        "threshold,selected_classes,selected_samples,seed,accuracy",
+        (list(r.values()) for r in rows),
+    )
     means = [
         (
-            float(sum(sizes[c] for c in plans[t].selected_sources())),
+            float(selected[t]),
             float(np.mean([r["accuracy"] for r in rows if r["threshold"] == t])),
         )
         for t in grid
     ]
-    chart = line_chart(
-        [("xmixup", [x for x, _ in means], [y for _, y in means])],
-        title="Accuracy vs auxiliary set size",
-        xlabel="selected auxiliary samples",
-        ylabel="mean accuracy",
+    _sweep_chart(
+        out / "sweep_size.svg", means, "Accuracy vs auxiliary set size",
+        "selected auxiliary samples",
     )
-    write_svg(chart, out / "sweep_size.svg")
     update_manifest(
         out, cfg, {"sweep_size": "sweep_size.csv", "sweep_size_chart": "sweep_size.svg"}
     )
@@ -754,23 +606,21 @@ def random_plan(
 def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[dict]:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
-    src_train, _, tgt_train, tgt_test = load_data(out)
-    pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
-    centroid_plan = load_plan(_require(out / PLAN, "pair"))
-    threshold = (
-        cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
-    )
-    sizes = src_train.class_sizes()
-    cells = []
+    lab = load_lab(out)
+    threshold = _threshold(cfg, lab.tgt_train)
+    sizes = lab.src_train.class_sizes()
+    strategy = Strategy.xmixup(cfg.mixup)
+    modes, cells = [], []
     for seed in cfg.seeds:
-        cells.append(("centroid", seed, centroid_plan))
+        modes += ["centroid", "random"]
+        cells.append(Cell(strategy, seed, lab.plan))
         cells.append(
-            (
-                "random",
+            Cell(
+                strategy,
                 seed,
                 random_plan(
-                    tgt_train.class_count,
-                    src_train.class_count,
+                    lab.tgt_train.class_count,
+                    lab.src_train.class_count,
                     sizes,
                     threshold,
                     np.random.default_rng([seed, 4]),
@@ -778,27 +628,15 @@ def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[dict]:
             )
         )
     rows = [
-        {
-            "mode": mode,
-            "seed": seed,
-            "accuracy": _light_accuracy(
-                cfg,
-                pretrained,
-                src_train,
-                tgt_train,
-                tgt_test,
-                plan,
-                Strategy.xmixup(cfg.mixup),
-                seed,
-            ),
-        }
-        for mode, seed, plan in cells
+        {"mode": mode, "seed": cell.seed, "accuracy": r.accuracy}
+        for mode, cell, r in zip(modes, cells, run_grid(cfg, lab, cells))
     ]
     rows.sort(key=lambda r: (r["mode"], r["seed"]))
-    with atomic_open(out / "randomize_aux.csv") as f:
-        f.write("mode,seed,accuracy\n")
-        for r in rows:
-            f.write(f"{r['mode']},{r['seed']},{_fmt17(r['accuracy'])}\n")
+    _write_table(
+        out / "randomize_aux.csv",
+        "mode,seed,accuracy",
+        ((r["mode"], r["seed"], r["accuracy"]) for r in rows),
+    )
     update_manifest(out, cfg, {"randomize_aux": "randomize_aux.csv"})
     return rows
 

@@ -13,6 +13,13 @@ sample_beta_batch / sample_gamma_batch run the two sampler paths over a
 whole batch, Marsaglia–Tsang as a masked rejection loop. The scalar
 sample_beta / sample_gamma are their one-draw reference and are not used in
 training.
+
+All three batched functions also take one generator per cell of a stack
+(and, for make_batch and sample_beta_batch, one MixupConfig per cell, so α
+may differ). Each generator is called exactly as it would be alone, in the
+same order and with the same sizes; only the calls themselves stay per
+cell. The lookups, gathers, blends and the Gamma rejection arithmetic run
+once on the concatenation of all cells.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError, NumericError, require_finite
+from .errors import DataError, NumericError, check_fields
 from .pairing import PairingPlan
 
 #: Redraws sample_beta allows before it gives up: λ rounds to exactly 0 or 1
@@ -38,7 +45,7 @@ class MixupConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError(
                 f"Beta shapes must be positive, got alpha={self.alpha} beta={self.beta}"
@@ -136,17 +143,51 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
     )
 
 
-def _beta_draws(cfg: MixupConfig, n: int, rng) -> np.ndarray:
-    """n raw Beta(α, β) draws by sample_beta's two paths, not yet checked
-    for the open interval (a uniform of exactly 0 gives λ = 0 here)."""
-    if cfg.beta == 1.0:
-        return rng.random(n) ** (1.0 / cfg.alpha)
-    shapes = np.empty(2 * n)
-    shapes[:n] = cfg.alpha
-    shapes[n:] = cfg.beta
-    g = sample_gamma_batch(shapes, rng)
-    with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
-        return g[:n] / (g[:n] + g[n:])
+def _cells(cfg, rng):
+    """(configs, generators, stacked) for a single (cfg, rng) pair or for
+    equal-length sequences of them, one per cell."""
+    if isinstance(rng, (list, tuple)):
+        if not isinstance(cfg, (list, tuple)) or len(cfg) != len(rng) or not rng:
+            raise ValueError("need one config per generator, and at least one")
+        return list(cfg), list(rng), True
+    return [cfg], [rng], False
+
+
+def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
+    """sample_gamma_batch over consecutive runs of entries, the next sizes[g]
+    of them drawn from rngs[g]; see there."""
+    boost = shapes < 1.0
+    d = np.where(boost, shapes + 1.0, shapes) - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.empty_like(d)
+    todo = np.arange(d.size)
+    owner = np.repeat(np.arange(len(rngs)), sizes)  # the generator of each entry
+    pending = list(sizes)
+    # v <= 0 makes log v NaN or -inf and u = 0 makes log u -inf: the first
+    # fails the test and the second passes it, both as they should
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while todo.size:
+            draws = [
+                (rng.standard_normal((2, k)), rng.random((2, k)))
+                for rng, k in zip(rngs, pending)
+                if k
+            ]
+            x = np.concatenate([x for x, _ in draws], axis=1)
+            u = np.concatenate([u for _, u in draws], axis=1)
+            v = 1.0 + c[todo] * x
+            v = v * v * v  # three products: an array ** 3 takes the slow pow path
+            dt = d[todo]
+            ok = np.log(u) < 0.5 * x * x + dt * (1.0 - v + np.log(v))
+            # entries that fail both candidates are written over next round
+            out[todo] = dt * np.where(ok[0], v[0], v[1])
+            todo = todo[~(ok[0] | ok[1])]
+            pending = np.bincount(owner[todo], minlength=len(rngs)).tolist()
+    if boost.any():
+        counts = np.bincount(owner[boost], minlength=len(rngs)).tolist()
+        # in (0, 1]: never 0
+        u = np.concatenate([1.0 - rng.random(k) for rng, k in zip(rngs, counts) if k])
+        out[boost] *= u ** (1.0 / shapes[boost])
+    return out
 
 
 def sample_gamma_batch(shapes, rng) -> np.ndarray:
@@ -160,33 +201,59 @@ def sample_gamma_batch(shapes, rng) -> np.ndarray:
     The squeeze test is left out: it only saves the logarithm, which an
     array computes anyway. Shapes below 1 run the loop at shape + 1 and are
     then boosted, G(a) = G(a+1) · U^{1/a}, with uniforms drawn after it.
+
+    With a sequence of generators, `shapes` is a sequence of arrays, one per
+    generator, and the result is a list of arrays: each generator is called
+    exactly as a call of its own would call it (the normals and uniforms of
+    each round for its pending entries, then its boost uniforms), so each
+    array is bit for bit that call's result, while the arithmetic runs once
+    over all entries.
     """
-    shapes = np.asarray(shapes, dtype=float)
-    if not shapes.min() > 0:
-        raise ValueError(f"shapes must be positive, got {shapes[~(shapes > 0)][0]}")
-    boost = shapes < 1.0
-    d = np.where(boost, shapes + 1.0, shapes) - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty_like(d)
-    todo = np.arange(d.size)
-    # v <= 0 makes log v NaN or -inf and u = 0 makes log u -inf: the first
-    # fails the test and the second passes it, both as they should
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while todo.size:
-            x = rng.standard_normal((2, todo.size))
-            v = 1.0 + c[todo] * x
-            v = v * v * v  # three products: an array ** 3 takes the slow pow path
-            dt = d[todo]
-            ok = np.log(rng.random((2, todo.size))) < 0.5 * x * x + dt * (
-                1.0 - v + np.log(v)
-            )
-            # entries that fail both candidates are written over next round
-            out[todo] = dt * np.where(ok[0], v[0], v[1])
-            todo = todo[~(ok[0] | ok[1])]
-    if boost.any():
-        u = 1.0 - rng.random(np.count_nonzero(boost))  # in (0, 1]: never 0
-        out[boost] *= u ** (1.0 / shapes[boost])
-    return out
+    if isinstance(rng, (list, tuple)):
+        parts = [np.asarray(a, dtype=float).ravel() for a in shapes]
+        if len(parts) != len(rng):
+            raise ValueError("need one shape array per generator")
+        flat = np.concatenate(parts)
+    else:
+        flat = np.asarray(shapes, dtype=float)
+    if not flat.min() > 0:
+        raise ValueError(f"shapes must be positive, got {flat[~(flat > 0)][0]}")
+    if not isinstance(rng, (list, tuple)):
+        return _gamma(flat, [flat.size], [rng])
+    sizes = [a.size for a in parts]
+    return np.split(_gamma(flat, sizes, list(rng)), np.cumsum(sizes)[:-1])
+
+
+def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
+    """counts[s] raw Beta(α, β) draws of each cell s by sample_beta's two
+    paths, concatenated in cell order, not yet checked for the open interval
+    (a uniform of exactly 0 gives λ = 0 here).
+
+    β = 1 raises each cell's uniforms to its own scalar power: numpy
+    computes `u ** 0.5` as a square root, so one power over an array of
+    per-entry exponents would round some results differently. The gamma
+    cells share one _gamma pass over [α…α, β…β] per cell and one division.
+    """
+    cells = [s for s, k in enumerate(counts) if k]
+    gamma = [s for s in cells if cfgs[s].beta != 1.0]
+    parts = {
+        s: rngs[s].random(counts[s]) ** (1.0 / cfgs[s].alpha)
+        for s in cells
+        if cfgs[s].beta == 1.0
+    }
+    if gamma:
+        ks = np.repeat([counts[s] for s in gamma], 2)
+        pairs = [(cfgs[s].alpha, cfgs[s].beta) for s in gamma]
+        shapes = np.repeat(np.ravel(pairs), ks)
+        g = _gamma(shapes, (2 * ks[::2]).tolist(), [rngs[s] for s in gamma])
+        first = np.repeat(np.arange(ks.size) % 2 == 0, ks)  # the α entries
+        g_a, g_b = g[first], g[~first]
+        with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
+            lam = g_a / (g_a + g_b)
+        if not parts:
+            return lam
+        parts.update(zip(gamma, np.split(lam, np.cumsum(ks[::2])[:-1])))
+    return np.concatenate([parts[s] for s in cells])
 
 
 def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
@@ -197,20 +264,30 @@ def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
     to 0 or 1 (or are NaN) are redrawn together, at most MAX_BETA_DRAWS draws
     per entry, after which NumericError is raised. This is the sampler
     training uses; sample_beta is its one-draw reference.
+
+    With sequences of configs and generators, one of each per cell, the
+    result is (S, n) and row s is bit for bit sample_beta_batch(cfg[s], n,
+    rng[s]): every generator sees the calls of its own cell in its own
+    order, redraws included. A NumericError then names the cell in `cell`.
     """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    lam = np.empty(n)
-    redo, k = slice(None), n
+    cfgs, rngs, stacked = _cells(cfg, rng)
+    lam = np.empty(len(cfgs) * n)  # row-major (S, n)
+    todo = np.arange(lam.size)
+    counts = [n] * len(cfgs)
     for _ in range(MAX_BETA_DRAWS):
-        lam[redo] = _beta_draws(cfg, k, rng)
-        if lam.min() > 0.0 and lam.max() < 1.0:
-            return lam
-        redo = np.flatnonzero(~((lam > 0.0) & (lam < 1.0)))
-        k = redo.size
+        lam[todo] = _beta_draws(cfgs, counts, rngs)
+        drawn = lam[todo]
+        if drawn.min() > 0.0 and drawn.max() < 1.0:
+            return lam.reshape(len(cfgs), n) if stacked else lam
+        todo = todo[~((drawn > 0.0) & (drawn < 1.0))]
+        counts = np.bincount(todo // n, minlength=len(cfgs)).tolist()
+    cell = int(todo[0] // n)
     raise NumericError(
-        f"Beta({cfg.alpha}, {cfg.beta}) gave no draw inside (0, 1) "
-        f"in {MAX_BETA_DRAWS} tries"
+        f"Beta({cfgs[cell].alpha}, {cfgs[cell].beta}) gave no draw inside (0, 1) "
+        f"in {MAX_BETA_DRAWS} tries",
+        cell=cell if stacked else None,
     )
 
 
@@ -230,6 +307,12 @@ def make_batch(
     target class (uniform over all rounds), one sample of that class, and
     the λ column from sample_beta_batch. A target class the plan misses
     raises KeyError.
+
+    With sequences of configs and generators, one of each per cell, X is
+    (S, B, d) and P (S, B, L), and cell s is bit for bit what make_batch
+    with cfg[s] and rng[s] returns: each generator makes its cell's calls in
+    the order above, and the lookups, gathers and blends run once for all
+    cells.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -237,24 +320,26 @@ def make_batch(
         raise DataError("cannot draw a batch from an empty target dataset")
     if src.d != tgt_train.d:
         raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
+    cfgs, rngs, stacked = _cells(cfg, rng)
     table, counts = plan.paired_table(space.n_target)
     order, starts, sizes = src.class_layout()
-    picks = rng.integers(len(tgt_train), size=batch_size)
+    picks = np.stack([r.integers(len(tgt_train), size=batch_size) for r in rngs])
     targets = tgt_train.y[picks]
     n_paired = counts[targets]
     if not n_paired.all():
         missing = sorted(set(targets[n_paired == 0].tolist()))
         raise KeyError(f"pairing plan has no source class for target classes {missing}")
-    cls = table[targets, rng.integers(n_paired)]
+    cls = table[targets, np.stack([r.integers(k) for r, k in zip(rngs, n_paired)])]
     pool = sizes[cls]
     if not pool.all():
         raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
-    aux = order[starts[cls] + rng.integers(pool)]
-    lam = sample_beta_batch(cfg, batch_size, rng)
+    aux = order[starts[cls] + np.stack([r.integers(k) for r, k in zip(rngs, pool)])]
+    lam = sample_beta_batch(cfgs, batch_size, rngs)
     mu = 1.0 - lam
-    X = lam[:, None] * tgt_train.X.take(picks, 0) + mu[:, None] * src.X.take(aux, 0)
-    P = np.zeros((batch_size, space.size))
-    rows = np.arange(batch_size)
-    P[rows, targets] = lam
-    P[rows, space.source_columns[cls]] = mu
-    return X, P
+    X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
+    P = np.zeros((len(rngs), batch_size, space.size))
+    flat = P.reshape(-1, space.size)  # a view: P is new and contiguous
+    rows = np.arange(flat.shape[0])
+    flat[rows, targets.ravel()] = lam.ravel()
+    flat[rows, space.source_columns[cls].ravel()] = mu.ravel()
+    return (X, P) if stacked else (X[0], P[0])

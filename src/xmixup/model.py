@@ -10,6 +10,15 @@ training loop keeps one gradient buffer and one velocity per run:
 backpropagation writes into the gradient buffer and sgd_step updates
 velocity and parameters in place, in the rounding order of the out-of-place
 formula.
+
+A stack of S models (ModelParams.stack) is one (S, P) buffer: every weight
+is an (S, out, in) view and every bias an (S, out) view, and row(s) is model
+s. forward_cache, backward_from_dlogits, loss_and_grad_arrays and sgd_step
+take a single model or a stack alike, a stack with (S, B, ·) batches, and
+run each operation once for the whole stack as batched matmuls and
+reductions over the last axes. Each model of a stack gets exactly the bits
+it would get alone: numpy computes every matrix of a batched matmul as its
+own 2-D product, and the reductions add in the same order.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import NumericError, ParseError, require_finite
+from .errors import NumericError, ParseError, check_fields
 
 Layer = tuple[np.ndarray, np.ndarray]  # (W: out x in, b: out)
 
@@ -38,7 +47,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
@@ -51,6 +60,8 @@ class TrainConfig:
             raise ValueError("lr_drop_at must be in [0, iterations]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -64,6 +75,9 @@ class ModelParams:
     matrix, the arrays weight decay applies to) are views into it, so a write
     through any of them is a write to `flat`. The constructor copies the
     given arrays into a new buffer.
+
+    A stack of S models has a (S, P) `flat`, one row per model in the layout
+    above; every view then has a leading axis of length S.
     """
 
     layers: list[Layer]
@@ -93,41 +107,58 @@ class ModelParams:
 
     def _bind(self, shapes: list[tuple[int, int]], flat: np.ndarray) -> None:
         """Point every view at `flat`, laid out as the class docstring says."""
+        lead = flat.shape[:-1]
         offset = 0
         biases = []
         for out_dim, _ in shapes[:-1]:
-            biases.append(flat[offset : offset + out_dim])
+            biases.append(flat[..., offset : offset + out_dim])
             offset += out_dim
         first_weight = offset
         weights = []
         for out_dim, in_dim in shapes:
             size = out_dim * in_dim
-            weights.append(flat[offset : offset + size].reshape(out_dim, in_dim))
+            segment = flat[..., offset : offset + size]
+            # splitting the unit-stride last axis: a view, never a copy
+            weights.append(segment.reshape(lead + (out_dim, in_dim)))
             offset += size
         self.flat = flat
         self.layers = list(zip(weights[:-1], biases))
-        self.head = (weights[-1], flat[offset:])
-        self.extractor = flat[: offset - weights[-1].size]
-        self.weights = flat[first_weight:offset]
+        self.head = (weights[-1], flat[..., offset:])
+        self.extractor = flat[..., : offset - size]
+        self.weights = flat[..., first_weight:offset]
 
     @classmethod
     def _over(cls, template: "ModelParams", flat: np.ndarray) -> "ModelParams":
         """Views over `flat` (not copied) with the shapes of template."""
         params = cls.__new__(cls)
-        params._bind([w.shape for w, _ in template.layers + [template.head]], flat)
+        shapes = [w.shape[-2:] for w, _ in template.layers + [template.head]]
+        params._bind(shapes, flat)
         return params
+
+    @staticmethod
+    def stack(models: list["ModelParams"]) -> "ModelParams":
+        """A stack of copies of equally shaped single models, in order."""
+        return ModelParams._over(models[0], np.stack([m.flat for m in models]))
+
+    @property
+    def stacked(self) -> bool:
+        return self.flat.ndim == 2
+
+    def row(self, s: int) -> "ModelParams":
+        """Model s of a stack, as views into the stack's buffer."""
+        return ModelParams._over(self, self.flat[s])
 
     @property
     def d(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def feature_width(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
     @property
     def label_count(self) -> int:
-        return self.head[0].shape[0]
+        return self.head[0].shape[-2]
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in fixed order: W0, b0, ..., W_head, b_head."""
@@ -171,16 +202,23 @@ def init(d: int, hidden: list[int], label_count: int, seed: int) -> ModelParams:
     return ModelParams(layers, head)
 
 
+def _rows(b: np.ndarray) -> np.ndarray:
+    """A bias that broadcasts over the rows of a batch: (out,) as it is, a
+    stack's (S, out) as (S, 1, out)."""
+    return b if b.ndim == 1 else b[:, None, :]
+
+
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (features, logits) for a single vector (d,) or a batch (N, d)."""
+    """Return (features, logits) for a single vector (d,) or a batch (N, d);
+    a stack takes one batch per model, (S, N, d), or one shared (N, d)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
     a = x
     for w, b in params.layers:
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = np.maximum(a @ w.swapaxes(-1, -2) + _rows(b), 0.0)
     wh, bh = params.head
-    return a, a @ wh.T + bh
+    return a, a @ wh.swapaxes(-1, -2) + _rows(bh)
 
 
 def forward_cache(params: ModelParams, X: np.ndarray):
@@ -192,12 +230,12 @@ def forward_cache(params: ModelParams, X: np.ndarray):
     acts = [np.asarray(X, dtype=float)]
     pres = []
     for w, b in params.layers:
-        z = acts[-1] @ w.T + b
+        z = acts[-1] @ w.swapaxes(-1, -2) + _rows(b)
         pres.append(z)
         acts.append(np.maximum(z, 0.0))
     features = acts[-1]
     wh, bh = params.head
-    return acts, pres, features, features @ wh.T + bh
+    return acts, pres, features, features @ wh.swapaxes(-1, -2) + _rows(bh)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -217,20 +255,30 @@ def backward_from_dlogits(
     """
     if out is None:
         out = ModelParams.zeros_like(params)
-    np.matmul(dlogits.T, acts[-1], out=out.head[0])
-    dlogits.sum(axis=0, out=out.head[1])
+    np.matmul(dlogits.swapaxes(-1, -2), acts[-1], out=out.head[0])
+    dlogits.sum(axis=-2, out=out.head[1])
     da = dlogits @ params.head[0]
     for i in reversed(range(len(params.layers))):
         dz = da * (pres[i] > 0)
         gw, gb = out.layers[i]
-        np.matmul(dz.T, acts[i], out=gw)
-        dz.sum(axis=0, out=gb)
+        np.matmul(dz.swapaxes(-1, -2), acts[i], out=gw)
+        dz.sum(axis=-2, out=gb)
         if i:
             da = dz @ params.layers[i][0]
     return out
 
 
-def _check_soft_labels(P: np.ndarray):
+def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericError:
+    """A NumericError about non-finite `values`; for a stack (values with a
+    leading model axis) it carries the index of the first model whose part
+    holds one, so the caller can name the cell."""
+    cell = None
+    if stacked:
+        cell = int((~np.isfinite(values.reshape(len(values), -1)).all(axis=1)).argmax())
+    return NumericError(message, cell=cell)
+
+
+def _check_soft_labels(P: np.ndarray, stacked: bool = False):
     """P must be finite and non-negative with rows summing to 1 within 1e-9.
 
     Two comparisons decide the common case; only a failing batch is looked
@@ -239,7 +287,7 @@ def _check_soft_labels(P: np.ndarray):
     if P.min() >= -1e-12 and np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-9:
         return
     if not np.isfinite(P).all():
-        raise NumericError("non-finite values in batch")
+        raise numeric_error("non-finite values in batch", P, stacked)
     if P.min() < -1e-12:
         raise ValueError("soft labels must be non-negative")
     raise ValueError("soft label rows must sum to 1 within 1e-9")
@@ -248,36 +296,43 @@ def _check_soft_labels(P: np.ndarray):
 def loss_and_grad_arrays(
     params: ModelParams, X: np.ndarray, P: np.ndarray, out: ModelParams | None = None
 ) -> tuple[float, ModelParams]:
-    """Soft-target cross-entropy loss and exact gradients for a stacked batch.
+    """Soft-target cross-entropy loss and exact gradients for a batch.
 
     loss = mean_i -sum_k P[i,k] * log softmax(logits[i])_k. Weight decay is
     *not* part of the loss; the optimizer applies it. The gradients go into
-    `out` as in backward_from_dlogits.
+    `out` as in backward_from_dlogits. A stack takes (S, B, d) inputs and
+    (S, B, L) labels and returns an (S,) array of losses; a single model
+    returns a float. A NumericError from a stack names the model in `cell`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    if X.shape[0] == 0:
+    stacked = params.stacked
+    if X.ndim != 2 + stacked:
+        raise ValueError(f"expected a {2 + stacked}-D batch, got shape {X.shape}")
+    if X.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
-    if X.shape[0] != P.shape[0]:
+    if X.shape[:-1] != P.shape[:-1]:
         raise ValueError("inputs and labels disagree on batch size")
-    if P.shape[1] != params.label_count:
+    if P.shape[-1] != params.label_count:
         raise ValueError(
-            f"label width {P.shape[1]} != head size {params.label_count}"
+            f"label width {P.shape[-1]} != head size {params.label_count}"
         )
     if not np.isfinite(X).all():
-        raise NumericError("non-finite values in batch")
-    _check_soft_labels(P)
+        raise numeric_error("non-finite values in batch", X, stacked)
+    _check_soft_labels(P, stacked)
 
     acts, pres, features, logits = forward_cache(params, X)
     if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits (diverged parameters?)")
+        raise numeric_error("non-finite logits (diverged parameters?)", logits, stacked)
     logp = log_softmax(logits)
     # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
-    loss = float(-(P * logp).sum(axis=1).sum() / X.shape[0])
+    n = X.shape[-2]
+    loss = -(P * logp).sum(axis=-1).sum(axis=-1) / n
     dlogits = np.exp(logp)
     dlogits -= P
-    dlogits /= X.shape[0]
-    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
+    dlogits /= n
+    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
+    return (loss if stacked else float(loss)), grads
 
 
 def sgd_step(
@@ -293,10 +348,11 @@ def sgd_step(
     g <- g + weight_decay*w on the weight segment only (biases are not
     decayed; this writes into grads); v <- momentum*v - effective_lr*g;
     w <- w + v. Each line rounds as the out-of-place formula does, so the
-    result is bit-identical to it.
+    result is bit-identical to it. A stack takes one step for every model;
+    they share cfg.
     """
     if not np.isfinite(grads.flat).all():
-        raise NumericError("non-finite gradient")
+        raise numeric_error("non-finite gradient", grads.flat, grads.stacked)
     eff_lr = cfg.lr * (cfg.lr_drop_factor if iteration >= cfg.lr_drop_at else 1.0)
     grads.weights += cfg.weight_decay * params.weights
     v = velocity.flat
@@ -315,6 +371,8 @@ def save_params(params: ModelParams, path) -> None:
     then the arrays of ModelParams.arrays() concatenated row-major. The file
     is a pure function of the parameter values, so round-trips are bit-exact.
     """
+    if params.stacked:
+        raise ValueError("a checkpoint holds one model, not a stack")
     with atomic_open(path, binary=True) as f:
         f.write(_CKPT_MAGIC + b"\n")
         f.write(f"{len(params.layers)}\n".encode())

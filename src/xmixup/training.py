@@ -13,10 +13,21 @@ The non-trivial ones:
 - CoTrain trains half-target/half-auxiliary batches with a masked softmax:
   target rows normalize over target logits only, source rows over source
   logits only (equivalent to separate heads on a shared extractor).
+
+finetune trains one cell or a list of cells that share a strategy kind, a
+pairing plan and a TrainConfig up to its seed (mixing cells may differ in
+their MixupConfig, e.g. α). The cells train as one stack of S models (see
+the model module) in one loop whose single-cell case is S = 1: every cell
+keeps its own generators and draws from them in the order a lone run
+would, and everything after the draws (lookups, gathers, blends, forward,
+backward, the checks and the SGD update) runs once per step for the stack.
+So every cell's parameters, loss trace and accuracy are bit for bit those
+of the cell trained alone, whichever cells ride with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -35,6 +46,7 @@ from .model import (
     init_linear,
     log_softmax,
     loss_and_grad_arrays,
+    numeric_error,
     sgd_step,
 )
 from .pairing import PairingPlan
@@ -160,23 +172,30 @@ def result_to_json(result: RunResult) -> dict:
     }
 
 
-def _run_sgd(params, cfg, step_fn):
+def _run_sgd(params, cfg, step_fn, cells: list[str] | None = None) -> np.ndarray:
     """Drive `cfg.iterations` steps of step_fn(params, it, out) -> (loss,
-    grads), updating params in place; returns the loss trace.
+    grads), updating params in place; returns the loss trace, shaped
+    (iterations,) for one model and (iterations, S) for a stack.
 
     One gradient buffer `out` and one velocity live for the whole run;
-    step_fn writes the gradients into `out`.
+    step_fn writes the gradients into `out`. A NumericError is raised again
+    with the iteration and, for a stack, the name in `cells` of the cell it
+    concerns.
     """
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
-    trace = []
+    trace = np.empty((cfg.iterations,) + params.flat.shape[:-1])
     for it in range(cfg.iterations):
         try:
             loss, grads = step_fn(params, it, out)
             sgd_step(params, grads, velocity, cfg, it)
         except NumericError as e:
-            raise NumericError(f"iteration {it}: {e}") from None
-        trace.append(float(loss))
+            where = f"iteration {it}: {e}"
+            if cells is not None:
+                who = cells[e.cell] if e.cell is not None else ", ".join(cells)
+                where = f"{who}: {where}"
+            raise NumericError(where, cell=e.cell) from None
+        trace[it] = loss
     return trace
 
 
@@ -216,21 +235,28 @@ def sp_penalty(
     params: ModelParams, reference: ModelParams, mu: float
 ) -> tuple[float, ModelParams]:
     """mu * squared L2 distance of the extractor from a reference, plus its
-    gradient 2*mu*(theta - theta_ref); the head contributes nothing."""
+    gradient 2*mu*(theta - theta_ref); the head contributes nothing.
+
+    For a stack, every model is measured against the one reference and the
+    value is an (S,) array.
+    """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     if len(params.layers) != len(reference.layers):
         raise ValueError("extractor depths differ")
     for (w, _), (w0, _) in zip(params.layers, reference.layers):
-        if w.shape != w0.shape:
-            raise ValueError(f"layer shapes differ: {w.shape} vs {w0.shape}")
+        if w.shape[-2:] != w0.shape:
+            raise ValueError(f"layer shapes differ: {w.shape[-2:]} vs {w0.shape}")
     # the extractor difference, in place in the gradient's buffer, becomes
     # the gradient once scaled; the head part stays zero
     grads = ModelParams.zeros_like(params)
     np.subtract(params.extractor, reference.extractor, out=grads.extractor)
     value = 0.0
     for dw, db in grads.layers:
-        value += float((dw * dw).sum() + (db * db).sum())
+        squares = dw * dw
+        value += squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1) + (
+            db * db
+        ).sum(axis=-1)
     grads.extractor *= 2.0 * mu
     return mu * value, grads
 
@@ -245,32 +271,36 @@ def masked_loss_and_grad(
 ) -> tuple[float, ModelParams]:
     """Joint-batch loss where rows [0, split) softmax over target logits
     [0, n_target) and the remaining rows over source logits [n_target, L).
-    The gradients go into `out` as in backward_from_dlogits."""
+    The gradients go into `out` as in backward_from_dlogits. A stack takes
+    (S, B, d) inputs and (S, B) labels and returns an (S,) array of losses."""
     acts, pres, _, logits = forward_cache(params, X)
     if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits in masked loss")
-    total_rows, label_count = logits.shape
+        raise numeric_error("non-finite logits in masked loss", logits, params.stacked)
+    total_rows, label_count = logits.shape[-2:]
     if not 0 <= split <= total_rows:
         raise ValueError(f"split {split} outside batch of {total_rows}")
     dlogits = np.zeros_like(logits)
-    total = 0.0
+    total = np.zeros(logits.shape[:-2])
     for rows, lo, hi in (
         (slice(0, split), 0, n_target),
         (slice(split, total_rows), n_target, label_count),
     ):
-        sub = logits[rows, lo:hi]
-        if sub.shape[0] == 0:
+        sub = logits[..., rows, lo:hi]
+        if sub.shape[-2] == 0:
             continue
-        li = labels[rows] - lo
+        li = labels[..., rows] - lo
         if np.any((li < 0) | (li >= hi - lo)):
             raise ValueError("label outside its softmax block")
         logp = log_softmax(sub)
-        rows_idx = np.arange(sub.shape[0])
-        total -= float(logp[rows_idx, li].sum())
+        # every row's own label entry, through one (rows, width) view
+        at = (np.arange(li.size), li.ravel())
+        total -= logp.reshape(-1, hi - lo)[at].reshape(li.shape).sum(axis=-1)
         dsub = np.exp(logp)
-        dsub[rows_idx, li] -= 1.0
-        dlogits[rows, lo:hi] = dsub / total_rows
-    return total / total_rows, backward_from_dlogits(params, acts, pres, dlogits, out)
+        dsub.reshape(-1, hi - lo)[at] -= 1.0
+        dlogits[..., rows, lo:hi] = dsub / total_rows
+    loss = total / total_rows
+    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
+    return (loss if params.stacked else float(loss)), grads
 
 
 def _aux_pool(src: Dataset, space: LabelSpace):
@@ -286,22 +316,57 @@ def _rescale_drop(cfg: TrainConfig, iterations: int) -> int:
     return int(round(iterations * cfg.lr_drop_at / cfg.iterations))
 
 
+def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
+    name = f"{strategy.kind.value} seed {cfg.seed}"
+    if strategy.mixup is not None:
+        name += f" alpha {strategy.mixup.alpha:g}"
+    return name
+
+
+def _draw(rngs, high, size: int) -> np.ndarray:
+    """One row of `size` indices below `high` per cell, each from its own
+    generator: the (S, size) index array of one stacked draw."""
+    return np.stack([rng.integers(high, size=size) for rng in rngs])
+
+
 def finetune(
     pretrained: ModelParams,
     tgt_train: Dataset,
     src: Dataset | None,
     plan: PairingPlan | None,
-    strategy: Strategy,
-    cfg: TrainConfig,
+    strategy: Strategy | Sequence[Strategy],
+    cfg: TrainConfig | Sequence[TrainConfig],
     tgt_test: Dataset,
-) -> RunResult:
+) -> RunResult | list[RunResult]:
     """Fine-tune from a pre-trained extractor under one strategy.
 
     The extractor starts from `pretrained`; the head is freshly initialized
     over the unified label space (just the target classes for strategies that
     never touch source samples). `src` and `plan` are required by the
     source-using strategies and ignored otherwise.
+
+    `strategy` and `cfg` are one Strategy and one TrainConfig, giving one
+    RunResult, or equal-length sequences, one entry per cell, giving one
+    RunResult per cell in order. The cells must share the strategy kind and
+    every strategy parameter but the MixupConfig, and every TrainConfig
+    field but the seed; they train as one stack (see the module docstring).
+    A NumericError names the cell and the iteration.
     """
+    if isinstance(strategy, Strategy) != isinstance(cfg, TrainConfig):
+        raise ValueError("give one strategy and one config, or a sequence of each")
+    if isinstance(strategy, Strategy):
+        return finetune(
+            pretrained, tgt_train, src, plan, [strategy], [cfg], tgt_test
+        )[0]
+    strategies, cfgs = list(strategy), list(cfg)
+    if not strategies or len(strategies) != len(cfgs):
+        raise ValueError("need one TrainConfig per strategy, and at least one")
+    first = strategies[0]
+    if any(replace(s, mixup=first.mixup) != first for s in strategies):
+        raise ValueError("stacked cells must share the strategy but for its mixup")
+    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ValueError("stacked cells must share the TrainConfig but for the seed")
+    cfg = cfgs[0]
     n = tgt_train.class_count
     if len(tgt_train) == 0:
         raise DataError("cannot fine-tune on an empty target dataset")
@@ -312,8 +377,8 @@ def finetune(
     if tgt_test.class_count != n or tgt_test.d != tgt_train.d:
         raise ValueError("test split does not match the training split")
 
-    kind = strategy.kind
-    if strategy.needs_source:
+    kind = first.kind
+    if first.needs_source:
         if plan is None or src is None:
             raise ConfigError(
                 f"strategy {kind.value} requires source data and a pairing plan"
@@ -325,23 +390,40 @@ def finetune(
     else:
         space = LabelSpace(n, ())
 
-    head_rng = np.random.default_rng([cfg.seed, 0])
-    params = ModelParams(  # copies the pre-trained layers in
-        pretrained.layers, init_linear(space.size, pretrained.feature_width, head_rng)
+    params = ModelParams.stack(  # copies the pre-trained layers in
+        [
+            ModelParams(
+                pretrained.layers,
+                init_linear(
+                    space.size,
+                    pretrained.feature_width,
+                    np.random.default_rng([c.seed, 0]),
+                ),
+            )
+            for c in cfgs
+        ]
     )
-    rng_batch = np.random.default_rng([cfg.seed, 1])
+    rng_batch = [np.random.default_rng([c.seed, 1]) for c in cfgs]
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
+    B = cfg.batch_size
+    cells = [_cell_name(s, c) for s, c in zip(strategies, cfgs)]
 
     def target_step(p, it, out):
-        idx = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
+        idx = _draw(rng_batch, len(tgt_X), B)
         return loss_and_grad_arrays(p, tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0), out)
 
-    config = {
-        "strategy": strategy.to_config(),
-        "train": asdict(cfg),
-        "label_space": {"n_target": n, "source_classes": list(space.source_classes)},
-    }
+    if first.mixup is not None:
+        mixups = [s.mixup for s in strategies]
+        rng_mix = [
+            np.random.default_rng([c.seed, 2, m.seed]) for m, c in zip(mixups, cfgs)
+        ]
+
+    label_space = {"n_target": n, "source_classes": list(space.source_classes)}
+    configs = [
+        {"strategy": s.to_config(), "train": asdict(c), "label_space": label_space}
+        for s, c in zip(strategies, cfgs)
+    ]
 
     if kind in (StrategyKind.L2, StrategyKind.L2SP):
         if kind is StrategyKind.L2:
@@ -350,55 +432,52 @@ def finetune(
 
             def step(p, it, out):
                 loss, grads = target_step(p, it, out)
-                pen, pgrads = sp_penalty(p, pretrained, strategy.sp_weight)
+                pen, pgrads = sp_penalty(p, pretrained, first.sp_weight)
                 grads.flat += pgrads.flat
                 return loss + pen, grads
 
-        trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step, cells)
 
     elif kind is StrategyKind.MIXUP_IN_DOMAIN:
-        rng_mix = np.random.default_rng([cfg.seed, 2, strategy.mixup.seed])
 
         def step(p, it, out):
-            i1 = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
-            i2 = rng_batch.integers(len(tgt_X), size=cfg.batch_size)
-            lams = sample_beta_batch(strategy.mixup, cfg.batch_size, rng_mix)[:, None]
+            i1 = _draw(rng_batch, len(tgt_X), B)
+            i2 = _draw(rng_batch, len(tgt_X), B)
+            lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
             X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
             P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
             return loss_and_grad_arrays(p, X, P, out)
 
-        trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step, cells)
 
     elif kind in (StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL):
-        rng_mix = np.random.default_rng([cfg.seed, 2, strategy.mixup.seed])
         drop_label = kind is StrategyKind.XMIXUP_NO_LABEL
 
         def step(p, it, out):
-            X, P = make_batch(
-                tgt_train, src, plan, space, strategy.mixup, cfg.batch_size, rng_mix
-            )
+            X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
             if drop_label:
                 # keep the mixed inputs, relabel with the pure target class
                 # (the lone nonzero in the target block)
-                P = eye.take(P[:, :n].argmax(axis=1), 0)
+                P = eye.take(P[..., :n].argmax(axis=-1), 0)
             return loss_and_grad_arrays(p, X, P, out)
 
-        trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step, cells)
 
     elif kind is StrategyKind.SEQ_TRAIN:
-        mid = strategy.midtune_iterations
+        mid = first.midtune_iterations
         if mid is None:
             mid = cfg.iterations // 2
         if mid > cfg.iterations:
             raise ConfigError(
                 f"midtune budget {mid} exceeds total iterations {cfg.iterations}"
             )
-        config["strategy"]["midtune_iterations"] = mid
+        for config in configs:
+            config["strategy"]["midtune_iterations"] = mid
         pool, pool_labels = _aux_pool(src, space)
-        rng_aux = np.random.default_rng([cfg.seed, 3])
+        rng_aux = [np.random.default_rng([c.seed, 3]) for c in cfgs]
 
         def aux_step(p, it, out):
-            idx = rng_aux.integers(len(pool), size=cfg.batch_size)
+            idx = _draw(rng_aux, len(pool), B)
             return loss_and_grad_arrays(
                 p, src.X.take(pool[idx], 0), eye.take(pool_labels[idx], 0), out
             )
@@ -406,22 +485,32 @@ def finetune(
         cfg1 = replace(cfg, iterations=mid, lr_drop_at=_rescale_drop(cfg, mid))
         rest = cfg.iterations - mid
         cfg2 = replace(cfg, iterations=rest, lr_drop_at=_rescale_drop(cfg, rest))
-        trace = _run_sgd(params, cfg1, aux_step) + _run_sgd(params, cfg2, target_step)
+        trace = np.concatenate(
+            [
+                _run_sgd(params, cfg1, aux_step, cells),
+                _run_sgd(params, cfg2, target_step, cells),
+            ]
+        )
 
     elif kind is StrategyKind.CO_TRAIN:
         pool, pool_labels = _aux_pool(src, space)
-        half = cfg.batch_size // 2
+        half = B // 2
 
         def step(p, it, out):
-            ti = rng_batch.integers(len(tgt_X), size=half)
-            si = rng_batch.integers(len(pool), size=cfg.batch_size - half)
-            X = np.vstack([tgt_X.take(ti, 0), src.X.take(pool[si], 0)])
-            labels = np.concatenate([tgt_y[ti], pool_labels[si]])
+            ti = _draw(rng_batch, len(tgt_X), half)
+            si = _draw(rng_batch, len(pool), B - half)
+            X = np.concatenate([tgt_X.take(ti, 0), src.X.take(pool[si], 0)], axis=-2)
+            labels = np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
             return masked_loss_and_grad(p, X, labels, n, half, out)
 
-        trace = _run_sgd(params, cfg, step)
+        trace = _run_sgd(params, cfg, step, cells)
 
     else:  # pragma: no cover - exhaustive over StrategyKind
         raise ConfigError(f"unknown strategy kind {kind!r}")
 
-    return RunResult(params, trace, evaluate(params, tgt_test), cfg.seed, config)
+    results = []
+    for s, (c, config) in enumerate(zip(cfgs, configs)):
+        model = params.row(s)
+        accuracy = evaluate(model, tgt_test)
+        results.append(RunResult(model, trace[:, s].tolist(), accuracy, c.seed, config))
+    return results

@@ -4,26 +4,38 @@ and byte-for-byte reproducibility of reruns.
 All pipeline tests run on a deliberately tiny configuration so the full
 gen-data -> pretrain -> pair -> finetune -> report chain stays fast.
 """
+import contextlib
+import io
 import json
 import os
+import tempfile
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xmixup.cli import main
-from xmixup.dataset import load_dataset
+from xmixup.dataset import Dataset, load_dataset, save_dataset, split
 from xmixup.errors import ConfigError
 from xmixup.harness import (
     COMPARISON_HEADER,
+    Cell,
     ExperimentConfig,
     config_from_json,
     default_threshold,
+    load_lab,
     override_seed,
     random_plan,
+    run_grid,
 )
+from xmixup.mixup import MixupConfig
+from xmixup.model import init, save_params
 from xmixup.pairing import load_plan
-from xmixup.training import StrategyKind
+from xmixup.training import Strategy, StrategyKind, finetune
 
 MINI = {
     "data": {
@@ -403,3 +415,171 @@ def test_pair_uses_configured_threshold(tmp_path):
     total = sum(sizes[c] for c in plan.selected_sources())
     assert total >= 70
     assert plan.n_rounds == 2   # one round of 6 classes is not enough
+
+
+# ------------------------------------------------- fail fast on bad values
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        "seeds=[1.5]",
+        "seeds=[-1]",
+        "seeds=[true]",
+        "pretrain.batch_size=2.5",
+        "finetune.iterations=true",
+        "probe.seed=-2",
+        "hidden=[0]",
+        "hidden=[8, 2.5]",
+        "alpha_grid=[-1]",
+        "alpha_grid=[false]",
+        "threshold=-5",
+        "threshold=1.5",
+        "threshold_grid=[-3]",
+        "midtune_iterations=-1",
+        "sp_weight=-0.5",
+        "mixup.seed=0.5",
+        "data.m=2.0",
+        "data.planted=[0, 0]",
+        "data.planted=[0, 99]",
+        "data.novel=7",
+        "data.d=1",
+        "data.seed=-1",
+        "data.target_test_fraction=1",
+        "seeds=\"abc\"",
+        "strategies=[1]",
+    ],
+)
+def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assignment):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair", "finetune", "sweep-alpha", "report"):
+        assert main([
+            cmd, "--config", str(config), "--out", str(out), "--set", assignment,
+        ]) == 2, cmd
+    assert not out.exists()
+
+
+# ------------------------------------------- reports join one config only
+
+def test_report_rejects_run_records_of_another_config(tmp_path, capsys):
+    config = mini_config(tmp_path, seeds=[0])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    finetune_l2 = ["finetune", "--config", str(config), "--out", str(out), "--strategy", "l2"]
+    assert main(finetune_l2) == 0
+    # the same data and checkpoint, a second config differing only in its lr
+    assert main(finetune_l2 + ["--set", "finetune.lr=0.02", "--set", "seeds=[1]"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "l2-s1.json" in err and "config_hash" in err
+    assert not (out / "comparison.csv").exists()
+    # this config's records alone (a --strategy subset) still report
+    (out / "runs" / "l2-s1.json").unlink()
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+
+
+# ------------------------------------- artifacts that do not fit together
+
+def test_artifacts_that_do_not_fit_are_data_errors(tmp_path, capsys):
+    config = mini_config(tmp_path, seeds=[0], strategies=["l2"])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    # a checkpoint of another input width
+    other = tmp_path / "other.ckpt"
+    save_params(init(5, [8, 6], 6, seed=0), other)
+    assert main([
+        "eval", "--config", str(config), "--out", str(out), "--params", str(other),
+    ]) == 3
+    # the target test split rewritten one column narrower than the rest
+    test = load_dataset(out / "target_test.csv")
+    narrow = Dataset(test.X[:, :2], test.y, test.class_count, test.domain)
+    save_dataset(narrow, out / "target_test.csv")
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(config), "--out", str(out)]) == 3
+    assert main([
+        "eval", "--config", str(config), "--out", str(out),
+        "--params", str(out / "pretrained.ckpt"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "target_test.csv has width 2" in err
+
+
+# ----------------------------------------------------------- the grid runner
+
+def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    cfg = config_from_json(json.loads(config.read_text()))
+    lab = load_lab(out)
+    other = random_plan(6, 8, lab.src_train.class_sizes(), 50, np.random.default_rng(3))
+    mix = [MixupConfig(alpha=a, beta=2.0) for a in (1.0, 4.0)]
+    cells = [  # interleaved kinds and plans: four groups of one to two cells
+        Cell(Strategy.xmixup(mix[0]), 0, lab.plan),
+        Cell(Strategy.l2(), 1, lab.plan),
+        Cell(Strategy.xmixup(mix[1]), 1, other),
+        Cell(Strategy.xmixup(mix[1]), 2, lab.plan),
+        Cell(Strategy.cotrain(), 0, lab.plan),
+        Cell(Strategy.xmixup(mix[0]), 0, other),
+    ]
+    results = run_grid(cfg, lab, cells)
+    assert len(results) == len(cells)
+    for cell, got in zip(cells, results):
+        alone = finetune(
+            lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
+            replace(cfg.finetune, seed=cell.seed), lab.tgt_test,
+        )
+        assert got.params.flat.tobytes() == alone.params.flat.tobytes()
+        assert got.trace == alone.trace and got.accuracy == alone.accuracy
+
+
+# ---------------------------------------------- fuzzed --set values
+
+TINY = {
+    "data": {
+        "m": 6, "source_per_class": 6, "d": 3, "planted": [0, 1], "novel": 1,
+        "target_per_class": 8, "target_test_fraction": 0.5,
+    },
+    "hidden": [6, 4],
+}
+SCHEMA_KEYS = sorted(
+    [f"{section}.{key}" for section, fields in ExperimentConfig().to_json().items()
+     if isinstance(fields, dict) for key in fields]
+    + [key for key, value in ExperimentConfig().to_json().items()
+       if not isinstance(value, dict)]
+)
+SCALARS = st.one_of(
+    st.integers(min_value=-5, max_value=12),
+    st.floats(min_value=-10, max_value=10),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300, -0.0]),
+    st.booleans(),
+    st.text(max_size=6),
+    st.none(),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+
+
+@settings(
+    max_examples=60,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    overrides=st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), VALUES), min_size=1, max_size=3)
+)
+def test_fuzzed_set_values_end_in_a_documented_exit_code(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(TINY))
+        argv = ["gen-data", "--config", str(config), "--out", str(Path(tmp) / "out")]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)  # any exception fails the test with its traceback
+        assert code in (0, 2, 3)

@@ -367,3 +367,77 @@ def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
     with pytest.raises(KeyError):  # target class 1 has no paired source
         make_batch(tgt, src, partial, space, cfg, 32, np.random.default_rng(0))
+
+
+# ------------------------------------------- one generator per cell
+# The multi-generator forms must give every cell exactly what its own
+# generator gives alone, and leave each generator in the same state.
+
+
+def _generators(seeds):
+    return [np.random.default_rng([41, s]) for s in seeds]
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "shapes,beta",
+    [
+        ((2.0, 0.5, 16.0), 1.0),   # inverse CDF, one power per cell
+        ((2.0, 0.5, 16.0), 2.0),   # gamma ratio
+        ((0.3, 2.0, 0.7), 0.5),    # gamma with the boost on both sides
+        ((1e-3, 2.0, 1e-3), 1.0),  # forced redraws: U ** 1000 underflows to 0
+        ((1e-3, 1e-3, 5.0), 1e-3), # forced redraws on the gamma path (0 / 0)
+        ((2.0, 3.0, 4.0), (1.0, 2.0, 0.5)),  # a different path per cell
+    ],
+)
+def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
+    betas = beta if isinstance(beta, tuple) else (beta,) * len(shapes)
+    cfgs = [MixupConfig(alpha=a, beta=b, seed=0) for a, b in zip(shapes, betas)]
+    together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
+    for _ in range(5):
+        lam = sample_beta_batch(cfgs, 64, together)
+        assert lam.shape == (3, 64)
+        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
+            assert lam[s].tobytes() == sample_beta_batch(cfg, 64, rng).tobytes()
+    assert all(_same_state(a, b) for a, b in zip(together, alone))
+
+
+def test_sample_gamma_batch_per_generator_matches_each_generator_alone():
+    # enough entries that every generator has some left for a second round
+    shapes = [
+        np.array([0.4, 2.5, 7.0] * 200), np.array([1.0] * 300), np.array([0.2] * 500)
+    ]
+    together, alone = _generators((4, 5, 6)), _generators((4, 5, 6))
+    for _ in range(5):
+        got = sample_gamma_batch(shapes, together)
+        for g, a, rng in zip(got, shapes, alone):
+            assert g.tobytes() == sample_gamma_batch(a, rng).tobytes()
+    assert all(_same_state(a, b) for a, b in zip(together, alone))
+
+
+def test_sample_beta_batch_names_the_cell_that_gives_up():
+    cfgs = [MixupConfig(alpha=a, beta=1.0, seed=0) for a in (2.0, 2.0, 1e300)]
+    with pytest.raises(NumericError) as info:
+        sample_beta_batch(cfgs, 8, _generators((1, 2, 3)))
+    assert info.value.cell == 2
+    with pytest.raises(ValueError):  # one config per generator
+        sample_beta_batch(cfgs[:2], 8, _generators((1, 2, 3)))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
+    src, tgt, plan = mix_world
+    space = mix_space(tgt, plan)
+    cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in (2.0, 0.5, 16.0)]
+    together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
+    for _ in range(10):
+        X, P = make_batch(tgt, src, plan, space, cfgs, 16, together)
+        assert X.shape == (3, 16, 3) and P.shape == (3, 16, space.size)
+        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
+            X1, P1 = make_batch(tgt, src, plan, space, cfg, 16, rng)
+            assert X[s].tobytes() == X1.tobytes()
+            assert P[s].tobytes() == P1.tobytes()
+    assert all(_same_state(a, b) for a, b in zip(together, alone))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import flat, numeric_gradient
-from xmixup.errors import NumericError
+from xmixup.errors import ConfigError, NumericError
 from xmixup.model import (
     ModelParams,
     TrainConfig,
@@ -274,6 +274,82 @@ def test_params_views_share_one_flat_buffer():
     assert np.all(built.layers[0][0] == 1.0)
 
 
+def test_a_stack_is_one_buffer_of_model_rows():
+    models = [init(3, [5, 4], 2, seed=s) for s in (1, 2, 3)]
+    stack = ModelParams.stack(models)
+    assert stack.stacked and stack.flat.shape == (3, models[0].flat.size)
+    assert stack.layers[0][0].shape == (3, 5, 3)
+    assert stack.head[1].shape == (3, 2)
+    assert (stack.d, stack.feature_width, stack.label_count) == (3, 4, 2)
+    for a in stack.arrays() + [stack.weights, stack.extractor]:
+        assert np.shares_memory(a, stack.flat)
+    for s, model in enumerate(models):
+        row = stack.row(s)
+        assert not row.stacked
+        assert row.flat.tobytes() == model.flat.tobytes()
+        assert np.shares_memory(row.flat, stack.flat)
+        assert all(np.array_equal(a, b) for a, b in zip(row.arrays(), model.arrays()))
+    stack.weights[1] = 0.0  # a write through a stacked view lands in row 1 only
+    assert not stack.row(1).layers[0][0].any() and stack.row(0).layers[0][0].any()
+    with pytest.raises(ValueError):
+        save_params(stack, "unused.ckpt")
+
+
+def test_stacked_step_is_bit_equal_to_each_model_alone():
+    models = [init(3, [6, 5], 4, seed=s) for s in (4, 5, 6)]
+    stack = ModelParams.stack(models)
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(3, 8, 3))
+    P = rng.dirichlet(np.ones(4), size=(3, 8))
+    losses, grads = loss_and_grad_arrays(stack, X, P)
+    before_step = grads.flat.copy()  # sgd_step adds the decay into grads
+    cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.01, iterations=3, lr_drop_at=3)
+    sgd_step(stack, grads, ModelParams.zeros_like(stack), cfg, 0)
+    _, logits = forward(stack, X)
+    assert losses.shape == (3,)
+    for s, model in enumerate(models):
+        loss, g = loss_and_grad_arrays(model, X[s], P[s])
+        assert np.float64(loss).tobytes() == losses[s].tobytes()
+        assert g.flat.tobytes() == before_step[s].tobytes()
+        sgd_step(model, g, ModelParams.zeros_like(model), cfg, 0)
+        assert model.flat.tobytes() == stack.row(s).flat.tobytes()
+        assert forward(model, X[s])[1].tobytes() == logits[s].tobytes()
+
+
+def test_stacked_checks_name_the_failing_model():
+    models = [init(3, [4], 2, seed=s) for s in (1, 2, 3)]
+    stack = ModelParams.stack(models)
+    X = np.zeros((3, 2, 3))
+    P = np.full((3, 2, 2), 0.5)
+    bad = X.copy()
+    bad[1, 0, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite values in batch") as info:
+        loss_and_grad_arrays(stack, bad, P)
+    assert info.value.cell == 1
+    stack.row(2).head[1][:] = np.inf  # logits of model 2 only
+    with pytest.raises(NumericError, match="non-finite logits") as info:
+        loss_and_grad_arrays(stack, X + 1.0, P)
+    assert info.value.cell == 2
+    grads = ModelParams.zeros_like(stack)
+    grads.flat[0, -1] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient") as info:
+        sgd_step(stack, grads, ModelParams.zeros_like(stack), TrainConfig(), 0)
+    assert info.value.cell == 0
+
+
+def test_training_names_the_cell_of_a_stacked_failure():
+    stack = ModelParams.stack([init(3, [4], 2, seed=s) for s in (1, 2, 3)])
+
+    def step(p, it, out):
+        out.flat[:] = 0.0
+        if it == 3:
+            out.flat[2, 0] = np.inf
+        return np.zeros(3), out
+
+    with pytest.raises(NumericError, match="^c2: iteration 3: non-finite gradient"):
+        _run_sgd(stack, TrainConfig(iterations=10, lr_drop_at=10), step, ["c0", "c1", "c2"])
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -284,10 +360,20 @@ def test_params_views_share_one_flat_buffer():
         dict(iterations=-1),
         dict(iterations=10, lr_drop_at=11),
         dict(batch_size=0),
+        dict(seed=-1),
     ],
 )
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(batch_size=2.5), dict(iterations=True), dict(seed="0"), dict(lr=None)],
+)
+def test_train_config_rejects_badly_typed_fields(kwargs):
+    with pytest.raises(ConfigError):
         TrainConfig(**kwargs)
 
 

@@ -1,12 +1,14 @@
 """Fine-tuning strategies: validation, per-strategy post-conditions, the
 source-preservation penalty, the joint-batch masked loss, and evaluation.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tests.conftest import flat, numeric_gradient
 from xmixup.dataset import Dataset, Domain, split
-from xmixup.errors import ConfigError, DataError
+from xmixup.errors import ConfigError, DataError, NumericError
 from xmixup.mixup import MixupConfig
 from xmixup.model import ModelParams, TrainConfig, forward_cache, init
 from xmixup.training import (
@@ -178,6 +180,111 @@ def test_finetune_is_deterministic_and_seed_sensitive(world):
     assert a.trace != c.trace
 
 
+# ---------------------------------------------------------- stacked cells
+# A cell's result must not depend on which cells train in its stack: three
+# cells (different seeds and, for the mixing kinds, different alpha) trained
+# as one stack must equal each cell trained alone, byte for byte.
+
+STACK_SEEDS = (0, 3, 7)
+STACK_ALPHAS = (2.0, 0.5, 16.0)
+
+
+def stack_cells(kind, beta=1.0):
+    if kind is StrategyKind.L2SP:
+        strategies = [Strategy.l2sp(0.05)] * 3
+    elif kind in (
+        StrategyKind.MIXUP_IN_DOMAIN, StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL
+    ):
+        strategies = [
+            Strategy(kind, mixup=MixupConfig(alpha=a, beta=beta, seed=1))
+            for a in STACK_ALPHAS
+        ]
+    elif kind is StrategyKind.SEQ_TRAIN:
+        strategies = [Strategy.seqtrain(15)] * 3
+    else:
+        strategies = [Strategy(kind)] * 3
+    return strategies, [replace(FAST, seed=s) for s in STACK_SEEDS]
+
+
+def assert_same_run(a: RunResult, b: RunResult):
+    assert a.params.flat.tobytes() == b.params.flat.tobytes()
+    assert np.array(a.trace).tobytes() == np.array(b.trace).tobytes()
+    assert a.accuracy == b.accuracy
+    assert a.seed == b.seed and a.config == b.config
+
+
+@pytest.mark.parametrize(
+    "kind,beta",
+    [(kind, 1.0) for kind in StrategyKind]
+    + [
+        (StrategyKind.XMIXUP, 2.0),          # the gamma-ratio path
+        (StrategyKind.XMIXUP_NO_LABEL, 0.5),  # gamma with the boost for shape < 1
+        (StrategyKind.MIXUP_IN_DOMAIN, 2.0),
+    ],
+)
+def test_stacked_cells_equal_cells_trained_alone(world, kind, beta):
+    strategies, cfgs = stack_cells(kind, beta)
+    stacked = finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, cfgs, world["test"],
+    )
+    assert len(stacked) == 3
+    for strategy, cfg, got in zip(strategies, cfgs, stacked):
+        assert_same_run(got, run(world, strategy, cfg))
+    # the cells do differ, so the comparison above has something to find
+    assert stacked[0].trace != stacked[1].trace
+
+
+def test_a_cell_does_not_depend_on_its_stack_order(world):
+    strategies, cfgs = stack_cells(StrategyKind.XMIXUP, 2.0)
+    forward = finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, cfgs, world["test"],
+    )
+    backward = finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies[::-1], cfgs[::-1], world["test"],
+    )
+    for a, b in zip(forward, backward[::-1]):
+        assert_same_run(a, b)
+
+
+def test_stacked_cells_must_share_everything_but_seed_and_mixup(world):
+    args = (world["pre"], world["train"], world["src"], world["plan"])
+    with pytest.raises(ValueError):  # two strategy kinds
+        finetune(*args, [Strategy.l2(), Strategy.cotrain()], [FAST, FAST], world["test"])
+    with pytest.raises(ValueError):  # a config that differs in more than its seed
+        finetune(
+            *args, [Strategy.l2()] * 2, [FAST, replace(FAST, lr=0.1)], world["test"]
+        )
+    with pytest.raises(ValueError):  # one config short
+        finetune(*args, [Strategy.l2()] * 2, [FAST], world["test"])
+    with pytest.raises(ValueError):  # a lone strategy with a list of configs
+        finetune(*args, Strategy.l2(), [FAST], world["test"])
+
+
+def test_a_diverging_cell_is_named_with_its_iteration(world):
+    # at alpha = 1e300 every lambda rounds to 1, so the middle cell's first
+    # batch fails while its neighbours are fine
+    strategies = [
+        Strategy.xmixup(MixupConfig(alpha=a, beta=1.0, seed=0)) for a in (2.0, 1e300, 4.0)
+    ]
+    cfgs = [replace(FAST, seed=s) for s in STACK_SEEDS]
+    with pytest.raises(NumericError, match=r"^xmixup seed 3 alpha 1e\+300: iteration 0: "):
+        finetune(
+            world["pre"], world["train"], world["src"], world["plan"],
+            strategies, cfgs, world["test"],
+        )
+    # a diverging learning rate: the first failing check names a cell too
+    wild = [replace(c, lr=1e9) for c in cfgs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"^l2 seed \d: iteration \d+: "):
+            finetune(
+                world["pre"], world["train"], None, None,
+                [Strategy.l2()] * 3, wild, world["test"],
+            )
+
+
 # ------------------------------------------------------------------ pretrain
 
 def test_pretrain_learns_the_source_task(toy_source, toy_pretrained):
@@ -252,6 +359,24 @@ def test_sp_penalty_value_and_gradient():
     assert not wh.any() and not bh.any()
     numeric = numeric_gradient(lambda p: sp_penalty(p, ref, mu)[0], params)
     assert np.allclose(flat(grads.arrays()), flat(numeric), atol=1e-6)
+
+
+def test_stacked_penalty_and_masked_loss_match_each_model():
+    ref = init(3, [5, 4], 5, seed=20)
+    models = [init(3, [5, 4], 5, seed=s) for s in (21, 22, 23)]
+    stack = ModelParams.stack(models)
+    values, grads = sp_penalty(stack, ref, 0.3)
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(3, 6, 3))
+    labels = np.array([[0, 1, 1, 3, 2, 4]] * 3)
+    losses, mgrads = masked_loss_and_grad(stack, X, labels, 2, 3)
+    for s, model in enumerate(models):
+        value, g = sp_penalty(model, ref, 0.3)
+        assert np.float64(value).tobytes() == values[s].tobytes()
+        assert g.flat.tobytes() == grads.row(s).flat.tobytes()
+        loss, mg = masked_loss_and_grad(model, X[s], labels[s], 2, 3)
+        assert np.float64(loss).tobytes() == losses[s].tobytes()
+        assert mg.flat.tobytes() == mgrads.row(s).flat.tobytes()
 
 
 def test_sp_penalty_validation():
