@@ -59,11 +59,14 @@ def check_fields(config) -> None:
     integers or floats, and bools pass as neither. `X | None` also takes
     None and `tuple[X, ...]` checks every element. NaN slips through every
     `<`/`<=` range check and a string fails them with a TypeError, so this
-    runs before them.
+    runs before them. It reads the annotations as strings, so the module of
+    the dataclass must use `from __future__ import annotations`.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        kind = str(f.type)
+        if not isinstance(f.type, str):
+            raise TypeError(f"{type(config).__name__} needs postponed annotations")
+        kind = f.type
         if kind.endswith(" | None"):
             if value is None:
                 continue

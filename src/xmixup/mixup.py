@@ -274,14 +274,14 @@ def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
         raise ValueError(f"need at least one draw, got n={n}")
     cfgs, rngs, stacked = _cells(cfg, rng)
     lam = np.empty(len(cfgs) * n)  # row-major (S, n)
-    todo = np.arange(lam.size)
+    todo = slice(None)  # the entries drawn in this round, in cell order
     counts = [n] * len(cfgs)
     for _ in range(MAX_BETA_DRAWS):
         lam[todo] = _beta_draws(cfgs, counts, rngs)
         drawn = lam[todo]
         if drawn.min() > 0.0 and drawn.max() < 1.0:
             return lam.reshape(len(cfgs), n) if stacked else lam
-        todo = todo[~((drawn > 0.0) & (drawn < 1.0))]
+        todo = np.arange(lam.size)[todo][~((drawn > 0.0) & (drawn < 1.0))]
         counts = np.bincount(todo // n, minlength=len(cfgs)).tolist()
     cell = int(todo[0] // n)
     raise NumericError(
@@ -323,23 +323,22 @@ def make_batch(
     cfgs, rngs, stacked = _cells(cfg, rng)
     table, counts = plan.paired_table(space.n_target)
     order, starts, sizes = src.class_layout()
-    picks = np.stack([r.integers(len(tgt_train), size=batch_size) for r in rngs])
+    picks = np.array([r.integers(len(tgt_train), size=batch_size) for r in rngs])
     targets = tgt_train.y[picks]
     n_paired = counts[targets]
     if not n_paired.all():
         missing = sorted(set(targets[n_paired == 0].tolist()))
         raise KeyError(f"pairing plan has no source class for target classes {missing}")
-    cls = table[targets, np.stack([r.integers(k) for r, k in zip(rngs, n_paired)])]
+    cls = table[targets, np.array([r.integers(k) for r, k in zip(rngs, n_paired)])]
     pool = sizes[cls]
     if not pool.all():
         raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
-    aux = order[starts[cls] + np.stack([r.integers(k) for r, k in zip(rngs, pool)])]
+    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, pool)])]
     lam = sample_beta_batch(cfgs, batch_size, rngs)
     mu = 1.0 - lam
     X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
     P = np.zeros((len(rngs), batch_size, space.size))
-    flat = P.reshape(-1, space.size)  # a view: P is new and contiguous
-    rows = np.arange(flat.shape[0])
-    flat[rows, targets.ravel()] = lam.ravel()
-    flat[rows, space.source_columns[cls].ravel()] = mu.ravel()
+    at = (np.arange(len(rngs))[:, None], np.arange(batch_size))
+    P[at + (targets,)] = lam
+    P[at + (space.source_columns[cls],)] = mu
     return (X, P) if stacked else (X[0], P[0])

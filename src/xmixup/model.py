@@ -274,7 +274,8 @@ def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericErr
     holds one, so the caller can name the cell."""
     cell = None
     if stacked:
-        cell = int((~np.isfinite(values.reshape(len(values), -1)).all(axis=1)).argmax())
+        finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+        cell = int(finite.argmin())
     return NumericError(message, cell=cell)
 
 
@@ -323,7 +324,8 @@ def loss_and_grad_arrays(
 
     acts, pres, features, logits = forward_cache(params, X)
     if not np.isfinite(logits).all():
-        raise numeric_error("non-finite logits (diverged parameters?)", logits, stacked)
+        message = "non-finite logits (diverged parameters?)"
+        raise numeric_error(message, logits, stacked)
     logp = log_softmax(logits)
     # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
     n = X.shape[-2]

@@ -324,9 +324,11 @@ def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
 
 
 def _draw(rngs, high, size: int) -> np.ndarray:
-    """One row of `size` indices below `high` per cell, each from its own
-    generator: the (S, size) index array of one stacked draw."""
-    return np.stack([rng.integers(high, size=size) for rng in rngs])
+    """`size` indices below `high` from one generator, or from a list of
+    generators one row each: the (S, size) index array of a stacked draw."""
+    if isinstance(rngs, list):
+        return np.array([rng.integers(high, size=size) for rng in rngs])
+    return rngs.integers(high, size=size)
 
 
 def finetune(
@@ -390,7 +392,7 @@ def finetune(
     else:
         space = LabelSpace(n, ())
 
-    params = ModelParams.stack(  # copies the pre-trained layers in
+    stack = ModelParams.stack(  # copies the pre-trained layers in
         [
             ModelParams(
                 pretrained.layers,
@@ -403,7 +405,16 @@ def finetune(
             for c in cfgs
         ]
     )
-    rng_batch = [np.random.default_rng([c.seed, 1]) for c in cfgs]
+    # a lone cell trains on the arrays of one model, without the stack axis:
+    # the same code on arrays of one rank less, which numpy runs a little
+    # faster; so every per-cell list below is its one entry then
+    lone = len(cfgs) == 1
+    params = stack.row(0) if lone else stack
+
+    def per_cell(values: list):
+        return values[0] if lone else values
+
+    rng_batch = per_cell([np.random.default_rng([c.seed, 1]) for c in cfgs])
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
     B = cfg.batch_size
@@ -414,10 +425,13 @@ def finetune(
         return loss_and_grad_arrays(p, tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0), out)
 
     if first.mixup is not None:
-        mixups = [s.mixup for s in strategies]
-        rng_mix = [
-            np.random.default_rng([c.seed, 2, m.seed]) for m, c in zip(mixups, cfgs)
-        ]
+        mixups = per_cell([s.mixup for s in strategies])
+        rng_mix = per_cell(
+            [
+                np.random.default_rng([c.seed, 2, s.mixup.seed])
+                for s, c in zip(strategies, cfgs)
+            ]
+        )
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
     configs = [
@@ -474,7 +488,7 @@ def finetune(
         for config in configs:
             config["strategy"]["midtune_iterations"] = mid
         pool, pool_labels = _aux_pool(src, space)
-        rng_aux = [np.random.default_rng([c.seed, 3]) for c in cfgs]
+        rng_aux = per_cell([np.random.default_rng([c.seed, 3]) for c in cfgs])
 
         def aux_step(p, it, out):
             idx = _draw(rng_aux, len(pool), B)
@@ -508,9 +522,10 @@ def finetune(
     else:  # pragma: no cover - exhaustive over StrategyKind
         raise ConfigError(f"unknown strategy kind {kind!r}")
 
+    trace = trace.reshape(len(trace), -1)  # (iterations, S), a lone cell too
     results = []
     for s, (c, config) in enumerate(zip(cfgs, configs)):
-        model = params.row(s)
+        model = stack.row(s)
         accuracy = evaluate(model, tgt_test)
         results.append(RunResult(model, trace[:, s].tolist(), accuracy, c.seed, config))
     return results

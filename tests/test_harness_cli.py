@@ -466,7 +466,9 @@ def test_report_rejects_run_records_of_another_config(tmp_path, capsys):
     out = tmp_path / "out"
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
-    finetune_l2 = ["finetune", "--config", str(config), "--out", str(out), "--strategy", "l2"]
+    finetune_l2 = [
+        "finetune", "--config", str(config), "--out", str(out), "--strategy", "l2",
+    ]
     assert main(finetune_l2) == 0
     # the same data and checkpoint, a second config differing only in its lr
     assert main(finetune_l2 + ["--set", "finetune.lr=0.02", "--set", "seeds=[1]"]) == 0
@@ -569,7 +571,9 @@ VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    overrides=st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), VALUES), min_size=1, max_size=3)
+    overrides=st.lists(
+        st.tuples(st.sampled_from(SCHEMA_KEYS), VALUES), min_size=1, max_size=3
+    )
 )
 def test_fuzzed_set_values_end_in_a_documented_exit_code(overrides):
     with tempfile.TemporaryDirectory() as tmp:

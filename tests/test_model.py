@@ -303,7 +303,9 @@ def test_stacked_step_is_bit_equal_to_each_model_alone():
     P = rng.dirichlet(np.ones(4), size=(3, 8))
     losses, grads = loss_and_grad_arrays(stack, X, P)
     before_step = grads.flat.copy()  # sgd_step adds the decay into grads
-    cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.01, iterations=3, lr_drop_at=3)
+    cfg = TrainConfig(
+        lr=0.05, momentum=0.9, weight_decay=0.01, iterations=3, lr_drop_at=3
+    )
     sgd_step(stack, grads, ModelParams.zeros_like(stack), cfg, 0)
     _, logits = forward(stack, X)
     assert losses.shape == (3,)
@@ -347,7 +349,8 @@ def test_training_names_the_cell_of_a_stacked_failure():
         return np.zeros(3), out
 
     with pytest.raises(NumericError, match="^c2: iteration 3: non-finite gradient"):
-        _run_sgd(stack, TrainConfig(iterations=10, lr_drop_at=10), step, ["c0", "c1", "c2"])
+        cfg = TrainConfig(iterations=10, lr_drop_at=10)
+        _run_sgd(stack, cfg, step, ["c0", "c1", "c2"])
 
 
 @pytest.mark.parametrize(

@@ -252,7 +252,9 @@ def test_a_cell_does_not_depend_on_its_stack_order(world):
 def test_stacked_cells_must_share_everything_but_seed_and_mixup(world):
     args = (world["pre"], world["train"], world["src"], world["plan"])
     with pytest.raises(ValueError):  # two strategy kinds
-        finetune(*args, [Strategy.l2(), Strategy.cotrain()], [FAST, FAST], world["test"])
+        finetune(
+            *args, [Strategy.l2(), Strategy.cotrain()], [FAST, FAST], world["test"]
+        )
     with pytest.raises(ValueError):  # a config that differs in more than its seed
         finetune(
             *args, [Strategy.l2()] * 2, [FAST, replace(FAST, lr=0.1)], world["test"]
@@ -267,10 +269,12 @@ def test_a_diverging_cell_is_named_with_its_iteration(world):
     # at alpha = 1e300 every lambda rounds to 1, so the middle cell's first
     # batch fails while its neighbours are fine
     strategies = [
-        Strategy.xmixup(MixupConfig(alpha=a, beta=1.0, seed=0)) for a in (2.0, 1e300, 4.0)
+        Strategy.xmixup(MixupConfig(alpha=a, beta=1.0, seed=0))
+        for a in (2.0, 1e300, 4.0)
     ]
     cfgs = [replace(FAST, seed=s) for s in STACK_SEEDS]
-    with pytest.raises(NumericError, match=r"^xmixup seed 3 alpha 1e\+300: iteration 0: "):
+    named = r"^xmixup seed 3 alpha 1e\+300: iteration 0: "
+    with pytest.raises(NumericError, match=named):
         finetune(
             world["pre"], world["train"], world["src"], world["plan"],
             strategies, cfgs, world["test"],
