@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmixup.cli import main
-from xmixup.dataset import Dataset, load_dataset, save_dataset, split
+from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError
 from xmixup.harness import (
     COMPARISON_HEADER,
