@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, config_from_json
+from .config import ExperimentConfig, check_distinct, config_from_json
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
     step_ablate,
@@ -117,6 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> None:
     cfg = _load_config(args.config, args.overrides)
+    if args.command == "finetune" and args.strategies:
+        check_distinct("--strategy", args.strategies)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cmd = args.command

@@ -19,12 +19,20 @@ from .dataset import split_test_count
 from .errors import ConfigError, check_fields
 from .mixup import MixupConfig
 from .model import TrainConfig
-from .training import Strategy, StrategyKind
+from .training import NEEDS_MIXUP, Strategy, StrategyKind
 
 
 def _require_range(name: str, ok: bool, rule: str, value) -> None:
     if not ok:
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_distinct(name: str, values) -> None:
+    """Reject a list that repeats an entry: a repeated seed, strategy or grid
+    point would train the same cell twice and write it once."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{name} repeats {repeated}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,9 @@ class ExperimentConfig:
         ):
             bad = [v for v in values if not ok(v)]
             _require_range(f"every entry of {name}", not bad, rule, bad)
+        check_distinct("strategies", [k.value for k in self.strategies])
+        for name in ("seeds", "alpha_grid", "threshold_grid"):
+            check_distinct(name, getattr(self, name))
         _require_range("sp_weight", self.sp_weight >= 0, ">= 0", self.sp_weight)
         for name in ("threshold", "midtune_iterations"):
             value = getattr(self, name)
@@ -128,11 +139,7 @@ class ExperimentConfig:
     def strategy_for(self, kind: StrategyKind) -> Strategy:
         if kind is StrategyKind.L2SP:
             return Strategy.l2sp(self.sp_weight)
-        if kind in (
-            StrategyKind.MIXUP_IN_DOMAIN,
-            StrategyKind.XMIXUP,
-            StrategyKind.XMIXUP_NO_LABEL,
-        ):
+        if kind in NEEDS_MIXUP:
             return Strategy(kind, mixup=self.mixup)
         if kind is StrategyKind.SEQ_TRAIN:
             return Strategy.seqtrain(self.midtune_iterations)
@@ -180,13 +187,3 @@ def config_from_json(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
-
-
-def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Collapse every pipeline seed to one value (the XMIXUP_SEED override)."""
-    return replace(
-        cfg,
-        data=replace(cfg.data, seed=seed),
-        pretrain=replace(cfg.pretrain, seed=seed),
-        seeds=(seed,),
-    )

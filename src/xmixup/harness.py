@@ -12,7 +12,10 @@ the pairing plan its source draws follow) and hands them to run_grid, which
 trains the cells sharing a strategy and a plan as one stack
 (training.finetune) and returns one result per cell in cell order.
 `finetune` and `ablate` turn each result into a run record with its probes
-and spectrum; the sweeps keep its accuracy.
+and spectrum. The grid commands (`sweep-alpha`, `sweep-size`,
+`randomize-aux`) only list their cells in output order, each with the key
+columns of its row; one writer, _grid_table, trains them and writes the
+table, the optional mean-accuracy chart and the manifest entries.
 
 Artifacts are checked against each other where they are loaded: datasets,
 checkpoint and plan that do not fit together are a DataError, not a
@@ -29,12 +32,8 @@ import numpy as np
 
 from .analysis import ProbeSubset, linear_probe, source_subsets, spectrum
 from .atomic import atomic_open
-from .config import (  # noqa: F401  (the config API, re-exported)
-    DataSpec,
-    ExperimentConfig,
-    config_from_json,
-    override_seed,
-)
+# config_from_json is not used here: bench/workload.py imports it from this module
+from .config import ExperimentConfig, config_from_json  # noqa: F401
 from .dataset import Dataset, gen_source, gen_target, load_dataset, save_dataset, split
 from .errors import DataError, ParseError
 from .model import ModelParams, load_params, save_params
@@ -274,14 +273,8 @@ def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
 
 
 def build_plan(
-    cfg: ExperimentConfig,
-    params: ModelParams,
-    src_train: Dataset,
-    tgt_train: Dataset,
-    threshold: int | None = None,
+    params: ModelParams, src_train: Dataset, tgt_train: Dataset, threshold: int
 ) -> PairingPlan:
-    if threshold is None:
-        threshold = _threshold(cfg, tgt_train)
     sims = similarity(
         compute_centroids(src_train, params), compute_centroids(tgt_train, params)
     )
@@ -290,11 +283,12 @@ def build_plan(
 
 def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
     lab = load_lab(out, with_plan=False)
-    plan = build_plan(cfg, lab.pretrained, lab.src_train, lab.tgt_train)
+    threshold = _threshold(cfg, lab.tgt_train)
+    plan = build_plan(lab.pretrained, lab.src_train, lab.tgt_train, threshold)
     save_plan(plan, out / PLAN)
     info = {
         "config_hash": cfg.hash(),
-        "threshold": _threshold(cfg, lab.tgt_train),
+        "threshold": threshold,
         "rounds": plan.n_rounds,
         "exhausted": plan.exhausted,
         "selected_sources": plan.selected_sources(),
@@ -389,7 +383,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-def write_comparison_csv(records: list[dict], path: Path) -> None:
+def write_comparison_csv(
+    records: list[dict], path: Path, order: tuple[StrategyKind, ...]
+) -> None:
+    """Sort records in place by strategy in the given order (any other
+    strategy last), then by seed, and write them as one CSV row each."""
+    rank = {k.value: i for i, k in enumerate(order)}
+    records.sort(key=lambda r: (rank.get(r["strategy"], len(rank)), r["seed"]))
     scores = COMPARISON_HEADER.split(",")[2:]
     rows = ([r["strategy"], r["seed"]] + [float(r[c]) for c in scores] for r in records)
     _write_table(path, COMPARISON_HEADER, rows)
@@ -458,9 +458,7 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
 
 def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
     records = load_run_records(out, cfg.hash())
-    order = {k.value: i for i, k in enumerate(cfg.strategies)}
-    records.sort(key=lambda r: (order.get(r["strategy"], len(order)), r["seed"]))
-    write_comparison_csv(records, out / "comparison.csv")
+    write_comparison_csv(records, out / "comparison.csv", cfg.strategies)
     rows = summarize(records, cfg.strategies)
     write_summary_csv(rows, out / "summary.csv")
     chart = bar_chart(
@@ -482,17 +480,44 @@ def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
     return rows
 
 
-def _sweep_chart(path: Path, points: list[tuple[float, float]], title, xlabel) -> None:
-    chart = line_chart(
-        [("xmixup", [x for x, _ in points], [y for _, y in points])],
-        title=title,
-        xlabel=xlabel,
-        ylabel="mean accuracy",
-    )
-    write_svg(chart, path)
+def _grid_table(
+    cfg: ExperimentConfig,
+    out: Path,
+    lab: Lab,
+    name: str,
+    header: str,
+    cells: list[Cell],
+    keys: list[tuple],
+    chart: tuple | None = None,
+) -> list[list]:
+    """Train the cells through run_grid and write `<name>.csv`, one row per
+    cell in cell order: the cell's key columns, its seed and its accuracy.
+
+    Given chart = (title, xlabel, x_of_key), also write `<name>.svg` with
+    the mean accuracy of each key, in first-seen key order, at x_of_key(key).
+    Both files go into the manifest; the rows are returned.
+    """
+    results = run_grid(cfg, lab, cells)
+    rows = [[*key, cell.seed, r.accuracy] for key, cell, r in zip(keys, cells, results)]
+    _write_table(out / f"{name}.csv", header, rows)
+    entries = {name: f"{name}.csv"}
+    if chart is not None:
+        title, xlabel, x_of_key = chart
+        by_key: dict[tuple, list[float]] = {}
+        for key, r in zip(keys, results):
+            by_key.setdefault(key, []).append(r.accuracy)
+        xs = [x_of_key(key) for key in by_key]
+        ys = [float(np.mean(accs)) for accs in by_key.values()]
+        svg = line_chart(
+            [("xmixup", xs, ys)], title=title, xlabel=xlabel, ylabel="mean accuracy"
+        )
+        write_svg(svg, out / f"{name}.svg")
+        entries[f"{name}_chart"] = f"{name}.svg"
+    update_manifest(out, cfg, entries)
+    return rows
 
 
-def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
+def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
     lab = load_lab(out)
@@ -501,80 +526,35 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[dict]:
         for alpha in cfg.alpha_grid
         for seed in cfg.seeds
     ]
-    rows = [
-        {"alpha": cell.strategy.mixup.alpha, "seed": cell.seed, "accuracy": r.accuracy}
-        for cell, r in zip(cells, run_grid(cfg, lab, cells))
-    ]
-    _write_table(
-        out / "sweep_alpha.csv",
-        "alpha,seed,accuracy",
-        ((float(r["alpha"]), r["seed"], r["accuracy"]) for r in rows),
+    keys = [(float(cell.strategy.mixup.alpha),) for cell in cells]
+    chart = (
+        "Accuracy vs mixing strength", "log2(alpha)", lambda k: float(np.log2(k[0]))
     )
-    means = [
-        (
-            float(np.log2(alpha)),
-            float(np.mean([r["accuracy"] for r in rows if r["alpha"] == alpha])),
-        )
-        for alpha in cfg.alpha_grid
-    ]
-    _sweep_chart(
-        out / "sweep_alpha.svg", means, "Accuracy vs mixing strength", "log2(alpha)"
-    )
-    update_manifest(
-        out, cfg, {"sweep_alpha": "sweep_alpha.csv", "sweep_alpha_chart": "sweep_alpha.svg"}
-    )
-    return rows
+    header = "alpha,seed,accuracy"
+    return _grid_table(cfg, out, lab, "sweep_alpha", header, cells, keys, chart)
 
 
-def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[dict]:
+def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
     lab = load_lab(out, with_plan=False)
     grid = cfg.threshold_grid
     if not grid:
         base = len(lab.tgt_train)
         grid = (base, 2 * base, 4 * base, 8 * base)
-    plans = {
-        t: build_plan(cfg, lab.pretrained, lab.src_train, lab.tgt_train, threshold=t)
-        for t in grid
-    }
     sizes = lab.src_train.class_sizes()
-    selected = {t: sum(sizes[c] for c in plans[t].selected_sources()) for t in grid}
-    thresholds = [t for t in grid for _ in cfg.seeds]
-    cells = [
-        Cell(Strategy.xmixup(cfg.mixup), seed, plans[t])
-        for t in grid
-        for seed in cfg.seeds
-    ]
-    rows = [
-        {
-            "threshold": t,
-            "selected_classes": len(cell.plan.selected_sources()),
-            "selected_samples": selected[t],
-            "seed": cell.seed,
-            "accuracy": r.accuracy,
-        }
-        for t, cell, r in zip(thresholds, cells, run_grid(cfg, lab, cells))
-    ]
-    _write_table(
-        out / "sweep_size.csv",
-        "threshold,selected_classes,selected_samples,seed,accuracy",
-        (list(r.values()) for r in rows),
+    cells, keys = [], []
+    for t in grid:
+        plan = build_plan(lab.pretrained, lab.src_train, lab.tgt_train, t)
+        chosen = plan.selected_sources()
+        for seed in cfg.seeds:
+            cells.append(Cell(Strategy.xmixup(cfg.mixup), seed, plan))
+            keys.append((t, len(chosen), sum(sizes[c] for c in chosen)))
+    header = "threshold,selected_classes,selected_samples,seed,accuracy"
+    chart = (
+        "Accuracy vs auxiliary set size", "selected auxiliary samples",
+        lambda k: float(k[2]),
     )
-    means = [
-        (
-            float(selected[t]),
-            float(np.mean([r["accuracy"] for r in rows if r["threshold"] == t])),
-        )
-        for t in grid
-    ]
-    _sweep_chart(
-        out / "sweep_size.svg", means, "Accuracy vs auxiliary set size",
-        "selected auxiliary samples",
-    )
-    update_manifest(
-        out, cfg, {"sweep_size": "sweep_size.csv", "sweep_size_chart": "sweep_size.svg"}
-    )
-    return rows
+    return _grid_table(cfg, out, lab, "sweep_size", header, cells, keys, chart)
 
 
 def random_plan(
@@ -603,42 +583,31 @@ def random_plan(
     return PairingPlan(per_target, scores, n_rounds, exhausted=taken >= m)
 
 
-def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[dict]:
+def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
     lab = load_lab(out)
     threshold = _threshold(cfg, lab.tgt_train)
     sizes = lab.src_train.class_sizes()
     strategy = Strategy.xmixup(cfg.mixup)
-    modes, cells = [], []
-    for seed in cfg.seeds:
-        modes += ["centroid", "random"]
-        cells.append(Cell(strategy, seed, lab.plan))
-        cells.append(
-            Cell(
-                strategy,
-                seed,
-                random_plan(
-                    lab.tgt_train.class_count,
-                    lab.src_train.class_count,
-                    sizes,
-                    threshold,
-                    np.random.default_rng([seed, 4]),
-                ),
-            )
+    seeds = sorted(cfg.seeds)
+    cells = [Cell(strategy, seed, lab.plan) for seed in seeds] + [
+        Cell(
+            strategy,
+            seed,
+            random_plan(
+                lab.tgt_train.class_count,
+                lab.src_train.class_count,
+                sizes,
+                threshold,
+                np.random.default_rng([seed, 4]),
+            ),
         )
-    rows = [
-        {"mode": mode, "seed": cell.seed, "accuracy": r.accuracy}
-        for mode, cell, r in zip(modes, cells, run_grid(cfg, lab, cells))
+        for seed in seeds
     ]
-    rows.sort(key=lambda r: (r["mode"], r["seed"]))
-    _write_table(
-        out / "randomize_aux.csv",
-        "mode,seed,accuracy",
-        ((r["mode"], r["seed"], r["accuracy"]) for r in rows),
-    )
-    update_manifest(out, cfg, {"randomize_aux": "randomize_aux.csv"})
-    return rows
+    keys = [("centroid",)] * len(seeds) + [("random",)] * len(seeds)
+    header = "mode,seed,accuracy"
+    return _grid_table(cfg, out, lab, "randomize_aux", header, cells, keys)
 
 
 def step_ablate(cfg: ExperimentConfig, out: Path) -> list[dict]:
@@ -650,8 +619,6 @@ def step_ablate(cfg: ExperimentConfig, out: Path) -> list[dict]:
         StrategyKind.XMIXUP_NO_LABEL,
     )
     records = step_finetune(cfg, out, strategies=kinds)
-    order = {k.value: i for i, k in enumerate(kinds)}
-    records.sort(key=lambda r: (order[r["strategy"]], r["seed"]))
-    write_comparison_csv(records, out / "ablate.csv")
+    write_comparison_csv(records, out / "ablate.csv", kinds)
     update_manifest(out, cfg, {"ablate": "ablate.csv"})
     return records

@@ -63,7 +63,7 @@ class StrategyKind(Enum):
     CO_TRAIN = "cotrain"
 
 
-_NEEDS_MIXUP = {
+NEEDS_MIXUP = {
     StrategyKind.MIXUP_IN_DOMAIN,
     StrategyKind.XMIXUP,
     StrategyKind.XMIXUP_NO_LABEL,
@@ -88,7 +88,7 @@ class Strategy:
     def __post_init__(self):
         if (self.sp_weight is not None) != (self.kind is StrategyKind.L2SP):
             raise ConfigError(f"sp_weight is for L2SP only, got {self.kind.value}")
-        if (self.mixup is not None) != (self.kind in _NEEDS_MIXUP):
+        if (self.mixup is not None) != (self.kind in NEEDS_MIXUP):
             raise ConfigError(
                 f"mixup config required by mixing strategies only, got {self.kind.value}"
             )

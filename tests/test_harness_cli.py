@@ -18,17 +18,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmixup.cli import main
+from xmixup.cli import _load_config, main
+from xmixup.config import ExperimentConfig, config_from_json
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError
 from xmixup.harness import (
     COMPARISON_HEADER,
     Cell,
-    ExperimentConfig,
-    config_from_json,
     default_threshold,
     load_lab,
-    override_seed,
     random_plan,
     run_grid,
 )
@@ -114,8 +112,9 @@ def test_config_hash_tracks_content():
     assert len(a.hash()) == 12
 
 
-def test_override_seed_rewrites_all_seed_fields():
-    cfg = override_seed(ExperimentConfig(), 9)
+def test_override_seed_rewrites_all_seed_fields(tmp_path, monkeypatch):
+    monkeypatch.setenv("XMIXUP_SEED", "9")
+    cfg = _load_config(str(mini_config(tmp_path)), [])
     assert cfg.data.seed == 9
     assert cfg.pretrain.seed == 9
     assert cfg.seeds == (9,)
@@ -226,30 +225,44 @@ def test_finetune_strategy_flag_limits_runs(tmp_path):
         "--strategy", "l2",
     ]) == 0
     assert [p.name for p in sorted((out / "runs").glob("*.json"))] == ["l2-s0.json"]
+    # a repeated flag would train one run twice and write it once
+    assert main([
+        "finetune", "--config", str(config), "--out", str(out),
+        "--strategy", "xmixup", "--strategy", "xmixup",
+    ]) == 2
+    assert [p.name for p in sorted((out / "runs").glob("*.json"))] == ["l2-s0.json"]
 
 
 def test_sweeps_and_ablations_write_their_tables(tmp_path):
-    config = mini_config(tmp_path, seeds=[0])
-    out = tmp_path / "out"
-    for cmd in ("gen-data", "pretrain", "pair"):
-        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
-    assert main(["sweep-alpha", "--config", str(config), "--out", str(out)]) == 0
-    lines = (out / "sweep_alpha.csv").read_text().splitlines()
-    assert lines[0] == "alpha,seed,accuracy"
-    assert len(lines) == 3   # two alphas x one seed
-    assert (out / "sweep_alpha.svg").read_text().startswith("<svg")
+    # the second grid and seed list are out of order: sweep rows keep the
+    # grid order, then the seed order as given, and randomize-aux lists the
+    # centroid rows, then the random rows, each by ascending seed
+    for name, seeds, alphas in (("a", [0], [1.0, 4.0]), ("b", [3, 1], [4.0, 1.0])):
+        config = mini_config(tmp_path, seeds=seeds, alpha_grid=alphas)
+        out = tmp_path / name
+        for cmd in ("gen-data", "pretrain", "pair", "sweep-alpha", "randomize-aux"):
+            assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "sweep_alpha.csv").read_text().splitlines()
+        assert lines[0] == "alpha,seed,accuracy"
+        cells = [(float(r.split(",")[0]), int(r.split(",")[1])) for r in lines[1:]]
+        assert cells == [(a, s) for a in alphas for s in seeds]
+        svg = (out / "sweep_alpha.svg").read_text()
+        assert svg.startswith("<svg")
+        assert svg.count("<circle") == len(alphas)   # one point per grid value
 
-    assert main(["randomize-aux", "--config", str(config), "--out", str(out)]) == 0
-    rows = (out / "randomize_aux.csv").read_text().splitlines()
-    assert rows[0] == "mode,seed,accuracy"
-    assert {r.split(",")[0] for r in rows[1:]} == {"centroid", "random"}
+        rows = (out / "randomize_aux.csv").read_text().splitlines()
+        assert rows[0] == "mode,seed,accuracy"
+        cells = [(r.split(",")[0], int(r.split(",")[1])) for r in rows[1:]]
+        assert cells == [(m, s) for m in ("centroid", "random") for s in sorted(seeds)]
 
+    # ablate.csv lists the three recipes in a fixed order, each by ascending seed
     assert main(["ablate", "--config", str(config), "--out", str(out)]) == 0
     rows = (out / "ablate.csv").read_text().splitlines()
     assert rows[0].startswith("strategy,")
-    assert {r.split(",")[0] for r in rows[1:]} == {
-        "xmixup", "mixup-indomain", "xmixup-nolabel",
-    }
+    cells = [(r.split(",")[0], int(r.split(",")[1])) for r in rows[1:]]
+    assert cells == [
+        (k, s) for k in ("xmixup", "mixup-indomain", "xmixup-nolabel") for s in (1, 3)
+    ]
 
 
 def test_sweep_size_reports_selection_growth(tmp_path):
@@ -447,6 +460,11 @@ def test_pair_uses_configured_threshold(tmp_path):
         "data.target_test_fraction=1",
         "seeds=\"abc\"",
         "strategies=[1]",
+        "seeds=[0, 0]",
+        "strategies=[\"l2\", \"xmixup\", \"l2\"]",
+        "alpha_grid=[2.0, 2.0]",
+        "alpha_grid=[1, 1.0]",
+        "threshold_grid=[30, 30]",
     ],
 )
 def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assignment):
