@@ -15,6 +15,15 @@ columns (padded with one zero column to an even count n) are paired as in a
 round-robin tournament, n - 1 rounds of n / 2 disjoint pairs that together
 meet every pair once, so all rotations of a round are applied as one array
 operation.
+
+Both diagnostics run for many models at once (linear_probes, spectra), in
+chunks of models whose working set stays near CHUNK_BYTES. The heads of the
+models may differ, so each model's extractor runs its own forward into one
+preallocated (S, N, h) feature array. Every probe of a chunk starts from the
+one head the probe seed draws and fits on (S, k, N) logits; the spectra of a
+chunk share one seeded batch, and their Jacobi sweeps rotate the pairs of a
+round in every unsettled matrix as one array step. Each model gets the bits
+it would get alone; linear_probe and spectrum are the calls with one model.
 """
 
 from __future__ import annotations
@@ -26,8 +35,17 @@ import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
 from .errors import DataError, NumericError, check_fields
-from .model import ModelParams, forward, init_linear
+from .model import ModelParams, forward, init_linear, numeric_error
 from .pairing import PairingPlan
+
+# Probes and spectra stack models in chunks whose working set (a probe's
+# features, their transpose and its logits; a spectrum's features and Jacobi
+# rows) stays near this many bytes. On the default data (bench `pipeline`, 7
+# cells, 2-core x86 VM) 1 MiB raised the process's peak RSS from 40.0 to
+# 40.5 MB, where one chunk per probe subset raised it to 41.3 MB; the
+# all-but-auxiliary probe then runs as 4 + 3 cells. On `large-source` every
+# probe is a chunk of one.
+CHUNK_BYTES = 1 << 20
 
 
 class ProbeSubset(Enum):
@@ -88,29 +106,104 @@ class Spectrum:
         return float(self.normalized[-k:].mean())
 
 
+def _chunks(count: int, cell_bytes: int) -> list[range]:
+    """Consecutive ranges of cell indices whose working sets, cell_bytes
+    each, add up to at most CHUNK_BYTES; a cell larger than that is a chunk
+    of its own."""
+    size = max(1, CHUNK_BYTES // cell_bytes)
+    return [range(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def _features(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
+    """The (S, N, h) extractor features of X under each model. The heads of
+    the models may differ in width, so each model runs its own forward."""
+    F = np.empty((len(models), len(X), models[0].feature_width))
+    for s, params in enumerate(models):
+        F[s], _ = forward(params, X)
+    return F
+
+
+@dataclass(frozen=True)
+class ProbeData:
+    """A probe subset relabeled to [0, k) and split once into train and test
+    parts, so every model probed on it sees the same rows."""
+
+    kind: ProbeSubset
+    train: Dataset
+    test: Dataset
+
+    @property
+    def k(self) -> int:
+        return self.train.class_count
+
+
+def probe_data(src_subset: Dataset, cfg: ProbeConfig, kind: ProbeSubset) -> ProbeData:
+    """Compact and split a probe subset; a DataError if it cannot be probed."""
+    if len(src_subset) == 0:
+        raise DataError(f"cannot probe an empty subset ({kind.value})")
+    compact, _ = compact_classes(src_subset)
+    if compact.class_count < 2:
+        raise DataError(f"degenerate probe: subset ({kind.value}) has a single class")
+    train, test = split(compact, cfg.test_fraction, cfg.seed)
+    if len(test) == 0:
+        raise DataError(
+            f"probe split of the {kind.value} subset holds out no rows at "
+            f"test_fraction {cfg.test_fraction}"
+        )
+    return ProbeData(kind, train, test)
+
+
 def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
-    """Full-batch softmax-regression fit on frozen features; returns (W, b)."""
-    rng = np.random.default_rng(cfg.seed)
-    w, b = init_linear(k, F.shape[1], rng)
-    n = len(F)
-    Ft = np.ascontiguousarray(F.T)
+    """Full-batch softmax-regression fits on frozen (S, N, h) features, one
+    per model; returns W (S, k, h) and b (S, k).
+
+    Every fit starts from the one head the probe seed draws; the stacked
+    matmuls run one gemm per model, so each fit gets the bits of a fit alone.
+    """
+    S, n, h = F.shape
+    w0, b0 = init_linear(k, h, np.random.default_rng(cfg.seed))
+    w = np.broadcast_to(w0, (S, k, h)).copy()
+    b = np.broadcast_to(b0, (S, k)).copy()
+    Ft = np.ascontiguousarray(F.transpose(0, 2, 1))
     target = np.zeros((k, n))
     target[y, np.arange(n)] = 1.0
     step = cfg.lr / n
     for _ in range(cfg.iterations):
         G = w @ Ft
-        G += b[:, None]
-        G -= G.max(axis=0)
+        G += b[:, :, None]
+        G -= G.max(axis=1, keepdims=True)
         np.exp(G, out=G)
-        G /= G.sum(axis=0)
+        G /= G.sum(axis=1, keepdims=True)
         G -= target  # softmax - onehot: the cross-entropy gradient per sample
         w -= step * (G @ F)
-        b -= step * G.sum(axis=1)
+        b -= step * G.sum(axis=2)
     return w, b
 
 
-def probe_accuracy(w: np.ndarray, b: np.ndarray, F: np.ndarray, y: np.ndarray) -> float:
-    return float(((F @ w.T + b).argmax(axis=1) == y).mean())
+def probe_accuracy(w: np.ndarray, b: np.ndarray, F: np.ndarray, y: np.ndarray):
+    """Held-out accuracy of one head (w (k, h), F (N, h)), or of each head of
+    a stack (w (S, k, h), F (S, N, h)) as an (S,) array."""
+    logits = F @ w.swapaxes(-1, -2) + b[..., None, :]
+    return (logits.argmax(axis=-1) == y).mean(axis=-1)
+
+
+def linear_probes(
+    models: list[ModelParams], data: ProbeData, cfg: ProbeConfig
+) -> list[ProbeResult]:
+    """Held-out accuracy of a fresh linear classifier on each model's frozen
+    features, fitted for all models at once in chunks of about CHUNK_BYTES."""
+    n_train, n_test = len(data.train), len(data.test)
+    h = models[0].feature_width
+    cell_bytes = 8 * (n_train * (2 * h + data.k) + n_test * h)
+    results = []
+    for chunk in _chunks(len(models), cell_bytes):
+        part = [models[i] for i in chunk]
+        w, b = _train_probe_head(
+            _features(part, data.train.X), data.train.y, data.k, cfg
+        )
+        accs = probe_accuracy(w, b, _features(part, data.test.X), data.test.y)
+        results += [ProbeResult(data.kind, float(a)) for a in accs]
+    return results
 
 
 def linear_probe(
@@ -120,16 +213,7 @@ def linear_probe(
     kind: ProbeSubset = ProbeSubset.ALL,
 ) -> ProbeResult:
     """Held-out accuracy of a fresh linear classifier on frozen features."""
-    if len(src_subset) == 0:
-        raise DataError("cannot probe an empty subset")
-    compact, _ = compact_classes(src_subset)
-    if compact.class_count < 2:
-        raise DataError("degenerate probe: subset has a single class")
-    train, test = split(compact, cfg.test_fraction, cfg.seed)
-    f_train, _ = forward(params, train.X)
-    f_test, _ = forward(params, test.X)
-    w, b = _train_probe_head(f_train, train.y, compact.class_count, cfg)
-    return ProbeResult(kind, probe_accuracy(w, b, f_test, test.y))
+    return linear_probes([params], probe_data(src_subset, cfg, kind), cfg)[0]
 
 
 def source_subsets(src: Dataset, plan: PairingPlan) -> dict[ProbeSubset, Dataset]:
@@ -157,18 +241,27 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> bool:
-    """One sweep over the rows of C in place; True if any pair was rotated."""
-    rotated = False
+def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> np.ndarray:
+    """One sweep over the rows of every matrix of a (S, n, m) stack C, in
+    place; returns which matrices had a pair rotated.
+
+    The pairs (p, q) of a round are taken in every matrix at once, as rows
+    s * n + p and s * n + q of the stack seen as one (S * n, m) matrix.
+    """
+    S, n, m = C.shape
+    rows = C.reshape(S * n, m)
+    offsets = np.arange(0, S * n, n)[:, None]
+    rotated = np.zeros(S, dtype=bool)
     for p, q in rounds:
-        ap, aq = C[p], C[q]
+        p, q = (offsets + p).ravel(), (offsets + q).ravel()
+        ap, aq = rows[p], rows[q]
         app = np.einsum("ij,ij->i", ap, ap)
         aqq = np.einsum("ij,ij->i", aq, aq)
         apq = np.einsum("ij,ij->i", ap, aq)
         hit = np.abs(apq) > tol * np.sqrt(app * aqq)
         if not hit.any():
             continue
-        rotated = True
+        rotated |= hit.reshape(S, -1).any(axis=1)
         if not hit.all():
             p, q, ap, aq = p[hit], q[hit], ap[hit], aq[hit]
             app, aqq, apq = app[hit], aqq[hit], apq[hit]
@@ -176,58 +269,92 @@ def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> bool:
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
         c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
         s = c * t[:, None]
-        C[p] = c * ap - s * aq
-        C[q] = s * ap + c * aq
+        rows[p] = c * ap - s * aq
+        rows[q] = s * ap + c * aq
     return rotated
 
 
 def singular_values(
     A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
 ) -> np.ndarray:
-    """All singular values of a dense matrix, descending, via one-sided Jacobi.
+    """All singular values of a dense matrix, descending, via one-sided Jacobi;
+    given a (S, rows, cols) stack, those of each matrix as an (S, k) array.
 
     Columns are repeatedly rotated in pairs until every pair satisfies
     |<a_i, a_j>| <= tol * ||a_i|| * ||a_j||; the singular values are then the
     column norms. A sweep visits the pairs in round-robin order (Brent & Luk
-    1985), rotating the disjoint pairs of one round together.
+    1985), rotating the disjoint pairs of one round, in every matrix of the
+    stack, together. A matrix leaves the stack after its first sweep without
+    a rotation, so each gets the bits it would get alone; one that has not
+    settled in max_sweeps sweeps raises NumericError with its index as cell.
     """
     A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("need a non-empty 2-D matrix")
+    stacked = A.ndim == 3
+    if A.ndim not in (2, 3) or A.size == 0:
+        raise ValueError("need a non-empty 2-D matrix or a stack of them")
     if not np.all(np.isfinite(A)):
-        raise NumericError("non-finite entries in matrix")
-    if A.shape[0] < A.shape[1]:
-        A = A.T
-    m, n = A.shape
-    # Row i of C is column i of A; a zero row pads to an even count and is
-    # never rotated, since its inner products are exactly 0.
-    C = np.zeros((n + n % 2, m))
-    C[:n] = A.T
-    rounds = _round_robin(len(C))
+        raise numeric_error("non-finite entries in matrix", A, stacked)
+    if not stacked:
+        A = A[None]
+    if A.shape[1] < A.shape[2]:
+        A = A.swapaxes(1, 2)
+    S, m, n = A.shape
+    # Row i of C[s] is column i of A[s]; a zero row pads to an even count and
+    # is never rotated, since its inner products are exactly 0.
+    C = np.zeros((S, n + n % 2, m))
+    C[:, :n] = A.swapaxes(1, 2)
+    rounds = _round_robin(C.shape[1])
+    norms = np.empty((S, n))
+    live = np.arange(S)
     with np.errstate(over="ignore"):  # tau * tau = inf gives t = 0, no rotation
         for _ in range(max_sweeps):
-            if not _jacobi_sweep(C, rounds, tol):
-                break
+            rotated = _jacobi_sweep(C, rounds, tol)
+            if not rotated.all():
+                norms[live[~rotated]] = np.linalg.norm(C[~rotated, :n], axis=2)
+                live, C = live[rotated], C[rotated]
+                if not live.size:
+                    break
         else:
-            raise NumericError(f"Jacobi iteration did not settle in {max_sweeps} sweeps")
-    return np.sort(np.linalg.norm(C[:n], axis=1))[::-1]
+            raise NumericError(
+                f"Jacobi iteration did not settle in {max_sweeps} sweeps",
+                cell=int(live[0]) if stacked else None,
+            )
+    svals = np.sort(norms, axis=1)[:, ::-1]
+    return svals if stacked else svals[0]
 
 
-def spectrum(params: ModelParams, ds: Dataset, batch: int, seed: int = 0) -> Spectrum:
-    """Normalized singular spectrum of a batch x h feature matrix.
+def spectra(
+    models: list[ModelParams], ds: Dataset, batch: int, seed: int = 0
+) -> list[Spectrum]:
+    """Normalized singular spectrum of each model's batch x h feature matrix.
 
-    The batch is a seeded shuffle of ds truncated to `batch` rows, so repeated
-    calls with one seed compare different models on identical samples.
+    The batch is a seeded shuffle of ds truncated to `batch` rows, drawn once,
+    so every model (and repeated calls with one seed) is compared on identical
+    samples. The SVDs run stacked, in chunks of about CHUNK_BYTES.
     """
-    h = params.feature_width
+    h = models[0].feature_width
     if batch < h:
         raise ValueError(f"batch {batch} smaller than feature width {h}")
     if len(ds) < batch:
         raise DataError(f"dataset has {len(ds)} samples, need {batch}")
     rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(ds))[:batch]
-    feats, _ = forward(params, ds.X[idx])
-    svals = singular_values(feats)
-    if svals[0] <= 0.0:
-        raise NumericError("feature matrix has rank 0; cannot normalize spectrum")
-    return Spectrum(svals / svals[0])
+    X = ds.X[rng.permutation(len(ds))[:batch]]
+    out = []
+    # the features, the Jacobi rows and one round's copies of them
+    for chunk in _chunks(len(models), 8 * 3 * batch * (h + 1)):
+        try:
+            svals = singular_values(_features([models[i] for i in chunk], X))
+        except NumericError as e:
+            raise NumericError(str(e), cell=chunk[e.cell]) from None
+        for i, sv in zip(chunk, svals):
+            if sv[0] <= 0.0:
+                raise NumericError(
+                    "feature matrix has rank 0; cannot normalize spectrum", cell=i
+                )
+            out.append(Spectrum(sv / sv[0]))
+    return out
+
+
+def spectrum(params: ModelParams, ds: Dataset, batch: int, seed: int = 0) -> Spectrum:
+    """Normalized singular spectrum of a batch x h feature matrix (see spectra)."""
+    return spectra([params], ds, batch, seed)[0]

@@ -135,6 +135,17 @@ class ExperimentConfig:
                 f"the target split leaves {rows} training rows, fewer than "
                 f"the feature width {self.hidden[-1]} the spectrum needs"
             )
+        # every forgetting probe splits whole source-train classes and needs
+        # a held-out row of each
+        per_class = ds.source_per_class - split_test_count(
+            ds.source_per_class, ds.source_test_fraction
+        )
+        if split_test_count(per_class, self.probe.test_fraction) < 1:
+            raise ConfigError(
+                f"the source split leaves {per_class} training rows per class, "
+                f"too few for the probe to hold one out at test_fraction "
+                f"{self.probe.test_fraction}"
+            )
 
     def strategy_for(self, kind: StrategyKind) -> Strategy:
         if kind is StrategyKind.L2SP:

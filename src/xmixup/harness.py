@@ -11,11 +11,14 @@ Every step that fine-tunes lists its runs as cells (a strategy, a seed and
 the pairing plan its source draws follow) and hands them to run_grid, which
 trains the cells sharing a strategy and a plan as one stack
 (training.finetune) and returns one result per cell in cell order.
-`finetune` and `ablate` turn each result into a run record with its probes
-and spectrum. The grid commands (`sweep-alpha`, `sweep-size`,
-`randomize-aux`) only list their cells in output order, each with the key
-columns of its row; one writer, _grid_table, trains them and writes the
-table, the optional mean-accuracy chart and the manifest entries.
+`finetune` and `ablate` turn the results into run records: the two probe
+subsets are compacted and split once, before any cell trains, and the probes
+and spectra of all cells are computed together (analysis.linear_probes and
+analysis.spectra, stacked in chunks of about 1 MiB). The grid commands
+(`sweep-alpha`, `sweep-size`, `randomize-aux`) only list their cells in
+output order, each with the key columns of its row; one writer, _grid_table,
+trains them and writes the table, the optional mean-accuracy chart and the
+manifest entries.
 
 Artifacts are checked against each other where they are loaded: datasets,
 checkpoint and plan that do not fit together are a DataError, not a
@@ -30,12 +33,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ProbeSubset, linear_probe, source_subsets, spectrum
+from .analysis import (
+    ProbeData,
+    ProbeSubset,
+    linear_probes,
+    probe_data,
+    source_subsets,
+    spectra,
+)
 from .atomic import atomic_open
 # config_from_json is not used here: bench/workload.py imports it from this module
 from .config import ExperimentConfig, config_from_json  # noqa: F401
 from .dataset import Dataset, gen_source, gen_target, load_dataset, save_dataset, split
-from .errors import DataError, ParseError
+from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, load_params, save_params
 from .pairing import (
     PairingPlan,
@@ -299,26 +309,21 @@ def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_record(
-    cfg: ExperimentConfig, lab: Lab, kind: StrategyKind, result: RunResult
+    cfg: ExperimentConfig,
+    kind: StrategyKind,
+    result: RunResult,
+    forgetting_aux: float,
+    forgetting_aba: float,
+    spectrum_tail_mean: float,
 ) -> dict:
     """One fine-tuning result plus its diagnostics, as a JSON-able record."""
-    subsets = source_subsets(lab.src_train, lab.plan)
-    probe_aux = linear_probe(
-        result.params, subsets[ProbeSubset.AUXILIARY], cfg.probe, ProbeSubset.AUXILIARY
-    )
-    probe_aba = linear_probe(
-        result.params, subsets[ProbeSubset.ABA], cfg.probe, ProbeSubset.ABA
-    )
-    tail = spectrum(
-        result.params, lab.tgt_train, min(512, len(lab.tgt_train))
-    ).tail_mean(10)
     return {
         "strategy": kind.value,
         "seed": result.seed,
         "accuracy": result.accuracy,
-        "forgetting_aux": probe_aux.accuracy,
-        "forgetting_aba": probe_aba.accuracy,
-        "spectrum_tail_mean": tail,
+        "forgetting_aux": forgetting_aux,
+        "forgetting_aba": forgetting_aba,
+        "spectrum_tail_mean": spectrum_tail_mean,
         "config_hash": cfg.hash(),
         "run": result_to_json(result),
     }
@@ -326,6 +331,32 @@ def run_record(
 
 def run_name(kind: StrategyKind, seed: int) -> str:
     return f"{kind.value}-s{seed}"
+
+
+def run_records(
+    cfg: ExperimentConfig,
+    lab: Lab,
+    cells: list[Cell],
+    results: list[RunResult],
+    probes: list[ProbeData],
+) -> list[dict]:
+    """The run record of each cell, with the auxiliary and the all-but-
+    auxiliary probe (in that order in `probes`) and the spectrum of all cells
+    computed as stacks; a NumericError names the run it concerns."""
+    models = [r.params for r in results]
+    try:
+        aux, aba = (linear_probes(models, data, cfg.probe) for data in probes)
+        tails = spectra(models, lab.tgt_train, min(512, len(lab.tgt_train)))
+    except NumericError as e:
+        if e.cell is None:
+            raise
+        cell = cells[e.cell]
+        who = run_name(cell.strategy.kind, cell.seed)
+        raise NumericError(f"{who}: {e}", cell=e.cell) from None
+    return [
+        run_record(cfg, c.strategy.kind, r, p.accuracy, q.accuracy, t.tail_mean(10))
+        for c, r, p, q, t in zip(cells, results, aux, aba, tails)
+    ]
 
 
 def step_finetune(
@@ -340,10 +371,14 @@ def step_finetune(
         for kind in kinds
         for seed in cfg.seeds
     ]
-    records = [
-        run_record(cfg, lab, cell.strategy.kind, result)
-        for cell, result in zip(cells, run_grid(cfg, lab, cells))
+    # compacted and split before any cell trains, so that a subset that
+    # cannot be probed fails fast
+    subsets = source_subsets(lab.src_train, lab.plan)
+    probes = [
+        probe_data(subsets[kind], cfg.probe, kind)
+        for kind in (ProbeSubset.AUXILIARY, ProbeSubset.ABA)
     ]
+    records = run_records(cfg, lab, cells, run_grid(cfg, lab, cells), probes)
     runs = out / RUNS_DIR
     runs.mkdir(exist_ok=True)
     entries = {}

@@ -10,7 +10,9 @@ classes until the selected source samples reach a size threshold.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,23 +196,45 @@ def greedy_pair(sm: SimilarityMatrix) -> dict[int, int]:
     return dict(sorted(_greedy_round(sm.sims, np.ones(sm.m, dtype=bool))))
 
 
+# optimal_pair holds a column and a total per permutation, so it refuses
+# more than this many; the largest in use, 8P6 = 20160, is far below
+_MAX_PERMUTATIONS = 1_000_000
+
+
+@functools.lru_cache(maxsize=16)
+def _permutations(m: int, n: int) -> np.ndarray:
+    """Every ordered choice of n of m source classes, one per column of an
+    (n, m!/(m-n)!) array, in itertools.permutations order."""
+    count = math.perm(m, n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(m), n))
+    perms = np.fromiter(flat, dtype=np.min_scalar_type(m), count=count * n)
+    return np.ascontiguousarray(perms.reshape(count, n).T)
+
+
 def optimal_pair(sm: SimilarityMatrix) -> dict[int, int]:
-    """Exhaustive maximum-total-similarity one-to-one map (test oracle, n <= 8)."""
+    """Exhaustive maximum-total-similarity one-to-one map (test oracle, n <= 8).
+
+    Every permutation's total adds its similarities in target order, so the
+    totals are those of Python's sum over each permutation; argmax keeps the
+    first maximum in permutation order, so ties break toward the first.
+    """
     if sm.m < sm.n:
         raise ValueError(
             f"need at least as many source as target classes ({sm.m} < {sm.n})"
         )
     if sm.n > 8:
         raise ValueError(f"exhaustive search limited to n <= 8, got {sm.n}")
-    best_total = -np.inf
-    best = None
-    rows = sm.sims
-    for perm in itertools.permutations(range(sm.m), sm.n):
-        total = sum(rows[t, s] for t, s in enumerate(perm))
-        if total > best_total:
-            best_total = total
-            best = perm
-    return {t: s for t, s in enumerate(best)}
+    if math.perm(sm.m, sm.n) > _MAX_PERMUTATIONS:
+        raise ValueError(
+            f"exhaustive search limited to {_MAX_PERMUTATIONS} permutations, "
+            f"got {math.perm(sm.m, sm.n)}"
+        )
+    cols = _permutations(sm.m, sm.n)
+    totals = sm.sims[0][cols[0]]
+    for t in range(1, sm.n):
+        totals += sm.sims[t][cols[t]]
+    best = cols[:, int(totals.argmax())]
+    return {t: int(s) for t, s in enumerate(best)}
 
 
 def expand_until_threshold(

@@ -1,24 +1,34 @@
 """Feature spectrum via one-sided Jacobi SVD, and linear-probe diagnostics."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xmixup.analysis as analysis
 from xmixup.analysis import (
+    CHUNK_BYTES,
     ProbeConfig,
     ProbeSubset,
     Spectrum,
+    _chunks,
+    _features,
     _round_robin,
     _train_probe_head,
     linear_probe,
+    linear_probes,
     probe_accuracy,
+    probe_data,
     singular_values,
     source_subsets,
+    spectra,
     spectrum,
 )
 from xmixup.dataset import Dataset, Domain, class_subset, compact_classes, split
 from xmixup.errors import DataError, NumericError
-from xmixup.model import forward, init_linear, log_softmax
+from xmixup.model import TrainConfig, forward, init_linear, log_softmax
+from xmixup.training import Strategy, finetune
 
 SVD_TOL = 1e-9
 
@@ -222,7 +232,8 @@ def test_probe_head_matches_row_major_reference_on_gappy_subset(
     train, test = split(compact, cfg.test_fraction, cfg.seed)
     f_train, _ = forward(toy_pretrained, train.X)
     f_test, _ = forward(toy_pretrained, test.X)
-    w, b = _train_probe_head(f_train, train.y, compact.class_count, cfg)
+    w, b = _train_probe_head(f_train[None], train.y, compact.class_count, cfg)
+    w, b = w[0], b[0]
     w_ref, b_ref = reference_probe_head(f_train, train.y, compact.class_count, cfg)
     assert np.max(np.abs(w - w_ref)) <= 1e-12
     assert np.max(np.abs(b - b_ref)) <= 1e-12
@@ -239,10 +250,175 @@ def test_probe_head_matches_row_major_reference_at_scale():
     F = np.maximum(centers[y] + rng.normal(size=(len(y), h)), 0.0)
     cfg = ProbeConfig()
     train, test = slice(0, 2880), slice(2880, None)
-    w, b = _train_probe_head(F[train], y[train], k, cfg)
+    w, b = _train_probe_head(F[None, train], y[train], k, cfg)
+    w, b = w[0], b[0]
     w_ref, b_ref = reference_probe_head(F[train], y[train], k, cfg)
     assert np.max(np.abs(w - w_ref)) <= 1e-12
     assert np.max(np.abs(b - b_ref)) <= 1e-12
     acc = probe_accuracy(w, b, F[test], y[test])
     assert acc == probe_accuracy(w_ref, b_ref, F[test], y[test])
     assert acc > 1.0 / k
+
+
+# --- stacked diagnostics: every model of a stack gets the bits it gets alone
+
+
+@pytest.fixture(scope="module")
+def toy_models(toy_source, toy_target, toy_pretrained, toy_plan):
+    """Fine-tuned models whose heads differ in width: l2 heads cover the 3
+    target classes, cotrain heads the target and the 5 source classes."""
+    tgt, _ = toy_target
+    tgt_train, tgt_test = split(tgt, 0.25, seed=3)
+    cfg = TrainConfig(iterations=40, lr_drop_at=30, batch_size=8)
+    models = []
+    for strategy in (Strategy.l2(), Strategy.cotrain()):
+        for seed in (0, 1):
+            res = finetune(
+                toy_pretrained, tgt_train, toy_source, toy_plan, strategy,
+                replace(cfg, seed=seed), tgt_test,
+            )
+            models.append(res.params)
+    models.insert(1, toy_pretrained)
+    assert len({m.label_count for m in models}) == 3
+    return models, tgt_train
+
+
+def _fixed_chunks(size):
+    return lambda count, cell_bytes: [
+        range(i, min(i + size, count)) for i in range(0, count, size)
+    ]
+
+
+def test_stacked_probe_heads_equal_each_model_alone(toy_models, toy_source, toy_plan):
+    models, _ = toy_models
+    cfg = ProbeConfig(iterations=120)
+    aux = source_subsets(toy_source, toy_plan)[ProbeSubset.AUXILIARY]
+    data = probe_data(aux, cfg, ProbeSubset.AUXILIARY)
+    F = _features(models, data.train.X)
+    w, b = _train_probe_head(F, data.train.y, data.k, cfg)
+    assert w.shape == (len(models), data.k, models[0].feature_width)
+    for s, params in enumerate(models):
+        alone, _ = forward(params, data.train.X)
+        assert F[s].tobytes() == alone.tobytes()
+        w1, b1 = _train_probe_head(alone[None], data.train.y, data.k, cfg)
+        assert w[s].tobytes() == w1[0].tobytes()
+        assert b[s].tobytes() == b1[0].tobytes()
+    # the fits differ between models, so the stack did not share one
+    assert len({w[s].tobytes() for s in range(len(models))}) == len(models)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_stacked_probes_equal_each_model_alone(
+    toy_models, toy_source, toy_plan, monkeypatch, size
+):
+    models, _ = toy_models
+    assert len(models) == 5
+    cfg = ProbeConfig(iterations=120)
+    subsets = source_subsets(toy_source, toy_plan)
+    alone = {
+        kind: [linear_probe(m, subsets[kind], cfg, kind) for m in models]
+        for kind in (ProbeSubset.AUXILIARY, ProbeSubset.ABA)
+    }
+    monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(size))
+    for kind, expected in alone.items():
+        got = linear_probes(models, probe_data(subsets[kind], cfg, kind), cfg)
+        assert [r.subset for r in got] == [kind] * len(models)
+        assert [r.accuracy for r in got] == [r.accuracy for r in expected]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_stacked_spectra_equal_each_model_alone(toy_models, monkeypatch, size):
+    models, tgt_train = toy_models
+    batch = len(tgt_train)
+    alone = [spectrum(m, tgt_train, batch, seed=4).normalized for m in models]
+    monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(size))
+    got = spectra(models, tgt_train, batch, seed=4)
+    assert [g.normalized.tobytes() for g in got] == [a.tobytes() for a in alone]
+
+
+def test_stacked_singular_values_equal_each_matrix_alone():
+    rng = np.random.default_rng(55)
+    for shape in ((6, 12, 7), (3, 60, 32), (4, 5, 9)):
+        A = rng.normal(size=shape)
+        A[1] *= 1e-3  # a different scale settles on its own schedule
+        stacked = singular_values(A)
+        assert stacked.shape == (shape[0], min(shape[1:]))
+        for s in range(shape[0]):
+            assert stacked[s].tobytes() == singular_values(A[s]).tobytes()
+
+
+def test_a_settled_matrix_leaves_the_stack(monkeypatch):
+    """Orthogonal columns need no rotation: that matrix drops out after its
+    first sweep while the others go on rotating."""
+    rng = np.random.default_rng(56)
+    orthogonal = np.zeros((8, 5))
+    orthogonal[:5, :5] = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
+    A = np.stack([rng.normal(size=(8, 5)), orthogonal, rng.normal(size=(8, 5))])
+    sizes, rotations = [], []
+    sweep = analysis._jacobi_sweep
+
+    def spy(C, rounds, tol):
+        before = C.copy()
+        rotated = sweep(C, rounds, tol)
+        sizes.append(len(C))
+        rotations.append(
+            [not np.array_equal(x, y) for x, y in zip(before, C)]
+        )
+        assert rotations[-1] == rotated.tolist()
+        return rotated
+
+    monkeypatch.setattr(analysis, "_jacobi_sweep", spy)
+    svals = singular_values(A)
+    assert sizes[0] == 3 and rotations[0] == [True, False, True]
+    assert len(sizes) > 2 and set(sizes[1:-1]) == {2}
+    assert svals[1].tolist() == [5.0, 4.0, 3.0, 2.0, 1.0]
+    monkeypatch.setattr(analysis, "_jacobi_sweep", sweep)
+    for s in range(3):
+        assert svals[s].tobytes() == singular_values(A[s]).tobytes()
+
+
+def test_a_matrix_that_cannot_settle_is_named():
+    rng = np.random.default_rng(57)
+    orthogonal = np.eye(6)[:, :4]
+    A = np.stack([orthogonal, rng.normal(size=(6, 4)), rng.normal(size=(6, 4))])
+    with pytest.raises(NumericError) as info:
+        singular_values(A, max_sweeps=1)
+    assert info.value.cell == 1
+    with pytest.raises(NumericError) as info:
+        singular_values(A[1], max_sweeps=1)
+    assert info.value.cell is None
+    A[2, 3, 1] = np.inf
+    with pytest.raises(NumericError) as info:
+        singular_values(A)
+    assert info.value.cell == 2
+
+
+def test_spectra_name_the_model_across_chunks(toy_models, monkeypatch):
+    models, tgt_train = toy_models
+    broken = models[3].copy()
+    broken.layers[0][0][0, 0] = np.nan
+    monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(2))
+    with pytest.raises(NumericError) as info:
+        spectra(models[:3] + [broken], tgt_train, len(tgt_train))
+    assert info.value.cell == 3
+
+
+def test_chunks_cover_the_cells_within_the_byte_cap():
+    for count, cell_bytes in ((7, 1000), (7, CHUNK_BYTES // 3), (3, 2 * CHUNK_BYTES)):
+        chunks = _chunks(count, cell_bytes)
+        assert [i for c in chunks for i in c] == list(range(count))
+        for c in chunks:
+            assert len(c) == 1 or len(c) * cell_bytes <= CHUNK_BYTES
+    assert [len(c) for c in _chunks(7, CHUNK_BYTES // 3)] == [3, 3, 1]
+    assert [len(c) for c in _chunks(3, 2 * CHUNK_BYTES)] == [1, 1, 1]
+
+
+def test_probe_data_needs_a_held_out_row(toy_source):
+    # two rows per class: round(2 * 0.2) = 0 rows held out
+    two_each = Dataset(
+        toy_source.X[:4], np.array([0, 0, 1, 1]), 2, Domain.SOURCE
+    )
+    with pytest.raises(DataError, match="holds out no rows"):
+        probe_data(two_each, ProbeConfig(), ProbeSubset.ALL)
+    half = ProbeConfig(test_fraction=0.5)
+    assert len(probe_data(two_each, half, ProbeSubset.ALL).test) == 2

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from xmixup.cli import _load_config, main
 from xmixup.config import ExperimentConfig, config_from_json
 from xmixup.dataset import Dataset, load_dataset, save_dataset
-from xmixup.errors import ConfigError
+from xmixup.errors import ConfigError, NumericError
+from xmixup import harness
 from xmixup.harness import (
     COMPARISON_HEADER,
     Cell,
@@ -369,6 +370,63 @@ def test_target_split_too_small_for_the_spectrum_is_a_config_error(tmp_path, cap
             json.dumps({"data": {"target_per_class": per_class}, "seeds": [0]})
         )
         assert main(["gen-data", "--config", str(config), "--out", str(out)]) == code
+
+
+def test_source_split_too_small_for_the_probe_is_a_config_error(tmp_path, capsys):
+    # 3 - round(3 * 0.2) = 2 source-train rows per class, and the probe's
+    # split holds out round(2 * 0.2) = 0 of them: every command stops before
+    # it writes anything
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    commands = [
+        ["gen-data"], ["pretrain"], ["pair"], ["finetune"],
+        ["eval", "--params", str(tmp_path / "none.ckpt")], ["sweep-alpha"],
+        ["sweep-size"], ["randomize-aux"], ["ablate"], ["report"],
+    ]
+    for cmd in commands:
+        assert main([
+            *cmd, "--config", str(config), "--out", str(out),
+            "--set", "data.source_per_class=3",
+        ]) == 2, cmd
+    assert not out.exists()
+    assert "2 training rows per class" in capsys.readouterr().err
+    # 4 - 1 = 3 rows per class hold out round(0.6) = 1: the config loads
+    assert main([
+        "gen-data", "--config", str(config), "--out", str(out),
+        "--set", "data.source_per_class=4",
+    ]) == 0
+
+
+def test_an_unprobeable_subset_fails_before_any_cell_trains(
+    tmp_path, capsys, monkeypatch
+):
+    # a threshold above every sample selects all 8 source classes, which
+    # leaves the all-but-auxiliary probe subset empty
+    config = mini_config(tmp_path, threshold=100_000)
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    monkeypatch.setattr(harness, "run_grid", lambda *a: pytest.fail("trained"))
+    for cmd in ("finetune", "ablate"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
+        assert "cannot probe an empty subset" in capsys.readouterr().err
+    assert not (out / "runs").exists()
+
+
+def test_a_diagnostic_numeric_error_names_its_run(tmp_path, capsys, monkeypatch):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+
+    def unsettled(models, ds, batch, seed=0):
+        raise NumericError("Jacobi iteration did not settle in 60 sweeps", cell=1)
+
+    monkeypatch.setattr(harness, "spectra", unsettled)
+    assert main(["finetune", "--config", str(config), "--out", str(out)]) == 4
+    # cells run strategy-major: l2 seeds 0 and 1, then xmixup
+    assert "numeric error: l2-s1: Jacobi" in capsys.readouterr().err
+    assert not (out / "runs").exists()
 
 
 def test_corrupt_artifacts_are_data_errors(tmp_path):

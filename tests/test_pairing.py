@@ -1,6 +1,8 @@
 """Centroid pairing: cosine similarities, greedy vs optimal matching, and
 multi-round expansion of the auxiliary class selection.
 """
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -147,6 +149,37 @@ class TestOptimal:
     def test_refuses_large_instances(self):
         with pytest.raises(ValueError):
             optimal_pair(SimilarityMatrix(np.zeros((9, 12))))
+
+    def test_refuses_more_permutations_than_it_holds(self):
+        with pytest.raises(ValueError, match="permutations"):
+            optimal_pair(SimilarityMatrix(np.zeros((8, 12))))  # 19958400
+        assert optimal_pair(SimilarityMatrix(np.zeros((6, 12)))) == {
+            t: t for t in range(6)
+        }
+
+    def test_matches_the_permutation_loop_on_random_and_tied_matrices(self):
+        """The array scoring against the loop it replaced: totals summed in
+        target order, first maximum in permutation order kept."""
+
+        def loop_optimum(sims):
+            best_total, best = -np.inf, None
+            for perm in itertools.permutations(range(sims.shape[1]), sims.shape[0]):
+                total = sum(sims[t, s] for t, s in enumerate(perm))
+                if total > best_total:
+                    best_total, best = total, perm
+            return dict(enumerate(best))
+
+        rng = np.random.default_rng(44)
+        for trial in range(200):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(n, 9))
+            if trial % 2:
+                sims = rng.uniform(-1, 1, size=(n, m))
+            else:  # few distinct values: many permutations tie
+                sims = rng.choice([-0.5, 0.0, 0.1, 0.2, 0.3], size=(n, m))
+            assert optimal_pair(SimilarityMatrix(sims)) == loop_optimum(sims)
+        ties = SimilarityMatrix(np.full((3, 5), 0.25))
+        assert optimal_pair(ties) == {0: 0, 1: 1, 2: 2}
 
 
 class TestExpansion:
