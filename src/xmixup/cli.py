@@ -59,14 +59,19 @@ def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
     env = os.environ.get("XMIXUP_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"XMIXUP_SEED must be an integer, got {env!r}") from None
-        raw.setdefault("data", {})["seed"] = seed
-        raw.setdefault("pretrain", {})["seed"] = seed
+        for section in ("data", "pretrain"):
+            node = raw.setdefault(section, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"XMIXUP_SEED: {section} is not an object")
+            node["seed"] = seed
         raw["seeds"] = [seed]
     for assignment in overrides:
         _apply_set(raw, assignment)

@@ -100,10 +100,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("hidden", "strategies", "seeds", "alpha_grid", "threshold_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, list):  # a string stays one, for check_fields
+                object.__setattr__(self, name, tuple(value))
         check_fields(self)
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        if not self.alpha_grid:
+            raise ConfigError("alpha_grid must be non-empty")
         if not self.strategies:
             raise ConfigError("strategy list must be non-empty")
         if not self.hidden:

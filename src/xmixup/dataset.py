@@ -40,9 +40,6 @@ class Dataset:
     y: np.ndarray
     class_count: int
     domain: Domain
-    _class_indices: dict[int, np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
     _class_layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
@@ -81,12 +78,10 @@ class Dataset:
         )
 
     def indices_by_class(self) -> dict[int, np.ndarray]:
-        """Sample indices grouped by class, cached on first use."""
-        if self._class_indices is None:
-            self._class_indices = {
-                c: np.flatnonzero(self.y == c) for c in range(self.class_count)
-            }
-        return self._class_indices
+        """Sample indices grouped by class, ascending within a class: views
+        into class_layout()'s order."""
+        order, starts, _ = self.class_layout()
+        return dict(enumerate(np.split(order, starts[1:])))
 
     def class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, starts, sizes), cached on first use: `order` lists the
@@ -102,7 +97,7 @@ class Dataset:
         return self._class_layout
 
     def class_sizes(self) -> dict[int, int]:
-        return {c: len(idx) for c, idx in self.indices_by_class().items()}
+        return dict(enumerate(self.class_layout()[2].tolist()))
 
 
 @dataclass(frozen=True)
@@ -309,8 +304,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
-    for c in range(ds.class_count):
-        idx = ds.indices_by_class()[c]
+    for c, idx in ds.indices_by_class().items():
         if len(idx) < 2:
             raise DataError(
                 f"class {c} has {len(idx)} samples; need >= 2 to split"

@@ -14,12 +14,13 @@ whole batch, Marsaglia–Tsang as a masked rejection loop. The scalar
 sample_beta / sample_gamma are their one-draw reference and are not used in
 training.
 
-All three batched functions also take one generator per cell of a stack
-(and, for make_batch and sample_beta_batch, one MixupConfig per cell, so α
-may differ). Each generator is called exactly as it would be alone, in the
-same order and with the same sizes; only the calls themselves stay per
-cell. The lookups, gathers, blends and the Gamma rejection arithmetic run
-once on the concatenation of all cells.
+The three batched functions serve the cells of a stack: they take a list
+of generators, one per cell (make_batch and sample_beta_batch also a list
+of MixupConfigs, so α may differ), and return arrays with a leading (S,)
+cell axis; one cell is a stack of one. Each generator is called exactly as
+it would be alone, in the same order and with the same sizes; only the
+calls themselves stay per cell. The lookups, gathers, blends and the Gamma
+rejection arithmetic run once on the concatenation of all cells.
 """
 
 from __future__ import annotations
@@ -143,14 +144,11 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
     )
 
 
-def _cells(cfg, rng):
-    """(configs, generators, stacked) for a single (cfg, rng) pair or for
-    equal-length sequences of them, one per cell."""
-    if isinstance(rng, (list, tuple)):
-        if not isinstance(cfg, (list, tuple)) or len(cfg) != len(rng) or not rng:
-            raise ValueError("need one config per generator, and at least one")
-        return list(cfg), list(rng), True
-    return [cfg], [rng], False
+def _cells(cfgs, rngs) -> int:
+    """The number of cells: one config per generator, and at least one."""
+    if len(cfgs) != len(rngs) or not rngs:
+        raise ValueError("need one config per generator, and at least one")
+    return len(rngs)
 
 
 def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
@@ -190,9 +188,10 @@ def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
     return out
 
 
-def sample_gamma_batch(shapes, rng) -> np.ndarray:
-    """One Gamma(shapes[i], 1) variate per entry: Marsaglia–Tsang as a masked
-    rejection loop (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
+def sample_gamma_batch(shapes, rngs) -> np.ndarray:
+    """One Gamma(shapes[s, i], 1) variate per entry of the (S, n) `shapes`,
+    row s drawn from rngs[s]: Marsaglia–Tsang as a masked rejection loop
+    (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
 
     Each round gives every pending entry two candidates, (x, u) pairs of a
     normal and a uniform, and keeps the first that passes sample_gamma's
@@ -202,26 +201,18 @@ def sample_gamma_batch(shapes, rng) -> np.ndarray:
     array computes anyway. Shapes below 1 run the loop at shape + 1 and are
     then boosted, G(a) = G(a+1) · U^{1/a}, with uniforms drawn after it.
 
-    With a sequence of generators, `shapes` is a sequence of arrays, one per
-    generator, and the result is a list of arrays: each generator is called
-    exactly as a call of its own would call it (the normals and uniforms of
-    each round for its pending entries, then its boost uniforms), so each
-    array is bit for bit that call's result, while the arithmetic runs once
-    over all entries.
+    Each generator is called exactly as a call with its row alone would
+    call it (the normals and uniforms of each round for its pending
+    entries, then its boost uniforms), so each row of the result is bit for
+    bit that call's, while the arithmetic runs once over all entries.
     """
-    if isinstance(rng, (list, tuple)):
-        parts = [np.asarray(a, dtype=float).ravel() for a in shapes]
-        if len(parts) != len(rng):
-            raise ValueError("need one shape array per generator")
-        flat = np.concatenate(parts)
-    else:
-        flat = np.asarray(shapes, dtype=float)
-    if not flat.min() > 0:
-        raise ValueError(f"shapes must be positive, got {flat[~(flat > 0)][0]}")
-    if not isinstance(rng, (list, tuple)):
-        return _gamma(flat, [flat.size], [rng])
-    sizes = [a.size for a in parts]
-    return np.split(_gamma(flat, sizes, list(rng)), np.cumsum(sizes)[:-1])
+    shapes = np.asarray(shapes, dtype=float)
+    if shapes.ndim != 2 or len(shapes) != len(rngs):
+        raise ValueError("need one row of shapes per generator")
+    if not shapes.min() > 0:
+        raise ValueError(f"shapes must be positive, got {shapes[~(shapes > 0)][0]}")
+    sizes = [shapes.shape[1]] * len(rngs)
+    return _gamma(shapes.ravel(), sizes, rngs).reshape(shapes.shape)
 
 
 def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
@@ -256,8 +247,9 @@ def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
     return np.concatenate([parts[s] for s in cells])
 
 
-def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
-    """n independent λ ~ Beta(α, β) in (0, 1), drawn as arrays.
+def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
+    """n independent λ ~ Beta(α, β) in (0, 1) for each cell, as an (S, n)
+    array whose row s is drawn with cfgs[s] from rngs[s].
 
     β = 1 uses the inverse CDF λ = U^{1/α}; any other β uses the ratio of
     two sample_gamma_batch draws, both shapes in one call. Entries that round
@@ -265,29 +257,28 @@ def sample_beta_batch(cfg: MixupConfig, n: int, rng) -> np.ndarray:
     per entry, after which NumericError is raised. This is the sampler
     training uses; sample_beta is its one-draw reference.
 
-    With sequences of configs and generators, one of each per cell, the
-    result is (S, n) and row s is bit for bit sample_beta_batch(cfg[s], n,
-    rng[s]): every generator sees the calls of its own cell in its own
-    order, redraws included. A NumericError then names the cell in `cell`.
+    Every generator sees the calls of its own cell in its own order,
+    redraws included, so row s is bit for bit what the call with cfgs[s]
+    and rngs[s] alone returns. A NumericError names the cell in `cell`.
     """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    cfgs, rngs, stacked = _cells(cfg, rng)
-    lam = np.empty(len(cfgs) * n)  # row-major (S, n)
+    S = _cells(cfgs, rngs)
+    lam = np.empty(S * n)  # row-major (S, n)
     todo = slice(None)  # the entries drawn in this round, in cell order
-    counts = [n] * len(cfgs)
+    counts = [n] * S
     for _ in range(MAX_BETA_DRAWS):
         lam[todo] = _beta_draws(cfgs, counts, rngs)
         drawn = lam[todo]
         if drawn.min() > 0.0 and drawn.max() < 1.0:
-            return lam.reshape(len(cfgs), n) if stacked else lam
+            return lam.reshape(S, n)
         todo = np.arange(lam.size)[todo][~((drawn > 0.0) & (drawn < 1.0))]
-        counts = np.bincount(todo // n, minlength=len(cfgs)).tolist()
+        counts = np.bincount(todo // n, minlength=S).tolist()
     cell = int(todo[0] // n)
     raise NumericError(
         f"Beta({cfgs[cell].alpha}, {cfgs[cell].beta}) gave no draw inside (0, 1) "
         f"in {MAX_BETA_DRAWS} tries",
-        cell=cell if stacked else None,
+        cell=cell,
     )
 
 
@@ -296,23 +287,20 @@ def make_batch(
     src: Dataset,
     plan: PairingPlan,
     space: LabelSpace,
-    cfg: MixupConfig,
+    cfgs: list[MixupConfig],
     batch_size: int,
-    rng,
+    rngs,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A mini-batch of mixed rows as stacked inputs X and soft labels P.
+    """A mini-batch of mixed rows for each cell: inputs X (S, B, d) and soft
+    labels P (S, B, L), cell s drawn with cfgs[s] from rngs[s].
 
-    Every draw is one array per batch, in this order: the target rows
-    (uniform with replacement), for each row one source class paired to its
-    target class (uniform over all rounds), one sample of that class, and
-    the λ column from sample_beta_batch. A target class the plan misses
-    raises KeyError.
-
-    With sequences of configs and generators, one of each per cell, X is
-    (S, B, d) and P (S, B, L), and cell s is bit for bit what make_batch
-    with cfg[s] and rng[s] returns: each generator makes its cell's calls in
-    the order above, and the lookups, gathers and blends run once for all
-    cells.
+    Every draw is one array per batch and cell, in this order: the target
+    rows (uniform with replacement), for each row one source class paired
+    to its target class (uniform over all rounds), one sample of that
+    class, and the λ column from sample_beta_batch. Each generator makes
+    its cell's calls in that order, so cell s is bit for bit what the call
+    with cfgs[s] and rngs[s] alone returns; the lookups, gathers and blends
+    run once for all cells. A target class the plan misses raises KeyError.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -320,7 +308,7 @@ def make_batch(
         raise DataError("cannot draw a batch from an empty target dataset")
     if src.d != tgt_train.d:
         raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
-    cfgs, rngs, stacked = _cells(cfg, rng)
+    S = _cells(cfgs, rngs)
     table, counts = plan.paired_table(space.n_target)
     order, starts, sizes = src.class_layout()
     picks = np.array([r.integers(len(tgt_train), size=batch_size) for r in rngs])
@@ -337,8 +325,8 @@ def make_batch(
     lam = sample_beta_batch(cfgs, batch_size, rngs)
     mu = 1.0 - lam
     X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
-    P = np.zeros((len(rngs), batch_size, space.size))
-    at = (np.arange(len(rngs))[:, None], np.arange(batch_size))
+    P = np.zeros((S, batch_size, space.size))
+    at = (np.arange(S)[:, None], np.arange(batch_size))
     P[at + (targets,)] = lam
     P[at + (space.source_columns[cls],)] = mu
-    return (X, P) if stacked else (X[0], P[0])
+    return X, P

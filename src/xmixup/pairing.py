@@ -27,25 +27,6 @@ _ZERO_NORM = 1e-12
 
 
 @dataclass
-class CentroidBank:
-    """Per-class mean feature vectors with the sample counts behind them."""
-
-    centroids: dict[int, np.ndarray]
-    counts: dict[int, int]
-
-    def __post_init__(self):
-        widths = {v.shape for v in self.centroids.values()}
-        if len(widths) > 1:
-            raise ValueError(f"centroids disagree on width: {widths}")
-        if any(c < 1 for c in self.counts.values()):
-            raise ValueError("centroid counts must be >= 1")
-
-    @property
-    def feature_width(self) -> int:
-        return next(iter(self.centroids.values())).shape[0]
-
-
-@dataclass
 class SimilarityMatrix:
     """Cosine similarities, one row per target class, one column per source class."""
 
@@ -133,35 +114,29 @@ class PairingPlan:
         return out
 
 
-def compute_centroids(ds: Dataset, params: ModelParams) -> CentroidBank:
-    """Mean extractor feature per class: centroid(c) = (1/|c|) sum_x features(x)."""
+def compute_centroids(ds: Dataset, params: ModelParams) -> np.ndarray:
+    """Mean extractor feature per class as a (class_count, h) matrix: row c
+    is centroid(c) = (1/|c|) sum_x features(x)."""
     feats, _ = forward(params, ds.X)
-    centroids = {}
-    counts = {}
-    by_class = ds.indices_by_class()
-    for c in range(ds.class_count):
-        idx = by_class[c]
+    rows = []
+    for c, idx in ds.indices_by_class().items():
         if len(idx) == 0:
             raise DataError(f"class {c} has no samples; cannot form a centroid")
-        centroids[c] = feats[idx].mean(axis=0)
-        counts[c] = len(idx)
-    return CentroidBank(centroids, counts)
+        rows.append(feats[idx].mean(axis=0))
+    return np.stack(rows)
 
 
-def similarity(src: CentroidBank, tgt: CentroidBank) -> SimilarityMatrix:
-    """Pairwise cosine similarity between target and source centroids."""
-    if src.feature_width != tgt.feature_width:
-        raise ValueError(
-            f"centroid widths differ: {src.feature_width} vs {tgt.feature_width}"
-        )
+def similarity(src: np.ndarray, tgt: np.ndarray) -> SimilarityMatrix:
+    """Pairwise cosine similarity between target and source centroids, given
+    as compute_centroids' matrices (row c for class c)."""
+    if src.shape[1] != tgt.shape[1]:
+        raise ValueError(f"centroid widths differ: {src.shape[1]} vs {tgt.shape[1]}")
 
-    def unit(bank: CentroidBank, side: str) -> np.ndarray:
-        mat = np.stack([bank.centroids[c] for c in sorted(bank.centroids)])
+    def unit(mat: np.ndarray, side: str) -> np.ndarray:
         norms = np.linalg.norm(mat, axis=1)
-        small = np.nonzero(norms <= _ZERO_NORM)[0]
+        small = np.flatnonzero(norms <= _ZERO_NORM)
         if small.size:
-            cls = sorted(bank.centroids)[small[0]]
-            raise NumericError(f"{side} class {cls} has a zero-norm centroid")
+            raise NumericError(f"{side} class {small[0]} has a zero-norm centroid")
         return mat / norms[:, None]
 
     return SimilarityMatrix(unit(tgt, "target") @ unit(src, "source").T)

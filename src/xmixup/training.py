@@ -1,14 +1,19 @@
 """Pre-training and the seven fine-tuning strategies under comparison.
 
-All strategies share the SGD loop from the model module and a head over the
-unified label space (target classes first, then any selected source classes).
-The non-trivial ones:
+Every strategy fine-tunes a pre-trained extractor with a fresh head over the
+unified label space (target classes first, then any selected source
+classes), and every one is the same SGD loop fed a different batch: a
+strategy is a list of phases (TrainConfig, batch, loss), and one driver,
+_run_sgd, runs every phase and pretrain alike. The batches are target rows,
+in-domain mixed rows, cross-domain mixed rows, auxiliary source rows and
+co-train rows; the losses are soft-target cross-entropy, L2-SP and the
+masked softmax. The non-trivial strategies:
 
 - L2SP adds mu * ||theta_ext - theta_pretrain,ext||^2 on the extractor, with
   the gradient 2*mu*(theta - theta_0) added analytically.
 - XMixup trains on cross-domain mixed batches; the no-label variant keeps the
   identical mixed inputs but uses the pure target label.
-- SeqTrain splits the budget: first tune on auxiliary source samples under
+- SeqTrain is two phases: first tune on auxiliary source samples under
   their own labels, then fine-tune on target data.
 - CoTrain trains half-target/half-auxiliary batches with a masked softmax:
   target rows normalize over target logits only, source rows over source
@@ -17,14 +22,14 @@ The non-trivial ones:
 finetune trains one cell or a list of cells that share a strategy kind, a
 pairing plan and a TrainConfig up to its seed (mixing cells may differ in
 their MixupConfig, e.g. α). The cells train as one stack of S models (see
-the model module) in one loop whose single-cell case is S = 1: every cell
-keeps its own generators and draws from them in the order a lone run
-would, and everything after the draws (lookups, gathers, blends, forward,
-backward, the checks and the SGD update) runs once per step for the stack.
-So every cell's parameters, loss trace and accuracy are bit for bit those
-of the cell trained alone, whichever cells ride with it. A lone cell runs
-the same steps on the arrays of one model, without the stack axis.
-"""
+the model module): every cell keeps its own generators and draws from them
+in the order a lone run would, and everything after the draws (lookups,
+gathers, blends, forward, backward, the checks and the SGD update) runs
+once per step for the stack. So every cell's parameters, loss trace and
+accuracy are bit for bit those of the cell trained alone, whichever cells
+ride with it. Every batch carries the leading (S,) cell axis; a lone cell
+trains the arrays of one model, and the driver drops that axis from its
+batches."""
 
 from __future__ import annotations
 
@@ -173,22 +178,31 @@ def result_to_json(result: RunResult) -> dict:
     }
 
 
-def _run_sgd(params, cfg, step_fn, cells: list[str] | None = None) -> np.ndarray:
-    """Drive `cfg.iterations` steps of step_fn(params, it, out) -> (loss,
-    grads), updating params in place; returns the loss trace, shaped
-    (iterations,) for one model and (iterations, S) for a stack.
+def _run_sgd(
+    params, cfg, batch_fn, loss_fn, cells: list[str] | None = None
+) -> np.ndarray:
+    """Drive `cfg.iterations` SGD steps, updating params in place; returns
+    the loss trace, shaped (iterations,) for one model and (iterations, S)
+    for a stack.
 
-    One gradient buffer `out` and one velocity live for the whole run;
-    step_fn writes the gradients into `out`. A NumericError is raised again
-    with the iteration and, for a stack, the name in `cells` of the cell it
-    concerns.
+    Each step draws a batch, a tuple of arrays with a leading stack axis,
+    from batch_fn() and takes loss_fn(params, *batch, out) -> (loss, grads),
+    which writes the gradients into `out`. When params is one model, not a
+    stack, the driver drops the stack axis from every batch array: numpy
+    spends about 6 % more per loss call on a stack of one. One gradient
+    buffer `out` and one velocity live for the whole run. A NumericError is
+    raised again with the iteration and, when `cells` names the models, the
+    name of the cell it concerns.
     """
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
     trace = np.empty((cfg.iterations,) + params.flat.shape[:-1])
     for it in range(cfg.iterations):
         try:
-            loss, grads = step_fn(params, it, out)
+            batch = batch_fn()
+            if not params.stacked:
+                batch = [a[0] for a in batch]
+            loss, grads = loss_fn(params, *batch, out)
             sgd_step(params, grads, velocity, cfg, it)
         except NumericError as e:
             where = f"iteration {it}: {e}"
@@ -200,6 +214,12 @@ def _run_sgd(params, cfg, step_fn, cells: list[str] | None = None) -> np.ndarray
     return trace
 
 
+def _draw(rngs: list, high, size: int) -> np.ndarray:
+    """`size` indices below `high` from each generator: the (S, size) index
+    array, one row per cell."""
+    return np.array([rng.integers(high, size=size) for rng in rngs])
+
+
 def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelParams:
     """Train extractor + source head from scratch on the source dataset."""
     if src_train.class_count < 2:
@@ -207,15 +227,15 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     if len(src_train) == 0:
         raise DataError("cannot pre-train on an empty dataset")
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
-    rng = np.random.default_rng([cfg.seed, 1])
+    rng = [np.random.default_rng([cfg.seed, 1])]
     X, y = src_train.X, src_train.y
     eye = np.eye(src_train.class_count)
 
-    def step(p, it, out):
-        idx = rng.integers(len(X), size=cfg.batch_size)
-        return loss_and_grad_arrays(p, X.take(idx, 0), eye.take(y[idx], 0), out)
+    def batch():
+        idx = _draw(rng, len(X), cfg.batch_size)
+        return X.take(idx, 0), eye.take(y[idx], 0)
 
-    _run_sgd(params, cfg, step)
+    _run_sgd(params, cfg, batch, loss_and_grad_arrays)
     return params
 
 
@@ -310,10 +330,10 @@ def _aux_pool(src: Dataset, space: LabelSpace):
     return idx, space.source_columns[src.y[idx]]
 
 
-def _rescale_drop(cfg: TrainConfig, iterations: int) -> int:
-    if cfg.iterations == 0:
-        return 0
-    return int(round(iterations * cfg.lr_drop_at / cfg.iterations))
+def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
+    """cfg cut to `iterations`, its learning-rate drop moved in proportion."""
+    drop = round(iterations * cfg.lr_drop_at / cfg.iterations) if cfg.iterations else 0
+    return replace(cfg, iterations=iterations, lr_drop_at=drop)
 
 
 def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
@@ -321,14 +341,6 @@ def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
     if strategy.mixup is not None:
         name += f" alpha {strategy.mixup.alpha:g}"
     return name
-
-
-def _draw(rngs, high, size: int) -> np.ndarray:
-    """`size` indices below `high` from one generator, or from a list of
-    generators one row each: the (S, size) index array of a stacked draw."""
-    if isinstance(rngs, list):
-        return np.array([rng.integers(high, size=size) for rng in rngs])
-    return rngs.integers(high, size=size)
 
 
 def finetune(
@@ -405,79 +417,70 @@ def finetune(
             for c in cfgs
         ]
     )
-    # a lone cell runs the same code on the arrays of one model, without the
-    # stack axis: numpy spends about 6 % more per loss-and-gradient call on
-    # a stack of one. Every per-cell list below is then its one entry.
-    lone = len(cfgs) == 1
-    params = stack.row(0) if lone else stack
-
-    def per_cell(values: list):
-        return values[0] if lone else values
-
-    rng_batch = per_cell([np.random.default_rng([c.seed, 1]) for c in cfgs])
+    params = stack if len(cfgs) > 1 else stack.row(0)  # see _run_sgd
+    rng_batch = [np.random.default_rng([c.seed, 1]) for c in cfgs]
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
     B = cfg.batch_size
+    half = B // 2
     cells = [_cell_name(s, c) for s, c in zip(strategies, cfgs)]
-
-    def target_step(p, it, out):
-        idx = _draw(rng_batch, len(tgt_X), B)
-        return loss_and_grad_arrays(p, tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0), out)
-
     if first.mixup is not None:
-        mixups = per_cell([s.mixup for s in strategies])
-        rng_mix = per_cell(
-            [
-                np.random.default_rng([c.seed, 2, s.mixup.seed])
-                for s, c in zip(strategies, cfgs)
-            ]
-        )
+        mixups = [s.mixup for s in strategies]
+        rng_mix = [
+            np.random.default_rng([c.seed, 2, s.mixup.seed])
+            for s, c in zip(strategies, cfgs)
+        ]
+    if kind in (StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN):
+        pool, pool_labels = _aux_pool(src, space)
+
+    # the batches: each returns arrays with a leading (S,) cell axis
+    def target():
+        idx = _draw(rng_batch, len(tgt_X), B)
+        return tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0)
+
+    def in_domain():
+        i1 = _draw(rng_batch, len(tgt_X), B)
+        i2 = _draw(rng_batch, len(tgt_X), B)
+        lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
+        X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
+        P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
+        return X, P
+
+    def mixed():
+        X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
+        if kind is StrategyKind.XMIXUP_NO_LABEL:
+            # keep the mixed inputs, relabel with the pure target class (the
+            # lone nonzero in the target block)
+            P = eye.take(P[..., :n].argmax(axis=-1), 0)
+        return X, P
+
+    def auxiliary():
+        idx = _draw(rng_aux, len(pool), B)
+        return src.X.take(pool[idx], 0), eye.take(pool_labels[idx], 0)
+
+    def cotrain():
+        ti = _draw(rng_batch, len(tgt_X), half)
+        si = _draw(rng_batch, len(pool), B - half)
+        X = np.concatenate([tgt_X.take(ti, 0), src.X.take(pool[si], 0)], axis=-2)
+        return X, np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
+
+    # the losses besides plain cross-entropy, loss_and_grad_arrays
+    def l2sp(p, X, P, out):
+        loss, grads = loss_and_grad_arrays(p, X, P, out)
+        pen, pgrads = sp_penalty(p, pretrained, first.sp_weight)
+        grads.flat += pgrads.flat
+        return loss + pen, grads
+
+    def masked(p, X, labels, out):
+        return masked_loss_and_grad(p, X, labels, n, half, out)
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
     configs = [
         {"strategy": s.to_config(), "train": asdict(c), "label_space": label_space}
         for s, c in zip(strategies, cfgs)
     ]
-
-    if kind in (StrategyKind.L2, StrategyKind.L2SP):
-        if kind is StrategyKind.L2:
-            step = target_step
-        else:
-
-            def step(p, it, out):
-                loss, grads = target_step(p, it, out)
-                pen, pgrads = sp_penalty(p, pretrained, first.sp_weight)
-                grads.flat += pgrads.flat
-                return loss + pen, grads
-
-        trace = _run_sgd(params, cfg, step, cells)
-
-    elif kind is StrategyKind.MIXUP_IN_DOMAIN:
-
-        def step(p, it, out):
-            i1 = _draw(rng_batch, len(tgt_X), B)
-            i2 = _draw(rng_batch, len(tgt_X), B)
-            lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
-            X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
-            P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
-            return loss_and_grad_arrays(p, X, P, out)
-
-        trace = _run_sgd(params, cfg, step, cells)
-
-    elif kind in (StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL):
-        drop_label = kind is StrategyKind.XMIXUP_NO_LABEL
-
-        def step(p, it, out):
-            X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
-            if drop_label:
-                # keep the mixed inputs, relabel with the pure target class
-                # (the lone nonzero in the target block)
-                P = eye.take(P[..., :n].argmax(axis=-1), 0)
-            return loss_and_grad_arrays(p, X, P, out)
-
-        trace = _run_sgd(params, cfg, step, cells)
-
-    elif kind is StrategyKind.SEQ_TRAIN:
+    # every strategy is a list of phases (budget, batch, loss)
+    if kind is StrategyKind.SEQ_TRAIN:
         mid = first.midtune_iterations
         if mid is None:
             mid = cfg.iterations // 2
@@ -487,42 +490,24 @@ def finetune(
             )
         for config in configs:
             config["strategy"]["midtune_iterations"] = mid
-        pool, pool_labels = _aux_pool(src, space)
-        rng_aux = per_cell([np.random.default_rng([c.seed, 3]) for c in cfgs])
-
-        def aux_step(p, it, out):
-            idx = _draw(rng_aux, len(pool), B)
-            return loss_and_grad_arrays(
-                p, src.X.take(pool[idx], 0), eye.take(pool_labels[idx], 0), out
-            )
-
-        cfg1 = replace(cfg, iterations=mid, lr_drop_at=_rescale_drop(cfg, mid))
-        rest = cfg.iterations - mid
-        cfg2 = replace(cfg, iterations=rest, lr_drop_at=_rescale_drop(cfg, rest))
-        trace = np.concatenate(
-            [
-                _run_sgd(params, cfg1, aux_step, cells),
-                _run_sgd(params, cfg2, target_step, cells),
-            ]
-        )
-
-    elif kind is StrategyKind.CO_TRAIN:
-        pool, pool_labels = _aux_pool(src, space)
-        half = B // 2
-
-        def step(p, it, out):
-            ti = _draw(rng_batch, len(tgt_X), half)
-            si = _draw(rng_batch, len(pool), B - half)
-            X = np.concatenate([tgt_X.take(ti, 0), src.X.take(pool[si], 0)], axis=-2)
-            labels = np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
-            return masked_loss_and_grad(p, X, labels, n, half, out)
-
-        trace = _run_sgd(params, cfg, step, cells)
-
-    else:  # pragma: no cover - exhaustive over StrategyKind
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-
-    trace = trace.reshape(len(trace), -1)  # (iterations, S), a lone cell too
+        rng_aux = [np.random.default_rng([c.seed, 3]) for c in cfgs]
+        phases = [
+            (_budget(cfg, mid), auxiliary, loss_and_grad_arrays),
+            (_budget(cfg, cfg.iterations - mid), target, loss_and_grad_arrays),
+        ]
+    else:
+        batch, loss = {
+            StrategyKind.L2: (target, loss_and_grad_arrays),
+            StrategyKind.L2SP: (target, l2sp),
+            StrategyKind.MIXUP_IN_DOMAIN: (in_domain, loss_and_grad_arrays),
+            StrategyKind.XMIXUP: (mixed, loss_and_grad_arrays),
+            StrategyKind.XMIXUP_NO_LABEL: (mixed, loss_and_grad_arrays),
+            StrategyKind.CO_TRAIN: (cotrain, masked),
+        }[kind]
+        phases = [(cfg, batch, loss)]
+    trace = np.concatenate(
+        [_run_sgd(params, c, batch, loss, cells) for c, batch, loss in phases]
+    ).reshape(-1, len(cfgs))  # (iterations, S), a lone cell too
     results = []
     for s, (c, config) in enumerate(zip(cfgs, configs)):
         model = stack.row(s)

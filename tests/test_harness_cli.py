@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from datetime import timedelta
@@ -458,6 +459,30 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert main(["gen-data", "--config", str(config), "--out", str(env_out)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,seed_env,overrides",
+    [
+        ("[]", None, ["--set", "seeds=[1]"]),
+        ("[]", "3", []),
+        ('{"data": 5}', "3", []),
+        ('{"pretrain": [0]}', "3", []),
+    ],
+)
+def test_a_config_that_is_not_an_object_exits_2_before_writing(
+    tmp_path, monkeypatch, text, seed_env, overrides
+):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    if seed_env is None:
+        monkeypatch.delenv("XMIXUP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("XMIXUP_SEED", seed_env)
+    out = tmp_path / "out"
+    argv = ["gen-data", "--config", str(config), "--out", str(out), *overrides]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_set_flag_beats_env(tmp_path, monkeypatch):
     config = mini_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -523,6 +548,9 @@ def test_pair_uses_configured_threshold(tmp_path):
         "alpha_grid=[2.0, 2.0]",
         "alpha_grid=[1, 1.0]",
         "threshold_grid=[30, 30]",
+        "alpha_grid=[]",
+        "alpha_grid=\"\"",
+        "threshold_grid=\"\"",
     ],
 )
 def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assignment):
@@ -624,12 +652,17 @@ TINY = {
     },
     "hidden": [6, 4],
 }
-SCHEMA_KEYS = sorted(
-    [f"{section}.{key}" for section, fields in ExperimentConfig().to_json().items()
-     if isinstance(fields, dict) for key in fields]
-    + [key for key, value in ExperimentConfig().to_json().items()
-       if not isinstance(value, dict)]
-)
+DEFAULTS = {
+    f"{section}.{key}": value
+    for section, fields in ExperimentConfig().to_json().items()
+    if isinstance(fields, dict)
+    for key, value in fields.items()
+} | {
+    key: value
+    for key, value in ExperimentConfig().to_json().items()
+    if not isinstance(value, dict)
+}
+SCHEMA_KEYS = sorted(DEFAULTS)
 SCALARS = st.one_of(
     st.integers(min_value=-5, max_value=12),
     st.floats(min_value=-10, max_value=10),
@@ -663,3 +696,74 @@ def test_fuzzed_set_values_end_in_a_documented_exit_code(overrides):
         ):
             code = main(argv)  # any exception fails the test with its traceback
         assert code in (0, 2, 3)
+
+
+# The training commands on a lab of TINY, with a few iterations of each loop
+# and a pairing round that leaves source classes for the forgetting probe.
+TINY_LAB = {
+    **TINY,
+    "pretrain": {"iterations": 6, "lr_drop_at": 4, "batch_size": 8},
+    "finetune": {"iterations": 4, "lr_drop_at": 2, "batch_size": 8},
+    "probe": {"iterations": 3},
+    "threshold": 10,
+    "seeds": [0, 1],
+    "alpha_grid": [1.0, 4.0],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_lab(tmp_path_factory):
+    """gen-data, pretrain and pair of TINY_LAB: (config, output directory)."""
+    root = tmp_path_factory.mktemp("tiny_lab")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_LAB))
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(root / "out")]) == 0
+    return config, root / "out"
+
+
+def typed_values(default):
+    """Values of the default's JSON type, most of them in range: without
+    them nearly every fuzzed config stops at its checks."""
+    if isinstance(default, (list, tuple)):
+        named = default and isinstance(default[0], str)
+        items = st.sampled_from(default) if named else st.integers(0, 12)
+        return st.lists(items, min_size=1, max_size=3, unique=True)
+    if isinstance(default, float):
+        return st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    return st.integers(min_value=0, max_value=12)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep-alpha"])
+@settings(
+    max_examples=30,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    typed=st.lists(
+        st.sampled_from(SCHEMA_KEYS).flatmap(
+            lambda key: st.tuples(st.just(key), typed_values(DEFAULTS[key]))
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    wild=st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), VALUES), max_size=1),
+)
+def test_fuzzed_set_values_in_training_commands_end_in_a_documented_exit_code(
+    tiny_lab, command, typed, wild
+):
+    config, lab = tiny_lab
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(lab, out)
+        argv = [command, "--config", str(config), "--out", str(out)]
+        for key, value in typed + wild:
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            stderr
+        ):
+            code = main(argv)  # any exception fails the test with its traceback
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()

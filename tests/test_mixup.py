@@ -113,7 +113,7 @@ def test_sample_beta_batch_moments_within_three_standard_errors():
     for a, b in SHAPE_GRID:
         cfg = MixupConfig(alpha=a, beta=b, seed=0)
         rng = np.random.default_rng([17, int(a * 100), int(b * 100)])
-        x = sample_beta_batch(cfg, n, rng)
+        x = sample_beta_batch([cfg], n, [rng])[0]
         m1, m2, m3, m4 = (beta_raw_moment(a, b, k) for k in (1, 2, 3, 4))
         mean, var = m1, m2 - m1 * m1
         mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
@@ -129,8 +129,8 @@ def test_sample_beta_batch_paths_agree_in_distribution(alpha):
     cfg = MixupConfig(alpha=alpha, beta=1.0, seed=0)
     rng1 = np.random.default_rng([23, int(alpha * 100), 1])
     rng2 = np.random.default_rng([23, int(alpha * 100), 2])
-    inverse_cdf = sample_beta_batch(cfg, m, rng1)
-    g = sample_gamma_batch(np.repeat((alpha, 1.0), m), rng2)
+    inverse_cdf = sample_beta_batch([cfg], m, [rng1])[0]
+    g = sample_gamma_batch([np.repeat((alpha, 1.0), m)], [rng2])[0]
     ratio = g[:m] / (g[:m] + g[m:])
     assert stats.ks_2samp(inverse_cdf, ratio).statistic < 1.628 * np.sqrt(2.0 / m)
 
@@ -139,7 +139,7 @@ def test_sample_gamma_batch_matches_reference_distribution():
     # one call over mixed shapes: the boost must reach exactly the shapes < 1
     shapes = (0.4, 1.0, 2.5, 7.0)
     m = 4000
-    x = sample_gamma_batch(np.repeat(shapes, m), np.random.default_rng(33))
+    x = sample_gamma_batch([np.repeat(shapes, m)], [np.random.default_rng(33)])[0]
     assert np.all(x > 0)
     for i, shape in enumerate(shapes):
         stat = stats.kstest(x[i * m : (i + 1) * m], stats.gamma(shape).cdf).statistic
@@ -151,18 +151,20 @@ def test_sample_beta_batch_stays_in_open_interval(alpha, beta):
     # at shape 1e-3 about half of the draws (U^1000 or the gamma boost)
     # underflow to 0, so many lambdas are 0, 1 or 0/0 and must be redrawn
     cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
-    x = sample_beta_batch(cfg, 5000, np.random.default_rng([37, int(alpha * 1000)]))
-    assert x.shape == (5000,)
+    rng = np.random.default_rng([37, int(alpha * 1000)])
+    x = sample_beta_batch([cfg], 5000, [rng])
+    assert x.shape == (1, 5000)
     assert np.all(x > 0.0) and np.all(x < 1.0)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_sample_beta_batch_is_deterministic_per_rng_state(beta):
     cfg = MixupConfig(alpha=2.0, beta=beta, seed=0)
-    a = sample_beta_batch(cfg, 64, np.random.default_rng(3))
-    b = sample_beta_batch(cfg, 64, np.random.default_rng(3))
+    a = sample_beta_batch([cfg], 64, [np.random.default_rng(3)])
+    b = sample_beta_batch([cfg], 64, [np.random.default_rng(3)])
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_beta_batch(cfg, 64, np.random.default_rng(4)))
+    c = sample_beta_batch([cfg], 64, [np.random.default_rng(4)])
+    assert not np.array_equal(a, c)
 
 
 class CountingRng:
@@ -187,7 +189,7 @@ def test_sample_beta_batch_gives_up_after_max_draws(beta):
     cfg = MixupConfig(alpha=1e300, beta=beta, seed=0)
     rng = CountingRng(0)
     with pytest.raises(NumericError):
-        sample_beta_batch(cfg, 8, rng)
+        sample_beta_batch([cfg], 8, [rng])
     if beta == 1.0:
         assert rng.random_calls == MAX_BETA_DRAWS
 
@@ -195,12 +197,19 @@ def test_sample_beta_batch_gives_up_after_max_draws(beta):
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
 def test_sample_gamma_batch_rejects_non_positive_shapes(bad):
     with pytest.raises(ValueError):
-        sample_gamma_batch(np.array([1.0, bad, 2.0]), np.random.default_rng(0))
+        sample_gamma_batch([[1.0, bad, 2.0]], [np.random.default_rng(0)])
+
+
+def test_sample_gamma_batch_needs_one_row_of_shapes_per_generator():
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    for shapes in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0]], [[2.0]]]):
+        with pytest.raises(ValueError):
+            sample_gamma_batch(shapes, rngs)
 
 
 def test_sample_beta_batch_rejects_an_empty_request():
     with pytest.raises(ValueError):
-        sample_beta_batch(MixupConfig(), 0, np.random.default_rng(0))
+        sample_beta_batch([MixupConfig()], 0, [np.random.default_rng(0)])
 
 
 def test_label_space_indexing():
@@ -241,7 +250,7 @@ def reference_batch(tgt, src, plan, space, cfg, batch_size, rng):
     rounds = rng.integers([len(p) for p in paired])
     pools = [by_class[p[r]] for p, r in zip(paired, rounds)]
     picks = rng.integers([len(pool) for pool in pools])
-    lams = sample_beta_batch(cfg, batch_size, rng)
+    lams = sample_beta_batch([cfg], batch_size, [rng])[0]
     xs, ps = [], []
     for i, pool, k, lam in zip(rows, pools, picks, lams.tolist()):
         t = int(tgt.y[i])
@@ -268,10 +277,10 @@ def test_mix_convex_combination(mix_world):
         cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
         rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
         for _ in range(20):
-            X, P = make_batch(tgt, src, plan, space, cfg, 8, rng_a)
+            X, P = make_batch(tgt, src, plan, space, [cfg], 8, [rng_a])
             X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
-            assert np.array_equal(X, X_ref)
-            assert np.array_equal(P, P_ref)
+            assert np.array_equal(X[0], X_ref)
+            assert np.array_equal(P[0], P_ref)
 
 
 def test_mix_validates_inputs(mix_world):
@@ -280,7 +289,7 @@ def test_mix_validates_inputs(mix_world):
     wide = Dataset(np.hstack([src.X, src.X]), src.y, src.class_count, Domain.SOURCE)
     with pytest.raises(ValueError):
         make_batch(
-            tgt, wide, plan, mix_space(tgt, plan), cfg, 4, np.random.default_rng(0)
+            tgt, wide, plan, mix_space(tgt, plan), [cfg], 4, [np.random.default_rng(0)]
         )
 
 
@@ -294,10 +303,10 @@ def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
     _, P = make_batch(
-        tgt, src, plan, mix_space(tgt, plan), cfg, 16, np.random.default_rng(seed)
+        tgt, src, plan, mix_space(tgt, plan), [cfg], 16, [np.random.default_rng(seed)]
     )
     assert P.min() >= 0.0
-    assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(P.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_draw_auxiliary_only_uses_planned_classes(mix_world):
@@ -311,8 +320,8 @@ def test_draw_auxiliary_only_uses_planned_classes(mix_world):
     def aux_classes(target_class, batch_size, which_plan=plan):
         keep = tgt.y == target_class
         only = Dataset(tgt.X[keep], tgt.y[keep], tgt.class_count, Domain.TARGET)
-        _, P = make_batch(only, src, which_plan, space, cfg, batch_size, rng)
-        cols = np.argmax(P[:, space.n_target :], axis=1)
+        _, P = make_batch(only, src, which_plan, space, [cfg], batch_size, [rng])
+        cols = np.argmax(P[0, :, space.n_target :], axis=1)
         return {space.source_classes[c] for c in cols.tolist()}
 
     assert aux_classes(0, 200) == {0, 4}  # both rounds contribute
@@ -329,10 +338,10 @@ def test_make_batch_shapes_and_label_structure(mix_world):
     rng = np.random.default_rng(13)
     seen = {t: set() for t in plan.per_target}
     for _ in range(10):
-        X, P = make_batch(tgt, src, plan, space, cfg, 32, rng)
-        assert X.shape == (32, 3)
-        assert P.shape == (32, space.size)
-        for row in P:
+        X, P = make_batch(tgt, src, plan, space, [cfg], 32, [rng])
+        assert X.shape == (1, 32, 3)
+        assert P.shape == (1, 32, space.size)
+        for row in P[0]:
             nz = np.nonzero(row)[0]
             assert len(nz) == 2
             t, s_pos = int(nz[0]), int(nz[1])
@@ -349,8 +358,8 @@ def test_make_batch_is_deterministic(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=1.0, beta=2.0, seed=0)
     space = mix_space(tgt, plan)
-    a = make_batch(tgt, src, plan, space, cfg, 8, np.random.default_rng(14))
-    b = make_batch(tgt, src, plan, space, cfg, 8, np.random.default_rng(14))
+    a = make_batch(tgt, src, plan, space, [cfg], 8, [np.random.default_rng(14)])
+    b = make_batch(tgt, src, plan, space, [cfg], 8, [np.random.default_rng(14)])
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -361,12 +370,14 @@ def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     space = mix_space(tgt, plan)
     empty = Dataset(np.empty((0, 3)), [], tgt.class_count, Domain.TARGET)
     with pytest.raises(DataError):
-        make_batch(empty, src, plan, space, cfg, 4, np.random.default_rng(0))
+        make_batch(empty, src, plan, space, [cfg], 4, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
-        make_batch(tgt, src, plan, space, cfg, 0, np.random.default_rng(0))
+        make_batch(tgt, src, plan, space, [cfg], 0, [np.random.default_rng(0)])
+    with pytest.raises(ValueError):  # one config per generator
+        make_batch(tgt, src, plan, space, [cfg], 4, [np.random.default_rng(0)] * 2)
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
     with pytest.raises(KeyError):  # target class 1 has no paired source
-        make_batch(tgt, src, partial, space, cfg, 32, np.random.default_rng(0))
+        make_batch(tgt, src, partial, space, [cfg], 32, [np.random.default_rng(0)])
 
 
 # ------------------------------------------- one generator per cell
@@ -401,20 +412,19 @@ def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
         lam = sample_beta_batch(cfgs, 64, together)
         assert lam.shape == (3, 64)
         for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            assert lam[s].tobytes() == sample_beta_batch(cfg, 64, rng).tobytes()
+            assert lam[s].tobytes() == sample_beta_batch([cfg], 64, [rng]).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
 
 
 def test_sample_gamma_batch_per_generator_matches_each_generator_alone():
     # enough entries that every generator has some left for a second round
-    shapes = [
-        np.array([0.4, 2.5, 7.0] * 200), np.array([1.0] * 300), np.array([0.2] * 500)
-    ]
+    shapes = np.array([[0.4, 2.5, 7.0] * 200, [1.0] * 600, [0.2] * 600])
     together, alone = _generators((4, 5, 6)), _generators((4, 5, 6))
     for _ in range(5):
         got = sample_gamma_batch(shapes, together)
+        assert got.shape == shapes.shape
         for g, a, rng in zip(got, shapes, alone):
-            assert g.tobytes() == sample_gamma_batch(a, rng).tobytes()
+            assert g.tobytes() == sample_gamma_batch([a], [rng]).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
 
 
@@ -437,7 +447,7 @@ def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
         X, P = make_batch(tgt, src, plan, space, cfgs, 16, together)
         assert X.shape == (3, 16, 3) and P.shape == (3, 16, space.size)
         for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, cfg, 16, rng)
+            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 16, [rng])
             assert X[s].tobytes() == X1.tobytes()
             assert P[s].tobytes() == P1.tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))

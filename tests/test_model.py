@@ -246,13 +246,19 @@ def test_sgd_rejects_a_non_finite_gradient_before_touching_params():
 
 def test_training_names_the_iteration_of_a_non_finite_gradient():
     params = init(3, [4], 2, seed=5)
+    steps = iter(range(10))
 
-    def step(p, it, out):
-        out.flat[:] = np.inf if it == 3 else 0.0
+    def loss(p, X, out):
+        # a single model gets the batch without its stack axis
+        assert X.shape == (2, 3)
+        out.flat[:] = np.inf if next(steps) == 3 else 0.0
         return 0.0, out
 
-    with pytest.raises(NumericError, match="iteration 3: non-finite gradient"):
-        _run_sgd(params, TrainConfig(iterations=10, lr_drop_at=10), step)
+    def batch():
+        return (np.zeros((1, 2, 3)),)
+
+    with pytest.raises(NumericError, match="^iteration 3: non-finite gradient"):
+        _run_sgd(params, TrainConfig(iterations=10, lr_drop_at=10), batch, loss)
 
 
 def test_params_views_share_one_flat_buffer():
@@ -342,15 +348,21 @@ def test_stacked_checks_name_the_failing_model():
 def test_training_names_the_cell_of_a_stacked_failure():
     stack = ModelParams.stack([init(3, [4], 2, seed=s) for s in (1, 2, 3)])
 
-    def step(p, it, out):
+    steps = iter(range(10))
+
+    def loss(p, X, out):
+        assert X.shape == (3, 2, 3)
         out.flat[:] = 0.0
-        if it == 3:
+        if next(steps) == 3:
             out.flat[2, 0] = np.inf
         return np.zeros(3), out
 
+    def batch():
+        return (np.zeros((3, 2, 3)),)
+
     with pytest.raises(NumericError, match="^c2: iteration 3: non-finite gradient"):
         cfg = TrainConfig(iterations=10, lr_drop_at=10)
-        _run_sgd(stack, cfg, step, ["c0", "c1", "c2"])
+        _run_sgd(stack, cfg, batch, loss, ["c0", "c1", "c2"])
 
 
 @pytest.mark.parametrize(

@@ -34,31 +34,32 @@ def brute_best(sims: np.ndarray) -> float:
 
 class TestCentroids:
     def test_matches_manual_feature_means(self, toy_source, toy_pretrained):
-        bank = compute_centroids(toy_source, toy_pretrained)
+        centroids = compute_centroids(toy_source, toy_pretrained)
         feats, _ = forward(toy_pretrained, toy_source.X)
         labels = toy_source.y
+        assert centroids.shape == (
+            toy_source.class_count, toy_pretrained.feature_width
+        )
         for c in range(toy_source.class_count):
             manual = feats[labels == c].mean(axis=0)
-            assert np.allclose(bank.centroids[c], manual, atol=1e-12)
-            assert bank.counts[c] == int((labels == c).sum())
-        assert bank.feature_width == toy_pretrained.feature_width
+            assert np.allclose(centroids[c], manual, atol=1e-12)
 
     def test_empty_class_is_an_error(self, toy_pretrained):
         ds = Dataset([np.zeros(4), np.ones(4)], [0, 0], 2, Domain.SOURCE)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="class 1 has no samples"):
             compute_centroids(ds, toy_pretrained)
 
 
 class TestSimilarity:
     def test_cosine_formula(self, toy_source, toy_target, toy_pretrained):
         tgt, _ = toy_target
-        src_bank = compute_centroids(toy_source, toy_pretrained)
-        tgt_bank = compute_centroids(tgt, toy_pretrained)
-        sm = similarity(src_bank, tgt_bank)
+        src_c = compute_centroids(toy_source, toy_pretrained)
+        tgt_c = compute_centroids(tgt, toy_pretrained)
+        sm = similarity(src_c, tgt_c)
         assert sm.sims.shape == (tgt.class_count, toy_source.class_count)
         for t in range(tgt.class_count):
             for s in range(toy_source.class_count):
-                a, b = tgt_bank.centroids[t], src_bank.centroids[s]
+                a, b = tgt_c[t], src_c[s]
                 want = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
                 assert sm.sims[t, s] == pytest.approx(want, abs=1e-12)
         assert np.all(np.abs(sm.sims) <= 1 + 1e-12)
@@ -68,8 +69,15 @@ class TestSimilarity:
         dead = init(4, [6, 5], 3, seed=0)
         for w, b in dead.layers:
             w[:] = 0.0
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="target class 0 has a zero-norm"):
             compute_centroids_and_sim(toy_source, dead)
+        # a zero row among non-zero ones is named by its class
+        centroids = np.eye(3)
+        centroids[1] = 0.0
+        with pytest.raises(NumericError, match="^source class 1 has a zero-norm"):
+            similarity(centroids, np.eye(3))
+        with pytest.raises(ValueError):  # widths differ
+            similarity(np.eye(3), np.eye(3, 4))
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -79,8 +87,8 @@ class TestSimilarity:
 
 
 def compute_centroids_and_sim(ds, params):
-    bank = compute_centroids(ds, params)
-    return similarity(bank, bank)
+    centroids = compute_centroids(ds, params)
+    return similarity(centroids, centroids)
 
 
 class TestGreedy:
@@ -281,8 +289,10 @@ def test_planted_structure_is_recovered(toy_source, toy_target, toy_pretrained):
 
 def test_expansion_on_generated_data_hits_threshold(toy_pretrained):
     src = gen_source(6, 10, 4, 0.5, seed=8)
-    bank = compute_centroids(src, toy_pretrained)
-    plan = expand_until_threshold(similarity(bank, bank), src.class_sizes(), 35)
+    centroids = compute_centroids(src, toy_pretrained)
+    plan = expand_until_threshold(
+        similarity(centroids, centroids), src.class_sizes(), 35
+    )
     total = sum(10 for _ in plan.selected_sources())
     assert total >= 35
     assert plan.n_rounds >= 1

@@ -249,6 +249,20 @@ def test_a_cell_does_not_depend_on_its_stack_order(world):
         assert_same_run(a, b)
 
 
+@pytest.mark.parametrize("cells", [1, 3])
+def test_zero_iterations_leave_empty_traces(world, cells):
+    # a lone cell and a stack alike; seqtrain has two empty phases
+    cfgs = [replace(FAST, iterations=0, lr_drop_at=0, seed=s) for s in STACK_SEEDS]
+    for strategy in (Strategy.l2(), Strategy.seqtrain()):
+        results = finetune(
+            world["pre"], world["train"], world["src"], world["plan"],
+            [strategy] * cells, cfgs[:cells], world["test"],
+        )
+        for res in results:
+            assert res.trace == []
+            assert res.params.extractor.tobytes() == world["pre"].extractor.tobytes()
+
+
 def test_stacked_cells_must_share_everything_but_seed_and_mixup(world):
     args = (world["pre"], world["train"], world["src"], world["plan"])
     with pytest.raises(ValueError):  # two strategy kinds

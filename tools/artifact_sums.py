@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Checksums of every artifact the four reference command chains write.
+
+    python3 tools/artifact_sums.py > sums.txt
+
+Runs each chain below with the `src/` of this checkout, through
+`xmixup.cli.main` in one interpreter, into a fresh temporary directory, and
+prints one `sha256  path` line per file written, sorted by path. The
+commands' own output goes to standard error. Two checkouts write the same
+artifacts when `diff` of their two outputs is empty. `XMIXUP_SEED` is
+ignored.
+
+The chains: the default config through all nine commands; a gamma-path
+(β = 2) alpha sweep; 10× source and 4× target data through the five-command
+pipeline at one seed; and small alpha and threshold grids over two seeds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from xmixup import cli  # noqa: E402
+
+CHAINS = (
+    (
+        {},
+        "gen-data pretrain pair finetune report "
+        "sweep-alpha sweep-size randomize-aux ablate",
+    ),
+    ({"mixup": {"beta": 2.0}}, "gen-data pretrain pair sweep-alpha"),
+    (
+        {"data": {"source_per_class": 500, "target_per_class": 200}, "seeds": [0]},
+        "gen-data pretrain pair finetune report",
+    ),
+    (
+        {
+            "mixup": {"beta": 2.0},
+            "alpha_grid": [8.0, 1.0, 2.0],
+            "threshold_grid": [120, 30],
+            "seeds": [3, 0],
+        },
+        "gen-data pretrain pair sweep-alpha sweep-size randomize-aux",
+    ),
+)
+
+
+def run_chains(root: Path) -> None:
+    """Run every chain into root/config<i>; exits on the first failure."""
+    for i, (config, commands) in enumerate(CHAINS):
+        out = root / f"config{i}"
+        path = root / f"config{i}.json"  # beside the artifacts, not summed
+        path.write_text(json.dumps(config))
+        for command in commands.split():
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.main([command, "--config", str(path), "--out", str(out)])
+            if code:
+                sys.exit(f"config{i} {command}: exit {code}")
+
+
+def sums(root: Path) -> list[str]:
+    return [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root)}"
+        for p in sorted(root.glob("config*/**/*"))
+        if p.is_file()
+    ]
+
+
+def main() -> None:
+    os.environ.pop("XMIXUP_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_chains(Path(tmp))
+        print("\n".join(sums(Path(tmp))))
+
+
+if __name__ == "__main__":
+    main()
