@@ -1,4 +1,5 @@
 """Atomic artifact writes: a temp file beside the target, then os.replace.
+write_table writes every CSV artifact through it.
 
 A command interrupted mid-write leaves the previous artifact (or none) in
 place, never a truncated one that a later command would read. The temp file
@@ -30,3 +31,16 @@ def atomic_open(path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write a CSV atomically: `header` (one line or several), then one line
+    per row of `rows`, floats at 17 significant digits so that they read
+    back exactly, everything else as str."""
+    with atomic_open(path) as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(
+                ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                + "\n"
+            )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_table
 from .errors import DataError, ParseError
 
 _MAX_MEAN_TRIES = 100_000
@@ -228,19 +228,14 @@ def gen_target(
     return Dataset(X, y, n, Domain.TARGET), PlantedMapping(mapping)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as CSV: header `domain,class_count,d`, then `label,x_0,...`.
 
     Floats carry 17 significant digits so load(save(ds)) == ds exactly.
     """
-    with atomic_open(path) as f:
-        f.write(f"{ds.domain.value},{ds.class_count},{ds.d}\n")
-        for label, x in zip(ds.y.tolist(), ds.X.tolist()):
-            f.write(f"{label}," + ",".join(_fmt(v) for v in x) + "\n")
+    header = f"{ds.domain.value},{ds.class_count},{ds.d}"
+    rows = ([label, *x] for label, x in zip(ds.y.tolist(), ds.X.tolist()))
+    write_table(path, header, rows)
 
 
 def load_dataset(path) -> Dataset:

@@ -28,6 +28,7 @@ failure deep inside a step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .analysis import (
     source_subsets,
     spectra,
 )
-from .atomic import atomic_open
+from .atomic import atomic_open, write_table
 # config_from_json is not used here: bench/workload.py imports it from this module
 from .config import ExperimentConfig, config_from_json  # noqa: F401
 from .dataset import Dataset, gen_source, gen_target, load_dataset, save_dataset, split
@@ -80,10 +81,7 @@ MANIFEST = "manifest.json"
 COMPARISON_HEADER = (
     "strategy,seed,accuracy,forgetting_aux,forgetting_aba,spectrum_tail_mean"
 )
-
-
-def _fmt17(v: float) -> str:
-    return f"{float(v):.17g}"
+RECORD_SCORES = COMPARISON_HEADER.split(",")[2:]
 
 
 def _write_json(obj, path: Path) -> None:
@@ -100,15 +98,12 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: {e}") from None
 
 
-def _write_table(path: Path, header: str, rows) -> None:
-    """A CSV with floats at 17 significant digits and everything else as str."""
-    with atomic_open(path) as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(
-                ",".join(_fmt17(v) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+def _is_finite(v) -> bool:
+    """Whether a JSON value is a number (not a bool) and a finite float."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -119,11 +114,14 @@ def _require(path: Path, hint: str) -> Path:
 
 def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -> None:
     """Record artifact names under the current config hash; a hash change
-    invalidates (drops) entries from older configs."""
+    invalidates (drops) entries from older configs. A manifest that is not
+    an object with an object of artifacts is a ParseError."""
     path = out / MANIFEST
     manifest = {"config_hash": cfg.hash(), "artifacts": {}}
     if path.exists():
         old = _read_json(path)
+        if not isinstance(old, dict) or not isinstance(old.get("artifacts", {}), dict):
+            raise ParseError(f"{path}: not an object with an object of artifacts")
         if old.get("config_hash") == cfg.hash():
             manifest["artifacts"] = old.get("artifacts", {})
     manifest["artifacts"].update(entries)
@@ -176,7 +174,7 @@ def load_lab(out: Path, with_plan: bool = True) -> Lab:
     if with_plan:
         plan = load_plan(_require(out / PLAN, "pair"))
         if sorted(plan.per_target) != list(range(tgt_train.class_count)) or any(
-            s >= src_train.class_count for s in plan.selected_sources()
+            not 0 <= s < src_train.class_count for s in plan.selected_sources()
         ):
             raise DataError(
                 f"{out / PLAN} does not pair the {tgt_train.class_count} target "
@@ -204,7 +202,8 @@ def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResu
 
     Cells that share a strategy (up to its MixupConfig) and a plan object
     train as one stack in one finetune call; a cell's result does not depend
-    on which cells share its stack.
+    on which cells share its stack. Mixing cells must share the β of their
+    MixupConfig, as every step's cells do.
     """
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
@@ -425,9 +424,11 @@ def write_comparison_csv(
     strategy last), then by seed, and write them as one CSV row each."""
     rank = {k.value: i for i, k in enumerate(order)}
     records.sort(key=lambda r: (rank.get(r["strategy"], len(rank)), r["seed"]))
-    scores = COMPARISON_HEADER.split(",")[2:]
-    rows = ([r["strategy"], r["seed"]] + [float(r[c]) for c in scores] for r in records)
-    _write_table(path, COMPARISON_HEADER, rows)
+    rows = (
+        [r["strategy"], r["seed"]] + [float(r[c]) for c in RECORD_SCORES]
+        for r in records
+    )
+    write_table(path, COMPARISON_HEADER, rows)
 
 
 def summarize(records: list[dict], order: tuple[StrategyKind, ...]) -> list[dict]:
@@ -462,7 +463,7 @@ SUMMARY_COLUMNS = (
 
 
 def write_summary_csv(rows: list[dict], path: Path) -> None:
-    _write_table(
+    write_table(
         path, ",".join(SUMMARY_COLUMNS), ([r[c] for c in SUMMARY_COLUMNS] for r in rows)
     )
 
@@ -470,7 +471,8 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
 def load_run_records(out: Path, config_hash: str) -> list[dict]:
     """Every run record under runs/; a record written under another config
     hash is a DataError naming the first such file, so a report never joins
-    runs of different configs."""
+    runs of different configs. A record without a strategy name, an integer
+    seed and the four scores as finite numbers is a ParseError."""
     runs = out / RUNS_DIR
     if not runs.is_dir():
         raise DataError(f"missing artifact {runs}; run `finetune` first")
@@ -485,6 +487,12 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
                 f"config's {config_hash!r}; rerun `finetune` with this config "
                 f"or report it from its own --out directory"
             )
+        strategy, seed = record.get("strategy"), record.get("seed")
+        if not isinstance(strategy, str) or type(seed) is not int:
+            raise ParseError(f"{path}: a run record needs a strategy name and a seed")
+        for key in RECORD_SCORES:
+            if not _is_finite(record.get(key)):
+                raise ParseError(f"{path}: {key} is not a finite number")
         records.append(record)
     if not records:
         raise DataError(f"no run records under {runs}; run `finetune` first")
@@ -534,7 +542,7 @@ def _grid_table(
     """
     results = run_grid(cfg, lab, cells)
     rows = [[*key, cell.seed, r.accuracy] for key, cell, r in zip(keys, cells, results)]
-    _write_table(out / f"{name}.csv", header, rows)
+    write_table(out / f"{name}.csv", header, rows)
     entries = {name: f"{name}.csv"}
     if chart is not None:
         title, xlabel, x_of_key = chart

@@ -6,21 +6,20 @@ classes). λ is drawn fresh per row. The Beta sampler is built from scratch:
 an exact inverse-CDF path for β = 1 and a Marsaglia–Tsang Gamma ratio
 otherwise.
 
-Training draws everything a batch needs as arrays: make_batch takes the
-target rows, the paired source classes, the auxiliary samples and the λ
-column in one call each, with no per-row Python loop, and
-sample_beta_batch / sample_gamma_batch run the two sampler paths over a
-whole batch, Marsaglia–Tsang as a masked rejection loop. The scalar
-sample_beta / sample_gamma are their one-draw reference and are not used in
-training.
+Training draws everything a batch needs as arrays, with no per-row Python
+loop: make_batch takes the target rows, the paired source classes, the
+auxiliary samples and the λ column in one call each, and sample_beta_batch
+runs a sampler path over a whole batch, its Gamma draws by _gamma,
+Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
+sample_gamma are their one-draw reference and are not used in training.
 
-The three batched functions serve the cells of a stack: they take a list
-of generators, one per cell (make_batch and sample_beta_batch also a list
-of MixupConfigs, so α may differ), and return arrays with a leading (S,)
-cell axis; one cell is a stack of one. Each generator is called exactly as
-it would be alone, in the same order and with the same sizes; only the
-calls themselves stay per cell. The lookups, gathers, blends and the Gamma
-rejection arithmetic run once on the concatenation of all cells.
+The two batched functions serve the cells of a stack: they take a list of
+MixupConfigs and a list of generators, one of each per cell, and return
+arrays with a leading (S,) cell axis; one cell is a stack of one. The cells
+may differ in α but share one β, as every stack the harness builds does.
+Each generator is called exactly as it would be alone, in the same order
+and with the same sizes; only the calls stay per cell. The lookups, gathers,
+blends and the Gamma rejection arithmetic run once over all cells.
 """
 
 from __future__ import annotations
@@ -152,8 +151,23 @@ def _cells(cfgs, rngs) -> int:
 
 
 def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
-    """sample_gamma_batch over consecutive runs of entries, the next sizes[g]
-    of them drawn from rngs[g]; see there."""
+    """One Gamma(shapes[i], 1) variate per entry of the flat `shapes`, the
+    next sizes[g] entries drawn from rngs[g]: Marsaglia–Tsang as a masked
+    rejection loop (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
+
+    Each round gives every pending entry two candidates, (x, u) pairs of a
+    normal and a uniform, and keeps the first that passes sample_gamma's
+    log test, log u < x²/2 + d(1 − v + log v); at the acceptance rate of at
+    least 0.95 that shapes >= 2/3 give, nearly every call takes one round.
+    The squeeze test is left out: it only saves the logarithm, which an
+    array computes anyway. Shapes below 1 run the loop at shape + 1 and are
+    then boosted, G(a) = G(a+1) · U^{1/a}, with uniforms drawn after it.
+
+    Each generator is called exactly as a call with its entries alone would
+    call it (the normals and uniforms of each round for its pending
+    entries, then its boost uniforms), so its entries of the result are bit
+    for bit that call's, while the arithmetic runs once over all entries.
+    """
     boost = shapes < 1.0
     d = np.where(boost, shapes + 1.0, shapes) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
@@ -188,74 +202,41 @@ def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
     return out
 
 
-def sample_gamma_batch(shapes, rngs) -> np.ndarray:
-    """One Gamma(shapes[s, i], 1) variate per entry of the (S, n) `shapes`,
-    row s drawn from rngs[s]: Marsaglia–Tsang as a masked rejection loop
-    (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
-
-    Each round gives every pending entry two candidates, (x, u) pairs of a
-    normal and a uniform, and keeps the first that passes sample_gamma's
-    log test, log u < x²/2 + d(1 − v + log v); at the acceptance rate of at
-    least 0.95 that shapes >= 2/3 give, nearly every call takes one round.
-    The squeeze test is left out: it only saves the logarithm, which an
-    array computes anyway. Shapes below 1 run the loop at shape + 1 and are
-    then boosted, G(a) = G(a+1) · U^{1/a}, with uniforms drawn after it.
-
-    Each generator is called exactly as a call with its row alone would
-    call it (the normals and uniforms of each round for its pending
-    entries, then its boost uniforms), so each row of the result is bit for
-    bit that call's, while the arithmetic runs once over all entries.
-    """
-    shapes = np.asarray(shapes, dtype=float)
-    if shapes.ndim != 2 or len(shapes) != len(rngs):
-        raise ValueError("need one row of shapes per generator")
-    if not shapes.min() > 0:
-        raise ValueError(f"shapes must be positive, got {shapes[~(shapes > 0)][0]}")
-    sizes = [shapes.shape[1]] * len(rngs)
-    return _gamma(shapes.ravel(), sizes, rngs).reshape(shapes.shape)
-
-
 def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
-    """counts[s] raw Beta(α, β) draws of each cell s by sample_beta's two
-    paths, concatenated in cell order, not yet checked for the open interval
-    (a uniform of exactly 0 gives λ = 0 here).
+    """counts[s] raw Beta(α_s, β) draws of each cell s by sample_beta's
+    path for the β the cells share, concatenated in cell order, not yet
+    checked for the open interval (a uniform of exactly 0 gives λ = 0 here).
 
     β = 1 raises each cell's uniforms to its own scalar power: numpy
     computes `u ** 0.5` as a square root, so one power over an array of
-    per-entry exponents would round some results differently. The gamma
-    cells share one _gamma pass over [α…α, β…β] per cell and one division.
+    per-entry exponents would round some results differently. Any other β
+    runs one _gamma pass over [α_s…, β…] per cell and one division.
     """
     cells = [s for s, k in enumerate(counts) if k]
-    gamma = [s for s in cells if cfgs[s].beta != 1.0]
-    parts = {
-        s: rngs[s].random(counts[s]) ** (1.0 / cfgs[s].alpha)
-        for s in cells
-        if cfgs[s].beta == 1.0
-    }
-    if gamma:
-        ks = np.repeat([counts[s] for s in gamma], 2)
-        pairs = [(cfgs[s].alpha, cfgs[s].beta) for s in gamma]
-        shapes = np.repeat(np.ravel(pairs), ks)
-        g = _gamma(shapes, (2 * ks[::2]).tolist(), [rngs[s] for s in gamma])
-        first = np.repeat(np.arange(ks.size) % 2 == 0, ks)  # the α entries
-        g_a, g_b = g[first], g[~first]
-        with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
-            lam = g_a / (g_a + g_b)
-        if not parts:
-            return lam
-        parts.update(zip(gamma, np.split(lam, np.cumsum(ks[::2])[:-1])))
-    return np.concatenate([parts[s] for s in cells])
+    beta = cfgs[0].beta
+    if beta == 1.0:
+        return np.concatenate(
+            [rngs[s].random(counts[s]) ** (1.0 / cfgs[s].alpha) for s in cells]
+        )
+    ks = np.repeat([counts[s] for s in cells], 2)
+    shapes = np.repeat(np.ravel([(cfgs[s].alpha, beta) for s in cells]), ks)
+    g = _gamma(shapes, (2 * ks[::2]).tolist(), [rngs[s] for s in cells])
+    first = np.repeat(np.arange(ks.size) % 2 == 0, ks)  # the α entries
+    g_a, g_b = g[first], g[~first]
+    with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
+        return g_a / (g_a + g_b)
 
 
 def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
     """n independent λ ~ Beta(α, β) in (0, 1) for each cell, as an (S, n)
-    array whose row s is drawn with cfgs[s] from rngs[s].
+    array whose row s is drawn with cfgs[s] from rngs[s]. The cells may
+    differ in α but share one β; configs of different β raise ValueError.
 
     β = 1 uses the inverse CDF λ = U^{1/α}; any other β uses the ratio of
-    two sample_gamma_batch draws, both shapes in one call. Entries that round
-    to 0 or 1 (or are NaN) are redrawn together, at most MAX_BETA_DRAWS draws
-    per entry, after which NumericError is raised. This is the sampler
-    training uses; sample_beta is its one-draw reference.
+    two _gamma draws, both shapes in one call. Entries that round to 0 or 1
+    (or are NaN) are redrawn together, at most MAX_BETA_DRAWS draws per
+    entry, after which NumericError is raised. This is the sampler training
+    uses; sample_beta is its one-draw reference.
 
     Every generator sees the calls of its own cell in its own order,
     redraws included, so row s is bit for bit what the call with cfgs[s]
@@ -264,6 +245,8 @@ def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
     S = _cells(cfgs, rngs)
+    if any(c.beta != cfgs[0].beta for c in cfgs):
+        raise ValueError(f"cells of one stack share β, got {[c.beta for c in cfgs]}")
     lam = np.empty(S * n)  # row-major (S, n)
     todo = slice(None)  # the entries drawn in this round, in cell order
     counts = [n] * S

@@ -385,6 +385,9 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Read a checkpoint written by save_params. A malformed one is a
+    ParseError naming the file: a bad header, layers that do not chain, a
+    payload of the wrong size or a non-finite parameter."""
     data = Path(path).read_bytes()
     head, _, rest = data.partition(b"\n")
     if head != _CKPT_MAGIC:
@@ -393,22 +396,30 @@ def load_params(path) -> ModelParams:
     try:
         n_layers = int(count_line)
     except ValueError:
-        raise ParseError("bad layer count", line=2) from None
+        raise ParseError(f"{path}: bad layer count", line=2) from None
+    if n_layers < 1:
+        raise ParseError(f"{path}: need at least one layer, got {n_layers}", line=2)
     shapes = []
     for i in range(n_layers + 1):
         line, _, rest = rest.partition(b"\n")
         try:
             out_dim, in_dim = (int(v) for v in line.split())
         except ValueError:
-            raise ParseError("bad shape line", line=3 + i) from None
+            raise ParseError(f"{path}: bad shape line", line=3 + i) from None
+        if out_dim < 1 or in_dim < 1:
+            raise ParseError(f"{path}: layer widths must be positive", line=3 + i)
+        if shapes and in_dim != shapes[-1][0]:
+            raise ParseError(f"{path}: layer {i} does not chain", line=3 + i)
         shapes.append((out_dim, in_dim))
 
     try:
         buf = np.frombuffer(rest, dtype="<f8")
     except ValueError:
-        raise ParseError("checkpoint payload is not float64-aligned") from None
+        raise ParseError(f"{path}: payload is not float64-aligned") from None
     if buf.size != sum(o * i + o for o, i in shapes):
-        raise ParseError("checkpoint payload size mismatch")
+        raise ParseError(f"{path}: payload size mismatch")
+    if not np.isfinite(buf).all():
+        raise ParseError(f"{path}: non-finite parameter")
     arrays = []  # views into buf; the constructor copies them out
     offset = 0
     for out_dim, in_dim in shapes:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_table
 from .dataset import Dataset
 from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, forward
@@ -250,15 +250,13 @@ _PLAN_HEADER = "round,target_class,source_class,similarity"
 def save_plan(plan: PairingPlan, path) -> None:
     """Write a plan as CSV: an `exhausted,true|false` line, then the header
     `round,target_class,source_class,similarity` and one row per pairing."""
-    with atomic_open(path) as f:
-        f.write(f"exhausted,{'true' if plan.exhausted else 'false'}\n")
-        f.write(_PLAN_HEADER + "\n")
-        for rnd, t, s, score in plan.entries():
-            f.write(f"{rnd},{t},{s},{score:.17g}\n")
+    flag = "true" if plan.exhausted else "false"
+    write_table(path, f"exhausted,{flag}\n{_PLAN_HEADER}", plan.entries())
 
 
 def load_plan(path) -> PairingPlan:
-    """Read a plan CSV written by save_plan."""
+    """Read a plan CSV written by save_plan; a malformed one, a round that
+    pairs a source class twice included, is a ParseError."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -286,4 +284,7 @@ def load_plan(path) -> PairingPlan:
         scores.setdefault(t, []).append(score)
         if len(per_target[t]) != rnd:
             raise ParseError(f"target {t} is missing round {len(per_target[t])}")
-    return PairingPlan(per_target, scores, max(r for r, *_ in rows), flags[lines[0]])
+    try:
+        return PairingPlan(per_target, scores, rows[-1][0], flags[lines[0]])
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None

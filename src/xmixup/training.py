@@ -21,7 +21,7 @@ masked softmax. The non-trivial strategies:
 
 finetune trains one cell or a list of cells that share a strategy kind, a
 pairing plan and a TrainConfig up to its seed (mixing cells may differ in
-their MixupConfig, e.g. α). The cells train as one stack of S models (see
+the α and seed of their MixupConfig, not in β). The cells train as one stack of S models (see
 the model module): every cell keeps its own generators and draws from them
 in the order a lone run would, and everything after the draws (lookups,
 gathers, blends, forward, backward, the checks and the SGD update) runs
@@ -362,9 +362,9 @@ def finetune(
     `strategy` and `cfg` are one Strategy and one TrainConfig, giving one
     RunResult, or equal-length sequences, one entry per cell, giving one
     RunResult per cell in order. The cells must share the strategy kind and
-    every strategy parameter but the MixupConfig, and every TrainConfig
-    field but the seed; they train as one stack (see the module docstring).
-    A NumericError names the cell and the iteration.
+    every strategy parameter but the α and seed of the MixupConfig, and
+    every TrainConfig field but the seed; they train as one stack (see the
+    module docstring). A NumericError names the cell and the iteration.
     """
     if isinstance(strategy, Strategy) != isinstance(cfg, TrainConfig):
         raise ValueError("give one strategy and one config, or a sequence of each")

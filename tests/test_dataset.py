@@ -174,15 +174,18 @@ def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "ds.csv"
     save_dataset(gen_source(2, 3, 2, 0.3, seed=22), path)
     before = path.read_bytes()
-    calls = []
+    write_table = dataset_module.write_table
 
-    def failing_fmt(v):
-        calls.append(v)
-        if len(calls) > 5:
-            raise KeyboardInterrupt
-        return repr(float(v))
+    def interrupted(path, header, rows):
+        def failing():  # the rows, cut off by an interrupt after five of them
+            for i, row in enumerate(rows):
+                if i == 5:
+                    raise KeyboardInterrupt
+                yield row
 
-    monkeypatch.setattr(dataset_module, "_fmt", failing_fmt)
+        write_table(path, header, failing())
+
+    monkeypatch.setattr(dataset_module, "write_table", interrupted)
     with pytest.raises(KeyboardInterrupt):
         save_dataset(gen_source(2, 30, 2, 0.3, seed=23), path)
     assert path.read_bytes() == before

@@ -767,3 +767,209 @@ def test_fuzzed_set_values_in_training_commands_end_in_a_documented_exit_code(
             code = main(argv)  # any exception fails the test with its traceback
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stderr.getvalue()
+
+
+# ------------------------------------------------ malformed artifacts
+# Artifacts of a TINY_LAB lab, finetune included, edited or mutated on a
+# copy, then read by a command: a malformed artifact exits 3, never with a
+# traceback.
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """A lab of TINY_LAB at one seed, `finetune` included: (config, directory)."""
+    root = tmp_path_factory.mktemp("tiny_runs")
+    config = root / "config.json"
+    config.write_text(json.dumps({**TINY_LAB, "seeds": [0]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for cmd in ("gen-data", "pretrain", "pair", "finetune"):
+            assert main([cmd, "--config", str(config), "--out", str(root / "out")]) == 0
+    return config, root / "out"
+
+
+def run_on_copy(tiny_runs, artifact, edit, command, tmp):
+    """Run `command` on a copy of tiny_runs whose `artifact` is
+    edit(its bytes): (exit code, stderr)."""
+    config, lab = tiny_runs
+    out = Path(tmp) / "out"
+    shutil.copytree(lab, out)
+    path = out / artifact
+    path.write_bytes(edit(path.read_bytes()))
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "eval":
+        argv += ["--params", str(out / "pretrained.ckpt")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)  # any exception fails the test with its traceback
+    return code, stderr.getvalue()
+
+
+def plan_source(row, source=None):
+    """An edit of plan.csv: the source class of entry `row` set to `source`,
+    or by default to the source class of entry 0."""
+    def edit(data):
+        lines = data.decode().split("\n")
+        entry = lines[2 + row].split(",")
+        entry[2] = source if source is not None else lines[2].split(",")[2]
+        lines[2 + row] = ",".join(entry)
+        return "\n".join(lines).encode()
+    return edit
+
+
+CKPT = b"XMIXUP-CKPT-1\n"
+
+
+def json_edit(change):
+    def edit(data):
+        obj = json.loads(data)
+        return json.dumps(change(obj)).encode()
+    return edit
+
+
+def nan_last(data):
+    return data[:-8] + np.array([np.nan], "<f8").tobytes()
+
+
+MALFORMED = {
+    "plan-source-minus-1": ("plan.csv", plan_source(0, "-1"), "sweep-alpha"),
+    "plan-source-minus-1-finetune": ("plan.csv", plan_source(0, "-1"), "finetune"),
+    # entries 0 and 1 are round 1 of targets 0 and 1
+    "plan-source-twice-in-a-round": ("plan.csv", plan_source(1), "finetune"),
+    "ckpt-layer-count-minus-1": ("pretrained.ckpt", lambda d: CKPT + b"-1\n", "eval"),
+    "ckpt-layer-count-0": (
+        "pretrained.ckpt", lambda d: CKPT + b"0\n2 3\n" + np.ones(8).tobytes(), "eval"
+    ),
+    "ckpt-layers-do-not-chain": (
+        "pretrained.ckpt",
+        lambda d: CKPT + b"1\n4 3\n2 5\n" + np.ones(28).tobytes(),
+        "eval",
+    ),
+    "ckpt-nan-weight": ("pretrained.ckpt", nan_last, "eval"),
+    "manifest-list": ("manifest.json", lambda d: b"[]", "pair"),
+    "manifest-artifacts-list": (
+        "manifest.json", json_edit(lambda m: m | {"artifacts": [1]}), "report"
+    ),
+    "record-without-accuracy": (
+        "runs/l2-s0.json",
+        json_edit(lambda r: {k: v for k, v in r.items() if k != "accuracy"}),
+        "report",
+    ),
+    "record-accuracy-not-a-number": (
+        "runs/l2-s0.json", json_edit(lambda r: r | {"accuracy": "high"}), "report"
+    ),
+    "record-accuracy-beyond-float": (
+        "runs/l2-s0.json", json_edit(lambda r: r | {"accuracy": 10**400}), "report"
+    ),
+    "record-seed-not-an-integer": (
+        "runs/l2-s0.json", json_edit(lambda r: r | {"seed": "0"}), "report"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifacts_exit_3_naming_the_file(tiny_runs, tmp_path, case):
+    artifact, edit, command = MALFORMED[case]
+    code, err = run_on_copy(tiny_runs, artifact, edit, command, tmp_path)
+    assert code == 3, err
+    assert err.startswith("data error:") and artifact in err
+
+
+# One field or line of one artifact mutated: a field of a CSV line or of a
+# checkpoint shape line replaced, a line dropped or repeated, one JSON value
+# replaced or deleted, one checkpoint parameter replaced or the payload cut.
+
+FIELDS = st.one_of(
+    st.integers(min_value=-1, max_value=8).map(str),
+    st.sampled_from(["", "x", "nan", "inf", "1e300", "-0", "0.5", "99999999999999"]),
+)
+JSON_VALUES = st.one_of(
+    VALUES, st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)
+)
+PARAMETERS = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, 1.0])
+
+
+def mutate_lines(text: str, sep: str, draw) -> str:
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["field", "drop", "repeat"]))
+    if op == "field":
+        cols = lines[i].split(sep)
+        j = draw(st.integers(0, len(cols) - 1))
+        # any value, or one this column holds on another line
+        column = [line.split(sep)[j] for line in lines if line.count(sep) >= j]
+        cols[j] = draw(st.one_of(FIELDS, st.sampled_from(column)))
+        lines[i] = sep.join(cols)
+    elif op == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def mutate_csv(data: bytes, draw) -> bytes:
+    return mutate_lines(data.decode(), ",", draw).encode()
+
+
+def mutate_json(data: bytes, draw) -> bytes:
+    obj = json.loads(data)
+    # the root, a key, or a key of a nested object, each about as often
+    paths = [st.just(()), st.sampled_from([(k,) for k in obj])]
+    nested = [(k, j) for k, v in obj.items() if isinstance(v, dict) for j in v]
+    if nested:
+        paths.append(st.sampled_from(nested))
+    path = draw(st.one_of(paths))
+    value = draw(JSON_VALUES)
+    if not path:
+        return json.dumps(value).encode()
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if draw(st.booleans()):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(obj).encode()
+
+
+def mutate_checkpoint(data: bytes, draw) -> bytes:
+    n_header = int(data.split(b"\n")[1]) + 3  # magic, count, one shape per layer
+    *header, payload = data.split(b"\n", n_header)
+    op = draw(st.sampled_from(["header", "parameter", "cut"]))
+    if op == "header":
+        text = mutate_lines(b"\n".join(header[1:]).decode(), " ", draw)
+        return b"\n".join([header[0], text.encode(), payload])
+    if op == "cut":
+        return b"\n".join(header + [payload[: -draw(st.integers(1, 16))]])
+    params = np.frombuffer(payload, "<f8").copy()
+    params[draw(st.integers(0, params.size - 1))] = draw(PARAMETERS)
+    return b"\n".join(header + [params.tobytes()])
+
+
+MUTATE = {".csv": mutate_csv, ".json": mutate_json, ".ckpt": mutate_checkpoint}
+READERS = {
+    "plan.csv": ["finetune", "sweep-alpha"],
+    "pretrained.ckpt": ["eval", "pair", "finetune"],
+    "manifest.json": ["pair", "report"],
+    "runs/l2-s0.json": ["report"],
+    "source_train.csv": ["pretrain", "pair", "finetune"],
+    "target_train.csv": ["pair", "finetune"],
+    "target_test.csv": ["eval", "finetune"],
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(READERS))
+@settings(
+    max_examples=30,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzzed_artifacts_end_in_a_documented_exit_code(tiny_runs, artifact, data):
+    command = data.draw(st.sampled_from(READERS[artifact]))
+    mutate = MUTATE[Path(artifact).suffix]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_on_copy(
+            tiny_runs, artifact, lambda b: mutate(b, data.draw), command, tmp
+        )
+    assert code in (0, 3, 4), err
+    assert "Traceback" not in err

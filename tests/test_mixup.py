@@ -12,11 +12,11 @@ from xmixup.mixup import (
     SHAPE_GRID,
     LabelSpace,
     MixupConfig,
+    _gamma,
     make_batch,
     sample_beta,
     sample_beta_batch,
     sample_gamma,
-    sample_gamma_batch,
 )
 from xmixup.pairing import PairingPlan
 
@@ -104,8 +104,8 @@ def test_sample_beta_gives_up_when_every_draw_rounds_to_one(beta):
 
 # ------------------------------------------------- the batched sampler
 # The oracles of criterion 4 and of the scalar tests above, with criterion
-# 4's sample sizes, levels and seeds, applied to sample_beta_batch and
-# sample_gamma_batch, which training uses.
+# 4's sample sizes, levels and seeds, applied to sample_beta_batch and its
+# batched Gamma kernel _gamma, which training uses.
 
 
 def test_sample_beta_batch_moments_within_three_standard_errors():
@@ -124,13 +124,13 @@ def test_sample_beta_batch_moments_within_three_standard_errors():
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_sample_beta_batch_paths_agree_in_distribution(alpha):
     # the inverse-CDF path (beta = 1) against the gamma ratio built from
-    # sample_gamma_batch at shapes (alpha, 1): two-sample KS at the 1% level
+    # _gamma at shapes (alpha, 1): two-sample KS at the 1% level
     m = 10_000
     cfg = MixupConfig(alpha=alpha, beta=1.0, seed=0)
     rng1 = np.random.default_rng([23, int(alpha * 100), 1])
     rng2 = np.random.default_rng([23, int(alpha * 100), 2])
     inverse_cdf = sample_beta_batch([cfg], m, [rng1])[0]
-    g = sample_gamma_batch([np.repeat((alpha, 1.0), m)], [rng2])[0]
+    g = _gamma(np.repeat((alpha, 1.0), m), [2 * m], [rng2])
     ratio = g[:m] / (g[:m] + g[m:])
     assert stats.ks_2samp(inverse_cdf, ratio).statistic < 1.628 * np.sqrt(2.0 / m)
 
@@ -139,7 +139,7 @@ def test_sample_gamma_batch_matches_reference_distribution():
     # one call over mixed shapes: the boost must reach exactly the shapes < 1
     shapes = (0.4, 1.0, 2.5, 7.0)
     m = 4000
-    x = sample_gamma_batch([np.repeat(shapes, m)], [np.random.default_rng(33)])[0]
+    x = _gamma(np.repeat(shapes, m), [len(shapes) * m], [np.random.default_rng(33)])
     assert np.all(x > 0)
     for i, shape in enumerate(shapes):
         stat = stats.kstest(x[i * m : (i + 1) * m], stats.gamma(shape).cdf).statistic
@@ -192,19 +192,6 @@ def test_sample_beta_batch_gives_up_after_max_draws(beta):
         sample_beta_batch([cfg], 8, [rng])
     if beta == 1.0:
         assert rng.random_calls == MAX_BETA_DRAWS
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-def test_sample_gamma_batch_rejects_non_positive_shapes(bad):
-    with pytest.raises(ValueError):
-        sample_gamma_batch([[1.0, bad, 2.0]], [np.random.default_rng(0)])
-
-
-def test_sample_gamma_batch_needs_one_row_of_shapes_per_generator():
-    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
-    for shapes in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0]], [[2.0]]]):
-        with pytest.raises(ValueError):
-            sample_gamma_batch(shapes, rngs)
 
 
 def test_sample_beta_batch_rejects_an_empty_request():
@@ -401,12 +388,10 @@ def _same_state(a, b):
         ((0.3, 2.0, 0.7), 0.5),    # gamma with the boost on both sides
         ((1e-3, 2.0, 1e-3), 1.0),  # forced redraws: U ** 1000 underflows to 0
         ((1e-3, 1e-3, 5.0), 1e-3), # forced redraws on the gamma path (0 / 0)
-        ((2.0, 3.0, 4.0), (1.0, 2.0, 0.5)),  # a different path per cell
     ],
 )
 def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
-    betas = beta if isinstance(beta, tuple) else (beta,) * len(shapes)
-    cfgs = [MixupConfig(alpha=a, beta=b, seed=0) for a, b in zip(shapes, betas)]
+    cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in shapes]
     together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
     for _ in range(5):
         lam = sample_beta_batch(cfgs, 64, together)
@@ -417,15 +402,22 @@ def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
 
 
 def test_sample_gamma_batch_per_generator_matches_each_generator_alone():
-    # enough entries that every generator has some left for a second round
-    shapes = np.array([[0.4, 2.5, 7.0] * 200, [1.0] * 600, [0.2] * 600])
+    # the batched Gamma kernel _gamma; enough entries that every generator
+    # has some left for a second round, and runs of different lengths
+    runs = [[0.4, 2.5, 7.0] * 200, [1.0] * 300, [0.2] * 500]
     together, alone = _generators((4, 5, 6)), _generators((4, 5, 6))
     for _ in range(5):
-        got = sample_gamma_batch(shapes, together)
-        assert got.shape == shapes.shape
-        for g, a, rng in zip(got, shapes, alone):
-            assert g.tobytes() == sample_gamma_batch([a], [rng]).tobytes()
+        got = _gamma(np.concatenate(runs), [len(r) for r in runs], together)
+        parts = np.split(got, np.cumsum([len(r) for r in runs])[:-1])
+        for g, r, rng in zip(parts, runs, alone):
+            assert g.tobytes() == _gamma(np.array(r), [len(r)], [rng]).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
+
+
+def test_sample_beta_batch_rejects_cells_of_different_beta():
+    cfgs = [MixupConfig(alpha=2.0, beta=b, seed=0) for b in (1.0, 2.0, 1.0)]
+    with pytest.raises(ValueError, match="share"):
+        sample_beta_batch(cfgs, 8, _generators((1, 2, 3)))
 
 
 def test_sample_beta_batch_names_the_cell_that_gives_up():
