@@ -7,6 +7,11 @@ centroids; fine-tune with cross-domain mixup against the usual baselines;
 diagnose forgetting (linear probes) and feature collapse (tail spectra).
 """
 
+import os
+
+# The lab's matrices are small: a second OpenBLAS thread spins, it saves no time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .dataset import Dataset, Domain, PlantedMapping, gen_source, gen_target
 from .errors import ConfigError, DataError, NumericError, ParseError
 from .mixup import MixupConfig, sample_beta, sample_beta_batch

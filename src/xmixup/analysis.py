@@ -18,12 +18,13 @@ operation.
 
 Both diagnostics run for many models at once (linear_probes, spectra), in
 chunks of models whose working set stays near CHUNK_BYTES. The heads of the
-models may differ, so each model's extractor runs its own forward into one
-preallocated (S, N, h) feature array. Every probe of a chunk starts from the
-one head the probe seed draws and fits on (S, k, N) logits; the spectra of a
-chunk share one seeded batch, and their Jacobi sweeps rotate the pairs of a
-round in every unsettled matrix as one array step. Each model gets the bits
-it would get alone; linear_probe and spectrum are the calls with one model.
+models may differ, so each model runs its own extractor, without the head,
+into one preallocated (S, N, h) feature array. Every probe of a chunk starts
+from the one head the probe seed draws and fits on (S, k, N) logits; the
+spectra of a chunk share one seeded batch, and their Jacobi sweeps rotate
+the pairs of a round in every unsettled matrix as one array step. Each model
+gets the bits it would get alone; linear_probe and spectrum are the calls
+with one model.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
 from .errors import DataError, NumericError, check_fields
-from .model import ModelParams, forward, init_linear, numeric_error
+from .model import ModelParams, features, init_linear, numeric_error
 from .pairing import PairingPlan
 
 # Probes and spectra stack models in chunks whose working set (a probe's
@@ -116,10 +117,10 @@ def _chunks(count: int, cell_bytes: int) -> list[range]:
 
 def _features(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
     """The (S, N, h) extractor features of X under each model. The heads of
-    the models may differ in width, so each model runs its own forward."""
+    the models may differ in width, so each model runs its own extractor."""
     F = np.empty((len(models), len(X), models[0].feature_width))
     for s, params in enumerate(models):
-        F[s], _ = forward(params, X)
+        F[s] = features(params, X)
     return F
 
 

@@ -43,6 +43,8 @@ def _apply_set(raw: dict, assignment: str) -> None:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise ConfigError(f"--set {key}: {e}") from None
     node = raw
     parts = key.split(".")
     for part in parts[:-1]:
@@ -57,7 +59,7 @@ def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -239,47 +239,56 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by save_dataset; malformed rows name their line."""
+    """Read a dataset written by save_dataset; a malformed one is a
+    ParseError naming the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise ParseError("empty file", line=1)
+        raise ParseError("empty file", line=1, path=path)
 
     header = lines[0].split(",")
     if len(header) != 3:
-        raise ParseError("header must be `domain,class_count,d`", line=1)
+        raise ParseError("header must be `domain,class_count,d`", line=1, path=path)
     try:
         domain = Domain(header[0])
     except ValueError:
-        raise ParseError(f"unknown domain {header[0]!r}", line=1) from None
+        raise ParseError(f"unknown domain {header[0]!r}", line=1, path=path) from None
     try:
         class_count, d = int(header[1]), int(header[2])
     except ValueError:
-        raise ParseError("class_count and d must be integers", line=1) from None
+        raise ParseError(
+            "class_count and d must be integers", line=1, path=path
+        ) from None
     if class_count < 1 or d < 1:
-        raise ParseError("class_count and d must be positive", line=1)
+        raise ParseError("class_count and d must be positive", line=1, path=path)
 
     labels, rows = [], []
     for lineno, row in enumerate(lines[1:], start=2):
         cols = row.split(",")
         if len(cols) != 1 + d:
-            raise ParseError(f"expected {1 + d} columns, got {len(cols)}", line=lineno)
+            raise ParseError(
+                f"expected {1 + d} columns, got {len(cols)}", line=lineno, path=path
+            )
         try:
             label = int(cols[0])
         except ValueError:
-            raise ParseError(f"non-numeric label {cols[0]!r}", line=lineno) from None
+            raise ParseError(
+                f"non-numeric label {cols[0]!r}", line=lineno, path=path
+            ) from None
         if not 0 <= label < class_count:
             raise ParseError(
-                f"label {label} outside [0, {class_count})", line=lineno
+                f"label {label} outside [0, {class_count})", line=lineno, path=path
             )
         try:
             x = [float(v) for v in cols[1:]]
         except ValueError:
-            raise ParseError("non-numeric feature value", line=lineno) from None
+            raise ParseError(
+                "non-numeric feature value", line=lineno, path=path
+            ) from None
         if not all(map(math.isfinite, x)):
-            raise ParseError("non-finite feature value", line=lineno)
+            raise ParseError("non-finite feature value", line=lineno, path=path)
         labels.append(label)
         rows.append(x)
     if not rows:

@@ -16,11 +16,14 @@ class DataError(Exception):
 
 
 class ParseError(DataError):
-    """A persisted artifact is malformed; carries a 1-based line number."""
+    """A persisted artifact is malformed; the message starts with the
+    file's path and a 1-based line number, and `line` carries the number."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -47,6 +50,13 @@ def _check_number(name: str, value, kind: str) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    elif isinstance(value, numbers.Integral):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{name} must be finite, got an integer beyond the float range"
+            ) from None
     elif not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
 
@@ -56,11 +66,12 @@ def check_fields(config) -> None:
     wrong type or is NaN or ±inf.
 
     Fields annotated `int` take integers only, `float` fields take finite
-    integers or floats, and bools pass as neither. `X | None` also takes
-    None and `tuple[X, ...]` checks every element. NaN slips through every
-    `<`/`<=` range check and a string fails them with a TypeError, so this
-    runs before them. It reads the annotations as strings, so the module of
-    the dataclass must use `from __future__ import annotations`.
+    floats or integers within the float range, and bools pass as neither.
+    `X | None` also takes None and `tuple[X, ...]` checks every element.
+    NaN slips through every `<`/`<=` range check and a string fails them
+    with a TypeError, so this runs before them. It reads the annotations as
+    strings, so the module of the dataclass must use `from __future__ import
+    annotations`.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)

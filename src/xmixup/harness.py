@@ -94,8 +94,8 @@ def _read_json(path: Path):
     """Parse a JSON artifact; an unreadable one is a data error, not a config error."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"{path}: {e}") from None
+    except ValueError as e:  # undecodable, not JSON, or an integer of too many digits
+        raise ParseError(str(e), path=path) from None
 
 
 def _is_finite(v) -> bool:
@@ -121,7 +121,7 @@ def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -
     if path.exists():
         old = _read_json(path)
         if not isinstance(old, dict) or not isinstance(old.get("artifacts", {}), dict):
-            raise ParseError(f"{path}: not an object with an object of artifacts")
+            raise ParseError("not an object with an object of artifacts", path=path)
         if old.get("config_hash") == cfg.hash():
             manifest["artifacts"] = old.get("artifacts", {})
     manifest["artifacts"].update(entries)
@@ -480,7 +480,7 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
     for path in sorted(runs.glob("*.json")):
         record = _read_json(path)
         if not isinstance(record, dict):
-            raise ParseError(f"{path}: a run record must be a JSON object")
+            raise ParseError("a run record must be a JSON object", path=path)
         if record.get("config_hash") != config_hash:
             raise DataError(
                 f"{path} has config_hash {record.get('config_hash')!r}, not this "
@@ -489,10 +489,10 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
             )
         strategy, seed = record.get("strategy"), record.get("seed")
         if not isinstance(strategy, str) or type(seed) is not int:
-            raise ParseError(f"{path}: a run record needs a strategy name and a seed")
+            raise ParseError("a run record needs a strategy name and a seed", path=path)
         for key in RECORD_SCORES:
             if not _is_finite(record.get(key)):
-                raise ParseError(f"{path}: {key} is not a finite number")
+                raise ParseError(f"{key} is not a finite number", path=path)
         records.append(record)
     if not records:
         raise DataError(f"no run records under {runs}; run `finetune` first")

@@ -208,15 +208,21 @@ def _rows(b: np.ndarray) -> np.ndarray:
     return b if b.ndim == 1 else b[:, None, :]
 
 
-def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (features, logits) for a single vector (d,) or a batch (N, d);
-    a stack takes one batch per model, (S, N, d), or one shared (N, d)."""
+def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The extractor's output for a single vector (d,) or a batch (N, d); a
+    stack takes one batch per model, (S, N, d), or one shared (N, d)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
     a = x
     for w, b in params.layers:
         a = np.maximum(a @ w.swapaxes(-1, -2) + _rows(b), 0.0)
+    return a
+
+
+def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (features, logits), with the inputs of features()."""
+    a = features(params, x)
     wh, bh = params.head
     return a, a @ wh.swapaxes(-1, -2) + _rows(bh)
 
@@ -391,35 +397,35 @@ def load_params(path) -> ModelParams:
     data = Path(path).read_bytes()
     head, _, rest = data.partition(b"\n")
     if head != _CKPT_MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file", line=1)
+        raise ParseError("not a checkpoint file", line=1, path=path)
     count_line, _, rest = rest.partition(b"\n")
     try:
         n_layers = int(count_line)
     except ValueError:
-        raise ParseError(f"{path}: bad layer count", line=2) from None
+        raise ParseError("bad layer count", line=2, path=path) from None
     if n_layers < 1:
-        raise ParseError(f"{path}: need at least one layer, got {n_layers}", line=2)
+        raise ParseError(f"need at least one layer, got {n_layers}", line=2, path=path)
     shapes = []
     for i in range(n_layers + 1):
         line, _, rest = rest.partition(b"\n")
         try:
             out_dim, in_dim = (int(v) for v in line.split())
         except ValueError:
-            raise ParseError(f"{path}: bad shape line", line=3 + i) from None
+            raise ParseError("bad shape line", line=3 + i, path=path) from None
         if out_dim < 1 or in_dim < 1:
-            raise ParseError(f"{path}: layer widths must be positive", line=3 + i)
+            raise ParseError("layer widths must be positive", line=3 + i, path=path)
         if shapes and in_dim != shapes[-1][0]:
-            raise ParseError(f"{path}: layer {i} does not chain", line=3 + i)
+            raise ParseError(f"layer {i} does not chain", line=3 + i, path=path)
         shapes.append((out_dim, in_dim))
 
     try:
         buf = np.frombuffer(rest, dtype="<f8")
     except ValueError:
-        raise ParseError(f"{path}: payload is not float64-aligned") from None
+        raise ParseError("payload is not float64-aligned", path=path) from None
     if buf.size != sum(o * i + o for o, i in shapes):
-        raise ParseError(f"{path}: payload size mismatch")
+        raise ParseError("payload size mismatch", path=path)
     if not np.isfinite(buf).all():
-        raise ParseError(f"{path}: non-finite parameter")
+        raise ParseError("non-finite parameter", path=path)
     arrays = []  # views into buf; the constructor copies them out
     offset = 0
     for out_dim, in_dim in shapes:

@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import write_table
 from .dataset import Dataset
 from .errors import DataError, NumericError, ParseError
-from .model import ModelParams, forward
+from .model import ModelParams, features
 
 _ZERO_NORM = 1e-12
 
@@ -117,7 +117,7 @@ class PairingPlan:
 def compute_centroids(ds: Dataset, params: ModelParams) -> np.ndarray:
     """Mean extractor feature per class as a (class_count, h) matrix: row c
     is centroid(c) = (1/|c|) sum_x features(x)."""
-    feats, _ = forward(params, ds.X)
+    feats = features(params, ds.X)
     rows = []
     for c, idx in ds.indices_by_class().items():
         if len(idx) == 0:
@@ -262,18 +262,22 @@ def load_plan(path) -> PairingPlan:
         lines.pop()
     flags = {"exhausted,true": True, "exhausted,false": False}
     if not lines or lines[0] not in flags:
-        raise ParseError("expected `exhausted,true` or `exhausted,false`", line=1)
+        raise ParseError(
+            "expected `exhausted,true` or `exhausted,false`", line=1, path=path
+        )
     if len(lines) < 2 or lines[1] != _PLAN_HEADER:
-        raise ParseError("bad plan header", line=2)
+        raise ParseError("bad plan header", line=2, path=path)
     rows = []
     for lineno, row in enumerate(lines[2:], start=3):
         cols = row.split(",")
         if len(cols) != 4:
-            raise ParseError(f"expected 4 columns, got {len(cols)}", line=lineno)
+            raise ParseError(
+                f"expected 4 columns, got {len(cols)}", line=lineno, path=path
+            )
         try:
             rows.append((int(cols[0]), int(cols[1]), int(cols[2]), float(cols[3])))
         except ValueError:
-            raise ParseError("non-numeric plan entry", line=lineno) from None
+            raise ParseError("non-numeric plan entry", line=lineno, path=path) from None
     if not rows:
         raise DataError(f"{path}: plan file has no entries")
     rows.sort(key=lambda e: (e[0], e[1]))
@@ -283,8 +287,10 @@ def load_plan(path) -> PairingPlan:
         per_target.setdefault(t, []).append(s)
         scores.setdefault(t, []).append(score)
         if len(per_target[t]) != rnd:
-            raise ParseError(f"target {t} is missing round {len(per_target[t])}")
+            raise ParseError(
+                f"target {t} is missing round {len(per_target[t])}", path=path
+            )
     try:
         return PairingPlan(per_target, scores, rows[-1][0], flags[lines[0]])
     except ValueError as e:
-        raise ParseError(f"{path}: {e}") from None
+        raise ParseError(str(e), path=path) from None

@@ -234,6 +234,15 @@ def test_load_reports_offending_line(tmp_path, text, line):
     assert exc.value.line == line
 
 
+def test_load_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "target_train.csv"
+    path.write_text("target,2,1\n0,1.0\nx,2.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}: line 3: non-numeric label 'x'"
+    assert exc.value.line == 3
+
+
 def test_load_rejects_headers_without_rows(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("source,2,3\n")

@@ -8,7 +8,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import timedelta
@@ -551,6 +554,12 @@ def test_pair_uses_configured_threshold(tmp_path):
         "alpha_grid=[]",
         "alpha_grid=\"\"",
         "threshold_grid=\"\"",
+        pytest.param("finetune.lr=1" + "0" * 400, id="finetune.lr=10**400"),
+        pytest.param("data.noise=-1" + "0" * 400, id="data.noise=-10**400"),
+        pytest.param(
+            "alpha_grid=[1.0, 1" + "0" * 400 + "]", id="alpha_grid=[1.0, 10**400]"
+        ),
+        pytest.param("finetune.lr=1" + "0" * 5000, id="finetune.lr=10**5000"),
     ],
 )
 def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assignment):
@@ -816,6 +825,17 @@ def plan_source(row, source=None):
     return edit
 
 
+def csv_field(row, col, value):
+    """An edit of a CSV artifact: field `col` of line `row` (0-based) set to `value`."""
+    def edit(data):
+        lines = data.decode().split("\n")
+        fields = lines[row].split(",")
+        fields[col] = value
+        lines[row] = ",".join(fields)
+        return "\n".join(lines).encode()
+    return edit
+
+
 CKPT = b"XMIXUP-CKPT-1\n"
 
 
@@ -863,6 +883,14 @@ MALFORMED = {
     "record-seed-not-an-integer": (
         "runs/l2-s0.json", json_edit(lambda r: r | {"seed": "0"}), "report"
     ),
+    "record-accuracy-of-5000-digits": (
+        "runs/l2-s0.json",
+        lambda d: re.sub(rb'"accuracy": [^,\n]+', b'"accuracy": 1' + b"0" * 5000, d),
+        "report",
+    ),
+    # a field of line 3 of a CSV file
+    "dataset-label-x": ("target_train.csv", csv_field(1, 0, "x"), "pretrain"),
+    "plan-entry-x": ("plan.csv", csv_field(2, 1, "x"), "finetune"),
 }
 
 
@@ -973,3 +1001,87 @@ def test_fuzzed_artifacts_end_in_a_documented_exit_code(tiny_runs, artifact, dat
         )
     assert code in (0, 3, 4), err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ BLAS threads
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, threads: str | None, *args: str):
+    """Run `code` with `args` in a fresh interpreter that imports xmixup
+    from this checkout, with OPENBLAS_NUM_THREADS set to `threads` or unset;
+    the CompletedProcess, output captured as text."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("threads,expected", [(None, "1"), ("2", "2")])
+def test_importing_xmixup_sets_one_blas_thread_unless_the_variable_is_set(
+    threads, expected
+):
+    done = run_python(
+        "import os, xmixup; print(os.environ['OPENBLAS_NUM_THREADS'])", threads
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
+
+
+# Wide enough that the pairing and probe forwards (hundreds of rows by 64 by
+# 32) take OpenBLAS's threaded gemm path when two threads are allowed.
+THREADED_LAB = TINY_LAB | {
+    "data": TINY_LAB["data"] | {"source_per_class": 200, "target_per_class": 24},
+    "hidden": [64, 32],
+}
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THREADED_LAB))
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        done = run_python(
+            "import sys\n"
+            "from xmixup.cli import main\n"
+            "config, out = sys.argv[1:]\n"
+            "for cmd in ('gen-data', 'pretrain', 'pair', 'finetune', 'report'):\n"
+            "    assert main([cmd, '--config', config, '--out', out]) == 0\n",
+            threads,
+            str(config),
+            str(out),
+        )
+        assert done.returncode == 0, done.stderr
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
+    assert len([name for name in trees[0] if name.startswith("runs/")]) == 14
+
+
+# ------------------------------------------ integers of too many digits
+
+
+def test_an_integer_beyond_the_float_range_exits_2_without_a_traceback(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    done = run_python(
+        "import sys; from xmixup.cli import main; sys.exit(main(sys.argv[1:]))",
+        None,
+        "gen-data", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--set", "finetune.lr=1" + "0" * 400,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "lr must be finite" in done.stderr
+
+
+def test_a_config_file_with_an_integer_of_too_many_digits_exits_2(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"finetune": {"lr": 1' + "0" * 5000 + "}}")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()

@@ -269,6 +269,17 @@ class TestPlanRoundTrip:
             with pytest.raises(err):
                 load_plan(path)
 
+    def test_load_names_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "plan.csv"
+        path.write_text(
+            "exhausted,false\nround,target_class,source_class,similarity\n"
+            "1,0,2,0.5\n1,x,3,0.4\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_plan(path)
+        assert str(exc.value) == f"{path}: line 4: non-numeric plan entry"
+        assert exc.value.line == 4
+
     def test_plan_rejects_repeated_source_within_round(self):
         with pytest.raises(ValueError):
             PairingPlan({0: [2], 1: [2]}, {0: [0.5], 1: [0.5]}, 1, False)
