@@ -35,10 +35,23 @@ def check_distinct(name: str, values) -> None:
         raise ConfigError(f"{name} repeats {repeated}")
 
 
+#: The largest value each count of DataSpec takes; novel is bounded by m.
+#: Class means are placed by pairwise rejection, quadratic in m, and a
+#: split holds m x per-class rows of d floats, so a larger count would not
+#: fail fast but run or allocate without end.
+DATA_MAXIMA = {
+    "m": 1000,
+    "source_per_class": 100_000,
+    "d": 10_000,
+    "target_per_class": 100_000,
+}
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Synthetic data shape: a Gaussian-cluster source domain plus a target
-    domain whose planted classes are noisy copies of source classes."""
+    domain whose planted classes are noisy copies of source classes. Each
+    count is at most its entry of DATA_MAXIMA."""
 
     m: int = 20
     source_per_class: int = 40
@@ -57,6 +70,9 @@ class DataSpec:
         object.__setattr__(self, "planted", tuple(self.planted))
         for name in ("m", "source_per_class", "d", "target_per_class"):
             _require_range(name, getattr(self, name) >= 2, ">= 2", getattr(self, name))
+        for name, maximum in DATA_MAXIMA.items():
+            value = getattr(self, name)
+            _require_range(name, value <= maximum, f"<= {maximum}", value)
         _require_range("spread", self.spread > 0, "> 0", self.spread)
         for name in ("novel", "noise", "seed"):
             _require_range(name, getattr(self, name) >= 0, ">= 0", getattr(self, name))

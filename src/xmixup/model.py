@@ -13,12 +13,13 @@ formula.
 
 A stack of S models (ModelParams.stack) is one (S, P) buffer: every weight
 is an (S, out, in) view and every bias an (S, out) view, and row(s) is model
-s. forward_cache, backward_from_dlogits, loss_and_grad_arrays and sgd_step
-take a single model or a stack alike, a stack with (S, B, ·) batches, and
-run each operation once for the whole stack as batched matmuls and
-reductions over the last axes. Each model of a stack gets exactly the bits
-it would get alone: numpy computes every matrix of a batched matmul as its
-own 2-D product, and the reductions add in the same order.
+s. forward_cache, backward_from_dlogits, loss_and_grad_arrays,
+cross_entropy and sgd_step take a single model or a stack alike, a stack
+with (S, B, ·) batches, and run each operation once for the whole stack as
+batched matmuls and reductions over the last axes. Each model of a stack
+gets exactly the bits it would get alone: numpy computes every matrix of a
+batched matmul as its own 2-D product, and the reductions add in the same
+order.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericErr
     return NumericError(message, cell=cell)
 
 
-def _check_soft_labels(P: np.ndarray, stacked: bool = False):
+def check_soft_labels(P: np.ndarray, stacked: bool = False):
     """P must be finite and non-negative with rows summing to 1 within 1e-9.
 
     Two comparisons decide the common case; only a failing batch is looked
@@ -326,21 +327,35 @@ def loss_and_grad_arrays(
         )
     if not np.isfinite(X).all():
         raise numeric_error("non-finite values in batch", X, stacked)
-    _check_soft_labels(P, stacked)
+    check_soft_labels(P, stacked)
 
     acts, pres, features, logits = forward_cache(params, X)
     if not np.isfinite(logits).all():
         message = "non-finite logits (diverged parameters?)"
         raise numeric_error(message, logits, stacked)
+    loss, dlogits = cross_entropy(logits, P)
+    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
+    return (loss if stacked else float(loss)), grads
+
+
+def cross_entropy(logits: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The soft-target cross-entropy of each batch of logits, mean_i -sum_k
+    P[i,k] * log softmax(logits[i])_k over its rows, and d(loss)/d(logits).
+    Every row is computed on its own, so a batch of a stack gets the bits it
+    gets alone."""
     logp = log_softmax(logits)
     # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
-    n = X.shape[-2]
+    n = logits.shape[-2]
     loss = -(P * logp).sum(axis=-1).sum(axis=-1) / n
     dlogits = np.exp(logp)
     dlogits -= P
     dlogits /= n
-    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
-    return (loss if stacked else float(loss)), grads
+    return loss, dlogits
+
+
+def learning_rate(cfg: TrainConfig, iteration: int) -> float:
+    """The effective learning rate of step `iteration` under cfg's schedule."""
+    return cfg.lr * (cfg.lr_drop_factor if iteration >= cfg.lr_drop_at else 1.0)
 
 
 def sgd_step(
@@ -349,19 +364,22 @@ def sgd_step(
     velocity: ModelParams,
     cfg: TrainConfig,
     iteration: int,
+    lr=None,
 ) -> None:
     """One SGD-with-momentum update of params and velocity, in place.
 
-    effective_lr = lr * (lr_drop_factor if iteration >= lr_drop_at else 1);
     g <- g + weight_decay*w on the weight segment only (biases are not
-    decayed; this writes into grads); v <- momentum*v - effective_lr*g;
-    w <- w + v. Each line rounds as the out-of-place formula does, so the
-    result is bit-identical to it. A stack takes one step for every model;
-    they share cfg.
+    decayed; this writes into grads); v <- momentum*v - effective_lr*g,
+    with effective_lr = learning_rate(cfg, iteration); w <- w + v. Each
+    line rounds as the out-of-place formula does, so the result is
+    bit-identical to it. A stack takes one step for every model; they share
+    cfg's momentum and weight decay. `lr`, when given, is the effective
+    learning rate in place of cfg's schedule: a float, or for a stack an
+    (S, 1) column of one rate per model.
     """
     if not np.isfinite(grads.flat).all():
         raise numeric_error("non-finite gradient", grads.flat, grads.stacked)
-    eff_lr = cfg.lr * (cfg.lr_drop_factor if iteration >= cfg.lr_drop_at else 1.0)
+    eff_lr = learning_rate(cfg, iteration) if lr is None else lr
     grads.weights += cfg.weight_decay * params.weights
     v = velocity.flat
     v *= cfg.momentum

@@ -3,10 +3,10 @@
 Every strategy fine-tunes a pre-trained extractor with a fresh head over the
 unified label space (target classes first, then any selected source
 classes), and every one is the same SGD loop fed a different batch: a
-strategy is a list of phases (TrainConfig, batch, loss), and one driver,
-_run_sgd, runs every phase and pretrain alike. The batches are target rows,
-in-domain mixed rows, cross-domain mixed rows, auxiliary source rows and
-co-train rows; the losses are soft-target cross-entropy, L2-SP and the
+strategy is a list of phases (a budget and a batch kind), and one driver,
+_run_segments, steps every phase and pretrain alike. The batches are target
+rows, in-domain mixed rows, cross-domain mixed rows, auxiliary source rows
+and co-train rows; the losses are soft-target cross-entropy, L2-SP and the
 masked softmax. The non-trivial strategies:
 
 - L2SP adds mu * ||theta_ext - theta_pretrain,ext||^2 on the extractor, with
@@ -19,17 +19,31 @@ masked softmax. The non-trivial strategies:
   target rows normalize over target logits only, source rows over source
   logits only (equivalent to separate heads on a shared extractor).
 
-finetune trains one cell or a list of cells that share a strategy kind, a
-pairing plan and a TrainConfig up to its seed (mixing cells may differ in
-the α and seed of their MixupConfig, not in β). The cells train as one stack of S models (see
-the model module): every cell keeps its own generators and draws from them
-in the order a lone run would, and everything after the draws (lookups,
-gathers, blends, forward, backward, the checks and the SGD update) runs
-once per step for the stack. So every cell's parameters, loss trace and
-accuracy are bit for bit those of the cell trained alone, whichever cells
-ride with it. Every batch carries the leading (S,) cell axis; a lone cell
-trains the arrays of one model, and the driver drops that axis from its
-batches."""
+finetune trains one cell or a list of cells that share a label space (the
+target classes alone, or with one plan's auxiliary classes) and a
+TrainConfig up to its seed, whatever their strategies. The cells train as
+one stack of S models (see the model module), one model step per iteration
+for all of them:
+
+- Batches. Each batch kind is drawn by one call over all of its cells.
+  Cells whose draws are the same function of the same generator seeds
+  share one draw: l2 and l2sp draw the same target rows, and xmixup and
+  xmixup-nolabel the same mixed batch, which nolabel then relabels. Every
+  distinct draw keeps its own generators and calls them in the order a
+  lone run would. A generator that draws only indices below one bound
+  draws a block of steps in one call, which gives the same values and
+  leaves the same state (_index_blocks).
+- Losses. One forward and one backward serve the stack: cross-entropy on
+  the rows with soft labels, the masked softmax on cotrain's rows, and the
+  L2-SP penalty added on l2sp's rows into a buffer kept for the run.
+- Schedules. Each row follows its own phases. At seqtrain's phase switch
+  its row's velocity restarts and so does its learning-rate schedule; where
+  the rows' schedules differ, the update takes one learning rate per row.
+
+So every cell's parameters, loss trace and accuracy are bit for bit those
+of the cell trained alone, whichever cells ride with it. Every batch carries
+the leading (S,) cell axis; a lone cell trains the arrays of one model, and
+the driver drops that axis from its batches."""
 
 from __future__ import annotations
 
@@ -46,10 +60,13 @@ from .model import (
     ModelParams,
     TrainConfig,
     backward_from_dlogits,
+    check_soft_labels,
+    cross_entropy,
     forward,
     forward_cache,
     init,
     init_linear,
+    learning_rate,
     log_softmax,
     loss_and_grad_arrays,
     numeric_error,
@@ -178,40 +195,80 @@ def result_to_json(result: RunResult) -> dict:
     }
 
 
-def _run_sgd(
-    params, cfg, batch_fn, loss_fn, cells: list[str] | None = None
-) -> np.ndarray:
-    """Drive `cfg.iterations` SGD steps, updating params in place; returns
-    the loss trace, shaped (iterations,) for one model and (iterations, S)
-    for a stack.
+def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
+    """Drive SGD through `segments`, updating params in place; returns the
+    loss trace, shaped (iterations,) for one model and (iterations, S) for
+    a stack.
 
-    Each step draws a batch, a tuple of arrays with a leading stack axis,
-    from batch_fn() and takes loss_fn(params, *batch, out) -> (loss, grads),
-    which writes the gradients into `out`. When params is one model, not a
-    stack, the driver drops the stack axis from every batch array: numpy
-    spends about 6 % more per loss call on a stack of one. One gradient
-    buffer `out` and one velocity live for the whole run. A NumericError is
-    raised again with the iteration and, when `cells` names the models, the
-    name of the cell it concerns.
+    A segment is (batch_fn, lrs, reset) and takes len(lrs) steps. Each step
+    draws a batch, a tuple of arrays with a leading stack axis, from
+    batch_fn(), takes loss_fn(params, *batch, out) -> (loss, grads), which
+    writes the gradients into `out`, and makes one sgd_step under cfg's
+    momentum and weight decay at the step's entry of lrs: a float, or an
+    (S, 1) column with one learning rate per model. The velocity of the
+    stack rows listed in `reset` restarts from zero when the segment
+    starts. When params is one model, not a stack, the driver drops the
+    stack axis from every batch array: numpy spends about 6 % more per loss
+    call on a stack of one. One gradient buffer `out` and one velocity live
+    for the whole run. A NumericError is raised again with the iteration,
+    counted over all segments, and, when `cells` names the models, the name
+    of the cell it concerns.
     """
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
-    trace = np.empty((cfg.iterations,) + params.flat.shape[:-1])
-    for it in range(cfg.iterations):
-        try:
-            batch = batch_fn()
-            if not params.stacked:
-                batch = [a[0] for a in batch]
-            loss, grads = loss_fn(params, *batch, out)
-            sgd_step(params, grads, velocity, cfg, it)
-        except NumericError as e:
-            where = f"iteration {it}: {e}"
-            if cells is not None:
-                who = cells[e.cell] if e.cell is not None else ", ".join(cells)
-                where = f"{who}: {where}"
-            raise NumericError(where, cell=e.cell) from None
-        trace[it] = loss
+    rows = velocity.flat.reshape(-1, velocity.flat.shape[-1])  # one model: (1, P)
+    steps = sum(len(lrs) for _, lrs, _ in segments)
+    trace = np.empty((steps,) + params.flat.shape[:-1])
+    it = 0
+    for batch_fn, lrs, reset in segments:
+        if reset:
+            rows[reset] = 0.0
+        for lr in lrs:
+            try:
+                batch = batch_fn()
+                if not params.stacked:
+                    batch = [a[0] for a in batch]
+                loss, grads = loss_fn(params, *batch, out)
+                sgd_step(params, grads, velocity, cfg, it, lr)
+            except NumericError as e:
+                where = f"iteration {it}: {e}"
+                if cells is not None:
+                    who = cells[e.cell] if e.cell is not None else ", ".join(cells)
+                    where = f"{who}: {where}"
+                raise NumericError(where, cell=e.cell) from None
+            trace[it] = loss
+            it += 1
     return trace
+
+
+def _run_sgd(
+    params, cfg, batch_fn, loss_fn, cells: list[str] | None = None
+) -> np.ndarray:
+    """`cfg.iterations` steps of one batch function under cfg's schedule:
+    one segment of _run_segments."""
+    lrs = [learning_rate(cfg, it) for it in range(cfg.iterations)]
+    return _run_segments(params, cfg, loss_fn, [(batch_fn, lrs, [])], cells)
+
+
+#: Steps of index draws that _index_blocks takes in one call per generator.
+DRAW_BLOCK = 64
+
+
+def _index_blocks(rngs: list, high, shape: tuple, steps: int):
+    """For each of `steps` steps, the indices below `high` that one
+    rng.integers(high, size=shape) call per step would draw from each
+    generator, as one (len(rngs),) + shape array.
+
+    Each generator draws a block of up to DRAW_BLOCK steps in one call.
+    numpy draws the entries of one integers call one after another from
+    the generator's stream, keeping an unused half word in the generator,
+    so one call of size (T,) + shape gives what T calls of size `shape` give,
+    values and generator state alike. A generator read this way must draw
+    nothing else in between.
+    """
+    for start in range(0, steps, DRAW_BLOCK):
+        size = (min(DRAW_BLOCK, steps - start),) + shape
+        yield from np.stack([rng.integers(high, size=size) for rng in rngs], axis=1)
 
 
 def _draw(rngs: list, high, size: int) -> np.ndarray:
@@ -230,9 +287,10 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     rng = [np.random.default_rng([cfg.seed, 1])]
     X, y = src_train.X, src_train.y
     eye = np.eye(src_train.class_count)
+    draws = _index_blocks(rng, len(X), (cfg.batch_size,), cfg.iterations)
 
     def batch():
-        idx = _draw(rng, len(X), cfg.batch_size)
+        idx = next(draws)
         return X.take(idx, 0), eye.take(y[idx], 0)
 
     _run_sgd(params, cfg, batch, loss_and_grad_arrays)
@@ -253,13 +311,19 @@ def evaluate(params: ModelParams, test: Dataset) -> float:
 
 
 def sp_penalty(
-    params: ModelParams, reference: ModelParams, mu: float
+    params: ModelParams,
+    reference: ModelParams,
+    mu: float,
+    out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """mu * squared L2 distance of the extractor from a reference, plus its
     gradient 2*mu*(theta - theta_ref); the head contributes nothing.
 
     For a stack, every model is measured against the one reference and the
-    value is an (S,) array.
+    value is an (S,) array. The gradient goes into `out` when given, a
+    ModelParams shaped like params whose head part is zero (as zeros_like
+    leaves it; only the extractor part is written), and into a new one
+    otherwise.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -270,7 +334,7 @@ def sp_penalty(
             raise ValueError(f"layer shapes differ: {w.shape[-2:]} vs {w0.shape}")
     # the extractor difference, in place in the gradient's buffer, becomes
     # the gradient once scaled; the head part stays zero
-    grads = ModelParams.zeros_like(params)
+    grads = ModelParams.zeros_like(params) if out is None else out
     np.subtract(params.extractor, reference.extractor, out=grads.extractor)
     value = 0.0
     for dw, db in grads.layers:
@@ -296,6 +360,16 @@ def masked_loss_and_grad(
     if not np.all(np.isfinite(logits)):
         message = "non-finite logits in masked loss"
         raise numeric_error(message, logits, params.stacked)
+    loss, dlogits = masked_dlogits(logits, labels, n_target, split)
+    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
+    return (loss if params.stacked else float(loss)), grads
+
+
+def masked_dlogits(
+    logits: np.ndarray, labels: np.ndarray, n_target: int, split: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The masked loss of each batch of logits (see masked_loss_and_grad)
+    and d(loss)/d(logits); every row is computed on its own."""
     total_rows, label_count = logits.shape[-2:]
     if not 0 <= split <= total_rows:
         raise ValueError(f"split {split} outside batch of {total_rows}")
@@ -318,16 +392,45 @@ def masked_loss_and_grad(
         dsub = np.exp(logp)
         dsub.reshape(-1, hi - lo)[at] -= 1.0
         dlogits[..., rows, lo:hi] = dsub / total_rows
-    loss = total / total_rows
+    return total / total_rows, dlogits
+
+
+def stack_loss_and_grad(
+    params: ModelParams,
+    X: np.ndarray,
+    P: np.ndarray,
+    labels: np.ndarray,
+    n_target: int,
+    split: int,
+    out: ModelParams | None = None,
+) -> tuple[np.ndarray, ModelParams]:
+    """The losses of a stack whose first len(P) models take the soft-target
+    cross-entropy of P and whose other models take the masked loss of
+    `labels` (see masked_loss_and_grad), with one forward and one backward
+    for all of them. X is (S, B, d), P (len(P), B, L) and labels
+    (S - len(P), B); returns an (S,) array of losses and the gradients,
+    written into `out` as in backward_from_dlogits. Every model gets the
+    bits the loss of its own kind gives it alone."""
+    if not np.isfinite(X).all():
+        raise numeric_error("non-finite values in batch", X, True)
+    check_soft_labels(P, True)
+    acts, pres, _, logits = forward_cache(params, X)
+    if not np.isfinite(logits).all():
+        message = "non-finite logits (diverged parameters?)"
+        raise numeric_error(message, logits, True)
+    soft = len(P)
+    ce_loss, ce_grad = cross_entropy(logits[:soft], P)
+    masked_loss, masked_grad = masked_dlogits(logits[soft:], labels, n_target, split)
+    dlogits = np.concatenate([ce_grad, masked_grad])
     grads = backward_from_dlogits(params, acts, pres, dlogits, out)
-    return (loss if params.stacked else float(loss)), grads
+    return np.concatenate([ce_loss, masked_loss]), grads
 
 
 def _aux_pool(src: Dataset, space: LabelSpace):
-    """Indices of all selected-class source samples and their unified labels."""
+    """The inputs of all selected-class source samples and their unified labels."""
     by_class = src.indices_by_class()
     idx = np.concatenate([by_class[c] for c in space.source_classes])
-    return idx, space.source_columns[src.y[idx]]
+    return src.X.take(idx, 0), space.source_columns[src.y[idx]]
 
 
 def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
@@ -341,6 +444,66 @@ def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
     if strategy.mixup is not None:
         name += f" alpha {strategy.mixup.alpha:g}"
     return name
+
+
+def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
+    """SeqTrain's first-phase budget: its midtune_iterations, or half."""
+    mid = strategy.midtune_iterations
+    if mid is None:
+        mid = cfg.iterations // 2
+    if mid > cfg.iterations:
+        raise ConfigError(
+            f"midtune budget {mid} exceeds total iterations {cfg.iterations}"
+        )
+    return mid
+
+
+#: The batch kind each strategy trains on; SeqTrain's is that of its first
+#: phase, its second phase trains on target rows.
+_BATCH = {
+    StrategyKind.L2: "target",
+    StrategyKind.L2SP: "target",
+    StrategyKind.MIXUP_IN_DOMAIN: "in_domain",
+    StrategyKind.XMIXUP: "mixed",
+    StrategyKind.XMIXUP_NO_LABEL: "mixed",
+    StrategyKind.SEQ_TRAIN: "auxiliary",
+    StrategyKind.CO_TRAIN: "cotrain",
+}
+
+
+def _phases(strategy: Strategy, cfg: TrainConfig) -> list[tuple[int, TrainConfig, str]]:
+    """A cell's phases that take any step, as (first iteration, the phase's
+    TrainConfig, batch kind)."""
+    phases = [(0, cfg, _BATCH[strategy.kind])]
+    if strategy.kind is StrategyKind.SEQ_TRAIN:
+        mid = _midtune(strategy, cfg)
+        phases = [
+            (0, _budget(cfg, mid), "auxiliary"),
+            (mid, _budget(cfg, cfg.iterations - mid), "target"),
+        ]
+    return [phase for phase in phases if phase[1].iterations]
+
+
+def _stack_order(strategy: Strategy) -> tuple:
+    """Where a cell sits in its stack: by strategy kind, so that cotrain's
+    masked rows come last, and the L2SP cells of one weight next to each
+    other."""
+    return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
+
+
+def stack_cell_bytes(pretrained: ModelParams, label_count: int, batch_size: int) -> int:
+    """About the bytes one cell adds to the working set of a training stack
+    over `pretrained` with a head of label_count outputs: its parameters,
+    gradients and velocity, and its batch's inputs, pre-activations,
+    activations and logits."""
+    widths = [w.shape[-2] for w, _ in pretrained.layers]
+    params = pretrained.extractor.shape[-1] + label_count * (widths[-1] + 1)
+    rows = pretrained.d + 2 * sum(widths) + label_count
+    return 8 * (3 * params + batch_size * rows)
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def finetune(
@@ -361,10 +524,11 @@ def finetune(
 
     `strategy` and `cfg` are one Strategy and one TrainConfig, giving one
     RunResult, or equal-length sequences, one entry per cell, giving one
-    RunResult per cell in order. The cells must share the strategy kind and
-    every strategy parameter but the α and seed of the MixupConfig, and
-    every TrainConfig field but the seed; they train as one stack (see the
-    module docstring). A NumericError names the cell and the iteration.
+    RunResult per cell in order. The cells may differ in strategy, but must
+    share a label space (all use source data or none does) and every
+    TrainConfig field but the seed, and the mixing cells of one batch kind
+    the β of their MixupConfig; they train as one stack (see the module
+    docstring). A NumericError names the cell and the iteration.
     """
     if isinstance(strategy, Strategy) != isinstance(cfg, TrainConfig):
         raise ValueError("give one strategy and one config, or a sequence of each")
@@ -375,9 +539,10 @@ def finetune(
     strategies, cfgs = list(strategy), list(cfg)
     if not strategies or len(strategies) != len(cfgs):
         raise ValueError("need one TrainConfig per strategy, and at least one")
-    first = strategies[0]
-    if any(replace(s, mixup=first.mixup) != first for s in strategies):
-        raise ValueError("stacked cells must share the strategy but for its mixup")
+    if len({s.needs_source for s in strategies}) > 1:
+        raise ValueError(
+            "stacked cells must share a label space: all use source data or none"
+        )
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ValueError("stacked cells must share the TrainConfig but for the seed")
     cfg = cfgs[0]
@@ -391,19 +556,27 @@ def finetune(
     if tgt_test.class_count != n or tgt_test.d != tgt_train.d:
         raise ValueError("test split does not match the training split")
 
-    kind = first.kind
-    if first.needs_source:
+    if strategies[0].needs_source:
         if plan is None or src is None:
+            kind = strategies[0].kind.value
             raise ConfigError(
-                f"strategy {kind.value} requires source data and a pairing plan"
+                f"strategy {kind} requires source data and a pairing plan"
             )
         missing = [t for t in range(n) if t not in plan.per_target]
         if missing:
             raise ConfigError(f"pairing plan misses target classes {missing}")
         space = LabelSpace(n, tuple(plan.selected_sources()))
+        pooled = (StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN)
+        if any(s.kind in pooled for s in strategies):
+            pool_X, pool_labels = _aux_pool(src, space)
     else:
         space = LabelSpace(n, ())
 
+    # the stack's rows: the cells in _stack_order; `order` maps a row to its cell
+    order = sorted(range(len(cfgs)), key=lambda i: _stack_order(strategies[i]))
+    strategies = [strategies[i] for i in order]
+    cfgs = [cfgs[i] for i in order]
+    S = len(cfgs)
     stack = ModelParams.stack(  # copies the pre-trained layers in
         [
             ModelParams(
@@ -417,100 +590,206 @@ def finetune(
             for c in cfgs
         ]
     )
-    params = stack if len(cfgs) > 1 else stack.row(0)  # see _run_sgd
-    rng_batch = [np.random.default_rng([c.seed, 1]) for c in cfgs]
+    params = stack if S > 1 else stack.row(0)  # see _run_segments
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
     B = cfg.batch_size
     half = B // 2
     cells = [_cell_name(s, c) for s, c in zip(strategies, cfgs)]
-    if first.mixup is not None:
-        mixups = [s.mixup for s in strategies]
-        rng_mix = [
-            np.random.default_rng([c.seed, 2, s.mixup.seed])
-            for s, c in zip(strategies, cfgs)
+
+    # A draw key (batch kind, seed, MixupConfig, first iteration) names a
+    # stream of batches: cells of one key draw the same batches, so they
+    # share one set of generators and one draw per step. Its generators
+    # are made when it first draws and kept while it draws.
+    rngs: dict[tuple, np.random.Generator] = {}
+
+    def generators(keys: list[tuple], stream: int) -> list:
+        for key in keys:
+            if (key, stream) not in rngs:
+                _, seed, mixup, _ = key
+                entropy = [seed, 2, mixup.seed] if stream == 2 else [seed, stream]
+                rngs[key, stream] = np.random.default_rng(entropy)
+        return [rngs[key, stream] for key in keys]
+
+    # the batch kinds: each takes the draw keys of its cells and the number
+    # of steps to draw, and returns a function that draws one step's
+    # batches of every key, arrays with a leading (keys,) axis
+    def uniform_rows(X, labels, stream, keys, steps):
+        # rows of X drawn uniformly with their one-hot labels: the target
+        # rows (stream 1) and the auxiliary source rows (stream 3)
+        draws = _index_blocks(generators(keys, stream), len(X), (B,), steps)
+
+        def draw():
+            idx = next(draws)
+            return X.take(idx, 0), eye.take(labels[idx], 0)
+
+        return draw
+
+    def in_domain(keys, steps):
+        draws = _index_blocks(generators(keys, 1), len(tgt_X), (2, B), steps)
+        mixups, rng_mix = [key[2] for key in keys], generators(keys, 2)
+
+        def draw():
+            i1, i2 = next(draws).swapaxes(0, 1)
+            lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
+            X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
+            P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
+            return X, P
+
+        return draw
+
+    def mixed(keys, steps):
+        mixups, rng_mix = [key[2] for key in keys], generators(keys, 2)
+        return lambda: make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
+
+    def cotrain(keys, steps):
+        rng = generators(keys, 1)  # two bounds: one call per draw
+
+        def draw():
+            ti = _draw(rng, len(tgt_X), half)
+            si = _draw(rng, len(pool_X), B - half)
+            X = np.concatenate([tgt_X.take(ti, 0), pool_X.take(si, 0)], axis=-2)
+            return X, np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
+
+        return draw
+
+    batch_kinds = {
+        "target": lambda *draws: uniform_rows(tgt_X, tgt_y, 1, *draws),
+        "in_domain": in_domain,
+        "mixed": mixed,
+        "auxiliary": lambda *draws: uniform_rows(pool_X, pool_labels, 3, *draws),
+        "cotrain": cotrain,
+    }
+
+    def relabel(P):
+        # keep the mixed inputs, relabel with the pure target class (the lone
+        # nonzero in the target block)
+        return eye.take(P[..., :n].argmax(axis=-1), 0)
+
+    def segment(first: int, stop: int, current: list[tuple]):
+        """The (batch_fn, lrs, reset) of iterations [first, stop), in which
+        row r is in phase current[r]."""
+        keys = [
+            (batch, c.seed, s.mixup, start)
+            for (start, _, batch), s, c in zip(current, strategies, cfgs)
         ]
-    if kind in (StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN):
-        pool, pool_labels = _aux_pool(src, space)
+        by_kind: dict[str, list[tuple]] = {}
+        owner: dict[str, list[int]] = {}  # each key's first row
+        for r, key in enumerate(keys):
+            if key not in by_kind.setdefault(key[0], []):
+                by_kind[key[0]].append(key)
+                owner.setdefault(key[0], []).append(r)
+        draws = {
+            kind: batch_kinds[kind](kind_keys, stop - first)
+            for kind, kind_keys in by_kind.items()
+        }
+        # runs of adjacent rows of one batch kind and label use, each with
+        # the indices of its rows' keys, None when they are all, in order
+        pieces = []
+        for key, s in zip(keys, strategies):
+            kind, nolabel = key[0], s.kind is StrategyKind.XMIXUP_NO_LABEL
+            if not pieces or pieces[-1][:2] != (kind, nolabel):
+                pieces.append((kind, nolabel, []))
+            pieces[-1][2].append(by_kind[kind].index(key))
+        pieces = [
+            (kind, nolabel, None if idx == list(range(len(by_kind[kind]))) else idx)
+            for kind, nolabel, idx in pieces
+        ]
+        if len(pieces) == 1 and pieces[0][1:] == (False, None):
+            batch_fn = draws[pieces[0][0]]
+        else:
 
-    # the batches: each returns arrays with a leading (S,) cell axis
-    def target():
-        idx = _draw(rng_batch, len(tgt_X), B)
-        return tgt_X.take(idx, 0), eye.take(tgt_y[idx], 0)
+            def batch_fn():
+                parts = {}
+                for kind, draw in draws.items():
+                    try:
+                        parts[kind] = draw()
+                    except NumericError as e:
+                        if e.cell is None:
+                            raise
+                        raise NumericError(str(e), cell=owner[kind][e.cell]) from None
+                inputs, soft, hard = [], [], []
+                for kind, nolabel, idx in pieces:
+                    X, Y = parts[kind]
+                    if idx is not None:
+                        X, Y = X.take(idx, 0), Y.take(idx, 0)
+                    inputs.append(X)
+                    if kind == "cotrain":
+                        hard.append(Y)
+                    else:
+                        soft.append(relabel(Y) if nolabel else Y)
+                return [_cat(a) for a in (inputs, soft, hard) if a]
 
-    def in_domain():
-        i1 = _draw(rng_batch, len(tgt_X), B)
-        i2 = _draw(rng_batch, len(tgt_X), B)
-        lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
-        X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
-        P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
-        return X, P
+        # the learning rates of each row's schedule; the phases of the
+        # rows differ only in their budget, so (start, drop) tells them apart
+        schedules = {}
+        for start, phase, _ in current:
+            if (start, phase.lr_drop_at) not in schedules:
+                lrs = [learning_rate(phase, i - start) for i in range(first, stop)]
+                schedules[start, phase.lr_drop_at] = lrs
+        if len(schedules) == 1:
+            (lrs,) = schedules.values()
+        else:  # one column of rates per step
+            columns = [schedules[start, ph.lr_drop_at] for start, ph, _ in current]
+            lrs = np.array(columns).T[..., None]
+        reset = [r for r, (start, _, _) in enumerate(current) if 0 < start == first]
+        return batch_fn, lrs, reset
 
-    def mixed():
-        X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
-        if kind is StrategyKind.XMIXUP_NO_LABEL:
-            # keep the mixed inputs, relabel with the pure target class (the
-            # lone nonzero in the target block)
-            P = eye.take(P[..., :n].argmax(axis=-1), 0)
-        return X, P
+    # the losses: cross-entropy on soft labels, the masked loss on
+    # cotrain's rows, and the L2-SP penalty added on L2SP's rows
+    soft_rows = sum(s.kind is not StrategyKind.CO_TRAIN for s in strategies)
+    if soft_rows == S:
+        base = loss_and_grad_arrays
+    elif soft_rows == 0:
 
-    def auxiliary():
-        idx = _draw(rng_aux, len(pool), B)
-        return src.X.take(pool[idx], 0), eye.take(pool_labels[idx], 0)
+        def base(p, X, labels, out):
+            return masked_loss_and_grad(p, X, labels, n, half, out)
 
-    def cotrain():
-        ti = _draw(rng_batch, len(tgt_X), half)
-        si = _draw(rng_batch, len(pool), B - half)
-        X = np.concatenate([tgt_X.take(ti, 0), src.X.take(pool[si], 0)], axis=-2)
-        return X, np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
+    else:
 
-    # the losses besides plain cross-entropy, loss_and_grad_arrays
-    def l2sp(p, X, P, out):
-        loss, grads = loss_and_grad_arrays(p, X, P, out)
-        pen, pgrads = sp_penalty(p, pretrained, first.sp_weight)
-        grads.flat += pgrads.flat
-        return loss + pen, grads
+        def base(p, X, P, labels, out):
+            return stack_loss_and_grad(p, X, P, labels, n, half, out)
 
-    def masked(p, X, labels, out):
-        return masked_loss_and_grad(p, X, labels, n, half, out)
+    penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
+    weights = [s.sp_weight for s in strategies]
+    for mu in dict.fromkeys(w for w in weights if w is not None):
+        at = [r for r, w in enumerate(weights) if w == mu]
+        rows = slice(at[0], at[-1] + 1) if params.stacked else slice(None)
+        view = ModelParams._over(params, params.flat[rows])
+        penalties.append((rows, mu, view, ModelParams.zeros_like(view)))
+    loss_fn = base
+    if penalties:
+
+        def loss_fn(p, *batch):
+            loss, grads = base(p, *batch)
+            for rows, mu, view, pen_grads in penalties:
+                pen, _ = sp_penalty(view, pretrained, mu, pen_grads)
+                grads.flat[rows] += pen_grads.flat
+                if p.stacked:
+                    loss[rows] += pen
+                else:
+                    loss = loss + pen
+            return loss, grads
+
+    # the segments: runs of iterations in which no row changes phase; a
+    # row's phases follow each other, so its phase is the last one begun
+    phases = [_phases(s, c) for s, c in zip(strategies, cfgs)]
+    bounds = sorted({ph[0] for row in phases for ph in row} | {cfg.iterations})
+    segments = []
+    for first, stop in zip(bounds, bounds[1:]):
+        current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
+        segments.append(segment(first, stop, current))
+    trace = _run_segments(params, cfg, loss_fn, segments, cells).reshape(-1, S)
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
-    configs = [
-        {"strategy": s.to_config(), "train": asdict(c), "label_space": label_space}
-        for s, c in zip(strategies, cfgs)
-    ]
-    # every strategy is a list of phases (budget, batch, loss)
-    if kind is StrategyKind.SEQ_TRAIN:
-        mid = first.midtune_iterations
-        if mid is None:
-            mid = cfg.iterations // 2
-        if mid > cfg.iterations:
-            raise ConfigError(
-                f"midtune budget {mid} exceeds total iterations {cfg.iterations}"
-            )
-        for config in configs:
-            config["strategy"]["midtune_iterations"] = mid
-        rng_aux = [np.random.default_rng([c.seed, 3]) for c in cfgs]
-        phases = [
-            (_budget(cfg, mid), auxiliary, loss_and_grad_arrays),
-            (_budget(cfg, cfg.iterations - mid), target, loss_and_grad_arrays),
-        ]
-    else:
-        batch, loss = {
-            StrategyKind.L2: (target, loss_and_grad_arrays),
-            StrategyKind.L2SP: (target, l2sp),
-            StrategyKind.MIXUP_IN_DOMAIN: (in_domain, loss_and_grad_arrays),
-            StrategyKind.XMIXUP: (mixed, loss_and_grad_arrays),
-            StrategyKind.XMIXUP_NO_LABEL: (mixed, loss_and_grad_arrays),
-            StrategyKind.CO_TRAIN: (cotrain, masked),
-        }[kind]
-        phases = [(cfg, batch, loss)]
-    trace = np.concatenate(
-        [_run_sgd(params, c, batch, loss, cells) for c, batch, loss in phases]
-    ).reshape(-1, len(cfgs))  # (iterations, S), a lone cell too
-    results = []
-    for s, (c, config) in enumerate(zip(cfgs, configs)):
-        model = stack.row(s)
+    results: list[RunResult | None] = [None] * S
+    for r, (s, c) in enumerate(zip(strategies, cfgs)):
+        config = {"strategy": s.to_config(), "train": asdict(c)}
+        config["label_space"] = label_space
+        if s.kind is StrategyKind.SEQ_TRAIN:
+            config["strategy"]["midtune_iterations"] = _midtune(s, c)
+        model = stack.row(r)
         accuracy = evaluate(model, tgt_test)
-        results.append(RunResult(model, trace[:, s].tolist(), accuracy, c.seed, config))
+        result = RunResult(model, trace[:, r].tolist(), accuracy, c.seed, config)
+        results[order[r]] = result
     return results

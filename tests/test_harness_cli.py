@@ -23,10 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmixup.cli import _load_config, main
-from xmixup.config import ExperimentConfig, config_from_json
+from xmixup.config import DATA_MAXIMA, DataSpec, ExperimentConfig, config_from_json
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError, NumericError
-from xmixup import harness
+from xmixup import harness, training
 from xmixup.harness import (
     COMPARISON_HEADER,
     Cell,
@@ -572,6 +572,26 @@ def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", sorted(DATA_MAXIMA))
+def test_a_data_count_above_its_maximum_exits_2_before_writing(tmp_path, field):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    maximum = DATA_MAXIMA[field]
+    for value in (str(maximum + 1), "1" + "0" * 400):
+        for cmd in ("gen-data", "pretrain", "finetune"):
+            assert main([
+                cmd, "--config", str(config), "--out", str(out),
+                "--set", f"data.{field}={value}",
+            ]) == 2, (cmd, value)
+    assert not out.exists()
+    # the maximum itself is a valid count; configs under the maxima keep the
+    # hashes they had before the maxima existed
+    at_max = {"data": {field: maximum}}
+    assert config_from_json(at_max).data == replace(DataSpec(), **at_max["data"])
+    assert config_from_json({}).hash() == "74b1b57d97ce"
+    assert config_from_json({"data": {"m": 1000, "d": 10000}}).hash() == "fe0b0a4b1d92"
+
+
 # ------------------------------------------- reports join one config only
 
 def test_report_rejects_run_records_of_another_config(tmp_path, capsys):
@@ -650,6 +670,132 @@ def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
         )
         assert got.params.flat.tobytes() == alone.params.flat.tobytes()
         assert got.trace == alone.trace and got.accuracy == alone.accuracy
+
+
+@pytest.fixture(scope="module")
+def mini_lab(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lab")
+    config = mini_config(tmp)
+    out = tmp / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    return config_from_json(json.loads(config.read_text())), load_lab(out)
+
+
+def seven_strategies(cfg, lab, seeds):
+    return [
+        Cell(cfg.strategy_for(kind), seed, lab.plan)
+        for kind in StrategyKind
+        for seed in seeds
+    ]
+
+
+def test_run_grid_gives_every_strategy_its_lone_run(mini_lab):
+    # two stacks of mixed strategies: seqtrain switches phase mid-stack, and
+    # l2 with l2sp and xmixup with xmixup-nolabel share their draws
+    cfg, lab = mini_lab
+    cells = seven_strategies(cfg, lab, (0, 3))
+    results = run_grid(cfg, lab, cells)
+    for cell, got in zip(cells, results):
+        alone = finetune(
+            lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
+            replace(cfg.finetune, seed=cell.seed), lab.tgt_test,
+        )
+        assert got.params.flat.tobytes() == alone.params.flat.tobytes()
+        assert np.array(got.trace).tobytes() == np.array(alone.trace).tobytes()
+        assert got.accuracy == alone.accuracy and got.config == alone.config
+
+
+def test_run_grid_packs_whole_strategies_into_stacks_under_the_byte_cap(
+    mini_lab, monkeypatch
+):
+    # room for 10 to 14 cells of five seeds: l2 and l2sp share a stack and
+    # in-domain mixup takes its own, xmixup with nolabel, seqtrain with cotrain
+    cfg, lab = mini_lab
+    cfg = replace(cfg, seeds=(0, 1, 2, 3, 4))
+    n = lab.tgt_train.class_count
+    cell_bytes = [
+        training.stack_cell_bytes(lab.pretrained, labels, cfg.finetune.batch_size)
+        for labels in (n, n + len(lab.plan.selected_sources()))
+    ]
+    budget = 10 * max(cell_bytes)
+    assert all(10 <= budget // b < 15 for b in cell_bytes)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+    stacks = []
+    real_finetune = harness.finetune
+
+    def counted_finetune(*args):
+        stacks.append(sorted({s.kind.value for s in args[4]}))
+        return real_finetune(*args)
+
+    monkeypatch.setattr(harness, "finetune", counted_finetune)
+    cells = seven_strategies(cfg, lab, cfg.seeds)
+    results = run_grid(cfg, lab, cells)
+    assert sorted(stacks) == [
+        ["cotrain", "seqtrain"], ["l2", "l2sp"], ["mixup-indomain"],
+        ["xmixup", "xmixup-nolabel"],
+    ]
+    for cell, got in zip(cells, results):
+        alone = real_finetune(
+            lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
+            replace(cfg.finetune, seed=cell.seed), lab.tgt_test,
+        )
+        assert got.params.flat.tobytes() == alone.params.flat.tobytes()
+        assert got.trace == alone.trace and got.accuracy == alone.accuracy
+
+
+class CountingGenerator:
+    """A generator that logs each call as (its seed sequence, the method)."""
+
+    def __init__(self, rng, entropy, log):
+        self._rng, self._entropy, self._log = rng, entropy, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._log.append((self._entropy, name))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch):
+    cfg, lab = mini_lab
+    cfg = replace(cfg, finetune=ExperimentConfig().finetune)  # 600 iterations
+    stacks, steps, draws = [], [], []
+    real_finetune, real_step = harness.finetune, training.sgd_step
+    real_rng = np.random.default_rng
+
+    def counted_finetune(*args):
+        stacks.append([s.kind for s in args[4]])
+        return real_finetune(*args)
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    def counted_rng(entropy):
+        rng = real_rng(entropy)
+        if entropy[1] == 0:  # a head's initialization, not a batch draw
+            return rng
+        draws.append((tuple(entropy), "made"))
+        return CountingGenerator(rng, tuple(entropy), draws)
+
+    monkeypatch.setattr(harness, "finetune", counted_finetune)
+    monkeypatch.setattr(training, "sgd_step", counted_step)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    run_grid(cfg, lab, seven_strategies(cfg, lab, (0,)))
+    assert len(stacks) == 2 and sorted(map(len, stacks)) == [3, 4]
+    assert len(steps) == 2 * 600
+    # l2sp and xmixup-nolabel make no generator and no call of their own:
+    # without them, the grid makes the same generators and the same calls
+    seven = sorted(draws)
+    draws.clear()
+    shared = {StrategyKind.L2SP, StrategyKind.XMIXUP_NO_LABEL}
+    cells = seven_strategies(cfg, lab, (0,))
+    run_grid(cfg, lab, [c for c in cells if c.strategy.kind not in shared])
+    assert seven == sorted(draws)
 
 
 # ---------------------------------------------- fuzzed --set values
@@ -1085,3 +1231,17 @@ def test_a_config_file_with_an_integer_of_too_many_digits_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# ------------------------------------------ the artifact checksum listing
+
+
+def test_artifact_sums_check_lists_the_paths_that_differ():
+    from tools.artifact_sums import differing_paths
+
+    before = ["aa  config0/a.csv", "bb  config0/runs/x.json", "cc  config1/b.csv"]
+    assert differing_paths(before, list(before)) == []
+    after = ["aa  config0/a.csv", "bd  config0/runs/x.json", "dd  config1/c.csv"]
+    assert differing_paths(before, after) == [
+        "config0/runs/x.json", "config1/b.csv", "config1/c.csv",
+    ]

@@ -12,9 +12,11 @@ from xmixup.errors import ConfigError, DataError, NumericError
 from xmixup.mixup import MixupConfig
 from xmixup.model import ModelParams, TrainConfig, forward_cache, init
 from xmixup.training import (
+    DRAW_BLOCK,
     RunResult,
     Strategy,
     StrategyKind,
+    _index_blocks,
     evaluate,
     finetune,
     masked_loss_and_grad,
@@ -301,6 +303,63 @@ def test_a_diverging_cell_is_named_with_its_iteration(world):
                 world["pre"], world["train"], None, None,
                 [Strategy.l2()] * 3, wild, world["test"],
             )
+
+
+# ------------------------------------------------ stacks of mixed strategies
+# Cells of one label space train as one stack whatever their strategies;
+# cells whose batches are the same draws share them.
+
+def test_a_mixed_stack_equals_its_cells_trained_alone(world):
+    mix = MixupConfig(alpha=2.0, beta=2.0, seed=1)
+    strategies = [
+        Strategy.cotrain(),
+        Strategy.xmixup(mix),
+        Strategy.seqtrain(15),
+        Strategy.xmixup_nolabel(mix),
+        Strategy.seqtrain(25),  # a second phase switch, and mixed schedules
+        Strategy.xmixup(replace(mix, alpha=0.5)),
+    ]
+    cfgs = [replace(FAST, seed=s) for s in (0, 3, 3, 3, 0, 3)]
+    stacked = finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, cfgs, world["test"],
+    )
+    for strategy, cfg, got in zip(strategies, cfgs, stacked):
+        assert_same_run(got, run(world, strategy, cfg))
+
+
+def test_a_diverging_l2sp_row_of_a_mixed_stack_is_named(world):
+    # the huge pull throws the L2SP row off within a few steps; its
+    # neighbours of other strategies stay finite
+    strategies = [Strategy.l2(), Strategy.l2sp(1e300), Strategy.mixup_indomain(MIX)]
+    cfgs = [replace(FAST, seed=3)] * 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"^l2sp seed 3: iteration \d+: "):
+            finetune(
+                world["pre"], world["train"], None, None,
+                strategies, cfgs, world["test"],
+            )
+
+
+BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
+
+
+@pytest.mark.parametrize("shape", [(1,), (16,), (31,), (32,), (2, 31)])
+def test_index_blocks_equal_one_integers_call_per_step(shape):
+    # values and generator state, across block boundaries, with several
+    # generators at once; a bound of 1 draws nothing, odd sizes leave a half word
+    for steps in (1, DRAW_BLOCK - 1, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3):
+        for high in BOUNDS:
+            seeds = [[steps, high % 1000, k] for k in range(3)]
+            alone = [np.random.default_rng(s) for s in seeds]
+            blocked = [np.random.default_rng(s) for s in seeds]
+            got = list(_index_blocks(blocked, high, shape, steps))
+            assert len(got) == steps
+            for step in got:
+                want = np.array([rng.integers(high, size=shape) for rng in alone])
+                assert step.shape == want.shape and np.array_equal(step, want)
+            for a, b in zip(alone, blocked):
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 # ------------------------------------------------------------------ pretrain

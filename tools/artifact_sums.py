@@ -2,13 +2,16 @@
 """Checksums of every artifact the four reference command chains write.
 
     python3 tools/artifact_sums.py > sums.txt
+    python3 tools/artifact_sums.py --check sums.txt
 
 Runs each chain below with the `src/` of this checkout, through
 `xmixup.cli.main` in one interpreter, into a fresh temporary directory, and
 prints one `sha256  path` line per file written, sorted by path. The
 commands' own output goes to standard error. Two checkouts write the same
-artifacts when `diff` of their two outputs is empty. `XMIXUP_SEED` is
-ignored.
+artifacts when `diff` of their two outputs is empty. With `--check FILE`
+the lines are compared with FILE instead of printed: the paths whose sums
+differ, or that only one side lists, are printed and the exit status is 1;
+it is 0 when every line matches. `XMIXUP_SEED` is ignored.
 
 The chains: the default config through all nine commands; a gamma-path
 (β = 2) alpha sweep; 10× source and 4× target data through the five-command
@@ -17,6 +20,7 @@ pipeline at one seed; and small alpha and threshold grids over two seeds.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -74,11 +78,34 @@ def sums(root: Path) -> list[str]:
     ]
 
 
+def differing_paths(expected: list[str], actual: list[str]) -> list[str]:
+    """The paths of two `sha256  path` listings whose sums differ or that
+    only one of them lists, sorted."""
+
+    def by_path(lines):
+        return {path: digest for digest, _, path in (l.partition("  ") for l in lines)}
+
+    want, got = by_path(expected), by_path(actual)
+    return sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with a saved listing")
+    args = parser.parse_args()
     os.environ.pop("XMIXUP_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         run_chains(Path(tmp))
-        print("\n".join(sums(Path(tmp))))
+        lines = sums(Path(tmp))
+    if args.check is None:
+        print("\n".join(lines))
+        return
+    expected = Path(args.check).read_text().splitlines()
+    differing = differing_paths(expected, lines)
+    if differing:
+        print("\n".join(differing))
+        sys.exit(f"{len(differing)} paths differ from {args.check}")
+    print(f"all {len(lines)} artifacts match {args.check}", file=sys.stderr)
 
 
 if __name__ == "__main__":
