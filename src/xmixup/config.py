@@ -46,6 +46,11 @@ DATA_MAXIMA = {
     "target_per_class": 100_000,
 }
 
+#: The largest iteration count of each budget. Training lists one learning
+#: rate and keeps one loss per step, so a larger count would not fail fast
+#: but allocate or run without end.
+ITERATION_MAXIMA = {"pretrain": 100_000, "finetune": 100_000, "probe": 100_000}
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -143,6 +148,13 @@ class ExperimentConfig:
         for name in ("threshold", "midtune_iterations"):
             value = getattr(self, name)
             _require_range(name, value is None or value >= 0, ">= 0 or null", value)
+        for name, maximum in ITERATION_MAXIMA.items():
+            value = getattr(self, name).iterations
+            rule = f"<= {maximum}"
+            _require_range(f"{name}.iterations", value <= maximum, rule, value)
+        mid, budget = self.midtune_iterations, self.finetune.iterations
+        rule = f"<= finetune.iterations = {budget} or null"
+        _require_range("midtune_iterations", mid is None or mid <= budget, rule, mid)
         # every run record's spectrum takes min(512, rows) target-train rows
         # and needs at least as many as the feature width
         ds = self.data

@@ -30,20 +30,21 @@ for all of them:
   share one draw: l2 and l2sp draw the same target rows, and xmixup and
   xmixup-nolabel the same mixed batch, which nolabel then relabels. Every
   distinct draw keeps its own generators and calls them in the order a
-  lone run would. A generator that draws only indices below one bound
-  draws a block of steps in one call, which gives the same values and
-  leaves the same state (_index_blocks).
-- Losses. One forward and one backward serve the stack: cross-entropy on
-  the rows with soft labels, the masked softmax on cotrain's rows, and the
-  L2-SP penalty added on l2sp's rows into a buffer kept for the run.
+  lone run would. A generator that draws only indices, under the same
+  bounds at every step, draws a block of steps in one call, which gives
+  the same values and leaves the same state (_index_blocks).
+- Losses. A batch is (X, P, labels), None for the labels it lacks. One
+  forward and one backward serve the stack (stack_loss_and_grad):
+  cross-entropy on the rows with soft labels P, the masked softmax on
+  cotrain's rows, and the L2-SP penalty added on l2sp's rows into a buffer
+  kept for the run.
 - Schedules. Each row follows its own phases. At seqtrain's phase switch
   its row's velocity restarts and so does its learning-rate schedule; where
   the rows' schedules differ, the update takes one learning rate per row.
 
 So every cell's parameters, loss trace and accuracy are bit for bit those
-of the cell trained alone, whichever cells ride with it. Every batch carries
-the leading (S,) cell axis; a lone cell trains the arrays of one model, and
-the driver drops that axis from its batches."""
+of the cell trained alone, whichever cells ride with it. A cell trained
+alone is a stack of one."""
 
 from __future__ import annotations
 
@@ -201,34 +202,27 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
     a stack.
 
     A segment is (batch_fn, lrs, reset) and takes len(lrs) steps. Each step
-    draws a batch, a tuple of arrays with a leading stack axis, from
-    batch_fn(), takes loss_fn(params, *batch, out) -> (loss, grads), which
-    writes the gradients into `out`, and makes one sgd_step under cfg's
-    momentum and weight decay at the step's entry of lrs: a float, or an
-    (S, 1) column with one learning rate per model. The velocity of the
-    stack rows listed in `reset` restarts from zero when the segment
-    starts. When params is one model, not a stack, the driver drops the
-    stack axis from every batch array: numpy spends about 6 % more per loss
-    call on a stack of one. One gradient buffer `out` and one velocity live
-    for the whole run. A NumericError is raised again with the iteration,
-    counted over all segments, and, when `cells` names the models, the name
-    of the cell it concerns.
+    draws a batch, a tuple of arrays, from batch_fn(), takes
+    loss_fn(params, *batch, out) -> (loss, grads), which writes the
+    gradients into `out`, and makes one sgd_step under cfg's momentum and
+    weight decay at the step's entry of lrs: a float, or an (S, 1) column
+    with one learning rate per model. The velocity of the stack rows listed
+    in `reset` restarts from zero when the segment starts. One gradient
+    buffer `out` and one velocity live for the whole run. A NumericError is
+    raised again with the iteration, counted over all segments, and, when
+    `cells` names the models, the name of the cell it concerns.
     """
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
-    rows = velocity.flat.reshape(-1, velocity.flat.shape[-1])  # one model: (1, P)
     steps = sum(len(lrs) for _, lrs, _ in segments)
     trace = np.empty((steps,) + params.flat.shape[:-1])
     it = 0
     for batch_fn, lrs, reset in segments:
         if reset:
-            rows[reset] = 0.0
+            velocity.flat[reset] = 0.0
         for lr in lrs:
             try:
-                batch = batch_fn()
-                if not params.stacked:
-                    batch = [a[0] for a in batch]
-                loss, grads = loss_fn(params, *batch, out)
+                loss, grads = loss_fn(params, *batch_fn(), out)
                 sgd_step(params, grads, velocity, cfg, it, lr)
             except NumericError as e:
                 where = f"iteration {it}: {e}"
@@ -257,24 +251,20 @@ DRAW_BLOCK = 64
 def _index_blocks(rngs: list, high, shape: tuple, steps: int):
     """For each of `steps` steps, the indices below `high` that one
     rng.integers(high, size=shape) call per step would draw from each
-    generator, as one (len(rngs),) + shape array.
+    generator, as one (len(rngs),) + shape array. `high` is one bound or
+    an array of them that broadcasts against `shape`, one per column say.
 
     Each generator draws a block of up to DRAW_BLOCK steps in one call.
     numpy draws the entries of one integers call one after another from
-    the generator's stream, keeping an unused half word in the generator,
-    so one call of size (T,) + shape gives what T calls of size `shape` give,
-    values and generator state alike. A generator read this way must draw
-    nothing else in between.
+    the generator's stream, by one method for a scalar bound or an entry of
+    an array, keeping an unused half word in the generator, so one call of
+    size (T,) + shape gives what T calls of size `shape` give, or two of a
+    half each, values and generator state alike. A generator read this way
+    must draw nothing else in between.
     """
     for start in range(0, steps, DRAW_BLOCK):
         size = (min(DRAW_BLOCK, steps - start),) + shape
         yield from np.stack([rng.integers(high, size=size) for rng in rngs], axis=1)
-
-
-def _draw(rngs: list, high, size: int) -> np.ndarray:
-    """`size` indices below `high` from each generator: the (S, size) index
-    array, one row per cell."""
-    return np.array([rng.integers(high, size=size) for rng in rngs])
 
 
 def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelParams:
@@ -290,7 +280,7 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     draws = _index_blocks(rng, len(X), (cfg.batch_size,), cfg.iterations)
 
     def batch():
-        idx = next(draws)
+        (idx,) = next(draws)
         return X.take(idx, 0), eye.take(y[idx], 0)
 
     _run_sgd(params, cfg, batch, loss_and_grad_arrays)
@@ -398,32 +388,35 @@ def masked_dlogits(
 def stack_loss_and_grad(
     params: ModelParams,
     X: np.ndarray,
-    P: np.ndarray,
-    labels: np.ndarray,
+    P: np.ndarray | None,
+    labels: np.ndarray | None,
     n_target: int,
     split: int,
     out: ModelParams | None = None,
 ) -> tuple[np.ndarray, ModelParams]:
     """The losses of a stack whose first len(P) models take the soft-target
-    cross-entropy of P and whose other models take the masked loss of
-    `labels` (see masked_loss_and_grad), with one forward and one backward
-    for all of them. X is (S, B, d), P (len(P), B, L) and labels
-    (S - len(P), B); returns an (S,) array of losses and the gradients,
-    written into `out` as in backward_from_dlogits. Every model gets the
-    bits the loss of its own kind gives it alone."""
+    cross-entropy of P (see loss_and_grad_arrays) and whose other models
+    take the masked loss of `labels` (see masked_loss_and_grad), with one
+    forward and one backward for all of them. X is (S, B, d), P
+    (len(P), B, L) or None when no model takes soft labels, and labels
+    (S - len(P), B) or None when none takes the masked loss; returns an
+    (S,) array of losses and the gradients, written into `out` as in
+    backward_from_dlogits. Every model gets the bits the loss of its own
+    kind gives it alone, so a stack of one gets those of its model alone."""
     if not np.isfinite(X).all():
         raise numeric_error("non-finite values in batch", X, True)
-    check_soft_labels(P, True)
+    if P is not None:
+        check_soft_labels(P, True)
     acts, pres, _, logits = forward_cache(params, X)
     if not np.isfinite(logits).all():
         message = "non-finite logits (diverged parameters?)"
         raise numeric_error(message, logits, True)
-    soft = len(P)
-    ce_loss, ce_grad = cross_entropy(logits[:soft], P)
-    masked_loss, masked_grad = masked_dlogits(logits[soft:], labels, n_target, split)
-    dlogits = np.concatenate([ce_grad, masked_grad])
-    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
-    return np.concatenate([ce_loss, masked_loss]), grads
+    soft = 0 if P is None else len(P)
+    halves = [] if P is None else [cross_entropy(logits[:soft], P)]
+    if labels is not None:
+        halves.append(masked_dlogits(logits[soft:], labels, n_target, split))
+    loss, dlogits = (_cat(parts) for parts in zip(*halves))
+    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
 
 
 def _aux_pool(src: Dataset, space: LabelSpace):
@@ -502,8 +495,11 @@ def stack_cell_bytes(pretrained: ModelParams, label_count: int, batch_size: int)
     return 8 * (3 * params + batch_size * rows)
 
 
-def _cat(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The arrays joined along their first axis; None when there are none."""
+    if len(arrays) < 2:
+        return arrays[0] if arrays else None
+    return np.concatenate(arrays)
 
 
 def finetune(
@@ -566,9 +562,7 @@ def finetune(
         if missing:
             raise ConfigError(f"pairing plan misses target classes {missing}")
         space = LabelSpace(n, tuple(plan.selected_sources()))
-        pooled = (StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN)
-        if any(s.kind in pooled for s in strategies):
-            pool_X, pool_labels = _aux_pool(src, space)
+        pool_X, pool_labels = _aux_pool(src, space)
     else:
         space = LabelSpace(n, ())
 
@@ -576,7 +570,6 @@ def finetune(
     order = sorted(range(len(cfgs)), key=lambda i: _stack_order(strategies[i]))
     strategies = [strategies[i] for i in order]
     cfgs = [cfgs[i] for i in order]
-    S = len(cfgs)
     stack = ModelParams.stack(  # copies the pre-trained layers in
         [
             ModelParams(
@@ -590,7 +583,6 @@ def finetune(
             for c in cfgs
         ]
     )
-    params = stack if S > 1 else stack.row(0)  # see _run_segments
     eye = np.eye(space.size)
     tgt_X, tgt_y = tgt_train.X, tgt_train.y
     B = cfg.batch_size
@@ -613,7 +605,7 @@ def finetune(
 
     # the batch kinds: each takes the draw keys of its cells and the number
     # of steps to draw, and returns a function that draws one step's
-    # batches of every key, arrays with a leading (keys,) axis
+    # batches of every key, (X, P, labels) with a leading (keys,) axis
     def uniform_rows(X, labels, stream, keys, steps):
         # rows of X drawn uniformly with their one-hot labels: the target
         # rows (stream 1) and the auxiliary source rows (stream 3)
@@ -621,7 +613,7 @@ def finetune(
 
         def draw():
             idx = next(draws)
-            return X.take(idx, 0), eye.take(labels[idx], 0)
+            return X.take(idx, 0), eye.take(labels[idx], 0), None
 
         return draw
 
@@ -634,22 +626,31 @@ def finetune(
             lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
             X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
             P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
-            return X, P
+            return X, P, None
 
         return draw
 
     def mixed(keys, steps):
         mixups, rng_mix = [key[2] for key in keys], generators(keys, 2)
-        return lambda: make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
-
-    def cotrain(keys, steps):
-        rng = generators(keys, 1)  # two bounds: one call per draw
 
         def draw():
-            ti = _draw(rng, len(tgt_X), half)
-            si = _draw(rng, len(pool_X), B - half)
-            X = np.concatenate([tgt_X.take(ti, 0), pool_X.take(si, 0)], axis=-2)
-            return X, np.concatenate([tgt_y[ti], pool_labels[si]], axis=-1)
+            X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
+            return X, P, None
+
+        return draw
+
+    def cotrain(keys, steps):
+        # half target rows, then auxiliary rows: one bound per column, and
+        # the pool's rows offset past the target's in one joint array
+        high = np.repeat([len(tgt_X), len(pool_X)], [half, B - half])
+        offset = np.repeat([0, len(tgt_X)], [half, B - half])
+        joint_X = np.concatenate([tgt_X, pool_X])
+        joint_y = np.concatenate([tgt_y, pool_labels])
+        draws = _index_blocks(generators(keys, 1), high, (B,), steps)
+
+        def draw():
+            idx = next(draws) + offset
+            return joint_X.take(idx, 0), None, joint_y[idx]
 
         return draw
 
@@ -710,15 +711,16 @@ def finetune(
                         raise NumericError(str(e), cell=owner[kind][e.cell]) from None
                 inputs, soft, hard = [], [], []
                 for kind, nolabel, idx in pieces:
-                    X, Y = parts[kind]
+                    batch = parts[kind]
                     if idx is not None:
-                        X, Y = X.take(idx, 0), Y.take(idx, 0)
+                        batch = [a if a is None else a.take(idx, 0) for a in batch]
+                    X, P, labels = batch
                     inputs.append(X)
-                    if kind == "cotrain":
-                        hard.append(Y)
+                    if labels is not None:
+                        hard.append(labels)
                     else:
-                        soft.append(relabel(Y) if nolabel else Y)
-                return [_cat(a) for a in (inputs, soft, hard) if a]
+                        soft.append(relabel(P) if nolabel else P)
+                return _cat(inputs), _cat(soft), _cat(hard)
 
         # the learning rates of each row's schedule; the phases of the
         # rows differ only in their budget, so (start, drop) tells them apart
@@ -735,41 +737,23 @@ def finetune(
         reset = [r for r, (start, _, _) in enumerate(current) if 0 < start == first]
         return batch_fn, lrs, reset
 
-    # the losses: cross-entropy on soft labels, the masked loss on
-    # cotrain's rows, and the L2-SP penalty added on L2SP's rows
-    soft_rows = sum(s.kind is not StrategyKind.CO_TRAIN for s in strategies)
-    if soft_rows == S:
-        base = loss_and_grad_arrays
-    elif soft_rows == 0:
-
-        def base(p, X, labels, out):
-            return masked_loss_and_grad(p, X, labels, n, half, out)
-
-    else:
-
-        def base(p, X, P, labels, out):
-            return stack_loss_and_grad(p, X, P, labels, n, half, out)
-
+    # the losses: cross-entropy on soft labels and the masked loss on
+    # cotrain's rows, then the L2-SP penalty added on L2SP's rows
     penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
     weights = [s.sp_weight for s in strategies]
     for mu in dict.fromkeys(w for w in weights if w is not None):
         at = [r for r, w in enumerate(weights) if w == mu]
-        rows = slice(at[0], at[-1] + 1) if params.stacked else slice(None)
-        view = ModelParams._over(params, params.flat[rows])
+        rows = slice(at[0], at[-1] + 1)
+        view = ModelParams._over(stack, stack.flat[rows])
         penalties.append((rows, mu, view, ModelParams.zeros_like(view)))
-    loss_fn = base
-    if penalties:
 
-        def loss_fn(p, *batch):
-            loss, grads = base(p, *batch)
-            for rows, mu, view, pen_grads in penalties:
-                pen, _ = sp_penalty(view, pretrained, mu, pen_grads)
-                grads.flat[rows] += pen_grads.flat
-                if p.stacked:
-                    loss[rows] += pen
-                else:
-                    loss = loss + pen
-            return loss, grads
+    def loss_fn(p, X, P, labels, out):
+        loss, grads = stack_loss_and_grad(p, X, P, labels, n, half, out)
+        for rows, mu, view, pen_grads in penalties:
+            pen, _ = sp_penalty(view, pretrained, mu, pen_grads)
+            grads.flat[rows] += pen_grads.flat
+            loss[rows] += pen
+        return loss, grads
 
     # the segments: runs of iterations in which no row changes phase; a
     # row's phases follow each other, so its phase is the last one begun
@@ -779,10 +763,10 @@ def finetune(
     for first, stop in zip(bounds, bounds[1:]):
         current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
         segments.append(segment(first, stop, current))
-    trace = _run_segments(params, cfg, loss_fn, segments, cells).reshape(-1, S)
+    trace = _run_segments(stack, cfg, loss_fn, segments, cells)
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
-    results: list[RunResult | None] = [None] * S
+    results: list[RunResult | None] = [None] * len(cfgs)
     for r, (s, c) in enumerate(zip(strategies, cfgs)):
         config = {"strategy": s.to_config(), "train": asdict(c)}
         config["label_space"] = label_space

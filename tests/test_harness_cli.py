@@ -23,7 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmixup.cli import _load_config, main
-from xmixup.config import DATA_MAXIMA, DataSpec, ExperimentConfig, config_from_json
+from xmixup.config import (
+    DATA_MAXIMA,
+    ITERATION_MAXIMA,
+    DataSpec,
+    ExperimentConfig,
+    config_from_json,
+)
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError, NumericError
 from xmixup import harness, training
@@ -590,6 +596,52 @@ def test_a_data_count_above_its_maximum_exits_2_before_writing(tmp_path, field):
     assert config_from_json(at_max).data == replace(DataSpec(), **at_max["data"])
     assert config_from_json({}).hash() == "74b1b57d97ce"
     assert config_from_json({"data": {"m": 1000, "d": 10000}}).hash() == "fe0b0a4b1d92"
+
+
+def every_command(config: Path, out: Path, assignment: str):
+    """The argument lists of every command on `config` under one --set."""
+    for cmd in (
+        "gen-data", "pretrain", "pair", "finetune", "eval", "sweep-alpha",
+        "sweep-size", "randomize-aux", "ablate", "report",
+    ):
+        args = [cmd, "--config", str(config), "--out", str(out), "--set", assignment]
+        yield args + (["--params", str(out / "model.ckpt")] if cmd == "eval" else [])
+
+
+@pytest.mark.parametrize("budget", sorted(ITERATION_MAXIMA))
+def test_an_iteration_count_above_its_maximum_exits_2_before_writing(tmp_path, budget):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    maximum = ITERATION_MAXIMA[budget]
+    for value in (str(maximum + 1), "1" + "0" * 400):
+        for args in every_command(config, out, f"{budget}.iterations={value}"):
+            assert main(args) == 2, (args[0], value)
+    assert not out.exists()
+    # the maximum itself loads (nothing runs it here); configs under the
+    # maxima keep the hashes they had before the maxima existed
+    at_max = config_from_json({budget: {"iterations": maximum}})
+    assert getattr(at_max, budget).iterations == maximum
+    hashes = {
+        "pretrain": "56c780c49e41", "finetune": "464478065f87", "probe": "3f6703d6f3de",
+    }
+    assert at_max.hash() == hashes[budget]
+    assert config_from_json({}).hash() == "74b1b57d97ce"
+
+
+def test_a_midtune_budget_above_the_finetune_budget_exits_2_before_writing(tmp_path):
+    # it used to fail only in finetune, after training the stacks before
+    # seqtrain's and after gen-data, pretrain and pair had written
+    config = mini_config(tmp_path, seeds=[0], strategies=["l2", "seqtrain"])
+    out = tmp_path / "out"
+    budget = MINI["finetune"]["iterations"]
+    for args in every_command(config, out, f"midtune_iterations={budget + 1}"):
+        assert main(args) == 2, args[0]
+    assert not out.exists()
+    # the whole budget is still a valid first phase, with its old hash
+    at_budget = config_from_json({"midtune_iterations": 600})
+    assert at_budget.strategy_for(StrategyKind.SEQ_TRAIN).midtune_iterations == 600
+    assert at_budget.hash() == "b3746c6fa78c"
+    assert config_from_json({"midtune_iterations": 300}).hash() == "b8c808f31399"
 
 
 # ------------------------------------------- reports join one config only

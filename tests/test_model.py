@@ -249,13 +249,11 @@ def test_training_names_the_iteration_of_a_non_finite_gradient():
     steps = iter(range(10))
 
     def loss(p, X, out):
-        # a single model gets the batch without its stack axis
-        assert X.shape == (2, 3)
         out.flat[:] = np.inf if next(steps) == 3 else 0.0
         return 0.0, out
 
     def batch():
-        return (np.zeros((1, 2, 3)),)
+        return (np.zeros((2, 3)),)
 
     with pytest.raises(NumericError, match="^iteration 3: non-finite gradient"):
         _run_sgd(params, TrainConfig(iterations=10, lr_drop_at=10), batch, loss)

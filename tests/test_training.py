@@ -10,7 +10,13 @@ from tests.conftest import flat, numeric_gradient
 from xmixup.dataset import Dataset, Domain, split
 from xmixup.errors import ConfigError, DataError, NumericError
 from xmixup.mixup import MixupConfig
-from xmixup.model import ModelParams, TrainConfig, forward_cache, init
+from xmixup.model import (
+    ModelParams,
+    TrainConfig,
+    forward_cache,
+    init,
+    loss_and_grad_arrays,
+)
 from xmixup.training import (
     DRAW_BLOCK,
     RunResult,
@@ -23,6 +29,7 @@ from xmixup.training import (
     pretrain,
     result_to_json,
     sp_penalty,
+    stack_loss_and_grad,
 )
 
 MIX = MixupConfig(alpha=2.0, beta=1.0, seed=0)
@@ -342,21 +349,35 @@ def test_a_diverging_l2sp_row_of_a_mixed_stack_is_named(world):
 
 
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
+# cotrain's (target, pool) bound pairs, drawn as one bound per column
+COLUMN_BOUNDS = ((1, 2**32 - 5), (2**32 - 5, 1), (7, 60), (2**31 + 3, 640))
 
 
 @pytest.mark.parametrize("shape", [(1,), (16,), (31,), (32,), (2, 31)])
 def test_index_blocks_equal_one_integers_call_per_step(shape):
     # values and generator state, across block boundaries, with several
-    # generators at once; a bound of 1 draws nothing, odd sizes leave a half word
+    # generators at once; a bound of 1 draws nothing, odd sizes leave a half
+    # word. A batch of B columns is also drawn as cotrain draws it: its
+    # first B // 2 columns below the target bound and the others below the
+    # pool bound, in one call against two scalar-bound calls per step.
+    cases = [(high, [(high, shape)]) for high in BOUNDS]
+    if len(shape) == 1:
+        halves = (shape[0] // 2, shape[0] - shape[0] // 2)
+        for pair in COLUMN_BOUNDS:
+            calls = [(high, (size,)) for high, size in zip(pair, halves)]
+            cases.append((np.repeat(pair, halves), calls))
     for steps in (1, DRAW_BLOCK - 1, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3):
-        for high in BOUNDS:
-            seeds = [[steps, high % 1000, k] for k in range(3)]
+        for high, calls in cases:
+            seeds = [[steps, int(np.max(high)) % 1000, k] for k in range(3)]
             alone = [np.random.default_rng(s) for s in seeds]
             blocked = [np.random.default_rng(s) for s in seeds]
             got = list(_index_blocks(blocked, high, shape, steps))
             assert len(got) == steps
             for step in got:
-                want = np.array([rng.integers(high, size=shape) for rng in alone])
+                want = np.array([
+                    np.concatenate([rng.integers(h, size=size) for h, size in calls])
+                    for rng in alone
+                ])
                 assert step.shape == want.shape and np.array_equal(step, want)
             for a, b in zip(alone, blocked):
                 assert a.bit_generator.state == b.bit_generator.state
@@ -454,6 +475,34 @@ def test_stacked_penalty_and_masked_loss_match_each_model():
         loss, mg = masked_loss_and_grad(model, X[s], labels[s], 2, 3)
         assert np.float64(loss).tobytes() == losses[s].tobytes()
         assert mg.flat.tobytes() == mgrads.row(s).flat.tobytes()
+
+
+@pytest.mark.parametrize(
+    "size, soft",
+    [(3, 3), (3, 0), (3, 1), (1, 1), (1, 0)],
+    ids=["soft", "masked", "mixed", "soft-one", "masked-one"],
+)
+def test_stack_loss_matches_each_model_alone(size, soft):
+    # the stack's first `soft` models take cross-entropy, the others the
+    # masked loss; every row is byte for byte the single-model reference,
+    # which ties a stack of one to the unstacked math
+    models = [init(3, [5, 4], 5, seed=s) for s in range(21, 21 + size)]
+    stack = ModelParams.stack(models)
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(size, 6, 3))
+    P = rng.dirichlet(np.ones(5), size=(soft, 6))
+    labels = np.array([[0, 1, 1, 3, 2, 4]] * (size - soft))
+    losses, grads = stack_loss_and_grad(
+        stack, X, P if soft else None, labels if size > soft else None, 2, 3
+    )
+    assert losses.shape == (size,)
+    for s, model in enumerate(models):
+        if s < soft:
+            loss, g = loss_and_grad_arrays(model, X[s], P[s])
+        else:
+            loss, g = masked_loss_and_grad(model, X[s], labels[s - soft], 2, 3)
+        assert np.float64(loss).tobytes() == losses[s].tobytes()
+        assert g.flat.tobytes() == grads.row(s).flat.tobytes()
 
 
 def test_sp_penalty_validation():
