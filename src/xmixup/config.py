@@ -51,6 +51,15 @@ DATA_MAXIMA = {
 #: but allocate or run without end.
 ITERATION_MAXIMA = {"pretrain": 100_000, "finetune": 100_000, "probe": 100_000}
 
+#: The largest batch size of each training budget. A generator draws the
+#: indices of a block of steps at once, so a larger size would not fail fast
+#: but allocate without end, or end in numpy's refusal of the shape.
+BATCH_MAXIMA = {"pretrain": 10_000, "finetune": 10_000}
+
+#: The largest entry of `seeds`. A run's name, and so its record's file
+#: name, holds its seed, which this keeps to ten digits.
+SEED_MAXIMUM = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -133,9 +142,10 @@ class ExperimentConfig:
             raise ConfigError("strategy list must be non-empty")
         if not self.hidden:
             raise ConfigError("hidden layer list must be non-empty")
+        seed_rule = f"in [0, {SEED_MAXIMUM}]"
         for name, values, ok, rule in (
             ("hidden", self.hidden, lambda v: v >= 1, ">= 1"),
-            ("seeds", self.seeds, lambda v: v >= 0, ">= 0"),
+            ("seeds", self.seeds, lambda v: 0 <= v <= SEED_MAXIMUM, seed_rule),
             ("alpha_grid", self.alpha_grid, lambda v: v > 0, "> 0"),
             ("threshold_grid", self.threshold_grid, lambda v: v >= 0, ">= 0"),
         ):
@@ -148,10 +158,12 @@ class ExperimentConfig:
         for name in ("threshold", "midtune_iterations"):
             value = getattr(self, name)
             _require_range(name, value is None or value >= 0, ">= 0 or null", value)
-        for name, maximum in ITERATION_MAXIMA.items():
-            value = getattr(self, name).iterations
-            rule = f"<= {maximum}"
-            _require_range(f"{name}.iterations", value <= maximum, rule, value)
+        counts = (("iterations", ITERATION_MAXIMA), ("batch_size", BATCH_MAXIMA))
+        for count, maxima in counts:
+            for name, maximum in maxima.items():
+                value = getattr(getattr(self, name), count)
+                rule = f"<= {maximum}"
+                _require_range(f"{name}.{count}", value <= maximum, rule, value)
         mid, budget = self.midtune_iterations, self.finetune.iterations
         rule = f"<= finetune.iterations = {budget} or null"
         _require_range("midtune_iterations", mid is None or mid <= budget, rule, mid)

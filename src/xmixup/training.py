@@ -3,53 +3,41 @@
 Every strategy fine-tunes a pre-trained extractor with a fresh head over the
 unified label space (target classes first, then any selected source
 classes), and every one is the same SGD loop fed a different batch: a
-strategy is a list of phases (a budget and a batch kind), and one driver,
-_run_segments, steps every phase and pretrain alike. The batches are target
-rows, in-domain mixed rows, cross-domain mixed rows, auxiliary source rows
-and co-train rows; the losses are soft-target cross-entropy, L2-SP and the
-masked softmax. The non-trivial strategies:
+strategy is a list of phases, each a budget and a batch kind (_phases), and
+one driver, _run_segments, steps every phase and pretrain alike. _BATCH maps
+each strategy to its batch kind, a module-level function:
 
-- L2SP adds mu * ||theta_ext - theta_pretrain,ext||^2 on the extractor, with
-  the gradient 2*mu*(theta - theta_0) added analytically.
-- XMixup trains on cross-domain mixed batches; the no-label variant keeps the
-  identical mixed inputs but uses the pure target label.
-- SeqTrain is two phases: first tune on auxiliary source samples under
-  their own labels, then fine-tune on target data.
-- CoTrain trains half-target/half-auxiliary batches with a masked softmax:
-  target rows normalize over target logits only, source rows over source
-  logits only (equivalent to separate heads on a shared extractor).
+- target rows: l2, and l2sp, which adds mu * ||theta_ext - theta_0,ext||^2
+  with the gradient 2*mu*(theta - theta_0) on the extractor
+- in-domain mixed rows; cross-domain mixed rows: xmixup, and
+  xmixup-nolabel, which relabels them with the pure target class
+- auxiliary source rows: seqtrain's first phase, before target rows
+- co-train rows, half target and half auxiliary, under a masked softmax
+  (target rows over target logits, source rows over source logits)
 
-finetune trains one cell or a list of cells that share a label space (the
-target classes alone, or with one plan's auxiliary classes) and a
-TrainConfig up to its seed, whatever their strategies. The cells train as
-one stack of S models (see the model module), one model step per iteration
-for all of them:
+finetune trains cells that share a label space (the target classes alone,
+or with one plan's auxiliary classes) and a TrainConfig up to its seed,
+whatever their strategies, as one stack of S models (see the model module),
+one model step per iteration for all of them; a cell alone is a stack of 1.
 
-- Batches. Each batch kind is drawn by one call over all of its cells.
-  Cells whose draws are the same function of the same generator seeds
-  share one draw: l2 and l2sp draw the same target rows, and xmixup and
-  xmixup-nolabel the same mixed batch, which nolabel then relabels. Every
-  distinct draw keeps its own generators and calls them in the order a
-  lone run would. A generator that draws only indices, under the same
-  bounds at every step, draws a block of steps in one call, which gives
-  the same values and leaves the same state (_index_blocks).
-- Losses. A batch is (X, P, labels), None for the labels it lacks. One
-  forward and one backward serve the stack (stack_loss_and_grad):
-  cross-entropy on the rows with soft labels P, the masked softmax on
-  cotrain's rows, and the L2-SP penalty added on l2sp's rows into a buffer
-  kept for the run.
-- Schedules. Each row follows its own phases. At seqtrain's phase switch
-  its row's velocity restarts and so does its learning-rate schedule; where
-  the rows' schedules differ, the update takes one learning rate per row.
+- Batches. A batch kind draws once a step for all of its draw keys. Cells
+  whose draws are the same function of the same generator seeds share a key
+  (l2 and l2sp, xmixup and xmixup-nolabel). Each key draws from its own
+  generators in the order a lone run would; one that draws only indices
+  draws a block of steps per call, with the same values and state
+  (_index_blocks). A pure row map, _row_plan, joins the kinds' draws into
+  the stack's batch; a stack of one kind, one draw a row, takes them as is.
+- Losses. One forward and one backward serve the stack, plus L2-SP's penalty.
+- Schedules. At seqtrain's phase switch its row's velocity and learning-rate
+  schedule restart; where schedules differ, each row takes its own rate.
 
 So every cell's parameters, loss trace and accuracy are bit for bit those
-of the cell trained alone, whichever cells ride with it. A cell trained
-alone is a stack of one."""
+of the cell trained alone, whichever cells ride with it."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -90,12 +78,6 @@ NEEDS_MIXUP = {
     StrategyKind.MIXUP_IN_DOMAIN,
     StrategyKind.XMIXUP,
     StrategyKind.XMIXUP_NO_LABEL,
-}
-_NEEDS_SOURCE = {
-    StrategyKind.XMIXUP,
-    StrategyKind.XMIXUP_NO_LABEL,
-    StrategyKind.SEQ_TRAIN,
-    StrategyKind.CO_TRAIN,
 }
 
 
@@ -153,7 +135,8 @@ class Strategy:
 
     @property
     def needs_source(self) -> bool:
-        return self.kind in _NEEDS_SOURCE
+        """Whether the strategy's batch kind draws source rows."""
+        return _BATCH[self.kind] in (_mixed, _auxiliary_rows, _cotrain)
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind.value}
@@ -204,13 +187,11 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
     A segment is (batch_fn, lrs, reset) and takes len(lrs) steps. Each step
     draws a batch, a tuple of arrays, from batch_fn(), takes
     loss_fn(params, *batch, out) -> (loss, grads), which writes the
-    gradients into `out`, and makes one sgd_step under cfg's momentum and
-    weight decay at the step's entry of lrs: a float, or an (S, 1) column
-    with one learning rate per model. The velocity of the stack rows listed
-    in `reset` restarts from zero when the segment starts. One gradient
-    buffer `out` and one velocity live for the whole run. A NumericError is
-    raised again with the iteration, counted over all segments, and, when
-    `cells` names the models, the name of the cell it concerns.
+    gradients into the run's one buffer `out`, and makes one sgd_step at the
+    step's entry of lrs: a float, or an (S, 1) column of one rate per model.
+    The velocity of the rows in `reset` restarts from zero when the segment
+    starts. A NumericError is raised again with the iteration, counted over
+    all segments, and the name of its cell when `cells` names the models.
     """
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
@@ -401,8 +382,7 @@ def stack_loss_and_grad(
     (len(P), B, L) or None when no model takes soft labels, and labels
     (S - len(P), B) or None when none takes the masked loss; returns an
     (S,) array of losses and the gradients, written into `out` as in
-    backward_from_dlogits. Every model gets the bits the loss of its own
-    kind gives it alone, so a stack of one gets those of its model alone."""
+    backward_from_dlogits. Every model gets the bits of its own loss alone."""
     if not np.isfinite(X).all():
         raise numeric_error("non-finite values in batch", X, True)
     if P is not None:
@@ -417,13 +397,6 @@ def stack_loss_and_grad(
         halves.append(masked_dlogits(logits[soft:], labels, n_target, split))
     loss, dlogits = (_cat(parts) for parts in zip(*halves))
     return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
-
-
-def _aux_pool(src: Dataset, space: LabelSpace):
-    """The inputs of all selected-class source samples and their unified labels."""
-    by_class = src.indices_by_class()
-    idx = np.concatenate([by_class[c] for c in space.source_classes])
-    return src.X.take(idx, 0), space.source_columns[src.y[idx]]
 
 
 def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
@@ -451,36 +424,222 @@ def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
     return mid
 
 
+
+@dataclass(frozen=True, eq=False)
+class _Context:
+    """What the batch kinds of one finetune call draw from: its data, the
+    auxiliary pool (the selected source classes' inputs, unified labels),
+    the identity whose rows are one-hot labels, B, and the generators of
+    each draw key (batch kind, seed, MixupConfig, first iteration), kept for
+    the call: a key whose phase spans another row's phase switch draws on."""
+
+    tgt: Dataset
+    src: Dataset | None
+    plan: PairingPlan | None
+    space: LabelSpace
+    pool_X: np.ndarray | None
+    pool_labels: np.ndarray | None
+    eye: np.ndarray
+    B: int
+    rngs: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, tgt, src, plan, space, batch_size) -> "_Context":
+        """The context of a call on `space`; src is None for no-source cells."""
+        pool = (None, None)
+        if src is not None:
+            by_class = src.indices_by_class()
+            idx = np.concatenate([by_class[c] for c in space.source_classes])
+            pool = src.X.take(idx, 0), space.source_columns[src.y[idx]]
+        return cls(tgt, src, plan, space, *pool, np.eye(space.size), batch_size)
+
+    def generators(self, keys: list[tuple], stream: int) -> list:
+        """Each key's generator of a stream: 1 target rows, 2 mixing, 3 auxiliary."""
+        for key in keys:
+            if (key, stream) not in self.rngs:
+                _, seed, mixup, _ = key
+                entropy = [seed, 2, mixup.seed] if stream == 2 else [seed, stream]
+                self.rngs[key, stream] = np.random.default_rng(entropy)
+        return [self.rngs[key, stream] for key in keys]
+
+
+# The batch kinds: (ctx, keys, steps) -> a function that draws one step's
+# batches of every key, (X, P, labels) with a leading (keys,) axis and None
+# for the labels the kind lacks: soft labels P, or cotrain's hard labels.
+
+
+def _uniform_rows(ctx, X, labels, stream, keys, steps):
+    eye, rngs = ctx.eye, ctx.generators(keys, stream)
+    draws = _index_blocks(rngs, len(X), (ctx.B,), steps)
+
+    def draw():
+        idx = next(draws)
+        return X.take(idx, 0), eye.take(labels[idx], 0), None
+
+    return draw
+
+
+def _target_rows(ctx: _Context, keys: list[tuple], steps: int):
+    """Target rows drawn uniformly, with their one-hot labels."""
+    return _uniform_rows(ctx, ctx.tgt.X, ctx.tgt.y, 1, keys, steps)
+
+
+def _auxiliary_rows(ctx: _Context, keys: list[tuple], steps: int):
+    """Auxiliary source rows drawn uniformly, under their unified labels."""
+    return _uniform_rows(ctx, ctx.pool_X, ctx.pool_labels, 3, keys, steps)
+
+
+def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
+    """Pairs of target rows, inputs and one-hot labels mixed by one λ a row."""
+    tgt_X, tgt_y, eye, B = ctx.tgt.X, ctx.tgt.y, ctx.eye, ctx.B
+    draws = _index_blocks(ctx.generators(keys, 1), len(tgt_X), (2, B), steps)
+    mixups, rng_mix = [key[2] for key in keys], ctx.generators(keys, 2)
+
+    def draw():
+        i1, i2 = next(draws).swapaxes(0, 1)
+        lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
+        X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
+        P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
+        return X, P, None
+
+    return draw
+
+
+def _mixed(ctx: _Context, keys: list[tuple], steps: int):
+    """Target rows mixed with rows of their paired source classes (make_batch)."""
+    tgt, src, plan, space, B = ctx.tgt, ctx.src, ctx.plan, ctx.space, ctx.B
+    mixups, rng_mix = [key[2] for key in keys], ctx.generators(keys, 2)
+
+    def draw():
+        X, P = make_batch(tgt, src, plan, space, mixups, B, rng_mix)
+        return X, P, None
+
+    return draw
+
+
+def _cotrain(ctx: _Context, keys: list[tuple], steps: int):
+    """B // 2 target rows, then auxiliary rows, under hard labels; one bound
+    a column, the pool's rows offset past the target's in one joint array."""
+    tgt_X, B, half = ctx.tgt.X, ctx.B, ctx.B // 2
+    high = np.repeat([len(tgt_X), len(ctx.pool_X)], [half, B - half])
+    offset = np.repeat([0, len(tgt_X)], [half, B - half])
+    joint_X = np.concatenate([tgt_X, ctx.pool_X])
+    joint_y = np.concatenate([ctx.tgt.y, ctx.pool_labels])
+    draws = _index_blocks(ctx.generators(keys, 1), high, (B,), steps)
+
+    def draw():
+        idx = next(draws) + offset
+        return joint_X.take(idx, 0), None, joint_y[idx]
+
+    return draw
+
+
 #: The batch kind each strategy trains on; SeqTrain's is that of its first
 #: phase, its second phase trains on target rows.
 _BATCH = {
-    StrategyKind.L2: "target",
-    StrategyKind.L2SP: "target",
-    StrategyKind.MIXUP_IN_DOMAIN: "in_domain",
-    StrategyKind.XMIXUP: "mixed",
-    StrategyKind.XMIXUP_NO_LABEL: "mixed",
-    StrategyKind.SEQ_TRAIN: "auxiliary",
-    StrategyKind.CO_TRAIN: "cotrain",
+    StrategyKind.L2: _target_rows,
+    StrategyKind.L2SP: _target_rows,
+    StrategyKind.MIXUP_IN_DOMAIN: _in_domain,
+    StrategyKind.XMIXUP: _mixed,
+    StrategyKind.XMIXUP_NO_LABEL: _mixed,
+    StrategyKind.SEQ_TRAIN: _auxiliary_rows,
+    StrategyKind.CO_TRAIN: _cotrain,
 }
 
 
-def _phases(strategy: Strategy, cfg: TrainConfig) -> list[tuple[int, TrainConfig, str]]:
+def _phases(strategy: Strategy, cfg: TrainConfig) -> list[tuple]:
     """A cell's phases that take any step, as (first iteration, the phase's
     TrainConfig, batch kind)."""
     phases = [(0, cfg, _BATCH[strategy.kind])]
     if strategy.kind is StrategyKind.SEQ_TRAIN:
         mid = _midtune(strategy, cfg)
         phases = [
-            (0, _budget(cfg, mid), "auxiliary"),
-            (mid, _budget(cfg, cfg.iterations - mid), "target"),
+            (0, _budget(cfg, mid), _auxiliary_rows),
+            (mid, _budget(cfg, cfg.iterations - mid), _target_rows),
         ]
     return [phase for phase in phases if phase[1].iterations]
 
 
+def _row_plan(keys: list[tuple], nolabel: list[bool]):
+    """How a segment's rows take their batches, from each row's draw key
+    and whether it is xmixup-nolabel. Returns (draws, take, relabel): each
+    batch kind with its distinct keys and the first row of each, kinds and
+    keys in first-row order, the order in which they draw and join; None
+    when the joined draws are the rows' own, else the gathers (rows, soft,
+    hard) of each row's draw among all joined ones, of each soft-label row's
+    among the soft ones and of each cotrain row's among cotrain's, which
+    join last as its rows come last (_stack_order); the rows to relabel."""
+    firsts: dict = {}  # each kind's keys, and each key's first row
+    for r, key in enumerate(keys):
+        firsts.setdefault(key[0], {}).setdefault(key, r)
+    draws = [(kind, list(ks), list(ks.values())) for kind, ks in firsts.items()]
+    joined = [key for _, kind_keys, _ in draws for key in kind_keys]
+    rows = [joined.index(key) for key in keys]
+    take = None
+    if rows != list(range(len(joined))):
+        soft = sum(key[0] is not _cotrain for key in keys)
+        split = sum(key[0] is not _cotrain for key in joined)
+        rows = np.array(rows)
+        take = rows, rows[:soft], rows[soft:] - split
+    return draws, take, [r for r, flag in enumerate(nolabel) if flag]
+
+
+def _joined(draws: list[tuple], take, relabel: list[int], eye, n_target: int):
+    """Each step, call every (draw, first rows) of `draws`, join the
+    batches, gather the rows' own and relabel in place (see _row_plan). A
+    draw's NumericError names the first row of its key."""
+
+    def batch():
+        parts = []
+        for draw, first in draws:
+            try:
+                parts.append(draw())
+            except NumericError as e:
+                cell = None if e.cell is None else first[e.cell]
+                raise NumericError(str(e), cell=cell) from None
+        X, P, labels = (_cat([a for a in arr if a is not None]) for arr in zip(*parts))
+        if take is not None:
+            rows, soft, hard = take
+            X = X.take(rows, 0)
+            P = None if P is None else P.take(soft, 0)
+            labels = None if labels is None else labels.take(hard, 0)
+        if relabel:
+            P[relabel] = eye.take(P[relabel, :, :n_target].argmax(axis=-1), 0)
+        return X, P, labels
+
+    return batch
+
+
+def _segment(ctx: _Context, cells: list[tuple], first: int, stop: int, phases):
+    """The (batch_fn, lrs, reset) of iterations [first, stop) of a stack
+    whose row r is the cell (strategy, cfg) cells[r], in phase phases[r]."""
+    keys = [(kind, c.seed, s.mixup, at) for (at, _, kind), (s, c) in zip(phases, cells)]
+    nolabel = [s.kind is StrategyKind.XMIXUP_NO_LABEL for s, _ in cells]
+    kinds, take, relabel = _row_plan(keys, nolabel)
+    draws = [(kind(ctx, ks, stop - first), rows) for kind, ks, rows in kinds]
+    if len(draws) == 1 and take is None and not relabel:
+        batch_fn = draws[0][0]  # one kind's draws are the stack's batches
+    else:
+        batch_fn = _joined(draws, take, relabel, ctx.eye, ctx.space.n_target)
+
+    # each row's learning rates; the rows' phases differ only in their
+    # budget, so (start, drop) tells their schedules apart
+    begun = {(start, ph.lr_drop_at): (start, ph) for start, ph, _ in phases}
+    rates = {
+        key: [learning_rate(ph, i - start) for i in range(first, stop)]
+        for key, (start, ph) in begun.items()
+    }
+    if len(rates) == 1:
+        (lrs,) = rates.values()
+    else:  # one column of rates per step
+        lrs = np.array([rates[at, ph.lr_drop_at] for at, ph, _ in phases]).T[..., None]
+    reset = [r for r, (start, _, _) in enumerate(phases) if 0 < start == first]
+    return batch_fn, lrs, reset
+
+
 def _stack_order(strategy: Strategy) -> tuple:
     """Where a cell sits in its stack: by strategy kind, so that cotrain's
-    masked rows come last, and the L2SP cells of one weight next to each
-    other."""
+    masked rows come last, and the L2SP cells of one weight together."""
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
 
 
@@ -562,185 +721,23 @@ def finetune(
         if missing:
             raise ConfigError(f"pairing plan misses target classes {missing}")
         space = LabelSpace(n, tuple(plan.selected_sources()))
-        pool_X, pool_labels = _aux_pool(src, space)
     else:
-        space = LabelSpace(n, ())
+        space, src = LabelSpace(n, ()), None
+    ctx = _Context.of(tgt_train, src, plan, space, cfg.batch_size)
+    half = cfg.batch_size // 2
 
     # the stack's rows: the cells in _stack_order; `order` maps a row to its cell
     order = sorted(range(len(cfgs)), key=lambda i: _stack_order(strategies[i]))
-    strategies = [strategies[i] for i in order]
-    cfgs = [cfgs[i] for i in order]
-    stack = ModelParams.stack(  # copies the pre-trained layers in
-        [
-            ModelParams(
-                pretrained.layers,
-                init_linear(
-                    space.size,
-                    pretrained.feature_width,
-                    np.random.default_rng([c.seed, 0]),
-                ),
-            )
-            for c in cfgs
-        ]
-    )
-    eye = np.eye(space.size)
-    tgt_X, tgt_y = tgt_train.X, tgt_train.y
-    B = cfg.batch_size
-    half = B // 2
-    cells = [_cell_name(s, c) for s, c in zip(strategies, cfgs)]
-
-    # A draw key (batch kind, seed, MixupConfig, first iteration) names a
-    # stream of batches: cells of one key draw the same batches, so they
-    # share one set of generators and one draw per step. Its generators
-    # are made when it first draws and kept while it draws.
-    rngs: dict[tuple, np.random.Generator] = {}
-
-    def generators(keys: list[tuple], stream: int) -> list:
-        for key in keys:
-            if (key, stream) not in rngs:
-                _, seed, mixup, _ = key
-                entropy = [seed, 2, mixup.seed] if stream == 2 else [seed, stream]
-                rngs[key, stream] = np.random.default_rng(entropy)
-        return [rngs[key, stream] for key in keys]
-
-    # the batch kinds: each takes the draw keys of its cells and the number
-    # of steps to draw, and returns a function that draws one step's
-    # batches of every key, (X, P, labels) with a leading (keys,) axis
-    def uniform_rows(X, labels, stream, keys, steps):
-        # rows of X drawn uniformly with their one-hot labels: the target
-        # rows (stream 1) and the auxiliary source rows (stream 3)
-        draws = _index_blocks(generators(keys, stream), len(X), (B,), steps)
-
-        def draw():
-            idx = next(draws)
-            return X.take(idx, 0), eye.take(labels[idx], 0), None
-
-        return draw
-
-    def in_domain(keys, steps):
-        draws = _index_blocks(generators(keys, 1), len(tgt_X), (2, B), steps)
-        mixups, rng_mix = [key[2] for key in keys], generators(keys, 2)
-
-        def draw():
-            i1, i2 = next(draws).swapaxes(0, 1)
-            lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
-            X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
-            P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
-            return X, P, None
-
-        return draw
-
-    def mixed(keys, steps):
-        mixups, rng_mix = [key[2] for key in keys], generators(keys, 2)
-
-        def draw():
-            X, P = make_batch(tgt_train, src, plan, space, mixups, B, rng_mix)
-            return X, P, None
-
-        return draw
-
-    def cotrain(keys, steps):
-        # half target rows, then auxiliary rows: one bound per column, and
-        # the pool's rows offset past the target's in one joint array
-        high = np.repeat([len(tgt_X), len(pool_X)], [half, B - half])
-        offset = np.repeat([0, len(tgt_X)], [half, B - half])
-        joint_X = np.concatenate([tgt_X, pool_X])
-        joint_y = np.concatenate([tgt_y, pool_labels])
-        draws = _index_blocks(generators(keys, 1), high, (B,), steps)
-
-        def draw():
-            idx = next(draws) + offset
-            return joint_X.take(idx, 0), None, joint_y[idx]
-
-        return draw
-
-    batch_kinds = {
-        "target": lambda *draws: uniform_rows(tgt_X, tgt_y, 1, *draws),
-        "in_domain": in_domain,
-        "mixed": mixed,
-        "auxiliary": lambda *draws: uniform_rows(pool_X, pool_labels, 3, *draws),
-        "cotrain": cotrain,
-    }
-
-    def relabel(P):
-        # keep the mixed inputs, relabel with the pure target class (the lone
-        # nonzero in the target block)
-        return eye.take(P[..., :n].argmax(axis=-1), 0)
-
-    def segment(first: int, stop: int, current: list[tuple]):
-        """The (batch_fn, lrs, reset) of iterations [first, stop), in which
-        row r is in phase current[r]."""
-        keys = [
-            (batch, c.seed, s.mixup, start)
-            for (start, _, batch), s, c in zip(current, strategies, cfgs)
-        ]
-        by_kind: dict[str, list[tuple]] = {}
-        owner: dict[str, list[int]] = {}  # each key's first row
-        for r, key in enumerate(keys):
-            if key not in by_kind.setdefault(key[0], []):
-                by_kind[key[0]].append(key)
-                owner.setdefault(key[0], []).append(r)
-        draws = {
-            kind: batch_kinds[kind](kind_keys, stop - first)
-            for kind, kind_keys in by_kind.items()
-        }
-        # runs of adjacent rows of one batch kind and label use, each with
-        # the indices of its rows' keys, None when they are all, in order
-        pieces = []
-        for key, s in zip(keys, strategies):
-            kind, nolabel = key[0], s.kind is StrategyKind.XMIXUP_NO_LABEL
-            if not pieces or pieces[-1][:2] != (kind, nolabel):
-                pieces.append((kind, nolabel, []))
-            pieces[-1][2].append(by_kind[kind].index(key))
-        pieces = [
-            (kind, nolabel, None if idx == list(range(len(by_kind[kind]))) else idx)
-            for kind, nolabel, idx in pieces
-        ]
-        if len(pieces) == 1 and pieces[0][1:] == (False, None):
-            batch_fn = draws[pieces[0][0]]
-        else:
-
-            def batch_fn():
-                parts = {}
-                for kind, draw in draws.items():
-                    try:
-                        parts[kind] = draw()
-                    except NumericError as e:
-                        if e.cell is None:
-                            raise
-                        raise NumericError(str(e), cell=owner[kind][e.cell]) from None
-                inputs, soft, hard = [], [], []
-                for kind, nolabel, idx in pieces:
-                    batch = parts[kind]
-                    if idx is not None:
-                        batch = [a if a is None else a.take(idx, 0) for a in batch]
-                    X, P, labels = batch
-                    inputs.append(X)
-                    if labels is not None:
-                        hard.append(labels)
-                    else:
-                        soft.append(relabel(P) if nolabel else P)
-                return _cat(inputs), _cat(soft), _cat(hard)
-
-        # the learning rates of each row's schedule; the phases of the
-        # rows differ only in their budget, so (start, drop) tells them apart
-        schedules = {}
-        for start, phase, _ in current:
-            if (start, phase.lr_drop_at) not in schedules:
-                lrs = [learning_rate(phase, i - start) for i in range(first, stop)]
-                schedules[start, phase.lr_drop_at] = lrs
-        if len(schedules) == 1:
-            (lrs,) = schedules.values()
-        else:  # one column of rates per step
-            columns = [schedules[start, ph.lr_drop_at] for start, ph, _ in current]
-            lrs = np.array(columns).T[..., None]
-        reset = [r for r, (start, _, _) in enumerate(current) if 0 < start == first]
-        return batch_fn, lrs, reset
+    cells = [(strategies[i], cfgs[i]) for i in order]
+    rngs = [np.random.default_rng([c.seed, 0]) for _, c in cells]
+    heads = [init_linear(space.size, pretrained.feature_width, rng) for rng in rngs]
+    # the stack copies the pre-trained layers in
+    stack = ModelParams.stack([ModelParams(pretrained.layers, head) for head in heads])
 
     # the losses: cross-entropy on soft labels and the masked loss on
-    # cotrain's rows, then the L2-SP penalty added on L2SP's rows
+    # cotrain's rows, then the L2-SP penalty of each weight added on its rows
     penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
-    weights = [s.sp_weight for s in strategies]
+    weights = [s.sp_weight for s, _ in cells]
     for mu in dict.fromkeys(w for w in weights if w is not None):
         at = [r for r, w in enumerate(weights) if w == mu]
         rows = slice(at[0], at[-1] + 1)
@@ -757,17 +754,18 @@ def finetune(
 
     # the segments: runs of iterations in which no row changes phase; a
     # row's phases follow each other, so its phase is the last one begun
-    phases = [_phases(s, c) for s, c in zip(strategies, cfgs)]
+    phases = [_phases(s, c) for s, c in cells]
     bounds = sorted({ph[0] for row in phases for ph in row} | {cfg.iterations})
     segments = []
     for first, stop in zip(bounds, bounds[1:]):
         current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
-        segments.append(segment(first, stop, current))
-    trace = _run_segments(stack, cfg, loss_fn, segments, cells)
+        segments.append(_segment(ctx, cells, first, stop, current))
+    names = [_cell_name(s, c) for s, c in cells]
+    trace = _run_segments(stack, cfg, loss_fn, segments, names)
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
     results: list[RunResult | None] = [None] * len(cfgs)
-    for r, (s, c) in enumerate(zip(strategies, cfgs)):
+    for r, (s, c) in enumerate(cells):
         config = {"strategy": s.to_config(), "train": asdict(c)}
         config["label_space"] = label_space
         if s.kind is StrategyKind.SEQ_TRAIN:

@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 
 from xmixup.cli import _load_config, main
 from xmixup.config import (
+    BATCH_MAXIMA,
     DATA_MAXIMA,
     ITERATION_MAXIMA,
+    SEED_MAXIMUM,
     DataSpec,
     ExperimentConfig,
     config_from_json,
@@ -625,6 +627,34 @@ def test_an_iteration_count_above_its_maximum_exits_2_before_writing(tmp_path, b
         "pretrain": "56c780c49e41", "finetune": "464478065f87", "probe": "3f6703d6f3de",
     }
     assert at_max.hash() == hashes[budget]
+    assert config_from_json({}).hash() == "74b1b57d97ce"
+
+
+@pytest.mark.parametrize(
+    "field, maximum, at_max_hash",
+    [
+        ("pretrain.batch_size", BATCH_MAXIMA["pretrain"], "9e1caee33125"),
+        ("finetune.batch_size", BATCH_MAXIMA["finetune"], "d4219e13d9b4"),
+        ("seeds", SEED_MAXIMUM, "d708fad2cdff"),
+    ],
+    ids=["pretrain.batch_size", "finetune.batch_size", "seeds"],
+)
+def test_a_batch_size_or_seed_above_its_maximum_exits_2_before_writing(
+    tmp_path, field, maximum, at_max_hash
+):
+    # a huge batch size used to end in numpy's refusal of the index block's
+    # shape, and a huge seed in a run record's file name too long to write
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for value in (str(maximum + 1), "1" + "0" * 400):
+        setting = f"seeds=[0, {value}]" if field == "seeds" else f"{field}={value}"
+        for args in every_command(config, out, setting):
+            assert main(args) == 2, (args[0], value)
+    assert not out.exists()
+    # the maximum itself loads, with the hash it had before the maxima existed
+    section, _, name = field.partition(".")
+    raw = {section: {name: maximum}} if name else {section: [maximum]}
+    assert config_from_json(raw).hash() == at_max_hash
     assert config_from_json({}).hash() == "74b1b57d97ce"
 
 

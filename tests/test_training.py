@@ -2,14 +2,18 @@
 source-preservation penalty, the joint-batch masked loss, and evaluation.
 """
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import flat, numeric_gradient
+from xmixup import training
 from xmixup.dataset import Dataset, Domain, split
 from xmixup.errors import ConfigError, DataError, NumericError
-from xmixup.mixup import MixupConfig
+from xmixup.mixup import LabelSpace, MixupConfig
 from xmixup.model import (
     ModelParams,
     TrainConfig,
@@ -19,10 +23,18 @@ from xmixup.model import (
 )
 from xmixup.training import (
     DRAW_BLOCK,
+    NEEDS_MIXUP,
     RunResult,
     Strategy,
     StrategyKind,
+    _auxiliary_rows,
+    _Context,
+    _cotrain,
+    _in_domain,
     _index_blocks,
+    _mixed,
+    _row_plan,
+    _target_rows,
     evaluate,
     finetune,
     masked_loss_and_grad,
@@ -346,6 +358,178 @@ def test_a_diverging_l2sp_row_of_a_mixed_stack_is_named(world):
                 world["pre"], world["train"], None, None,
                 strategies, cfgs, world["test"],
             )
+
+
+def test_a_diverging_draw_names_its_first_row_where_rows_share_draws(world):
+    # the nolabel row of alpha 2 shares the draw of the xmixup row of alpha 2,
+    # so the third draw, alpha 1e300's, is the fourth row's
+    strategies = [
+        Strategy(kind, mixup=MixupConfig(alpha=a, beta=1.0, seed=0))
+        for kind, a in (
+            (StrategyKind.XMIXUP, 2.0),
+            (StrategyKind.XMIXUP, 3.0),
+            (StrategyKind.XMIXUP_NO_LABEL, 2.0),
+            (StrategyKind.XMIXUP_NO_LABEL, 1e300),
+        )
+    ]
+    named = r"^xmixup-nolabel seed 3 alpha 1e\+300: iteration 0: "
+    with pytest.raises(NumericError, match=named):
+        finetune(
+            world["pre"], world["train"], world["src"], world["plan"],
+            strategies, [replace(FAST, seed=3)] * 4, world["test"],
+        )
+
+
+# -------------------------------------------------------- stack invariance
+# Any mix of cells of one label space trains, as one stack, to the bytes of
+# each cell trained alone: strategies, seeds, alphas, L2-SP weights and
+# seqtrain's phase switches drawn at random, duplicates included.
+
+SPACES = (
+    (StrategyKind.L2, StrategyKind.L2SP, StrategyKind.MIXUP_IN_DOMAIN),
+    (
+        StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL,
+        StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN,
+    ),
+)
+SHORT = replace(FAST, iterations=20, lr_drop_at=15)
+
+
+@st.composite
+def one_space_cells(draw):
+    """1 to 8 (strategy, seed) cells of one label space; its mixing cells
+    share one beta."""
+    kinds, beta = draw(st.sampled_from(SPACES)), draw(st.sampled_from([1.0, 2.0]))
+    cells = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind is StrategyKind.L2SP:
+            strategy = Strategy.l2sp(draw(st.sampled_from([0.01, 1.0])))
+        elif kind in NEEDS_MIXUP:
+            alpha = draw(st.sampled_from([0.5, 2.0, 8.0]))
+            strategy = Strategy(kind, mixup=MixupConfig(alpha=alpha, beta=beta, seed=1))
+        elif kind is StrategyKind.SEQ_TRAIN:
+            strategy = Strategy.seqtrain(draw(st.sampled_from([None, 5, 15])))
+        else:
+            strategy = Strategy(kind)
+        cells.append((strategy, draw(st.sampled_from([0, 3]))))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def lone_run(world):
+    """Each (strategy, seed) cell of SHORT trained alone, computed once."""
+    runs = {}
+
+    def lone(strategy, seed):
+        if (strategy, seed) not in runs:
+            runs[strategy, seed] = run(world, strategy, replace(SHORT, seed=seed))
+        return runs[strategy, seed]
+
+    return lone
+
+
+@settings(
+    max_examples=50,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cells=one_space_cells())
+def test_any_stack_of_one_label_space_gives_each_cell_its_lone_bytes(
+    world, lone_run, cells
+):
+    strategies = [strategy for strategy, _ in cells]
+    cfgs = [replace(SHORT, seed=seed) for _, seed in cells]
+    stacked = finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, cfgs, world["test"],
+    )
+    for (strategy, seed), got in zip(cells, stacked):
+        assert_same_run(got, lone_run(strategy, seed))
+
+
+# ----------------------------------------------- batch kinds and row plan
+
+@pytest.mark.parametrize(
+    "kind, strategy, start, stop",
+    [
+        (_target_rows, Strategy.l2(), 0, 40),
+        (_in_domain, Strategy.mixup_indomain(replace(MIX, beta=2.0)), 0, 40),
+        (_mixed, Strategy.xmixup(MIX), 0, 40),
+        (_auxiliary_rows, Strategy.seqtrain(15), 0, 15),
+        (_target_rows, Strategy.seqtrain(15), 15, 40),  # its second phase
+        (_cotrain, Strategy.cotrain(), 0, 40),
+    ],
+    ids=["target", "in-domain", "mixed", "auxiliary", "seqtrain-target", "cotrain"],
+)
+def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
+    world, monkeypatch, kind, strategy, start, stop
+):
+    cfg = replace(FAST, seed=3)
+    lone = []
+
+    def record(params, cfg, loss_fn, segments, cells=None):
+        for batch_fn, lrs, _ in segments:
+            lone.extend(batch_fn() for _ in lrs)
+        return np.zeros((cfg.iterations, 1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_run_segments", record)
+        run(world, strategy, cfg)
+    n = world["train"].class_count
+    src, space = None, LabelSpace(n, ())
+    if strategy.needs_source:
+        src, space = world["src"], LabelSpace(n, tuple(world["plan"].selected_sources()))
+    ctx = _Context.of(world["train"], src, world["plan"], space, cfg.batch_size)
+    draw = kind(ctx, [(kind, cfg.seed, strategy.mixup, start)], stop - start)
+    for want in lone[start:stop]:
+        for a, b in zip(draw(), want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_row_plan_maps_rows_to_their_draws():
+    mix2, mix3 = MixupConfig(alpha=2.0), MixupConfig(alpha=3.0)
+    t0, t1 = (_target_rows, 0, None, 0), (_target_rows, 1, None, 0)
+    t0_late = (_target_rows, 0, None, 20)  # a second phase from iteration 20
+    m2, m3 = (_mixed, 3, mix2, 0), (_mixed, 3, mix3, 0)
+    c0, i0 = (_cotrain, 0, None, 0), (_in_domain, 0, mix2, 0)
+    # the identity plan: every row its own draw, in row order
+    draws, take, relabel = _row_plan([t0, t1, m2], [False] * 3)
+    assert draws == [(_target_rows, [t0, t1], [0, 1]), (_mixed, [m2], [2])]
+    assert take is None and relabel == []
+    # a nolabel row sharing a draw, and cotrain's rows sharing one, last
+    draws, take, relabel = _row_plan(
+        [m2, m3, m2, m3, c0, c0], [False, False, True, True, False, False]
+    )
+    assert draws == [(_mixed, [m2, m3], [0, 1]), (_cotrain, [c0], [4])]
+    assert [t.tolist() for t in take] == [[0, 1, 0, 1, 2, 2], [0, 1, 0, 1], [0, 0]]
+    assert relabel == [2, 3]
+    # a kind's later row: the draws join kind by kind, not in row order
+    draws, take, relabel = _row_plan([t0, i0, t0_late], [False] * 3)
+    assert draws == [(_target_rows, [t0, t0_late], [0, 2]), (_in_domain, [i0], [1])]
+    assert [t.tolist() for t in take] == [[0, 2, 1], [0, 2, 1], []]
+    assert relabel == []
+
+
+def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
+    world, monkeypatch
+):
+    # alpha-sweep's shape: no per-step join on the path of a single-kind stack
+    seen = []
+
+    def record(params, cfg, loss_fn, segments, cells=None):
+        seen.extend(batch_fn for batch_fn, _, _ in segments)
+        return np.zeros((cfg.iterations, len(cells)))
+
+    monkeypatch.setattr(training, "_run_segments", record)
+    strategies = [
+        Strategy.xmixup(replace(MIX, alpha=a)) for a in (1.0, 2.0, 4.0, 8.0)
+    ]
+    finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, [FAST] * 4, world["test"],
+    )
+    (batch_fn,) = seen
+    assert batch_fn.__qualname__ == "_mixed.<locals>.draw"
 
 
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
