@@ -60,6 +60,16 @@ BATCH_MAXIMA = {"pretrain": 10_000, "finetune": 10_000}
 #: name, holds its seed, which this keeps to ten digits.
 SEED_MAXIMUM = 2**32 - 1
 
+#: The largest entry of `hidden`, as for DataSpec.d. A layer's weights are
+#: allocated whole, so a wider layer would not fail fast but allocate
+#: without end, or end in an overflow of the initialization's scale.
+WIDTH_MAXIMUM = 10_000
+
+#: The largest `threshold` and entry of `threshold_grid`: the most source
+#: rows a split can hold. A larger one selects every class, as does any
+#: threshold above the split's row count.
+THRESHOLD_MAXIMUM = DATA_MAXIMA["m"] * DATA_MAXIMA["source_per_class"]
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -142,12 +152,13 @@ class ExperimentConfig:
             raise ConfigError("strategy list must be non-empty")
         if not self.hidden:
             raise ConfigError("hidden layer list must be non-empty")
-        seed_rule = f"in [0, {SEED_MAXIMUM}]"
+        wide, seed, top = WIDTH_MAXIMUM, SEED_MAXIMUM, THRESHOLD_MAXIMUM
+        grid = self.threshold_grid
         for name, values, ok, rule in (
-            ("hidden", self.hidden, lambda v: v >= 1, ">= 1"),
-            ("seeds", self.seeds, lambda v: 0 <= v <= SEED_MAXIMUM, seed_rule),
+            ("hidden", self.hidden, lambda v: 1 <= v <= wide, f"in [1, {wide}]"),
+            ("seeds", self.seeds, lambda v: 0 <= v <= seed, f"in [0, {seed}]"),
             ("alpha_grid", self.alpha_grid, lambda v: v > 0, "> 0"),
-            ("threshold_grid", self.threshold_grid, lambda v: v >= 0, ">= 0"),
+            ("threshold_grid", grid, lambda v: 0 <= v <= top, f"in [0, {top}]"),
         ):
             bad = [v for v in values if not ok(v)]
             _require_range(f"every entry of {name}", not bad, rule, bad)
@@ -158,6 +169,8 @@ class ExperimentConfig:
         for name in ("threshold", "midtune_iterations"):
             value = getattr(self, name)
             _require_range(name, value is None or value >= 0, ">= 0 or null", value)
+        value, rule = self.threshold, f"<= {top} or null"
+        _require_range("threshold", value is None or value <= top, rule, value)
         counts = (("iterations", ITERATION_MAXIMA), ("batch_size", BATCH_MAXIMA))
         for count, maxima in counts:
             for name, maximum in maxima.items():

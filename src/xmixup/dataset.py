@@ -119,20 +119,34 @@ class PlantedMapping:
 
 
 def _draw_means(rng, count, d, min_dist, avoid=()):
-    """Draw `count` means uniform in [-1,1]^d, rejecting any pair closer than min_dist."""
-    placed: list[np.ndarray] = []
-    others = list(avoid)
+    """Draw `count` means uniform in [-1,1]^d, rejecting any pair closer than min_dist.
+
+    Each candidate is tested against every placed mean and every mean of
+    `avoid` in one array step. A distance within a relative 1e-9 of min_dist
+    is decided again by the scalar norm, so each decision is that of
+    `np.linalg.norm(cand - m) >= min_dist` for every m.
+    """
+    k = len(avoid)
+    means = np.empty((k + count, d))
+    means[:k] = np.reshape(avoid, (k, d))
+    placed = k
     tries = 0
-    while len(placed) < count:
+    while placed < len(means):
         tries += 1
         if tries > _MAX_MEAN_TRIES:
             raise DataError(
                 f"could not place {count} class means at min distance {min_dist}"
             )
         cand = rng.uniform(-1.0, 1.0, size=d)
-        if all(np.linalg.norm(cand - m) >= min_dist for m in placed + others):
-            placed.append(cand)
-    return np.array(placed)
+        diff = means[:placed] - cand
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if (dist < min_dist * (1 - 1e-9)).any():
+            continue
+        near = means[:placed][dist < min_dist * (1 + 1e-9)]
+        if all(np.linalg.norm(cand - m) >= min_dist for m in near):
+            means[placed] = cand
+            placed += 1
+    return means[k:]
 
 
 def _check_gen_args(m, per_class, d, spread):

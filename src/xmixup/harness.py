@@ -9,7 +9,7 @@ and `report` joins only run records carrying that hash.
 
 Every step that fine-tunes lists its runs as cells (a strategy, a seed and
 the pairing plan its source draws follow) and hands them to run_grid, which
-packs the cells sharing a label space into stacks (training.finetune),
+trains the cells sharing a label space as one stack (training.finetune),
 whatever their strategies, and returns one result per cell in cell order.
 `finetune` and `ablate` turn the results into run records: the two probe
 subsets are compacted and split once, before any cell trains, and the probes
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    CHUNK_BYTES,
     ProbeData,
     ProbeSubset,
     linear_probes,
@@ -66,7 +65,6 @@ from .training import (
     finetune,
     pretrain,
     result_to_json,
-    stack_cell_bytes,
 )
 
 SOURCE_TRAIN = "source_train.csv"
@@ -202,51 +200,33 @@ def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResu
     """Fine-tune every cell under cfg.finetune with the cell's seed; one
     RunResult per cell, in cell order.
 
-    Cells that share a label space may train as one stack in one finetune
+    The cells that share a label space train as one stack in one finetune
     call, whatever their strategies: the cells that use no source data form
-    one group, and the cells that use source data one group per plan
-    object. Within a group, the cells of each strategy are packed in order
-    into stacks while the working sets of a stack's cells
-    (training.stack_cell_bytes) add up to at most CHUNK_BYTES; the cells of
-    one strategy always share a stack. Past that size a step costs more per
-    cell, not less: numpy's temporaries outgrow the allocator's heap and
-    every step pays page faults. Within a stack, cells whose batches are
-    the same draws of the same generators share them (l2 and l2sp, xmixup
-    and xmixup-nolabel of one seed). So the seven strategies at one seed
-    train as two stacks. A cell's result does not depend on which cells
-    share its stack. Mixing cells must share the β of their MixupConfig,
-    as every step's cells do.
+    one stack, and the cells that use source data one stack per plan object.
+    Within a stack, cells whose batches are the same draws of the same
+    generators share them (l2 and l2sp, xmixup and xmixup-nolabel of one
+    seed). So the seven strategies train as two stacks at any number of
+    seeds. A cell's result does not depend on which cells share its stack.
+    Mixing cells must share the β of their MixupConfig, as every step's
+    cells do.
     """
-    groups: dict[int | None, dict[StrategyKind, list[int]]] = {}
+    stacks: dict[int | None, list[int]] = {}
     for i, cell in enumerate(cells):
-        s = cell.strategy
-        key = id(cell.plan) if s.needs_source else None
-        groups.setdefault(key, {}).setdefault(s.kind, []).append(i)
+        key = id(cell.plan) if cell.strategy.needs_source else None
+        stacks.setdefault(key, []).append(i)
     results: list[RunResult | None] = [None] * len(cells)
-    for key, by_kind in groups.items():
-        plan = cells[next(iter(by_kind.values()))[0]].plan
-        labels = lab.tgt_train.class_count
-        if key is not None:
-            labels += len(plan.selected_sources())
-        batch = cfg.finetune.batch_size
-        room = CHUNK_BYTES // stack_cell_bytes(lab.pretrained, labels, batch)
-        stacks: list[list[int]] = [[]]
-        for members in by_kind.values():
-            if stacks[-1] and len(stacks[-1]) + len(members) > room:
-                stacks.append([])
-            stacks[-1].extend(members)
-        for stack in stacks:
-            trained = finetune(
-                lab.pretrained,
-                lab.tgt_train,
-                lab.src_train,
-                plan,
-                [cells[i].strategy for i in stack],
-                [replace(cfg.finetune, seed=cells[i].seed) for i in stack],
-                lab.tgt_test,
-            )
-            for i, result in zip(stack, trained):
-                results[i] = result
+    for stack in stacks.values():
+        trained = finetune(
+            lab.pretrained,
+            lab.tgt_train,
+            lab.src_train,
+            cells[stack[0]].plan,
+            [cells[i].strategy for i in stack],
+            [replace(cfg.finetune, seed=cells[i].seed) for i in stack],
+            lab.tgt_test,
+        )
+        for i, result in zip(stack, trained):
+            results[i] = result
     return results
 
 

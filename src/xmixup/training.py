@@ -643,17 +643,6 @@ def _stack_order(strategy: Strategy) -> tuple:
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
 
 
-def stack_cell_bytes(pretrained: ModelParams, label_count: int, batch_size: int) -> int:
-    """About the bytes one cell adds to the working set of a training stack
-    over `pretrained` with a head of label_count outputs: its parameters,
-    gradients and velocity, and its batch's inputs, pre-activations,
-    activations and logits."""
-    widths = [w.shape[-2] for w, _ in pretrained.layers]
-    params = pretrained.extractor.shape[-1] + label_count * (widths[-1] + 1)
-    rows = pretrained.d + 2 * sum(widths) + label_count
-    return 8 * (3 * params + batch_size * rows)
-
-
 def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
     """The arrays joined along their first axis; None when there are none."""
     if len(arrays) < 2:

@@ -1,12 +1,16 @@
 """Dataset generation, CSV round-trips, and split behavior."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmixup import dataset
 from xmixup.dataset import (
     Dataset,
     Domain,
+    _draw_means,
     class_subset,
     compact_classes,
     gen_source,
@@ -46,6 +50,47 @@ def test_gen_source_means_respect_min_distance():
     for i in range(8):
         for j in range(i + 1, 8):
             assert np.linalg.norm(means[i] - means[j]) >= 0.5 * spread
+
+
+def reference_means(rng, count, d, min_dist, avoid=()):
+    """Class means as placed one norm at a time: the scalar reference."""
+    placed = []
+    while len(placed) < count:
+        cand = rng.uniform(-1.0, 1.0, size=d)
+        if all(np.linalg.norm(cand - m) >= min_dist for m in placed + list(avoid)):
+            placed.append(cand)
+    return np.array(placed)
+
+
+def test_draw_means_places_the_means_of_the_scalar_reference():
+    for m, d, seed in ((20, 4, 0), (60, 10, 1), (15, 2, 2), (40, 4, 3)):
+        got = _draw_means(np.random.default_rng(seed), m, d, 0.4)
+        want = reference_means(np.random.default_rng(seed), m, d, 0.4)
+        assert got.tobytes() == want.tobytes()
+    avoid = list(np.random.default_rng(9).uniform(-1, 1, (10, 4)))
+    got = _draw_means(np.random.default_rng(1), 5, 4, 0.3, avoid)
+    want = reference_means(np.random.default_rng(1), 5, 4, 0.3, avoid)
+    assert got.tobytes() == want.tobytes()
+    # at the boundary the scalar norm decides: a candidate exactly min_dist
+    # from a mean is placed, and one a float's width closer is not
+    first = np.random.default_rng(5).uniform(-1.0, 1.0, size=4)
+    anchor = np.full(4, 0.3)
+    at = np.linalg.norm(first - anchor)
+    got = _draw_means(np.random.default_rng(5), 1, 4, at, [anchor])
+    assert got[0].tobytes() == first.tobytes()
+    got = _draw_means(np.random.default_rng(5), 1, 4, np.nextafter(at, 2 * at), [anchor])
+    assert got[0].tobytes() != first.tobytes()
+
+
+def test_draw_means_gives_up_on_a_crowded_space_fast(monkeypatch):
+    # 1000 means 0.4 apart do not fit in [-1, 1]^4. Placed one norm at a
+    # time, the 100 000 tries took about 40 s to fail (gen-data at data.m =
+    # 1000); a fifth of them took seconds, and now take a fraction of one
+    monkeypatch.setattr(dataset, "_MAX_MEAN_TRIES", 20_000)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="could not place 1000 class means"):
+        _draw_means(np.random.default_rng(0), 1000, 4, 0.4)
+    assert time.perf_counter() - start < 3
 
 
 def test_gen_source_means_replay_matches_dataset():

@@ -5,6 +5,7 @@ All pipeline tests run on a deliberately tiny configuration so the full
 gen-data -> pretrain -> pair -> finetune -> report chain stays fast.
 """
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -28,6 +29,8 @@ from xmixup.config import (
     DATA_MAXIMA,
     ITERATION_MAXIMA,
     SEED_MAXIMUM,
+    THRESHOLD_MAXIMUM,
+    WIDTH_MAXIMUM,
     DataSpec,
     ExperimentConfig,
     config_from_json,
@@ -658,6 +661,35 @@ def test_a_batch_size_or_seed_above_its_maximum_exits_2_before_writing(
     assert config_from_json({}).hash() == "74b1b57d97ce"
 
 
+@pytest.mark.parametrize(
+    "field, maximum, at_max_hash",
+    [
+        ("hidden", WIDTH_MAXIMUM, "fe28d50848da"),
+        ("threshold", THRESHOLD_MAXIMUM, "44ccbabb4698"),
+        ("threshold_grid", THRESHOLD_MAXIMUM, "039d6b3c283e"),
+    ],
+    ids=["hidden", "threshold", "threshold_grid"],
+)
+def test_a_width_or_threshold_above_its_maximum_exits_2_before_writing(
+    tmp_path, field, maximum, at_max_hash
+):
+    # a huge width used to end in pretrain's OverflowError after gen-data
+    # had written, and a huge threshold to select every class in pair and to
+    # end in finetune's data error, "cannot probe an empty subset"
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for value in (str(maximum + 1), "1" + "0" * 400):
+        scalar = field == "threshold"
+        setting = f"{field}={value}" if scalar else f"{field}=[{value}, 4]"
+        for args in every_command(config, out, setting):
+            assert main(args) == 2, (args[0], value)
+    assert not out.exists()
+    # the maximum itself loads, with the hash it had before the maxima existed
+    raw = {field: maximum} if scalar else {field: [maximum, 32]}
+    assert config_from_json(raw).hash() == at_max_hash
+    assert config_from_json({}).hash() == "74b1b57d97ce"
+
+
 def test_a_midtune_budget_above_the_finetune_budget_exits_2_before_writing(tmp_path):
     # it used to fail only in finetune, after training the stacks before
     # seqtrain's and after gen-data, pretrain and pair had written
@@ -788,35 +820,24 @@ def test_run_grid_gives_every_strategy_its_lone_run(mini_lab):
         assert got.accuracy == alone.accuracy and got.config == alone.config
 
 
-def test_run_grid_packs_whole_strategies_into_stacks_under_the_byte_cap(
+def test_run_grid_trains_seven_strategies_at_five_seeds_as_two_stacks(
     mini_lab, monkeypatch
 ):
-    # room for 10 to 14 cells of five seeds: l2 and l2sp share a stack and
-    # in-domain mixup takes its own, xmixup with nolabel, seqtrain with cotrain
+    # one stack per label space, whatever the number of cells: l2, l2sp and
+    # in-domain mixup; xmixup, xmixup-nolabel, seqtrain and cotrain
     cfg, lab = mini_lab
     cfg = replace(cfg, seeds=(0, 1, 2, 3, 4))
-    n = lab.tgt_train.class_count
-    cell_bytes = [
-        training.stack_cell_bytes(lab.pretrained, labels, cfg.finetune.batch_size)
-        for labels in (n, n + len(lab.plan.selected_sources()))
-    ]
-    budget = 10 * max(cell_bytes)
-    assert all(10 <= budget // b < 15 for b in cell_bytes)
-    monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
     stacks = []
     real_finetune = harness.finetune
 
     def counted_finetune(*args):
-        stacks.append(sorted({s.kind.value for s in args[4]}))
+        stacks.append(len(args[4]))
         return real_finetune(*args)
 
     monkeypatch.setattr(harness, "finetune", counted_finetune)
     cells = seven_strategies(cfg, lab, cfg.seeds)
     results = run_grid(cfg, lab, cells)
-    assert sorted(stacks) == [
-        ["cotrain", "seqtrain"], ["l2", "l2sp"], ["mixup-indomain"],
-        ["xmixup", "xmixup-nolabel"],
-    ]
+    assert sorted(stacks) == [15, 20]
     for cell, got in zip(cells, results):
         alone = real_finetune(
             lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
@@ -1236,11 +1257,16 @@ def test_fuzzed_artifacts_end_in_a_documented_exit_code(tiny_runs, artifact, dat
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(code: str, threads: str | None, *args: str):
+MALLOC_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def run_python(code: str, threads: str | None, *args: str, **variables: str):
     """Run `code` with `args` in a fresh interpreter that imports xmixup
-    from this checkout, with OPENBLAS_NUM_THREADS set to `threads` or unset;
-    the CompletedProcess, output captured as text."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    from this checkout, with OPENBLAS_NUM_THREADS set to `threads` or unset,
+    glibc's malloc variables unset and `variables` set; the
+    CompletedProcess, output captured as text."""
+    unset = ("OPENBLAS_NUM_THREADS", *MALLOC_VARIABLES)
+    env = {k: v for k, v in os.environ.items() if k not in unset} | variables
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -1289,6 +1315,68 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         trees.append(read_tree(out))
     assert trees[0] == trees[1]
     assert len([name for name in trees[0] if name.startswith("runs/")]) == 14
+
+
+# ------------------------------------------------------------ the allocator
+
+# A 20-cell l2 stack of the default model shape (d = 4, hidden [64, 32],
+# B = 32, 6 target classes), run for 100 steps to warm the allocator, then
+# again; prints the minor page faults of the second run.
+STACK_FAULTS = """
+import resource
+import xmixup
+from xmixup.dataset import gen_source, gen_target
+from xmixup.model import TrainConfig, init
+
+src = gen_source(20, 10, 4, 0.8, seed=0)
+tgt, _ = gen_target(src, [0, 1, 2, 3], 2, 10, 0.3, seed=0)
+pretrained = init(4, [64, 32], 20, seed=0)
+cfgs = [TrainConfig(iterations=100, lr_drop_at=50, seed=s) for s in range(20)]
+cells = [xmixup.Strategy.l2()] * 20
+xmixup.finetune(pretrained, tgt, None, None, cells, cfgs, tgt)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+xmixup.finetune(pretrained, tgt, None, None, cells, cfgs, tgt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+def test_importing_xmixup_keeps_step_temporaries_mapped_unless_the_variable_is_set():
+    # glibc's defaults unmap or trim a large stack's per-step temporaries,
+    # which every step then faults in again: about 28 000 faults here
+    pinned = run_python(STACK_FAULTS, None)
+    assert pinned.returncode == 0, pinned.stderr
+    assert int(pinned.stdout) < 1000
+    users = run_python(STACK_FAULTS, None, MALLOC_MMAP_THRESHOLD_="131072")
+    assert users.returncode == 0, users.stderr
+    assert int(users.stdout) > 10_000
+
+
+def test_importing_xmixup_works_where_libc_has_no_mallopt(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_LAB))
+    done = run_python(
+        "import ctypes, sys\n"
+        "class NoMallopt(ctypes.CDLL):\n"
+        "    def __getattr__(self, name):\n"
+        "        if name == 'mallopt':\n"
+        "            raise AttributeError(name)\n"
+        "        return super().__getattr__(name)\n"
+        "ctypes.CDLL = NoMallopt\n"
+        "from xmixup.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        None,
+        "gen-data", "--config", str(config), "--out", str(tmp_path / "out"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "source_train.csv").exists()
 
 
 # ------------------------------------------ integers of too many digits
