@@ -126,8 +126,7 @@ def _dispatch(args) -> None:
     cfg = _load_config(args.config, args.overrides)
     if args.command == "finetune" and args.strategies:
         check_distinct("--strategy", args.strategies)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # gen-data makes it; every other command reads it first
     cmd = args.command
     if cmd == "gen-data":
         counts = step_gen_data(cfg, out)

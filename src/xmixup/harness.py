@@ -235,7 +235,6 @@ def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResu
 
 def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
     ds = cfg.data
-    out.mkdir(parents=True, exist_ok=True)
     src = gen_source(ds.m, ds.source_per_class, ds.d, ds.spread, ds.seed)
     src_train, src_test = split(src, ds.source_test_fraction, ds.seed)
     tgt, planted = gen_target(
@@ -243,6 +242,7 @@ def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
     )
     tgt_train, tgt_test = split(tgt, ds.target_test_fraction, ds.seed)
     splits = dict(zip(SPLITS, (src_train, src_test, tgt_train, tgt_test)))
+    out.mkdir(parents=True, exist_ok=True)  # only once the data is drawn
     for name, dataset in splits.items():
         save_dataset(dataset, out / name)
     _write_json(

@@ -8,24 +8,32 @@ otherwise.
 
 Training draws everything a batch needs as arrays, with no per-row Python
 loop: make_batch takes the target rows, the paired source classes, the
-auxiliary samples and the λ column in one call each, and sample_beta_batch
-runs a sampler path over a whole batch, its Gamma draws by _gamma,
+auxiliary samples and the λ column in one pass each, and a BetaSampler
+runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
-The two batched functions serve the cells of a stack: they take a list of
+make_batch and BetaSampler serve the cells of a stack: they take a list of
 MixupConfigs and a list of generators, one of each per cell, and return
 arrays with a leading (S,) cell axis; one cell is a stack of one. The cells
 may differ in α but share one β, as every stack the harness builds does.
-Each generator is called exactly as it would be alone, in the same order
-and with the same sizes; only the calls stay per cell. The lookups, gathers,
-blends and the Gamma rejection arithmetic run once over all cells.
+Every generator ends each call as it would alone, and each cell's values
+are bit for bit its values alone. The λ draws call each generator as it
+would be called alone, in the same order and with the same sizes. The
+index draws of a stack of two or more cells read raw PCG64 words instead
+(_RawIndices): one random_raw call and one state write per generator a
+step, decoded by numpy's own bounded-integer method over the whole stack.
+A lone cell keeps its Generator.integers calls, which are faster for one
+generator. The lookups, gathers, blends and the Gamma rejection arithmetic
+run once over all cells, and a BetaSampler computes each cell's constants
+once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -150,10 +158,12 @@ def _cells(cfgs, rngs) -> int:
     return len(rngs)
 
 
-def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
-    """One Gamma(shapes[i], 1) variate per entry of the flat `shapes`, the
-    next sizes[g] entries drawn from rngs[g]: Marsaglia–Tsang as a masked
-    rejection loop (Marsaglia & Tsang 2000, ACM TOMS 26(3)).
+class _Gamma:
+    """Gamma(shapes[i], 1) variates, one per entry of the flat `shapes`, the
+    next sizes[g] entries drawn from generator g: Marsaglia–Tsang as a
+    masked rejection loop (Marsaglia & Tsang 2000, ACM TOMS 26(3)). The
+    per-entry constants, d, c and the generator of each entry, are computed
+    once, when the sampler is built; each call draws a fresh set.
 
     Each round gives every pending entry two candidates, (x, u) pairs of a
     normal and a uniform, and keeps the first that passes sample_gamma's
@@ -168,41 +178,54 @@ def _gamma(shapes: np.ndarray, sizes: list[int], rngs) -> np.ndarray:
     entries, then its boost uniforms), so its entries of the result are bit
     for bit that call's, while the arithmetic runs once over all entries.
     """
-    boost = shapes < 1.0
-    d = np.where(boost, shapes + 1.0, shapes) - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty_like(d)
-    todo = np.arange(d.size)
-    owner = np.repeat(np.arange(len(rngs)), sizes)  # the generator of each entry
-    pending = list(sizes)
-    # v <= 0 makes log v NaN or -inf and u = 0 makes log u -inf: the first
-    # fails the test and the second passes it, both as they should
-    with np.errstate(invalid="ignore", divide="ignore"):
-        while todo.size:
-            draws = [
-                (rng.standard_normal((2, k)), rng.random((2, k)))
-                for rng, k in zip(rngs, pending)
-                if k
-            ]
-            x = np.concatenate([x for x, _ in draws], axis=1)
-            u = np.concatenate([u for _, u in draws], axis=1)
-            v = 1.0 + c[todo] * x
-            v = v * v * v  # three products: an array ** 3 takes the slow pow path
-            dt = d[todo]
-            ok = np.log(u) < 0.5 * x * x + dt * (1.0 - v + np.log(v))
-            # entries that fail both candidates are written over next round
-            out[todo] = dt * np.where(ok[0], v[0], v[1])
-            todo = todo[~(ok[0] | ok[1])]
-            pending = np.bincount(owner[todo], minlength=len(rngs)).tolist()
-    if boost.any():
-        counts = np.bincount(owner[boost], minlength=len(rngs)).tolist()
-        # in (0, 1]: never 0
-        u = np.concatenate([1.0 - rng.random(k) for rng, k in zip(rngs, counts) if k])
-        out[boost] *= u ** (1.0 / shapes[boost])
-    return out
+
+    def __init__(self, shapes: np.ndarray, sizes: list[int]):
+        self.sizes = list(sizes)
+        self.boost = shapes < 1.0
+        self.d = np.where(self.boost, shapes + 1.0, shapes) - 1.0 / 3.0
+        self.c = 1.0 / np.sqrt(9.0 * self.d)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)  # each entry's generator
+        self.boosted = None
+        if self.boost.any():
+            counts = np.bincount(self.owner[self.boost], minlength=len(sizes))
+            self.boosted = counts.tolist(), 1.0 / shapes[self.boost]
+
+    def __call__(self, rngs) -> np.ndarray:
+        c, d = self.c, self.d
+        out = np.empty_like(d)
+        todo = slice(None)  # the pending entries: all of them in the first round
+        pending = self.sizes
+        # v <= 0 makes log v NaN or -inf and u = 0 makes log u -inf: the first
+        # fails the test and the second passes it, both as they should
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while True:
+                draws = [
+                    (rng.standard_normal((2, k)), rng.random((2, k)))
+                    for rng, k in zip(rngs, pending)
+                    if k
+                ]
+                x = np.concatenate([x for x, _ in draws], axis=1)
+                u = np.concatenate([u for _, u in draws], axis=1)
+                v = 1.0 + c[todo] * x
+                v = v * v * v  # three products: an array ** 3 takes the slow pow path
+                dt = d[todo]
+                ok = np.log(u) < 0.5 * x * x + dt * (1.0 - v + np.log(v))
+                # entries that fail both candidates are written over next round
+                out[todo] = dt * np.where(ok[0], v[0], v[1])
+                failed = ~(ok[0] | ok[1])
+                if not failed.any():
+                    break
+                todo = np.arange(d.size)[todo][failed]
+                pending = np.bincount(self.owner[todo], minlength=len(rngs)).tolist()
+        if self.boosted is not None:
+            counts, powers = self.boosted
+            # in (0, 1]: never 0
+            u = np.concatenate([1.0 - rng.random(k) for rng, k in zip(rngs, counts) if k])
+            out[self.boost] *= u**powers
+        return out
 
 
-def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
+class _BetaDraws:
     """counts[s] raw Beta(α_s, β) draws of each cell s by sample_beta's
     path for the β the cells share, concatenated in cell order, not yet
     checked for the open interval (a uniform of exactly 0 gives λ = 0 here).
@@ -210,59 +233,249 @@ def _beta_draws(cfgs, counts: list[int], rngs) -> np.ndarray:
     β = 1 raises each cell's uniforms to its own scalar power: numpy
     computes `u ** 0.5` as a square root, so one power over an array of
     per-entry exponents would round some results differently. Any other β
-    runs one _gamma pass over [α_s…, β…] per cell and one division.
+    runs one _Gamma pass over [α_s…, β…] per cell and one division.
     """
-    cells = [s for s, k in enumerate(counts) if k]
-    beta = cfgs[0].beta
-    if beta == 1.0:
-        return np.concatenate(
-            [rngs[s].random(counts[s]) ** (1.0 / cfgs[s].alpha) for s in cells]
-        )
-    ks = np.repeat([counts[s] for s in cells], 2)
-    shapes = np.repeat(np.ravel([(cfgs[s].alpha, beta) for s in cells]), ks)
-    g = _gamma(shapes, (2 * ks[::2]).tolist(), [rngs[s] for s in cells])
-    first = np.repeat(np.arange(ks.size) % 2 == 0, ks)  # the α entries
-    g_a, g_b = g[first], g[~first]
-    with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
-        return g_a / (g_a + g_b)
+
+    def __init__(self, cfgs, counts: list[int]):
+        self.cells = [s for s, k in enumerate(counts) if k]
+        beta = cfgs[0].beta
+        self.gamma = None
+        if beta == 1.0:
+            self.powers = [(counts[s], 1.0 / cfgs[s].alpha) for s in self.cells]
+            return
+        ks = np.repeat([counts[s] for s in self.cells], 2)
+        shapes = np.repeat(np.ravel([(cfgs[s].alpha, beta) for s in self.cells]), ks)
+        self.gamma = _Gamma(shapes, (2 * ks[::2]).tolist())
+        first = np.repeat(np.arange(ks.size) % 2 == 0, ks)  # the α entries
+        self.split = np.flatnonzero(first), np.flatnonzero(~first)
+
+    def __call__(self, rngs) -> np.ndarray:
+        rngs = [rngs[s] for s in self.cells]
+        if self.gamma is None:
+            return np.concatenate(
+                [rng.random(k) ** p for rng, (k, p) in zip(rngs, self.powers)]
+            )
+        g = self.gamma(rngs)
+        g_a, g_b = g.take(self.split[0]), g.take(self.split[1])
+        with np.errstate(invalid="ignore"):  # 0/0 when both underflow: redrawn
+            return g_a / (g_a + g_b)
 
 
-def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
+class BetaSampler:
     """n independent λ ~ Beta(α, β) in (0, 1) for each cell, as an (S, n)
-    array whose row s is drawn with cfgs[s] from rngs[s]. The cells may
-    differ in α but share one β; configs of different β raise ValueError.
+    array whose row s is drawn with cfgs[s] from the cell's generator. The
+    cells may differ in α but share one β; configs of different β raise
+    ValueError. The constants of every cell's draws are computed once, when
+    the sampler is built, so a caller that draws many batches builds one.
 
     β = 1 uses the inverse CDF λ = U^{1/α}; any other β uses the ratio of
-    two _gamma draws, both shapes in one call. Entries that round to 0 or 1
+    two _Gamma draws, both shapes in one pass. Entries that round to 0 or 1
     (or are NaN) are redrawn together, at most MAX_BETA_DRAWS draws per
     entry, after which NumericError is raised. This is the sampler training
     uses; sample_beta is its one-draw reference.
 
     Every generator sees the calls of its own cell in its own order,
-    redraws included, so row s is bit for bit what the call with cfgs[s]
-    and rngs[s] alone returns. A NumericError names the cell in `cell`.
+    redraws included, so row s is bit for bit what the sampler of cfgs[s]
+    alone draws from the same generator. A NumericError names the cell in
+    `cell`.
     """
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
-    S = _cells(cfgs, rngs)
-    if any(c.beta != cfgs[0].beta for c in cfgs):
-        raise ValueError(f"cells of one stack share β, got {[c.beta for c in cfgs]}")
-    lam = np.empty(S * n)  # row-major (S, n)
-    todo = slice(None)  # the entries drawn in this round, in cell order
-    counts = [n] * S
-    for _ in range(MAX_BETA_DRAWS):
-        lam[todo] = _beta_draws(cfgs, counts, rngs)
-        drawn = lam[todo]
-        if drawn.min() > 0.0 and drawn.max() < 1.0:
-            return lam.reshape(S, n)
-        todo = np.arange(lam.size)[todo][~((drawn > 0.0) & (drawn < 1.0))]
-        counts = np.bincount(todo // n, minlength=S).tolist()
-    cell = int(todo[0] // n)
-    raise NumericError(
-        f"Beta({cfgs[cell].alpha}, {cfgs[cell].beta}) gave no draw inside (0, 1) "
-        f"in {MAX_BETA_DRAWS} tries",
-        cell=cell,
-    )
+
+    def __init__(self, cfgs: list[MixupConfig], n: int):
+        if n < 1:
+            raise ValueError(f"need at least one draw, got n={n}")
+        if not cfgs:
+            raise ValueError("need at least one cell")
+        if any(c.beta != cfgs[0].beta for c in cfgs):
+            raise ValueError(f"cells of one stack share β, got {[c.beta for c in cfgs]}")
+        self.cfgs, self.n = list(cfgs), n
+        self.first = _BetaDraws(self.cfgs, [n] * len(self.cfgs))
+
+    def __call__(self, rngs) -> np.ndarray:
+        S, n, cfgs = _cells(self.cfgs, rngs), self.n, self.cfgs
+        lam = np.empty(S * n)  # row-major (S, n)
+        todo = slice(None)  # the entries drawn in this round, in cell order
+        draws = self.first
+        for _ in range(MAX_BETA_DRAWS):
+            lam[todo] = draws(rngs)
+            drawn = lam[todo]
+            if drawn.min() > 0.0 and drawn.max() < 1.0:
+                return lam.reshape(S, n)
+            todo = np.arange(lam.size)[todo][~((drawn > 0.0) & (drawn < 1.0))]
+            draws = _BetaDraws(cfgs, np.bincount(todo // n, minlength=S).tolist())
+        cell = int(todo[0] // n)
+        raise NumericError(
+            f"Beta({cfgs[cell].alpha}, {cfgs[cell].beta}) gave no draw inside (0, 1) "
+            f"in {MAX_BETA_DRAWS} tries",
+            cell=cell,
+        )
+
+
+def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
+    """One BetaSampler(cfgs, n) draw from rngs: an (S, n) array of λ."""
+    return BetaSampler(cfgs, n)(rngs)
+
+
+#: Index draws read from raw words stay below this bound (see _RawIndices).
+RAW_BOUND = 2**32
+
+#: PCG64's 128-bit LCG multiplier: each word steps the state s to s·a + inc.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+_LOW = np.uint64(0xFFFFFFFF)
+_HIGH = np.uint64(32)
+_ONE = np.uint64(1)
+_TOP = np.uint64(RAW_BOUND - 1)
+
+
+def _pcg64_jump(words: int) -> tuple[int, int]:
+    """(a^n, (a^n − 1)/(a − 1)) mod 2**128 for n = words: n steps of PCG64
+    take the state s to s·a^n + inc·(a^n − 1)/(a − 1)."""
+    a = PCG64_MULTIPLIER
+    return pow(a, words, 2**128), (pow(a, words, (a - 1) << 128) - 1) // (a - 1)
+
+
+class _RawIndices:
+    """The index draws of one step of a stack of PCG64 generators, read from
+    raw words: bit for bit the Generator.integers calls they replace, values
+    and generator state alike.
+
+    numpy draws an int64 below a bound k < 2**32 by Lemire's multiply-shift
+    method (Lemire 2019, arXiv:1805.10941) over 32-bit halves of the PCG64
+    stream (O'Neill 2014): m = h·k for the next half h, rejected when
+    m mod 2**32 < (2**32 − k) mod k, else m >> 32. A word gives its low half
+    first; the generator holds its high half (`has_uint32`, `uinteger`) for
+    the next draw, and a bound of 1 reads nothing.
+
+    The reader takes one random_raw call per generator, of the most words
+    that `most` halves can need, and `take` decodes one draw for every
+    cell at once. `close` sets each generator's state to the one it had
+    when the reader was built, stepped past the words its draws read, and
+    holding the half numpy would leave, `uinteger` included: the high half
+    of the last word read, even once it is consumed. It returns the cells
+    whose draws hit a rejection, left as they were before the step, for the
+    caller to draw again through Generator.integers. The generators must
+    be distinct PCG64s, else ValueError, and draw nothing else while the
+    reader is open.
+    """
+
+    def __init__(self, rngs, most: int):
+        self.bits = [rng.bit_generator for rng in rngs]
+        self.states = [bits.state for bits in self.bits]
+        if len(set(map(id, self.bits))) < len(self.bits) or any(
+            state["bit_generator"] != "PCG64" for state in self.states
+        ):
+            raise ValueError("raw index draws need a PCG64 generator of its own per cell")
+        self.left, words = most, (most + 1) // 2
+        raw = np.concatenate([bits.random_raw(words) for bits in self.bits])
+        raw = raw.reshape(len(rngs), words)
+        halves = np.empty((len(rngs), 2 * words + 1), dtype=np.uint64)
+        halves[:, 0] = [state["uinteger"] for state in self.states]
+        np.bitwise_and(raw, _LOW, out=halves[:, 1::2])
+        np.right_shift(raw, _HIGH, out=halves[:, 2::2])
+        self.halves = halves.ravel()
+        self.base = np.arange(0, halves.size, halves.shape[1])
+        # each cell's last half read, as an index into the flat halves: one
+        # before the held half, or the held half itself if there is none
+        self.read = self.base - [state["has_uint32"] for state in self.states]
+        self.rejected = np.zeros(len(rngs), dtype=bool)
+
+    def take(self, bounds, size: int) -> np.ndarray:
+        """One (S, size) draw: row s is what rng.integers(bounds, size=size)
+        draws for one bound, or rng.integers(bounds[s]) for an (S, size)
+        array of them; every bound lies in [1, RAW_BOUND)."""
+        if size > self.left:
+            raise ValueError(f"{size} draws, but only {self.left} halves are left")
+        self.left -= size
+        if isinstance(bounds, np.ndarray):
+            k = bounds.astype(np.uint64)  # a bound below 1 wraps past 2**32
+            if k.shape != (self.read.size, size) or (k - _ONE).max() >= _TOP:
+                raise ValueError(f"need ({self.read.size}, {size}) bounds in [1, 2**32)")
+            reads = k > _ONE
+            if not reads.any():
+                return np.zeros(k.shape, dtype=np.int64)
+            at = np.add.accumulate(reads, 1, dtype=np.int64)
+            at += self.read[:, None]
+        else:
+            if not 1 <= bounds < RAW_BOUND:
+                raise ValueError(f"bound must lie in [1, 2**32), got {bounds}")
+            if bounds == 1:
+                return np.zeros((self.read.size, size), dtype=np.int64)
+            k = np.uint64(bounds)
+            at = self.read[:, None] + np.arange(1, size + 1)
+        # the half each draw reads; a bound of 1 gives 0 from any half
+        m = self.halves.take(at) * k
+        low = m & _LOW
+        if (low < k).any():  # the cheap test first: (2**32 - k) mod k < k
+            self.rejected |= (low < (RAW_BOUND - k) % k).any(1)
+        self.read = at[:, -1]
+        return (m >> _HIGH).view(np.int64)
+
+    def close(self) -> list[int]:
+        """Set every generator as numpy's draws would leave it; return the
+        rejected cells, whose state is set back as it was instead."""
+        rejected = np.flatnonzero(self.rejected).tolist() if self.rejected.any() else []
+        jumps: dict[int, tuple[int, int]] = {}
+        cells = zip(self.bits, self.states, self.read.tolist(), self.base.tolist())
+        for s, (bits, state, at, base) in enumerate(cells):
+            if s not in rejected:
+                # the next half is held: the high half of the last word
+                # read, or the one held before; else numpy keeps the last
+                held = (at - base) % 2
+                words = (at - base + 1) // 2
+                if words not in jumps:
+                    jumps[words] = _pcg64_jump(words)
+                mul, add = jumps[words]
+                lcg = state["state"]
+                lcg["state"] = (mul * lcg["state"] + add * lcg["inc"]) % 2**128
+                state["has_uint32"], state["uinteger"] = held, int(self.halves[at + held])
+            bits.state = state
+        return rejected
+
+
+def _integers(rngs, bounds, size: int) -> np.ndarray:
+    """_RawIndices.take through one Generator.integers call per cell."""
+    if np.ndim(bounds) == 0:
+        return np.array([rng.integers(bounds, size=size) for rng in rngs])
+    return np.array([rng.integers(k) for rng, k in zip(rngs, bounds)])
+
+
+def _draw_rows(tgt_train, src, plan, space, B: int, rngs):
+    """make_batch's index draws for every cell, as (S, B) arrays: the target
+    rows, their paired source classes and the auxiliary rows.
+
+    A stack reads raw words (_RawIndices); a lone cell, whose integers
+    calls are faster, and a cell whose draws hit a rejection draw through
+    Generator.integers. Until the rejected cells are drawn again, their
+    rows are ignored by the checks and given bounds of at least 1."""
+    table, counts = plan.paired_table(space.n_target)
+    order, starts, sizes = src.class_layout()
+    reader = _RawIndices(rngs, 3 * B) if len(rngs) > 1 else None
+    if reader is None:
+        take, skip = partial(_integers, rngs), np.zeros(len(rngs), dtype=bool)
+    else:
+        take, skip = reader.take, reader.rejected
+    picks = take(len(tgt_train), B)
+    targets = tgt_train.y[picks]
+    n_paired = counts[targets]
+    if not n_paired.all():
+        missing = (n_paired == 0) & ~skip[:, None]
+        if missing.any():
+            missing = sorted(set(targets[missing].tolist()))
+            raise KeyError(f"pairing plan has no source class for target classes {missing}")
+        n_paired = np.maximum(n_paired, 1)
+    # with no target paired to two classes every bound is 1, and reads nothing
+    cls = table[targets, take(n_paired, B) if table.shape[1] > 1 else 0]
+    pool = sizes[cls]
+    if not pool.all():
+        empty = (pool == 0) & ~skip[:, None]
+        if empty.any():
+            raise DataError(f"source class {cls[empty][0]} has no samples to draw from")
+        pool = np.maximum(pool, 1)
+    aux = order[starts[cls] + take(pool, B)]
+    for s in reader.close() if reader is not None else ():
+        drawn = _draw_rows(tgt_train, src, plan, space, B, [rngs[s]])
+        picks[s], cls[s], aux[s] = (rows[0] for rows in drawn)
+    return picks, cls, aux
 
 
 def make_batch(
@@ -273,6 +486,7 @@ def make_batch(
     cfgs: list[MixupConfig],
     batch_size: int,
     rngs,
+    sampler: BetaSampler | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A mini-batch of mixed rows for each cell: inputs X (S, B, d) and soft
     labels P (S, B, L), cell s drawn with cfgs[s] from rngs[s].
@@ -280,10 +494,12 @@ def make_batch(
     Every draw is one array per batch and cell, in this order: the target
     rows (uniform with replacement), for each row one source class paired
     to its target class (uniform over all rounds), one sample of that
-    class, and the λ column from sample_beta_batch. Each generator makes
-    its cell's calls in that order, so cell s is bit for bit what the call
-    with cfgs[s] and rngs[s] alone returns; the lookups, gathers and blends
-    run once for all cells. A target class the plan misses raises KeyError.
+    class (_draw_rows), and the λ column from `sampler`, BetaSampler(cfgs,
+    batch_size) unless a caller that draws many batches passes the one it
+    built. Each generator makes its cell's draws in that order, so cell s
+    is bit for bit what the call with cfgs[s] and rngs[s] alone returns;
+    the lookups, gathers and blends run once for all cells. A target class
+    the plan misses raises KeyError.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -292,24 +508,17 @@ def make_batch(
     if src.d != tgt_train.d:
         raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
     S = _cells(cfgs, rngs)
-    table, counts = plan.paired_table(space.n_target)
-    order, starts, sizes = src.class_layout()
-    picks = np.array([r.integers(len(tgt_train), size=batch_size) for r in rngs])
-    targets = tgt_train.y[picks]
-    n_paired = counts[targets]
-    if not n_paired.all():
-        missing = sorted(set(targets[n_paired == 0].tolist()))
-        raise KeyError(f"pairing plan has no source class for target classes {missing}")
-    cls = table[targets, np.array([r.integers(k) for r, k in zip(rngs, n_paired)])]
-    pool = sizes[cls]
-    if not pool.all():
-        raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
-    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, pool)])]
-    lam = sample_beta_batch(cfgs, batch_size, rngs)
+    if sampler is None:
+        sampler = BetaSampler(cfgs, batch_size)
+    elif sampler.cfgs != list(cfgs) or sampler.n != batch_size:
+        raise ValueError("the sampler was built for other configs or another batch size")
+    picks, cls, aux = _draw_rows(tgt_train, src, plan, space, batch_size, rngs)
+    lam = sampler(rngs)
     mu = 1.0 - lam
     X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
     P = np.zeros((S, batch_size, space.size))
-    at = (np.arange(S)[:, None], np.arange(batch_size))
-    P[at + (targets,)] = lam
-    P[at + (space.source_columns[cls],)] = mu
+    flat = P.reshape(-1)
+    rows = np.arange(0, P.size, space.size).reshape(S, batch_size)  # each row's start
+    flat[rows + tgt_train.y[picks]] = lam
+    flat[rows + space.source_columns[cls]] = mu
     return X, P

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .mixup import LabelSpace, MixupConfig, make_batch, sample_beta_batch
+from .mixup import BetaSampler, LabelSpace, MixupConfig, make_batch
 from .model import (
     ModelParams,
     TrainConfig,
@@ -190,29 +190,43 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
     gradients into the run's one buffer `out`, and makes one sgd_step at the
     step's entry of lrs: a float, or an (S, 1) column of one rate per model.
     The velocity of the rows in `reset` restarts from zero when the segment
-    starts. A NumericError is raised again with the iteration, counted over
-    all segments, and the name of its cell when `cells` names the models.
+    starts.
+
+    A diverging run overflows quietly: the checks of logits and gradients
+    raise NumericError at the step they find a non-finite value, and a loss
+    no check reads (L2-SP's penalty) is checked in the trace once the loop
+    ends. Either is raised with the iteration, counted over all segments,
+    and the name of its cell when `cells` names the models.
     """
+
+    def failed(it: int, message: str, cell: int | None) -> NumericError:
+        where = f"iteration {it}: {message}"
+        if cells is not None:
+            who = cells[cell] if cell is not None else ", ".join(cells)
+            where = f"{who}: {where}"
+        return NumericError(where, cell=cell)
+
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
     steps = sum(len(lrs) for _, lrs, _ in segments)
     trace = np.empty((steps,) + params.flat.shape[:-1])
     it = 0
-    for batch_fn, lrs, reset in segments:
-        if reset:
-            velocity.flat[reset] = 0.0
-        for lr in lrs:
-            try:
-                loss, grads = loss_fn(params, *batch_fn(), out)
-                sgd_step(params, grads, velocity, cfg, it, lr)
-            except NumericError as e:
-                where = f"iteration {it}: {e}"
-                if cells is not None:
-                    who = cells[e.cell] if e.cell is not None else ", ".join(cells)
-                    where = f"{who}: {where}"
-                raise NumericError(where, cell=e.cell) from None
-            trace[it] = loss
-            it += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch_fn, lrs, reset in segments:
+            if reset:
+                velocity.flat[reset] = 0.0
+            for lr in lrs:
+                try:
+                    loss, grads = loss_fn(params, *batch_fn(), out)
+                    sgd_step(params, grads, velocity, cfg, it, lr)
+                except NumericError as e:
+                    raise failed(it, str(e), e.cell) from None
+                trace[it] = loss
+                it += 1
+    finite = np.isfinite(trace)
+    if not finite.all():
+        it, *cell = np.argwhere(~finite)[0].tolist()  # the first, and its cell
+        raise failed(it, "non-finite loss", cell[0] if cell else None)
     return trace
 
 
@@ -493,11 +507,11 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
     """Pairs of target rows, inputs and one-hot labels mixed by one λ a row."""
     tgt_X, tgt_y, eye, B = ctx.tgt.X, ctx.tgt.y, ctx.eye, ctx.B
     draws = _index_blocks(ctx.generators(keys, 1), len(tgt_X), (2, B), steps)
-    mixups, rng_mix = [key[2] for key in keys], ctx.generators(keys, 2)
+    lam, rng_mix = BetaSampler([key[2] for key in keys], B), ctx.generators(keys, 2)
 
     def draw():
         i1, i2 = next(draws).swapaxes(0, 1)
-        lams = sample_beta_batch(mixups, B, rng_mix)[..., None]
+        lams = lam(rng_mix)[..., None]
         X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
         P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
         return X, P, None
@@ -509,9 +523,10 @@ def _mixed(ctx: _Context, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
     tgt, src, plan, space, B = ctx.tgt, ctx.src, ctx.plan, ctx.space, ctx.B
     mixups, rng_mix = [key[2] for key in keys], ctx.generators(keys, 2)
+    lam = BetaSampler(mixups, B)
 
     def draw():
-        X, P = make_batch(tgt, src, plan, space, mixups, B, rng_mix)
+        X, P = make_batch(tgt, src, plan, space, mixups, B, rng_mix, lam)
         return X, P, None
 
     return draw

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -37,7 +38,7 @@ from xmixup.config import (
 )
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError, NumericError
-from xmixup import harness, training
+from xmixup import dataset, harness, training
 from xmixup.harness import (
     COMPARISON_HEADER,
     Cell,
@@ -47,7 +48,7 @@ from xmixup.harness import (
     run_grid,
 )
 from xmixup.mixup import MixupConfig
-from xmixup.model import init, save_params
+from xmixup.model import init, load_params, save_params
 from xmixup.pairing import load_plan
 from xmixup.training import Strategy, StrategyKind, finetune
 
@@ -706,6 +707,17 @@ def test_a_midtune_budget_above_the_finetune_budget_exits_2_before_writing(tmp_p
     assert config_from_json({"midtune_iterations": 300}).hash() == "b8c808f31399"
 
 
+def test_data_that_cannot_be_drawn_exits_3_before_writing(tmp_path, monkeypatch):
+    # class means 5 apart cannot be placed at data.noise=10: gen-data used to
+    # make --out first and leave it behind empty, as every command did
+    monkeypatch.setattr(dataset, "_MAX_MEAN_TRIES", 100)
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    for args in every_command(config, out, "data.noise=10"):
+        assert main(args) == 3, args[0]
+    assert not out.exists()
+
+
 # ------------------------------------------- reports join one config only
 
 def test_report_rejects_run_records_of_another_config(tmp_path, capsys):
@@ -1025,6 +1037,25 @@ def test_fuzzed_set_values_in_training_commands_end_in_a_documented_exit_code(
             code = main(argv)  # any exception fails the test with its traceback
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stderr.getvalue()
+
+
+def test_a_diverging_finetune_exits_4_naming_the_cell_without_a_warning(tiny_lab, tmp_path):
+    # a first layer scaled by 1e160 overflows the logits: numpy used to warn
+    # of the overflow before the checks raised
+    config, lab = tiny_lab
+    out = tmp_path / "out"
+    shutil.copytree(lab, out)
+    params = load_params(out / "pretrained.ckpt")
+    params.layers[0][0][...] *= 1e160
+    save_params(params, out / "pretrained.ckpt")
+    stderr = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["finetune", "--config", str(config), "--out", str(out)])
+    assert code == 4
+    cell = r"[a-z-]+ seed \d( alpha \S+)?"  # a strategy, its seed and any alpha
+    assert re.search(cell + r": iteration \d+: non-finite", stderr.getvalue())
 
 
 # ------------------------------------------------ malformed artifacts

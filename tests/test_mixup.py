@@ -10,9 +10,11 @@ from xmixup.errors import DataError, NumericError
 from xmixup.mixup import (
     MAX_BETA_DRAWS,
     SHAPE_GRID,
+    BetaSampler,
     LabelSpace,
     MixupConfig,
-    _gamma,
+    _Gamma,
+    _RawIndices,
     make_batch,
     sample_beta,
     sample_beta_batch,
@@ -105,7 +107,7 @@ def test_sample_beta_gives_up_when_every_draw_rounds_to_one(beta):
 # ------------------------------------------------- the batched sampler
 # The oracles of criterion 4 and of the scalar tests above, with criterion
 # 4's sample sizes, levels and seeds, applied to sample_beta_batch and its
-# batched Gamma kernel _gamma, which training uses.
+# batched Gamma kernel _Gamma, which training uses.
 
 
 def test_sample_beta_batch_moments_within_three_standard_errors():
@@ -124,13 +126,13 @@ def test_sample_beta_batch_moments_within_three_standard_errors():
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_sample_beta_batch_paths_agree_in_distribution(alpha):
     # the inverse-CDF path (beta = 1) against the gamma ratio built from
-    # _gamma at shapes (alpha, 1): two-sample KS at the 1% level
+    # _Gamma at shapes (alpha, 1): two-sample KS at the 1% level
     m = 10_000
     cfg = MixupConfig(alpha=alpha, beta=1.0, seed=0)
     rng1 = np.random.default_rng([23, int(alpha * 100), 1])
     rng2 = np.random.default_rng([23, int(alpha * 100), 2])
     inverse_cdf = sample_beta_batch([cfg], m, [rng1])[0]
-    g = _gamma(np.repeat((alpha, 1.0), m), [2 * m], [rng2])
+    g = _Gamma(np.repeat((alpha, 1.0), m), [2 * m])([rng2])
     ratio = g[:m] / (g[:m] + g[m:])
     assert stats.ks_2samp(inverse_cdf, ratio).statistic < 1.628 * np.sqrt(2.0 / m)
 
@@ -139,7 +141,7 @@ def test_sample_gamma_batch_matches_reference_distribution():
     # one call over mixed shapes: the boost must reach exactly the shapes < 1
     shapes = (0.4, 1.0, 2.5, 7.0)
     m = 4000
-    x = _gamma(np.repeat(shapes, m), [len(shapes) * m], [np.random.default_rng(33)])
+    x = _Gamma(np.repeat(shapes, m), [len(shapes) * m])([np.random.default_rng(33)])
     assert np.all(x > 0)
     for i, shape in enumerate(shapes):
         stat = stats.kstest(x[i * m : (i + 1) * m], stats.gamma(shape).cdf).statistic
@@ -259,8 +261,11 @@ def test_mix_convex_combination(mix_world):
     # the gathered batch is bit-for-bit the per-row convex combination,
     # from the same draws taken in the same order
     src, tgt, plan = mix_world
-    space = mix_space(tgt, plan)
-    for alpha, beta in ((2.0, 1.0), (2.0, 2.0), (0.5, 0.5)):
+    one_each = PairingPlan({0: [0], 1: [2]}, {0: [0.9], 1: [0.8]}, 1, False)
+    for plan, (alpha, beta) in zip(
+        (plan, plan, plan, one_each), ((2.0, 1.0), (2.0, 2.0), (0.5, 0.5), (2.0, 2.0))
+    ):
+        space = mix_space(tgt, plan)
         cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
         rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
         for _ in range(20):
@@ -268,6 +273,7 @@ def test_mix_convex_combination(mix_world):
             X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
             assert np.array_equal(X[0], X_ref)
             assert np.array_equal(P[0], P_ref)
+        assert _same_state(rng_a, rng_b)
 
 
 def test_mix_validates_inputs(mix_world):
@@ -402,15 +408,15 @@ def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
 
 
 def test_sample_gamma_batch_per_generator_matches_each_generator_alone():
-    # the batched Gamma kernel _gamma; enough entries that every generator
+    # the batched Gamma kernel _Gamma; enough entries that every generator
     # has some left for a second round, and runs of different lengths
     runs = [[0.4, 2.5, 7.0] * 200, [1.0] * 300, [0.2] * 500]
     together, alone = _generators((4, 5, 6)), _generators((4, 5, 6))
     for _ in range(5):
-        got = _gamma(np.concatenate(runs), [len(r) for r in runs], together)
+        got = _Gamma(np.concatenate(runs), [len(r) for r in runs])(together)
         parts = np.split(got, np.cumsum([len(r) for r in runs])[:-1])
         for g, r, rng in zip(parts, runs, alone):
-            assert g.tobytes() == _gamma(np.array(r), [len(r)], [rng]).tobytes()
+            assert g.tobytes() == _Gamma(np.array(r), [len(r)])([rng]).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
 
 
@@ -443,3 +449,170 @@ def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
             assert X[s].tobytes() == X1.tobytes()
             assert P[s].tobytes() == P1.tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
+
+
+# ------------------------------------------- raw-word index draws
+# A stack's index draws read raw PCG64 words (_RawIndices). They must give
+# what one Generator.integers call per cell gives, values and the whole
+# bit_generator.state alike, the held half and the stale `uinteger` included.
+
+
+def _integers_alone(rng, bounds, size, s):
+    """What _RawIndices.take reads for cell s, through Generator.integers."""
+    if np.ndim(bounds) == 0:
+        return rng.integers(bounds, size=size)
+    return rng.integers(bounds[s])
+
+
+def _check_reader(together, alone, takes):
+    """Run `takes`, (bounds, size) pairs whose bounds are one integer or
+    (S, size) arrays, through one reader over `together` and through
+    integers calls on `alone`; every cell the reader does not reject must
+    agree in every value, and every generator in its state after close. A
+    rejected cell is set back and drawn again through integers."""
+    reader = _RawIndices(together, sum(size for _, size in takes))
+    got = [reader.take(bounds, size) for bounds, size in takes]
+    rejected = reader.close()
+    for s in range(len(together)):
+        for (bounds, size), draw in zip(takes, got):
+            want = _integers_alone(alone[s], bounds, size, s)
+            if s in rejected:
+                draw = _integers_alone(together[s], bounds, size, s)
+            else:
+                draw = draw[s]
+            assert draw.dtype == want.dtype and draw.tolist() == want.tolist()
+    assert [a.bit_generator.state for a in together] == [b.bit_generator.state for b in alone]
+    return rejected
+
+
+@pytest.mark.parametrize("S", [2, 7, 35])
+def test_raw_indices_match_generator_integers(S):
+    plan = np.random.default_rng(S)
+    together, alone = _generators(range(S)), _generators(range(S))
+    for step in range(12):
+        size = int(plan.choice([1, 2, 5, 31, 32]))
+        rows = (S, size)
+        takes = [
+            (int(plan.integers(1, 100)), size),  # one bound
+            (plan.integers(1, 4, size=rows), size),  # bounds of 1 among others
+            (plan.integers(1, 2**32, size=rows), size),  # up to the largest
+            (1, size),  # reads nothing
+            (np.ones(rows, dtype=np.int64), size),
+        ]
+        rejected = _check_reader(together, alone, takes[: 1 + step % 5])
+        if step % 5 < 2:  # bounds below 100: a rejection has p < 2.4e-8 a draw
+            assert rejected == []
+
+
+def test_raw_indices_read_a_half_held_before_the_reader():
+    # an odd draw before the reader leaves a high half held in some cells;
+    # a step may read only that half, or nothing at all
+    together, alone = _generators(range(7)), _generators(range(7))
+    for a, b, odd in zip(together, alone, [1, 0, 3, 2, 1, 1, 0]):
+        assert a.integers(10, size=odd).tolist() == b.integers(10, size=odd).tolist()
+    held = [a.bit_generator.state["has_uint32"] for a in together]
+    assert held == [1, 0, 1, 0, 1, 1, 0]
+    _check_reader(together, alone, [(1000, 1)])  # only the held half, where held
+    _check_reader(together, alone, [(1, 3)])  # nothing
+    _check_reader(together, alone, [(7, 1), (np.full((7, 3), 5), 3)])
+    # a reader that reads nothing keeps even a consumed half's stale value
+    _check_reader(together, alone, [(np.ones((7, 2), dtype=np.int64), 2)])
+
+
+def test_raw_indices_make_up_for_rejected_draws():
+    # at a bound of 2**31 + 1 about half of all draws are rejected: those
+    # cells are set back, all others read on; bounds this large are only
+    # reached by calling the reader directly
+    together, alone = _generators(range(35)), _generators(range(35))
+    seen = set()
+    for _ in range(6):
+        bounds = np.full((35, 3), 9)
+        bounds[::2, 1] = 2**31 + 1  # the even cells risk a rejection
+        rejected = _check_reader(together, alone, [(5, 3), (bounds, 3), (2**31 + 1, 1)])
+        seen.update(rejected)
+        assert 0 < len(rejected) < 35
+    assert any(s % 2 == 0 for s in seen) and any(s % 2 == 1 for s in seen)
+
+
+def test_raw_indices_reject_what_they_cannot_read():
+    reader = _RawIndices(_generators((1, 2)), 4)
+    for bound in (0, -3, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            reader.take(bound, 1)
+        with pytest.raises(ValueError):
+            reader.take(np.full((2, 1), bound), 1)
+    with pytest.raises(ValueError):  # one row of bounds per cell
+        reader.take(np.full((3, 1), 2), 1)
+    with pytest.raises(ValueError):  # more draws than the reader took words for
+        reader.take(2, 5)
+    shared = np.random.default_rng(0)
+    mt = np.random.Generator(np.random.MT19937(0))  # 32-bit words of its own
+    for rngs in ([shared, shared], [np.random.default_rng(1), mt]):
+        with pytest.raises(ValueError, match="PCG64"):
+            _RawIndices(rngs, 4)
+
+
+def _paired_plan():
+    """mix_world's classes, each target paired with two or three sources."""
+    return PairingPlan({0: [0, 4, 5], 1: [2, 1]}, {0: [0.9, 0.4, 0.3], 1: [0.8, 0.2]}, 3, False)
+
+
+@pytest.mark.parametrize("S", [2, 7, 35])
+def test_make_batch_reads_raw_words_as_each_cell_alone(mix_world, S):
+    # several source classes a target and an odd batch leave halves held
+    # from one step to the next
+    src, tgt, _ = mix_world
+    plan = _paired_plan()
+    space = mix_space(tgt, plan)
+    cfgs = [MixupConfig(alpha=1.0 + s % 5, beta=2.0, seed=0) for s in range(S)]
+    together, alone = _generators(range(S)), _generators(range(S))
+    held = set()
+    for _ in range(6):
+        X, P = make_batch(tgt, src, plan, space, cfgs, 31, together)
+        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
+            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 31, [rng])
+            assert X[s].tobytes() == X1.tobytes() and P[s].tobytes() == P1.tobytes()
+        assert [a.bit_generator.state for a in together] == [b.bit_generator.state for b in alone]
+        held.update(a.bit_generator.state["has_uint32"] for a in together)
+    assert held == {0, 1}
+
+
+def test_make_batch_draws_a_rejected_cell_again_alone(mix_world, monkeypatch):
+    # a cell whose raw draws hit a rejection is drawn again through
+    # Generator.integers; flag one after its first draw to force that path
+    src, tgt, _ = mix_world
+    plan = _paired_plan()
+    space = mix_space(tgt, plan)
+    take = _RawIndices.take
+
+    def rejecting(self, bounds, size):
+        drawn = take(self, bounds, size)
+        self.rejected[1] = True
+        return drawn
+
+    monkeypatch.setattr(_RawIndices, "take", rejecting)
+    cfgs = [MixupConfig(alpha=a, beta=1.0, seed=0) for a in (2.0, 0.5, 16.0)]
+    together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
+    for _ in range(4):
+        X, P = make_batch(tgt, src, plan, space, cfgs, 15, together)
+        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
+            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 15, [rng])
+            assert X[s].tobytes() == X1.tobytes() and P[s].tobytes() == P1.tobytes()
+    assert all(_same_state(a, b) for a, b in zip(together, alone))
+    partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
+    with pytest.raises(KeyError):  # target class 1 has no paired source
+        make_batch(tgt, src, partial, space, cfgs, 32, together)
+
+
+def test_beta_sampler_is_sample_beta_batch_built_once(mix_world):
+    cfgs = [MixupConfig(alpha=a, beta=2.0, seed=0) for a in (0.3, 2.0, 7.0)]
+    sampler = BetaSampler(cfgs, 16)
+    together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
+    for _ in range(5):
+        assert sampler(together).tobytes() == sample_beta_batch(cfgs, 16, alone).tobytes()
+    assert all(_same_state(a, b) for a, b in zip(together, alone))
+    src, tgt, plan = mix_world
+    space = mix_space(tgt, plan)
+    for n_cells, size in ((2, 16), (3, 8)):  # not what the sampler was built for
+        with pytest.raises(ValueError, match="sampler"):
+            make_batch(tgt, src, plan, space, cfgs[:n_cells], size, together[:n_cells], sampler)

@@ -363,6 +363,27 @@ def test_training_names_the_cell_of_a_stacked_failure():
         _run_sgd(stack, cfg, batch, loss, ["c0", "c1", "c2"])
 
 
+def test_training_names_the_cell_of_a_non_finite_loss_no_check_reads():
+    # L2-SP's penalty joins the loss after every check: a run whose penalty
+    # overflows trains on, then stops at the end, naming where it diverged
+    stack = ModelParams.stack([init(3, [4], 2, seed=s) for s in (1, 2, 3)])
+    steps = iter(range(10))
+
+    def loss(p, X, out):
+        out.flat[:] = 0.0
+        at = next(steps)
+        return np.array([0.0, np.inf if at >= 6 else 0.0, np.inf if at >= 4 else 0.0]), out
+
+    def batch():
+        return (np.zeros((3, 2, 3)),)
+
+    with pytest.raises(NumericError, match="^c2: iteration 4: non-finite loss") as info:
+        cfg = TrainConfig(iterations=10, lr_drop_at=10)
+        _run_sgd(stack, cfg, batch, loss, ["c0", "c1", "c2"])
+    assert info.value.cell == 2
+    assert next(steps, None) is None  # every iteration ran
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

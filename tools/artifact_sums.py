@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checksums of every artifact the four reference command chains write.
+"""Checksums of every artifact the five reference command chains write.
 
     python3 tools/artifact_sums.py > sums.txt
     python3 tools/artifact_sums.py --check sums.txt
@@ -15,7 +15,11 @@ it is 0 when every line matches. `XMIXUP_SEED` is ignored.
 
 The chains: the default config through all nine commands; a gamma-path
 (β = 2) alpha sweep; 10× source and 4× target data through the five-command
-pipeline at one seed; and small alpha and threshold grids over two seeds.
+pipeline at one seed; small alpha and threshold grids over two seeds; and a
+chain whose index draws leave 32-bit halves held in the generators from one
+step to the next: batches of 31, three source classes paired to every
+target, and fine-tuning at two seeds, whose xmixup stack of two cells draws
+across seqtrain's phase switch.
 """
 
 from __future__ import annotations
@@ -53,6 +57,15 @@ CHAINS = (
             "seeds": [3, 0],
         },
         "gen-data pretrain pair sweep-alpha sweep-size randomize-aux",
+    ),
+    (
+        {
+            "mixup": {"beta": 2.0},
+            "finetune": {"batch_size": 31},
+            "threshold": 400,
+            "seeds": [0, 1],
+        },
+        "gen-data pretrain pair finetune sweep-alpha",
     ),
 )
 
