@@ -13,27 +13,21 @@ runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
-make_batch and BetaSampler serve the cells of a stack: they take a list of
-MixupConfigs and a list of generators, one of each per cell, and return
-arrays with a leading (S,) cell axis; one cell is a stack of one. The cells
+make_batch and BetaSampler serve the cells of a stack: a BetaSampler is
+built from a list of MixupConfigs, one per cell, make_batch takes one, and
+both draw from a list of generators, one per cell, and return arrays with
+a leading (S,) cell axis; one cell is a stack of one. The cells
 may differ in α but share one β, as every stack the harness builds does.
-Every generator ends each call as it would alone, and each cell's values
-are bit for bit its values alone. The λ draws call each generator as it
-would be called alone, in the same order and with the same sizes. The
-index draws of a stack of two or more cells read raw PCG64 words instead
-(_RawIndices): one random_raw call and one state write per generator a
-step, decoded by numpy's own bounded-integer method over the whole stack.
-A lone cell keeps its Generator.integers calls, which are faster for one
-generator. The lookups, gathers, blends and the Gamma rejection arithmetic
-run once over all cells, and a BetaSampler computes each cell's constants
-once, when it is built.
+Each generator is called exactly as it would be alone, in the same order
+and with the same sizes; only the calls stay per cell. The lookups, gathers,
+blends and the Gamma rejection arithmetic run once over all cells, and a
+BetaSampler computes each cell's constants once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -315,210 +309,55 @@ def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
     return BetaSampler(cfgs, n)(rngs)
 
 
-#: Index draws read from raw words stay below this bound (see _RawIndices).
-RAW_BOUND = 2**32
-
-#: PCG64's 128-bit LCG multiplier: each word steps the state s to s·a + inc.
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-_LOW = np.uint64(0xFFFFFFFF)
-_HIGH = np.uint64(32)
-_ONE = np.uint64(1)
-_TOP = np.uint64(RAW_BOUND - 1)
-
-
-def _pcg64_jump(words: int) -> tuple[int, int]:
-    """(a^n, (a^n − 1)/(a − 1)) mod 2**128 for n = words: n steps of PCG64
-    take the state s to s·a^n + inc·(a^n − 1)/(a − 1)."""
-    a = PCG64_MULTIPLIER
-    return pow(a, words, 2**128), (pow(a, words, (a - 1) << 128) - 1) // (a - 1)
-
-
-class _RawIndices:
-    """The index draws of one step of a stack of PCG64 generators, read from
-    raw words: bit for bit the Generator.integers calls they replace, values
-    and generator state alike.
-
-    numpy draws an int64 below a bound k < 2**32 by Lemire's multiply-shift
-    method (Lemire 2019, arXiv:1805.10941) over 32-bit halves of the PCG64
-    stream (O'Neill 2014): m = h·k for the next half h, rejected when
-    m mod 2**32 < (2**32 − k) mod k, else m >> 32. A word gives its low half
-    first; the generator holds its high half (`has_uint32`, `uinteger`) for
-    the next draw, and a bound of 1 reads nothing.
-
-    The reader takes one random_raw call per generator, of the most words
-    that `most` halves can need, and `take` decodes one draw for every
-    cell at once. `close` sets each generator's state to the one it had
-    when the reader was built, stepped past the words its draws read, and
-    holding the half numpy would leave, `uinteger` included: the high half
-    of the last word read, even once it is consumed. It returns the cells
-    whose draws hit a rejection, left as they were before the step, for the
-    caller to draw again through Generator.integers. The generators must
-    be distinct PCG64s, else ValueError, and draw nothing else while the
-    reader is open.
-    """
-
-    def __init__(self, rngs, most: int):
-        self.bits = [rng.bit_generator for rng in rngs]
-        self.states = [bits.state for bits in self.bits]
-        if len(set(map(id, self.bits))) < len(self.bits) or any(
-            state["bit_generator"] != "PCG64" for state in self.states
-        ):
-            raise ValueError("raw index draws need a PCG64 generator of its own per cell")
-        self.left, words = most, (most + 1) // 2
-        raw = np.concatenate([bits.random_raw(words) for bits in self.bits])
-        raw = raw.reshape(len(rngs), words)
-        halves = np.empty((len(rngs), 2 * words + 1), dtype=np.uint64)
-        halves[:, 0] = [state["uinteger"] for state in self.states]
-        np.bitwise_and(raw, _LOW, out=halves[:, 1::2])
-        np.right_shift(raw, _HIGH, out=halves[:, 2::2])
-        self.halves = halves.ravel()
-        self.base = np.arange(0, halves.size, halves.shape[1])
-        # each cell's last half read, as an index into the flat halves: one
-        # before the held half, or the held half itself if there is none
-        self.read = self.base - [state["has_uint32"] for state in self.states]
-        self.rejected = np.zeros(len(rngs), dtype=bool)
-
-    def take(self, bounds, size: int) -> np.ndarray:
-        """One (S, size) draw: row s is what rng.integers(bounds, size=size)
-        draws for one bound, or rng.integers(bounds[s]) for an (S, size)
-        array of them; every bound lies in [1, RAW_BOUND)."""
-        if size > self.left:
-            raise ValueError(f"{size} draws, but only {self.left} halves are left")
-        self.left -= size
-        if isinstance(bounds, np.ndarray):
-            k = bounds.astype(np.uint64)  # a bound below 1 wraps past 2**32
-            if k.shape != (self.read.size, size) or (k - _ONE).max() >= _TOP:
-                raise ValueError(f"need ({self.read.size}, {size}) bounds in [1, 2**32)")
-            reads = k > _ONE
-            if not reads.any():
-                return np.zeros(k.shape, dtype=np.int64)
-            at = np.add.accumulate(reads, 1, dtype=np.int64)
-            at += self.read[:, None]
-        else:
-            if not 1 <= bounds < RAW_BOUND:
-                raise ValueError(f"bound must lie in [1, 2**32), got {bounds}")
-            if bounds == 1:
-                return np.zeros((self.read.size, size), dtype=np.int64)
-            k = np.uint64(bounds)
-            at = self.read[:, None] + np.arange(1, size + 1)
-        # the half each draw reads; a bound of 1 gives 0 from any half
-        m = self.halves.take(at) * k
-        low = m & _LOW
-        if (low < k).any():  # the cheap test first: (2**32 - k) mod k < k
-            self.rejected |= (low < (RAW_BOUND - k) % k).any(1)
-        self.read = at[:, -1]
-        return (m >> _HIGH).view(np.int64)
-
-    def close(self) -> list[int]:
-        """Set every generator as numpy's draws would leave it; return the
-        rejected cells, whose state is set back as it was instead."""
-        rejected = np.flatnonzero(self.rejected).tolist() if self.rejected.any() else []
-        jumps: dict[int, tuple[int, int]] = {}
-        cells = zip(self.bits, self.states, self.read.tolist(), self.base.tolist())
-        for s, (bits, state, at, base) in enumerate(cells):
-            if s not in rejected:
-                # the next half is held: the high half of the last word
-                # read, or the one held before; else numpy keeps the last
-                held = (at - base) % 2
-                words = (at - base + 1) // 2
-                if words not in jumps:
-                    jumps[words] = _pcg64_jump(words)
-                mul, add = jumps[words]
-                lcg = state["state"]
-                lcg["state"] = (mul * lcg["state"] + add * lcg["inc"]) % 2**128
-                state["has_uint32"], state["uinteger"] = held, int(self.halves[at + held])
-            bits.state = state
-        return rejected
-
-
-def _integers(rngs, bounds, size: int) -> np.ndarray:
-    """_RawIndices.take through one Generator.integers call per cell."""
-    if np.ndim(bounds) == 0:
-        return np.array([rng.integers(bounds, size=size) for rng in rngs])
-    return np.array([rng.integers(k) for rng, k in zip(rngs, bounds)])
-
-
-def _draw_rows(tgt_train, src, plan, space, B: int, rngs):
-    """make_batch's index draws for every cell, as (S, B) arrays: the target
-    rows, their paired source classes and the auxiliary rows.
-
-    A stack reads raw words (_RawIndices); a lone cell, whose integers
-    calls are faster, and a cell whose draws hit a rejection draw through
-    Generator.integers. Until the rejected cells are drawn again, their
-    rows are ignored by the checks and given bounds of at least 1."""
-    table, counts = plan.paired_table(space.n_target)
-    order, starts, sizes = src.class_layout()
-    reader = _RawIndices(rngs, 3 * B) if len(rngs) > 1 else None
-    if reader is None:
-        take, skip = partial(_integers, rngs), np.zeros(len(rngs), dtype=bool)
-    else:
-        take, skip = reader.take, reader.rejected
-    picks = take(len(tgt_train), B)
-    targets = tgt_train.y[picks]
-    n_paired = counts[targets]
-    if not n_paired.all():
-        missing = (n_paired == 0) & ~skip[:, None]
-        if missing.any():
-            missing = sorted(set(targets[missing].tolist()))
-            raise KeyError(f"pairing plan has no source class for target classes {missing}")
-        n_paired = np.maximum(n_paired, 1)
-    # with no target paired to two classes every bound is 1, and reads nothing
-    cls = table[targets, take(n_paired, B) if table.shape[1] > 1 else 0]
-    pool = sizes[cls]
-    if not pool.all():
-        empty = (pool == 0) & ~skip[:, None]
-        if empty.any():
-            raise DataError(f"source class {cls[empty][0]} has no samples to draw from")
-        pool = np.maximum(pool, 1)
-    aux = order[starts[cls] + take(pool, B)]
-    for s in reader.close() if reader is not None else ():
-        drawn = _draw_rows(tgt_train, src, plan, space, B, [rngs[s]])
-        picks[s], cls[s], aux[s] = (rows[0] for rows in drawn)
-    return picks, cls, aux
-
-
 def make_batch(
     tgt_train: Dataset,
     src: Dataset,
     plan: PairingPlan,
     space: LabelSpace,
-    cfgs: list[MixupConfig],
-    batch_size: int,
+    sampler: BetaSampler,
     rngs,
-    sampler: BetaSampler | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A mini-batch of mixed rows for each cell: inputs X (S, B, d) and soft
-    labels P (S, B, L), cell s drawn with cfgs[s] from rngs[s].
+    """A mini-batch of B = sampler.n mixed rows for each cell: inputs
+    X (S, B, d) and soft labels P (S, B, L), cell s drawn with
+    sampler.cfgs[s] from rngs[s].
 
     Every draw is one array per batch and cell, in this order: the target
     rows (uniform with replacement), for each row one source class paired
     to its target class (uniform over all rounds), one sample of that
-    class (_draw_rows), and the λ column from `sampler`, BetaSampler(cfgs,
-    batch_size) unless a caller that draws many batches passes the one it
-    built. Each generator makes its cell's draws in that order, so cell s
-    is bit for bit what the call with cfgs[s] and rngs[s] alone returns;
-    the lookups, gathers and blends run once for all cells. A target class
-    the plan misses raises KeyError.
+    class, and the λ column from `sampler`, which a caller that draws many
+    batches builds once. Each generator makes its cell's calls in that
+    order, so cell s is bit for bit what the call with a sampler of
+    sampler.cfgs[s] alone and rngs[s] returns; the lookups, gathers and
+    blends run once for all cells. A target class the plan misses raises
+    KeyError.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(tgt_train) == 0:
         raise DataError("cannot draw a batch from an empty target dataset")
     if src.d != tgt_train.d:
         raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
-    S = _cells(cfgs, rngs)
-    if sampler is None:
-        sampler = BetaSampler(cfgs, batch_size)
-    elif sampler.cfgs != list(cfgs) or sampler.n != batch_size:
-        raise ValueError("the sampler was built for other configs or another batch size")
-    picks, cls, aux = _draw_rows(tgt_train, src, plan, space, batch_size, rngs)
+    S, B = _cells(sampler.cfgs, rngs), sampler.n
+    table, counts = plan.paired_table(space.n_target)
+    order, starts, sizes = src.class_layout()
+    picks = np.array([r.integers(len(tgt_train), size=B) for r in rngs])
+    targets = tgt_train.y[picks]
+    n_paired = counts[targets]
+    if not n_paired.all():
+        missing = sorted(set(targets[n_paired == 0].tolist()))
+        raise KeyError(f"pairing plan has no source class for target classes {missing}")
+    rounds = 0  # with no target paired to two classes every bound is 1: no draw
+    if table.shape[1] > 1:
+        rounds = np.array([r.integers(k) for r, k in zip(rngs, n_paired)])
+    cls = table[targets, rounds]
+    pool = sizes[cls]
+    if not pool.all():
+        raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
+    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, pool)])]
     lam = sampler(rngs)
     mu = 1.0 - lam
     X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
-    P = np.zeros((S, batch_size, space.size))
+    P = np.zeros((S, B, space.size))
     flat = P.reshape(-1)
-    rows = np.arange(0, P.size, space.size).reshape(S, batch_size)  # each row's start
-    flat[rows + tgt_train.y[picks]] = lam
+    rows = np.arange(0, P.size, space.size).reshape(S, B)  # each row's start
+    flat[rows + targets] = lam
     flat[rows + space.source_columns[cls]] = mu
     return X, P

@@ -521,12 +521,11 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
 
 def _mixed(ctx: _Context, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
-    tgt, src, plan, space, B = ctx.tgt, ctx.src, ctx.plan, ctx.space, ctx.B
-    mixups, rng_mix = [key[2] for key in keys], ctx.generators(keys, 2)
-    lam = BetaSampler(mixups, B)
+    tgt, src, plan, space = ctx.tgt, ctx.src, ctx.plan, ctx.space
+    lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), ctx.generators(keys, 2)
 
     def draw():
-        X, P = make_batch(tgt, src, plan, space, mixups, B, rng_mix, lam)
+        X, P = make_batch(tgt, src, plan, space, lam, rng_mix)
         return X, P, None
 
     return draw

@@ -14,7 +14,6 @@ from xmixup.mixup import (
     LabelSpace,
     MixupConfig,
     _Gamma,
-    _RawIndices,
     make_batch,
     sample_beta,
     sample_beta_batch,
@@ -269,7 +268,7 @@ def test_mix_convex_combination(mix_world):
         cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
         rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
         for _ in range(20):
-            X, P = make_batch(tgt, src, plan, space, [cfg], 8, [rng_a])
+            X, P = make_batch(tgt, src, plan, space, BetaSampler([cfg], 8), [rng_a])
             X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
             assert np.array_equal(X[0], X_ref)
             assert np.array_equal(P[0], P_ref)
@@ -278,12 +277,10 @@ def test_mix_convex_combination(mix_world):
 
 def test_mix_validates_inputs(mix_world):
     src, tgt, plan = mix_world
-    cfg = MixupConfig(alpha=2.0, beta=1.0, seed=0)
+    lam = BetaSampler([MixupConfig(alpha=2.0, beta=1.0, seed=0)], 4)
     wide = Dataset(np.hstack([src.X, src.X]), src.y, src.class_count, Domain.SOURCE)
     with pytest.raises(ValueError):
-        make_batch(
-            tgt, wide, plan, mix_space(tgt, plan), [cfg], 4, [np.random.default_rng(0)]
-        )
+        make_batch(tgt, wide, plan, mix_space(tgt, plan), lam, [np.random.default_rng(0)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,10 +291,9 @@ def test_mix_validates_inputs(mix_world):
 )
 def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
     src, tgt, plan = mix_world
-    cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
-    _, P = make_batch(
-        tgt, src, plan, mix_space(tgt, plan), [cfg], 16, [np.random.default_rng(seed)]
-    )
+    lam = BetaSampler([MixupConfig(alpha=alpha, beta=beta, seed=0)], 16)
+    rng = np.random.default_rng(seed)
+    _, P = make_batch(tgt, src, plan, mix_space(tgt, plan), lam, [rng])
     assert P.min() >= 0.0
     assert np.allclose(P.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -313,7 +309,8 @@ def test_draw_auxiliary_only_uses_planned_classes(mix_world):
     def aux_classes(target_class, batch_size, which_plan=plan):
         keep = tgt.y == target_class
         only = Dataset(tgt.X[keep], tgt.y[keep], tgt.class_count, Domain.TARGET)
-        _, P = make_batch(only, src, which_plan, space, [cfg], batch_size, [rng])
+        lam = BetaSampler([cfg], batch_size)
+        _, P = make_batch(only, src, which_plan, space, lam, [rng])
         cols = np.argmax(P[0, :, space.n_target :], axis=1)
         return {space.source_classes[c] for c in cols.tolist()}
 
@@ -331,7 +328,7 @@ def test_make_batch_shapes_and_label_structure(mix_world):
     rng = np.random.default_rng(13)
     seen = {t: set() for t in plan.per_target}
     for _ in range(10):
-        X, P = make_batch(tgt, src, plan, space, [cfg], 32, [rng])
+        X, P = make_batch(tgt, src, plan, space, BetaSampler([cfg], 32), [rng])
         assert X.shape == (1, 32, 3)
         assert P.shape == (1, 32, space.size)
         for row in P[0]:
@@ -349,10 +346,10 @@ def test_make_batch_shapes_and_label_structure(mix_world):
 
 def test_make_batch_is_deterministic(mix_world):
     src, tgt, plan = mix_world
-    cfg = MixupConfig(alpha=1.0, beta=2.0, seed=0)
+    lam = BetaSampler([MixupConfig(alpha=1.0, beta=2.0, seed=0)], 8)
     space = mix_space(tgt, plan)
-    a = make_batch(tgt, src, plan, space, [cfg], 8, [np.random.default_rng(14)])
-    b = make_batch(tgt, src, plan, space, [cfg], 8, [np.random.default_rng(14)])
+    a = make_batch(tgt, src, plan, space, lam, [np.random.default_rng(14)])
+    b = make_batch(tgt, src, plan, space, lam, [np.random.default_rng(14)])
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -362,15 +359,16 @@ def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     cfg = MixupConfig(alpha=1.0, beta=1.0, seed=0)
     space = mix_space(tgt, plan)
     empty = Dataset(np.empty((0, 3)), [], tgt.class_count, Domain.TARGET)
+    lam, rng = BetaSampler([cfg], 4), [np.random.default_rng(0)]
     with pytest.raises(DataError):
-        make_batch(empty, src, plan, space, [cfg], 4, [np.random.default_rng(0)])
-    with pytest.raises(ValueError):
-        make_batch(tgt, src, plan, space, [cfg], 0, [np.random.default_rng(0)])
+        make_batch(empty, src, plan, space, lam, rng)
+    with pytest.raises(ValueError):  # no rows to draw
+        make_batch(tgt, src, plan, space, BetaSampler([cfg], 0), rng)
     with pytest.raises(ValueError):  # one config per generator
-        make_batch(tgt, src, plan, space, [cfg], 4, [np.random.default_rng(0)] * 2)
+        make_batch(tgt, src, plan, space, lam, _generators((1, 2)))
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
     with pytest.raises(KeyError):  # target class 1 has no paired source
-        make_batch(tgt, src, partial, space, [cfg], 32, [np.random.default_rng(0)])
+        make_batch(tgt, src, partial, space, BetaSampler([cfg], 32), rng)
 
 
 # ------------------------------------------- one generator per cell
@@ -442,177 +440,47 @@ def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
     cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in (2.0, 0.5, 16.0)]
     together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
     for _ in range(10):
-        X, P = make_batch(tgt, src, plan, space, cfgs, 16, together)
+        X, P = make_batch(tgt, src, plan, space, BetaSampler(cfgs, 16), together)
         assert X.shape == (3, 16, 3) and P.shape == (3, 16, space.size)
         for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 16, [rng])
+            X1, P1 = make_batch(tgt, src, plan, space, BetaSampler([cfg], 16), [rng])
             assert X[s].tobytes() == X1.tobytes()
             assert P[s].tobytes() == P1.tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
 
 
-# ------------------------------------------- raw-word index draws
-# A stack's index draws read raw PCG64 words (_RawIndices). They must give
-# what one Generator.integers call per cell gives, values and the whole
-# bit_generator.state alike, the held half and the stale `uinteger` included.
-
-
-def _integers_alone(rng, bounds, size, s):
-    """What _RawIndices.take reads for cell s, through Generator.integers."""
-    if np.ndim(bounds) == 0:
-        return rng.integers(bounds, size=size)
-    return rng.integers(bounds[s])
-
-
-def _check_reader(together, alone, takes):
-    """Run `takes`, (bounds, size) pairs whose bounds are one integer or
-    (S, size) arrays, through one reader over `together` and through
-    integers calls on `alone`; every cell the reader does not reject must
-    agree in every value, and every generator in its state after close. A
-    rejected cell is set back and drawn again through integers."""
-    reader = _RawIndices(together, sum(size for _, size in takes))
-    got = [reader.take(bounds, size) for bounds, size in takes]
-    rejected = reader.close()
-    for s in range(len(together)):
-        for (bounds, size), draw in zip(takes, got):
-            want = _integers_alone(alone[s], bounds, size, s)
-            if s in rejected:
-                draw = _integers_alone(together[s], bounds, size, s)
-            else:
-                draw = draw[s]
-            assert draw.dtype == want.dtype and draw.tolist() == want.tolist()
-    assert [a.bit_generator.state for a in together] == [b.bit_generator.state for b in alone]
-    return rejected
-
-
-@pytest.mark.parametrize("S", [2, 7, 35])
-def test_raw_indices_match_generator_integers(S):
-    plan = np.random.default_rng(S)
-    together, alone = _generators(range(S)), _generators(range(S))
-    for step in range(12):
-        size = int(plan.choice([1, 2, 5, 31, 32]))
-        rows = (S, size)
-        takes = [
-            (int(plan.integers(1, 100)), size),  # one bound
-            (plan.integers(1, 4, size=rows), size),  # bounds of 1 among others
-            (plan.integers(1, 2**32, size=rows), size),  # up to the largest
-            (1, size),  # reads nothing
-            (np.ones(rows, dtype=np.int64), size),
-        ]
-        rejected = _check_reader(together, alone, takes[: 1 + step % 5])
-        if step % 5 < 2:  # bounds below 100: a rejection has p < 2.4e-8 a draw
-            assert rejected == []
-
-
-def test_raw_indices_read_a_half_held_before_the_reader():
-    # an odd draw before the reader leaves a high half held in some cells;
-    # a step may read only that half, or nothing at all
-    together, alone = _generators(range(7)), _generators(range(7))
-    for a, b, odd in zip(together, alone, [1, 0, 3, 2, 1, 1, 0]):
-        assert a.integers(10, size=odd).tolist() == b.integers(10, size=odd).tolist()
-    held = [a.bit_generator.state["has_uint32"] for a in together]
-    assert held == [1, 0, 1, 0, 1, 1, 0]
-    _check_reader(together, alone, [(1000, 1)])  # only the held half, where held
-    _check_reader(together, alone, [(1, 3)])  # nothing
-    _check_reader(together, alone, [(7, 1), (np.full((7, 3), 5), 3)])
-    # a reader that reads nothing keeps even a consumed half's stale value
-    _check_reader(together, alone, [(np.ones((7, 2), dtype=np.int64), 2)])
-
-
-def test_raw_indices_make_up_for_rejected_draws():
-    # at a bound of 2**31 + 1 about half of all draws are rejected: those
-    # cells are set back, all others read on; bounds this large are only
-    # reached by calling the reader directly
-    together, alone = _generators(range(35)), _generators(range(35))
-    seen = set()
-    for _ in range(6):
-        bounds = np.full((35, 3), 9)
-        bounds[::2, 1] = 2**31 + 1  # the even cells risk a rejection
-        rejected = _check_reader(together, alone, [(5, 3), (bounds, 3), (2**31 + 1, 1)])
-        seen.update(rejected)
-        assert 0 < len(rejected) < 35
-    assert any(s % 2 == 0 for s in seen) and any(s % 2 == 1 for s in seen)
-
-
-def test_raw_indices_reject_what_they_cannot_read():
-    reader = _RawIndices(_generators((1, 2)), 4)
-    for bound in (0, -3, 2**32, 2**40):
-        with pytest.raises(ValueError):
-            reader.take(bound, 1)
-        with pytest.raises(ValueError):
-            reader.take(np.full((2, 1), bound), 1)
-    with pytest.raises(ValueError):  # one row of bounds per cell
-        reader.take(np.full((3, 1), 2), 1)
-    with pytest.raises(ValueError):  # more draws than the reader took words for
-        reader.take(2, 5)
-    shared = np.random.default_rng(0)
-    mt = np.random.Generator(np.random.MT19937(0))  # 32-bit words of its own
-    for rngs in ([shared, shared], [np.random.default_rng(1), mt]):
-        with pytest.raises(ValueError, match="PCG64"):
-            _RawIndices(rngs, 4)
-
-
 def _paired_plan():
     """mix_world's classes, each target paired with two or three sources."""
-    return PairingPlan({0: [0, 4, 5], 1: [2, 1]}, {0: [0.9, 0.4, 0.3], 1: [0.8, 0.2]}, 3, False)
+    sims = {0: [0.9, 0.4, 0.3], 1: [0.8, 0.2]}
+    return PairingPlan({0: [0, 4, 5], 1: [2, 1]}, sims, 3, False)
 
 
 @pytest.mark.parametrize("S", [2, 7, 35])
-def test_make_batch_reads_raw_words_as_each_cell_alone(mix_world, S):
-    # several source classes a target and an odd batch leave halves held
-    # from one step to the next
+def test_make_batch_holds_halves_across_steps_as_each_cell_alone(mix_world, S):
+    # several source classes a target and an odd batch leave 32-bit halves
+    # held in the generators from one step to the next; each sampler is
+    # built once and draws every step
     src, tgt, _ = mix_world
     plan = _paired_plan()
     space = mix_space(tgt, plan)
     cfgs = [MixupConfig(alpha=1.0 + s % 5, beta=2.0, seed=0) for s in range(S)]
+    stack, lone = BetaSampler(cfgs, 31), [BetaSampler([cfg], 31) for cfg in cfgs]
     together, alone = _generators(range(S)), _generators(range(S))
     held = set()
     for _ in range(6):
-        X, P = make_batch(tgt, src, plan, space, cfgs, 31, together)
-        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 31, [rng])
+        X, P = make_batch(tgt, src, plan, space, stack, together)
+        for s, (lam, rng) in enumerate(zip(lone, alone)):
+            X1, P1 = make_batch(tgt, src, plan, space, lam, [rng])
             assert X[s].tobytes() == X1.tobytes() and P[s].tobytes() == P1.tobytes()
-        assert [a.bit_generator.state for a in together] == [b.bit_generator.state for b in alone]
+        assert all(_same_state(a, b) for a, b in zip(together, alone))
         held.update(a.bit_generator.state["has_uint32"] for a in together)
     assert held == {0, 1}
 
 
-def test_make_batch_draws_a_rejected_cell_again_alone(mix_world, monkeypatch):
-    # a cell whose raw draws hit a rejection is drawn again through
-    # Generator.integers; flag one after its first draw to force that path
-    src, tgt, _ = mix_world
-    plan = _paired_plan()
-    space = mix_space(tgt, plan)
-    take = _RawIndices.take
-
-    def rejecting(self, bounds, size):
-        drawn = take(self, bounds, size)
-        self.rejected[1] = True
-        return drawn
-
-    monkeypatch.setattr(_RawIndices, "take", rejecting)
-    cfgs = [MixupConfig(alpha=a, beta=1.0, seed=0) for a in (2.0, 0.5, 16.0)]
-    together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
-    for _ in range(4):
-        X, P = make_batch(tgt, src, plan, space, cfgs, 15, together)
-        for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, [cfg], 15, [rng])
-            assert X[s].tobytes() == X1.tobytes() and P[s].tobytes() == P1.tobytes()
-    assert all(_same_state(a, b) for a, b in zip(together, alone))
-    partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
-    with pytest.raises(KeyError):  # target class 1 has no paired source
-        make_batch(tgt, src, partial, space, cfgs, 32, together)
-
-
-def test_beta_sampler_is_sample_beta_batch_built_once(mix_world):
+def test_beta_sampler_is_sample_beta_batch_built_once():
     cfgs = [MixupConfig(alpha=a, beta=2.0, seed=0) for a in (0.3, 2.0, 7.0)]
     sampler = BetaSampler(cfgs, 16)
     together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
     for _ in range(5):
         assert sampler(together).tobytes() == sample_beta_batch(cfgs, 16, alone).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
-    src, tgt, plan = mix_world
-    space = mix_space(tgt, plan)
-    for n_cells, size in ((2, 16), (3, 8)):  # not what the sampler was built for
-        with pytest.raises(ValueError, match="sampler"):
-            make_batch(tgt, src, plan, space, cfgs[:n_cells], size, together[:n_cells], sampler)
