@@ -35,7 +35,7 @@ if not _MALLOC_ENV & os.environ.keys():
 
 from .dataset import Dataset, Domain, PlantedMapping, gen_source, gen_target
 from .errors import ConfigError, DataError, NumericError, ParseError
-from .mixup import MixupConfig, sample_beta, sample_beta_batch
+from .mixup import MixupConfig, sample_beta
 from .model import ModelParams, TrainConfig
 from .pairing import PairingPlan, expand_until_threshold, greedy_pair, optimal_pair
 from .training import RunResult, Strategy, StrategyKind, evaluate, finetune, pretrain
@@ -66,5 +66,4 @@ __all__ = [
     "optimal_pair",
     "pretrain",
     "sample_beta",
-    "sample_beta_batch",
 ]

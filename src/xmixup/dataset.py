@@ -5,13 +5,14 @@ uniformly in [-1, 1]^d. Target datasets are built *from* a source dataset: each
 planted target class copies the samples of one source class (plus optional
 noise), so the ground-truth class correspondence is known and pairing quality
 is checkable. Everything is a pure function of its arguments including the
-seed.
+seed. A Dataset holds its rows and nothing derived from them: class_layout()
+computes the class grouping on each call, and no caller needs it per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -40,9 +41,6 @@ class Dataset:
     y: np.ndarray
     class_count: int
     domain: Domain
-    _class_layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -84,17 +82,11 @@ class Dataset:
         return dict(enumerate(np.split(order, starts[1:])))
 
     def class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, sizes), cached on first use: `order` lists the
-        sample indices class by class, ascending within a class, and class c
-        fills order[starts[c] : starts[c] + sizes[c]]."""
-        if self._class_layout is None:
-            sizes = np.bincount(self.y, minlength=self.class_count)
-            self._class_layout = (
-                np.argsort(self.y, kind="stable"),
-                np.cumsum(sizes) - sizes,
-                sizes,
-            )
-        return self._class_layout
+        """(order, starts, sizes): `order` lists the sample indices class by
+        class, ascending within a class, and class c fills
+        order[starts[c] : starts[c] + sizes[c]]."""
+        sizes = np.bincount(self.y, minlength=self.class_count)
+        return np.argsort(self.y, kind="stable"), np.cumsum(sizes) - sizes, sizes
 
     def class_sizes(self) -> dict[int, int]:
         return dict(enumerate(self.class_layout()[2].tolist()))

@@ -13,6 +13,11 @@ runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
+What does not change from step to step is built once: a CrossDomainPool
+checks the target and source rows once and holds the plan as a padded
+table with the source's class layout, and a BetaSampler holds each cell's
+λ constants. make_batch(pool, sampler, rngs) is the per-step function.
+
 make_batch and BetaSampler serve the cells of a stack: a BetaSampler is
 built from a list of MixupConfigs, one per cell, make_batch takes one, and
 both draw from a list of generators, one per cell, and return arrays with
@@ -20,8 +25,7 @@ a leading (S,) cell axis; one cell is a stack of one. The cells
 may differ in α but share one β, as every stack the harness builds does.
 Each generator is called exactly as it would be alone, in the same order
 and with the same sizes; only the calls stay per cell. The lookups, gathers,
-blends and the Gamma rejection arithmetic run once over all cells, and a
-BetaSampler computes each cell's constants once, when it is built.
+blends and the Gamma rejection arithmetic run once over all cells.
 """
 
 from __future__ import annotations
@@ -143,13 +147,6 @@ def sample_beta(cfg: MixupConfig, rng) -> float:
         f"Beta({cfg.alpha}, {cfg.beta}) gave no draw inside (0, 1) "
         f"in {MAX_BETA_DRAWS} tries"
     )
-
-
-def _cells(cfgs, rngs) -> int:
-    """The number of cells: one config per generator, and at least one."""
-    if len(cfgs) != len(rngs) or not rngs:
-        raise ValueError("need one config per generator, and at least one")
-    return len(rngs)
 
 
 class _Gamma:
@@ -285,7 +282,9 @@ class BetaSampler:
         self.first = _BetaDraws(self.cfgs, [n] * len(self.cfgs))
 
     def __call__(self, rngs) -> np.ndarray:
-        S, n, cfgs = _cells(self.cfgs, rngs), self.n, self.cfgs
+        S, n, cfgs = len(rngs), self.n, self.cfgs
+        if S != len(cfgs):
+            raise ValueError(f"need one generator per config, got {S} for {len(cfgs)}")
         lam = np.empty(S * n)  # row-major (S, n)
         todo = slice(None)  # the entries drawn in this round, in cell order
         draws = self.first
@@ -304,18 +303,48 @@ class BetaSampler:
         )
 
 
-def sample_beta_batch(cfgs: list[MixupConfig], n: int, rngs) -> np.ndarray:
-    """One BetaSampler(cfgs, n) draw from rngs: an (S, n) array of λ."""
-    return BetaSampler(cfgs, n)(rngs)
+def _paired_table(plan: PairingPlan, n_target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets 0..n_target-1 as a padded (n_target, width) table of their
+    source classes plus per-target counts: row t holds plan.per_target[t]
+    in round order, padded with -1, and counts[t] is its length, 0 for a
+    target the plan misses."""
+    rows = [plan.per_target.get(t, []) for t in range(n_target)]
+    counts = np.array([len(r) for r in rows], dtype=np.intp)
+    table = np.full((n_target, counts.max(initial=0)), -1, dtype=np.intp)
+    for t, r in enumerate(rows):
+        table[t, : len(r)] = r
+    return table, counts
+
+
+@dataclass(frozen=True, eq=False)
+class CrossDomainPool:
+    """What make_batch draws from, fixed for as long as a caller draws: the
+    target and source rows, the label space, the plan as a padded table of
+    each target's source classes with their counts (_paired_table), and
+    the source's class_layout(). of() checks the inputs once, so a caller
+    that draws many batches builds one pool, as it builds one BetaSampler."""
+
+    tgt: Dataset
+    src: Dataset
+    space: LabelSpace
+    table: np.ndarray
+    counts: np.ndarray
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(
+        cls, tgt_train: Dataset, src: Dataset, plan: PairingPlan, space: LabelSpace
+    ) -> "CrossDomainPool":
+        if len(tgt_train) == 0:
+            raise DataError("cannot draw a batch from an empty target dataset")
+        if src.d != tgt_train.d:
+            raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
+        table, counts = _paired_table(plan, space.n_target)
+        return cls(tgt_train, src, space, table, counts, src.class_layout())
 
 
 def make_batch(
-    tgt_train: Dataset,
-    src: Dataset,
-    plan: PairingPlan,
-    space: LabelSpace,
-    sampler: BetaSampler,
-    rngs,
+    pool: CrossDomainPool, sampler: BetaSampler, rngs
 ) -> tuple[np.ndarray, np.ndarray]:
     """A mini-batch of B = sampler.n mixed rows for each cell: inputs
     X (S, B, d) and soft labels P (S, B, L), cell s drawn with
@@ -324,23 +353,18 @@ def make_batch(
     Every draw is one array per batch and cell, in this order: the target
     rows (uniform with replacement), for each row one source class paired
     to its target class (uniform over all rounds), one sample of that
-    class, and the λ column from `sampler`, which a caller that draws many
-    batches builds once. Each generator makes its cell's calls in that
-    order, so cell s is bit for bit what the call with a sampler of
-    sampler.cfgs[s] alone and rngs[s] returns; the lookups, gathers and
-    blends run once for all cells. A target class the plan misses raises
-    KeyError.
+    class, and the λ column from `sampler`. Each generator makes its cell's
+    calls in that order, so cell s is bit for bit what the call with a
+    sampler of sampler.cfgs[s] alone and rngs[s] returns; the lookups,
+    gathers and blends run once for all cells. A target class the plan
+    misses raises KeyError.
     """
-    if len(tgt_train) == 0:
-        raise DataError("cannot draw a batch from an empty target dataset")
-    if src.d != tgt_train.d:
-        raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
-    S, B = _cells(sampler.cfgs, rngs), sampler.n
-    table, counts = plan.paired_table(space.n_target)
-    order, starts, sizes = src.class_layout()
-    picks = np.array([r.integers(len(tgt_train), size=B) for r in rngs])
-    targets = tgt_train.y[picks]
-    n_paired = counts[targets]
+    tgt, src, space, table = pool.tgt, pool.src, pool.space, pool.table
+    order, starts, sizes = pool.layout
+    S, B = len(rngs), sampler.n
+    picks = np.array([r.integers(len(tgt), size=B) for r in rngs])
+    targets = tgt.y[picks]
+    n_paired = pool.counts[targets]
     if not n_paired.all():
         missing = sorted(set(targets[n_paired == 0].tolist()))
         raise KeyError(f"pairing plan has no source class for target classes {missing}")
@@ -348,13 +372,13 @@ def make_batch(
     if table.shape[1] > 1:
         rounds = np.array([r.integers(k) for r, k in zip(rngs, n_paired)])
     cls = table[targets, rounds]
-    pool = sizes[cls]
-    if not pool.all():
-        raise DataError(f"source class {cls[pool == 0][0]} has no samples to draw from")
-    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, pool)])]
+    size = sizes[cls]
+    if not size.all():
+        raise DataError(f"source class {cls[size == 0][0]} has no samples to draw from")
+    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, size)])]
     lam = sampler(rngs)
     mu = 1.0 - lam
-    X = lam[..., None] * tgt_train.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
+    X = lam[..., None] * tgt.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
     P = np.zeros((S, B, space.size))
     flat = P.reshape(-1)
     rows = np.arange(0, P.size, space.size).reshape(S, B)  # each row's start

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .mixup import BetaSampler, LabelSpace, MixupConfig, make_batch
+from .mixup import BetaSampler, CrossDomainPool, LabelSpace, MixupConfig, make_batch
 from .model import (
     ModelParams,
     TrainConfig,
@@ -521,11 +521,11 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
 
 def _mixed(ctx: _Context, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
-    tgt, src, plan, space = ctx.tgt, ctx.src, ctx.plan, ctx.space
+    pool = CrossDomainPool.of(ctx.tgt, ctx.src, ctx.plan, ctx.space)
     lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), ctx.generators(keys, 2)
 
     def draw():
-        X, P = make_batch(tgt, src, plan, space, lam, rng_mix)
+        X, P = make_batch(pool, lam, rng_mix)
         return X, P, None
 
     return draw

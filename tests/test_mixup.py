@@ -11,12 +11,13 @@ from xmixup.mixup import (
     MAX_BETA_DRAWS,
     SHAPE_GRID,
     BetaSampler,
+    CrossDomainPool,
     LabelSpace,
     MixupConfig,
     _Gamma,
+    _paired_table,
     make_batch,
     sample_beta,
-    sample_beta_batch,
     sample_gamma,
 )
 from xmixup.pairing import PairingPlan
@@ -105,7 +106,7 @@ def test_sample_beta_gives_up_when_every_draw_rounds_to_one(beta):
 
 # ------------------------------------------------- the batched sampler
 # The oracles of criterion 4 and of the scalar tests above, with criterion
-# 4's sample sizes, levels and seeds, applied to sample_beta_batch and its
+# 4's sample sizes, levels and seeds, applied to BetaSampler and its
 # batched Gamma kernel _Gamma, which training uses.
 
 
@@ -114,7 +115,7 @@ def test_sample_beta_batch_moments_within_three_standard_errors():
     for a, b in SHAPE_GRID:
         cfg = MixupConfig(alpha=a, beta=b, seed=0)
         rng = np.random.default_rng([17, int(a * 100), int(b * 100)])
-        x = sample_beta_batch([cfg], n, [rng])[0]
+        x = BetaSampler([cfg], n)([rng])[0]
         m1, m2, m3, m4 = (beta_raw_moment(a, b, k) for k in (1, 2, 3, 4))
         mean, var = m1, m2 - m1 * m1
         mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
@@ -130,7 +131,7 @@ def test_sample_beta_batch_paths_agree_in_distribution(alpha):
     cfg = MixupConfig(alpha=alpha, beta=1.0, seed=0)
     rng1 = np.random.default_rng([23, int(alpha * 100), 1])
     rng2 = np.random.default_rng([23, int(alpha * 100), 2])
-    inverse_cdf = sample_beta_batch([cfg], m, [rng1])[0]
+    inverse_cdf = BetaSampler([cfg], m)([rng1])[0]
     g = _Gamma(np.repeat((alpha, 1.0), m), [2 * m])([rng2])
     ratio = g[:m] / (g[:m] + g[m:])
     assert stats.ks_2samp(inverse_cdf, ratio).statistic < 1.628 * np.sqrt(2.0 / m)
@@ -153,7 +154,7 @@ def test_sample_beta_batch_stays_in_open_interval(alpha, beta):
     # underflow to 0, so many lambdas are 0, 1 or 0/0 and must be redrawn
     cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
     rng = np.random.default_rng([37, int(alpha * 1000)])
-    x = sample_beta_batch([cfg], 5000, [rng])
+    x = BetaSampler([cfg], 5000)([rng])
     assert x.shape == (1, 5000)
     assert np.all(x > 0.0) and np.all(x < 1.0)
 
@@ -161,10 +162,10 @@ def test_sample_beta_batch_stays_in_open_interval(alpha, beta):
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_sample_beta_batch_is_deterministic_per_rng_state(beta):
     cfg = MixupConfig(alpha=2.0, beta=beta, seed=0)
-    a = sample_beta_batch([cfg], 64, [np.random.default_rng(3)])
-    b = sample_beta_batch([cfg], 64, [np.random.default_rng(3)])
+    a = BetaSampler([cfg], 64)([np.random.default_rng(3)])
+    b = BetaSampler([cfg], 64)([np.random.default_rng(3)])
     assert np.array_equal(a, b)
-    c = sample_beta_batch([cfg], 64, [np.random.default_rng(4)])
+    c = BetaSampler([cfg], 64)([np.random.default_rng(4)])
     assert not np.array_equal(a, c)
 
 
@@ -190,14 +191,14 @@ def test_sample_beta_batch_gives_up_after_max_draws(beta):
     cfg = MixupConfig(alpha=1e300, beta=beta, seed=0)
     rng = CountingRng(0)
     with pytest.raises(NumericError):
-        sample_beta_batch([cfg], 8, [rng])
+        BetaSampler([cfg], 8)([rng])
     if beta == 1.0:
         assert rng.random_calls == MAX_BETA_DRAWS
 
 
 def test_sample_beta_batch_rejects_an_empty_request():
     with pytest.raises(ValueError):
-        sample_beta_batch([MixupConfig()], 0, [np.random.default_rng(0)])
+        BetaSampler([MixupConfig()], 0)([np.random.default_rng(0)])
 
 
 def test_label_space_indexing():
@@ -238,7 +239,7 @@ def reference_batch(tgt, src, plan, space, cfg, batch_size, rng):
     rounds = rng.integers([len(p) for p in paired])
     pools = [by_class[p[r]] for p, r in zip(paired, rounds)]
     picks = rng.integers([len(pool) for pool in pools])
-    lams = sample_beta_batch([cfg], batch_size, [rng])[0]
+    lams = BetaSampler([cfg], batch_size)([rng])[0]
     xs, ps = [], []
     for i, pool, k, lam in zip(rows, pools, picks, lams.tolist()):
         t = int(tgt.y[i])
@@ -267,8 +268,9 @@ def test_mix_convex_combination(mix_world):
         space = mix_space(tgt, plan)
         cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
         rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+        pool = CrossDomainPool.of(tgt, src, plan, space)
         for _ in range(20):
-            X, P = make_batch(tgt, src, plan, space, BetaSampler([cfg], 8), [rng_a])
+            X, P = make_batch(pool, BetaSampler([cfg], 8), [rng_a])
             X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
             assert np.array_equal(X[0], X_ref)
             assert np.array_equal(P[0], P_ref)
@@ -277,10 +279,9 @@ def test_mix_convex_combination(mix_world):
 
 def test_mix_validates_inputs(mix_world):
     src, tgt, plan = mix_world
-    lam = BetaSampler([MixupConfig(alpha=2.0, beta=1.0, seed=0)], 4)
     wide = Dataset(np.hstack([src.X, src.X]), src.y, src.class_count, Domain.SOURCE)
     with pytest.raises(ValueError):
-        make_batch(tgt, wide, plan, mix_space(tgt, plan), lam, [np.random.default_rng(0)])
+        CrossDomainPool.of(tgt, wide, plan, mix_space(tgt, plan))
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,7 +294,8 @@ def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
     src, tgt, plan = mix_world
     lam = BetaSampler([MixupConfig(alpha=alpha, beta=beta, seed=0)], 16)
     rng = np.random.default_rng(seed)
-    _, P = make_batch(tgt, src, plan, mix_space(tgt, plan), lam, [rng])
+    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
+    _, P = make_batch(pool, lam, [rng])
     assert P.min() >= 0.0
     assert np.allclose(P.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -310,7 +312,7 @@ def test_draw_auxiliary_only_uses_planned_classes(mix_world):
         keep = tgt.y == target_class
         only = Dataset(tgt.X[keep], tgt.y[keep], tgt.class_count, Domain.TARGET)
         lam = BetaSampler([cfg], batch_size)
-        _, P = make_batch(only, src, which_plan, space, lam, [rng])
+        _, P = make_batch(CrossDomainPool.of(only, src, which_plan, space), lam, [rng])
         cols = np.argmax(P[0, :, space.n_target :], axis=1)
         return {space.source_classes[c] for c in cols.tolist()}
 
@@ -327,8 +329,9 @@ def test_make_batch_shapes_and_label_structure(mix_world):
     space = mix_space(tgt, plan)
     rng = np.random.default_rng(13)
     seen = {t: set() for t in plan.per_target}
+    pool = CrossDomainPool.of(tgt, src, plan, space)
     for _ in range(10):
-        X, P = make_batch(tgt, src, plan, space, BetaSampler([cfg], 32), [rng])
+        X, P = make_batch(pool, BetaSampler([cfg], 32), [rng])
         assert X.shape == (1, 32, 3)
         assert P.shape == (1, 32, space.size)
         for row in P[0]:
@@ -347,9 +350,9 @@ def test_make_batch_shapes_and_label_structure(mix_world):
 def test_make_batch_is_deterministic(mix_world):
     src, tgt, plan = mix_world
     lam = BetaSampler([MixupConfig(alpha=1.0, beta=2.0, seed=0)], 8)
-    space = mix_space(tgt, plan)
-    a = make_batch(tgt, src, plan, space, lam, [np.random.default_rng(14)])
-    b = make_batch(tgt, src, plan, space, lam, [np.random.default_rng(14)])
+    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
+    a = make_batch(pool, lam, [np.random.default_rng(14)])
+    b = make_batch(pool, lam, [np.random.default_rng(14)])
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -359,16 +362,18 @@ def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     cfg = MixupConfig(alpha=1.0, beta=1.0, seed=0)
     space = mix_space(tgt, plan)
     empty = Dataset(np.empty((0, 3)), [], tgt.class_count, Domain.TARGET)
+    pool = CrossDomainPool.of(tgt, src, plan, space)
     lam, rng = BetaSampler([cfg], 4), [np.random.default_rng(0)]
     with pytest.raises(DataError):
-        make_batch(empty, src, plan, space, lam, rng)
+        CrossDomainPool.of(empty, src, plan, space)
     with pytest.raises(ValueError):  # no rows to draw
-        make_batch(tgt, src, plan, space, BetaSampler([cfg], 0), rng)
+        make_batch(pool, BetaSampler([cfg], 0), rng)
     with pytest.raises(ValueError):  # one config per generator
-        make_batch(tgt, src, plan, space, lam, _generators((1, 2)))
+        make_batch(pool, lam, _generators((1, 2)))
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
+    pool = CrossDomainPool.of(tgt, src, partial, space)
     with pytest.raises(KeyError):  # target class 1 has no paired source
-        make_batch(tgt, src, partial, space, BetaSampler([cfg], 32), rng)
+        make_batch(pool, BetaSampler([cfg], 32), rng)
 
 
 # ------------------------------------------- one generator per cell
@@ -398,10 +403,10 @@ def test_sample_beta_batch_per_cell_matches_each_generator_alone(shapes, beta):
     cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in shapes]
     together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
     for _ in range(5):
-        lam = sample_beta_batch(cfgs, 64, together)
+        lam = BetaSampler(cfgs, 64)(together)
         assert lam.shape == (3, 64)
         for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            assert lam[s].tobytes() == sample_beta_batch([cfg], 64, [rng]).tobytes()
+            assert lam[s].tobytes() == BetaSampler([cfg], 64)([rng]).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
 
 
@@ -421,16 +426,16 @@ def test_sample_gamma_batch_per_generator_matches_each_generator_alone():
 def test_sample_beta_batch_rejects_cells_of_different_beta():
     cfgs = [MixupConfig(alpha=2.0, beta=b, seed=0) for b in (1.0, 2.0, 1.0)]
     with pytest.raises(ValueError, match="share"):
-        sample_beta_batch(cfgs, 8, _generators((1, 2, 3)))
+        BetaSampler(cfgs, 8)(_generators((1, 2, 3)))
 
 
 def test_sample_beta_batch_names_the_cell_that_gives_up():
     cfgs = [MixupConfig(alpha=a, beta=1.0, seed=0) for a in (2.0, 2.0, 1e300)]
     with pytest.raises(NumericError) as info:
-        sample_beta_batch(cfgs, 8, _generators((1, 2, 3)))
+        BetaSampler(cfgs, 8)(_generators((1, 2, 3)))
     assert info.value.cell == 2
     with pytest.raises(ValueError):  # one config per generator
-        sample_beta_batch(cfgs[:2], 8, _generators((1, 2, 3)))
+        BetaSampler(cfgs[:2], 8)(_generators((1, 2, 3)))
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
@@ -438,12 +443,13 @@ def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
     src, tgt, plan = mix_world
     space = mix_space(tgt, plan)
     cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in (2.0, 0.5, 16.0)]
+    pool = CrossDomainPool.of(tgt, src, plan, space)
     together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
     for _ in range(10):
-        X, P = make_batch(tgt, src, plan, space, BetaSampler(cfgs, 16), together)
+        X, P = make_batch(pool, BetaSampler(cfgs, 16), together)
         assert X.shape == (3, 16, 3) and P.shape == (3, 16, space.size)
         for s, (cfg, rng) in enumerate(zip(cfgs, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, BetaSampler([cfg], 16), [rng])
+            X1, P1 = make_batch(pool, BetaSampler([cfg], 16), [rng])
             assert X[s].tobytes() == X1.tobytes()
             assert P[s].tobytes() == P1.tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
@@ -462,15 +468,15 @@ def test_make_batch_holds_halves_across_steps_as_each_cell_alone(mix_world, S):
     # built once and draws every step
     src, tgt, _ = mix_world
     plan = _paired_plan()
-    space = mix_space(tgt, plan)
+    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
     cfgs = [MixupConfig(alpha=1.0 + s % 5, beta=2.0, seed=0) for s in range(S)]
     stack, lone = BetaSampler(cfgs, 31), [BetaSampler([cfg], 31) for cfg in cfgs]
     together, alone = _generators(range(S)), _generators(range(S))
     held = set()
     for _ in range(6):
-        X, P = make_batch(tgt, src, plan, space, stack, together)
+        X, P = make_batch(pool, stack, together)
         for s, (lam, rng) in enumerate(zip(lone, alone)):
-            X1, P1 = make_batch(tgt, src, plan, space, lam, [rng])
+            X1, P1 = make_batch(pool, lam, [rng])
             assert X[s].tobytes() == X1.tobytes() and P[s].tobytes() == P1.tobytes()
         assert all(_same_state(a, b) for a, b in zip(together, alone))
         held.update(a.bit_generator.state["has_uint32"] for a in together)
@@ -482,5 +488,36 @@ def test_beta_sampler_is_sample_beta_batch_built_once():
     sampler = BetaSampler(cfgs, 16)
     together, alone = _generators((1, 2, 3)), _generators((1, 2, 3))
     for _ in range(5):
-        assert sampler(together).tobytes() == sample_beta_batch(cfgs, 16, alone).tobytes()
+        assert sampler(together).tobytes() == BetaSampler(cfgs, 16)(alone).tobytes()
     assert all(_same_state(a, b) for a, b in zip(together, alone))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("S", [1, 7, 35])
+def test_a_pool_and_sampler_built_once_draw_as_ones_built_each_step(mix_world, S, beta):
+    # mix_world's plan pairs target 0 with two source classes, so every
+    # step draws its rounds too
+    src, tgt, plan = mix_world
+    space = mix_space(tgt, plan)
+    cfgs = [MixupConfig(alpha=0.5 + s % 4, beta=beta, seed=0) for s in range(S)]
+    pool, sampler = CrossDomainPool.of(tgt, src, plan, space), BetaSampler(cfgs, 16)
+    once, fresh = _generators(range(S)), _generators(range(S))
+    for _ in range(6):
+        X, P = make_batch(pool, sampler, once)
+        pool1 = CrossDomainPool.of(tgt, src, plan, space)
+        X1, P1 = make_batch(pool1, BetaSampler(cfgs, 16), fresh)
+        assert X.tobytes() == X1.tobytes() and P.tobytes() == P1.tobytes()
+        assert all(_same_state(a, b) for a, b in zip(once, fresh))
+
+
+def test_paired_table_follows_the_plans_current_pairs(mix_world):
+    _, _, plan = mix_world
+    plan = PairingPlan({t: list(s) for t, s in plan.per_target.items()}, plan.scores, 2)
+    table, counts = _paired_table(plan, 3)
+    assert table.tolist() == [[0, 4], [2, -1], [-1, -1]]
+    assert counts.tolist() == [2, 1, 0]
+    plan.per_target[1].append(5)
+    plan.per_target[2] = [1]
+    table, counts = _paired_table(plan, 3)
+    assert table.tolist() == [[0, 4], [2, 5], [1, -1]]
+    assert counts.tolist() == [2, 2, 1]
