@@ -48,6 +48,10 @@ from .pairing import PairingPlan
 # probe is a chunk of one.
 CHUNK_BYTES = 1 << 20
 
+#: The most target-train rows a run record's spectrum takes; it needs at
+#: least as many as the feature width, which the config checks at load.
+SPECTRUM_ROWS = 512
+
 
 class ProbeSubset(Enum):
     AUXILIARY = "auxiliary"
@@ -116,11 +120,15 @@ def _chunks(count: int, cell_bytes: int) -> list[range]:
 
 
 def _features(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
-    """The (S, N, h) extractor features of X under each model. The heads of
-    the models may differ in width, so each model runs its own extractor."""
+    """The (S, N, h) extractor features of X under each model; a
+    NumericError names the model in `cell`. The heads of the models may
+    differ in width, so each model runs its own extractor."""
     F = np.empty((len(models), len(X), models[0].feature_width))
     for s, params in enumerate(models):
-        F[s] = features(params, X)
+        try:
+            F[s] = features(params, X)
+        except NumericError as e:
+            raise NumericError(str(e), cell=s) from None
     return F
 
 
@@ -199,10 +207,13 @@ def linear_probes(
     results = []
     for chunk in _chunks(len(models), cell_bytes):
         part = [models[i] for i in chunk]
-        w, b = _train_probe_head(
-            _features(part, data.train.X), data.train.y, data.k, cfg
-        )
-        accs = probe_accuracy(w, b, _features(part, data.test.X), data.test.y)
+        try:
+            w, b = _train_probe_head(
+                _features(part, data.train.X), data.train.y, data.k, cfg
+            )
+            accs = probe_accuracy(w, b, _features(part, data.test.X), data.test.y)
+        except NumericError as e:  # from _features: name the model of the call
+            raise NumericError(str(e), cell=chunk[e.cell]) from None
         results += [ProbeResult(data.kind, float(a)) for a in accs]
     return results
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .analysis import ProbeConfig
+from .analysis import SPECTRUM_ROWS, ProbeConfig
 from .dataset import split_test_count
 from .errors import ConfigError, check_fields
 from .mixup import MixupConfig
@@ -180,17 +180,18 @@ class ExperimentConfig:
         mid, budget = self.midtune_iterations, self.finetune.iterations
         rule = f"<= finetune.iterations = {budget} or null"
         _require_range("midtune_iterations", mid is None or mid <= budget, rule, mid)
-        # every run record's spectrum takes min(512, rows) target-train rows
-        # and needs at least as many as the feature width
+        # every run record's spectrum takes min(SPECTRUM_ROWS, rows)
+        # target-train rows and needs at least as many as the feature width
         ds = self.data
         per_class = ds.target_per_class - split_test_count(
             ds.target_per_class, ds.target_test_fraction
         )
         rows = (len(ds.planted) + ds.novel) * per_class
-        if rows < self.hidden[-1]:
+        taken = min(SPECTRUM_ROWS, rows)
+        if taken < self.hidden[-1]:
             raise ConfigError(
-                f"the target split leaves {rows} training rows, fewer than "
-                f"the feature width {self.hidden[-1]} the spectrum needs"
+                f"the spectrum takes {taken} of the target split's {rows} "
+                f"training rows, fewer than the feature width {self.hidden[-1]}"
             )
         # every forgetting probe splits whole source-train classes and needs
         # a held-out row of each

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    SPECTRUM_ROWS,
     ProbeData,
     ProbeSubset,
     linear_probes,
@@ -349,7 +350,7 @@ def run_records(
     models = [r.params for r in results]
     try:
         aux, aba = (linear_probes(models, data, cfg.probe) for data in probes)
-        tails = spectra(models, lab.tgt_train, min(512, len(lab.tgt_train)))
+        tails = spectra(models, lab.tgt_train, min(SPECTRUM_ROWS, len(lab.tgt_train)))
     except NumericError as e:
         if e.cell is None:
             raise

@@ -211,21 +211,35 @@ def _rows(b: np.ndarray) -> np.ndarray:
 
 def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The extractor's output for a single vector (d,) or a batch (N, d); a
-    stack takes one batch per model, (S, N, d), or one shared (N, d)."""
+    stack takes one batch per model, (S, N, d), or one shared (N, d).
+
+    Parameters too large for float64 overflow quietly and raise
+    NumericError here, naming the model of a stack in `cell`.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
     a = x
-    for w, b in params.layers:
-        a = np.maximum(a @ w.swapaxes(-1, -2) + _rows(b), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, b in params.layers:
+            a = np.maximum(a @ w.swapaxes(-1, -2) + _rows(b), 0.0)
+    if not np.isfinite(a).all():
+        message = "non-finite features (diverged parameters?)"
+        raise numeric_error(message, a, params.stacked)
     return a
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (features, logits), with the inputs of features()."""
+    """Return (features, logits), with the inputs of features(); non-finite
+    logits raise NumericError as non-finite features do."""
     a = features(params, x)
     wh, bh = params.head
-    return a, a @ wh.swapaxes(-1, -2) + _rows(bh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = a @ wh.swapaxes(-1, -2) + _rows(bh)
+    if not np.isfinite(logits).all():
+        message = "non-finite logits (diverged parameters?)"
+        raise numeric_error(message, logits, params.stacked)
+    return a, logits
 
 
 def forward_cache(params: ModelParams, X: np.ndarray):

@@ -38,7 +38,7 @@ class SimilarityMatrix:
         self.sims = np.asarray(self.sims, dtype=float)
         if self.sims.ndim != 2:
             raise ValueError("similarity matrix must be 2-D")
-        if np.any(np.abs(self.sims) > 1.0 + 1e-12):
+        if not np.all(np.abs(self.sims) <= 1.0 + 1e-12):  # NaN fails it too
             raise ValueError("cosine similarities must lie in [-1, 1]")
 
     @property
@@ -98,24 +98,32 @@ class PairingPlan:
 
 def compute_centroids(ds: Dataset, params: ModelParams) -> np.ndarray:
     """Mean extractor feature per class as a (class_count, h) matrix: row c
-    is centroid(c) = (1/|c|) sum_x features(x)."""
+    is centroid(c) = (1/|c|) sum_x features(x). A mean too large for float64
+    overflows quietly; similarity rejects it."""
     feats = features(params, ds.X)
     rows = []
     for c, idx in ds.indices_by_class().items():
         if len(idx) == 0:
             raise DataError(f"class {c} has no samples; cannot form a centroid")
-        rows.append(feats[idx].mean(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append(feats[idx].mean(axis=0))
     return np.stack(rows)
 
 
 def similarity(src: np.ndarray, tgt: np.ndarray) -> SimilarityMatrix:
     """Pairwise cosine similarity between target and source centroids, given
-    as compute_centroids' matrices (row c for class c)."""
+    as compute_centroids' matrices (row c for class c). A centroid whose
+    norm is zero or overflows raises NumericError."""
     if src.shape[1] != tgt.shape[1]:
         raise ValueError(f"centroid widths differ: {src.shape[1]} vs {tgt.shape[1]}")
 
     def unit(mat: np.ndarray, side: str) -> np.ndarray:
-        norms = np.linalg.norm(mat, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(mat, axis=1)
+        huge = np.flatnonzero(~np.isfinite(norms))
+        if huge.size:
+            message = f"{side} class {huge[0]} has a centroid too large to norm"
+            raise NumericError(message)
         small = np.flatnonzero(norms <= _ZERO_NORM)
         if small.size:
             raise NumericError(f"{side} class {small[0]} has a zero-norm centroid")
@@ -260,6 +268,8 @@ def load_plan(path) -> PairingPlan:
             rows.append((int(cols[0]), int(cols[1]), int(cols[2]), float(cols[3])))
         except ValueError:
             raise ParseError("non-numeric plan entry", line=lineno, path=path) from None
+        if not math.isfinite(rows[-1][3]):
+            raise ParseError("non-finite similarity", line=lineno, path=path)
     if not rows:
         raise DataError(f"{path}: plan file has no entries")
     rows.sort(key=lambda e: (e[0], e[1]))

@@ -774,7 +774,10 @@ def finetune(
         if s.kind is StrategyKind.SEQ_TRAIN:
             config["strategy"]["midtune_iterations"] = _midtune(s, c)
         model = stack.row(r)
-        accuracy = evaluate(model, tgt_test)
+        try:
+            accuracy = evaluate(model, tgt_test)
+        except NumericError as e:
+            raise NumericError(f"{names[r]}: {e}", cell=r) from None
         result = RunResult(model, trace[:, r].tolist(), accuracy, c.seed, config)
         results[order[r]] = result
     return results

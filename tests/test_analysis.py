@@ -1,4 +1,5 @@
 """Feature spectrum via one-sided Jacobi SVD, and linear-probe diagnostics."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,24 @@ def test_spectra_name_the_model_across_chunks(toy_models, monkeypatch):
     monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(2))
     with pytest.raises(NumericError) as info:
         spectra(models[:3] + [broken], tgt_train, len(tgt_train))
+    assert info.value.cell == 3
+
+
+def test_probes_name_a_model_of_overflowing_features_across_chunks(
+    toy_models, toy_source, toy_plan, monkeypatch
+):
+    models, _ = toy_models
+    broken = models[3].copy()
+    for w, _ in broken.layers:  # finite weights whose features overflow
+        w[...] *= 1e200
+    cfg = ProbeConfig(iterations=5)
+    aux = source_subsets(toy_source, toy_plan)[ProbeSubset.AUXILIARY]
+    data = probe_data(aux, cfg, ProbeSubset.AUXILIARY)
+    monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite features") as info:
+            linear_probes(models[:3] + [broken], data, cfg)
     assert info.value.cell == 3
 
 

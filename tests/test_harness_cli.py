@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from xmixup.analysis import SPECTRUM_ROWS
 from xmixup.cli import _load_config, main
 from xmixup.config import (
     BATCH_MAXIMA,
@@ -691,6 +692,23 @@ def test_a_width_or_threshold_above_its_maximum_exits_2_before_writing(
     assert config_from_json({}).hash() == "74b1b57d97ce"
 
 
+def test_a_feature_width_above_the_spectrum_rows_exits_2_before_writing(
+    tmp_path, capsys
+):
+    # 3300 target-train rows, of which the spectrum takes SPECTRUM_ROWS (512):
+    # a width of 600 used to pass every check and end finetune in a traceback
+    config = mini_config(tmp_path, data=MINI["data"] | {"target_per_class": 1100})
+    out = tmp_path / "out"
+    for args in every_command(config, out, "hidden=[6, 600]"):
+        assert main(args) == 2, args[0]
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "takes 512 of the target split's 3300 training rows" in err
+    # a width of SPECTRUM_ROWS itself loads
+    wide = {"hidden": [6, SPECTRUM_ROWS], "data": {"target_per_class": 1100}}
+    assert config_from_json(wide).hidden == (6, SPECTRUM_ROWS)
+
+
 def test_a_midtune_budget_above_the_finetune_budget_exits_2_before_writing(tmp_path):
     # it used to fail only in finetune, after training the stacks before
     # seqtrain's and after gen-data, pretrain and pair had written
@@ -1058,6 +1076,33 @@ def test_a_diverging_finetune_exits_4_naming_the_cell_without_a_warning(tiny_lab
     assert re.search(cell + r": iteration \d+: non-finite", stderr.getvalue())
 
 
+def test_non_finite_features_exit_4_in_pair_and_eval_writing_nothing(
+    tiny_lab, tmp_path
+):
+    # every parameter scaled so the largest is 1e300: the features overflow,
+    # and pair used to write NaN similarities and eval an accuracy of NaN logits
+    config, lab = tiny_lab
+    out = tmp_path / "out"
+    shutil.copytree(lab, out)
+    params = load_params(out / "pretrained.ckpt")
+    params.flat *= 1e300 / np.abs(params.flat).max()
+    save_params(params, out / "pretrained.ckpt")
+    before = read_tree(out)
+    for extra in ([], ["--params", str(out / "pretrained.ckpt")]):
+        command = "eval" if extra else "pair"
+        argv = [command, "--config", str(config), "--out", str(out), *extra]
+        stderr = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                stderr
+            ):
+                code = main(argv)
+        assert code == 4, command
+        assert "non-finite features" in stderr.getvalue(), command
+    assert read_tree(out) == before
+
+
 # ------------------------------------------------ malformed artifacts
 # Artifacts of a TINY_LAB lab, finetune included, edited or mutated on a
 # copy, then read by a command: a malformed artifact exits 3, never with a
@@ -1171,6 +1216,7 @@ MALFORMED = {
     # a field of line 3 of a CSV file
     "dataset-label-x": ("target_train.csv", csv_field(1, 0, "x"), "pretrain"),
     "plan-entry-x": ("plan.csv", csv_field(2, 1, "x"), "finetune"),
+    "plan-similarity-nan": ("plan.csv", csv_field(2, 3, "nan"), "finetune"),
 }
 
 

@@ -80,8 +80,9 @@ class TestSimilarity:
             similarity(np.eye(3), np.eye(3, 4))
 
     def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityMatrix(np.array([[1.5, 0.0]]))
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError):
+                SimilarityMatrix(np.array([[bad, 0.0]]))
         sm = SimilarityMatrix(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert (sm.n, sm.m) == (2, 2)
 
@@ -262,6 +263,8 @@ class TestPlanRoundTrip:
             head + "1,a,0,0.5\n": ParseError,
             head: DataError,
             head + "2,0,1,0.5\n": ParseError,
+            head + "1,0,0,nan\n": ParseError,
+            head + "1,0,0,-inf\n": ParseError,
         }
         for text, err in cases.items():
             path = tmp_path / "plan.csv"
