@@ -168,6 +168,8 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
 
     Every fit starts from the one head the probe seed draws; the stacked
     matmuls run one gemm per model, so each fit gets the bits of a fit alone.
+    Features too large for float64 overflow the logits quietly, and a head
+    left non-finite raises NumericError naming its model in `cell`.
     """
     S, n, h = F.shape
     w0, b0 = init_linear(k, h, np.random.default_rng(cfg.seed))
@@ -177,15 +179,19 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
     target = np.zeros((k, n))
     target[y, np.arange(n)] = 1.0
     step = cfg.lr / n
-    for _ in range(cfg.iterations):
-        G = w @ Ft
-        G += b[:, :, None]
-        G -= G.max(axis=1, keepdims=True)
-        np.exp(G, out=G)
-        G /= G.sum(axis=1, keepdims=True)
-        G -= target  # softmax - onehot: the cross-entropy gradient per sample
-        w -= step * (G @ F)
-        b -= step * G.sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            G = w @ Ft
+            G += b[:, :, None]
+            G -= G.max(axis=1, keepdims=True)
+            np.exp(G, out=G)
+            G /= G.sum(axis=1, keepdims=True)
+            G -= target  # softmax - onehot: the cross-entropy gradient per sample
+            w -= step * (G @ F)
+            b -= step * G.sum(axis=2)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        head = np.concatenate((w.reshape(S, -1), b), axis=1)
+        raise numeric_error("non-finite probe head (features too large?)", head, True)
     return w, b
 
 
@@ -212,7 +218,7 @@ def linear_probes(
                 _features(part, data.train.X), data.train.y, data.k, cfg
             )
             accs = probe_accuracy(w, b, _features(part, data.test.X), data.test.y)
-        except NumericError as e:  # from _features: name the model of the call
+        except NumericError as e:  # name the model of the call
             raise NumericError(str(e), cell=chunk[e.cell]) from None
         results += [ProbeResult(data.kind, float(a)) for a in accs]
     return results

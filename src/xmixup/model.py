@@ -13,18 +13,20 @@ formula.
 
 A stack of S models (ModelParams.stack) is one (S, P) buffer: every weight
 is an (S, out, in) view and every bias an (S, out) view, and row(s) is model
-s. forward_cache, backward_from_dlogits, loss_and_grad_arrays,
-cross_entropy and sgd_step take a single model or a stack alike, a stack
-with (S, B, ·) batches, and run each operation once for the whole stack as
-batched matmuls and reductions over the last axes. Each model of a stack
-gets exactly the bits it would get alone: numpy computes every matrix of a
-batched matmul as its own 2-D product, and the reductions add in the same
-order.
+s. forward_cache, backward_from_dlogits, cross_entropy, masked_dlogits and
+sgd_step take a single model or a stack alike, a stack with (S, B, ·)
+batches, and run each operation once for the whole stack as batched matmuls
+and reductions over the last axes. Each model of a stack gets exactly the
+bits it would get alone: numpy computes every matrix of a batched matmul as
+its own 2-D product, and the reductions add in the same order. Every model
+trained, pretrain included, takes its loss step through stack_loss_and_grad;
+loss_and_grad_arrays is that step for one model, as a stack of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -300,7 +302,7 @@ def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericErr
     return NumericError(message, cell=cell)
 
 
-def check_soft_labels(P: np.ndarray, stacked: bool = False):
+def check_soft_labels(P: np.ndarray):
     """P must be finite and non-negative with rows summing to 1 within 1e-9.
 
     Two comparisons decide the common case; only a failing batch is looked
@@ -309,29 +311,25 @@ def check_soft_labels(P: np.ndarray, stacked: bool = False):
     if P.min() >= -1e-12 and np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-9:
         return
     if not np.isfinite(P).all():
-        raise numeric_error("non-finite values in batch", P, stacked)
+        raise numeric_error("non-finite values in batch", P, True)
     if P.min() < -1e-12:
         raise ValueError("soft labels must be non-negative")
     raise ValueError("soft label rows must sum to 1 within 1e-9")
 
 
 def loss_and_grad_arrays(
-    params: ModelParams, X: np.ndarray, P: np.ndarray, out: ModelParams | None = None
+    params: ModelParams, X: np.ndarray, P: np.ndarray
 ) -> tuple[float, ModelParams]:
-    """Soft-target cross-entropy loss and exact gradients for a batch.
-
-    loss = mean_i -sum_k P[i,k] * log softmax(logits[i])_k. Weight decay is
-    *not* part of the loss; the optimizer applies it. The gradients go into
-    `out` as in backward_from_dlogits. A stack takes (S, B, d) inputs and
-    (S, B, L) labels and returns an (S,) array of losses; a single model
-    returns a float. A NumericError from a stack names the model in `cell`.
+    """Soft-target cross-entropy loss and exact gradients of one model for a
+    batch X (B, d) with soft labels P (B, L): stack_loss_and_grad on the
+    model as a stack of one. Weight decay is *not* part of the loss; the
+    optimizer applies it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    stacked = params.stacked
-    if X.ndim != 2 + stacked:
-        raise ValueError(f"expected a {2 + stacked}-D batch, got shape {X.shape}")
-    if X.shape[-2] == 0:
+    if params.stacked or X.ndim != 2:
+        raise ValueError(f"expected one model and a 2-D batch, got shape {X.shape}")
+    if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if X.shape[:-1] != P.shape[:-1]:
         raise ValueError("inputs and labels disagree on batch size")
@@ -339,17 +337,9 @@ def loss_and_grad_arrays(
         raise ValueError(
             f"label width {P.shape[-1]} != head size {params.label_count}"
         )
-    if not np.isfinite(X).all():
-        raise numeric_error("non-finite values in batch", X, stacked)
-    check_soft_labels(P, stacked)
-
-    acts, pres, features, logits = forward_cache(params, X)
-    if not np.isfinite(logits).all():
-        message = "non-finite logits (diverged parameters?)"
-        raise numeric_error(message, logits, stacked)
-    loss, dlogits = cross_entropy(logits, P)
-    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
-    return (loss if stacked else float(loss)), grads
+    one = ModelParams._over(params, params.flat[None])
+    loss, grads = stack_loss_and_grad(one, X[None], P[None], None, 0, 0)
+    return float(loss[0]), grads.row(0)
 
 
 def cross_entropy(logits: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,6 +355,79 @@ def cross_entropy(logits: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.nda
     dlogits -= P
     dlogits /= n
     return loss, dlogits
+
+
+def masked_dlogits(
+    logits: np.ndarray, labels: np.ndarray, n_target: int, split: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint-batch masked loss of each batch of logits and
+    d(loss)/d(logits): rows [0, split) softmax over the target logits
+    [0, n_target) and the other rows over the source logits [n_target, L),
+    each against its hard label, averaged over all rows. Every row is
+    computed on its own."""
+    total_rows, label_count = logits.shape[-2:]
+    if not 0 <= split <= total_rows:
+        raise ValueError(f"split {split} outside batch of {total_rows}")
+    dlogits = np.zeros_like(logits)
+    total = np.zeros(logits.shape[:-2])
+    for rows, lo, hi in (
+        (slice(0, split), 0, n_target),
+        (slice(split, total_rows), n_target, label_count),
+    ):
+        sub = logits[..., rows, lo:hi]
+        if sub.shape[-2] == 0:
+            continue
+        li = labels[..., rows] - lo
+        if np.any((li < 0) | (li >= hi - lo)):
+            raise ValueError("label outside its softmax block")
+        logp = log_softmax(sub)
+        # every row's own label entry, through one (rows, width) view
+        at = (np.arange(li.size), li.ravel())
+        total -= logp.reshape(-1, hi - lo)[at].reshape(li.shape).sum(axis=-1)
+        dsub = np.exp(logp)
+        dsub.reshape(-1, hi - lo)[at] -= 1.0
+        dlogits[..., rows, lo:hi] = dsub / total_rows
+    return total / total_rows, dlogits
+
+
+def stack_loss_and_grad(
+    params: ModelParams,
+    X: np.ndarray,
+    P: np.ndarray | None,
+    labels: np.ndarray | None,
+    n_target: int,
+    split: int,
+    out: ModelParams | None = None,
+) -> tuple[np.ndarray, ModelParams]:
+    """The losses of a stack whose first len(P) models take the soft-target
+    cross-entropy of P (cross_entropy) and whose other models take the
+    masked loss of `labels` (masked_dlogits), with one forward and one
+    backward for all of them. X is (S, B, d), P (len(P), B, L) or None when
+    no model takes soft labels, and labels (S - len(P), B) or None when none
+    takes the masked loss; returns an (S,) array of losses and the
+    gradients, written into `out` as in backward_from_dlogits. Every model
+    gets the bits of its own loss alone."""
+    if not np.isfinite(X).all():
+        raise numeric_error("non-finite values in batch", X, True)
+    if P is not None:
+        check_soft_labels(P)
+    acts, pres, _, logits = forward_cache(params, X)
+    if not np.isfinite(logits).all():
+        message = "non-finite logits (diverged parameters?)"
+        raise numeric_error(message, logits, True)
+    soft = 0 if P is None else len(P)
+    halves = [] if P is None else [cross_entropy(logits[:soft], P)]
+    if labels is not None:
+        halves.append(masked_dlogits(logits[soft:], labels, n_target, split))
+    loss, dlogits = (_cat(parts) for parts in zip(*halves))
+    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
+
+
+def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The arrays joined along their first axis; None when there are none."""
+    if len(arrays) < 2:
+        return arrays[0] if arrays else None
+    return np.concatenate(arrays)
 
 
 def learning_rate(cfg: TrainConfig, iteration: int) -> float:

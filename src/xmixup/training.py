@@ -18,7 +18,8 @@ each strategy to its batch kind, a module-level function:
 finetune trains cells that share a label space (the target classes alone,
 or with one plan's auxiliary classes) and a TrainConfig up to its seed,
 whatever their strategies, as one stack of S models (see the model module),
-one model step per iteration for all of them; a cell alone is a stack of 1.
+one model step per iteration for all of them; a cell alone is a stack of 1,
+and so is pretrain's model, drawing l2's target rows from the source classes.
 
 - Batches. A batch kind draws once a step for all of its draw keys. Cells
   whose draws are the same function of the same generator seeds share a key
@@ -27,7 +28,8 @@ one model step per iteration for all of them; a cell alone is a stack of 1.
   draws a block of steps per call, with the same values and state
   (_index_blocks). A pure row map, _row_plan, joins the kinds' draws into
   the stack's batch; a stack of one kind, one draw a row, takes them as is.
-- Losses. One forward and one backward serve the stack, plus L2-SP's penalty.
+- Losses. One call of model.stack_loss_and_grad, one forward and one
+  backward, serves the stack, plus L2-SP's penalty.
 - Schedules. At seqtrain's phase switch its row's velocity and learning-rate
   schedule restart; where schedules differ, each row takes its own rate.
 
@@ -48,18 +50,13 @@ from .mixup import BetaSampler, CrossDomainPool, LabelSpace, MixupConfig, make_b
 from .model import (
     ModelParams,
     TrainConfig,
-    backward_from_dlogits,
-    check_soft_labels,
-    cross_entropy,
+    _cat,
     forward,
-    forward_cache,
     init,
     init_linear,
     learning_rate,
-    log_softmax,
-    loss_and_grad_arrays,
-    numeric_error,
     sgd_step,
+    stack_loss_and_grad,
 )
 from .pairing import PairingPlan
 
@@ -180,9 +177,8 @@ def result_to_json(result: RunResult) -> dict:
 
 
 def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
-    """Drive SGD through `segments`, updating params in place; returns the
-    loss trace, shaped (iterations,) for one model and (iterations, S) for
-    a stack.
+    """Drive SGD through `segments`, updating the stack params in place;
+    returns the (iterations, S) loss trace.
 
     A segment is (batch_fn, lrs, reset) and takes len(lrs) steps. Each step
     draws a batch, a tuple of arrays, from batch_fn(), takes
@@ -225,8 +221,8 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
                 it += 1
     finite = np.isfinite(trace)
     if not finite.all():
-        it, *cell = np.argwhere(~finite)[0].tolist()  # the first, and its cell
-        raise failed(it, "non-finite loss", cell[0] if cell else None)
+        it, cell = np.argwhere(~finite)[0].tolist()  # the first, and its cell
+        raise failed(it, "non-finite loss", cell)
     return trace
 
 
@@ -263,22 +259,22 @@ def _index_blocks(rngs: list, high, shape: tuple, steps: int):
 
 
 def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelParams:
-    """Train extractor + source head from scratch on the source dataset."""
+    """Train extractor + source head from scratch on the source dataset:
+    one cell on uniformly drawn source rows, stepped as a stack of one."""
     if src_train.class_count < 2:
         raise ValueError("pre-training needs at least 2 source classes")
     if len(src_train) == 0:
         raise DataError("cannot pre-train on an empty dataset")
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
-    rng = [np.random.default_rng([cfg.seed, 1])]
-    X, y = src_train.X, src_train.y
-    eye = np.eye(src_train.class_count)
-    draws = _index_blocks(rng, len(X), (cfg.batch_size,), cfg.iterations)
+    space = LabelSpace(src_train.class_count, ())
+    ctx = _Context.of(src_train, None, None, space, cfg.batch_size)
+    batch = _target_rows(ctx, [(_target_rows, cfg.seed, None, 0)], cfg.iterations)
 
-    def batch():
-        (idx,) = next(draws)
-        return X.take(idx, 0), eye.take(y[idx], 0)
+    def loss_fn(p, X, P, _, out):  # target rows only: no masked loss
+        return stack_loss_and_grad(p, X, P, None, 0, 0, out)
 
-    _run_sgd(params, cfg, batch, loss_and_grad_arrays)
+    one = ModelParams._over(params, params.flat[None])  # trains params in place
+    _run_sgd(one, cfg, batch, loss_fn, ["pretrain"])
     return params
 
 
@@ -327,90 +323,6 @@ def sp_penalty(
         value += w_part + (db * db).sum(axis=-1)
     grads.extractor *= 2.0 * mu
     return mu * value, grads
-
-
-def masked_loss_and_grad(
-    params: ModelParams,
-    X: np.ndarray,
-    labels: np.ndarray,
-    n_target: int,
-    split: int,
-    out: ModelParams | None = None,
-) -> tuple[float, ModelParams]:
-    """Joint-batch loss where rows [0, split) softmax over target logits
-    [0, n_target) and the remaining rows over source logits [n_target, L).
-    The gradients go into `out` as in backward_from_dlogits. A stack takes
-    (S, B, d) inputs and (S, B) labels and returns an (S,) array of losses."""
-    acts, pres, _, logits = forward_cache(params, X)
-    if not np.all(np.isfinite(logits)):
-        message = "non-finite logits in masked loss"
-        raise numeric_error(message, logits, params.stacked)
-    loss, dlogits = masked_dlogits(logits, labels, n_target, split)
-    grads = backward_from_dlogits(params, acts, pres, dlogits, out)
-    return (loss if params.stacked else float(loss)), grads
-
-
-def masked_dlogits(
-    logits: np.ndarray, labels: np.ndarray, n_target: int, split: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The masked loss of each batch of logits (see masked_loss_and_grad)
-    and d(loss)/d(logits); every row is computed on its own."""
-    total_rows, label_count = logits.shape[-2:]
-    if not 0 <= split <= total_rows:
-        raise ValueError(f"split {split} outside batch of {total_rows}")
-    dlogits = np.zeros_like(logits)
-    total = np.zeros(logits.shape[:-2])
-    for rows, lo, hi in (
-        (slice(0, split), 0, n_target),
-        (slice(split, total_rows), n_target, label_count),
-    ):
-        sub = logits[..., rows, lo:hi]
-        if sub.shape[-2] == 0:
-            continue
-        li = labels[..., rows] - lo
-        if np.any((li < 0) | (li >= hi - lo)):
-            raise ValueError("label outside its softmax block")
-        logp = log_softmax(sub)
-        # every row's own label entry, through one (rows, width) view
-        at = (np.arange(li.size), li.ravel())
-        total -= logp.reshape(-1, hi - lo)[at].reshape(li.shape).sum(axis=-1)
-        dsub = np.exp(logp)
-        dsub.reshape(-1, hi - lo)[at] -= 1.0
-        dlogits[..., rows, lo:hi] = dsub / total_rows
-    return total / total_rows, dlogits
-
-
-def stack_loss_and_grad(
-    params: ModelParams,
-    X: np.ndarray,
-    P: np.ndarray | None,
-    labels: np.ndarray | None,
-    n_target: int,
-    split: int,
-    out: ModelParams | None = None,
-) -> tuple[np.ndarray, ModelParams]:
-    """The losses of a stack whose first len(P) models take the soft-target
-    cross-entropy of P (see loss_and_grad_arrays) and whose other models
-    take the masked loss of `labels` (see masked_loss_and_grad), with one
-    forward and one backward for all of them. X is (S, B, d), P
-    (len(P), B, L) or None when no model takes soft labels, and labels
-    (S - len(P), B) or None when none takes the masked loss; returns an
-    (S,) array of losses and the gradients, written into `out` as in
-    backward_from_dlogits. Every model gets the bits of its own loss alone."""
-    if not np.isfinite(X).all():
-        raise numeric_error("non-finite values in batch", X, True)
-    if P is not None:
-        check_soft_labels(P, True)
-    acts, pres, _, logits = forward_cache(params, X)
-    if not np.isfinite(logits).all():
-        message = "non-finite logits (diverged parameters?)"
-        raise numeric_error(message, logits, True)
-    soft = 0 if P is None else len(P)
-    halves = [] if P is None else [cross_entropy(logits[:soft], P)]
-    if labels is not None:
-        halves.append(masked_dlogits(logits[soft:], labels, n_target, split))
-    loss, dlogits = (_cat(parts) for parts in zip(*halves))
-    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
 
 
 def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
@@ -655,13 +567,6 @@ def _stack_order(strategy: Strategy) -> tuple:
     """Where a cell sits in its stack: by strategy kind, so that cotrain's
     masked rows come last, and the L2SP cells of one weight together."""
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
-
-
-def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The arrays joined along their first axis; None when there are none."""
-    if len(arrays) < 2:
-        return arrays[0] if arrays else None
-    return np.concatenate(arrays)
 
 
 def finetune(

@@ -422,6 +422,25 @@ def test_probes_name_a_model_of_overflowing_features_across_chunks(
     assert info.value.cell == 3
 
 
+def test_probes_name_a_model_whose_probe_head_overflows_across_chunks(
+    toy_models, toy_source, toy_pretrained, monkeypatch
+):
+    # finite features near the float64 limit: the fit's logits overflow, and
+    # numpy used to warn and the fit went on to an accuracy of NaN heads
+    models, _ = toy_models
+    broken = toy_pretrained.copy()
+    for part in broken.layers[-1]:
+        part[...] *= 1e300
+    data = probe_data(toy_source, ProbeConfig(), ProbeSubset.ALL)
+    assert np.isfinite(_features([broken], data.train.X)).all()
+    monkeypatch.setattr(analysis, "_chunks", _fixed_chunks(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite probe head") as info:
+            linear_probes(models[:3] + [broken], data, ProbeConfig())
+    assert info.value.cell == 3
+
+
 def test_chunks_cover_the_cells_within_the_byte_cap():
     for count, cell_bytes in ((7, 1000), (7, CHUNK_BYTES // 3), (3, 2 * CHUNK_BYTES)):
         chunks = _chunks(count, cell_bytes)

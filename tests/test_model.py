@@ -21,6 +21,7 @@ from xmixup.model import (
     loss_and_grad_arrays,
     save_params,
     sgd_step,
+    stack_loss_and_grad,
 )
 from xmixup.training import _run_sgd
 
@@ -305,7 +306,7 @@ def test_stacked_step_is_bit_equal_to_each_model_alone():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(3, 8, 3))
     P = rng.dirichlet(np.ones(4), size=(3, 8))
-    losses, grads = loss_and_grad_arrays(stack, X, P)
+    losses, grads = stack_loss_and_grad(stack, X, P, None, 0, 0)
     before_step = grads.flat.copy()  # sgd_step adds the decay into grads
     cfg = TrainConfig(
         lr=0.05, momentum=0.9, weight_decay=0.01, iterations=3, lr_drop_at=3
@@ -330,11 +331,11 @@ def test_stacked_checks_name_the_failing_model():
     bad = X.copy()
     bad[1, 0, 2] = np.nan
     with pytest.raises(NumericError, match="non-finite values in batch") as info:
-        loss_and_grad_arrays(stack, bad, P)
+        stack_loss_and_grad(stack, bad, P, None, 0, 0)
     assert info.value.cell == 1
     stack.row(2).head[1][:] = np.inf  # logits of model 2 only
     with pytest.raises(NumericError, match="non-finite logits") as info:
-        loss_and_grad_arrays(stack, X + 1.0, P)
+        stack_loss_and_grad(stack, X + 1.0, P, None, 0, 0)
     assert info.value.cell == 2
     grads = ModelParams.zeros_like(stack)
     grads.flat[0, -1] = np.nan

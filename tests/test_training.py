@@ -17,9 +17,12 @@ from xmixup.mixup import LabelSpace, MixupConfig
 from xmixup.model import (
     ModelParams,
     TrainConfig,
+    backward_from_dlogits,
+    cross_entropy,
     forward_cache,
     init,
     loss_and_grad_arrays,
+    sgd_step,
 )
 from xmixup.training import (
     DRAW_BLOCK,
@@ -37,7 +40,6 @@ from xmixup.training import (
     _target_rows,
     evaluate,
     finetune,
-    masked_loss_and_grad,
     pretrain,
     result_to_json,
     sp_penalty,
@@ -588,6 +590,32 @@ def test_pretrain_zero_iterations_returns_the_init(toy_source):
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), fresh.arrays()))
 
 
+def test_pretrain_matches_an_unstacked_reference_loop(toy_source):
+    # the reference steps one model on 2-D arrays with one integers call a
+    # step. Batches of 7 leave a 32-bit half in the generator between steps,
+    # 100 steps span two draw blocks, and the learning rate drops halfway.
+    cfg = TrainConfig(iterations=100, lr_drop_at=50, lr=0.05, batch_size=7, seed=2)
+    got = pretrain(toy_source, cfg, [6, 5])
+    X, y = toy_source.X, toy_source.y
+    eye = np.eye(toy_source.class_count)
+    params = init(toy_source.d, [6, 5], toy_source.class_count, seed=cfg.seed)
+    velocity = ModelParams.zeros_like(params)
+    rng = np.random.default_rng([cfg.seed, 1])
+    for it in range(cfg.iterations):
+        idx = rng.integers(len(X), size=cfg.batch_size)
+        acts, pres, _, logits = forward_cache(params, X[idx])
+        _, dlogits = cross_entropy(logits, eye[y[idx]])
+        grads = backward_from_dlogits(params, acts, pres, dlogits)
+        sgd_step(params, grads, velocity, cfg, it)
+    assert not params.stacked and got.flat.tobytes() == params.flat.tobytes()
+
+
+def test_a_diverging_pretrain_names_its_cell_and_iteration(toy_source):
+    cfg = TrainConfig(iterations=20, lr_drop_at=20, lr=1e9, batch_size=8)
+    with pytest.raises(NumericError, match=r"^pretrain: iteration \d+: non-finite"):
+        pretrain(toy_source, cfg, [6, 5])
+
+
 # ------------------------------------------------------------------ evaluate
 
 def _constant_logit_params(biases):
@@ -643,6 +671,13 @@ def test_sp_penalty_value_and_gradient():
     assert np.allclose(flat(grads.arrays()), flat(numeric), atol=1e-6)
 
 
+def masked_one(params, X, labels, n_target, split):
+    """The masked loss and gradients of one model, as a stack of one."""
+    one = ModelParams.stack([params])
+    loss, grads = stack_loss_and_grad(one, X[None], None, labels[None], n_target, split)
+    return loss[0], grads.row(0)
+
+
 def test_stacked_penalty_and_masked_loss_match_each_model():
     ref = init(3, [5, 4], 5, seed=20)
     models = [init(3, [5, 4], 5, seed=s) for s in (21, 22, 23)]
@@ -651,12 +686,12 @@ def test_stacked_penalty_and_masked_loss_match_each_model():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(3, 6, 3))
     labels = np.array([[0, 1, 1, 3, 2, 4]] * 3)
-    losses, mgrads = masked_loss_and_grad(stack, X, labels, 2, 3)
+    losses, mgrads = stack_loss_and_grad(stack, X, None, labels, 2, 3)
     for s, model in enumerate(models):
         value, g = sp_penalty(model, ref, 0.3)
         assert np.float64(value).tobytes() == values[s].tobytes()
         assert g.flat.tobytes() == grads.row(s).flat.tobytes()
-        loss, mg = masked_loss_and_grad(model, X[s], labels[s], 2, 3)
+        loss, mg = masked_one(model, X[s], labels[s], 2, 3)
         assert np.float64(loss).tobytes() == losses[s].tobytes()
         assert mg.flat.tobytes() == mgrads.row(s).flat.tobytes()
 
@@ -668,8 +703,9 @@ def test_stacked_penalty_and_masked_loss_match_each_model():
 )
 def test_stack_loss_matches_each_model_alone(size, soft):
     # the stack's first `soft` models take cross-entropy, the others the
-    # masked loss; every row is byte for byte the single-model reference,
-    # which ties a stack of one to the unstacked math
+    # masked loss; every row is byte for byte that model alone, a stack of
+    # one (test_pretrain_matches_an_unstacked_reference_loop ties a stack of
+    # one to the unstacked math)
     models = [init(3, [5, 4], 5, seed=s) for s in range(21, 21 + size)]
     stack = ModelParams.stack(models)
     rng = np.random.default_rng(31)
@@ -684,7 +720,7 @@ def test_stack_loss_matches_each_model_alone(size, soft):
         if s < soft:
             loss, g = loss_and_grad_arrays(model, X[s], P[s])
         else:
-            loss, g = masked_loss_and_grad(model, X[s], labels[s - soft], 2, 3)
+            loss, g = masked_one(model, X[s], labels[s - soft], 2, 3)
         assert np.float64(loss).tobytes() == losses[s].tobytes()
         assert g.flat.tobytes() == grads.row(s).flat.tobytes()
 
@@ -707,7 +743,7 @@ def _masked_case(seed=30):
 
 def test_masked_loss_matches_manual_blocks():
     params, X, labels = _masked_case()
-    loss, _ = masked_loss_and_grad(params, X, labels, 2, 2)
+    loss, _ = masked_one(params, X, labels, 2, 2)
     _, _, _, logits = forward_cache(params, X)
 
     def block_nll(z, label):
@@ -724,9 +760,9 @@ def test_masked_loss_matches_manual_blocks():
 
 def test_masked_loss_gradient_check():
     params, X, labels = _masked_case()
-    _, analytic = masked_loss_and_grad(params, X, labels, 2, 2)
+    _, analytic = masked_one(params, X, labels, 2, 2)
     numeric = numeric_gradient(
-        lambda p: masked_loss_and_grad(p, X, labels, 2, 2)[0], params
+        lambda p: masked_one(p, X, labels, 2, 2)[0], params
     )
     a, n = flat(analytic.arrays()), flat(numeric)
     assert np.linalg.norm(a - n) <= 1e-7 * max(np.linalg.norm(n), 1.0)
@@ -734,16 +770,16 @@ def test_masked_loss_gradient_check():
 
 def test_masked_loss_degenerate_splits_and_bad_labels():
     params, X, labels = _masked_case()
-    loss_all_target, _ = masked_loss_and_grad(params, X[:2], labels[:2], 2, 2)
+    loss_all_target, _ = masked_one(params, X[:2], labels[:2], 2, 2)
     assert np.isfinite(loss_all_target)
-    loss_all_source, _ = masked_loss_and_grad(params, X[2:], labels[2:], 2, 0)
+    loss_all_source, _ = masked_one(params, X[2:], labels[2:], 2, 0)
     assert np.isfinite(loss_all_source)
     with pytest.raises(ValueError):
-        masked_loss_and_grad(params, X, labels, 2, 9)
+        masked_one(params, X, labels, 2, 9)
     bad = labels.copy()
     bad[0] = 4   # source label in a target row
     with pytest.raises(ValueError):
-        masked_loss_and_grad(params, X, bad, 2, 2)
+        masked_one(params, X, bad, 2, 2)
 
 
 # ------------------------------------------------------------------- results
