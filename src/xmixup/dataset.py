@@ -5,8 +5,9 @@ uniformly in [-1, 1]^d. Target datasets are built *from* a source dataset: each
 planted target class copies the samples of one source class (plus optional
 noise), so the ground-truth class correspondence is known and pairing quality
 is checkable. Everything is a pure function of its arguments including the
-seed. A Dataset holds its rows and nothing derived from them: class_layout()
-computes the class grouping on each call, and no caller needs it per step.
+seed. A Dataset holds its rows and nothing derived from them:
+indices_by_class() and class_sizes() compute the class grouping on each
+call, and no caller needs it per step.
 """
 
 from __future__ import annotations
@@ -77,19 +78,12 @@ class Dataset:
 
     def indices_by_class(self) -> dict[int, np.ndarray]:
         """Sample indices grouped by class, ascending within a class: views
-        into class_layout()'s order."""
-        order, starts, _ = self.class_layout()
-        return dict(enumerate(np.split(order, starts[1:])))
-
-    def class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, sizes): `order` lists the sample indices class by
-        class, ascending within a class, and class c fills
-        order[starts[c] : starts[c] + sizes[c]]."""
-        sizes = np.bincount(self.y, minlength=self.class_count)
-        return np.argsort(self.y, kind="stable"), np.cumsum(sizes) - sizes, sizes
+        into one stable argsort of the labels."""
+        ends = np.cumsum(np.bincount(self.y, minlength=self.class_count))
+        return dict(enumerate(np.split(np.argsort(self.y, kind="stable"), ends[:-1])))
 
     def class_sizes(self) -> dict[int, int]:
-        return dict(enumerate(self.class_layout()[2].tolist()))
+        return dict(enumerate(np.bincount(self.y, minlength=self.class_count).tolist()))
 
 
 @dataclass(frozen=True)

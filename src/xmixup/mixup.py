@@ -2,9 +2,9 @@
 
 A mixed row is x = λ·x_t + (1−λ)·x_s with the labels blended the same way
 over the unified label space (target classes first, then the selected source
-classes). λ is drawn fresh per row. The Beta sampler is built from scratch:
-an exact inverse-CDF path for β = 1 and a Marsaglia–Tsang Gamma ratio
-otherwise.
+classes); blend is that one rule, for in-domain pairs too. λ is drawn fresh
+per row. The Beta sampler is built from scratch: an exact inverse-CDF path
+for β = 1 and a Marsaglia–Tsang Gamma ratio otherwise.
 
 Training draws everything a batch needs as arrays, with no per-row Python
 loop: make_batch takes the target rows, the paired source classes, the
@@ -13,9 +13,9 @@ runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
-What does not change from step to step is built once: a CrossDomainPool
-checks the target and source rows once and holds the plan as a padded
-table with the source's class layout, and a BetaSampler holds each cell's
+What does not change from step to step is built once, per fine-tune call: a
+CrossDomainPool checks the target and source rows and holds them in one
+array with the plan as a padded table, and a BetaSampler holds each cell's
 λ constants. make_batch(pool, sampler, rngs) is the per-step function.
 
 make_batch and BetaSampler serve the cells of a stack: a BetaSampler is
@@ -179,7 +179,9 @@ class _Gamma:
         self.boosted = None
         if self.boost.any():
             counts = np.bincount(self.owner[self.boost], minlength=len(sizes))
-            self.boosted = counts.tolist(), 1.0 / shapes[self.boost]
+            # a subnormal shape's power is inf, every boost 0: λ is redrawn
+            with np.errstate(over="ignore"):
+                self.boosted = counts.tolist(), 1.0 / shapes[self.boost]
 
     def __call__(self, rngs) -> np.ndarray:
         c, d = self.c, self.d
@@ -316,20 +318,36 @@ def _paired_table(plan: PairingPlan, n_target: int) -> tuple[np.ndarray, np.ndar
     return table, counts
 
 
+def blend(lam, Xa, Xb, cols_a, cols_b, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows λ·Xa + (1−λ)·Xb, one λ a row, and their soft labels of `width`
+    columns: λ in column cols_a, then 1−λ added in cols_b, so a pair of one
+    class gets λ + (1−λ), bit for bit the blend of two one-hot rows."""
+    mu = 1.0 - lam
+    X = lam[..., None] * Xa + mu[..., None] * Xb
+    P = np.zeros(lam.shape + (width,))
+    flat = P.reshape(-1)
+    rows = np.arange(0, P.size, width).reshape(lam.shape)  # each row's start
+    flat[rows + cols_a] = lam
+    flat[rows + cols_b] += mu
+    return X, P
+
+
 @dataclass(frozen=True, eq=False)
 class CrossDomainPool:
-    """What make_batch draws from, fixed for as long as a caller draws: the
-    target and source rows, the label space, the plan as a padded table of
-    each target's source classes with their counts (_paired_table), and
-    the source's class_layout(). of() checks the inputs once, so a caller
-    that draws many batches builds one pool, as it builds one BetaSampler."""
+    """The rows a fine-tune call draws from: X, the target rows, then the
+    selected source classes' rows in ascending class order, with unified
+    labels y; source class c fills X[starts[c] : starts[c] + sizes[c]]. The
+    plan is a padded table with counts (_paired_table). of() checks once
+    what make_batch would otherwise check each step."""
 
-    tgt: Dataset
-    src: Dataset
+    X: np.ndarray
+    y: np.ndarray
+    tgt_len: int  # how many target rows X starts with
     space: LabelSpace
     table: np.ndarray
     counts: np.ndarray
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray]
+    starts: np.ndarray
+    sizes: np.ndarray
 
     @classmethod
     def of(
@@ -340,7 +358,21 @@ class CrossDomainPool:
         if src.d != tgt_train.d:
             raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
         table, counts = _paired_table(plan, space.n_target)
-        return cls(tgt_train, src, space, table, counts, src.class_layout())
+        missing = sorted(set(tgt_train.y[counts[tgt_train.y] == 0].tolist()))
+        if missing:
+            msg = f"pairing plan has no source class for target classes {missing}"
+            raise KeyError(msg)
+        chosen = set(space.source_classes)  # every other class takes no rows
+        rows = [i if c in chosen else i[:0] for c, i in src.indices_by_class().items()]
+        sizes = np.array([len(i) for i in rows])
+        starts = len(tgt_train) + np.cumsum(sizes) - sizes
+        empty = [c for c in table[table >= 0].tolist() if not sizes[c]]
+        if empty:
+            raise DataError(f"source class {empty[0]} has no samples to draw from")
+        aux = np.concatenate(rows)
+        X = np.concatenate([tgt_train.X, src.X.take(aux, 0)])
+        y = np.concatenate([tgt_train.y, space.source_columns[src.y[aux]]])
+        return cls(X, y, len(tgt_train), space, table, counts, starts, sizes)
 
 
 def make_batch(
@@ -356,32 +388,16 @@ def make_batch(
     class, and the λ column from `sampler`. Each generator makes its cell's
     calls in that order, so cell s is bit for bit what the call with a
     sampler of sampler.cfgs[s] alone and rngs[s] returns; the lookups,
-    gathers and blends run once for all cells. A target class the plan
-    misses raises KeyError.
+    gathers and the blend run once for all cells.
     """
-    tgt, src, space, table = pool.tgt, pool.src, pool.space, pool.table
-    order, starts, sizes = pool.layout
-    S, B = len(rngs), sampler.n
-    picks = np.array([r.integers(len(tgt), size=B) for r in rngs])
-    targets = tgt.y[picks]
-    n_paired = pool.counts[targets]
-    if not n_paired.all():
-        missing = sorted(set(targets[n_paired == 0].tolist()))
-        raise KeyError(f"pairing plan has no source class for target classes {missing}")
+    X, y, table = pool.X, pool.y, pool.table
+    picks = np.array([r.integers(pool.tgt_len, size=sampler.n) for r in rngs])
+    targets = y[picks]
     rounds = 0  # with no target paired to two classes every bound is 1: no draw
     if table.shape[1] > 1:
-        rounds = np.array([r.integers(k) for r, k in zip(rngs, n_paired)])
+        rounds = np.array([r.integers(k) for r, k in zip(rngs, pool.counts[targets])])
     cls = table[targets, rounds]
-    size = sizes[cls]
-    if not size.all():
-        raise DataError(f"source class {cls[size == 0][0]} has no samples to draw from")
-    aux = order[starts[cls] + np.array([r.integers(k) for r, k in zip(rngs, size)])]
-    lam = sampler(rngs)
-    mu = 1.0 - lam
-    X = lam[..., None] * tgt.X.take(picks, 0) + mu[..., None] * src.X.take(aux, 0)
-    P = np.zeros((S, B, space.size))
-    flat = P.reshape(-1)
-    rows = np.arange(0, P.size, space.size).reshape(S, B)  # each row's start
-    flat[rows + targets] = lam
-    flat[rows + space.source_columns[cls]] = mu
-    return X, P
+    picks_aux = [r.integers(k) for r, k in zip(rngs, pool.sizes[cls])]
+    aux = pool.starts[cls] + np.array(picks_aux)
+    lam, width = sampler(rngs), pool.space.size
+    return blend(lam, X.take(picks, 0), X.take(aux, 0), targets, y[aux], width)

@@ -440,27 +440,25 @@ def sgd_step(
     grads: ModelParams,
     velocity: ModelParams,
     cfg: TrainConfig,
-    iteration: int,
-    lr=None,
+    lr,
 ) -> None:
-    """One SGD-with-momentum update of params and velocity, in place.
+    """One SGD-with-momentum update of params and velocity, in place, at
+    the step's effective learning rate `lr` (learning_rate gives it under
+    cfg's schedule): a float, or for a stack an (S, 1) column of one rate
+    per model.
 
     g <- g + weight_decay*w on the weight segment only (biases are not
-    decayed; this writes into grads); v <- momentum*v - effective_lr*g,
-    with effective_lr = learning_rate(cfg, iteration); w <- w + v. Each
-    line rounds as the out-of-place formula does, so the result is
+    decayed; this writes into grads); v <- momentum*v - lr*g; w <- w + v.
+    Each line rounds as the out-of-place formula does, so the result is
     bit-identical to it. A stack takes one step for every model; they share
-    cfg's momentum and weight decay. `lr`, when given, is the effective
-    learning rate in place of cfg's schedule: a float, or for a stack an
-    (S, 1) column of one rate per model.
+    cfg's momentum and weight decay.
     """
     if not np.isfinite(grads.flat).all():
         raise numeric_error("non-finite gradient", grads.flat, grads.stacked)
-    eff_lr = learning_rate(cfg, iteration) if lr is None else lr
     grads.weights += cfg.weight_decay * params.weights
     v = velocity.flat
     v *= cfg.momentum
-    v -= eff_lr * grads.flat
+    v -= lr * grads.flat
     params.flat += v
 
 

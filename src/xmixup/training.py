@@ -5,7 +5,8 @@ unified label space (target classes first, then any selected source
 classes), and every one is the same SGD loop fed a different batch: a
 strategy is a list of phases, each a budget and a batch kind (_phases), and
 one driver, _run_segments, steps every phase and pretrain alike. _BATCH maps
-each strategy to its batch kind, a module-level function:
+each strategy to its batch kind, a module-level function; those that draw
+source rows read one CrossDomainPool, and the mixing ones mix by blend:
 
 - target rows: l2, and l2sp, which adds mu * ||theta_ext - theta_0,ext||^2
   with the gradient 2*mu*(theta - theta_0) on the extractor
@@ -46,7 +47,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .mixup import BetaSampler, CrossDomainPool, LabelSpace, MixupConfig, make_batch
+from .mixup import BetaSampler, CrossDomainPool, LabelSpace, MixupConfig
+from .mixup import blend, make_batch
 from .model import (
     ModelParams,
     TrainConfig,
@@ -214,7 +216,7 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
             for lr in lrs:
                 try:
                     loss, grads = loss_fn(params, *batch_fn(), out)
-                    sgd_step(params, grads, velocity, cfg, it, lr)
+                    sgd_step(params, grads, velocity, cfg, lr)
                 except NumericError as e:
                     raise failed(it, str(e), e.cell) from None
                 trace[it] = loss
@@ -353,18 +355,15 @@ def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Context:
-    """What the batch kinds of one finetune call draw from: its data, the
-    auxiliary pool (the selected source classes' inputs, unified labels),
-    the identity whose rows are one-hot labels, B, and the generators of
-    each draw key (batch kind, seed, MixupConfig, first iteration), kept for
-    the call: a key whose phase spans another row's phase switch draws on."""
+    """What the batch kinds of one finetune call draw from: its target data,
+    label space and CrossDomainPool (None with no source), the identity
+    whose rows are one-hot labels, B, and the generators of each draw key
+    (batch kind, seed, MixupConfig, first iteration), kept for the call: a
+    key whose phase spans another row's phase switch draws on."""
 
     tgt: Dataset
-    src: Dataset | None
-    plan: PairingPlan | None
     space: LabelSpace
-    pool_X: np.ndarray | None
-    pool_labels: np.ndarray | None
+    pool: CrossDomainPool | None
     eye: np.ndarray
     B: int
     rngs: dict = field(default_factory=dict)
@@ -372,12 +371,8 @@ class _Context:
     @classmethod
     def of(cls, tgt, src, plan, space, batch_size) -> "_Context":
         """The context of a call on `space`; src is None for no-source cells."""
-        pool = (None, None)
-        if src is not None:
-            by_class = src.indices_by_class()
-            idx = np.concatenate([by_class[c] for c in space.source_classes])
-            pool = src.X.take(idx, 0), space.source_columns[src.y[idx]]
-        return cls(tgt, src, plan, space, *pool, np.eye(space.size), batch_size)
+        pool = None if src is None else CrossDomainPool.of(tgt, src, plan, space)
+        return cls(tgt, space, pool, np.eye(space.size), batch_size)
 
     def generators(self, keys: list[tuple], stream: int) -> list:
         """Each key's generator of a stream: 1 target rows, 2 mixing, 3 auxiliary."""
@@ -411,21 +406,21 @@ def _target_rows(ctx: _Context, keys: list[tuple], steps: int):
 
 
 def _auxiliary_rows(ctx: _Context, keys: list[tuple], steps: int):
-    """Auxiliary source rows drawn uniformly, under their unified labels."""
-    return _uniform_rows(ctx, ctx.pool_X, ctx.pool_labels, 3, keys, steps)
+    """Auxiliary source rows, the pool's past the target's, drawn uniformly."""
+    X, y, n = ctx.pool.X, ctx.pool.y, ctx.pool.tgt_len
+    return _uniform_rows(ctx, X[n:], y[n:], 3, keys, steps)
 
 
 def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
-    """Pairs of target rows, inputs and one-hot labels mixed by one λ a row."""
-    tgt_X, tgt_y, eye, B = ctx.tgt.X, ctx.tgt.y, ctx.eye, ctx.B
+    """Pairs of target rows, inputs and labels mixed by one λ a row (blend)."""
+    tgt_X, tgt_y, B, width = ctx.tgt.X, ctx.tgt.y, ctx.B, ctx.space.size
     draws = _index_blocks(ctx.generators(keys, 1), len(tgt_X), (2, B), steps)
     lam, rng_mix = BetaSampler([key[2] for key in keys], B), ctx.generators(keys, 2)
 
     def draw():
         i1, i2 = next(draws).swapaxes(0, 1)
-        lams = lam(rng_mix)[..., None]
-        X = lams * tgt_X.take(i1, 0) + (1.0 - lams) * tgt_X.take(i2, 0)
-        P = lams * eye.take(tgt_y[i1], 0) + (1.0 - lams) * eye.take(tgt_y[i2], 0)
+        Xa, Xb = tgt_X.take(i1, 0), tgt_X.take(i2, 0)
+        X, P = blend(lam(rng_mix), Xa, Xb, tgt_y[i1], tgt_y[i2], width)
         return X, P, None
 
     return draw
@@ -433,29 +428,26 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
 
 def _mixed(ctx: _Context, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
-    pool = CrossDomainPool.of(ctx.tgt, ctx.src, ctx.plan, ctx.space)
     lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), ctx.generators(keys, 2)
 
     def draw():
-        X, P = make_batch(pool, lam, rng_mix)
+        X, P = make_batch(ctx.pool, lam, rng_mix)
         return X, P, None
 
     return draw
 
 
 def _cotrain(ctx: _Context, keys: list[tuple], steps: int):
-    """B // 2 target rows, then auxiliary rows, under hard labels; one bound
-    a column, the pool's rows offset past the target's in one joint array."""
-    tgt_X, B, half = ctx.tgt.X, ctx.B, ctx.B // 2
-    high = np.repeat([len(tgt_X), len(ctx.pool_X)], [half, B - half])
-    offset = np.repeat([0, len(tgt_X)], [half, B - half])
-    joint_X = np.concatenate([tgt_X, ctx.pool_X])
-    joint_y = np.concatenate([ctx.tgt.y, ctx.pool_labels])
+    """B // 2 target rows, then auxiliary rows, under hard labels, from the
+    pool's one array: one bound a column, offset past the target rows."""
+    pool, n, B, half = ctx.pool, ctx.pool.tgt_len, ctx.B, ctx.B // 2
+    high = np.repeat([n, len(pool.X) - n], [half, B - half])
+    offset = np.repeat([0, n], [half, B - half])
     draws = _index_blocks(ctx.generators(keys, 1), high, (B,), steps)
 
     def draw():
         idx = next(draws) + offset
-        return joint_X.take(idx, 0), None, joint_y[idx]
+        return pool.X.take(idx, 0), None, pool.y[idx]
 
     return draw
 

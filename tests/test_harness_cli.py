@@ -1076,6 +1076,24 @@ def test_a_diverging_finetune_exits_4_naming_the_cell_without_a_warning(tiny_lab
     assert re.search(cell + r": iteration \d+: non-finite", stderr.getvalue())
 
 
+def test_a_subnormal_beta_exits_4_without_a_warning(tiny_lab, tmp_path):
+    # 1 / β overflows in the Gamma boost: every boosted draw is then 0, and
+    # the λ redraws give up
+    config, lab = tiny_lab
+    out = tmp_path / "out"
+    shutil.copytree(lab, out)
+    argv = ["sweep-alpha", "--config", str(config), "--out", str(out)]
+    argv += ["--set", "mixup.beta=2.225073858507203e-309"]
+    stderr = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code == 4
+    assert "gave no draw inside (0, 1)" in stderr.getvalue()
+    assert "Warning" not in stderr.getvalue()
+
+
 def test_non_finite_features_exit_4_in_pair_and_eval_writing_nothing(
     tiny_lab, tmp_path
 ):

@@ -16,6 +16,7 @@ from xmixup.mixup import (
     MixupConfig,
     _Gamma,
     _paired_table,
+    blend,
     make_batch,
     sample_beta,
     sample_gamma,
@@ -371,9 +372,33 @@ def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     with pytest.raises(ValueError):  # one config per generator
         make_batch(pool, lam, _generators((1, 2)))
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
-    pool = CrossDomainPool.of(tgt, src, partial, space)
     with pytest.raises(KeyError):  # target class 1 has no paired source
+        pool = CrossDomainPool.of(tgt, src, partial, space)
         make_batch(pool, BetaSampler([cfg], 32), rng)
+
+
+def test_a_pool_rejects_a_paired_source_class_with_no_rows(mix_world):
+    src, tgt, plan = mix_world
+    keep = src.y != 4  # source class 4, paired to target 0, loses its rows
+    gap = Dataset(src.X[keep], src.y[keep], src.class_count, Domain.SOURCE)
+    with pytest.raises(DataError, match="source class 4 has no samples"):
+        CrossDomainPool.of(tgt, gap, plan, mix_space(tgt, plan))
+
+
+def test_blend_is_the_dense_mixup_rule_bit_for_bit():
+    # the dense rule: λ·eye[a] + (1−λ)·eye[b] and λ·Xa + (1−λ)·Xb, on
+    # stacked (S, B) rows, some of them in-domain pairs of one class
+    rng = np.random.default_rng(21)
+    S, B, d, width = 3, 40, 5, 7
+    lam = rng.uniform(0.01, 0.99, size=(S, B))
+    Xa, Xb = rng.normal(size=(S, B, d)), rng.normal(size=(S, B, d))
+    a, b = rng.integers(width, size=(S, B)), rng.integers(width, size=(S, B))
+    b[:, ::3] = a[:, ::3]
+    X, P = blend(lam, Xa, Xb, a, b, width)
+    eye, lams = np.eye(width), lam[..., None]
+    assert X.tobytes() == (lams * Xa + (1.0 - lams) * Xb).tobytes()
+    assert P.tobytes() == (lams * eye[a] + (1.0 - lams) * eye[b]).tobytes()
+    assert (a == b).any() and (a != b).any()
 
 
 # ------------------------------------------- one generator per cell

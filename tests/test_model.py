@@ -16,6 +16,7 @@ from xmixup.model import (
     forward_cache,
     init,
     init_linear,
+    learning_rate,
     load_params,
     log_softmax,
     loss_and_grad_arrays,
@@ -149,7 +150,7 @@ def test_sgd_momentum_follows_frozen_quadratic_trajectory():
     snaps = {}
     for it in range(200):
         grads = _quadratic_grads(params.layers[0][0].ravel())
-        sgd_step(params, grads, velocity, cfg, it)
+        sgd_step(params, grads, velocity, cfg, learning_rate(cfg, it))
         snaps[it + 1] = params.layers[0][0].ravel().copy()
     assert np.allclose(snaps[1], QUAD_W1, atol=1e-15)
     assert np.allclose(snaps[2], QUAD_W2, atol=1e-15)
@@ -166,7 +167,7 @@ def test_sgd_weight_decay_skips_biases():
     velocity = ModelParams.zeros_like(params)
     cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.5, iterations=10, lr_drop_at=10)
     after = params.copy()  # sgd_step updates in place
-    sgd_step(after, zero_grads, velocity, cfg, 0)
+    sgd_step(after, zero_grads, velocity, cfg, learning_rate(cfg, 0))
     for (w0, b0), (w1, b1) in zip(
         params.layers + [params.head], after.layers + [after.head]
     ):
@@ -182,9 +183,9 @@ def test_sgd_learning_rate_drop_applies_at_boundary():
     # each step starts from its own copy of params and velocity: sgd_step
     # updates both in place
     before_drop = params.copy()
-    sgd_step(before_drop, grads, velocity.copy(), cfg, 4)
+    sgd_step(before_drop, grads, velocity.copy(), cfg, learning_rate(cfg, 4))
     after_drop = params.copy()
-    sgd_step(after_drop, grads, velocity.copy(), cfg, 5)
+    sgd_step(after_drop, grads, velocity.copy(), cfg, learning_rate(cfg, 5))
     assert np.allclose(before_drop.layers[0][0], -1.0)
     assert np.allclose(after_drop.layers[0][0], -0.1)
 
@@ -194,7 +195,7 @@ def test_sgd_zero_lr_keeps_params_fixed():
     grads = ModelParams.from_arrays(params, [np.ones_like(a) for a in params.arrays()])
     cfg = TrainConfig(lr=0.0, momentum=0.9, weight_decay=0.1, iterations=5, lr_drop_at=5)
     after = params.copy()  # sgd_step updates in place
-    sgd_step(after, grads, ModelParams.zeros_like(params), cfg, 0)
+    sgd_step(after, grads, ModelParams.zeros_like(params), cfg, learning_rate(cfg, 0))
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), after.arrays()))
 
 
@@ -229,7 +230,7 @@ def test_sgd_in_place_steps_are_bit_equal_to_the_functional_formula():
         ref_w, ref_v = _functional_sgd(
             ref_w, [a.copy() for a in grads.arrays()], ref_v, cfg, it
         )
-        sgd_step(params, grads, velocity, cfg, it)
+        sgd_step(params, grads, velocity, cfg, learning_rate(cfg, it))
         for got, want in zip(params.arrays() + velocity.arrays(), ref_w + ref_v):
             assert got.tobytes() == want.tobytes(), it
 
@@ -241,7 +242,8 @@ def test_sgd_rejects_a_non_finite_gradient_before_touching_params():
     grads.head[1][0] = np.nan
     cfg = TrainConfig(iterations=5, lr_drop_at=5)
     with pytest.raises(NumericError, match="non-finite gradient"):
-        sgd_step(params, grads, ModelParams.zeros_like(params), cfg, 0)
+        zero = ModelParams.zeros_like(params)
+        sgd_step(params, grads, zero, cfg, learning_rate(cfg, 0))
     assert params.flat.tobytes() == before.flat.tobytes()
 
 
@@ -311,14 +313,14 @@ def test_stacked_step_is_bit_equal_to_each_model_alone():
     cfg = TrainConfig(
         lr=0.05, momentum=0.9, weight_decay=0.01, iterations=3, lr_drop_at=3
     )
-    sgd_step(stack, grads, ModelParams.zeros_like(stack), cfg, 0)
+    sgd_step(stack, grads, ModelParams.zeros_like(stack), cfg, learning_rate(cfg, 0))
     _, logits = forward(stack, X)
     assert losses.shape == (3,)
     for s, model in enumerate(models):
         loss, g = loss_and_grad_arrays(model, X[s], P[s])
         assert np.float64(loss).tobytes() == losses[s].tobytes()
         assert g.flat.tobytes() == before_step[s].tobytes()
-        sgd_step(model, g, ModelParams.zeros_like(model), cfg, 0)
+        sgd_step(model, g, ModelParams.zeros_like(model), cfg, learning_rate(cfg, 0))
         assert model.flat.tobytes() == stack.row(s).flat.tobytes()
         assert forward(model, X[s])[1].tobytes() == logits[s].tobytes()
 
@@ -340,7 +342,8 @@ def test_stacked_checks_name_the_failing_model():
     grads = ModelParams.zeros_like(stack)
     grads.flat[0, -1] = np.nan
     with pytest.raises(NumericError, match="non-finite gradient") as info:
-        sgd_step(stack, grads, ModelParams.zeros_like(stack), TrainConfig(), 0)
+        cfg = TrainConfig()
+        sgd_step(stack, grads, ModelParams.zeros_like(stack), cfg, learning_rate(cfg, 0))
     assert info.value.cell == 0
 
 

@@ -13,7 +13,7 @@ from tests.conftest import flat, numeric_gradient
 from xmixup import training
 from xmixup.dataset import Dataset, Domain, split
 from xmixup.errors import ConfigError, DataError, NumericError
-from xmixup.mixup import LabelSpace, MixupConfig
+from xmixup.mixup import CrossDomainPool, LabelSpace, MixupConfig
 from xmixup.model import (
     ModelParams,
     TrainConfig,
@@ -21,9 +21,11 @@ from xmixup.model import (
     cross_entropy,
     forward_cache,
     init,
+    learning_rate,
     loss_and_grad_arrays,
     sgd_step,
 )
+from xmixup.pairing import PairingPlan
 from xmixup.training import (
     DRAW_BLOCK,
     NEEDS_MIXUP,
@@ -93,6 +95,20 @@ def test_source_strategies_require_plan_and_source(world):
     for strat in (Strategy.xmixup(MIX), Strategy.seqtrain(), Strategy.cotrain()):
         with pytest.raises(ConfigError):
             finetune(world["pre"], world["train"], None, None, strat, FAST, world["test"])
+
+
+def test_finetune_rejects_a_plan_that_misses_a_target_class(world, monkeypatch):
+    plan = world["plan"]
+    kept = {t: list(srcs) for t, srcs in plan.per_target.items() if t != 0}
+    partial = PairingPlan(kept, {t: plan.scores[t] for t in kept}, plan.n_rounds)
+    steps = []
+    monkeypatch.setattr(training, "sgd_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=r"plan misses target classes \[0\]"):
+        finetune(
+            world["pre"], world["train"], world["src"], partial,
+            Strategy.xmixup(MIX), FAST, world["test"],
+        )
+    assert steps == []
 
 
 def test_finetune_rejects_mismatched_shapes(world):
@@ -534,6 +550,24 @@ def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
     assert batch_fn.__qualname__ == "_mixed.<locals>.draw"
 
 
+def test_a_finetune_call_builds_one_pool_for_every_source_kind(world, monkeypatch):
+    # xmixup's rows draw across seqtrain's phase switch, in two segments,
+    # beside seqtrain's auxiliary rows and cotrain's joint rows
+    real, built = CrossDomainPool.of, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(CrossDomainPool, "of", counted)
+    strategies = [Strategy.xmixup(MIX), Strategy.seqtrain(15), Strategy.cotrain()]
+    finetune(
+        world["pre"], world["train"], world["src"], world["plan"],
+        strategies, [FAST] * 3, world["test"],
+    )
+    assert len(built) == 1
+
+
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
 # cotrain's (target, pool) bound pairs, drawn as one bound per column
 COLUMN_BOUNDS = ((1, 2**32 - 5), (2**32 - 5, 1), (7, 60), (2**31 + 3, 640))
@@ -606,7 +640,7 @@ def test_pretrain_matches_an_unstacked_reference_loop(toy_source):
         acts, pres, _, logits = forward_cache(params, X[idx])
         _, dlogits = cross_entropy(logits, eye[y[idx]])
         grads = backward_from_dlogits(params, acts, pres, dlogits)
-        sgd_step(params, grads, velocity, cfg, it)
+        sgd_step(params, grads, velocity, cfg, learning_rate(cfg, it))
     assert not params.stacked and got.flat.tobytes() == params.flat.tobytes()
 
 
