@@ -341,7 +341,7 @@ def compact_classes(ds: Dataset) -> tuple[Dataset, dict[int, int]]:
     Returns the relabeled dataset and the old->new label map. Used before
     splitting subset datasets whose class range has gaps.
     """
-    present = np.unique(ds.y)
+    present = np.flatnonzero(np.bincount(ds.y, minlength=ds.class_count))
     if not present.size:
         raise DataError("cannot compact an empty dataset")
     remap = {old: new for new, old in enumerate(present.tolist())}

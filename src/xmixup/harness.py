@@ -20,6 +20,10 @@ output order, each with the key columns of its row; one writer, _grid_table,
 trains them and writes the table, the optional mean-accuracy chart and the
 manifest entries.
 
+The harness builds no plans: `pair` and `sweep-size` expand one
+pairing.centroid_similarity per command to their thresholds, and
+`randomize-aux` takes its control plans from pairing.random_plan.
+
 Artifacts are checked against each other where they are loaded: datasets,
 checkpoint and plan that do not fit together are a DataError, not a
 failure deep inside a step.
@@ -51,11 +55,12 @@ from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, load_params, save_params
 from .pairing import (
     PairingPlan,
-    compute_centroids,
+    centroid_similarity,
+    default_threshold,
     expand_until_threshold,
     load_plan,
+    random_plan,
     save_plan,
-    similarity,
 )
 from .svg import bar_chart, line_chart, write_svg
 from .training import (
@@ -273,32 +278,15 @@ def step_pretrain(cfg: ExperimentConfig, out: Path) -> dict:
     return info
 
 
-def default_threshold(tgt_train: Dataset) -> int:
-    """Auxiliary sample budget when none is configured: 2.5x the target set.
-
-    Sized so the default suite selects a single pairing round; a second round
-    drags in weakly-matched source classes that dilute the label mixing.
-    """
-    return 5 * len(tgt_train) // 2
-
-
 def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
     return cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
-
-
-def build_plan(
-    params: ModelParams, src_train: Dataset, tgt_train: Dataset, threshold: int
-) -> PairingPlan:
-    sims = similarity(
-        compute_centroids(src_train, params), compute_centroids(tgt_train, params)
-    )
-    return expand_until_threshold(sims, src_train.class_sizes(), threshold)
 
 
 def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
     lab = load_lab(out, with_plan=False)
     threshold = _threshold(cfg, lab.tgt_train)
-    plan = build_plan(lab.pretrained, lab.src_train, lab.tgt_train, threshold)
+    sims = centroid_similarity(lab.pretrained, lab.src_train, lab.tgt_train)
+    plan = expand_until_threshold(sims, lab.src_train.class_sizes(), threshold)
     save_plan(plan, out / PLAN)
     info = {
         "config_hash": cfg.hash(),
@@ -590,9 +578,10 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
         base = len(lab.tgt_train)
         grid = (base, 2 * base, 4 * base, 8 * base)
     sizes = lab.src_train.class_sizes()
+    sims = centroid_similarity(lab.pretrained, lab.src_train, lab.tgt_train)
     cells, keys = [], []
     for t in grid:
-        plan = build_plan(lab.pretrained, lab.src_train, lab.tgt_train, t)
+        plan = expand_until_threshold(sims, sizes, t)
         chosen = plan.selected_sources()
         for seed in cfg.seeds:
             cells.append(Cell(Strategy.xmixup(cfg.mixup), seed, plan))
@@ -603,32 +592,6 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
         lambda k: float(k[2]),
     )
     return _grid_table(cfg, out, lab, "sweep_size", header, cells, keys, chart)
-
-
-def random_plan(
-    n_target: int, m: int, src_class_sizes: dict[int, int], threshold: int, rng
-) -> PairingPlan:
-    """Similarity-blind control: deal a shuffled source-class order to the
-    targets round-robin until the sample budget is met. Scores are zero."""
-    if m < n_target:
-        raise ValueError(f"need at least {n_target} source classes, got {m}")
-    order = [int(c) for c in rng.permutation(m)]
-    per_target: dict[int, list[int]] = {t: [] for t in range(n_target)}
-    scores: dict[int, list[float]] = {t: [] for t in range(n_target)}
-    total = 0
-    n_rounds = 0
-    taken = 0
-    while taken < m:
-        chunk = order[taken : taken + n_target]
-        for t, s in enumerate(chunk):
-            per_target[t].append(s)
-            scores[t].append(0.0)
-            total += src_class_sizes[s]
-        taken += len(chunk)
-        n_rounds += 1
-        if total >= threshold:
-            break
-    return PairingPlan(per_target, scores, n_rounds, exhausted=taken >= m)
 
 
 def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[list]:

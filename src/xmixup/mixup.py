@@ -13,10 +13,11 @@ runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
-What does not change from step to step is built once, per fine-tune call: a
-CrossDomainPool checks the target and source rows and holds them in one
-array with the plan as a padded table, and a BetaSampler holds each cell's
-λ constants. make_batch(pool, sampler, rngs) is the per-step function.
+What does not change from step to step is built ahead of the steps: a
+CrossDomainPool, built once per fine-tune call, checks the target and source
+rows and holds them in one array with the plan as a padded table, and a
+BetaSampler, built once per training segment, holds each cell's λ constants.
+make_batch(pool, sampler, rngs) is the per-step function.
 
 make_batch and BetaSampler serve the cells of a stack: a BetaSampler is
 built from a list of MixupConfigs, one per cell, make_batch takes one, and
@@ -31,7 +32,7 @@ blends and the Gamma rejection arithmetic run once over all cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,33 +61,36 @@ class MixupConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelSpace:
     """Unified label indexing: target classes take [0, n), selected source
-    classes take [n, L) in ascending original-id order.
-
-    `source_columns[c]` is the unified column of source class c, or -1 when c
-    is not selected; it covers source ids up to the largest selected one.
+    classes take [n, L) in ascending original-id order. Spaces compare and
+    hash by these two fields.
     """
 
     n_target: int
     source_classes: tuple[int, ...]
-    source_columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_target < 1:
             raise ValueError("need at least one target class")
-        self.source_classes = tuple(self.source_classes)
+        object.__setattr__(self, "source_classes", tuple(self.source_classes))
         if list(self.source_classes) != sorted(set(self.source_classes)):
             raise ValueError("source classes must be sorted and distinct")
-        self.source_columns = np.full(max(self.source_classes, default=-1) + 1, -1)
-        self.source_columns[list(self.source_classes)] = self.n_target + np.arange(
-            len(self.source_classes)
-        )
 
     @property
     def size(self) -> int:
         return self.n_target + len(self.source_classes)
+
+    @property
+    def source_columns(self) -> np.ndarray:
+        """The unified column of each source class, -1 where it is not
+        selected, for source ids up to the largest selected one."""
+        columns = np.full(max(self.source_classes, default=-1) + 1, -1)
+        columns[list(self.source_classes)] = self.n_target + np.arange(
+            len(self.source_classes)
+        )
+        return columns
 
 
 #: (α, β) pairs covered by the sampler's distributional self-checks — spans

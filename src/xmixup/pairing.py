@@ -5,9 +5,15 @@ cosine similarity between per-class feature centroids (features come from a
 frozen extractor). Greedy matching repeatedly fixes the globally most similar
 unmatched pair; `optimal_pair` is the exhaustive oracle it is tested against.
 Multi-round expansion reruns the matching on the not-yet-selected source
-classes until the selected source samples reach a size threshold. A
-PairingPlan holds its pairs and nothing derived from them; the mixup module
-builds its lookup table once per training segment.
+classes until the selected source samples reach a size threshold.
+
+Every plan the commands train on is built here, by that one budget loop:
+`centroid_similarity` computes both domains' centroids and their similarity
+once, and `expand_until_threshold` expands it to a threshold (the
+configured one or `default_threshold`); `random_plan`, the similarity-blind
+control, runs the same loop over similarities that rank a shuffled source
+order. A PairingPlan holds its pairs and nothing derived from them; the
+mixup module builds its lookup table once per fine-tune call.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +138,13 @@ def similarity(src: np.ndarray, tgt: np.ndarray) -> SimilarityMatrix:
     return SimilarityMatrix(unit(tgt, "target") @ unit(src, "source").T)
 
 
+def centroid_similarity(
+    params: ModelParams, src: Dataset, tgt: Dataset
+) -> SimilarityMatrix:
+    """Similarity of the target to the source class centroids under params."""
+    return similarity(compute_centroids(src, params), compute_centroids(tgt, params))
+
+
 def _greedy_round(sims: np.ndarray, avail_sources: np.ndarray) -> list[tuple[int, int]]:
     """Greedily match targets to available sources, best global pair first.
 
@@ -232,6 +245,33 @@ def expand_until_threshold(
         if total >= threshold:
             break
     return PairingPlan(per_target, scores, n_rounds, exhausted=not avail.any())
+
+
+def default_threshold(tgt_train: Dataset) -> int:
+    """Auxiliary sample budget when none is configured: 2.5x the target set.
+
+    Sized so the default suite selects a single pairing round; a second round
+    drags in weakly-matched source classes that dilute the label mixing.
+    """
+    return 5 * len(tgt_train) // 2
+
+
+def random_plan(
+    n_target: int, m: int, src_class_sizes: dict[int, int], threshold: int, rng
+) -> PairingPlan:
+    """Similarity-blind control: deal a shuffled source-class order to the
+    targets round-robin until the sample budget is met. Scores are zero.
+
+    Every target ranks the sources alike, earlier in the order higher, so
+    expand_until_threshold's rounds, ties broken toward the smaller target,
+    hand targets 0, 1, ... the next classes of the order in turn.
+    """
+    rank = np.empty(m)
+    rank[rng.permutation(m)] = np.arange(m)
+    sims = SimilarityMatrix(np.tile(-rank / m, (n_target, 1)))
+    plan = expand_until_threshold(sims, src_class_sizes, threshold)
+    zeros = {t: [0.0] * len(srcs) for t, srcs in plan.per_target.items()}
+    return replace(plan, scores=zeros)
 
 
 _PLAN_HEADER = "round,target_class,source_class,similarity"

@@ -1,5 +1,9 @@
 """Dataset generation, CSV round-trips, and split behavior."""
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +362,24 @@ def test_compact_classes_relabels_densely():
     assert np.array_equal(compact.X, sub.X)
     with pytest.raises(DataError):
         compact_classes(Dataset(np.empty((0, 2)), [], 3, Domain.SOURCE))
+
+
+def test_compact_classes_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, and the module stays
+    # loaded for the life of the process
+    code = (
+        "import sys\n"
+        "from xmixup.dataset import class_subset, compact_classes, gen_source\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "compact_classes(class_subset(gen_source(5, 6, 3, 0.4, seed=2), [1, 4]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

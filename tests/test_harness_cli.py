@@ -39,18 +39,16 @@ from xmixup.config import (
 )
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError, NumericError
-from xmixup import dataset, harness, training
+from xmixup import dataset, harness, pairing, training
 from xmixup.harness import (
     COMPARISON_HEADER,
     Cell,
-    default_threshold,
     load_lab,
-    random_plan,
     run_grid,
 )
 from xmixup.mixup import MixupConfig
 from xmixup.model import init, load_params, save_params
-from xmixup.pairing import load_plan
+from xmixup.pairing import default_threshold, load_plan, random_plan
 from xmixup.training import Strategy, StrategyKind, finetune
 
 MINI = {
@@ -293,6 +291,23 @@ def test_sweep_size_reports_selection_growth(tmp_path):
     assert lines[0] == "threshold,selected_classes,selected_samples,seed,accuracy"
     by_threshold = {int(r.split(",")[0]): int(r.split(",")[2]) for r in lines[1:]}
     assert by_threshold[70] >= by_threshold[20] >= 20
+
+
+def test_sweep_size_computes_the_centroids_once_per_domain(tmp_path, monkeypatch):
+    config = mini_config(tmp_path, seeds=[0], threshold_grid=[20, 40, 70, 120])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    domains = []
+    centroids = pairing.compute_centroids
+
+    def spy(ds, params):
+        domains.append(ds.domain.value)
+        return centroids(ds, params)
+
+    monkeypatch.setattr(pairing, "compute_centroids", spy)
+    assert main(["sweep-size", "--config", str(config), "--out", str(out)]) == 0
+    assert domains == ["source", "target"]
 
 
 def test_random_plan_is_a_shuffled_cover():

@@ -215,6 +215,15 @@ def test_label_space_indexing():
         LabelSpace(3, (2, 2))
 
 
+def test_label_spaces_compare_and_hash_by_value():
+    space = LabelSpace(3, (1, 4))
+    assert space == LabelSpace(3, [1, 4])
+    assert hash(space) == hash(LabelSpace(3, (1, 4)))
+    assert space != LabelSpace(3, (1, 5))
+    assert space != LabelSpace(4, (1, 4))
+    assert len({space, LabelSpace(3, (1, 4)), LabelSpace(3, ())}) == 2
+
+
 @pytest.fixture(scope="module")
 def mix_world():
     src = gen_source(6, 8, 3, 0.4, seed=10)

@@ -18,6 +18,7 @@ from xmixup.pairing import (
     greedy_pair,
     load_plan,
     optimal_pair,
+    random_plan,
     save_plan,
     similarity,
 )
@@ -310,3 +311,46 @@ def test_expansion_on_generated_data_hits_threshold(toy_pretrained):
     total = sum(10 for _ in plan.selected_sources())
     assert total >= 35
     assert plan.n_rounds >= 1
+
+
+def _selected_after_each_round(plan: PairingPlan, sizes: dict[int, int]) -> list[int]:
+    """The selected sample count after each round of the plan."""
+    totals, total = [], 0
+    for r in range(1, plan.n_rounds + 1):
+        total += sum(sizes[s] for s in plan.round_map(r).values())
+        totals.append(total)
+    return totals
+
+
+@pytest.mark.parametrize("builder", ["centroid", "random"])
+def test_both_plan_builders_keep_one_budget_rule(builder):
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(n, 16))
+        sizes = {c: int(rng.integers(0, 12)) for c in range(m)}
+        threshold = int(rng.integers(0, 12 * m))
+        if builder == "centroid":
+            sims = SimilarityMatrix(rng.uniform(-1.0, 1.0, (n, m)))
+            plan = expand_until_threshold(sims, sizes, threshold)
+        else:
+            plan = random_plan(n, m, sizes, threshold, rng)
+        totals = _selected_after_each_round(plan, sizes)
+        taken = len(plan.selected_sources())
+        assert all(total < threshold for total in totals[:-1])
+        assert totals[-1] >= threshold or taken == m
+        assert plan.exhausted == (taken == m)
+
+
+def test_random_plan_deals_a_permutation_round_robin():
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(n, 16))
+        sizes = {c: int(rng.integers(1, 12)) for c in range(m)}
+        threshold = int(rng.integers(0, 12 * m))
+        order = np.random.default_rng(seed).permutation(m)
+        plan = random_plan(n, m, sizes, threshold, np.random.default_rng(seed))
+        for t, srcs in plan.per_target.items():
+            assert srcs == [order[r * n + t] for r in range(len(srcs))]
+            assert plan.scores[t] == [0.0] * len(srcs)
