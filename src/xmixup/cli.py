@@ -57,8 +57,8 @@ def _apply_set(raw: dict, assignment: str) -> None:
 def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:  # missing, a directory, or not readable
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
     except ValueError as e:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:  # OSError: a missing or unusable artifact path
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -238,13 +238,22 @@ def save_dataset(ds: Dataset, path) -> None:
     write_table(path, header, rows)
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text artifact, less the empty one after its last
+    newline; a file that is not UTF-8 is a ParseError naming it."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e}", path=path) from None
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset; a malformed one is a
     ParseError naming the file and the line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("empty file", line=1, path=path)
 

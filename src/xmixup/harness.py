@@ -214,7 +214,7 @@ def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResu
     seed). So the seven strategies train as two stacks at any number of
     seeds. A cell's result does not depend on which cells share its stack.
     Mixing cells must share the β of their MixupConfig, as every step's
-    cells do.
+    cells do. A NumericError's `cell` is the failing cell's index in `cells`.
     """
     stacks: dict[int | None, list[int]] = {}
     for i, cell in enumerate(cells):
@@ -222,15 +222,20 @@ def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResu
         stacks.setdefault(key, []).append(i)
     results: list[RunResult | None] = [None] * len(cells)
     for stack in stacks.values():
-        trained = finetune(
-            lab.pretrained,
-            lab.tgt_train,
-            lab.src_train,
-            cells[stack[0]].plan,
-            [cells[i].strategy for i in stack],
-            [replace(cfg.finetune, seed=cells[i].seed) for i in stack],
-            lab.tgt_test,
-        )
+        try:
+            trained = finetune(
+                lab.pretrained,
+                lab.tgt_train,
+                lab.src_train,
+                cells[stack[0]].plan,
+                [cells[i].strategy for i in stack],
+                [replace(cfg.finetune, seed=cells[i].seed) for i in stack],
+                lab.tgt_test,
+            )
+        except NumericError as e:  # name the cell by its index in `cells`
+            if e.cell is None:
+                raise
+            raise NumericError(str(e), cell=stack[e.cell]) from None
         for i, result in zip(stack, trained):
             results[i] = result
     return results
@@ -544,9 +549,7 @@ def _grid_table(
             by_key.setdefault(key, []).append(r.accuracy)
         xs = [x_of_key(key) for key in by_key]
         ys = [float(np.mean(accs)) for accs in by_key.values()]
-        svg = line_chart(
-            [("xmixup", xs, ys)], title=title, xlabel=xlabel, ylabel="mean accuracy"
-        )
+        svg = line_chart("xmixup", xs, ys, title, xlabel, "mean accuracy")
         write_svg(svg, out / f"{name}.svg")
         entries[f"{name}_chart"] = f"{name}.svg"
     update_manifest(out, cfg, entries)

@@ -22,12 +22,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .atomic import write_table
-from .dataset import Dataset
+from .dataset import Dataset, read_lines
 from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, features
 
@@ -287,9 +286,7 @@ def save_plan(plan: PairingPlan, path) -> None:
 def load_plan(path) -> PairingPlan:
     """Read a plan CSV written by save_plan; a malformed one, a round that
     pairs a source class twice included, is a ParseError."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     flags = {"exhausted,true": True, "exhausted,false": False}
     if not lines or lines[0] not in flags:
         raise ParseError(

@@ -18,6 +18,7 @@ _PALETTE = [
     "#8c564b",
     "#e377c2",
 ]
+_WIDTH, _HEIGHT = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 32, 48
 
 
@@ -32,10 +33,10 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _frame(width, height, title, xlabel, ylabel, x0, x1, y0, y1):
+def _frame(title, xlabel, ylabel, x0, x1, y0, y1):
     """Opening tag, axes, tick marks and labels; returns (parts, to_px)."""
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def to_px(x, y):
         px = _MARGIN_L + (x - x0) / (x1 - x0) * pw
@@ -43,12 +44,12 @@ def _frame(width, height, title, xlabel, ylabel, x0, x1, y0, y1):
         return px, py
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
-        f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>',
         f'<text x="14" y="{_MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
@@ -81,63 +82,40 @@ def _frame(width, height, title, xlabel, ylabel, x0, x1, y0, y1):
 
 
 def line_chart(
-    series: list[tuple[str, list[float], list[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 400,
+    label: str, xs: list[float], ys: list[float], title: str, xlabel: str, ylabel: str
 ) -> str:
-    """Multi-series line chart; series is a list of (label, xs, ys)."""
-    if not series:
-        raise ValueError("need at least one series")
-    for label, xs, ys in series:
-        if len(xs) != len(ys) or not xs:
-            raise ValueError(f"series {label!r} needs equal-length non-empty x/y")
-    x0, x1 = _padded(
-        min(min(xs) for _, xs, _ in series), max(max(xs) for _, xs, _ in series)
+    """Line chart of one series, the points (xs, ys), with a legend entry."""
+    if len(xs) != len(ys) or not xs:
+        raise ValueError(f"series {label!r} needs equal-length non-empty x/y")
+    x0, x1 = _padded(min(xs), max(xs))
+    y0, y1 = _padded(min(ys), max(ys))
+    parts, to_px = _frame(title, xlabel, ylabel, x0, x1, y0, y1)
+    color = _PALETTE[0]
+    pts = " ".join(f"{px:.1f},{py:.1f}" for px, py in map(to_px, xs, ys))
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
     )
-    y0, y1 = _padded(
-        min(min(ys) for *_, ys in series), max(max(ys) for *_, ys in series)
+    for px, py in map(to_px, xs, ys):
+        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>')
+    ly, lx = _MARGIN_T + 14, _WIDTH - _MARGIN_R - 130
+    parts.append(
+        f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 20}" y2="{ly - 4}" '
+        f'stroke="{color}" stroke-width="2"/>'
     )
-    parts, to_px = _frame(width, height, title, xlabel, ylabel, x0, x1, y0, y1)
-    for k, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{px:.1f},{py:.1f}" for px, py in map(to_px, xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        for px, py in map(to_px, xs, ys):
-            parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>')
-        ly = _MARGIN_T + 14 + 16 * k
-        lx = width - _MARGIN_R - 130
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 20}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 26}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+    parts.append(
+        f'<text x="{lx + 26}" y="{ly}" font-family="sans-serif" '
+        f'font-size="11">{label}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def bar_chart(
-    labels: list[str],
-    values: list[float],
-    title: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 400,
-) -> str:
+def bar_chart(labels: list[str], values: list[float], title: str, ylabel: str) -> str:
     """Vertical bar chart with one bar per label."""
     if not labels or len(labels) != len(values):
         raise ValueError("need equal-length non-empty labels/values")
     y0, y1 = _padded(min(0.0, min(values)), max(values))
-    parts, to_px = _frame(
-        width, height, title, "", ylabel, 0.0, float(len(labels)), y0, y1
-    )
+    parts, to_px = _frame(title, "", ylabel, 0.0, float(len(labels)), y0, y1)
     for k, (label, v) in enumerate(zip(labels, values)):
         x_left, y_top = to_px(k + 0.15, max(v, 0.0))
         x_right, y_base = to_px(k + 0.85, min(v, 0.0))
@@ -149,7 +127,7 @@ def bar_chart(
         )
         cx = (x_left + x_right) / 2
         parts.append(
-            f'<text x="{cx:.1f}" y="{height - _MARGIN_B + 18}" text-anchor="middle" '
+            f'<text x="{cx:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
         parts.append(

@@ -4,7 +4,8 @@ Every strategy fine-tunes a pre-trained extractor with a fresh head over the
 unified label space (target classes first, then any selected source
 classes), and every one is the same SGD loop fed a different batch: a
 strategy is a list of phases, each a budget and a batch kind (_phases), and
-one driver, _run_segments, steps every phase and pretrain alike. _BATCH maps
+one trainer, _train, cuts a stack's phases into segments and steps them
+through _run_segments, for finetune and pretrain alike. _BATCH maps
 each strategy to its batch kind, a module-level function; those that draw
 source rows read one CrossDomainPool, and the mixing ones mix by blend:
 
@@ -228,15 +229,6 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
     return trace
 
 
-def _run_sgd(
-    params, cfg, batch_fn, loss_fn, cells: list[str] | None = None
-) -> np.ndarray:
-    """`cfg.iterations` steps of one batch function under cfg's schedule:
-    one segment of _run_segments."""
-    lrs = [learning_rate(cfg, it) for it in range(cfg.iterations)]
-    return _run_segments(params, cfg, loss_fn, [(batch_fn, lrs, [])], cells)
-
-
 #: Steps of index draws that _index_blocks takes in one call per generator.
 DRAW_BLOCK = 64
 
@@ -262,7 +254,8 @@ def _index_blocks(rngs: list, high, shape: tuple, steps: int):
 
 def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelParams:
     """Train extractor + source head from scratch on the source dataset:
-    one cell on uniformly drawn source rows, stepped as a stack of one."""
+    one l2 cell, named "pretrain", on uniformly drawn source rows, trained
+    by _train as a stack of one."""
     if src_train.class_count < 2:
         raise ValueError("pre-training needs at least 2 source classes")
     if len(src_train) == 0:
@@ -270,13 +263,8 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
     space = LabelSpace(src_train.class_count, ())
     ctx = _Context.of(src_train, None, None, space, cfg.batch_size)
-    batch = _target_rows(ctx, [(_target_rows, cfg.seed, None, 0)], cfg.iterations)
-
-    def loss_fn(p, X, P, _, out):  # target rows only: no masked loss
-        return stack_loss_and_grad(p, X, P, None, 0, 0, out)
-
     one = ModelParams._over(params, params.flat[None])  # trains params in place
-    _run_sgd(one, cfg, batch, loss_fn, ["pretrain"])
+    _train(one, ctx, [(Strategy.l2(), cfg)], ["pretrain"], None)
     return params
 
 
@@ -561,6 +549,43 @@ def _stack_order(strategy: Strategy) -> tuple:
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
 
 
+def _train(stack, ctx: _Context, cells: list[tuple], names, reference) -> np.ndarray:
+    """Train `stack`, whose row r is the cell (strategy, cfg) cells[r] named
+    names[r], in place on the batches its cells draw from ctx; returns the
+    (iterations, S) loss trace. The cells share their TrainConfig up to the
+    seed. L2-SP cells are pulled toward the extractor of `reference`, which
+    a stack without them may leave None."""
+    n, half, cfg = ctx.space.n_target, ctx.B // 2, cells[0][1]
+
+    # the losses: cross-entropy on soft labels and the masked loss on
+    # cotrain's rows, then the L2-SP penalty of each weight added on its rows
+    penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
+    weights = [s.sp_weight for s, _ in cells]
+    for mu in dict.fromkeys(w for w in weights if w is not None):
+        at = [r for r, w in enumerate(weights) if w == mu]
+        rows = slice(at[0], at[-1] + 1)
+        view = ModelParams._over(stack, stack.flat[rows])
+        penalties.append((rows, mu, view, ModelParams.zeros_like(view)))
+
+    def loss_fn(p, X, P, labels, out):
+        loss, grads = stack_loss_and_grad(p, X, P, labels, n, half, out)
+        for rows, mu, view, pen_grads in penalties:
+            pen, _ = sp_penalty(view, reference, mu, pen_grads)
+            grads.flat[rows] += pen_grads.flat
+            loss[rows] += pen
+        return loss, grads
+
+    # the segments: runs of iterations in which no row changes phase; a
+    # row's phases follow each other, so its phase is the last one begun
+    phases = [_phases(s, c) for s, c in cells]
+    bounds = sorted({ph[0] for row in phases for ph in row} | {cfg.iterations})
+    segments = []
+    for first, stop in zip(bounds, bounds[1:]):
+        current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
+        segments.append(_segment(ctx, cells, first, stop, current))
+    return _run_segments(stack, cfg, loss_fn, segments, names)
+
+
 def finetune(
     pretrained: ModelParams,
     tgt_train: Dataset,
@@ -583,7 +608,8 @@ def finetune(
     share a label space (all use source data or none does) and every
     TrainConfig field but the seed, and the mixing cells of one batch kind
     the β of their MixupConfig; they train as one stack (see the module
-    docstring). A NumericError names the cell and the iteration.
+    docstring). A NumericError names the cell and the iteration, and its
+    `cell` is the cell's index in the given sequences.
     """
     if isinstance(strategy, Strategy) != isinstance(cfg, TrainConfig):
         raise ValueError("give one strategy and one config, or a sequence of each")
@@ -600,7 +626,6 @@ def finetune(
         )
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ValueError("stacked cells must share the TrainConfig but for the seed")
-    cfg = cfgs[0]
     n = tgt_train.class_count
     if len(tgt_train) == 0:
         raise DataError("cannot fine-tune on an empty target dataset")
@@ -623,8 +648,7 @@ def finetune(
         space = LabelSpace(n, tuple(plan.selected_sources()))
     else:
         space, src = LabelSpace(n, ()), None
-    ctx = _Context.of(tgt_train, src, plan, space, cfg.batch_size)
-    half = cfg.batch_size // 2
+    ctx = _Context.of(tgt_train, src, plan, space, cfgs[0].batch_size)
 
     # the stack's rows: the cells in _stack_order; `order` maps a row to its cell
     order = sorted(range(len(cfgs)), key=lambda i: _stack_order(strategies[i]))
@@ -633,35 +657,12 @@ def finetune(
     heads = [init_linear(space.size, pretrained.feature_width, rng) for rng in rngs]
     # the stack copies the pre-trained layers in
     stack = ModelParams.stack([ModelParams(pretrained.layers, head) for head in heads])
-
-    # the losses: cross-entropy on soft labels and the masked loss on
-    # cotrain's rows, then the L2-SP penalty of each weight added on its rows
-    penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
-    weights = [s.sp_weight for s, _ in cells]
-    for mu in dict.fromkeys(w for w in weights if w is not None):
-        at = [r for r, w in enumerate(weights) if w == mu]
-        rows = slice(at[0], at[-1] + 1)
-        view = ModelParams._over(stack, stack.flat[rows])
-        penalties.append((rows, mu, view, ModelParams.zeros_like(view)))
-
-    def loss_fn(p, X, P, labels, out):
-        loss, grads = stack_loss_and_grad(p, X, P, labels, n, half, out)
-        for rows, mu, view, pen_grads in penalties:
-            pen, _ = sp_penalty(view, pretrained, mu, pen_grads)
-            grads.flat[rows] += pen_grads.flat
-            loss[rows] += pen
-        return loss, grads
-
-    # the segments: runs of iterations in which no row changes phase; a
-    # row's phases follow each other, so its phase is the last one begun
-    phases = [_phases(s, c) for s, c in cells]
-    bounds = sorted({ph[0] for row in phases for ph in row} | {cfg.iterations})
-    segments = []
-    for first, stop in zip(bounds, bounds[1:]):
-        current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
-        segments.append(_segment(ctx, cells, first, stop, current))
     names = [_cell_name(s, c) for s, c in cells]
-    trace = _run_segments(stack, cfg, loss_fn, segments, names)
+    try:
+        trace = _train(stack, ctx, cells, names, pretrained)
+    except NumericError as e:  # name the caller's cell, not its stack row
+        cell = None if e.cell is None else order[e.cell]
+        raise NumericError(str(e), cell=cell) from None
 
     label_space = {"n_target": n, "source_classes": list(space.source_classes)}
     results: list[RunResult | None] = [None] * len(cfgs)
@@ -674,7 +675,7 @@ def finetune(
         try:
             accuracy = evaluate(model, tgt_test)
         except NumericError as e:
-            raise NumericError(f"{names[r]}: {e}", cell=r) from None
+            raise NumericError(f"{names[r]}: {e}", cell=order[r]) from None
         result = RunResult(model, trace[:, r].tolist(), accuracy, c.seed, config)
         results[order[r]] = result
     return results

@@ -946,6 +946,20 @@ def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch)
     assert seven == sorted(draws)
 
 
+def test_run_grid_reports_a_diverging_cell_by_its_grid_index(mini_lab):
+    # l2 and l2sp form the grid's second stack, where l2sp is row 1
+    cfg, lab = mini_lab
+    cells = [
+        Cell(cfg.strategy_for(StrategyKind.XMIXUP), 0, lab.plan),
+        Cell(Strategy.l2(), 0, lab.plan),
+        Cell(Strategy.l2sp(1e300), 0, lab.plan),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"^l2sp seed 0: ") as info:
+            run_grid(cfg, lab, cells)
+    assert info.value.cell == 2
+
+
 # ---------------------------------------------- fuzzed --set values
 
 TINY = {
@@ -1259,6 +1273,43 @@ def test_malformed_artifacts_exit_3_naming_the_file(tiny_runs, tmp_path, case):
     code, err = run_on_copy(tiny_runs, artifact, edit, command, tmp_path)
     assert code == 3, err
     assert err.startswith("data error:") and artifact in err
+
+
+@pytest.mark.parametrize(
+    "artifact, command",
+    [
+        ("plan.csv", "finetune"),
+        ("target_train.csv", "pair"),
+        ("target_train.csv", "finetune"),
+    ],
+)
+def test_a_csv_artifact_that_is_not_utf8_exits_3_naming_the_file(
+    tiny_runs, tmp_path, artifact, command
+):
+    code, err = run_on_copy(
+        tiny_runs, artifact, lambda d: b"\xff\xfe", command, tmp_path
+    )
+    assert code == 3, err
+    assert err.startswith("data error:") and artifact in err
+
+
+def test_paths_of_the_wrong_kind_exit_with_their_documented_code(
+    tiny_runs, tmp_path, capsys
+):
+    config, lab = tiny_runs
+    # a directory as the config file is a configuration error
+    assert main(["pretrain", "--config", str(tmp_path), "--out", str(lab)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    # a directory as the checkpoint is a data error
+    argv = ["eval", "--config", str(config), "--out", str(lab), "--params", str(lab)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    # a regular file as the output directory is a data error; nothing is written
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert out.read_text() == "" and sorted(tmp_path.iterdir()) == [out]
 
 
 # One field or line of one artifact mutated: a field of a CSV line or of a

@@ -378,6 +378,19 @@ def test_a_diverging_l2sp_row_of_a_mixed_stack_is_named(world):
             )
 
 
+def test_a_diverging_cell_is_reported_by_the_callers_index(world):
+    # the stack puts l2's row before l2sp's; the error gives l2sp's place in
+    # the caller's list, not its row
+    strategies = [Strategy.l2sp(1e300), Strategy.l2()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"^l2sp seed 0: iteration \d+: ") as info:
+            finetune(
+                world["pre"], world["train"], None, None,
+                strategies, [FAST] * 2, world["test"],
+            )
+    assert info.value.cell == 0
+
+
 def test_a_diverging_draw_names_its_first_row_where_rows_share_draws(world):
     # the nolabel row of alpha 2 shares the draw of the xmixup row of alpha 2,
     # so the third draw, alpha 1e300's, is the fourth row's
