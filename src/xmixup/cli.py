@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
 Every subcommand takes `--config <json>` and `--out <dir>`; steps read the
-artifacts earlier steps left in the output directory. Config precedence is
-`--set` flags over the `XMIXUP_SEED` environment override over the file.
+artifacts earlier steps left in the output directory. `--set` flags
+override the config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 numeric failure. Every config value is checked when the config loads, and
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from .config import ExperimentConfig, check_distinct, config_from_json
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
     step_ablate,
-    step_eval,
     step_finetune,
     step_gen_data,
     step_pair,
@@ -63,18 +61,6 @@ def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    env = os.environ.get("XMIXUP_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"XMIXUP_SEED must be an integer, got {env!r}") from None
-        for section in ("data", "pretrain"):
-            node = raw.setdefault(section, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"XMIXUP_SEED: {section} is not an object")
-            node["seed"] = seed
-        raw["seeds"] = [seed]
     for assignment in overrides:
         _apply_set(raw, assignment)
     return config_from_json(raw)
@@ -112,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in StrategyKind],
         help="restrict to one strategy (repeatable); default: all configured",
     )
-    p = add("eval", "evaluate a saved checkpoint on the target test set")
-    p.add_argument("--params", required=True, help="checkpoint file to evaluate")
     add("sweep-alpha", "accuracy across the mixing-strength grid")
     add("sweep-size", "accuracy across auxiliary-budget thresholds")
     add("randomize-aux", "compare centroid pairing against random pairing")
@@ -127,6 +111,8 @@ def _dispatch(args) -> None:
     if args.command == "finetune" and args.strategies:
         check_distinct("--strategy", args.strategies)
     out = Path(args.out)  # gen-data makes it; every other command reads it first
+    if out.exists() and not out.is_dir():
+        raise DataError(f"--out {out} is not a directory")
     cmd = args.command
     if cmd == "gen-data":
         counts = step_gen_data(cfg, out)
@@ -149,9 +135,6 @@ def _dispatch(args) -> None:
         )
         for r in step_finetune(cfg, out, strategies=kinds):
             print(f"{r['strategy']} seed {r['seed']}: accuracy {r['accuracy']:.4f}")
-    elif cmd == "eval":
-        info = step_eval(cfg, out, args.params)
-        print(f"accuracy {info['accuracy']:.4f}")
     elif cmd == "sweep-alpha":
         rows = step_sweep_alpha(cfg, out)
         print(f"wrote sweep_alpha.csv ({len(rows)} runs)")

@@ -155,13 +155,6 @@ def load_data(out: Path) -> tuple[Dataset, Dataset, Dataset, Dataset]:
     return sets
 
 
-def _load_checkpoint(path: Path, d: int, hint: str) -> ModelParams:
-    params = load_params(_require(path, hint))
-    if params.d != d:
-        raise DataError(f"{path} takes inputs of width {params.d}, the data has {d}")
-    return params
-
-
 @dataclass(frozen=True)
 class Lab:
     """The artifacts a fine-tuning step reads, loaded and checked."""
@@ -175,7 +168,12 @@ class Lab:
 
 def load_lab(out: Path, with_plan: bool = True) -> Lab:
     src_train, _, tgt_train, tgt_test = load_data(out)
-    pretrained = _load_checkpoint(out / PRETRAINED, src_train.d, "pretrain")
+    pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
+    if pretrained.d != src_train.d:
+        raise DataError(
+            f"{out / PRETRAINED} takes inputs of width {pretrained.d}, "
+            f"the data has {src_train.d}"
+        )
     plan = None
     if with_plan:
         plan = load_plan(_require(out / PLAN, "pair"))
@@ -387,28 +385,6 @@ def step_finetune(
     return records
 
 
-def step_eval(cfg: ExperimentConfig, out: Path, params_path) -> dict:
-    _, _, _, tgt_test = load_data(out)
-    params = _load_checkpoint(Path(params_path), tgt_test.d, "finetune")
-    if params.label_count < tgt_test.class_count:
-        raise DataError(
-            f"{params_path} has {params.label_count} outputs for "
-            f"{tgt_test.class_count} target classes"
-        )
-    try:
-        shown = str(Path(params_path).resolve().relative_to(out.resolve()))
-    except ValueError:
-        shown = str(params_path)
-    info = {
-        "config_hash": cfg.hash(),
-        "params": shown,
-        "accuracy": evaluate(params, tgt_test),
-    }
-    _write_json(info, out / "eval.json")
-    update_manifest(out, cfg, {"eval": "eval.json"})
-    return info
-
-
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -418,10 +394,10 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def write_comparison_csv(
     records: list[dict], path: Path, order: tuple[StrategyKind, ...]
 ) -> None:
-    """Sort records in place by strategy in the given order (any other
-    strategy last), then by seed, and write them as one CSV row each."""
+    """Sort records in place by strategy in the given order, which names
+    every record's strategy, then by seed, and write them as one CSV row each."""
     rank = {k.value: i for i, k in enumerate(order)}
-    records.sort(key=lambda r: (rank.get(r["strategy"], len(rank)), r["seed"]))
+    records.sort(key=lambda r: (rank[r["strategy"]], r["seed"]))
     rows = (
         [r["strategy"], r["seed"]] + [float(r[c]) for c in RECORD_SCORES]
         for r in records
@@ -469,8 +445,9 @@ def write_summary_csv(rows: list[dict], path: Path) -> None:
 def load_run_records(out: Path, config_hash: str) -> list[dict]:
     """Every run record under runs/; a record written under another config
     hash is a DataError naming the first such file, so a report never joins
-    runs of different configs. A record without a strategy name, an integer
-    seed and the four scores as finite numbers is a ParseError."""
+    runs of different configs. A record without the name of a strategy, an
+    integer seed and the four scores as finite numbers, or in a file not
+    named for its strategy and seed (a renamed copy), is a ParseError."""
     runs = out / RUNS_DIR
     if not runs.is_dir():
         raise DataError(f"missing artifact {runs}; run `finetune` first")
@@ -486,8 +463,12 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
                 f"or report it from its own --out directory"
             )
         strategy, seed = record.get("strategy"), record.get("seed")
-        if not isinstance(strategy, str) or type(seed) is not int:
+        if strategy not in [k.value for k in StrategyKind] or type(seed) is not int:
             raise ParseError("a run record needs a strategy name and a seed", path=path)
+        name = run_name(StrategyKind(strategy), seed) + ".json"
+        if path.name != name:
+            message = f"a record of {strategy} seed {seed} belongs in {name}"
+            raise ParseError(message, path=path)
         for key in RECORD_SCORES:
             if not _is_finite(record.get(key)):
                 raise ParseError(f"{key} is not a finite number", path=path)
@@ -499,8 +480,10 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
 
 def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
     records = load_run_records(out, cfg.hash())
-    write_comparison_csv(records, out / "comparison.csv", cfg.strategies)
-    rows = summarize(records, cfg.strategies)
+    # the configured strategies first, then any other a record holds (ablate's)
+    order = cfg.strategies + tuple(k for k in StrategyKind if k not in cfg.strategies)
+    write_comparison_csv(records, out / "comparison.csv", order)
+    rows = summarize(records, order)
     write_summary_csv(rows, out / "summary.csv")
     chart = bar_chart(
         [r["strategy"] for r in rows],

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmixup.analysis import SPECTRUM_ROWS
-from xmixup.cli import _load_config, main
+from xmixup.cli import _build_parser, main
 from xmixup.config import (
     BATCH_MAXIMA,
     DATA_MAXIMA,
@@ -128,14 +128,6 @@ def test_config_hash_tracks_content():
     assert len(a.hash()) == 12
 
 
-def test_override_seed_rewrites_all_seed_fields(tmp_path, monkeypatch):
-    monkeypatch.setenv("XMIXUP_SEED", "9")
-    cfg = _load_config(str(mini_config(tmp_path)), [])
-    assert cfg.data.seed == 9
-    assert cfg.pretrain.seed == 9
-    assert cfg.seeds == (9,)
-
-
 def test_default_threshold_scales_with_target():
     assert default_threshold([0] * 60) == 150
     assert default_threshold([0] * 10) == 25
@@ -206,18 +198,6 @@ def test_manifest_lists_every_artifact(pipeline):
         "comparison",
     }
     assert manifest["config_hash"]
-
-
-def test_eval_subcommand_reports_checkpoint_accuracy(pipeline):
-    config, out = pipeline
-    code = main([
-        "eval", "--config", str(config), "--out", str(out),
-        "--params", str(out / "pretrained.ckpt"),
-    ])
-    assert code == 0
-    info = json.loads((out / "eval.json").read_text())
-    assert info["params"] == "pretrained.ckpt"   # stored relative to --out
-    assert 0.0 <= info["accuracy"] <= 1.0
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -411,8 +391,7 @@ def test_source_split_too_small_for_the_probe_is_a_config_error(tmp_path, capsys
     config = mini_config(tmp_path)
     out = tmp_path / "out"
     commands = [
-        ["gen-data"], ["pretrain"], ["pair"], ["finetune"],
-        ["eval", "--params", str(tmp_path / "none.ckpt")], ["sweep-alpha"],
+        ["gen-data"], ["pretrain"], ["pair"], ["finetune"], ["sweep-alpha"],
         ["sweep-size"], ["randomize-aux"], ["ablate"], ["report"],
     ]
     for cmd in commands:
@@ -471,63 +450,40 @@ def test_corrupt_artifacts_are_data_errors(tmp_path):
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 3
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_the_seed_variable_of_old_releases_changes_nothing(tmp_path, monkeypatch):
+    # XMIXUP_SEED once overrode the seeds; `--set data.seed=7 --set
+    # pretrain.seed=7 --set seeds=[7]` does that now
     config = mini_config(tmp_path)
-    env_out, explicit_out = tmp_path / "env", tmp_path / "explicit"
-
-    monkeypatch.setenv("XMIXUP_SEED", "7")
-    assert main(["gen-data", "--config", str(config), "--out", str(env_out)]) == 0
-    monkeypatch.delenv("XMIXUP_SEED")
-    assert main([
-        "gen-data", "--config", str(config), "--out", str(explicit_out),
-        "--set", "data.seed=7", "--set", "seeds=[7]",
-    ]) == 0
-    assert (env_out / "target_train.csv").read_bytes() == (
-        explicit_out / "target_train.csv"
-    ).read_bytes()
-
-    monkeypatch.setenv("XMIXUP_SEED", "not-a-number")
-    assert main(["gen-data", "--config", str(config), "--out", str(env_out)]) == 2
+    trees = []
+    for seed in ("7", None):
+        if seed is None:
+            monkeypatch.delenv("XMIXUP_SEED")
+        else:
+            monkeypatch.setenv("XMIXUP_SEED", seed)
+        out = tmp_path / f"seed-{seed}"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
 
 
 @pytest.mark.parametrize(
-    "text,seed_env,overrides",
+    "text,overrides",
     [
-        ("[]", None, ["--set", "seeds=[1]"]),
-        ("[]", "3", []),
-        ('{"data": 5}', "3", []),
-        ('{"pretrain": [0]}', "3", []),
+        ("[]", ["--set", "seeds=[1]"]),
+        ("[]", []),
+        ('{"data": 5}', []),
+        ('{"pretrain": [0]}', []),
     ],
 )
 def test_a_config_that_is_not_an_object_exits_2_before_writing(
-    tmp_path, monkeypatch, text, seed_env, overrides
+    tmp_path, text, overrides
 ):
     config = tmp_path / "config.json"
     config.write_text(text)
-    if seed_env is None:
-        monkeypatch.delenv("XMIXUP_SEED", raising=False)
-    else:
-        monkeypatch.setenv("XMIXUP_SEED", seed_env)
     out = tmp_path / "out"
     argv = ["gen-data", "--config", str(config), "--out", str(out), *overrides]
     assert main(argv) == 2
     assert not out.exists()
-
-
-def test_set_flag_beats_env(tmp_path, monkeypatch):
-    config = mini_config(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("XMIXUP_SEED", "7")
-    assert main([
-        "gen-data", "--config", str(config), "--out", str(a),
-        "--set", "data.seed=3",
-    ]) == 0
-    monkeypatch.delenv("XMIXUP_SEED")
-    assert main([
-        "gen-data", "--config", str(config), "--out", str(b),
-        "--set", "data.seed=3",
-    ]) == 0
-    assert (a / "target_train.csv").read_bytes() == (b / "target_train.csv").read_bytes()
 
 
 def test_pair_uses_configured_threshold(tmp_path):
@@ -623,11 +579,10 @@ def test_a_data_count_above_its_maximum_exits_2_before_writing(tmp_path, field):
 def every_command(config: Path, out: Path, assignment: str):
     """The argument lists of every command on `config` under one --set."""
     for cmd in (
-        "gen-data", "pretrain", "pair", "finetune", "eval", "sweep-alpha",
+        "gen-data", "pretrain", "pair", "finetune", "sweep-alpha",
         "sweep-size", "randomize-aux", "ablate", "report",
     ):
-        args = [cmd, "--config", str(config), "--out", str(out), "--set", assignment]
-        yield args + (["--params", str(out / "model.ckpt")] if cmd == "eval" else [])
+        yield [cmd, "--config", str(config), "--out", str(out), "--set", assignment]
 
 
 @pytest.mark.parametrize("budget", sorted(ITERATION_MAXIMA))
@@ -774,6 +729,21 @@ def test_report_rejects_run_records_of_another_config(tmp_path, capsys):
     assert main(["report", "--config", str(config), "--out", str(out)]) == 0
 
 
+def test_report_after_ablate_lists_every_record_in_both_tables(tmp_path):
+    # ablate's recipes are not among the configured strategies: report used
+    # to write them into comparison.csv but not into summary.csv, and to fail
+    # on an empty chart when no record held a configured strategy
+    config = mini_config(tmp_path, seeds=[0], strategies=["l2"])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair", "finetune", "ablate", "report"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0, cmd
+    # the configured strategies first, then the others in StrategyKind order
+    order = ["l2", "mixup-indomain", "xmixup", "xmixup-nolabel"]
+    for table in ("comparison.csv", "summary.csv"):
+        rows = (out / table).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == order, table
+
+
 # ------------------------------------- artifacts that do not fit together
 
 def test_artifacts_that_do_not_fit_are_data_errors(tmp_path, capsys):
@@ -782,21 +752,19 @@ def test_artifacts_that_do_not_fit_are_data_errors(tmp_path, capsys):
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
     # a checkpoint of another input width
-    other = tmp_path / "other.ckpt"
-    save_params(init(5, [8, 6], 6, seed=0), other)
-    assert main([
-        "eval", "--config", str(config), "--out", str(out), "--params", str(other),
-    ]) == 3
+    checkpoint = out / "pretrained.ckpt"
+    pretrained = checkpoint.read_bytes()
+    save_params(init(5, [8, 6], 6, seed=0), checkpoint)
+    capsys.readouterr()
+    assert main(["pair", "--config", str(config), "--out", str(out)]) == 3
+    assert "takes inputs of width 5, the data has 3" in capsys.readouterr().err
+    checkpoint.write_bytes(pretrained)
     # the target test split rewritten one column narrower than the rest
     test = load_dataset(out / "target_test.csv")
     narrow = Dataset(test.X[:, :2], test.y, test.class_count, test.domain)
     save_dataset(narrow, out / "target_test.csv")
-    capsys.readouterr()
-    assert main(["finetune", "--config", str(config), "--out", str(out)]) == 3
-    assert main([
-        "eval", "--config", str(config), "--out", str(out),
-        "--params", str(out / "pretrained.ckpt"),
-    ]) == 3
+    for cmd in ("pair", "finetune"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("data error") == 2 and "target_test.csv has width 2" in err
 
@@ -1127,7 +1095,7 @@ def test_non_finite_features_exit_4_in_pair_and_eval_writing_nothing(
     tiny_lab, tmp_path
 ):
     # every parameter scaled so the largest is 1e300: the features overflow,
-    # and pair used to write NaN similarities and eval an accuracy of NaN logits
+    # and pair used to write NaN similarities
     config, lab = tiny_lab
     out = tmp_path / "out"
     shutil.copytree(lab, out)
@@ -1135,18 +1103,15 @@ def test_non_finite_features_exit_4_in_pair_and_eval_writing_nothing(
     params.flat *= 1e300 / np.abs(params.flat).max()
     save_params(params, out / "pretrained.ckpt")
     before = read_tree(out)
-    for extra in ([], ["--params", str(out / "pretrained.ckpt")]):
-        command = "eval" if extra else "pair"
-        argv = [command, "--config", str(config), "--out", str(out), *extra]
-        stderr = io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                stderr
-            ):
-                code = main(argv)
-        assert code == 4, command
-        assert "non-finite features" in stderr.getvalue(), command
+    stderr = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            stderr
+        ):
+            code = main(["pair", "--config", str(config), "--out", str(out)])
+    assert code == 4
+    assert "non-finite features" in stderr.getvalue()
     assert read_tree(out) == before
 
 
@@ -1177,8 +1142,6 @@ def run_on_copy(tiny_runs, artifact, edit, command, tmp):
     path = out / artifact
     path.write_bytes(edit(path.read_bytes()))
     argv = [command, "--config", str(config), "--out", str(out)]
-    if command == "eval":
-        argv += ["--params", str(out / "pretrained.ckpt")]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(argv)  # any exception fails the test with its traceback
@@ -1227,16 +1190,16 @@ MALFORMED = {
     "plan-source-minus-1-finetune": ("plan.csv", plan_source(0, "-1"), "finetune"),
     # entries 0 and 1 are round 1 of targets 0 and 1
     "plan-source-twice-in-a-round": ("plan.csv", plan_source(1), "finetune"),
-    "ckpt-layer-count-minus-1": ("pretrained.ckpt", lambda d: CKPT + b"-1\n", "eval"),
+    "ckpt-layer-count-minus-1": ("pretrained.ckpt", lambda d: CKPT + b"-1\n", "pair"),
     "ckpt-layer-count-0": (
-        "pretrained.ckpt", lambda d: CKPT + b"0\n2 3\n" + np.ones(8).tobytes(), "eval"
+        "pretrained.ckpt", lambda d: CKPT + b"0\n2 3\n" + np.ones(8).tobytes(), "pair"
     ),
     "ckpt-layers-do-not-chain": (
         "pretrained.ckpt",
         lambda d: CKPT + b"1\n4 3\n2 5\n" + np.ones(28).tobytes(),
-        "eval",
+        "pair",
     ),
-    "ckpt-nan-weight": ("pretrained.ckpt", nan_last, "eval"),
+    "ckpt-nan-weight": ("pretrained.ckpt", nan_last, "pair"),
     "manifest-list": ("manifest.json", lambda d: b"[]", "pair"),
     "manifest-artifacts-list": (
         "manifest.json", json_edit(lambda m: m | {"artifacts": [1]}), "report"
@@ -1254,6 +1217,13 @@ MALFORMED = {
     ),
     "record-seed-not-an-integer": (
         "runs/l2-s0.json", json_edit(lambda r: r | {"seed": "0"}), "report"
+    ),
+    # l2sp's record relabelled as l2's reads as a copy of l2-s0.json renamed
+    "record-renamed-copy": (
+        "runs/l2sp-s0.json", json_edit(lambda r: r | {"strategy": "l2"}), "report"
+    ),
+    "record-of-an-unknown-strategy": (
+        "runs/l2-s0.json", json_edit(lambda r: r | {"strategy": "warp-speed"}), "report"
     ),
     "record-accuracy-of-5000-digits": (
         "runs/l2-s0.json",
@@ -1300,15 +1270,14 @@ def test_paths_of_the_wrong_kind_exit_with_their_documented_code(
     # a directory as the config file is a configuration error
     assert main(["pretrain", "--config", str(tmp_path), "--out", str(lab)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
-    # a directory as the checkpoint is a data error
-    argv = ["eval", "--config", str(config), "--out", str(lab), "--params", str(lab)]
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("data error:")
-    # a regular file as the output directory is a data error; nothing is written
+    # a regular file as the output directory is a data error that says so;
+    # nothing is written
     out = tmp_path / "out"
     out.write_text("")
-    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("data error:")
+    for cmd in ("gen-data", "pretrain", "report"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: --out {out} is not a directory\n", cmd
     assert out.read_text() == "" and sorted(tmp_path.iterdir()) == [out]
 
 
@@ -1386,12 +1355,12 @@ def mutate_checkpoint(data: bytes, draw) -> bytes:
 MUTATE = {".csv": mutate_csv, ".json": mutate_json, ".ckpt": mutate_checkpoint}
 READERS = {
     "plan.csv": ["finetune", "sweep-alpha"],
-    "pretrained.ckpt": ["eval", "pair", "finetune"],
+    "pretrained.ckpt": ["pair", "finetune"],
     "manifest.json": ["pair", "report"],
     "runs/l2-s0.json": ["report"],
     "source_train.csv": ["pretrain", "pair", "finetune"],
     "target_train.csv": ["pair", "finetune"],
-    "target_test.csv": ["eval", "finetune"],
+    "target_test.csv": ["pair", "finetune"],
 }
 
 
@@ -1562,6 +1531,17 @@ def test_a_config_file_with_an_integer_of_too_many_digits_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# ------------------------------------------------------------- the README
+
+
+def test_the_readme_lists_exactly_the_subcommands_of_the_cli():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Subcommands\n")[1].split("\n## ")[0]
+    documented = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    usage = _build_parser().format_usage()
+    assert documented == re.search(r"\{([a-z,-]+)\}", usage).group(1).split(",")
 
 
 # ------------------------------------------ the artifact checksum listing

@@ -11,7 +11,7 @@ commands' own output goes to standard error. Two checkouts write the same
 artifacts when `diff` of their two outputs is empty. With `--check FILE`
 the lines are compared with FILE instead of printed: the paths whose sums
 differ, or that only one side lists, are printed and the exit status is 1;
-it is 0 when every line matches. `XMIXUP_SEED` is ignored.
+it is 0 when every line matches.
 
 The chains: the default config through all nine commands; a gamma-path
 (β = 2) alpha sweep; 10× source and 4× target data through the five-command
@@ -28,7 +28,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -106,7 +105,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE", help="compare with a saved listing")
     args = parser.parse_args()
-    os.environ.pop("XMIXUP_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         run_chains(Path(tmp))
         lines = sums(Path(tmp))
