@@ -38,11 +38,13 @@ from .errors import ConfigError, DataError, NumericError, ParseError
 from .mixup import MixupConfig, sample_beta
 from .model import ModelParams, TrainConfig
 from .pairing import PairingPlan, expand_until_threshold, greedy_pair, optimal_pair
-from .training import RunResult, Strategy, StrategyKind, evaluate, finetune, pretrain
+from .training import Cell, RunResult, Strategy, StrategyKind, evaluate, finetune
+from .training import finetune_cells, pretrain
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Cell",
     "ConfigError",
     "DataError",
     "Dataset",
@@ -60,6 +62,7 @@ __all__ = [
     "evaluate",
     "expand_until_threshold",
     "finetune",
+    "finetune_cells",
     "gen_source",
     "gen_target",
     "greedy_pair",

@@ -41,7 +41,7 @@ def _apply_set(raw: dict, assignment: str) -> None:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
-    except ValueError as e:  # an integer of more digits than int() converts
+    except (ValueError, RecursionError) as e:  # too many digits, or too deep
         raise ConfigError(f"--set {key}: {e}") from None
     node = raw
     parts = key.split(".")
@@ -57,7 +57,8 @@ def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:  # missing, a directory, or not readable
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
-    except ValueError as e:  # JSONDecodeError, or an integer of too many digits
+    # JSONDecodeError, an integer of too many digits, or nesting too deep
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -7,26 +7,27 @@ rerunning a step reproduces its artifacts byte for byte. manifest.json ties
 the artifacts in a directory to the hash of the config that produced them,
 and `report` joins only run records carrying that hash.
 
-Every step that fine-tunes lists its runs as cells (a strategy, a seed and
-the pairing plan its source draws follow) and hands them to run_grid, which
-trains the cells sharing a label space as one stack (training.finetune),
-whatever their strategies, and returns one result per cell in cell order.
-`finetune` and `ablate` turn the results into run records: the two probe
-subsets are compacted and split once, before any cell trains, and the probes
-and spectra of all cells are computed together (analysis.linear_probes and
-analysis.spectra, stacked in chunks of about 1 MiB). The grid commands
-(`sweep-alpha`, `sweep-size`, `randomize-aux`) only list their cells in
-output order, each with the key columns of its row; one writer, _grid_table,
-trains them and writes the table, the optional mean-accuracy chart and the
-manifest entries.
+Every step that fine-tunes lists its runs as cells (training.Cell: a
+strategy, a seed and the pairing plan its source draws follow) and hands
+them to training.finetune_cells, which trains the cells sharing a label
+space as one stack, whatever their strategies, and returns one result per
+cell in cell order. `finetune` and `ablate` turn the results into run
+records: the two probe subsets are compacted and split once, before any
+cell trains, and the probes and spectra of all cells are computed together
+(analysis.linear_probes and analysis.spectra, stacked in chunks of about
+1 MiB). The grid commands (`sweep-alpha`, `sweep-size`, `randomize-aux`)
+only list their cells in output order, each with the key columns of its
+row; one writer, _grid_table, trains them and writes the table, the
+optional mean-accuracy chart and the manifest entries.
 
 The harness builds no plans: `pair` and `sweep-size` expand one
 pairing.centroid_similarity per command to their thresholds, and
 `randomize-aux` takes its control plans from pairing.random_plan.
 
 Artifacts are checked against each other where they are loaded: datasets,
-checkpoint and plan that do not fit together are a DataError, not a
-failure deep inside a step.
+checkpoint and plan that do not fit together, or dataset splits of another
+width or class count than the config's data section makes, are a
+DataError, not a failure deep inside a step.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .analysis import (
 )
 from .atomic import atomic_open, write_table
 # config_from_json is not used here: bench/workload.py imports it from this module
-from .config import ExperimentConfig, config_from_json  # noqa: F401
+from .config import DataSpec, ExperimentConfig, config_from_json  # noqa: F401
 from .dataset import Dataset, gen_source, gen_target, load_dataset, save_dataset, split
 from .errors import DataError, NumericError, ParseError
 from .model import ModelParams, load_params, save_params
@@ -64,11 +65,12 @@ from .pairing import (
 )
 from .svg import bar_chart, line_chart, write_svg
 from .training import (
+    Cell,
     RunResult,
     Strategy,
     StrategyKind,
     evaluate,
-    finetune,
+    finetune_cells,
     pretrain,
     result_to_json,
 )
@@ -100,7 +102,8 @@ def _read_json(path: Path):
     """Parse a JSON artifact; an unreadable one is a data error, not a config error."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # undecodable, not JSON, or an integer of too many digits
+    # undecodable, not JSON, an integer of too many digits, or nesting too deep
+    except (ValueError, RecursionError) as e:
         raise ParseError(str(e), path=path) from None
 
 
@@ -137,9 +140,10 @@ def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -
 # --- loading and checking artifacts -----------------------------------------
 
 
-def load_data(out: Path) -> tuple[Dataset, Dataset, Dataset, Dataset]:
+def load_data(out: Path, spec: DataSpec) -> tuple[Dataset, Dataset, Dataset, Dataset]:
     """The four dataset splits, checked to share one width and, per domain,
-    one class count."""
+    one class count, and then to have the width and class counts that
+    `spec` generates, before anything is sized by them."""
     sets = tuple(load_dataset(_require(out / name, "gen-data")) for name in SPLITS)
     for name, ds in zip(SPLITS, sets):
         if ds.d != sets[0].d:
@@ -151,6 +155,14 @@ def load_data(out: Path) -> tuple[Dataset, Dataset, Dataset, Dataset]:
             raise DataError(
                 f"{out / SPLITS[test]} has {sets[test].class_count} classes, "
                 f"{SPLITS[train]} has {sets[train].class_count}"
+            )
+    source, target = spec.m, len(spec.planted) + spec.novel
+    for name, ds, classes in zip(SPLITS, sets, (source, source, target, target)):
+        if (ds.class_count, ds.d) != (classes, spec.d):
+            raise DataError(
+                f"{out / name} has {ds.class_count} classes of width {ds.d}, the "
+                f"config's data section makes {classes} of width {spec.d}; rerun "
+                f"`gen-data` with this config"
             )
     return sets
 
@@ -166,8 +178,8 @@ class Lab:
     plan: PairingPlan | None
 
 
-def load_lab(out: Path, with_plan: bool = True) -> Lab:
-    src_train, _, tgt_train, tgt_test = load_data(out)
+def load_lab(out: Path, spec: DataSpec, with_plan: bool = True) -> Lab:
+    src_train, _, tgt_train, tgt_test = load_data(out, spec)
     pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
     if pretrained.d != src_train.d:
         raise DataError(
@@ -185,58 +197,6 @@ def load_lab(out: Path, with_plan: bool = True) -> Lab:
                 f"classes with the {src_train.class_count} source classes"
             )
     return Lab(src_train, tgt_train, tgt_test, pretrained, plan)
-
-
-# --- the grid runner ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One fine-tuning run: a strategy, a fine-tuning seed and the pairing
-    plan its source draws follow."""
-
-    strategy: Strategy
-    seed: int
-    plan: PairingPlan | None
-
-
-def run_grid(cfg: ExperimentConfig, lab: Lab, cells: list[Cell]) -> list[RunResult]:
-    """Fine-tune every cell under cfg.finetune with the cell's seed; one
-    RunResult per cell, in cell order.
-
-    The cells that share a label space train as one stack in one finetune
-    call, whatever their strategies: the cells that use no source data form
-    one stack, and the cells that use source data one stack per plan object.
-    Within a stack, cells whose batches are the same draws of the same
-    generators share them (l2 and l2sp, xmixup and xmixup-nolabel of one
-    seed). So the seven strategies train as two stacks at any number of
-    seeds. A cell's result does not depend on which cells share its stack.
-    Mixing cells must share the β of their MixupConfig, as every step's
-    cells do. A NumericError's `cell` is the failing cell's index in `cells`.
-    """
-    stacks: dict[int | None, list[int]] = {}
-    for i, cell in enumerate(cells):
-        key = id(cell.plan) if cell.strategy.needs_source else None
-        stacks.setdefault(key, []).append(i)
-    results: list[RunResult | None] = [None] * len(cells)
-    for stack in stacks.values():
-        try:
-            trained = finetune(
-                lab.pretrained,
-                lab.tgt_train,
-                lab.src_train,
-                cells[stack[0]].plan,
-                [cells[i].strategy for i in stack],
-                [replace(cfg.finetune, seed=cells[i].seed) for i in stack],
-                lab.tgt_test,
-            )
-        except NumericError as e:  # name the cell by its index in `cells`
-            if e.cell is None:
-                raise
-            raise NumericError(str(e), cell=stack[e.cell]) from None
-        for i, result in zip(stack, trained):
-            results[i] = result
-    return results
 
 
 # --- pipeline steps ---------------------------------------------------------
@@ -268,7 +228,7 @@ def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def step_pretrain(cfg: ExperimentConfig, out: Path) -> dict:
-    src_train, src_test, _, _ = load_data(out)
+    src_train, src_test, _, _ = load_data(out, cfg.data)
     params = pretrain(src_train, cfg.pretrain, list(cfg.hidden))
     save_params(params, out / PRETRAINED)
     info = {
@@ -286,7 +246,7 @@ def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
 
 
 def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
-    lab = load_lab(out, with_plan=False)
+    lab = load_lab(out, cfg.data, with_plan=False)
     threshold = _threshold(cfg, lab.tgt_train)
     sims = centroid_similarity(lab.pretrained, lab.src_train, lab.tgt_train)
     plan = expand_until_threshold(sims, lab.src_train.class_sizes(), threshold)
@@ -359,7 +319,7 @@ def step_finetune(
     out: Path,
     strategies: tuple[StrategyKind, ...] | None = None,
 ) -> list[dict]:
-    lab = load_lab(out)
+    lab = load_lab(out, cfg.data)
     kinds = strategies if strategies is not None else cfg.strategies
     cells = [
         Cell(cfg.strategy_for(kind), seed, lab.plan)
@@ -373,7 +333,10 @@ def step_finetune(
         probe_data(subsets[kind], cfg.probe, kind)
         for kind in (ProbeSubset.AUXILIARY, ProbeSubset.ABA)
     ]
-    records = run_records(cfg, lab, cells, run_grid(cfg, lab, cells), probes)
+    results = finetune_cells(
+        lab.pretrained, lab.tgt_train, lab.src_train, cells, cfg.finetune, lab.tgt_test
+    )
+    records = run_records(cfg, lab, cells, results, probes)
     runs = out / RUNS_DIR
     runs.mkdir(exist_ok=True)
     entries = {}
@@ -514,14 +477,17 @@ def _grid_table(
     keys: list[tuple],
     chart: tuple | None = None,
 ) -> list[list]:
-    """Train the cells through run_grid and write `<name>.csv`, one row per
-    cell in cell order: the cell's key columns, its seed and its accuracy.
+    """Train the cells through finetune_cells and write `<name>.csv`, one
+    row per cell in cell order: the cell's key columns, its seed and its
+    accuracy.
 
     Given chart = (title, xlabel, x_of_key), also write `<name>.svg` with
     the mean accuracy of each key, in first-seen key order, at x_of_key(key).
     Both files go into the manifest; the rows are returned.
     """
-    results = run_grid(cfg, lab, cells)
+    results = finetune_cells(
+        lab.pretrained, lab.tgt_train, lab.src_train, cells, cfg.finetune, lab.tgt_test
+    )
     rows = [[*key, cell.seed, r.accuracy] for key, cell, r in zip(keys, cells, results)]
     write_table(out / f"{name}.csv", header, rows)
     entries = {name: f"{name}.csv"}
@@ -542,7 +508,7 @@ def _grid_table(
 def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
-    lab = load_lab(out)
+    lab = load_lab(out, cfg.data)
     cells = [
         Cell(Strategy.xmixup(replace(cfg.mixup, alpha=alpha)), seed, lab.plan)
         for alpha in cfg.alpha_grid
@@ -558,7 +524,7 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[list]:
 
 def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
-    lab = load_lab(out, with_plan=False)
+    lab = load_lab(out, cfg.data, with_plan=False)
     grid = cfg.threshold_grid
     if not grid:
         base = len(lab.tgt_train)
@@ -583,7 +549,7 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
 def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[list]:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
-    lab = load_lab(out)
+    lab = load_lab(out, cfg.data)
     threshold = _threshold(cfg, lab.tgt_train)
     sizes = lab.src_train.class_sizes()
     strategy = Strategy.xmixup(cfg.mixup)

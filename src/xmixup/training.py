@@ -5,7 +5,7 @@ unified label space (target classes first, then any selected source
 classes), and every one is the same SGD loop fed a different batch: a
 strategy is a list of phases, each a budget and a batch kind (_phases), and
 one trainer, _train, cuts a stack's phases into segments and steps them
-through _run_segments, for finetune and pretrain alike. _BATCH maps
+through _run_segments, for fine-tuning and pretrain alike. _BATCH maps
 each strategy to its batch kind, a module-level function; those that draw
 source rows read one CrossDomainPool, and the mixing ones mix by blend:
 
@@ -17,11 +17,15 @@ source rows read one CrossDomainPool, and the mixing ones mix by blend:
 - co-train rows, half target and half auxiliary, under a masked softmax
   (target rows over target logits, source rows over source logits)
 
-finetune trains cells that share a label space (the target classes alone,
-or with one plan's auxiliary classes) and a TrainConfig up to its seed,
-whatever their strategies, as one stack of S models (see the model module),
-one model step per iteration for all of them; a cell alone is a stack of 1,
-and so is pretrain's model, drawing l2's target rows from the source classes.
+finetune_cells takes a grid of cells (a strategy, a seed and the plan its
+source draws follow) and one TrainConfig. It is the one place that groups
+cells into stacks: those that share a label space (the target classes
+alone, or with one plan's auxiliary classes) train, whatever their
+strategies, as one stack of S models (see the model module), one model step
+per iteration for all of them, and each stack row's result and NumericError
+go back to the cell's index in the grid. finetune is a grid of one cell,
+and pretrain's model a stack of one, drawing l2's target rows from the
+source classes.
 
 - Batches. A batch kind draws once a step for all of its draw keys. Cells
   whose draws are the same function of the same generator seeds share a key
@@ -261,8 +265,7 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     if len(src_train) == 0:
         raise DataError("cannot pre-train on an empty dataset")
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
-    space = LabelSpace(src_train.class_count, ())
-    ctx = _Context.of(src_train, None, None, space, cfg.batch_size)
+    ctx = _Context.of(src_train, None, None, cfg.batch_size)
     one = ModelParams._over(params, params.flat[None])  # trains params in place
     _train(one, ctx, [(Strategy.l2(), cfg)], ["pretrain"], None)
     return params
@@ -343,10 +346,10 @@ def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Context:
-    """What the batch kinds of one finetune call draw from: its target data,
+    """What the batch kinds of one stack draw from: its target data,
     label space and CrossDomainPool (None with no source), the identity
     whose rows are one-hot labels, B, and the generators of each draw key
-    (batch kind, seed, MixupConfig, first iteration), kept for the call: a
+    (batch kind, seed, MixupConfig, first iteration), kept for the stack: a
     key whose phase spans another row's phase switch draws on."""
 
     tgt: Dataset
@@ -357,9 +360,12 @@ class _Context:
     rngs: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, tgt, src, plan, space, batch_size) -> "_Context":
-        """The context of a call on `space`; src is None for no-source cells."""
-        pool = None if src is None else CrossDomainPool.of(tgt, src, plan, space)
+    def of(cls, tgt, src, plan, batch_size) -> "_Context":
+        """The context of cells that draw rows of `src` by `plan`, or, with
+        plan None, target rows alone."""
+        sources = () if plan is None else tuple(plan.selected_sources())
+        space = LabelSpace(tgt.class_count, sources)
+        pool = None if plan is None else CrossDomainPool.of(tgt, src, plan, space)
         return cls(tgt, space, pool, np.eye(space.size), batch_size)
 
     def generators(self, keys: list[tuple], stream: int) -> list:
@@ -586,46 +592,59 @@ def _train(stack, ctx: _Context, cells: list[tuple], names, reference) -> np.nda
     return _run_segments(stack, cfg, loss_fn, segments, names)
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One fine-tuning run: a strategy, a fine-tuning seed and the pairing
+    plan its source draws follow."""
+
+    strategy: Strategy
+    seed: int
+    plan: PairingPlan | None
+
+
 def finetune(
     pretrained: ModelParams,
     tgt_train: Dataset,
     src: Dataset | None,
     plan: PairingPlan | None,
-    strategy: Strategy | Sequence[Strategy],
-    cfg: TrainConfig | Sequence[TrainConfig],
+    strategy: Strategy,
+    cfg: TrainConfig,
     tgt_test: Dataset,
-) -> RunResult | list[RunResult]:
-    """Fine-tune from a pre-trained extractor under one strategy.
+) -> RunResult:
+    """Fine-tune one cell, `strategy` under `cfg` with source draws by
+    `plan`: finetune_cells of a grid of one."""
+    return finetune_cells(
+        pretrained, tgt_train, src, [Cell(strategy, cfg.seed, plan)], cfg, tgt_test
+    )[0]
+
+
+def finetune_cells(
+    pretrained: ModelParams,
+    tgt_train: Dataset,
+    src: Dataset | None,
+    cells: Sequence[Cell],
+    cfg: TrainConfig,
+    tgt_test: Dataset,
+) -> list[RunResult]:
+    """Fine-tune every cell under cfg with the cell's seed; one RunResult
+    per cell, in cell order.
 
     The extractor starts from `pretrained`; the head is freshly initialized
-    over the unified label space (just the target classes for strategies that
-    never touch source samples). `src` and `plan` are required by the
-    source-using strategies and ignored otherwise.
+    over the cell's label space: the target classes, then the classes its
+    plan selects for the strategies that draw source rows (`src` and the
+    cell's plan are required by those, and ignored otherwise).
 
-    `strategy` and `cfg` are one Strategy and one TrainConfig, giving one
-    RunResult, or equal-length sequences, one entry per cell, giving one
-    RunResult per cell in order. The cells may differ in strategy, but must
-    share a label space (all use source data or none does) and every
-    TrainConfig field but the seed, and the mixing cells of one batch kind
-    the β of their MixupConfig; they train as one stack (see the module
-    docstring). A NumericError names the cell and the iteration, and its
-    `cell` is the cell's index in the given sequences.
+    The cells that share a label space train as one stack, whatever their
+    strategies: the cells that use no source data form one stack, and the
+    cells that use source data one stack per plan object. Within a stack the
+    cells sit in _stack_order, and cells whose batches are the same draws of
+    the same generators share them (l2 and l2sp, xmixup and xmixup-nolabel
+    of one seed). So the seven strategies train as two stacks at any number
+    of seeds. A cell's result does not depend on which cells share its
+    stack (see the module docstring). Mixing cells of one batch kind must
+    share the β of their MixupConfig. A NumericError names the cell and the
+    iteration, and its `cell` is the cell's index in `cells`.
     """
-    if isinstance(strategy, Strategy) != isinstance(cfg, TrainConfig):
-        raise ValueError("give one strategy and one config, or a sequence of each")
-    if isinstance(strategy, Strategy):
-        return finetune(
-            pretrained, tgt_train, src, plan, [strategy], [cfg], tgt_test
-        )[0]
-    strategies, cfgs = list(strategy), list(cfg)
-    if not strategies or len(strategies) != len(cfgs):
-        raise ValueError("need one TrainConfig per strategy, and at least one")
-    if len({s.needs_source for s in strategies}) > 1:
-        raise ValueError(
-            "stacked cells must share a label space: all use source data or none"
-        )
-    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
-        raise ValueError("stacked cells must share the TrainConfig but for the seed")
     n = tgt_train.class_count
     if len(tgt_train) == 0:
         raise DataError("cannot fine-tune on an empty target dataset")
@@ -635,47 +654,51 @@ def finetune(
         )
     if tgt_test.class_count != n or tgt_test.d != tgt_train.d:
         raise ValueError("test split does not match the training split")
+    stacks: dict[int | None, list[int]] = {}
+    for i, cell in enumerate(cells):
+        key = None
+        if cell.strategy.needs_source:
+            if cell.plan is None or src is None:
+                raise ConfigError(
+                    f"strategy {cell.strategy.kind.value} requires source data "
+                    "and a pairing plan"
+                )
+            missing = [t for t in range(n) if t not in cell.plan.per_target]
+            if missing:
+                raise ConfigError(f"pairing plan misses target classes {missing}")
+            key = id(cell.plan)
+        stacks.setdefault(key, []).append(i)
 
-    if strategies[0].needs_source:
-        if plan is None or src is None:
-            kind = strategies[0].kind.value
-            raise ConfigError(
-                f"strategy {kind} requires source data and a pairing plan"
-            )
-        missing = [t for t in range(n) if t not in plan.per_target]
-        if missing:
-            raise ConfigError(f"pairing plan misses target classes {missing}")
-        space = LabelSpace(n, tuple(plan.selected_sources()))
-    else:
-        space, src = LabelSpace(n, ()), None
-    ctx = _Context.of(tgt_train, src, plan, space, cfgs[0].batch_size)
-
-    # the stack's rows: the cells in _stack_order; `order` maps a row to its cell
-    order = sorted(range(len(cfgs)), key=lambda i: _stack_order(strategies[i]))
-    cells = [(strategies[i], cfgs[i]) for i in order]
-    rngs = [np.random.default_rng([c.seed, 0]) for _, c in cells]
-    heads = [init_linear(space.size, pretrained.feature_width, rng) for rng in rngs]
-    # the stack copies the pre-trained layers in
-    stack = ModelParams.stack([ModelParams(pretrained.layers, head) for head in heads])
-    names = [_cell_name(s, c) for s, c in cells]
-    try:
-        trace = _train(stack, ctx, cells, names, pretrained)
-    except NumericError as e:  # name the caller's cell, not its stack row
-        cell = None if e.cell is None else order[e.cell]
-        raise NumericError(str(e), cell=cell) from None
-
-    label_space = {"n_target": n, "source_classes": list(space.source_classes)}
-    results: list[RunResult | None] = [None] * len(cfgs)
-    for r, (s, c) in enumerate(cells):
-        config = {"strategy": s.to_config(), "train": asdict(c)}
-        config["label_space"] = label_space
-        if s.kind is StrategyKind.SEQ_TRAIN:
-            config["strategy"]["midtune_iterations"] = _midtune(s, c)
-        model = stack.row(r)
+    results: list[RunResult | None] = [None] * len(cells)
+    for key, group in stacks.items():
+        plan = None if key is None else cells[group[0]].plan
+        ctx = _Context.of(tgt_train, src, plan, cfg.batch_size)
+        # the stack's rows: the group in _stack_order; order[r] is row r's cell
+        order = sorted(group, key=lambda i: _stack_order(cells[i].strategy))
+        rows = [(cells[i].strategy, replace(cfg, seed=cells[i].seed)) for i in order]
+        rngs = [np.random.default_rng([c.seed, 0]) for _, c in rows]
+        heads = [init_linear(ctx.space.size, pretrained.feature_width, r) for r in rngs]
+        # the stack copies the pre-trained layers in
+        stack = ModelParams.stack([ModelParams(pretrained.layers, h) for h in heads])
+        names = [_cell_name(s, c) for s, c in rows]
         try:
-            accuracy = evaluate(model, tgt_test)
-        except NumericError as e:
-            raise NumericError(f"{names[r]}: {e}", cell=order[r]) from None
-        result = RunResult(model, trace[:, r].tolist(), accuracy, c.seed, config)
-        results[order[r]] = result
+            trace = _train(stack, ctx, rows, names, pretrained)
+            accuracies = []
+            for r, name in enumerate(names):
+                try:
+                    accuracies.append(evaluate(stack.row(r), tgt_test))
+                except NumericError as e:
+                    raise NumericError(f"{name}: {e}", cell=r) from None
+        except NumericError as e:  # name the caller's cell, not its stack row
+            cell = None if e.cell is None else order[e.cell]
+            raise NumericError(str(e), cell=cell) from None
+        label_space = {"n_target": n, "source_classes": list(ctx.space.source_classes)}
+        for r, (s, c) in enumerate(rows):
+            config = {"strategy": s.to_config(), "train": asdict(c)}
+            config["label_space"] = label_space
+            if s.kind is StrategyKind.SEQ_TRAIN:
+                config["strategy"]["midtune_iterations"] = _midtune(s, c)
+            results[order[r]] = RunResult(
+                stack.row(r), trace[:, r].tolist(), accuracies[r], c.seed, config
+            )
     return results

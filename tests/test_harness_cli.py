@@ -40,16 +40,11 @@ from xmixup.config import (
 from xmixup.dataset import Dataset, load_dataset, save_dataset
 from xmixup.errors import ConfigError, NumericError
 from xmixup import dataset, harness, pairing, training
-from xmixup.harness import (
-    COMPARISON_HEADER,
-    Cell,
-    load_lab,
-    run_grid,
-)
+from xmixup.harness import COMPARISON_HEADER, load_lab
 from xmixup.mixup import MixupConfig
 from xmixup.model import init, load_params, save_params
 from xmixup.pairing import default_threshold, load_plan, random_plan
-from xmixup.training import Strategy, StrategyKind, finetune
+from xmixup.training import Cell, Strategy, StrategyKind, finetune, finetune_cells
 
 MINI = {
     "data": {
@@ -74,6 +69,10 @@ MINI = {
     "seeds": [0, 1],
     "alpha_grid": [1.0, 4.0],
 }
+
+
+# deeper than the JSON decoder's recursion limit
+NESTED = "[" * 3000
 
 
 def mini_config(tmp_path: Path, **extra) -> Path:
@@ -417,7 +416,7 @@ def test_an_unprobeable_subset_fails_before_any_cell_trains(
     out = tmp_path / "out"
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
-    monkeypatch.setattr(harness, "run_grid", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(harness, "finetune_cells", lambda *a: pytest.fail("trained"))
     for cmd in ("finetune", "ablate"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
         assert "cannot probe an empty subset" in capsys.readouterr().err
@@ -473,6 +472,7 @@ def test_the_seed_variable_of_old_releases_changes_nothing(tmp_path, monkeypatch
         ("[]", []),
         ('{"data": 5}', []),
         ('{"pretrain": [0]}', []),
+        pytest.param(NESTED, [], id="nested-3000-deep"),
     ],
 )
 def test_a_config_that_is_not_an_object_exits_2_before_writing(
@@ -544,6 +544,7 @@ def test_pair_uses_configured_threshold(tmp_path):
             "alpha_grid=[1.0, 1" + "0" * 400 + "]", id="alpha_grid=[1.0, 10**400]"
         ),
         pytest.param("finetune.lr=1" + "0" * 5000, id="finetune.lr=10**5000"),
+        pytest.param("seeds=" + NESTED, id="seeds=nested-3000-deep"),
     ],
 )
 def test_bad_config_values_exit_2_in_every_command_before_writing(tmp_path, assignment):
@@ -769,7 +770,42 @@ def test_artifacts_that_do_not_fit_are_data_errors(tmp_path, capsys):
     assert err.count("data error") == 2 and "target_test.csv has width 2" in err
 
 
-# ----------------------------------------------------------- the grid runner
+def test_a_split_header_of_an_absurd_class_count_is_a_data_error(tmp_path, capsys):
+    # the count agrees across a domain's two splits, so only the config can
+    # tell it is wrong; it used to end in numpy's "Unable to allocate 42.6 PiB"
+    config = mini_config(tmp_path, seeds=[0], strategies=["l2"])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    for domain, commands in (
+        ("source", ("pretrain", "pair", "finetune")),
+        ("target", ("pair", "finetune")),
+    ):
+        originals = {}
+        for split in ("train", "test"):
+            path = out / f"{domain}_{split}.csv"
+            originals[path] = path.read_text()
+            rows = originals[path].split("\n", 1)[1]
+            path.write_text(f"{domain},1000000000000000,3\n{rows}")
+        capsys.readouterr()
+        for cmd in commands:
+            assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        claim = f"{domain}_train.csv has 1000000000000000 classes"
+        assert err.count(claim) == len(commands) and "`gen-data`" in err
+        for path, text in originals.items():
+            path.write_text(text)
+
+
+# ------------------------------------------------- a grid's cells as stacks
+
+
+def train_grid(cfg, lab, cells):
+    """finetune_cells of the cells on the lab's artifacts, as a step calls it."""
+    return finetune_cells(
+        lab.pretrained, lab.tgt_train, lab.src_train, cells, cfg.finetune, lab.tgt_test
+    )
+
 
 def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
     config = mini_config(tmp_path)
@@ -777,7 +813,7 @@ def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
     cfg = config_from_json(json.loads(config.read_text()))
-    lab = load_lab(out)
+    lab = load_lab(out, cfg.data)
     other = random_plan(6, 8, lab.src_train.class_sizes(), 50, np.random.default_rng(3))
     mix = [MixupConfig(alpha=a, beta=2.0) for a in (1.0, 4.0)]
     cells = [  # interleaved kinds and plans: four groups of one to two cells
@@ -788,7 +824,7 @@ def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
         Cell(Strategy.cotrain(), 0, lab.plan),
         Cell(Strategy.xmixup(mix[0]), 0, other),
     ]
-    results = run_grid(cfg, lab, cells)
+    results = train_grid(cfg, lab, cells)
     assert len(results) == len(cells)
     for cell, got in zip(cells, results):
         alone = finetune(
@@ -806,7 +842,8 @@ def mini_lab(tmp_path_factory):
     out = tmp / "out"
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
-    return config_from_json(json.loads(config.read_text())), load_lab(out)
+    cfg = config_from_json(json.loads(config.read_text()))
+    return cfg, load_lab(out, cfg.data)
 
 
 def seven_strategies(cfg, lab, seeds):
@@ -822,7 +859,7 @@ def test_run_grid_gives_every_strategy_its_lone_run(mini_lab):
     # l2 with l2sp and xmixup with xmixup-nolabel share their draws
     cfg, lab = mini_lab
     cells = seven_strategies(cfg, lab, (0, 3))
-    results = run_grid(cfg, lab, cells)
+    results = train_grid(cfg, lab, cells)
     for cell, got in zip(cells, results):
         alone = finetune(
             lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
@@ -841,18 +878,18 @@ def test_run_grid_trains_seven_strategies_at_five_seeds_as_two_stacks(
     cfg, lab = mini_lab
     cfg = replace(cfg, seeds=(0, 1, 2, 3, 4))
     stacks = []
-    real_finetune = harness.finetune
+    real_train = training._train
 
-    def counted_finetune(*args):
-        stacks.append(len(args[4]))
-        return real_finetune(*args)
+    def counted_train(stack, ctx, cells, *args):
+        stacks.append(len(cells))
+        return real_train(stack, ctx, cells, *args)
 
-    monkeypatch.setattr(harness, "finetune", counted_finetune)
+    monkeypatch.setattr(training, "_train", counted_train)
     cells = seven_strategies(cfg, lab, cfg.seeds)
-    results = run_grid(cfg, lab, cells)
+    results = train_grid(cfg, lab, cells)
     assert sorted(stacks) == [15, 20]
     for cell, got in zip(cells, results):
-        alone = real_finetune(
+        alone = finetune(
             lab.pretrained, lab.tgt_train, lab.src_train, cell.plan, cell.strategy,
             replace(cfg.finetune, seed=cell.seed), lab.tgt_test,
         )
@@ -880,12 +917,12 @@ def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch)
     cfg, lab = mini_lab
     cfg = replace(cfg, finetune=ExperimentConfig().finetune)  # 600 iterations
     stacks, steps, draws = [], [], []
-    real_finetune, real_step = harness.finetune, training.sgd_step
+    real_train, real_step = training._train, training.sgd_step
     real_rng = np.random.default_rng
 
-    def counted_finetune(*args):
-        stacks.append([s.kind for s in args[4]])
-        return real_finetune(*args)
+    def counted_train(stack, ctx, cells, *args):
+        stacks.append([s.kind for s, _ in cells])
+        return real_train(stack, ctx, cells, *args)
 
     def counted_step(*args, **kwargs):
         steps.append(1)
@@ -898,10 +935,10 @@ def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch)
         draws.append((tuple(entropy), "made"))
         return CountingGenerator(rng, tuple(entropy), draws)
 
-    monkeypatch.setattr(harness, "finetune", counted_finetune)
+    monkeypatch.setattr(training, "_train", counted_train)
     monkeypatch.setattr(training, "sgd_step", counted_step)
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
-    run_grid(cfg, lab, seven_strategies(cfg, lab, (0,)))
+    train_grid(cfg, lab, seven_strategies(cfg, lab, (0,)))
     assert len(stacks) == 2 and sorted(map(len, stacks)) == [3, 4]
     assert len(steps) == 2 * 600
     # l2sp and xmixup-nolabel make no generator and no call of their own:
@@ -910,7 +947,7 @@ def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch)
     draws.clear()
     shared = {StrategyKind.L2SP, StrategyKind.XMIXUP_NO_LABEL}
     cells = seven_strategies(cfg, lab, (0,))
-    run_grid(cfg, lab, [c for c in cells if c.strategy.kind not in shared])
+    train_grid(cfg, lab, [c for c in cells if c.strategy.kind not in shared])
     assert seven == sorted(draws)
 
 
@@ -924,7 +961,7 @@ def test_run_grid_reports_a_diverging_cell_by_its_grid_index(mini_lab):
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"^l2sp seed 0: ") as info:
-            run_grid(cfg, lab, cells)
+            train_grid(cfg, lab, cells)
     assert info.value.cell == 2
 
 
@@ -1201,6 +1238,8 @@ MALFORMED = {
     ),
     "ckpt-nan-weight": ("pretrained.ckpt", nan_last, "pair"),
     "manifest-list": ("manifest.json", lambda d: b"[]", "pair"),
+    "manifest-nested-3000-deep": ("manifest.json", lambda d: NESTED.encode(), "pair"),
+    "record-nested-3000-deep": ("runs/l2-s0.json", lambda d: NESTED.encode(), "report"),
     "manifest-artifacts-list": (
         "manifest.json", json_edit(lambda m: m | {"artifacts": [1]}), "report"
     ),
@@ -1461,11 +1500,11 @@ from xmixup.model import TrainConfig, init
 src = gen_source(20, 10, 4, 0.8, seed=0)
 tgt, _ = gen_target(src, [0, 1, 2, 3], 2, 10, 0.3, seed=0)
 pretrained = init(4, [64, 32], 20, seed=0)
-cfgs = [TrainConfig(iterations=100, lr_drop_at=50, seed=s) for s in range(20)]
-cells = [xmixup.Strategy.l2()] * 20
-xmixup.finetune(pretrained, tgt, None, None, cells, cfgs, tgt)
+cfg = TrainConfig(iterations=100, lr_drop_at=50)
+cells = [xmixup.Cell(xmixup.Strategy.l2(), s, None) for s in range(20)]
+xmixup.finetune_cells(pretrained, tgt, None, cells, cfg, tgt)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-xmixup.finetune(pretrained, tgt, None, None, cells, cfgs, tgt)
+xmixup.finetune_cells(pretrained, tgt, None, cells, cfg, tgt)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

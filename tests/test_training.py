@@ -13,7 +13,7 @@ from tests.conftest import flat, numeric_gradient
 from xmixup import training
 from xmixup.dataset import Dataset, Domain, split
 from xmixup.errors import ConfigError, DataError, NumericError
-from xmixup.mixup import CrossDomainPool, LabelSpace, MixupConfig
+from xmixup.mixup import CrossDomainPool, MixupConfig
 from xmixup.model import (
     ModelParams,
     TrainConfig,
@@ -29,6 +29,7 @@ from xmixup.pairing import PairingPlan
 from xmixup.training import (
     DRAW_BLOCK,
     NEEDS_MIXUP,
+    Cell,
     RunResult,
     Strategy,
     StrategyKind,
@@ -42,6 +43,7 @@ from xmixup.training import (
     _target_rows,
     evaluate,
     finetune,
+    finetune_cells,
     pretrain,
     result_to_json,
     sp_penalty,
@@ -62,6 +64,16 @@ def world(toy_source, toy_target, toy_pretrained, toy_plan):
         plan=toy_plan,
         train=tgt_train,
         test=tgt_test,
+    )
+
+
+def train_cells(world, strategies, cfgs, source=True):
+    """finetune_cells of the cells (strategy, cfg), whose configs differ
+    only in their seeds; with source=False, without source data or plan."""
+    src, plan = (world["src"], world["plan"]) if source else (None, None)
+    cells = [Cell(s, c.seed, plan) for s, c in zip(strategies, cfgs)]
+    return finetune_cells(
+        world["pre"], world["train"], src, cells, cfgs[0], world["test"]
     )
 
 
@@ -263,10 +275,7 @@ def assert_same_run(a: RunResult, b: RunResult):
 )
 def test_stacked_cells_equal_cells_trained_alone(world, kind, beta):
     strategies, cfgs = stack_cells(kind, beta)
-    stacked = finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, cfgs, world["test"],
-    )
+    stacked = train_cells(world, strategies, cfgs)
     assert len(stacked) == 3
     for strategy, cfg, got in zip(strategies, cfgs, stacked):
         assert_same_run(got, run(world, strategy, cfg))
@@ -276,14 +285,8 @@ def test_stacked_cells_equal_cells_trained_alone(world, kind, beta):
 
 def test_a_cell_does_not_depend_on_its_stack_order(world):
     strategies, cfgs = stack_cells(StrategyKind.XMIXUP, 2.0)
-    forward = finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, cfgs, world["test"],
-    )
-    backward = finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies[::-1], cfgs[::-1], world["test"],
-    )
+    forward = train_cells(world, strategies, cfgs)
+    backward = train_cells(world, strategies[::-1], cfgs[::-1])
     for a, b in zip(forward, backward[::-1]):
         assert_same_run(a, b)
 
@@ -293,29 +296,10 @@ def test_zero_iterations_leave_empty_traces(world, cells):
     # a lone cell and a stack alike; seqtrain has two empty phases
     cfgs = [replace(FAST, iterations=0, lr_drop_at=0, seed=s) for s in STACK_SEEDS]
     for strategy in (Strategy.l2(), Strategy.seqtrain()):
-        results = finetune(
-            world["pre"], world["train"], world["src"], world["plan"],
-            [strategy] * cells, cfgs[:cells], world["test"],
-        )
+        results = train_cells(world, [strategy] * cells, cfgs[:cells])
         for res in results:
             assert res.trace == []
             assert res.params.extractor.tobytes() == world["pre"].extractor.tobytes()
-
-
-def test_stacked_cells_must_share_everything_but_seed_and_mixup(world):
-    args = (world["pre"], world["train"], world["src"], world["plan"])
-    with pytest.raises(ValueError):  # two strategy kinds
-        finetune(
-            *args, [Strategy.l2(), Strategy.cotrain()], [FAST, FAST], world["test"]
-        )
-    with pytest.raises(ValueError):  # a config that differs in more than its seed
-        finetune(
-            *args, [Strategy.l2()] * 2, [FAST, replace(FAST, lr=0.1)], world["test"]
-        )
-    with pytest.raises(ValueError):  # one config short
-        finetune(*args, [Strategy.l2()] * 2, [FAST], world["test"])
-    with pytest.raises(ValueError):  # a lone strategy with a list of configs
-        finetune(*args, Strategy.l2(), [FAST], world["test"])
 
 
 def test_a_diverging_cell_is_named_with_its_iteration(world):
@@ -328,18 +312,12 @@ def test_a_diverging_cell_is_named_with_its_iteration(world):
     cfgs = [replace(FAST, seed=s) for s in STACK_SEEDS]
     named = r"^xmixup seed 3 alpha 1e\+300: iteration 0: "
     with pytest.raises(NumericError, match=named):
-        finetune(
-            world["pre"], world["train"], world["src"], world["plan"],
-            strategies, cfgs, world["test"],
-        )
+        train_cells(world, strategies, cfgs)
     # a diverging learning rate: the first failing check names a cell too
     wild = [replace(c, lr=1e9) for c in cfgs]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"^l2 seed \d: iteration \d+: "):
-            finetune(
-                world["pre"], world["train"], None, None,
-                [Strategy.l2()] * 3, wild, world["test"],
-            )
+            train_cells(world, [Strategy.l2()] * 3, wild, source=False)
 
 
 # ------------------------------------------------ stacks of mixed strategies
@@ -357,10 +335,7 @@ def test_a_mixed_stack_equals_its_cells_trained_alone(world):
         Strategy.xmixup(replace(mix, alpha=0.5)),
     ]
     cfgs = [replace(FAST, seed=s) for s in (0, 3, 3, 3, 0, 3)]
-    stacked = finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, cfgs, world["test"],
-    )
+    stacked = train_cells(world, strategies, cfgs)
     for strategy, cfg, got in zip(strategies, cfgs, stacked):
         assert_same_run(got, run(world, strategy, cfg))
 
@@ -372,10 +347,7 @@ def test_a_diverging_l2sp_row_of_a_mixed_stack_is_named(world):
     cfgs = [replace(FAST, seed=3)] * 3
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"^l2sp seed 3: iteration \d+: "):
-            finetune(
-                world["pre"], world["train"], None, None,
-                strategies, cfgs, world["test"],
-            )
+            train_cells(world, strategies, cfgs, source=False)
 
 
 def test_a_diverging_cell_is_reported_by_the_callers_index(world):
@@ -384,10 +356,7 @@ def test_a_diverging_cell_is_reported_by_the_callers_index(world):
     strategies = [Strategy.l2sp(1e300), Strategy.l2()]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"^l2sp seed 0: iteration \d+: ") as info:
-            finetune(
-                world["pre"], world["train"], None, None,
-                strategies, [FAST] * 2, world["test"],
-            )
+            train_cells(world, strategies, [FAST] * 2, source=False)
     assert info.value.cell == 0
 
 
@@ -405,10 +374,7 @@ def test_a_diverging_draw_names_its_first_row_where_rows_share_draws(world):
     ]
     named = r"^xmixup-nolabel seed 3 alpha 1e\+300: iteration 0: "
     with pytest.raises(NumericError, match=named):
-        finetune(
-            world["pre"], world["train"], world["src"], world["plan"],
-            strategies, [replace(FAST, seed=3)] * 4, world["test"],
-        )
+        train_cells(world, strategies, [replace(FAST, seed=3)] * 4)
 
 
 # -------------------------------------------------------- stack invariance
@@ -470,10 +436,7 @@ def test_any_stack_of_one_label_space_gives_each_cell_its_lone_bytes(
 ):
     strategies = [strategy for strategy, _ in cells]
     cfgs = [replace(SHORT, seed=seed) for _, seed in cells]
-    stacked = finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, cfgs, world["test"],
-    )
+    stacked = train_cells(world, strategies, cfgs)
     for (strategy, seed), got in zip(cells, stacked):
         assert_same_run(got, lone_run(strategy, seed))
 
@@ -506,11 +469,8 @@ def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
     with monkeypatch.context() as patch:
         patch.setattr(training, "_run_segments", record)
         run(world, strategy, cfg)
-    n = world["train"].class_count
-    src, space = None, LabelSpace(n, ())
-    if strategy.needs_source:
-        src, space = world["src"], LabelSpace(n, tuple(world["plan"].selected_sources()))
-    ctx = _Context.of(world["train"], src, world["plan"], space, cfg.batch_size)
+    plan = world["plan"] if strategy.needs_source else None
+    ctx = _Context.of(world["train"], world["src"], plan, cfg.batch_size)
     draw = kind(ctx, [(kind, cfg.seed, strategy.mixup, start)], stop - start)
     for want in lone[start:stop]:
         for a, b in zip(draw(), want):
@@ -555,10 +515,7 @@ def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
     strategies = [
         Strategy.xmixup(replace(MIX, alpha=a)) for a in (1.0, 2.0, 4.0, 8.0)
     ]
-    finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, [FAST] * 4, world["test"],
-    )
+    train_cells(world, strategies, [FAST] * 4)
     (batch_fn,) = seen
     assert batch_fn.__qualname__ == "_mixed.<locals>.draw"
 
@@ -574,10 +531,7 @@ def test_a_finetune_call_builds_one_pool_for_every_source_kind(world, monkeypatc
 
     monkeypatch.setattr(CrossDomainPool, "of", counted)
     strategies = [Strategy.xmixup(MIX), Strategy.seqtrain(15), Strategy.cotrain()]
-    finetune(
-        world["pre"], world["train"], world["src"], world["plan"],
-        strategies, [FAST] * 3, world["test"],
-    )
+    train_cells(world, strategies, [FAST] * 3)
     assert len(built) == 1
 
 
