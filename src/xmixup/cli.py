@@ -2,7 +2,10 @@
 
 Every subcommand takes `--config <json>` and `--out <dir>`; steps read the
 artifacts earlier steps left in the output directory. `--set` flags
-override the config file.
+override the config file. The CLI loads and checks the config, the
+`finetune --strategy` flags and `--out`, hands the command to
+harness.run_command, which runs its step and writes the manifest, and
+prints the lines it returns.
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 numeric failure. Every config value is checked when the config loads, and
@@ -19,17 +22,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, check_distinct, config_from_json
 from .errors import ConfigError, DataError, NumericError
-from .harness import (
-    step_ablate,
-    step_finetune,
-    step_gen_data,
-    step_pair,
-    step_pretrain,
-    step_randomize_aux,
-    step_report,
-    step_sweep_alpha,
-    step_sweep_size,
-)
+from .harness import run_command
 from .training import StrategyKind
 
 
@@ -109,53 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> None:
     cfg = _load_config(args.config, args.overrides)
+    strategies = None
     if args.command == "finetune" and args.strategies:
         check_distinct("--strategy", args.strategies)
+        strategies = tuple(StrategyKind(s) for s in args.strategies)
     out = Path(args.out)  # gen-data makes it; every other command reads it first
     if out.exists() and not out.is_dir():
         raise DataError(f"--out {out} is not a directory")
-    cmd = args.command
-    if cmd == "gen-data":
-        counts = step_gen_data(cfg, out)
-        for name, count in counts.items():
-            print(f"{name}: {count} samples")
-    elif cmd == "pretrain":
-        info = step_pretrain(cfg, out)
-        print(f"source test accuracy {info['source_test_accuracy']:.4f}")
-    elif cmd == "pair":
-        info = step_pair(cfg, out)
-        print(
-            f"selected {len(info['selected_sources'])} source classes "
-            f"in {info['rounds']} round(s) (threshold {info['threshold']})"
-        )
-    elif cmd == "finetune":
-        kinds = (
-            tuple(StrategyKind(s) for s in args.strategies)
-            if args.strategies
-            else None
-        )
-        for r in step_finetune(cfg, out, strategies=kinds):
-            print(f"{r['strategy']} seed {r['seed']}: accuracy {r['accuracy']:.4f}")
-    elif cmd == "sweep-alpha":
-        rows = step_sweep_alpha(cfg, out)
-        print(f"wrote sweep_alpha.csv ({len(rows)} runs)")
-    elif cmd == "sweep-size":
-        rows = step_sweep_size(cfg, out)
-        print(f"wrote sweep_size.csv ({len(rows)} runs)")
-    elif cmd == "randomize-aux":
-        rows = step_randomize_aux(cfg, out)
-        print(f"wrote randomize_aux.csv ({len(rows)} runs)")
-    elif cmd == "ablate":
-        records = step_ablate(cfg, out)
-        print(f"wrote ablate.csv ({len(records)} runs)")
-    elif cmd == "report":
-        for row in step_report(cfg, out):
-            print(
-                f"{row['strategy']}: {row['accuracy_mean']:.4f} "
-                f"± {row['accuracy_std']:.4f} over {row['runs']} run(s)"
-            )
-    else:  # pragma: no cover - argparse rejects unknown subcommands
-        raise ConfigError(f"unknown subcommand {cmd!r}")
+    for line in run_command(args.command, cfg, out, strategies):
+        print(line)
 
 
 def main(argv=None) -> int:

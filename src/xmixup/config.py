@@ -166,6 +166,8 @@ class ExperimentConfig:
         for name in ("seeds", "alpha_grid", "threshold_grid"):
             check_distinct(name, getattr(self, name))
         _require_range("sp_weight", self.sp_weight >= 0, ">= 0", self.sp_weight)
+        value, rule = self.finetune.seed, "0 (each run takes its seed from `seeds`)"
+        _require_range("finetune.seed", value == 0, rule, value)
         for name in ("threshold", "midtune_iterations"):
             value = getattr(self, name)
             _require_range(name, value is None or value >= 0, ">= 0 or null", value)

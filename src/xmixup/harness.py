@@ -7,6 +7,12 @@ rerunning a step reproduces its artifacts byte for byte. manifest.json ties
 the artifacts in a directory to the hash of the config that produced them,
 and `report` joins only run records carrying that hash.
 
+Every command runs through run_command: it reads and checks the manifest,
+runs the command's step, which writes its artifacts and returns their
+manifest entries and the lines the CLI prints, and then writes the
+manifest once, last. So a malformed manifest stops a command before it
+writes anything.
+
 Every step that fine-tunes lists its runs as cells (training.Cell: a
 strategy, a seed and the pairing plan its source draws follow) and hands
 them to training.finetune_cells, which trains the cells sharing a label
@@ -17,8 +23,9 @@ cell trains, and the probes and spectra of all cells are computed together
 (analysis.linear_probes and analysis.spectra, stacked in chunks of about
 1 MiB). The grid commands (`sweep-alpha`, `sweep-size`, `randomize-aux`)
 only list their cells in output order, each with the key columns of its
-row; one writer, _grid_table, trains them and writes the table, the
-optional mean-accuracy chart and the manifest entries.
+row; one writer, _grid_table, trains them, writes the table and the
+optional mean-accuracy chart, and returns their manifest entries and the
+command's one line.
 
 The harness builds no plans: `pair` and `sweep-size` expand one
 pairing.centroid_similarity per command to their thresholds, and
@@ -35,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +99,9 @@ COMPARISON_HEADER = (
 )
 RECORD_SCORES = COMPARISON_HEADER.split(",")[2:]
 
+#: A step's manifest entries of what it wrote, and the lines the CLI prints.
+Output = tuple[dict[str, str], list[str]]
+
 
 def _write_json(obj, path: Path) -> None:
     with atomic_open(path) as f:
@@ -121,31 +132,19 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def update_manifest(out: Path, cfg: ExperimentConfig, entries: dict[str, str]) -> None:
-    """Record artifact names under the current config hash; a hash change
-    invalidates (drops) entries from older configs. A manifest that is not
-    an object with an object of artifacts is a ParseError."""
-    path = out / MANIFEST
-    manifest = {"config_hash": cfg.hash(), "artifacts": {}}
-    if path.exists():
-        old = _read_json(path)
-        if not isinstance(old, dict) or not isinstance(old.get("artifacts", {}), dict):
-            raise ParseError("not an object with an object of artifacts", path=path)
-        if old.get("config_hash") == cfg.hash():
-            manifest["artifacts"] = old.get("artifacts", {})
-    manifest["artifacts"].update(entries)
-    _write_json(manifest, path)
-
-
 # --- loading and checking artifacts -----------------------------------------
 
 
 def load_data(out: Path, spec: DataSpec) -> tuple[Dataset, Dataset, Dataset, Dataset]:
-    """The four dataset splits, checked to share one width and, per domain,
-    one class count, and then to have the width and class counts that
-    `spec` generates, before anything is sized by them."""
+    """The four dataset splits, checked to hold the domain their file is
+    named for, to share one width and, per domain, one class count, and
+    then to have the width and class counts that `spec` generates, before
+    anything is sized by them."""
     sets = tuple(load_dataset(_require(out / name, "gen-data")) for name in SPLITS)
     for name, ds in zip(SPLITS, sets):
+        if ds.domain.value != name.partition("_")[0]:  # source_*.csv: source rows
+            message = f"{out / name} holds {ds.domain.value} rows; rerun `gen-data`"
+            raise DataError(message)
         if ds.d != sets[0].d:
             raise DataError(
                 f"{out / name} has width {ds.d}, {SOURCE_TRAIN} has {sets[0].d}"
@@ -202,7 +201,7 @@ def load_lab(out: Path, spec: DataSpec, with_plan: bool = True) -> Lab:
 # --- pipeline steps ---------------------------------------------------------
 
 
-def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
+def step_gen_data(cfg: ExperimentConfig, out: Path) -> Output:
     ds = cfg.data
     src = gen_source(ds.m, ds.source_per_class, ds.d, ds.spread, ds.seed)
     src_train, src_test = split(src, ds.source_test_fraction, ds.seed)
@@ -223,11 +222,11 @@ def step_gen_data(cfg: ExperimentConfig, out: Path) -> dict:
         out / PLANTED,
     )
     # manifest keys and counts are named like the files, without ".csv"
-    update_manifest(out, cfg, {n[:-4]: n for n in SPLITS} | {"planted": PLANTED})
-    return {name[:-4]: len(dataset) for name, dataset in splits.items()}
+    entries = {n[:-4]: n for n in SPLITS} | {"planted": PLANTED}
+    return entries, [f"{n[:-4]}: {len(ds)} samples" for n, ds in splits.items()]
 
 
-def step_pretrain(cfg: ExperimentConfig, out: Path) -> dict:
+def step_pretrain(cfg: ExperimentConfig, out: Path) -> Output:
     src_train, src_test, _, _ = load_data(out, cfg.data)
     params = pretrain(src_train, cfg.pretrain, list(cfg.hidden))
     save_params(params, out / PRETRAINED)
@@ -237,15 +236,15 @@ def step_pretrain(cfg: ExperimentConfig, out: Path) -> dict:
         "source_test_accuracy": evaluate(params, src_test),
     }
     _write_json(info, out / "pretrain.json")
-    update_manifest(out, cfg, {"pretrained": PRETRAINED, "pretrain_info": "pretrain.json"})
-    return info
+    entries = {"pretrained": PRETRAINED, "pretrain_info": "pretrain.json"}
+    return entries, [f"source test accuracy {info['source_test_accuracy']:.4f}"]
 
 
 def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
     return cfg.threshold if cfg.threshold is not None else default_threshold(tgt_train)
 
 
-def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
+def step_pair(cfg: ExperimentConfig, out: Path) -> Output:
     lab = load_lab(out, cfg.data, with_plan=False)
     threshold = _threshold(cfg, lab.tgt_train)
     sims = centroid_similarity(lab.pretrained, lab.src_train, lab.tgt_train)
@@ -259,8 +258,10 @@ def step_pair(cfg: ExperimentConfig, out: Path) -> dict:
         "selected_sources": plan.selected_sources(),
     }
     _write_json(info, out / "pair.json")
-    update_manifest(out, cfg, {"plan": PLAN, "pair_info": "pair.json"})
-    return info
+    return {"plan": PLAN, "pair_info": "pair.json"}, [
+        f"selected {len(info['selected_sources'])} source classes "
+        f"in {info['rounds']} round(s) (threshold {threshold})"
+    ]
 
 
 def run_record(
@@ -318,7 +319,7 @@ def step_finetune(
     cfg: ExperimentConfig,
     out: Path,
     strategies: tuple[StrategyKind, ...] | None = None,
-) -> list[dict]:
+) -> Output:
     lab = load_lab(out, cfg.data)
     kinds = strategies if strategies is not None else cfg.strategies
     cells = [
@@ -344,8 +345,10 @@ def step_finetune(
         name = run_name(cell.strategy.kind, cell.seed)
         _write_json(record, runs / f"{name}.json")
         entries[f"run_{name}"] = f"{RUNS_DIR}/{name}.json"
-    update_manifest(out, cfg, entries)
-    return records
+    return entries, [
+        f"{r['strategy']} seed {r['seed']}: accuracy {r['accuracy']:.4f}"
+        for r in records
+    ]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -441,7 +444,7 @@ def load_run_records(out: Path, config_hash: str) -> list[dict]:
     return records
 
 
-def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
+def step_report(cfg: ExperimentConfig, out: Path) -> Output:
     records = load_run_records(out, cfg.hash())
     # the configured strategies first, then any other a record holds (ablate's)
     order = cfg.strategies + tuple(k for k in StrategyKind if k not in cfg.strategies)
@@ -455,16 +458,16 @@ def step_report(cfg: ExperimentConfig, out: Path) -> list[dict]:
         ylabel="accuracy",
     )
     write_svg(chart, out / "comparison.svg")
-    update_manifest(
-        out,
-        cfg,
-        {
-            "comparison": "comparison.csv",
-            "summary": "summary.csv",
-            "comparison_chart": "comparison.svg",
-        },
-    )
-    return rows
+    entries = {
+        "comparison": "comparison.csv",
+        "summary": "summary.csv",
+        "comparison_chart": "comparison.svg",
+    }
+    return entries, [
+        f"{r['strategy']}: {r['accuracy_mean']:.4f} "
+        f"± {r['accuracy_std']:.4f} over {r['runs']} run(s)"
+        for r in rows
+    ]
 
 
 def _grid_table(
@@ -476,14 +479,14 @@ def _grid_table(
     cells: list[Cell],
     keys: list[tuple],
     chart: tuple | None = None,
-) -> list[list]:
+) -> Output:
     """Train the cells through finetune_cells and write `<name>.csv`, one
     row per cell in cell order: the cell's key columns, its seed and its
     accuracy.
 
     Given chart = (title, xlabel, x_of_key), also write `<name>.svg` with
     the mean accuracy of each key, in first-seen key order, at x_of_key(key).
-    Both files go into the manifest; the rows are returned.
+    Returns the manifest entries of both files and the command's one line.
     """
     results = finetune_cells(
         lab.pretrained, lab.tgt_train, lab.src_train, cells, cfg.finetune, lab.tgt_test
@@ -501,11 +504,10 @@ def _grid_table(
         svg = line_chart("xmixup", xs, ys, title, xlabel, "mean accuracy")
         write_svg(svg, out / f"{name}.svg")
         entries[f"{name}_chart"] = f"{name}.svg"
-    update_manifest(out, cfg, entries)
-    return rows
+    return entries, [f"wrote {name}.csv ({len(rows)} runs)"]
 
 
-def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[list]:
+def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> Output:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
     lab = load_lab(out, cfg.data)
@@ -522,7 +524,7 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> list[list]:
     return _grid_table(cfg, out, lab, "sweep_alpha", header, cells, keys, chart)
 
 
-def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
+def step_sweep_size(cfg: ExperimentConfig, out: Path) -> Output:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
     lab = load_lab(out, cfg.data, with_plan=False)
     grid = cfg.threshold_grid
@@ -546,7 +548,7 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> list[list]:
     return _grid_table(cfg, out, lab, "sweep_size", header, cells, keys, chart)
 
 
-def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[list]:
+def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> Output:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
     lab = load_lab(out, cfg.data)
@@ -573,7 +575,7 @@ def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> list[list]:
     return _grid_table(cfg, out, lab, "randomize_aux", header, cells, keys)
 
 
-def step_ablate(cfg: ExperimentConfig, out: Path) -> list[dict]:
+def step_ablate(cfg: ExperimentConfig, out: Path) -> Output:
     """Ablation over the mixing recipe: cross-domain vs in-domain vs
     label-free mixing."""
     kinds = (
@@ -581,7 +583,46 @@ def step_ablate(cfg: ExperimentConfig, out: Path) -> list[dict]:
         StrategyKind.MIXUP_IN_DOMAIN,
         StrategyKind.XMIXUP_NO_LABEL,
     )
-    records = step_finetune(cfg, out, strategies=kinds)
+    entries, _ = step_finetune(cfg, out, strategies=kinds)
+    # the table holds the records as written, like report's
+    records = [_read_json(out / path) for path in entries.values()]
     write_comparison_csv(records, out / "ablate.csv", kinds)
-    update_manifest(out, cfg, {"ablate": "ablate.csv"})
-    return records
+    entries["ablate"] = "ablate.csv"
+    return entries, [f"wrote ablate.csv ({len(records)} runs)"]
+
+
+def run_command(
+    name: str,
+    cfg: ExperimentConfig,
+    out: Path,
+    strategies: tuple[StrategyKind, ...] | None = None,
+) -> list[str]:
+    """Run the command `name` in `out` and return the lines it prints.
+
+    A manifest that is not an object with an object of artifacts is a
+    ParseError before the step writes anything. The step's entries join
+    those of this config's hash (another hash's are dropped), and the
+    manifest is written once, last."""
+    path = out / MANIFEST
+    artifacts = {}
+    if path.exists():
+        old = _read_json(path)
+        if not isinstance(old, dict) or not isinstance(old.get("artifacts", {}), dict):
+            raise ParseError("not an object with an object of artifacts", path=path)
+        if old.get("config_hash") == cfg.hash():
+            artifacts = old.get("artifacts", {})
+    # built per call, so a step rebound on this module (by a tracer) is the one run
+    step = {
+        "gen-data": step_gen_data,
+        "pretrain": step_pretrain,
+        "pair": step_pair,
+        "finetune": partial(step_finetune, strategies=strategies),
+        "sweep-alpha": step_sweep_alpha,
+        "sweep-size": step_sweep_size,
+        "randomize-aux": step_randomize_aux,
+        "ablate": step_ablate,
+        "report": step_report,
+    }[name]
+    entries, lines = step(cfg, out)
+    _write_json({"config_hash": cfg.hash(), "artifacts": artifacts | entries}, path)
+    return lines

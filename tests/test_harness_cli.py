@@ -228,6 +228,37 @@ def test_finetune_strategy_flag_limits_runs(tmp_path):
     assert [p.name for p in sorted((out / "runs").glob("*.json"))] == ["l2-s0.json"]
 
 
+# The lines each command prints on MINI, in the order of a full chain. They
+# are the CLI's output format: a step may move where a line is formatted,
+# not what it says.
+STDOUT = {
+    "gen-data": "source_train: 80 samples\nsource_test: 16 samples\n"
+    "target_train: 30 samples\ntarget_test: 30 samples\n",
+    "pretrain": "source test accuracy 0.3125\n",
+    "pair": "selected 6 source classes in 1 round(s) (threshold 50)\n",
+    "finetune": "l2 seed 0: accuracy 0.4000\nl2 seed 1: accuracy 0.6000\n"
+    "xmixup seed 0: accuracy 0.2333\nxmixup seed 1: accuracy 0.4333\n",
+    "sweep-alpha": "wrote sweep_alpha.csv (4 runs)\n",
+    "sweep-size": "wrote sweep_size.csv (8 runs)\n",
+    "randomize-aux": "wrote randomize_aux.csv (4 runs)\n",
+    "ablate": "wrote ablate.csv (6 runs)\n",
+    "report": "l2: 0.5000 ± 0.1414 over 2 run(s)\n"
+    "xmixup: 0.3333 ± 0.1414 over 2 run(s)\n"
+    "mixup-indomain: 0.3500 ± 0.0236 over 2 run(s)\n"
+    "xmixup-nolabel: 0.4000 ± 0.0471 over 2 run(s)\n",
+}
+
+
+def test_every_command_prints_its_pinned_lines(tmp_path, capsys):
+    config = mini_config(tmp_path)
+    out = tmp_path / "out"
+    printed = {}
+    for cmd in STDOUT:
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0, cmd
+        printed[cmd] = capsys.readouterr().out
+    assert printed == STDOUT
+
+
 def test_sweeps_and_ablations_write_their_tables(tmp_path):
     # the second grid and seed list are out of order: sweep rows keep the
     # grid order, then the seed order as given, and randomize-aux lists the
@@ -449,6 +480,26 @@ def test_corrupt_artifacts_are_data_errors(tmp_path):
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune"])
+def test_a_malformed_manifest_stops_a_command_before_it_writes(
+    tiny_runs, tmp_path, command
+):
+    config, lab = tiny_runs
+    out = tmp_path / "out"
+    shutil.copytree(lab, out)
+    (out / "manifest.json").write_bytes(b"[]")
+    before = read_tree(out)
+    # a second seed changes the config hash, so any file the command wrote
+    # would differ from the lab's
+    argv = [command, "--config", str(config), "--out", str(out), "--set", "seeds=[0, 1]"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 3
+    assert stderr.getvalue().startswith("data error:")
+    assert "manifest.json" in stderr.getvalue()
+    assert read_tree(out) == before
+
+
 def test_the_seed_variable_of_old_releases_changes_nothing(tmp_path, monkeypatch):
     # XMIXUP_SEED once overrode the seeds; `--set data.seed=7 --set
     # pretrain.seed=7 --set seeds=[7]` does that now
@@ -521,6 +572,7 @@ def test_pair_uses_configured_threshold(tmp_path):
         "midtune_iterations=-1",
         "sp_weight=-0.5",
         "mixup.seed=0.5",
+        "finetune.seed=7",
         "data.m=2.0",
         "data.planted=[0, 0]",
         "data.planted=[0, 99]",
@@ -1271,6 +1323,10 @@ MALFORMED = {
     ),
     # a field of line 3 of a CSV file
     "dataset-label-x": ("target_train.csv", csv_field(1, 0, "x"), "pretrain"),
+    # the header of a target split swapped in for the source split
+    "dataset-of-the-other-domain": (
+        "source_train.csv", csv_field(0, 0, "target"), "pretrain"
+    ),
     "plan-entry-x": ("plan.csv", csv_field(2, 1, "x"), "finetune"),
     "plan-similarity-nan": ("plan.csv", csv_field(2, 3, "nan"), "finetune"),
 }
