@@ -16,7 +16,7 @@ sample_gamma are their one-draw reference and are not used in training.
 What does not change from step to step is built ahead of the steps: a
 CrossDomainPool, built once per fine-tune call, checks the target and source
 rows and holds them in one array with the plan as a padded table, and a
-BetaSampler, built once per training segment, holds each cell's λ constants.
+BetaSampler, built once per training stack, holds each cell's λ constants.
 make_batch(pool, sampler, rngs) is the per-step function.
 
 make_batch and BetaSampler serve the cells of a stack: a BetaSampler is

@@ -2,18 +2,18 @@
 
 Every strategy fine-tunes a pre-trained extractor with a fresh head over the
 unified label space (target classes first, then any selected source
-classes), and every one is the same SGD loop fed a different batch: a
-strategy is a list of phases, each a budget and a batch kind (_phases), and
-one trainer, _train, cuts a stack's phases into segments and steps them
-through _run_segments, for fine-tuning and pretrain alike. _BATCH maps
-each strategy to its batch kind, a module-level function; those that draw
-source rows read one CrossDomainPool, and the mixing ones mix by blend:
+classes), and every one is the same SGD loop fed a different batch: one
+trainer, _train, steps every stack through one loop, _run_stack, for
+fine-tuning and pretrain alike. Each strategy draws by one batch kind
+(_row_kind), a module-level function or, for seqtrain, a small frozen
+callable keyed by its first-phase budget; those that draw source rows read
+one CrossDomainPool, and the mixing ones mix by blend:
 
 - target rows: l2, and l2sp, which adds mu * ||theta_ext - theta_0,ext||^2
   with the gradient 2*mu*(theta - theta_0) on the extractor
 - in-domain mixed rows; cross-domain mixed rows: xmixup, and
   xmixup-nolabel, which relabels them with the pure target class
-- auxiliary source rows: seqtrain's first phase, before target rows
+- seqtrain's auxiliary source rows, then target rows (_Sequential)
 - co-train rows, half target and half auxiliary, under a masked softmax
   (target rows over target logits, source rows over source logits)
 
@@ -36,8 +36,8 @@ source classes.
   the stack's batch; a stack of one kind, one draw a row, takes them as is.
 - Losses. One call of model.stack_loss_and_grad, one forward and one
   backward, serves the stack, plus L2-SP's penalty.
-- Schedules. At seqtrain's phase switch its row's velocity and learning-rate
-  schedule restart; where schedules differ, each row takes its own rate.
+- Schedules. Seqtrain's velocity and schedule restart at its first-phase
+  budget; where schedules differ, each row takes its own rate.
 
 So every cell's parameters, loss trace and accuracy are bit for bit those
 of the cell trained alone, whichever cells ride with it."""
@@ -45,7 +45,8 @@ of the cell trained alone, whichever cells ride with it."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, repeat
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -82,6 +83,11 @@ NEEDS_MIXUP = {
     StrategyKind.MIXUP_IN_DOMAIN,
     StrategyKind.XMIXUP,
     StrategyKind.XMIXUP_NO_LABEL,
+}
+
+NEEDS_SOURCE = {
+    StrategyKind.XMIXUP, StrategyKind.XMIXUP_NO_LABEL,
+    StrategyKind.SEQ_TRAIN, StrategyKind.CO_TRAIN,
 }
 
 
@@ -140,7 +146,7 @@ class Strategy:
     @property
     def needs_source(self) -> bool:
         """Whether the strategy's batch kind draws source rows."""
-        return _BATCH[self.kind] in (_mixed, _auxiliary_rows, _cotrain)
+        return self.kind in NEEDS_SOURCE
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind.value}
@@ -183,23 +189,22 @@ def result_to_json(result: RunResult) -> dict:
     }
 
 
-def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
-    """Drive SGD through `segments`, updating the stack params in place;
+def _run_stack(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None) -> np.ndarray:
+    """Drive SGD for len(lrs) steps, updating the stack params in place;
     returns the (iterations, S) loss trace.
 
-    A segment is (batch_fn, lrs, reset) and takes len(lrs) steps. Each step
-    draws a batch, a tuple of arrays, from batch_fn(), takes
+    Each step draws a batch, a tuple of arrays, from batch_fn(), takes
     loss_fn(params, *batch, out) -> (loss, grads), which writes the
     gradients into the run's one buffer `out`, and makes one sgd_step at the
     step's entry of lrs: a float, or an (S, 1) column of one rate per model.
-    The velocity of the rows in `reset` restarts from zero when the segment
-    starts.
+    `resets` maps an iteration to the rows whose velocity restarts from
+    zero before it.
 
     A diverging run overflows quietly: the checks of logits and gradients
     raise NumericError at the step they find a non-finite value, and a loss
     no check reads (L2-SP's penalty) is checked in the trace once the loop
-    ends. Either is raised with the iteration, counted over all segments,
-    and the name of its cell when `cells` names the models.
+    ends. Either is raised with the iteration and the name of its cell when
+    `cells` names the models.
     """
 
     def failed(it: int, message: str, cell: int | None) -> NumericError:
@@ -211,21 +216,17 @@ def _run_segments(params, cfg, loss_fn, segments, cells=None) -> np.ndarray:
 
     velocity = ModelParams.zeros_like(params)
     out = ModelParams.zeros_like(params)
-    steps = sum(len(lrs) for _, lrs, _ in segments)
-    trace = np.empty((steps,) + params.flat.shape[:-1])
-    it = 0
+    trace = np.empty((len(lrs),) + params.flat.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch_fn, lrs, reset in segments:
-            if reset:
-                velocity.flat[reset] = 0.0
-            for lr in lrs:
-                try:
-                    loss, grads = loss_fn(params, *batch_fn(), out)
-                    sgd_step(params, grads, velocity, cfg, lr)
-                except NumericError as e:
-                    raise failed(it, str(e), e.cell) from None
-                trace[it] = loss
-                it += 1
+        for it, lr in enumerate(lrs):
+            if it in resets:
+                velocity.flat[resets[it]] = 0.0
+            try:
+                loss, grads = loss_fn(params, *batch_fn(), out)
+                sgd_step(params, grads, velocity, cfg, lr)
+            except NumericError as e:
+                raise failed(it, str(e), e.cell) from None
+            trace[it] = loss
     finite = np.isfinite(trace)
     if not finite.all():
         it, cell = np.argwhere(~finite)[0].tolist()  # the first, and its cell
@@ -267,7 +268,7 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
     ctx = _Context.of(src_train, None, None, cfg.batch_size)
     one = ModelParams._over(params, params.flat[None])  # trains params in place
-    _train(one, ctx, [(Strategy.l2(), cfg)], ["pretrain"], None)
+    _train(one, ctx, [(Strategy.l2(), cfg.seed)], cfg, ["pretrain"], None)
     return params
 
 
@@ -324,8 +325,8 @@ def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
     return replace(cfg, iterations=iterations, lr_drop_at=drop)
 
 
-def _cell_name(strategy: Strategy, cfg: TrainConfig) -> str:
-    name = f"{strategy.kind.value} seed {cfg.seed}"
+def _cell_name(strategy: Strategy, seed: int) -> str:
+    name = f"{strategy.kind.value} seed {seed}"
     if strategy.mixup is not None:
         name += f" alpha {strategy.mixup.alpha:g}"
     return name
@@ -343,21 +344,17 @@ def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
     return mid
 
 
-
 @dataclass(frozen=True, eq=False)
 class _Context:
     """What the batch kinds of one stack draw from: its target data,
     label space and CrossDomainPool (None with no source), the identity
-    whose rows are one-hot labels, B, and the generators of each draw key
-    (batch kind, seed, MixupConfig, first iteration), kept for the stack: a
-    key whose phase spans another row's phase switch draws on."""
+    whose rows are one-hot labels, and B."""
 
     tgt: Dataset
     space: LabelSpace
     pool: CrossDomainPool | None
     eye: np.ndarray
     B: int
-    rngs: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, tgt, src, plan, batch_size) -> "_Context":
@@ -368,24 +365,22 @@ class _Context:
         pool = None if plan is None else CrossDomainPool.of(tgt, src, plan, space)
         return cls(tgt, space, pool, np.eye(space.size), batch_size)
 
-    def generators(self, keys: list[tuple], stream: int) -> list:
-        """Each key's generator of a stream: 1 target rows, 2 mixing, 3 auxiliary."""
-        for key in keys:
-            if (key, stream) not in self.rngs:
-                _, seed, mixup, _ = key
-                entropy = [seed, 2, mixup.seed] if stream == 2 else [seed, stream]
-                self.rngs[key, stream] = np.random.default_rng(entropy)
-        return [self.rngs[key, stream] for key in keys]
+
+def _generators(keys: list[tuple], stream: int) -> list:
+    """Each draw key's generator of a stream: 1 target rows, 2 mixing, 3 auxiliary."""
+    entropy = ([s, 2, mix.seed] if stream == 2 else [s, stream] for _, s, mix in keys)
+    return [np.random.default_rng(e) for e in entropy]
 
 
-# The batch kinds: (ctx, keys, steps) -> a function that draws one step's
-# batches of every key, (X, P, labels) with a leading (keys,) axis and None
-# for the labels the kind lacks: soft labels P, or cotrain's hard labels.
+# The batch kinds, built once per stack: (ctx, keys, steps) -> a function
+# that draws one step's batches of every draw key (kind, seed, MixupConfig)
+# from generators the kind makes, (X, P, labels) with a leading (keys,)
+# axis and None for the labels it lacks: soft P or cotrain's hard labels.
 
 
 def _uniform_rows(ctx, X, labels, stream, keys, steps):
-    eye, rngs = ctx.eye, ctx.generators(keys, stream)
-    draws = _index_blocks(rngs, len(X), (ctx.B,), steps)
+    eye = ctx.eye
+    draws = _index_blocks(_generators(keys, stream), len(X), (ctx.B,), steps)
 
     def draw():
         idx = next(draws)
@@ -405,11 +400,26 @@ def _auxiliary_rows(ctx: _Context, keys: list[tuple], steps: int):
     return _uniform_rows(ctx, X[n:], y[n:], 3, keys, steps)
 
 
+@dataclass(frozen=True)
+class _Sequential:
+    """SeqTrain's batch kind at first-phase budget `mid`: auxiliary rows for
+    the first mid steps, then target rows from generators of its own. Equal
+    budgets compare equal, so their rows share one kind."""
+
+    mid: int
+
+    def __call__(self, ctx: _Context, keys: list[tuple], steps: int):
+        first = _auxiliary_rows(ctx, keys, self.mid)
+        then = _target_rows(ctx, keys, steps - self.mid)
+        draws = chain(repeat(first, self.mid), repeat(then, steps - self.mid))
+        return (draw() for draw in draws).__next__
+
+
 def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
     """Pairs of target rows, inputs and labels mixed by one λ a row (blend)."""
     tgt_X, tgt_y, B, width = ctx.tgt.X, ctx.tgt.y, ctx.B, ctx.space.size
-    draws = _index_blocks(ctx.generators(keys, 1), len(tgt_X), (2, B), steps)
-    lam, rng_mix = BetaSampler([key[2] for key in keys], B), ctx.generators(keys, 2)
+    draws = _index_blocks(_generators(keys, 1), len(tgt_X), (2, B), steps)
+    lam, rng_mix = BetaSampler([key[2] for key in keys], B), _generators(keys, 2)
 
     def draw():
         i1, i2 = next(draws).swapaxes(0, 1)
@@ -422,7 +432,7 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
 
 def _mixed(ctx: _Context, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
-    lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), ctx.generators(keys, 2)
+    lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), _generators(keys, 2)
 
     def draw():
         X, P = make_batch(ctx.pool, lam, rng_mix)
@@ -437,7 +447,7 @@ def _cotrain(ctx: _Context, keys: list[tuple], steps: int):
     pool, n, B, half = ctx.pool, ctx.pool.tgt_len, ctx.B, ctx.B // 2
     high = np.repeat([n, len(pool.X) - n], [half, B - half])
     offset = np.repeat([0, n], [half, B - half])
-    draws = _index_blocks(ctx.generators(keys, 1), high, (B,), steps)
+    draws = _index_blocks(_generators(keys, 1), high, (B,), steps)
 
     def draw():
         idx = next(draws) + offset
@@ -446,34 +456,29 @@ def _cotrain(ctx: _Context, keys: list[tuple], steps: int):
     return draw
 
 
-#: The batch kind each strategy trains on; SeqTrain's is that of its first
-#: phase, its second phase trains on target rows.
+#: The batch kind of each strategy but SeqTrain, whose kind depends on its
+#: budget (_row_kind).
 _BATCH = {
     StrategyKind.L2: _target_rows,
     StrategyKind.L2SP: _target_rows,
     StrategyKind.MIXUP_IN_DOMAIN: _in_domain,
     StrategyKind.XMIXUP: _mixed,
     StrategyKind.XMIXUP_NO_LABEL: _mixed,
-    StrategyKind.SEQ_TRAIN: _auxiliary_rows,
     StrategyKind.CO_TRAIN: _cotrain,
 }
 
 
-def _phases(strategy: Strategy, cfg: TrainConfig) -> list[tuple]:
-    """A cell's phases that take any step, as (first iteration, the phase's
-    TrainConfig, batch kind)."""
-    phases = [(0, cfg, _BATCH[strategy.kind])]
+def _row_kind(strategy: Strategy, cfg: TrainConfig) -> tuple:
+    """A row's batch kind and the iteration at which its velocity and
+    learning-rate schedule restart: SeqTrain's first-phase budget, else 0."""
     if strategy.kind is StrategyKind.SEQ_TRAIN:
         mid = _midtune(strategy, cfg)
-        phases = [
-            (0, _budget(cfg, mid), _auxiliary_rows),
-            (mid, _budget(cfg, cfg.iterations - mid), _target_rows),
-        ]
-    return [phase for phase in phases if phase[1].iterations]
+        return _Sequential(mid), mid
+    return _BATCH[strategy.kind], 0
 
 
 def _row_plan(keys: list[tuple], nolabel: list[bool]):
-    """How a segment's rows take their batches, from each row's draw key
+    """How a stack's rows take their batches, from each row's draw key
     and whether it is xmixup-nolabel. Returns (draws, take, relabel): each
     batch kind with its distinct keys and the first row of each, kinds and
     keys in first-row order, the order in which they draw and join; None
@@ -522,46 +527,18 @@ def _joined(draws: list[tuple], take, relabel: list[int], eye, n_target: int):
     return batch
 
 
-def _segment(ctx: _Context, cells: list[tuple], first: int, stop: int, phases):
-    """The (batch_fn, lrs, reset) of iterations [first, stop) of a stack
-    whose row r is the cell (strategy, cfg) cells[r], in phase phases[r]."""
-    keys = [(kind, c.seed, s.mixup, at) for (at, _, kind), (s, c) in zip(phases, cells)]
-    nolabel = [s.kind is StrategyKind.XMIXUP_NO_LABEL for s, _ in cells]
-    kinds, take, relabel = _row_plan(keys, nolabel)
-    draws = [(kind(ctx, ks, stop - first), rows) for kind, ks, rows in kinds]
-    if len(draws) == 1 and take is None and not relabel:
-        batch_fn = draws[0][0]  # one kind's draws are the stack's batches
-    else:
-        batch_fn = _joined(draws, take, relabel, ctx.eye, ctx.space.n_target)
-
-    # each row's learning rates; the rows' phases differ only in their
-    # budget, so (start, drop) tells their schedules apart
-    begun = {(start, ph.lr_drop_at): (start, ph) for start, ph, _ in phases}
-    rates = {
-        key: [learning_rate(ph, i - start) for i in range(first, stop)]
-        for key, (start, ph) in begun.items()
-    }
-    if len(rates) == 1:
-        (lrs,) = rates.values()
-    else:  # one column of rates per step
-        lrs = np.array([rates[at, ph.lr_drop_at] for at, ph, _ in phases]).T[..., None]
-    reset = [r for r, (start, _, _) in enumerate(phases) if 0 < start == first]
-    return batch_fn, lrs, reset
-
-
 def _stack_order(strategy: Strategy) -> tuple:
     """Where a cell sits in its stack: by strategy kind, so that cotrain's
     masked rows come last, and the L2SP cells of one weight together."""
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
 
 
-def _train(stack, ctx: _Context, cells: list[tuple], names, reference) -> np.ndarray:
-    """Train `stack`, whose row r is the cell (strategy, cfg) cells[r] named
-    names[r], in place on the batches its cells draw from ctx; returns the
-    (iterations, S) loss trace. The cells share their TrainConfig up to the
-    seed. L2-SP cells are pulled toward the extractor of `reference`, which
-    a stack without them may leave None."""
-    n, half, cfg = ctx.space.n_target, ctx.B // 2, cells[0][1]
+def _train(stack, ctx, cells, cfg: TrainConfig, names, reference) -> np.ndarray:
+    """Train `stack`, whose row r is the cell (strategy, seed) cells[r] named
+    names[r], in place under cfg on the batches its cells draw from ctx;
+    returns the (iterations, S) loss trace. L2-SP cells are pulled toward the
+    extractor of `reference`, which a stack without them may leave None."""
+    n, half, T = ctx.space.n_target, ctx.B // 2, cfg.iterations
 
     # the losses: cross-entropy on soft labels and the masked loss on
     # cotrain's rows, then the L2-SP penalty of each weight added on its rows
@@ -581,15 +558,32 @@ def _train(stack, ctx: _Context, cells: list[tuple], names, reference) -> np.nda
             loss[rows] += pen
         return loss, grads
 
-    # the segments: runs of iterations in which no row changes phase; a
-    # row's phases follow each other, so its phase is the last one begun
-    phases = [_phases(s, c) for s, c in cells]
-    bounds = sorted({ph[0] for row in phases for ph in row} | {cfg.iterations})
-    segments = []
-    for first, stop in zip(bounds, bounds[1:]):
-        current = [[ph for ph in row if ph[0] <= first][-1] for row in phases]
-        segments.append(_segment(ctx, cells, first, stop, current))
-    return _run_segments(stack, cfg, loss_fn, segments, names)
+    # the batches: each row's draw key, and one batch function for the stack
+    kinds, starts = zip(*(_row_kind(s, cfg) for s, _ in cells))
+    keys = [(kind, seed, s.mixup) for kind, (s, seed) in zip(kinds, cells)]
+    nolabel = [s.kind is StrategyKind.XMIXUP_NO_LABEL for s, _ in cells]
+    plan, take, relabel = _row_plan(keys, nolabel)
+    draws = [(kind(ctx, ks, T), rows) for kind, ks, rows in plan]
+    if len(draws) == 1 and take is None and not relabel:
+        batch_fn = draws[0][0]  # one kind's draws are the stack's batches
+    else:
+        batch_fn = _joined(draws, take, relabel, ctx.eye, n)
+
+    # the schedules: a row that restarts at `at` runs _budget(cfg, at), then
+    # _budget(cfg, T - at) from iteration at, its velocity restarting there
+    rates = {}
+    for at in dict.fromkeys(starts):
+        first, then = _budget(cfg, at), _budget(cfg, T - at)
+        rates[at] = [
+            learning_rate(first, i) if i < at else learning_rate(then, i - at)
+            for i in range(T)
+        ]
+    if len(rates) == 1:
+        (lrs,) = rates.values()
+    else:  # one column of rates per step
+        lrs = np.array([rates[at] for at in starts]).T[..., None]
+    resets = {at: [r for r, a in enumerate(starts) if a == at] for at in rates if at}
+    return _run_stack(stack, cfg, loss_fn, batch_fn, lrs, resets, names)
 
 
 @dataclass(frozen=True)
@@ -667,6 +661,8 @@ def finetune_cells(
             if missing:
                 raise ConfigError(f"pairing plan misses target classes {missing}")
             key = id(cell.plan)
+        if cell.strategy.kind is StrategyKind.SEQ_TRAIN:
+            _midtune(cell.strategy, cfg)  # a bad budget fails before any stack trains
         stacks.setdefault(key, []).append(i)
 
     results: list[RunResult | None] = [None] * len(cells)
@@ -675,14 +671,14 @@ def finetune_cells(
         ctx = _Context.of(tgt_train, src, plan, cfg.batch_size)
         # the stack's rows: the group in _stack_order; order[r] is row r's cell
         order = sorted(group, key=lambda i: _stack_order(cells[i].strategy))
-        rows = [(cells[i].strategy, replace(cfg, seed=cells[i].seed)) for i in order]
-        rngs = [np.random.default_rng([c.seed, 0]) for _, c in rows]
+        rows = [(cells[i].strategy, cells[i].seed) for i in order]
+        rngs = [np.random.default_rng([seed, 0]) for _, seed in rows]
         heads = [init_linear(ctx.space.size, pretrained.feature_width, r) for r in rngs]
         # the stack copies the pre-trained layers in
         stack = ModelParams.stack([ModelParams(pretrained.layers, h) for h in heads])
-        names = [_cell_name(s, c) for s, c in rows]
+        names = [_cell_name(s, seed) for s, seed in rows]
         try:
-            trace = _train(stack, ctx, rows, names, pretrained)
+            trace = _train(stack, ctx, rows, cfg, names, pretrained)
             accuracies = []
             for r, name in enumerate(names):
                 try:
@@ -692,13 +688,13 @@ def finetune_cells(
         except NumericError as e:  # name the caller's cell, not its stack row
             cell = None if e.cell is None else order[e.cell]
             raise NumericError(str(e), cell=cell) from None
-        label_space = {"n_target": n, "source_classes": list(ctx.space.source_classes)}
-        for r, (s, c) in enumerate(rows):
-            config = {"strategy": s.to_config(), "train": asdict(c)}
-            config["label_space"] = label_space
+        space = {"n_target": n, "source_classes": list(ctx.space.source_classes)}
+        for r, (s, seed) in enumerate(rows):
+            train = asdict(replace(cfg, seed=seed))
+            config = {"strategy": s.to_config(), "train": train, "label_space": space}
             if s.kind is StrategyKind.SEQ_TRAIN:
-                config["strategy"]["midtune_iterations"] = _midtune(s, c)
+                config["strategy"]["midtune_iterations"] = _midtune(s, cfg)
             results[order[r]] = RunResult(
-                stack.row(r), trace[:, r].tolist(), accuracies[r], c.seed, config
+                stack.row(r), trace[:, r].tolist(), accuracies[r], seed, config
             )
     return results

@@ -24,7 +24,7 @@ from xmixup.model import (
     sgd_step,
     stack_loss_and_grad,
 )
-from xmixup.training import _run_segments
+from xmixup.training import _run_stack
 
 GRAD_CHECK_EPS = 1e-6
 GRAD_CHECK_TOL = 1e-7
@@ -260,7 +260,7 @@ def test_training_names_the_iteration_of_a_non_finite_gradient():
 
     with pytest.raises(NumericError, match="^iteration 3: non-finite gradient"):
         cfg = TrainConfig(iterations=10, lr_drop_at=10)
-        _run_segments(params, cfg, loss, [(batch, [0.01] * 10, [])])
+        _run_stack(params, cfg, loss, batch, [0.01] * 10, {})
 
 
 def test_params_views_share_one_flat_buffer():
@@ -365,7 +365,7 @@ def test_training_names_the_cell_of_a_stacked_failure():
 
     with pytest.raises(NumericError, match="^c2: iteration 3: non-finite gradient"):
         cfg = TrainConfig(iterations=10, lr_drop_at=10)
-        _run_segments(stack, cfg, loss, [(batch, [0.01] * 10, [])], ["c0", "c1", "c2"])
+        _run_stack(stack, cfg, loss, batch, [0.01] * 10, {}, ["c0", "c1", "c2"])
 
 
 def test_training_names_the_cell_of_a_non_finite_loss_no_check_reads():
@@ -384,7 +384,7 @@ def test_training_names_the_cell_of_a_non_finite_loss_no_check_reads():
 
     with pytest.raises(NumericError, match="^c2: iteration 4: non-finite loss") as info:
         cfg = TrainConfig(iterations=10, lr_drop_at=10)
-        _run_segments(stack, cfg, loss, [(batch, [0.01] * 10, [])], ["c0", "c1", "c2"])
+        _run_stack(stack, cfg, loss, batch, [0.01] * 10, {}, ["c0", "c1", "c2"])
     assert info.value.cell == 2
     assert next(steps, None) is None  # every iteration ran
 

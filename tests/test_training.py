@@ -21,6 +21,7 @@ from xmixup.model import (
     cross_entropy,
     forward_cache,
     init,
+    init_linear,
     learning_rate,
     loss_and_grad_arrays,
     sgd_step,
@@ -34,12 +35,14 @@ from xmixup.training import (
     Strategy,
     StrategyKind,
     _auxiliary_rows,
+    _budget,
     _Context,
     _cotrain,
     _in_domain,
     _index_blocks,
     _mixed,
     _row_plan,
+    _Sequential,
     _target_rows,
     evaluate,
     finetune,
@@ -218,6 +221,69 @@ def test_seqtrain_budget_split(world):
     assert len(zero.trace) == FAST.iterations
     with pytest.raises(ConfigError):
         run(world, Strategy.seqtrain(midtune_iterations=FAST.iterations + 1))
+
+
+def test_a_bad_seqtrain_budget_fails_before_any_stack_trains(world, monkeypatch):
+    # the l2 stack comes first in the grid; a budget past the run stops the
+    # call before it trains
+    real_train, entered = training._train, []
+
+    def counted_train(*args):
+        entered.append(args)
+        return real_train(*args)
+
+    monkeypatch.setattr(training, "_train", counted_train)
+    cells = [Cell(Strategy.l2(), 0, None), Cell(Strategy.seqtrain(41), 0, world["plan"])]
+    with pytest.raises(ConfigError, match="midtune budget 41 exceeds"):
+        finetune_cells(
+            world["pre"], world["train"], world["src"], cells, FAST, world["test"]
+        )
+    assert entered == []
+
+
+def source_stack(world, cfg, cells):
+    """_train of the (strategy, seed) rows `cells` under cfg, as one stack in
+    the plan's label space, with each row's head as finetune_cells draws it;
+    returns the stack, its trace and the context."""
+    ctx = _Context.of(world["train"], world["src"], world["plan"], cfg.batch_size)
+    pre, width = world["pre"], ctx.space.size
+    heads = [
+        init_linear(width, pre.feature_width, np.random.default_rng([seed, 0]))
+        for _, seed in cells
+    ]
+    stack = ModelParams.stack([ModelParams(pre.layers, h) for h in heads])
+    names = [f"row {r}" for r in range(len(cells))]
+    return stack, training._train(stack, ctx, cells, cfg, names, pre), ctx
+
+
+@pytest.mark.parametrize("mid", [0, 15, FAST.iterations])
+def test_seqtrain_is_its_first_phase_then_l2_trained_in_place(world, mid):
+    # the oracle of the phase switch: seqtrain over its first-phase budget,
+    # then l2 over the rest on the same parameters, with a fresh velocity
+    # and a fresh schedule
+    cfg = replace(FAST, seed=3)
+    got = run(world, Strategy.seqtrain(mid), cfg)
+    first = [(Strategy.seqtrain(mid), cfg.seed)]
+    stack, head, ctx = source_stack(world, _budget(cfg, mid), first)
+    rest = _budget(cfg, cfg.iterations - mid)
+    tail = training._train(stack, ctx, [(Strategy.l2(), cfg.seed)], rest, ["l2"], None)
+    assert stack.flat[0].tobytes() == got.params.flat.tobytes()
+    assert np.concatenate([head, tail])[:, 0].tobytes() == np.array(got.trace).tobytes()
+    assert evaluate(stack.row(0), world["test"]) == got.accuracy
+
+
+def test_seqtrain_at_every_budget_edge_rides_a_stack_with_its_lone_bytes(world):
+    # budgets 0 and T, which the stack-invariance draws miss, beside a switch
+    # mid-run and l2 and xmixup rows of the same seed
+    cfg = replace(FAST, seed=3)
+    cells = [(Strategy.l2(), 3), (Strategy.xmixup(MIX), 3)] + [
+        (Strategy.seqtrain(mid), 3) for mid in (0, 15, cfg.iterations)
+    ]
+    stack, trace, _ = source_stack(world, cfg, cells)
+    for r, cell in enumerate(cells):
+        alone, alone_trace, _ = source_stack(world, cfg, [cell])
+        assert stack.flat[r].tobytes() == alone.flat[0].tobytes()
+        assert trace[:, r].tobytes() == alone_trace[:, 0].tobytes()
 
 
 def test_finetune_is_deterministic_and_seed_sensitive(world):
@@ -450,10 +516,10 @@ def test_any_stack_of_one_label_space_gives_each_cell_its_lone_bytes(
         (_in_domain, Strategy.mixup_indomain(replace(MIX, beta=2.0)), 0, 40),
         (_mixed, Strategy.xmixup(MIX), 0, 40),
         (_auxiliary_rows, Strategy.seqtrain(15), 0, 15),
-        (_target_rows, Strategy.seqtrain(15), 15, 40),  # its second phase
+        (_Sequential(15), Strategy.seqtrain(15), 0, 40),  # both phases
         (_cotrain, Strategy.cotrain(), 0, 40),
     ],
-    ids=["target", "in-domain", "mixed", "auxiliary", "seqtrain-target", "cotrain"],
+    ids=["target", "in-domain", "mixed", "auxiliary", "seqtrain", "cotrain"],
 )
 def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
     world, monkeypatch, kind, strategy, start, stop
@@ -461,17 +527,16 @@ def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
     cfg = replace(FAST, seed=3)
     lone = []
 
-    def record(params, cfg, loss_fn, segments, cells=None):
-        for batch_fn, lrs, _ in segments:
-            lone.extend(batch_fn() for _ in lrs)
+    def record(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None):
+        lone.extend(batch_fn() for _ in lrs)
         return np.zeros((cfg.iterations, 1))
 
     with monkeypatch.context() as patch:
-        patch.setattr(training, "_run_segments", record)
+        patch.setattr(training, "_run_stack", record)
         run(world, strategy, cfg)
     plan = world["plan"] if strategy.needs_source else None
     ctx = _Context.of(world["train"], world["src"], plan, cfg.batch_size)
-    draw = kind(ctx, [(kind, cfg.seed, strategy.mixup, start)], stop - start)
+    draw = kind(ctx, [(kind, cfg.seed, strategy.mixup)], stop - start)
     for want in lone[start:stop]:
         for a, b in zip(draw(), want):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
@@ -479,10 +544,10 @@ def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
 
 def test_row_plan_maps_rows_to_their_draws():
     mix2, mix3 = MixupConfig(alpha=2.0), MixupConfig(alpha=3.0)
-    t0, t1 = (_target_rows, 0, None, 0), (_target_rows, 1, None, 0)
-    t0_late = (_target_rows, 0, None, 20)  # a second phase from iteration 20
-    m2, m3 = (_mixed, 3, mix2, 0), (_mixed, 3, mix3, 0)
-    c0, i0 = (_cotrain, 0, None, 0), (_in_domain, 0, mix2, 0)
+    t0, t1 = (_target_rows, 0, None), (_target_rows, 1, None)
+    t2 = (_target_rows, 2, None)
+    m2, m3 = (_mixed, 3, mix2), (_mixed, 3, mix3)
+    c0, i0 = (_cotrain, 0, None), (_in_domain, 0, mix2)
     # the identity plan: every row its own draw, in row order
     draws, take, relabel = _row_plan([t0, t1, m2], [False] * 3)
     assert draws == [(_target_rows, [t0, t1], [0, 1]), (_mixed, [m2], [2])]
@@ -495,8 +560,8 @@ def test_row_plan_maps_rows_to_their_draws():
     assert [t.tolist() for t in take] == [[0, 1, 0, 1, 2, 2], [0, 1, 0, 1], [0, 0]]
     assert relabel == [2, 3]
     # a kind's later row: the draws join kind by kind, not in row order
-    draws, take, relabel = _row_plan([t0, i0, t0_late], [False] * 3)
-    assert draws == [(_target_rows, [t0, t0_late], [0, 2]), (_in_domain, [i0], [1])]
+    draws, take, relabel = _row_plan([t0, i0, t2], [False] * 3)
+    assert draws == [(_target_rows, [t0, t2], [0, 2]), (_in_domain, [i0], [1])]
     assert [t.tolist() for t in take] == [[0, 2, 1], [0, 2, 1], []]
     assert relabel == []
 
@@ -507,11 +572,11 @@ def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
     # alpha-sweep's shape: no per-step join on the path of a single-kind stack
     seen = []
 
-    def record(params, cfg, loss_fn, segments, cells=None):
-        seen.extend(batch_fn for batch_fn, _, _ in segments)
+    def record(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None):
+        seen.append(batch_fn)
         return np.zeros((cfg.iterations, len(cells)))
 
-    monkeypatch.setattr(training, "_run_segments", record)
+    monkeypatch.setattr(training, "_run_stack", record)
     strategies = [
         Strategy.xmixup(replace(MIX, alpha=a)) for a in (1.0, 2.0, 4.0, 8.0)
     ]
@@ -521,8 +586,8 @@ def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
 
 
 def test_a_finetune_call_builds_one_pool_for_every_source_kind(world, monkeypatch):
-    # xmixup's rows draw across seqtrain's phase switch, in two segments,
-    # beside seqtrain's auxiliary rows and cotrain's joint rows
+    # xmixup's rows draw across seqtrain's phase switch, beside seqtrain's
+    # auxiliary then target rows and cotrain's joint rows
     real, built = CrossDomainPool.of, []
 
     def counted(*args):
