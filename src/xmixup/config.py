@@ -253,7 +253,7 @@ def config_from_json(raw: dict) -> ExperimentConfig:
         if key in raw:
             kwargs[key] = _build_section(key, getattr(defaults, key), raw[key])
     try:
-        if "strategies" in raw:
+        if isinstance(raw.get("strategies"), list):  # else check_fields refuses it
             kwargs["strategies"] = tuple(StrategyKind(s) for s in raw["strategies"])
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as e:

@@ -13,10 +13,10 @@ runs a sampler path over a whole batch, its Gamma draws by _Gamma,
 Marsaglia–Tsang as a masked rejection loop. The scalar sample_beta /
 sample_gamma are their one-draw reference and are not used in training.
 
-What does not change from step to step is built ahead of the steps: a
-CrossDomainPool, built once per fine-tune call, checks the target and source
-rows and holds them in one array with the plan as a padded table, and a
-BetaSampler, built once per training stack, holds each cell's λ constants.
+What does not change from step to step is built ahead of the steps, once
+per training stack: a CrossDomainPool checks the target and source rows and
+holds them in one array with the plan as a padded table (the target rows
+alone with no plan), and a BetaSampler holds each cell's λ constants.
 make_batch(pool, sampler, rngs) is the per-step function.
 
 make_batch and BetaSampler serve the cells of a stack: a BetaSampler is
@@ -338,30 +338,39 @@ def blend(lam, Xa, Xb, cols_a, cols_b, width: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class CrossDomainPool:
-    """The rows a fine-tune call draws from: X, the target rows, then the
+    """The rows one training stack draws from: X, the target rows, then the
     selected source classes' rows in ascending class order, with unified
-    labels y; source class c fills X[starts[c] : starts[c] + sizes[c]]. The
-    plan is a padded table with counts (_paired_table). of() checks once
-    what make_batch would otherwise check each step."""
+    labels y over `space`, whose one-hot labels are the rows of eye; source
+    class c fills X[starts[c] : starts[c] + sizes[c]]. The plan is a padded
+    table with counts (_paired_table). A pool of no plan holds the target
+    rows alone, and None for the plan's four arrays. of() checks once what
+    make_batch would otherwise check each step."""
 
     X: np.ndarray
     y: np.ndarray
     tgt_len: int  # how many target rows X starts with
     space: LabelSpace
-    table: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
+    eye: np.ndarray
+    table: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    sizes: np.ndarray | None = None
 
     @classmethod
     def of(
-        cls, tgt_train: Dataset, src: Dataset, plan: PairingPlan, space: LabelSpace
+        cls, tgt_train: Dataset, src: Dataset | None = None,
+        plan: PairingPlan | None = None,
     ) -> "CrossDomainPool":
         if len(tgt_train) == 0:
             raise DataError("cannot draw a batch from an empty target dataset")
+        n = tgt_train.class_count
+        space = LabelSpace(n, () if plan is None else plan.selected_sources())
+        eye = np.eye(space.size)
+        if plan is None:
+            return cls(tgt_train.X, tgt_train.y, len(tgt_train), space, eye)
         if src.d != tgt_train.d:
             raise ValueError(f"source width {src.d} != target width {tgt_train.d}")
-        table, counts = _paired_table(plan, space.n_target)
+        table, counts = _paired_table(plan, n)
         missing = sorted(set(tgt_train.y[counts[tgt_train.y] == 0].tolist()))
         if missing:
             msg = f"pairing plan has no source class for target classes {missing}"
@@ -376,7 +385,7 @@ class CrossDomainPool:
         aux = np.concatenate(rows)
         X = np.concatenate([tgt_train.X, src.X.take(aux, 0)])
         y = np.concatenate([tgt_train.y, space.source_columns[src.y[aux]]])
-        return cls(X, y, len(tgt_train), space, table, counts, starts, sizes)
+        return cls(X, y, len(tgt_train), space, eye, table, counts, starts, sizes)
 
 
 def make_batch(

@@ -6,8 +6,9 @@ classes), and every one is the same SGD loop fed a different batch: one
 trainer, _train, steps every stack through one loop, _run_stack, for
 fine-tuning and pretrain alike. Each strategy draws by one batch kind
 (_row_kind), a module-level function or, for seqtrain, a small frozen
-callable keyed by its first-phase budget; those that draw source rows read
-one CrossDomainPool, and the mixing ones mix by blend:
+callable keyed by its first-phase budget. Every kind reads the stack's one
+CrossDomainPool (its label space, its target rows and, under a plan, the
+auxiliary rows after them), and the mixing ones mix by blend:
 
 - target rows: l2, and l2sp, which adds mu * ||theta_ext - theta_0,ext||^2
   with the gradient 2*mu*(theta - theta_0) on the extractor
@@ -23,9 +24,11 @@ cells into stacks: those that share a label space (the target classes
 alone, or with one plan's auxiliary classes) train, whatever their
 strategies, as one stack of S models (see the model module), one model step
 per iteration for all of them, and each stack row's result and NumericError
-go back to the cell's index in the grid. finetune is a grid of one cell,
-and pretrain's model a stack of one, drawing l2's target rows from the
-source classes.
+go back to the cell's index in the grid. It builds every stack's pool before
+the first stack trains, so a plan the source split cannot serve fails
+before any training. finetune is a grid of one cell, and pretrain's model a
+stack of one, drawing l2's target rows from a pool of the source rows
+alone.
 
 - Batches. A batch kind draws once a step for all of its draw keys. Cells
   whose draws are the same function of the same generator seeds share a key
@@ -53,7 +56,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .mixup import BetaSampler, CrossDomainPool, LabelSpace, MixupConfig
+from .mixup import BetaSampler, CrossDomainPool, MixupConfig
 from .mixup import blend, make_batch
 from .model import (
     ModelParams,
@@ -266,9 +269,9 @@ def pretrain(src_train: Dataset, cfg: TrainConfig, hidden: list[int]) -> ModelPa
     if len(src_train) == 0:
         raise DataError("cannot pre-train on an empty dataset")
     params = init(src_train.d, list(hidden), src_train.class_count, cfg.seed)
-    ctx = _Context.of(src_train, None, None, cfg.batch_size)
+    pool = CrossDomainPool.of(src_train)
     one = ModelParams._over(params, params.flat[None])  # trains params in place
-    _train(one, ctx, [(Strategy.l2(), cfg.seed)], cfg, ["pretrain"], None)
+    _train(one, pool, [(Strategy.l2(), cfg.seed)], cfg, ["pretrain"], None)
     return params
 
 
@@ -344,43 +347,22 @@ def _midtune(strategy: Strategy, cfg: TrainConfig) -> int:
     return mid
 
 
-@dataclass(frozen=True, eq=False)
-class _Context:
-    """What the batch kinds of one stack draw from: its target data,
-    label space and CrossDomainPool (None with no source), the identity
-    whose rows are one-hot labels, and B."""
-
-    tgt: Dataset
-    space: LabelSpace
-    pool: CrossDomainPool | None
-    eye: np.ndarray
-    B: int
-
-    @classmethod
-    def of(cls, tgt, src, plan, batch_size) -> "_Context":
-        """The context of cells that draw rows of `src` by `plan`, or, with
-        plan None, target rows alone."""
-        sources = () if plan is None else tuple(plan.selected_sources())
-        space = LabelSpace(tgt.class_count, sources)
-        pool = None if plan is None else CrossDomainPool.of(tgt, src, plan, space)
-        return cls(tgt, space, pool, np.eye(space.size), batch_size)
-
-
 def _generators(keys: list[tuple], stream: int) -> list:
     """Each draw key's generator of a stream: 1 target rows, 2 mixing, 3 auxiliary."""
     entropy = ([s, 2, mix.seed] if stream == 2 else [s, stream] for _, s, mix in keys)
     return [np.random.default_rng(e) for e in entropy]
 
 
-# The batch kinds, built once per stack: (ctx, keys, steps) -> a function
-# that draws one step's batches of every draw key (kind, seed, MixupConfig)
-# from generators the kind makes, (X, P, labels) with a leading (keys,)
-# axis and None for the labels it lacks: soft P or cotrain's hard labels.
+# The batch kinds, built once per stack: (pool, B, keys, steps) -> a
+# function that draws one step's batches of B rows from the pool for every
+# draw key (kind, seed, MixupConfig) from generators the kind makes,
+# (X, P, labels) with a leading (keys,) axis and None for the labels it
+# lacks: soft P or cotrain's hard labels.
 
 
-def _uniform_rows(ctx, X, labels, stream, keys, steps):
-    eye = ctx.eye
-    draws = _index_blocks(_generators(keys, stream), len(X), (ctx.B,), steps)
+def _uniform_rows(pool, rows: slice, stream, B, keys, steps):
+    X, labels, eye = pool.X[rows], pool.y[rows], pool.eye
+    draws = _index_blocks(_generators(keys, stream), len(X), (B,), steps)
 
     def draw():
         idx = next(draws)
@@ -389,15 +371,14 @@ def _uniform_rows(ctx, X, labels, stream, keys, steps):
     return draw
 
 
-def _target_rows(ctx: _Context, keys: list[tuple], steps: int):
-    """Target rows drawn uniformly, with their one-hot labels."""
-    return _uniform_rows(ctx, ctx.tgt.X, ctx.tgt.y, 1, keys, steps)
+def _target_rows(pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
+    """Target rows, the pool's first, drawn uniformly with their one-hot labels."""
+    return _uniform_rows(pool, slice(pool.tgt_len), 1, B, keys, steps)
 
 
-def _auxiliary_rows(ctx: _Context, keys: list[tuple], steps: int):
+def _auxiliary_rows(pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
     """Auxiliary source rows, the pool's past the target's, drawn uniformly."""
-    X, y, n = ctx.pool.X, ctx.pool.y, ctx.pool.tgt_len
-    return _uniform_rows(ctx, X[n:], y[n:], 3, keys, steps)
+    return _uniform_rows(pool, slice(pool.tgt_len, None), 3, B, keys, steps)
 
 
 @dataclass(frozen=True)
@@ -408,16 +389,17 @@ class _Sequential:
 
     mid: int
 
-    def __call__(self, ctx: _Context, keys: list[tuple], steps: int):
-        first = _auxiliary_rows(ctx, keys, self.mid)
-        then = _target_rows(ctx, keys, steps - self.mid)
+    def __call__(self, pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
+        first = _auxiliary_rows(pool, B, keys, self.mid)
+        then = _target_rows(pool, B, keys, steps - self.mid)
         draws = chain(repeat(first, self.mid), repeat(then, steps - self.mid))
         return (draw() for draw in draws).__next__
 
 
-def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
+def _in_domain(pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
     """Pairs of target rows, inputs and labels mixed by one λ a row (blend)."""
-    tgt_X, tgt_y, B, width = ctx.tgt.X, ctx.tgt.y, ctx.B, ctx.space.size
+    n, width = pool.tgt_len, pool.space.size
+    tgt_X, tgt_y = pool.X[:n], pool.y[:n]
     draws = _index_blocks(_generators(keys, 1), len(tgt_X), (2, B), steps)
     lam, rng_mix = BetaSampler([key[2] for key in keys], B), _generators(keys, 2)
 
@@ -430,21 +412,21 @@ def _in_domain(ctx: _Context, keys: list[tuple], steps: int):
     return draw
 
 
-def _mixed(ctx: _Context, keys: list[tuple], steps: int):
+def _mixed(pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
     """Target rows mixed with rows of their paired source classes (make_batch)."""
-    lam, rng_mix = BetaSampler([key[2] for key in keys], ctx.B), _generators(keys, 2)
+    lam, rng_mix = BetaSampler([key[2] for key in keys], B), _generators(keys, 2)
 
     def draw():
-        X, P = make_batch(ctx.pool, lam, rng_mix)
+        X, P = make_batch(pool, lam, rng_mix)
         return X, P, None
 
     return draw
 
 
-def _cotrain(ctx: _Context, keys: list[tuple], steps: int):
+def _cotrain(pool: CrossDomainPool, B: int, keys: list[tuple], steps: int):
     """B // 2 target rows, then auxiliary rows, under hard labels, from the
     pool's one array: one bound a column, offset past the target rows."""
-    pool, n, B, half = ctx.pool, ctx.pool.tgt_len, ctx.B, ctx.B // 2
+    n, half = pool.tgt_len, B // 2
     high = np.repeat([n, len(pool.X) - n], [half, B - half])
     offset = np.repeat([0, n], [half, B - half])
     draws = _index_blocks(_generators(keys, 1), high, (B,), steps)
@@ -533,12 +515,14 @@ def _stack_order(strategy: Strategy) -> tuple:
     return list(StrategyKind).index(strategy.kind), strategy.sp_weight or 0.0
 
 
-def _train(stack, ctx, cells, cfg: TrainConfig, names, reference) -> np.ndarray:
+def _train(stack, pool, cells, cfg: TrainConfig, names, reference) -> np.ndarray:
     """Train `stack`, whose row r is the cell (strategy, seed) cells[r] named
-    names[r], in place under cfg on the batches its cells draw from ctx;
+    names[r], in place under cfg on the batches of cfg.batch_size rows its
+    cells draw from `pool`, whose label space the stack's heads span;
     returns the (iterations, S) loss trace. L2-SP cells are pulled toward the
     extractor of `reference`, which a stack without them may leave None."""
-    n, half, T = ctx.space.n_target, ctx.B // 2, cfg.iterations
+    B, T = cfg.batch_size, cfg.iterations
+    n, half = pool.space.n_target, B // 2
 
     # the losses: cross-entropy on soft labels and the masked loss on
     # cotrain's rows, then the L2-SP penalty of each weight added on its rows
@@ -563,11 +547,11 @@ def _train(stack, ctx, cells, cfg: TrainConfig, names, reference) -> np.ndarray:
     keys = [(kind, seed, s.mixup) for kind, (s, seed) in zip(kinds, cells)]
     nolabel = [s.kind is StrategyKind.XMIXUP_NO_LABEL for s, _ in cells]
     plan, take, relabel = _row_plan(keys, nolabel)
-    draws = [(kind(ctx, ks, T), rows) for kind, ks, rows in plan]
+    draws = [(kind(pool, B, ks, T), rows) for kind, ks, rows in plan]
     if len(draws) == 1 and take is None and not relabel:
         batch_fn = draws[0][0]  # one kind's draws are the stack's batches
     else:
-        batch_fn = _joined(draws, take, relabel, ctx.eye, n)
+        batch_fn = _joined(draws, take, relabel, pool.eye, n)
 
     # the schedules: a row that restarts at `at` runs _budget(cfg, at), then
     # _budget(cfg, T - at) from iteration at, its velocity restarting there
@@ -630,7 +614,9 @@ def finetune_cells(
 
     The cells that share a label space train as one stack, whatever their
     strategies: the cells that use no source data form one stack, and the
-    cells that use source data one stack per plan object. Within a stack the
+    cells that use source data one stack per plan object. Each stack draws
+    from one CrossDomainPool, and every pool is built, and every cell and
+    plan checked, before the first stack trains. Within a stack the
     cells sit in _stack_order, and cells whose batches are the same draws of
     the same generators share them (l2 and l2sp, xmixup and xmixup-nolabel
     of one seed). So the seven strategies train as two stacks at any number
@@ -640,17 +626,16 @@ def finetune_cells(
     iteration, and its `cell` is the cell's index in `cells`.
     """
     n = tgt_train.class_count
-    if len(tgt_train) == 0:
-        raise DataError("cannot fine-tune on an empty target dataset")
     if tgt_train.d != pretrained.d:
         raise ValueError(
             f"target dimension {tgt_train.d} != model input {pretrained.d}"
         )
     if tgt_test.class_count != n or tgt_test.d != tgt_train.d:
         raise ValueError("test split does not match the training split")
-    stacks: dict[int | None, list[int]] = {}
+    # each stack's pool and cells, all checked before any stack trains
+    stacks: dict[int | None, tuple[CrossDomainPool, list[int]]] = {}
     for i, cell in enumerate(cells):
-        key = None
+        plan = None
         if cell.strategy.needs_source:
             if cell.plan is None or src is None:
                 raise ConfigError(
@@ -660,25 +645,26 @@ def finetune_cells(
             missing = [t for t in range(n) if t not in cell.plan.per_target]
             if missing:
                 raise ConfigError(f"pairing plan misses target classes {missing}")
-            key = id(cell.plan)
+            plan = cell.plan
         if cell.strategy.kind is StrategyKind.SEQ_TRAIN:
-            _midtune(cell.strategy, cfg)  # a bad budget fails before any stack trains
-        stacks.setdefault(key, []).append(i)
+            _midtune(cell.strategy, cfg)
+        key = None if plan is None else id(plan)
+        if key not in stacks:
+            stacks[key] = CrossDomainPool.of(tgt_train, src, plan), []
+        stacks[key][1].append(i)
 
     results: list[RunResult | None] = [None] * len(cells)
-    for key, group in stacks.items():
-        plan = None if key is None else cells[group[0]].plan
-        ctx = _Context.of(tgt_train, src, plan, cfg.batch_size)
+    for pool, group in stacks.values():
         # the stack's rows: the group in _stack_order; order[r] is row r's cell
         order = sorted(group, key=lambda i: _stack_order(cells[i].strategy))
         rows = [(cells[i].strategy, cells[i].seed) for i in order]
         rngs = [np.random.default_rng([seed, 0]) for _, seed in rows]
-        heads = [init_linear(ctx.space.size, pretrained.feature_width, r) for r in rngs]
+        heads = [init_linear(pool.space.size, pretrained.feature_width, r) for r in rngs]
         # the stack copies the pre-trained layers in
         stack = ModelParams.stack([ModelParams(pretrained.layers, h) for h in heads])
         names = [_cell_name(s, seed) for s, seed in rows]
         try:
-            trace = _train(stack, ctx, rows, cfg, names, pretrained)
+            trace = _train(stack, pool, rows, cfg, names, pretrained)
             accuracies = []
             for r, name in enumerate(names):
                 try:
@@ -688,7 +674,7 @@ def finetune_cells(
         except NumericError as e:  # name the caller's cell, not its stack row
             cell = None if e.cell is None else order[e.cell]
             raise NumericError(str(e), cell=cell) from None
-        space = {"n_target": n, "source_classes": list(ctx.space.source_classes)}
+        space = {"n_target": n, "source_classes": list(pool.space.source_classes)}
         for r, (s, seed) in enumerate(rows):
             train = asdict(replace(cfg, seed=seed))
             config = {"strategy": s.to_config(), "train": train, "label_space": space}

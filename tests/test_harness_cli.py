@@ -111,6 +111,14 @@ def test_config_rejects_unknown_keys():
         config_from_json({"strategies": ["warp-speed"]})
 
 
+@pytest.mark.parametrize(
+    "value", ["l2", {"l2": 1, "xmixup": 2}], ids=["string", "object"]
+)
+def test_strategies_that_are_not_a_list_are_refused_like_every_list(value):
+    with pytest.raises(ConfigError, match="strategies must be a list"):
+        config_from_json({"strategies": value})
+
+
 def test_partial_sections_keep_experiment_defaults():
     cfg = config_from_json({"finetune": {"lr": 0.5}})
     assert cfg.finetune.lr == 0.5
@@ -582,6 +590,8 @@ def test_pair_uses_configured_threshold(tmp_path):
         "data.target_test_fraction=1",
         "seeds=\"abc\"",
         "strategies=[1]",
+        "strategies=l2",
+        'strategies={"l2": 1, "xmixup": 2}',
         "seeds=[0, 0]",
         "strategies=[\"l2\", \"xmixup\", \"l2\"]",
         "alpha_grid=[2.0, 2.0]",
@@ -932,9 +942,9 @@ def test_run_grid_trains_seven_strategies_at_five_seeds_as_two_stacks(
     stacks = []
     real_train = training._train
 
-    def counted_train(stack, ctx, cells, *args):
+    def counted_train(stack, pool, cells, *args):
         stacks.append(len(cells))
-        return real_train(stack, ctx, cells, *args)
+        return real_train(stack, pool, cells, *args)
 
     monkeypatch.setattr(training, "_train", counted_train)
     cells = seven_strategies(cfg, lab, cfg.seeds)
@@ -972,9 +982,9 @@ def test_seven_strategies_at_one_seed_train_as_two_stacks(mini_lab, monkeypatch)
     real_train, real_step = training._train, training.sgd_step
     real_rng = np.random.default_rng
 
-    def counted_train(stack, ctx, cells, *args):
+    def counted_train(stack, pool, cells, *args):
         stacks.append([s.kind for s, _ in cells])
-        return real_train(stack, ctx, cells, *args)
+        return real_train(stack, pool, cells, *args)
 
     def counted_step(*args, **kwargs):
         steps.append(1)
@@ -1235,6 +1245,31 @@ def run_on_copy(tiny_runs, artifact, edit, command, tmp):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(argv)  # any exception fails the test with its traceback
     return code, stderr.getvalue()
+
+
+def test_a_plan_the_source_split_cannot_serve_fails_before_any_stack_trains(
+    tiny_runs, tmp_path, monkeypatch
+):
+    # the plan pairs a source class whose rows are gone from source_train.csv:
+    # finetune names it before the l2, l2sp and mixup-indomain stack trains
+    gone = load_plan(tiny_runs[1] / "plan.csv").selected_sources()[0]
+
+    def drop(data):
+        head, *rows = data.decode().split("\n")
+        kept = [row for row in rows if row.split(",")[0] != str(gone)]
+        return "\n".join([head, *kept]).encode()
+
+    real_train, entered = training._train, []
+
+    def counted_train(*args):
+        entered.append(args)
+        return real_train(*args)
+
+    monkeypatch.setattr(training, "_train", counted_train)
+    code, err = run_on_copy(tiny_runs, "source_train.csv", drop, "finetune", tmp_path)
+    assert code == 3, err
+    assert f"source class {gone} has no samples to draw from" in err
+    assert entered == []
 
 
 def plan_source(row, source=None):

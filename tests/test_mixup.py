@@ -278,7 +278,7 @@ def test_mix_convex_combination(mix_world):
         space = mix_space(tgt, plan)
         cfg = MixupConfig(alpha=alpha, beta=beta, seed=0)
         rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
-        pool = CrossDomainPool.of(tgt, src, plan, space)
+        pool = CrossDomainPool.of(tgt, src, plan)
         for _ in range(20):
             X, P = make_batch(pool, BetaSampler([cfg], 8), [rng_a])
             X_ref, P_ref = reference_batch(tgt, src, plan, space, cfg, 8, rng_b)
@@ -291,7 +291,7 @@ def test_mix_validates_inputs(mix_world):
     src, tgt, plan = mix_world
     wide = Dataset(np.hstack([src.X, src.X]), src.y, src.class_count, Domain.SOURCE)
     with pytest.raises(ValueError):
-        CrossDomainPool.of(tgt, wide, plan, mix_space(tgt, plan))
+        CrossDomainPool.of(tgt, wide, plan)
 
 
 @settings(max_examples=30, deadline=None)
@@ -304,7 +304,7 @@ def test_mix_outputs_stay_on_the_label_simplex(mix_world, alpha, beta, seed):
     src, tgt, plan = mix_world
     lam = BetaSampler([MixupConfig(alpha=alpha, beta=beta, seed=0)], 16)
     rng = np.random.default_rng(seed)
-    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
+    pool = CrossDomainPool.of(tgt, src, plan)
     _, P = make_batch(pool, lam, [rng])
     assert P.min() >= 0.0
     assert np.allclose(P.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
@@ -322,7 +322,7 @@ def test_draw_auxiliary_only_uses_planned_classes(mix_world):
         keep = tgt.y == target_class
         only = Dataset(tgt.X[keep], tgt.y[keep], tgt.class_count, Domain.TARGET)
         lam = BetaSampler([cfg], batch_size)
-        _, P = make_batch(CrossDomainPool.of(only, src, which_plan, space), lam, [rng])
+        _, P = make_batch(CrossDomainPool.of(only, src, which_plan), lam, [rng])
         cols = np.argmax(P[0, :, space.n_target :], axis=1)
         return {space.source_classes[c] for c in cols.tolist()}
 
@@ -339,7 +339,7 @@ def test_make_batch_shapes_and_label_structure(mix_world):
     space = mix_space(tgt, plan)
     rng = np.random.default_rng(13)
     seen = {t: set() for t in plan.per_target}
-    pool = CrossDomainPool.of(tgt, src, plan, space)
+    pool = CrossDomainPool.of(tgt, src, plan)
     for _ in range(10):
         X, P = make_batch(pool, BetaSampler([cfg], 32), [rng])
         assert X.shape == (1, 32, 3)
@@ -360,7 +360,7 @@ def test_make_batch_shapes_and_label_structure(mix_world):
 def test_make_batch_is_deterministic(mix_world):
     src, tgt, plan = mix_world
     lam = BetaSampler([MixupConfig(alpha=1.0, beta=2.0, seed=0)], 8)
-    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
+    pool = CrossDomainPool.of(tgt, src, plan)
     a = make_batch(pool, lam, [np.random.default_rng(14)])
     b = make_batch(pool, lam, [np.random.default_rng(14)])
     assert np.array_equal(a[0], b[0])
@@ -370,19 +370,18 @@ def test_make_batch_is_deterministic(mix_world):
 def test_make_batch_rejects_empty_or_silly_inputs(mix_world):
     src, tgt, plan = mix_world
     cfg = MixupConfig(alpha=1.0, beta=1.0, seed=0)
-    space = mix_space(tgt, plan)
     empty = Dataset(np.empty((0, 3)), [], tgt.class_count, Domain.TARGET)
-    pool = CrossDomainPool.of(tgt, src, plan, space)
+    pool = CrossDomainPool.of(tgt, src, plan)
     lam, rng = BetaSampler([cfg], 4), [np.random.default_rng(0)]
     with pytest.raises(DataError):
-        CrossDomainPool.of(empty, src, plan, space)
+        CrossDomainPool.of(empty, src, plan)
     with pytest.raises(ValueError):  # no rows to draw
         make_batch(pool, BetaSampler([cfg], 0), rng)
     with pytest.raises(ValueError):  # one config per generator
         make_batch(pool, lam, _generators((1, 2)))
     partial = PairingPlan({0: [0, 4]}, {0: [0.9, 0.4]}, 2, False)
     with pytest.raises(KeyError):  # target class 1 has no paired source
-        pool = CrossDomainPool.of(tgt, src, partial, space)
+        pool = CrossDomainPool.of(tgt, src, partial)
         make_batch(pool, BetaSampler([cfg], 32), rng)
 
 
@@ -391,7 +390,7 @@ def test_a_pool_rejects_a_paired_source_class_with_no_rows(mix_world):
     keep = src.y != 4  # source class 4, paired to target 0, loses its rows
     gap = Dataset(src.X[keep], src.y[keep], src.class_count, Domain.SOURCE)
     with pytest.raises(DataError, match="source class 4 has no samples"):
-        CrossDomainPool.of(tgt, gap, plan, mix_space(tgt, plan))
+        CrossDomainPool.of(tgt, gap, plan)
 
 
 def test_blend_is_the_dense_mixup_rule_bit_for_bit():
@@ -477,7 +476,7 @@ def test_make_batch_per_cell_matches_each_cell_alone(mix_world, beta):
     src, tgt, plan = mix_world
     space = mix_space(tgt, plan)
     cfgs = [MixupConfig(alpha=a, beta=beta, seed=0) for a in (2.0, 0.5, 16.0)]
-    pool = CrossDomainPool.of(tgt, src, plan, space)
+    pool = CrossDomainPool.of(tgt, src, plan)
     together, alone = _generators((7, 8, 9)), _generators((7, 8, 9))
     for _ in range(10):
         X, P = make_batch(pool, BetaSampler(cfgs, 16), together)
@@ -502,7 +501,7 @@ def test_make_batch_holds_halves_across_steps_as_each_cell_alone(mix_world, S):
     # built once and draws every step
     src, tgt, _ = mix_world
     plan = _paired_plan()
-    pool = CrossDomainPool.of(tgt, src, plan, mix_space(tgt, plan))
+    pool = CrossDomainPool.of(tgt, src, plan)
     cfgs = [MixupConfig(alpha=1.0 + s % 5, beta=2.0, seed=0) for s in range(S)]
     stack, lone = BetaSampler(cfgs, 31), [BetaSampler([cfg], 31) for cfg in cfgs]
     together, alone = _generators(range(S)), _generators(range(S))
@@ -532,13 +531,12 @@ def test_a_pool_and_sampler_built_once_draw_as_ones_built_each_step(mix_world, S
     # mix_world's plan pairs target 0 with two source classes, so every
     # step draws its rounds too
     src, tgt, plan = mix_world
-    space = mix_space(tgt, plan)
     cfgs = [MixupConfig(alpha=0.5 + s % 4, beta=beta, seed=0) for s in range(S)]
-    pool, sampler = CrossDomainPool.of(tgt, src, plan, space), BetaSampler(cfgs, 16)
+    pool, sampler = CrossDomainPool.of(tgt, src, plan), BetaSampler(cfgs, 16)
     once, fresh = _generators(range(S)), _generators(range(S))
     for _ in range(6):
         X, P = make_batch(pool, sampler, once)
-        pool1 = CrossDomainPool.of(tgt, src, plan, space)
+        pool1 = CrossDomainPool.of(tgt, src, plan)
         X1, P1 = make_batch(pool1, BetaSampler(cfgs, 16), fresh)
         assert X.tobytes() == X1.tobytes() and P.tobytes() == P1.tobytes()
         assert all(_same_state(a, b) for a, b in zip(once, fresh))

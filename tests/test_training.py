@@ -1,6 +1,7 @@
 """Fine-tuning strategies: validation, per-strategy post-conditions, the
 source-preservation penalty, the joint-batch masked loss, and evaluation.
 """
+import sys
 from dataclasses import replace
 from datetime import timedelta
 
@@ -36,7 +37,6 @@ from xmixup.training import (
     StrategyKind,
     _auxiliary_rows,
     _budget,
-    _Context,
     _cotrain,
     _in_domain,
     _index_blocks,
@@ -244,16 +244,16 @@ def test_a_bad_seqtrain_budget_fails_before_any_stack_trains(world, monkeypatch)
 def source_stack(world, cfg, cells):
     """_train of the (strategy, seed) rows `cells` under cfg, as one stack in
     the plan's label space, with each row's head as finetune_cells draws it;
-    returns the stack, its trace and the context."""
-    ctx = _Context.of(world["train"], world["src"], world["plan"], cfg.batch_size)
-    pre, width = world["pre"], ctx.space.size
+    returns the stack, its trace and the pool."""
+    pool = CrossDomainPool.of(world["train"], world["src"], world["plan"])
+    pre, width = world["pre"], pool.space.size
     heads = [
         init_linear(width, pre.feature_width, np.random.default_rng([seed, 0]))
         for _, seed in cells
     ]
     stack = ModelParams.stack([ModelParams(pre.layers, h) for h in heads])
     names = [f"row {r}" for r in range(len(cells))]
-    return stack, training._train(stack, ctx, cells, cfg, names, pre), ctx
+    return stack, training._train(stack, pool, cells, cfg, names, pre), pool
 
 
 @pytest.mark.parametrize("mid", [0, 15, FAST.iterations])
@@ -264,9 +264,9 @@ def test_seqtrain_is_its_first_phase_then_l2_trained_in_place(world, mid):
     cfg = replace(FAST, seed=3)
     got = run(world, Strategy.seqtrain(mid), cfg)
     first = [(Strategy.seqtrain(mid), cfg.seed)]
-    stack, head, ctx = source_stack(world, _budget(cfg, mid), first)
+    stack, head, pool = source_stack(world, _budget(cfg, mid), first)
     rest = _budget(cfg, cfg.iterations - mid)
-    tail = training._train(stack, ctx, [(Strategy.l2(), cfg.seed)], rest, ["l2"], None)
+    tail = training._train(stack, pool, [(Strategy.l2(), cfg.seed)], rest, ["l2"], None)
     assert stack.flat[0].tobytes() == got.params.flat.tobytes()
     assert np.concatenate([head, tail])[:, 0].tobytes() == np.array(got.trace).tobytes()
     assert evaluate(stack.row(0), world["test"]) == got.accuracy
@@ -535,8 +535,8 @@ def test_a_batch_kind_with_one_key_draws_the_batches_of_a_lone_run(
         patch.setattr(training, "_run_stack", record)
         run(world, strategy, cfg)
     plan = world["plan"] if strategy.needs_source else None
-    ctx = _Context.of(world["train"], world["src"], plan, cfg.batch_size)
-    draw = kind(ctx, [(kind, cfg.seed, strategy.mixup)], stop - start)
+    pool = CrossDomainPool.of(world["train"], world["src"], plan)
+    draw = kind(pool, cfg.batch_size, [(kind, cfg.seed, strategy.mixup)], stop - start)
     for want in lone[start:stop]:
         for a, b in zip(draw(), want):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
@@ -587,17 +587,122 @@ def test_a_lone_kind_without_shared_draws_hands_its_draws_straight_to_sgd(
 
 def test_a_finetune_call_builds_one_pool_for_every_source_kind(world, monkeypatch):
     # xmixup's rows draw across seqtrain's phase switch, beside seqtrain's
-    # auxiliary then target rows and cotrain's joint rows
-    real, built = CrossDomainPool.of, []
+    # auxiliary then target rows and cotrain's joint rows; the seven
+    # strategies add a stack, and a pool of the target rows alone. Every
+    # pool is built before the first stack trains.
+    real_of, real_train, calls = CrossDomainPool.of, training._train, []
 
-    def counted(*args):
-        built.append(args)
-        return real(*args)
+    def counted_of(*args):
+        calls.append("pool")
+        return real_of(*args)
 
-    monkeypatch.setattr(CrossDomainPool, "of", counted)
-    strategies = [Strategy.xmixup(MIX), Strategy.seqtrain(15), Strategy.cotrain()]
-    train_cells(world, strategies, [FAST] * 3)
-    assert len(built) == 1
+    def counted_train(*args):
+        calls.append("train")
+        return real_train(*args)
+
+    monkeypatch.setattr(CrossDomainPool, "of", counted_of)
+    monkeypatch.setattr(training, "_train", counted_train)
+    source_kinds = [Strategy.xmixup(MIX), Strategy.seqtrain(15), Strategy.cotrain()]
+    seven = [
+        Strategy.l2(), Strategy.l2sp(0.01), Strategy.mixup_indomain(MIX),
+        Strategy.xmixup(MIX), Strategy.xmixup_nolabel(MIX), Strategy.seqtrain(15),
+        Strategy.cotrain(),
+    ]
+    for strategies, stacks in ((source_kinds, 1), (seven, 2)):
+        calls.clear()
+        train_cells(world, strategies, [FAST] * len(strategies))
+        assert calls == ["pool"] * stacks + ["train"] * stacks
+    # pretrain's stack of one draws from a pool of its rows alone
+    pools = []
+    monkeypatch.setattr(training, "_train", lambda _, pool, *args: pools.append(pool))
+    pretrain(world["src"], replace(FAST, iterations=1, lr_drop_at=0), [4])
+    (pool,) = pools
+    assert pool.tgt_len == len(pool.X) == len(world["src"])
+    assert pool.space.size == world["src"].class_count
+
+
+def _through(name):
+    method = getattr(np.random.Generator, name)
+
+    def call(self, *args, **kwargs):
+        return method(self, *args, **kwargs)
+
+    return call
+
+
+# A Generator whose every method is called through one Python function,
+# so that a profiler sees each call: numpy's own methods make no event.
+PROFILED_GENERATOR = type("ProfiledGenerator", (np.random.Generator,), {
+    name: _through(name)
+    for name in dir(np.random.Generator)
+    if not name.startswith("_") and callable(getattr(np.random.Generator, name))
+})
+GENERATOR_CALL = _through("random").__code__
+
+
+def per_step_calls(kind, pool, S):
+    """The calls into xmixup's Python code and, where the kind draws from
+    PROFILED_GENERATORs, into numpy's Generator that one step of `kind`
+    makes for S draw keys, counted by sys.setprofile: those of a run of
+    2 * DRAW_BLOCK steps less those of a run of DRAW_BLOCK steps, over
+    DRAW_BLOCK, so the kind's set-up drops out and each key's one block
+    draw shares out over its steps."""
+    keys = [(kind, seed, MIX) for seed in range(S)]
+    counts = {"xmixup": 0, "generator": 0}
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is GENERATOR_CALL:
+            counts["generator"] += 1
+        elif frame.f_globals.get("__name__", "").startswith("xmixup"):
+            counts["xmixup"] += 1
+
+    runs = []
+    for steps in (DRAW_BLOCK, 2 * DRAW_BLOCK):
+        counts.update(xmixup=0, generator=0)
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            draw = kind(pool, FAST.batch_size, keys, steps)
+            for _ in range(steps):
+                draw()
+        finally:
+            sys.setprofile(before)
+        runs.append(dict(counts))
+    return {k: (runs[1][k] - runs[0][k]) / DRAW_BLOCK for k in counts}
+
+
+@pytest.mark.parametrize(
+    "kind, per_cell",
+    [
+        (_target_rows, 1 / DRAW_BLOCK),  # one index block every DRAW_BLOCK steps
+        (_auxiliary_rows, 1 / DRAW_BLOCK),
+        (_Sequential(15), 1 / DRAW_BLOCK),
+        (_in_domain, 1 + 1 / DRAW_BLOCK),  # and λ: one uniform call at β = 1
+        (_mixed, 3),  # the target rows, the auxiliary rows and λ
+        (_cotrain, 1 / DRAW_BLOCK),
+    ],
+    ids=["target", "auxiliary", "seqtrain", "in-domain", "mixed", "cotrain"],
+)
+def test_a_stacks_per_step_calls_grow_with_s_only_by_its_per_cell_draws(
+    world, monkeypatch, kind, per_cell
+):
+    # the bound of every stack's step: its Python calls are the same at any
+    # S, and each cell adds only its own generator calls, per_cell a step
+    # (the plan has one round, so _mixed draws no round)
+    real = training._generators
+    monkeypatch.setattr(training, "_generators", lambda keys, stream: [
+        PROFILED_GENERATOR(rng.bit_generator) for rng in real(keys, stream)
+    ])
+    pool = CrossDomainPool.of(world["train"], world["src"], world["plan"])
+    assert pool.table.shape[1] == 1
+    one = per_step_calls(kind, pool, 1)
+    assert one["generator"] == per_cell
+    for S in (5, 35):
+        calls = per_step_calls(kind, pool, S)
+        assert calls["xmixup"] <= one["xmixup"], S
+        assert calls["generator"] - one["generator"] <= (S - 1) * per_cell, S
 
 
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
