@@ -17,12 +17,14 @@ meet every pair once, so all rotations of a round are applied as one array
 operation.
 
 Both diagnostics run for many models at once (linear_probes, spectra), in
-chunks of models whose working set stays near CHUNK_BYTES. The heads of the
-models may differ, so each model runs its own extractor, without the head,
-into one preallocated (S, N, h) feature array. Every probe of a chunk starts
-from the one head the probe seed draws and fits on (S, k, N) logits; the
-spectra of a chunk share one seeded batch, and their Jacobi sweeps rotate
-the pairs of a round in every unsettled matrix as one array step. Each model
+chunks of models whose working set stays near model.CHUNK_BYTES. The heads
+of the models may differ, so each model runs its own extractor, without the
+head, into one preallocated (S, N, h) feature array. Every probe of a chunk
+starts from the one head the probe seed draws and fits on (S, k, N) logits,
+and each step of the fit writes into the logits, a column and the two
+gradient buffers, all built once per chunk. The spectra of a chunk share
+one seeded batch, and their Jacobi sweeps rotate the pairs of a round in
+every unsettled matrix as one array step. Each model
 gets the bits it would get alone; linear_probe and spectrum are the calls
 with one model.
 """
@@ -36,17 +38,8 @@ import numpy as np
 
 from .dataset import Dataset, class_subset, compact_classes, split
 from .errors import DataError, NumericError, check_fields
-from .model import ModelParams, features, init_linear, numeric_error
+from .model import CHUNK_BYTES, ModelParams, features, init_linear, numeric_error
 from .pairing import PairingPlan
-
-# Probes and spectra stack models in chunks whose working set (a probe's
-# features, their transpose and its logits; a spectrum's features and Jacobi
-# rows) stays near this many bytes. On the default data (bench `pipeline`, 7
-# cells, 2-core x86 VM) 1 MiB raised the process's peak RSS from 40.0 to
-# 40.5 MB, where one chunk per probe subset raised it to 41.3 MB; the
-# all-but-auxiliary probe then runs as 4 + 3 cells. On `large-source` every
-# probe is a chunk of one.
-CHUNK_BYTES = 1 << 20
 
 #: The most target-train rows a run record's spectrum takes; it needs at
 #: least as many as the feature width, which the config checks at load.
@@ -179,16 +172,23 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
     target = np.zeros((k, n))
     target[y, np.arange(n)] = 1.0
     step = cfg.lr / n
+    # every step writes into these: logits, their column max or sum, dW, db
+    G, col = np.empty((S, k, n)), np.empty((S, 1, n))
+    dw, db = np.empty_like(w), np.empty_like(b)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            G = w @ Ft
+            np.matmul(w, Ft, out=G)
             G += b[:, :, None]
-            G -= G.max(axis=1, keepdims=True)
+            G -= G.max(axis=1, keepdims=True, out=col)
             np.exp(G, out=G)
-            G /= G.sum(axis=1, keepdims=True)
+            G /= G.sum(axis=1, keepdims=True, out=col)
             G -= target  # softmax - onehot: the cross-entropy gradient per sample
-            w -= step * (G @ F)
-            b -= step * G.sum(axis=2)
+            np.matmul(G, F, out=dw)
+            dw *= step
+            w -= dw
+            G.sum(axis=2, out=db)
+            db *= step
+            b -= db
     if not (np.isfinite(w).all() and np.isfinite(b).all()):
         head = np.concatenate((w.reshape(S, -1), b), axis=1)
         raise numeric_error("non-finite probe head (features too large?)", head, True)

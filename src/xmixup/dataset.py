@@ -8,11 +8,17 @@ is checkable. Everything is a pure function of its arguments including the
 seed. A Dataset holds its rows and nothing derived from them:
 indices_by_class() and class_sizes() compute the class grouping on each
 call, and no caller needs it per step.
+
+A split on disk is a CSV (save_dataset, load_dataset) read and written a
+row at a time: load_dataset parses the lines into flat buffers that become
+the arrays, so a load holds the arrays and one line, not the text and a
+Python list per row.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -231,10 +237,11 @@ def gen_target(
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as CSV: header `domain,class_count,d`, then `label,x_0,...`.
 
-    Floats carry 17 significant digits so load(save(ds)) == ds exactly.
+    Floats carry 17 significant digits so load(save(ds)) == ds exactly. The
+    rows are converted one at a time, so no Python copy of the split is made.
     """
     header = f"{ds.domain.value},{ds.class_count},{ds.d}"
-    rows = ([label, *x] for label, x in zip(ds.y.tolist(), ds.X.tolist()))
+    rows = ([label, *x.tolist()] for label, x in zip(ds.y.tolist(), ds.X))
     write_table(path, header, rows)
 
 
@@ -252,12 +259,30 @@ def read_lines(path) -> list[str]:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset; a malformed one is a
-    ParseError naming the file and the line."""
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError("empty file", line=1, path=path)
+    ParseError naming the file and the line.
 
-    header = lines[0].split(",")
+    The file is parsed as a stream, a line at a time, into one flat buffer
+    of labels and one of features, which become the Dataset's arrays
+    without a copy. Lines are split as read_lines splits them: "\n",
+    "\r\n" and a lone "\r" each end one, and the empty line after the last
+    newline is no line. The first malformed line is the one reported,
+    unless the file is not UTF-8 anywhere, which is reported as read_lines
+    reports it.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            return _parse_dataset(f, path)
+    except (ParseError, UnicodeDecodeError):
+        read_lines(path)  # raises if the file is not UTF-8
+        raise
+
+
+def _parse_dataset(f, path) -> Dataset:
+    """The Dataset of the open file `f` (see load_dataset)."""
+    first = f.readline()
+    if not first:
+        raise ParseError("empty file", line=1, path=path)
+    header = first.removesuffix("\n").split(",")
     if len(header) != 3:
         raise ParseError("header must be `domain,class_count,d`", line=1, path=path)
     try:
@@ -273,9 +298,9 @@ def load_dataset(path) -> Dataset:
     if class_count < 1 or d < 1:
         raise ParseError("class_count and d must be positive", line=1, path=path)
 
-    labels, rows = [], []
-    for lineno, row in enumerate(lines[1:], start=2):
-        cols = row.split(",")
+    labels, values = array("q"), array("d")
+    for lineno, row in enumerate(f, start=2):
+        cols = row.removesuffix("\n").split(",")
         if len(cols) != 1 + d:
             raise ParseError(
                 f"expected {1 + d} columns, got {len(cols)}", line=lineno, path=path
@@ -299,10 +324,11 @@ def load_dataset(path) -> Dataset:
         if not all(map(math.isfinite, x)):
             raise ParseError("non-finite feature value", line=lineno, path=path)
         labels.append(label)
-        rows.append(x)
-    if not rows:
+        values.extend(x)
+    if not labels:
         raise DataError(f"{path}: dataset file has no sample rows")
-    return Dataset(np.array(rows), np.array(labels), class_count, domain)
+    X = np.frombuffer(values).reshape(len(labels), d)
+    return Dataset(X, np.frombuffer(labels, dtype=np.int64), class_count, domain)
 
 
 def split_test_count(class_size: int, test_fraction: float) -> int:

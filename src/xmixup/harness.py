@@ -315,6 +315,31 @@ def run_records(
     ]
 
 
+def _probes(cfg: ExperimentConfig, lab: Lab) -> list[ProbeData]:
+    """The auxiliary and the all-but-auxiliary probe subsets, compacted and
+    split before any cell trains, so that a subset that cannot be probed
+    fails fast. A subset of fewer than two classes is a DataError that
+    names the plan's selection and the threshold to change."""
+    subsets = source_subsets(lab.src_train, lab.plan)
+    selected, total = len(lab.plan.selected_sources()), lab.src_train.class_count
+    probes = []
+    for kind, classes, fix in (
+        (ProbeSubset.AUXILIARY, selected, "raise"),
+        (ProbeSubset.ABA, total - selected, "lower"),
+    ):
+        try:
+            probes.append(probe_data(subsets[kind], cfg.probe, kind))
+        except DataError as e:
+            if classes > 1:
+                raise
+            raise DataError(
+                f"{e}: the plan selects {selected} of {total} source classes "
+                f"at threshold {_threshold(cfg, lab.tgt_train)}; {fix} "
+                "`threshold` and rerun `pair`"
+            ) from None
+    return probes
+
+
 def step_finetune(
     cfg: ExperimentConfig,
     out: Path,
@@ -327,13 +352,7 @@ def step_finetune(
         for kind in kinds
         for seed in cfg.seeds
     ]
-    # compacted and split before any cell trains, so that a subset that
-    # cannot be probed fails fast
-    subsets = source_subsets(lab.src_train, lab.plan)
-    probes = [
-        probe_data(subsets[kind], cfg.probe, kind)
-        for kind in (ProbeSubset.AUXILIARY, ProbeSubset.ABA)
-    ]
+    probes = _probes(cfg, lab)
     results = finetune_cells(
         lab.pretrained, lab.tgt_train, lab.src_train, cells, cfg.finetune, lab.tgt_test
     )

@@ -21,6 +21,10 @@ bits it would get alone: numpy computes every matrix of a batched matmul as
 its own 2-D product, and the reductions add in the same order. Every model
 trained, pretrain included, takes its loss step through stack_loss_and_grad;
 loss_and_grad_arrays is that step for one model, as a stack of one.
+
+features, the extractor alone, runs a large batch in blocks of rows, so a
+pass over a source split holds its output and one block's layer outputs,
+not the split at every layer's width (see CHUNK_BYTES).
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ from .atomic import atomic_open
 from .errors import NumericError, ParseError, check_fields
 
 Layer = tuple[np.ndarray, np.ndarray]  # (W: out x in, b: out)
+
+# The working set of a pass over many rows stays near this many bytes: a
+# features pass runs its rows in blocks of it, and analysis stacks its
+# probes and spectra in chunks of it. On the default data (bench `pipeline`,
+# 7 cells, 2-core x86 VM) 1 MiB chunks raised the process's peak RSS from
+# 40.0 to 40.5 MB, where one chunk per probe subset raised it to 41.3 MB;
+# the all-but-auxiliary probe then runs as 4 + 3 cells. On `large-source`
+# every probe is a chunk of one, and a features pass over the source split
+# runs as blocks of 2048 rows.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -211,9 +225,29 @@ def _rows(b: np.ndarray) -> np.ndarray:
     return b if b.ndim == 1 else b[:, None, :]
 
 
+def _extract(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The extractor's output for the rows of x, one new array per layer:
+    each layer's bias and ReLU are applied in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, b in params.layers:
+            z = x @ w.swapaxes(-1, -2)
+            z += _rows(b)
+            x = np.maximum(z, 0.0, out=z)
+    return x
+
+
 def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The extractor's output for a single vector (d,) or a batch (N, d); a
     stack takes one batch per model, (S, N, d), or one shared (N, d).
+
+    A batch runs in blocks of CHUNK_BYTES // (8 * widest layer) rows, the
+    last block also taking the rows left over, so a pass holds its output
+    and two blocks' layer outputs at a time. Each row gets the bits of one
+    pass over the whole batch as long as every block's gemm takes BLAS's
+    large-matrix path, as it does on the lab's shapes (tests check the
+    block edges). A short tail block would not: OpenBLAS gives a small gemm
+    (here, up to about 1200 outputs) a kernel that rounds differently, and
+    so it does for a 256-row block of a width-4 layer under a width-512 one.
 
     Parameters too large for float64 overflow quietly and raise
     NumericError here, naming the model of a stack in `cell`.
@@ -221,10 +255,16 @@ def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
-    a = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w, b in params.layers:
-            a = np.maximum(a @ w.swapaxes(-1, -2) + _rows(b), 0.0)
+    step = max(1, CHUNK_BYTES // (8 * max(w.shape[-2] for w, _ in params.layers)))
+    if x.ndim == 1 or x.shape[-2] < 2 * step:
+        a = _extract(params, x)
+    else:
+        n = x.shape[-2]
+        lead = np.broadcast_shapes(x.shape[:-2], params.flat.shape[:-1])
+        a = np.empty(lead + (n, params.feature_width))
+        starts = range(0, n - step + 1, step)  # the last block ends at n
+        for start, end in zip(starts, [*starts[1:], n]):
+            a[..., start:end, :] = _extract(params, x[..., start:end, :])
     if not np.isfinite(a).all():
         message = "non-finite features (diverged parameters?)"
         raise numeric_error(message, a, params.stacked)

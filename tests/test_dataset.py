@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,3 +384,87 @@ def test_compact_classes_leaves_numpy_ma_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+@pytest.fixture(scope="module")
+def big_split(tmp_path_factory):
+    """An 8000-row split of width 4 as save_dataset writes it: (path, bytes)."""
+    path = tmp_path_factory.mktemp("big") / "source_train.csv"
+    save_dataset(gen_source(20, 400, 4, 0.8, seed=5), path)
+    return path, path.read_bytes()
+
+
+def line_start(data: bytes, line: int) -> int:
+    """The byte offset of 1-based `line` in data."""
+    offset = 0
+    for _ in range(line - 1):
+        offset = data.index(b"\n", offset) + 1
+    return offset
+
+
+def test_load_reads_crlf_and_a_missing_final_newline_as_the_parser_always_has(
+    big_split, tmp_path
+):
+    # "\r\n" ends a line as "\n" does
+    path, data = big_split
+    ds = load_dataset(path)
+    for name, text in (
+        ("crlf.csv", data.replace(b"\n", b"\r\n")),
+        ("no-final-newline.csv", data[:-1]),
+    ):
+        (tmp_path / name).write_bytes(text)
+        assert load_dataset(tmp_path / name) == ds
+    # so does a lone "\r"; a second newline at the end is an empty line
+    for text, message in (
+        (
+            "source,2,3\n0,1.0,2.0,3.0\n1,1.0\r2.0,3.0\n",
+            "line 3: expected 4 columns, got 2",
+        ),
+        ("source,2,3\n0,1.0,2.0,3.0\n\n", "line 3: expected 4 columns, got 1"),
+    ):
+        (tmp_path / "bad.csv").write_text(text, newline="")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(tmp_path / "bad.csv")
+        assert str(exc.value) == f"{tmp_path / 'bad.csv'}: {message}"
+
+
+def test_load_names_a_malformed_row_far_into_the_file(big_split, tmp_path):
+    path, data = big_split
+    lines = data.split(b"\n")
+    lines[4999] = b",".join(lines[4999].split(b",")[:2] + [b"x"] * 3)
+    bad = tmp_path / path.name
+    bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == f"{bad}: line 5000: non-numeric feature value"
+    assert exc.value.line == 5000
+
+
+def test_a_byte_that_is_not_utf8_is_reported_wherever_it_lies(big_split, tmp_path):
+    # past the first 64 KiB, and also after a malformed line, whose fault a
+    # parse that stops at the first bad line would report instead
+    path, data = big_split
+    at = line_start(data, 5000) + 2
+    assert at > 1 << 16
+    bad = tmp_path / path.name
+    reason = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    for text in (data, data.replace(b"\n", b"\nx,", 1)):
+        bad.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(bad)
+        assert str(exc.value) == f"{bad}: not UTF-8: {reason}"
+        assert exc.value.line is None
+
+
+def test_loading_a_split_holds_little_beyond_its_arrays(big_split):
+    # the text, its lines and a Python list per row once peaked near ten
+    # times the arrays' bytes
+    path, _ = big_split
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 8000
+    assert peak < 3 * (ds.X.nbytes + ds.y.nbytes)

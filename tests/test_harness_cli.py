@@ -456,9 +456,22 @@ def test_an_unprobeable_subset_fails_before_any_cell_trains(
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
     monkeypatch.setattr(harness, "finetune_cells", lambda *a: pytest.fail("trained"))
+    cause = "lower `threshold` and rerun `pair`"
     for cmd in ("finetune", "ablate"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
-        assert "cannot probe an empty subset" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot probe an empty subset (aba): the plan selects 8 of 8 " in err
+        assert f"source classes at threshold 100000; {cause}\n" in err
+    # without the last pairing of the last round the plan leaves one class
+    plan = out / "plan.csv"
+    lines = plan.read_text().splitlines()
+    plan.write_text("\n".join(lines[:-1]) + "\n")
+    assert len(load_plan(plan).selected_sources()) == 7
+    for cmd in ("finetune", "ablate"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "degenerate probe: subset (aba) has a single class: the plan " in err
+        assert f"selects 7 of 8 source classes at threshold 100000; {cause}\n" in err
     assert not (out / "runs").exists()
 
 

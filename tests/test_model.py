@@ -4,16 +4,20 @@ Expected values marked "precomputed" were produced by an independent plain
 numpy transcription of the same formulas (matmul + relu + logsumexp and the
 momentum recursion) and are frozen here.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tests.conftest import flat, numeric_gradient
 from xmixup.errors import ConfigError, NumericError
 from xmixup.model import (
+    CHUNK_BYTES,
     ModelParams,
     TrainConfig,
     forward,
     forward_cache,
+    features,
     init,
     init_linear,
     learning_rate,
@@ -455,3 +459,56 @@ def test_checkpoint_rejects_foreign_or_truncated_files(tmp_path):
     clipped.write_bytes(good.read_bytes()[:-7])
     with pytest.raises(ParseError):
         load_params(clipped)
+
+
+# The default extractor: rows of width 4 through layers of 64 and 32, so a
+# features pass runs in blocks of CHUNK_BYTES // (8 * 64) rows.
+BLOCK = CHUNK_BYTES // (8 * 64)
+
+
+def one_pass_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The extractor over every row at once, each layer out of place."""
+    a = x
+    for w, b in params.layers:
+        b = b if b.ndim == 1 else b[:, None, :]
+        a = np.maximum(a @ w.swapaxes(-1, -2) + b, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_features_are_the_bytes_of_one_pass(n):
+    models = [init(4, [64, 32], 6, seed=s) for s in (1, 2, 3)]
+    stack = ModelParams.stack(models)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 4))
+    xs = rng.normal(size=(3, n, 4))
+    got = features(models[0], x)
+    assert got.shape == (n, 32)
+    assert got.tobytes() == one_pass_features(models[0], x).tobytes()
+    for inputs in (x, xs):  # one batch for every model, and one batch each
+        want = one_pass_features(stack, inputs)
+        assert features(stack, inputs).tobytes() == want.tobytes()
+
+
+def test_a_features_pass_holds_its_output_and_two_blocks():
+    params = init(4, [64, 32], 6, seed=0)
+    x = np.random.default_rng(0).normal(size=(4 * BLOCK, 4))
+    tracemalloc.start()
+    try:
+        out = features(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass over the rows held two arrays of 4 * BLOCK x 64
+    assert peak < out.nbytes + 2 * (BLOCK * 64 * 8)
+
+
+def test_a_blocked_pass_names_the_first_model_with_a_non_finite_feature():
+    # model 0's only bad row is in the last block, model 1's in the first:
+    # the check covers the whole pass, so it names model 0
+    stack = ModelParams.stack([init(4, [64, 32], 6, seed=s) for s in (1, 2, 3)])
+    xs = np.random.default_rng(4).normal(size=(3, 2 * BLOCK + 3, 4))
+    xs[0, -1], xs[1, 0] = np.inf, np.nan
+    with pytest.raises(NumericError, match="non-finite features") as info:
+        features(stack, xs)
+    assert info.value.cell == 0
