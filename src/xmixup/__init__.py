@@ -43,6 +43,11 @@ from .training import finetune_cells, pretrain
 
 __version__ = "0.1.0"
 
+#: The version of every random stream and every rounding the commands
+#: compute. A change that moves any byte of an artifact bumps it, and
+#: tests/golden/<STREAM_VERSION>.txt lists the artifacts' checksums under it.
+STREAM_VERSION = 1
+
 __all__ = [
     "Cell",
     "ConfigError",
@@ -56,6 +61,7 @@ __all__ = [
     "ParseError",
     "PlantedMapping",
     "RunResult",
+    "STREAM_VERSION",
     "Strategy",
     "StrategyKind",
     "TrainConfig",

@@ -4,8 +4,9 @@ A linear probe freezes the extractor, trains a fresh linear classifier on a
 source subset's features, and reports held-out accuracy — how much source
 knowledge the extractor still carries. The probe is fitted class-major: the
 features are transposed once to h x N, so each full-batch step is one k x N
-logit matrix whose columns are softmaxed in place; the softmax minus the
-one-hot targets is the gradient of the cross-entropy, so no log is taken.
+logit matrix whose columns are softmaxed in place; subtracting 1 at each
+sample's own class turns it into the gradient of the cross-entropy, so no
+log is taken and no one-hot matrix is built.
 
 The spectrum diagnostic computes the singular values of a feature matrix
 (hand-rolled one-sided Jacobi) and normalizes by the largest; the mean of the
@@ -19,14 +20,14 @@ operation.
 Both diagnostics run for many models at once (linear_probes, spectra), in
 chunks of models whose working set stays near model.CHUNK_BYTES. The heads
 of the models may differ, so each model runs its own extractor, without the
-head, into one preallocated (S, N, h) feature array. Every probe of a chunk
-starts from the one head the probe seed draws and fits on (S, k, N) logits,
-and each step of the fit writes into the logits, a column and the two
-gradient buffers, all built once per chunk. The spectra of a chunk share
-one seeded batch, and their Jacobi sweeps rotate the pairs of a round in
-every unsettled matrix as one array step. Each model
-gets the bits it would get alone; linear_probe and spectrum are the calls
-with one model.
+head, straight into its part of one preallocated (S, N, h) feature array.
+Every probe of a chunk starts from the one head the probe seed draws and
+fits on (S, k, N) logits, and each step of the fit writes into the logits,
+a column and the two gradient buffers, all built once per chunk. The
+spectra of a chunk share one seeded batch, and their Jacobi sweeps rotate
+the pairs of a round in every unsettled matrix as one array step. Each
+model gets the bits it would get alone; linear_probe and spectrum are the
+calls with one model.
 """
 
 from __future__ import annotations
@@ -113,13 +114,14 @@ def _chunks(count: int, cell_bytes: int) -> list[range]:
 
 
 def _features(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
-    """The (S, N, h) extractor features of X under each model; a
-    NumericError names the model in `cell`. The heads of the models may
-    differ in width, so each model runs its own extractor."""
+    """The (S, N, h) extractor features of X under each model, each written
+    straight into its part; a NumericError names the model in `cell`. The
+    heads of the models may differ in width, so each model runs its own
+    extractor."""
     F = np.empty((len(models), len(X), models[0].feature_width))
     for s, params in enumerate(models):
         try:
-            F[s] = features(params, X)
+            features(params, X, out=F[s])
         except NumericError as e:
             raise NumericError(str(e), cell=s) from None
     return F
@@ -168,9 +170,11 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
     w0, b0 = init_linear(k, h, np.random.default_rng(cfg.seed))
     w = np.broadcast_to(w0, (S, k, h)).copy()
     b = np.broadcast_to(b0, (S, k)).copy()
+    # a copy: BLAS reading F transposed rounds the logits differently on
+    # small probes (on the default data, every probe head moved)
     Ft = np.ascontiguousarray(F.transpose(0, 2, 1))
-    target = np.zeros((k, n))
-    target[y, np.arange(n)] = 1.0
+    # each sample's own logit in G seen flat, every model's in turn
+    hot = (np.arange(S)[:, None] * (k * n) + y * n + np.arange(n)).ravel()
     step = cfg.lr / n
     # every step writes into these: logits, their column max or sum, dW, db
     G, col = np.empty((S, k, n)), np.empty((S, 1, n))
@@ -182,7 +186,7 @@ def _train_probe_head(F: np.ndarray, y: np.ndarray, k: int, cfg: ProbeConfig):
             G -= G.max(axis=1, keepdims=True, out=col)
             np.exp(G, out=G)
             G /= G.sum(axis=1, keepdims=True, out=col)
-            G -= target  # softmax - onehot: the cross-entropy gradient per sample
+            np.subtract.at(G.reshape(-1), hot, 1.0)  # softmax - onehot: the CE gradient
             np.matmul(G, F, out=dw)
             dw *= step
             w -= dw

@@ -29,6 +29,8 @@ from .atomic import write_table
 from .errors import DataError, ParseError
 
 _MAX_MEAN_TRIES = 100_000
+# labels are int64, so a label in [0, class_count) must fit one
+_MAX_CLASS_COUNT = 2**63
 
 
 class Domain(Enum):
@@ -297,6 +299,10 @@ def _parse_dataset(f, path) -> Dataset:
         ) from None
     if class_count < 1 or d < 1:
         raise ParseError("class_count and d must be positive", line=1, path=path)
+    if class_count > _MAX_CLASS_COUNT:
+        raise ParseError(
+            f"class_count {class_count} exceeds {_MAX_CLASS_COUNT}", line=1, path=path
+        )
 
     labels, values = array("q"), array("d")
     for lineno, row in enumerate(f, start=2):

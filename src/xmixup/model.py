@@ -22,15 +22,18 @@ its own 2-D product, and the reductions add in the same order. Every model
 trained, pretrain included, takes its loss step through stack_loss_and_grad;
 loss_and_grad_arrays is that step for one model, as a stack of one.
 
-features, the extractor alone, runs a large batch in blocks of rows, so a
-pass over a source split holds its output and one block's layer outputs,
-not the split at every layer's width (see CHUNK_BYTES).
+features, the extractor alone, runs a large batch in the row blocks of
+feature_blocks, so a pass over a source split holds its output and one
+block's layer outputs, not the split at every layer's width (see
+CHUNK_BYTES); it writes its output into an array the caller gives, and a
+caller that only reduces the features, as pairing's centroids do, runs
+feature_blocks itself and holds one block.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,29 +228,50 @@ def _rows(b: np.ndarray) -> np.ndarray:
     return b if b.ndim == 1 else b[:, None, :]
 
 
-def _extract(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The extractor's output for the rows of x, one new array per layer:
-    each layer's bias and ReLU are applied in place."""
+def _extract(
+    params: ModelParams, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The extractor's output for the rows of x, one new array per layer
+    but the last, which is written into `out` when one is given: each
+    layer's bias and ReLU are applied in place."""
+    last = len(params.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, b in params.layers:
-            z = x @ w.swapaxes(-1, -2)
+        for i, (w, b) in enumerate(params.layers):
+            z = np.matmul(x, w.swapaxes(-1, -2), out=out if i == last else None)
             z += _rows(b)
             x = np.maximum(z, 0.0, out=z)
     return x
 
 
-def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The extractor's output for a single vector (d,) or a batch (N, d); a
-    stack takes one batch per model, (S, N, d), or one shared (N, d).
+def feature_blocks(params: ModelParams, n: int) -> Iterator[slice]:
+    """The row blocks of a features pass over n rows, in order, as slices:
+    CHUNK_BYTES // (8 * widest layer) rows each, the last block also taking
+    the rows left over, so fewer than two blocks' rows are one block."""
+    step = _block_rows(params)
+    starts = range(0, max(n - step + 1, 1), step)
+    return map(slice, starts, [*starts[1:], n])
 
-    A batch runs in blocks of CHUNK_BYTES // (8 * widest layer) rows, the
-    last block also taking the rows left over, so a pass holds its output
-    and two blocks' layer outputs at a time. Each row gets the bits of one
-    pass over the whole batch as long as every block's gemm takes BLAS's
-    large-matrix path, as it does on the lab's shapes (tests check the
-    block edges). A short tail block would not: OpenBLAS gives a small gemm
-    (here, up to about 1200 outputs) a kernel that rounds differently, and
-    so it does for a 256-row block of a width-4 layer under a width-512 one.
+
+def _block_rows(params: ModelParams) -> int:
+    return max(1, CHUNK_BYTES // (8 * max(w.shape[-2] for w, _ in params.layers)))
+
+
+def features(
+    params: ModelParams, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The extractor's output for a single vector (d,) or a batch (N, d); a
+    stack takes one batch per model, (S, N, d), or one shared (N, d). The
+    output of a batch is written into `out` when one is given.
+
+    A batch runs in the blocks of feature_blocks, each block's last layer
+    written straight into the output, so a pass holds its output and the
+    other layer outputs of two blocks at a time. Each row gets the bits of
+    one pass over the whole batch as long as every block's gemm takes
+    BLAS's large-matrix path, as it does on the lab's shapes (tests check
+    the block edges). A short tail block would not: OpenBLAS gives a small
+    gemm (here, up to about 1200 outputs) a kernel that rounds differently,
+    and so it does for a 256-row block of a width-4 layer under a width-512
+    one.
 
     Parameters too large for float64 overflow quietly and raise
     NumericError here, naming the model of a stack in `cell`.
@@ -255,16 +279,16 @@ def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
-    step = max(1, CHUNK_BYTES // (8 * max(w.shape[-2] for w, _ in params.layers)))
-    if x.ndim == 1 or x.shape[-2] < 2 * step:
+    if x.ndim == 1 or out is None and x.shape[-2] < 2 * _block_rows(params):
         a = _extract(params, x)
     else:
         n = x.shape[-2]
-        lead = np.broadcast_shapes(x.shape[:-2], params.flat.shape[:-1])
-        a = np.empty(lead + (n, params.feature_width))
-        starts = range(0, n - step + 1, step)  # the last block ends at n
-        for start, end in zip(starts, [*starts[1:], n]):
-            a[..., start:end, :] = _extract(params, x[..., start:end, :])
+        if out is None:
+            lead = np.broadcast_shapes(x.shape[:-2], params.flat.shape[:-1])
+            out = np.empty(lead + (n, params.feature_width))
+        for rows in feature_blocks(params, n):
+            _extract(params, x[..., rows, :], out[..., rows, :])
+        a = out
     if not np.isfinite(a).all():
         message = "non-finite features (diverged parameters?)"
         raise numeric_error(message, a, params.stacked)

@@ -28,7 +28,7 @@ import numpy as np
 from .atomic import write_table
 from .dataset import Dataset, read_lines
 from .errors import DataError, NumericError, ParseError
-from .model import ModelParams, features
+from .model import ModelParams, feature_blocks, features
 
 _ZERO_NORM = 1e-12
 
@@ -104,15 +104,30 @@ class PairingPlan:
 def compute_centroids(ds: Dataset, params: ModelParams) -> np.ndarray:
     """Mean extractor feature per class as a (class_count, h) matrix: row c
     is centroid(c) = (1/|c|) sum_x features(x). A mean too large for float64
-    overflows quietly; similarity rejects it."""
-    feats = features(params, ds.X)
-    rows = []
-    for c, idx in ds.indices_by_class().items():
-        if len(idx) == 0:
-            raise DataError(f"class {c} has no samples; cannot form a centroid")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows.append(feats[idx].mean(axis=0))
-    return np.stack(rows)
+    overflows quietly; similarity rejects it.
+
+    The features are summed a block of model.feature_blocks at a time, each
+    class's rows in row order, so the pass holds one block, not the split's
+    features. numpy's mean over axis 0 adds a class's rows in that order,
+    so each centroid has the bits of `features(params, X)[idx].mean(axis=0)`.
+    A single column numpy sums pairwise instead: at feature width 1, where
+    the split's features take no more bytes than its labels, each class's
+    sum is that of numpy's own reduction over the whole pass.
+    """
+    sums = np.full((ds.class_count, params.feature_width), -0.0)  # -0.0 + x is x
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.feature_width > 1:
+            for rows in feature_blocks(params, len(ds)):
+                np.add.at(sums, ds.y[rows], features(params, ds.X[rows]))
+        else:
+            feats = features(params, ds.X)
+            for c, idx in ds.indices_by_class().items():
+                sums[c] = feats[idx].sum(axis=0)
+    sizes = np.bincount(ds.y, minlength=ds.class_count)
+    if not sizes.all():
+        c = int(sizes.argmin())
+        raise DataError(f"class {c} has no samples; cannot form a centroid")
+    return sums / sizes[:, None]
 
 
 def similarity(src: np.ndarray, tgt: np.ndarray) -> SimilarityMatrix:

@@ -261,6 +261,53 @@ def test_probe_head_matches_row_major_reference_at_scale():
     assert acc > 1.0 / k
 
 
+def transposed_probe_head(F, y, k, cfg):
+    """The probe fit as it once ran, subtracting a k x N one-hot target
+    matrix. Its heads are the bytes to keep."""
+    S, n, h = F.shape
+    w0, b0 = init_linear(k, h, np.random.default_rng(cfg.seed))
+    w = np.broadcast_to(w0, (S, k, h)).copy()
+    b = np.broadcast_to(b0, (S, k)).copy()
+    Ft = np.ascontiguousarray(F.transpose(0, 2, 1))
+    target = np.zeros((k, n))
+    target[y, np.arange(n)] = 1.0
+    step = cfg.lr / n
+    G, col = np.empty((S, k, n)), np.empty((S, 1, n))
+    dw, db = np.empty_like(w), np.empty_like(b)
+    for _ in range(cfg.iterations):
+        np.matmul(w, Ft, out=G)
+        G += b[:, :, None]
+        G -= G.max(axis=1, keepdims=True, out=col)
+        np.exp(G, out=G)
+        G /= G.sum(axis=1, keepdims=True, out=col)
+        G -= target
+        np.matmul(G, F, out=dw)
+        dw *= step
+        w -= dw
+        G.sum(axis=2, out=db)
+        db *= step
+        b -= db
+    return w, b
+
+
+# (S, k, N): the all-but-auxiliary probes of large-source and, as stacks of
+# 7 and 4, of the default data, whose small gemms BLAS rounds differently
+# when it reads the features transposed
+@pytest.mark.parametrize(
+    "S,k,n", [(1, 14, 4480), (3, 14, 4480), (7, 6, 156), (4, 14, 364)]
+)
+def test_probe_heads_are_the_bytes_of_the_transposed_fit(S, k, n):
+    rng = np.random.default_rng(S)
+    h = 32
+    y = rng.integers(0, k, size=n)
+    F = np.maximum(rng.normal(size=(k, h))[y] + rng.normal(size=(S, n, h)), 0.0)
+    cfg = ProbeConfig(iterations=40)
+    w, b = _train_probe_head(F, y, k, cfg)
+    w_ref, b_ref = transposed_probe_head(F, y, k, cfg)
+    assert w.tobytes() == w_ref.tobytes()
+    assert b.tobytes() == b_ref.tobytes()
+
+
 # --- stacked diagnostics: every model of a stack gets the bits it gets alone
 
 

@@ -284,6 +284,21 @@ def test_load_reports_offending_line(tmp_path, text, line):
     assert exc.value.line == line
 
 
+def test_a_class_count_past_int64_is_refused_on_its_header_line(tmp_path):
+    # a label below such a count could overflow the int64 labels
+    path = tmp_path / "source_train.csv"
+    path.write_text(
+        "source,1000000000000000000000,2\n100000000000000000000,1.0,2.0\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert exc.value.line == 1
+    assert "class_count 1000000000000000000000 exceeds" in str(exc.value)
+    # the largest count every label below fits int64 still loads
+    path.write_text(f"source,{2**63},2\n{2**63 - 1},1.0,2.0\n")
+    assert load_dataset(path).y.tolist() == [2**63 - 1]
+
+
 def test_load_names_the_file_and_the_line(tmp_path):
     path = tmp_path / "target_train.csv"
     path.write_text("target,2,1\n0,1.0\nx,2.0\n")

@@ -1590,6 +1590,24 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert len([name for name in trees[0] if name.startswith("runs/")]) == 14
 
 
+def test_a_pair_and_finetune_chain_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call, which raises the peak
+    # RSS of a process by about a megabyte for the rest of its life
+    done = run_python(
+        "import sys\n"
+        "from xmixup.cli import main\n"
+        "config, out = sys.argv[1:]\n"
+        "for cmd in ('gen-data', 'pretrain', 'pair', 'finetune'):\n"
+        "    assert main([cmd, '--config', config, '--out', out]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n",
+        None,
+        str(mini_config(tmp_path)),
+        str(tmp_path / "out"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # ------------------------------------------------------------ the allocator
 
 # A 20-cell l2 stack of the default model shape (d = 4, hidden [64, 32],

@@ -485,9 +485,14 @@ def test_blocked_features_are_the_bytes_of_one_pass(n):
     got = features(models[0], x)
     assert got.shape == (n, 32)
     assert got.tobytes() == one_pass_features(models[0], x).tobytes()
+    out = np.empty((n, 32))
+    assert features(models[0], x, out=out) is out
+    assert out.tobytes() == got.tobytes()
     for inputs in (x, xs):  # one batch for every model, and one batch each
         want = one_pass_features(stack, inputs)
         assert features(stack, inputs).tobytes() == want.tobytes()
+        out = np.empty((3, n, 32))
+        assert features(stack, inputs, out=out).tobytes() == want.tobytes()
 
 
 def test_a_features_pass_holds_its_output_and_two_blocks():

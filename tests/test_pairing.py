@@ -2,6 +2,7 @@
 multi-round expansion of the auxiliary class selection.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from xmixup.dataset import Dataset, Domain, gen_source
 from xmixup.errors import DataError, NumericError, ParseError
-from xmixup.model import forward, init
+from xmixup.model import CHUNK_BYTES, features, forward, init
 from xmixup.pairing import (
     PairingPlan,
     SimilarityMatrix,
@@ -26,6 +27,10 @@ from xmixup.pairing import (
 # Greedy is not optimal: taking 0.90 first forces the 0.10 cell, while the
 # optimum pairs the off-diagonal for 0.85 + 0.80.
 COUNTEREXAMPLE = np.array([[0.90, 0.85], [0.80, 0.10]])
+
+# A features pass of an extractor whose widest layer is 64 runs in blocks
+# of this many rows.
+BLOCK = CHUNK_BYTES // (8 * 64)
 
 
 def brute_best(sims: np.ndarray) -> float:
@@ -44,6 +49,33 @@ class TestCentroids:
         for c in range(toy_source.class_count):
             manual = feats[labels == c].mean(axis=0)
             assert np.allclose(centroids[c], manual, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [[64, 32], [64, 2], [64, 1]])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocked_centroids_are_the_bytes_of_the_mean_of_one_pass(self, n, hidden):
+        params = init(4, hidden, 6, seed=n)
+        rng = np.random.default_rng(n)
+        y = rng.integers(0, 5, size=n)
+        y[BLOCK - 3 : BLOCK + 3] = 2  # a run of class 2 across the first edge
+        ds = Dataset(rng.normal(size=(n, 4)), y, 5, Domain.SOURCE)
+        feats = features(params, ds.X)
+        want = [feats[y == c].mean(axis=0) for c in range(5)]
+        assert compute_centroids(ds, params).tobytes() == np.stack(want).tobytes()
+
+    def test_a_centroid_pass_holds_one_block_not_the_features(self):
+        params = init(4, [64, 32], 6, seed=0)
+        rng = np.random.default_rng(0)
+        n = 4 * BLOCK
+        ds = Dataset(rng.normal(size=(n, 4)), rng.integers(0, 5, n), 5, Domain.SOURCE)
+        tracemalloc.start()
+        try:
+            centroids = compute_centroids(ds, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's layer outputs are BLOCK x (64 + 32) floats; a pass that
+        # also holds the n x 32 features of every row goes over this bound
+        assert peak < 2 * BLOCK * (64 + 32) * 8 + centroids.nbytes
 
     def test_empty_class_is_an_error(self, toy_pretrained):
         ds = Dataset([np.zeros(4), np.ones(4)], [0, 0], 2, Domain.SOURCE)

@@ -69,9 +69,9 @@ CHAINS = (
 )
 
 
-def run_chains(root: Path) -> None:
+def run_chains(root: Path, chains=CHAINS) -> None:
     """Run every chain into root/config<i>; exits on the first failure."""
-    for i, (config, commands) in enumerate(CHAINS):
+    for i, (config, commands) in enumerate(chains):
         out = root / f"config{i}"
         path = root / f"config{i}.json"  # beside the artifacts, not summed
         path.write_text(json.dumps(config))
