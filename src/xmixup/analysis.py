@@ -23,9 +23,12 @@ of the models may differ, so each model runs its own extractor, without the
 head, straight into its part of one preallocated (S, N, h) feature array.
 Every probe of a chunk starts from the one head the probe seed draws and
 fits on (S, k, N) logits, and each step of the fit writes into the logits,
-a column and the two gradient buffers, all built once per chunk. The
-spectra of a chunk share one seeded batch, and their Jacobi sweeps rotate
-the pairs of a round in every unsettled matrix as one array step. Each
+a column and the two gradient buffers, all built once per chunk; the
+training features of every chunk go into one array. The spectra of a
+chunk share one seeded batch, and their Jacobi sweeps rotate the pairs of
+a round in every unsettled matrix as one array step, gathering the pairs'
+rows and writing their rotations into buffers built once per
+singular_values call. Each
 model gets the bits it would get alone; linear_probe and spectrum are the
 calls with one model.
 """
@@ -113,12 +116,14 @@ def _chunks(count: int, cell_bytes: int) -> list[range]:
     return [range(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def _features(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
+def _features(
+    models: list[ModelParams], X: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The (S, N, h) extractor features of X under each model, each written
-    straight into its part; a NumericError names the model in `cell`. The
-    heads of the models may differ in width, so each model runs its own
-    extractor."""
-    F = np.empty((len(models), len(X), models[0].feature_width))
+    straight into its part of `out` (new when None); a NumericError names
+    the model in `cell`. The heads of the models may differ in width, so
+    each model runs its own extractor."""
+    F = np.empty((len(models), len(X), models[0].feature_width)) if out is None else out
     for s, params in enumerate(models):
         try:
             features(params, X, out=F[s])
@@ -214,13 +219,17 @@ def linear_probes(
     n_train, n_test = len(data.train), len(data.test)
     h = models[0].feature_width
     cell_bytes = 8 * (n_train * (2 * h + data.k) + n_test * h)
+    chunks = _chunks(len(models), cell_bytes)
+    # every chunk's training features go into the first chunk's array, the
+    # largest, made once: glibc handed a new one per chunk back to the
+    # kernel with the fit's arrays when freed, and faulted them in again
+    F_train = np.empty((len(chunks[0]), n_train, h))
     results = []
-    for chunk in _chunks(len(models), cell_bytes):
+    for chunk in chunks:
         part = [models[i] for i in chunk]
         try:
-            w, b = _train_probe_head(
-                _features(part, data.train.X), data.train.y, data.k, cfg
-            )
+            F = _features(part, data.train.X, F_train[: len(chunk)])
+            w, b = _train_probe_head(F, data.train.y, data.k, cfg)
             accs = probe_accuracy(w, b, _features(part, data.test.X), data.test.y)
         except NumericError as e:  # name the model of the call
             raise NumericError(str(e), cell=chunk[e.cell]) from None
@@ -263,12 +272,21 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> np.ndarray:
+def _gather(rows: np.ndarray, index, work: np.ndarray) -> list[np.ndarray]:
+    """rows[i] for each index array i, written into the leading rows of
+    work[0], work[1], ..."""
+    return [np.take(rows, i, 0, out=w[: len(i)], mode="clip") for i, w in zip(index, work)]
+
+
+def _jacobi_sweep(C: np.ndarray, rounds, tol: float, work: np.ndarray) -> np.ndarray:
     """One sweep over the rows of every matrix of a (S, n, m) stack C, in
     place; returns which matrices had a pair rotated.
 
     The pairs (p, q) of a round are taken in every matrix at once, as rows
     s * n + p and s * n + q of the stack seen as one (S * n, m) matrix.
+    Their rows are gathered, and their rotations written, in the four
+    arrays of `work`, each of at least S * n / 2 rows of m, sliced to the
+    round's pairs.
     """
     S, n, m = C.shape
     rows = C.reshape(S * n, m)
@@ -276,7 +294,7 @@ def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> np.ndarray:
     rotated = np.zeros(S, dtype=bool)
     for p, q in rounds:
         p, q = (offsets + p).ravel(), (offsets + q).ravel()
-        ap, aq = rows[p], rows[q]
+        ap, aq = _gather(rows, (p, q), work)
         app = np.einsum("ij,ij->i", ap, ap)
         aqq = np.einsum("ij,ij->i", aq, aq)
         apq = np.einsum("ij,ij->i", ap, aq)
@@ -285,14 +303,21 @@ def _jacobi_sweep(C: np.ndarray, rounds, tol: float) -> np.ndarray:
             continue
         rotated |= hit.reshape(S, -1).any(axis=1)
         if not hit.all():
-            p, q, ap, aq = p[hit], q[hit], ap[hit], aq[hit]
+            p, q = p[hit], q[hit]
             app, aqq, apq = app[hit], aqq[hit], apq[hit]
+            ap, aq = _gather(rows, (p, q), work)  # rows[p] is still ap[hit]
         tau = (aqq - app) / (2.0 * apq)
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
         c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
         s = c * t[:, None]
-        rows[p] = c * ap - s * aq
-        rows[q] = s * ap + c * aq
+        # rows[p] = c * ap - s * aq, then rows[q] = s * ap + c * aq
+        new, other = work[2:, : len(p)]
+        np.multiply(c, ap, out=new)
+        new -= np.multiply(s, aq, out=other)
+        rows[p] = new
+        np.multiply(s, ap, out=new)
+        new += np.multiply(c, aq, out=other)
+        rows[q] = new
     return rotated
 
 
@@ -310,7 +335,7 @@ def singular_values(
     a rotation, so each gets the bits it would get alone; one that has not
     settled in max_sweeps sweeps raises NumericError with its index as cell.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     stacked = A.ndim == 3
     if A.ndim not in (2, 3) or A.size == 0:
         raise ValueError("need a non-empty 2-D matrix or a stack of them")
@@ -326,11 +351,12 @@ def singular_values(
     C = np.zeros((S, n + n % 2, m))
     C[:, :n] = A.swapaxes(1, 2)
     rounds = _round_robin(C.shape[1])
+    work = np.empty((4, S * C.shape[1] // 2, m))  # _jacobi_sweep's buffers
     norms = np.empty((S, n))
     live = np.arange(S)
     with np.errstate(over="ignore"):  # tau * tau = inf gives t = 0, no rotation
         for _ in range(max_sweeps):
-            rotated = _jacobi_sweep(C, rounds, tol)
+            rotated = _jacobi_sweep(C, rounds, tol, work)
             if not rotated.all():
                 norms[live[~rotated]] = np.linalg.norm(C[~rotated, :n], axis=2)
                 live, C = live[rotated], C[rotated]

@@ -5,11 +5,13 @@ layer (features are the post-ReLU output of the last one); a linear head
 maps features to logits over the unified label space. Everything runs in
 64-bit numpy; there is no autodiff anywhere.
 
-All parameters of a model live in one flat buffer (see ModelParams), so the
-training loop keeps one gradient buffer and one velocity per run:
-backpropagation writes into the gradient buffer and sgd_step updates
-velocity and parameters in place, in the rounding order of the out-of-place
-formula.
+All parameters of a model live in one flat buffer (see ModelParams). A
+training step makes no array that grows with its stack: forward_cache,
+the losses, backward_from_dlogits, sp_penalty (in training) and sgd_step
+write every array they make into one Workspace, which the training loop
+builds once per stack, and sgd_step updates velocity and parameters in
+place. Every array is written by the same ufuncs in the same order as the
+out-of-place formula, so it holds the same bits.
 
 A stack of S models (ModelParams.stack) is one (S, P) buffer: every weight
 is an (S, out, in) view and every bias an (S, out) view, and row(s) is model
@@ -33,7 +35,7 @@ feature_blocks itself and holds one block.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -308,51 +310,102 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a, logits
 
 
-def forward_cache(params: ModelParams, X: np.ndarray):
-    """Batch forward keeping pre-activations for backprop.
+class Workspace:
+    """The arrays a training step writes, each made on first use and then
+    overwritten in place by every later step: forward_cache's layer outputs
+    and logits, the losses' temporaries, loss and dlogits,
+    backward_from_dlogits' da, ReLU masks and gradient, sp_penalty's
+    gradient and value temporaries, the velocity and sgd_step's update.
+
+    An array is found by its name and its shape, so a stack's steps, whose
+    shapes repeat, share one set of arrays, and after the first a step makes
+    no array that grows with the stack. Each function that takes a
+    workspace builds one when given none, so a lone call runs the same code
+    on arrays of its own. A result read out of a workspace (a loss, a
+    gradient, logits) is overwritten by the next call that uses it.
+    """
+
+    def __init__(self):
+        self._made: dict[tuple, object] = {}
+
+    def get(self, key: tuple, make, *args):
+        """The workspace's `key`, make(*args) the first time it is asked for."""
+        found = self._made.get(key)
+        if found is None:
+            found = self._made[key] = make(*args)
+        return found
+
+    def array(self, name, shape: tuple, dtype=float) -> np.ndarray:
+        """The array `name` of `shape`, zeros when first made."""
+        return self.get((name, shape), np.zeros, shape, dtype)
+
+    def params(self, name: str, like: ModelParams) -> ModelParams:
+        """The ModelParams `name` shaped like `like`, zeros when first made."""
+        return self.get((name, like.flat.shape), ModelParams.zeros_like, like)
+
+
+def forward_cache(params: ModelParams, X: np.ndarray, ws: Workspace | None = None):
+    """Batch forward keeping pre-activations for backprop: X is (B, d) for
+    one model, (S, B, d) for a stack. Every layer's output is written into
+    ws (a new workspace when None).
 
     Returns (activations, preacts, features, logits); activations[i] is the
     input to extractor layer i.
     """
+    ws = Workspace() if ws is None else ws
     acts = [np.asarray(X, dtype=float)]
     pres = []
-    for w, b in params.layers:
-        z = acts[-1] @ w.swapaxes(-1, -2) + _rows(b)
+    rows = acts[0].shape[:-1]
+    for i, (w, b) in enumerate(params.layers):
+        z = ws.array(("pre", i), rows + w.shape[-2:-1])
+        np.matmul(acts[-1], w.swapaxes(-1, -2), out=z)
+        z += _rows(b)
         pres.append(z)
-        acts.append(np.maximum(z, 0.0))
-    features = acts[-1]
+        acts.append(np.maximum(z, 0.0, out=ws.array(("act", i), z.shape)))
     wh, bh = params.head
-    return acts, pres, features, features @ wh.swapaxes(-1, -2) + _rows(bh)
+    logits = ws.array("logits", rows + wh.shape[-2:-1])
+    np.matmul(acts[-1], wh.swapaxes(-1, -2), out=logits)
+    logits += _rows(bh)
+    return acts, pres, acts[-1], logits
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction for stability."""
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def log_softmax(logits: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Row-wise log-softmax with max subtraction for stability, written
+    into ws (a new workspace when None)."""
+    ws = Workspace() if ws is None else ws
+    column = logits.shape[:-1] + (1,)
+    m = logits.max(axis=-1, keepdims=True, out=ws.array("row max", column))
+    logp = np.subtract(logits, m, out=ws.array("logp", logits.shape))
+    e = np.exp(logp, out=ws.array("exp", logits.shape))
+    total = e.sum(axis=-1, keepdims=True, out=ws.array("row sum", column))
+    logp -= np.log(total, out=total)
+    return logp
 
 
 def backward_from_dlogits(
-    params: ModelParams, acts, pres, dlogits: np.ndarray, out: ModelParams | None = None
+    params: ModelParams, acts, pres, dlogits: np.ndarray, ws: Workspace | None = None
 ) -> ModelParams:
     """Backpropagate gradients of a scalar loss given d(loss)/d(logits).
 
-    The gradients are written into `out` (a ModelParams shaped like params,
-    new when None) and returned.
+    The gradients, and each layer's da and ReLU mask on the way, are written
+    into ws (a new workspace when None); returns its gradient buffer.
     """
-    if out is None:
-        out = ModelParams.zeros_like(params)
-    np.matmul(dlogits.swapaxes(-1, -2), acts[-1], out=out.head[0])
-    dlogits.sum(axis=-2, out=out.head[1])
-    da = dlogits @ params.head[0]
+    ws = Workspace() if ws is None else ws
+    grads = ws.params("grads", params)
+    np.matmul(dlogits.swapaxes(-1, -2), acts[-1], out=grads.head[0])
+    dlogits.sum(axis=-2, out=grads.head[1])
+    last = len(params.layers) - 1
+    da = np.matmul(dlogits, params.head[0], out=ws.array(("da", last), pres[last].shape))
     for i in reversed(range(len(params.layers))):
-        dz = da * (pres[i] > 0)
-        gw, gb = out.layers[i]
+        relu = np.greater(pres[i], 0, out=ws.array(("relu", i), pres[i].shape, bool))
+        dz = np.multiply(da, relu, out=da)
+        gw, gb = grads.layers[i]
         np.matmul(dz.swapaxes(-1, -2), acts[i], out=gw)
         dz.sum(axis=-2, out=gb)
         if i:
-            da = dz @ params.layers[i][0]
-    return out
+            da = ws.array(("da", i - 1), pres[i - 1].shape)
+            np.matmul(dz, params.layers[i][0], out=da)
+    return grads
 
 
 def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericError:
@@ -366,14 +419,24 @@ def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericErr
     return NumericError(message, cell=cell)
 
 
-def check_soft_labels(P: np.ndarray):
+def _all_finite(values: np.ndarray, ws: Workspace) -> bool:
+    """Whether every entry of values is finite, tested into an array of ws."""
+    return bool(np.isfinite(values, out=ws.array("finite", values.shape, bool)).all())
+
+
+def check_soft_labels(P: np.ndarray, ws: Workspace | None = None):
     """P must be finite and non-negative with rows summing to 1 within 1e-9.
 
-    Two comparisons decide the common case; only a failing batch is looked
-    at again to name the rule it breaks. A NaN or infinity fails both.
+    Two comparisons decide the common case, the row sums taken in ws (a new
+    workspace when None); only a failing batch is looked at again to name
+    the rule it breaks. A NaN or infinity fails both.
     """
-    if P.min() >= -1e-12 and np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-9:
-        return
+    ws = Workspace() if ws is None else ws
+    if P.min() >= -1e-12:
+        off = P.sum(axis=-1, out=ws.array("label sums", P.shape[:-1]))
+        off -= 1.0
+        if np.abs(off, out=off).max() <= 1e-9:
+            return
     if not np.isfinite(P).all():
         raise numeric_error("non-finite values in batch", P, True)
     if P.min() < -1e-12:
@@ -406,34 +469,56 @@ def loss_and_grad_arrays(
     return float(loss[0]), grads.row(0)
 
 
-def cross_entropy(logits: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _loss_out(logits: np.ndarray, ws: Workspace, out) -> tuple[np.ndarray, np.ndarray]:
+    """The (loss, dlogits) arrays a loss of `logits` writes: `out`, or ws's."""
+    if out is not None:
+        return out
+    return ws.array("loss", logits.shape[:-2]), ws.array("dlogits", logits.shape)
+
+
+def cross_entropy(
+    logits: np.ndarray, P: np.ndarray, ws: Workspace | None = None, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The soft-target cross-entropy of each batch of logits, mean_i -sum_k
-    P[i,k] * log softmax(logits[i])_k over its rows, and d(loss)/d(logits).
-    Every row is computed on its own, so a batch of a stack gets the bits it
-    gets alone."""
-    logp = log_softmax(logits)
+    P[i,k] * log softmax(logits[i])_k over its rows, and d(loss)/d(logits),
+    written into out = (loss, dlogits) when given, else into ws (a new
+    workspace when None), as are the temporaries. Every row is computed on
+    its own, so a batch of a stack gets the bits it gets alone."""
+    ws = Workspace() if ws is None else ws
+    loss, dlogits = _loss_out(logits, ws, out)
+    logp = log_softmax(logits, ws)
     # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
     n = logits.shape[-2]
-    loss = -(P * logp).sum(axis=-1).sum(axis=-1) / n
-    dlogits = np.exp(logp)
+    terms = np.multiply(P, logp, out=ws.array("terms", logits.shape))
+    rows = terms.sum(axis=-1, out=ws.array("row loss", logits.shape[:-1]))
+    np.negative(rows.sum(axis=-1, out=loss), out=loss)
+    loss /= n
+    np.exp(logp, out=dlogits)
     dlogits -= P
     dlogits /= n
     return loss, dlogits
 
 
 def masked_dlogits(
-    logits: np.ndarray, labels: np.ndarray, n_target: int, split: int
+    logits: np.ndarray,
+    labels: np.ndarray,
+    n_target: int,
+    split: int,
+    ws: Workspace | None = None,
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The joint-batch masked loss of each batch of logits and
     d(loss)/d(logits): rows [0, split) softmax over the target logits
     [0, n_target) and the other rows over the source logits [n_target, L),
-    each against its hard label, averaged over all rows. Every row is
-    computed on its own."""
+    each against its hard label, averaged over all rows. They are written
+    as in cross_entropy. Every row is computed on its own."""
     total_rows, label_count = logits.shape[-2:]
     if not 0 <= split <= total_rows:
         raise ValueError(f"split {split} outside batch of {total_rows}")
-    dlogits = np.zeros_like(logits)
-    total = np.zeros(logits.shape[:-2])
+    ws = Workspace() if ws is None else ws
+    total, dlogits = _loss_out(logits, ws, out)
+    total.fill(0.0)
+    dlogits.fill(0.0)
     for rows, lo, hi in (
         (slice(0, split), 0, n_target),
         (slice(split, total_rows), n_target, label_count),
@@ -441,17 +526,28 @@ def masked_dlogits(
         sub = logits[..., rows, lo:hi]
         if sub.shape[-2] == 0:
             continue
-        li = labels[..., rows] - lo
-        if np.any((li < 0) | (li >= hi - lo)):
+        li = labels[..., rows]
+        at = np.subtract(li, lo, out=ws.array("label at", li.shape, np.intp))
+        if at.size and (at.min() < 0 or at.max() >= hi - lo):
             raise ValueError("label outside its softmax block")
-        logp = log_softmax(sub)
-        # every row's own label entry, through one (rows, width) view
-        at = (np.arange(li.size), li.ravel())
-        total -= logp.reshape(-1, hi - lo)[at].reshape(li.shape).sum(axis=-1)
-        dsub = np.exp(logp)
-        dsub.reshape(-1, hi - lo)[at] -= 1.0
-        dlogits[..., rows, lo:hi] = dsub / total_rows
-    return total / total_rows, dlogits
+        logp = log_softmax(sub, ws)
+        # every row's own label entry, by its index into the flat logp
+        at += ws.get(("row starts", at.shape, hi - lo), _row_starts, at.shape, hi - lo)
+        own = np.take(logp.ravel(), at, out=ws.array("own", at.shape), mode="clip")
+        total -= own.sum(axis=-1, out=ws.array("own sum", at.shape[:-1]))
+        dsub = np.exp(logp, out=ws.array("exp", logp.shape)).ravel()
+        np.take(dsub, at, out=own, mode="clip")
+        own -= 1.0
+        np.put(dsub, at, own, mode="clip")
+        np.divide(dsub.reshape(logp.shape), total_rows, out=dlogits[..., rows, lo:hi])
+    total /= total_rows
+    return total, dlogits
+
+
+def _row_starts(shape: tuple, width: int) -> np.ndarray:
+    """The flat index of the first entry of every row of a shape + (width,)
+    array."""
+    return np.arange(0, math.prod(shape) * width, width).reshape(shape)
 
 
 def stack_loss_and_grad(
@@ -461,7 +557,7 @@ def stack_loss_and_grad(
     labels: np.ndarray | None,
     n_target: int,
     split: int,
-    out: ModelParams | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, ModelParams]:
     """The losses of a stack whose first len(P) models take the soft-target
     cross-entropy of P (cross_entropy) and whose other models take the
@@ -469,29 +565,26 @@ def stack_loss_and_grad(
     backward for all of them. X is (S, B, d), P (len(P), B, L) or None when
     no model takes soft labels, and labels (S - len(P), B) or None when none
     takes the masked loss; returns an (S,) array of losses and the
-    gradients, written into `out` as in backward_from_dlogits. Every model
-    gets the bits of its own loss alone."""
-    if not np.isfinite(X).all():
+    gradients. Both halves write into slices of one loss and one dlogits,
+    and every array of the step lives in ws (a new workspace when None).
+    Every model gets the bits of its own loss alone."""
+    ws = Workspace() if ws is None else ws
+    if not _all_finite(X, ws):
         raise numeric_error("non-finite values in batch", X, True)
     if P is not None:
-        check_soft_labels(P)
-    acts, pres, _, logits = forward_cache(params, X)
-    if not np.isfinite(logits).all():
+        check_soft_labels(P, ws)
+    acts, pres, _, logits = forward_cache(params, X, ws)
+    if not _all_finite(logits, ws):
         message = "non-finite logits (diverged parameters?)"
         raise numeric_error(message, logits, True)
     soft = 0 if P is None else len(P)
-    halves = [] if P is None else [cross_entropy(logits[:soft], P)]
+    loss, dlogits = _loss_out(logits, ws, None)
+    if P is not None:
+        cross_entropy(logits[:soft], P, ws, (loss[:soft], dlogits[:soft]))
     if labels is not None:
-        halves.append(masked_dlogits(logits[soft:], labels, n_target, split))
-    loss, dlogits = (_cat(parts) for parts in zip(*halves))
-    return loss, backward_from_dlogits(params, acts, pres, dlogits, out)
-
-
-def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The arrays joined along their first axis; None when there are none."""
-    if len(arrays) < 2:
-        return arrays[0] if arrays else None
-    return np.concatenate(arrays)
+        out = loss[soft:], dlogits[soft:]
+        masked_dlogits(logits[soft:], labels, n_target, split, ws, out)
+    return loss, backward_from_dlogits(params, acts, pres, dlogits, ws)
 
 
 def learning_rate(cfg: TrainConfig, iteration: int) -> float:
@@ -505,6 +598,7 @@ def sgd_step(
     velocity: ModelParams,
     cfg: TrainConfig,
     lr,
+    ws: Workspace | None = None,
 ) -> None:
     """One SGD-with-momentum update of params and velocity, in place, at
     the step's effective learning rate `lr` (learning_rate gives it under
@@ -514,15 +608,18 @@ def sgd_step(
     g <- g + weight_decay*w on the weight segment only (biases are not
     decayed; this writes into grads); v <- momentum*v - lr*g; w <- w + v.
     Each line rounds as the out-of-place formula does, so the result is
-    bit-identical to it. A stack takes one step for every model; they share
-    cfg's momentum and weight decay.
+    bit-identical to it; the products are written into ws (a new workspace
+    when None). A stack takes one step for every model; they share cfg's
+    momentum and weight decay.
     """
-    if not np.isfinite(grads.flat).all():
+    ws = Workspace() if ws is None else ws
+    if not _all_finite(grads.flat, ws):
         raise numeric_error("non-finite gradient", grads.flat, grads.stacked)
-    grads.weights += cfg.weight_decay * params.weights
+    update = ws.params("update", params)
+    grads.weights += np.multiply(cfg.weight_decay, params.weights, out=update.weights)
     v = velocity.flat
     v *= cfg.momentum
-    v -= lr * grads.flat
+    v -= np.multiply(lr, grads.flat, out=update.flat)
     params.flat += v
 
 

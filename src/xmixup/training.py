@@ -38,7 +38,10 @@ alone.
   (_index_blocks). A pure row map, _row_plan, joins the kinds' draws into
   the stack's batch; a stack of one kind, one draw a row, takes them as is.
 - Losses. One call of model.stack_loss_and_grad, one forward and one
-  backward, serves the stack, plus L2-SP's penalty.
+  backward, serves the stack, plus L2-SP's penalty. The step's arrays,
+  these and sgd_step's, live in one model.Workspace per stack, so a step
+  makes no array that grows with the stack and asks nothing of the
+  allocator's settings.
 - Schedules. Seqtrain's velocity and schedule restart at its first-phase
   budget; where schedules differ, each row takes its own rate.
 
@@ -61,7 +64,7 @@ from .mixup import blend, make_batch
 from .model import (
     ModelParams,
     TrainConfig,
-    _cat,
+    Workspace,
     forward,
     init,
     init_linear,
@@ -196,12 +199,13 @@ def _run_stack(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None) -> np.nd
     """Drive SGD for len(lrs) steps, updating the stack params in place;
     returns the (iterations, S) loss trace.
 
-    Each step draws a batch, a tuple of arrays, from batch_fn(), takes
-    loss_fn(params, *batch, out) -> (loss, grads), which writes the
-    gradients into the run's one buffer `out`, and makes one sgd_step at the
-    step's entry of lrs: a float, or an (S, 1) column of one rate per model.
-    `resets` maps an iteration to the rows whose velocity restarts from
-    zero before it.
+    The stack's one Workspace is built here and serves every step: each
+    step draws a batch, a tuple of arrays, from batch_fn(), takes
+    loss_fn(params, *batch, ws) -> (loss, grads), which writes the loss and
+    the gradients into ws, and makes one sgd_step at the step's entry of
+    lrs (a float, or an (S, 1) column of one rate per model) on ws's
+    velocity. `resets` maps an iteration to the rows whose velocity
+    restarts from zero before it.
 
     A diverging run overflows quietly: the checks of logits and gradients
     raise NumericError at the step they find a non-finite value, and a loss
@@ -217,16 +221,16 @@ def _run_stack(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None) -> np.nd
             where = f"{who}: {where}"
         return NumericError(where, cell=cell)
 
-    velocity = ModelParams.zeros_like(params)
-    out = ModelParams.zeros_like(params)
+    ws = Workspace()
+    velocity = ws.params("velocity", params)
     trace = np.empty((len(lrs),) + params.flat.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for it, lr in enumerate(lrs):
             if it in resets:
                 velocity.flat[resets[it]] = 0.0
             try:
-                loss, grads = loss_fn(params, *batch_fn(), out)
-                sgd_step(params, grads, velocity, cfg, lr)
+                loss, grads = loss_fn(params, *batch_fn(), ws)
+                sgd_step(params, grads, velocity, cfg, lr, ws)
             except NumericError as e:
                 raise failed(it, str(e), e.cell) from None
             trace[it] = loss
@@ -292,16 +296,15 @@ def sp_penalty(
     params: ModelParams,
     reference: ModelParams,
     mu: float,
-    out: ModelParams | None = None,
-) -> tuple[float, ModelParams]:
+    ws: Workspace | None = None,
+) -> tuple[np.ndarray, ModelParams]:
     """mu * squared L2 distance of the extractor from a reference, plus its
     gradient 2*mu*(theta - theta_ref); the head contributes nothing.
 
     For a stack, every model is measured against the one reference and the
-    value is an (S,) array. The gradient goes into `out` when given, a
-    ModelParams shaped like params whose head part is zero (as zeros_like
-    leaves it; only the extractor part is written), and into a new one
-    otherwise.
+    value is an (S,) array. The value, its temporaries and the gradient are
+    written into ws (a new workspace when None); the gradient's head part
+    is never written, so it stays the zeros ws made it.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -310,16 +313,23 @@ def sp_penalty(
     for (w, _), (w0, _) in zip(params.layers, reference.layers):
         if w.shape[-2:] != w0.shape:
             raise ValueError(f"layer shapes differ: {w.shape[-2:]} vs {w0.shape}")
+    ws = Workspace() if ws is None else ws
     # the extractor difference, in place in the gradient's buffer, becomes
-    # the gradient once scaled; the head part stays zero
-    grads = ModelParams.zeros_like(params) if out is None else out
+    # the gradient once scaled
+    grads = ws.params("sp grads", params)
     np.subtract(params.extractor, reference.extractor, out=grads.extractor)
-    value = 0.0
+    lead = params.flat.shape[:-1]
+    value = ws.array("sp value", lead)
+    value.fill(0.0)
+    # np.square(x) rounds as x * x; it gives numpy one strided operand of a
+    # stack's rows to buffer, 64 KiB at most, where x * x gives two
     for dw, db in grads.layers:
-        w_part = (dw * dw).reshape(dw.shape[:-2] + (-1,)).sum(axis=-1)
-        value += w_part + (db * db).sum(axis=-1)
+        squares = np.square(dw, out=ws.array("sp squares", dw.shape))
+        w_part = squares.reshape(lead + (-1,)).sum(axis=-1, out=ws.array("sp w", lead))
+        squares = np.square(db, out=ws.array("sp squares", db.shape))
+        value += np.add(w_part, squares.sum(axis=-1, out=ws.array("sp b", lead)), out=w_part)
     grads.extractor *= 2.0 * mu
-    return mu * value, grads
+    return np.multiply(mu, value, out=value), grads
 
 
 def _budget(cfg: TrainConfig, iterations: int) -> TrainConfig:
@@ -483,6 +493,13 @@ def _row_plan(keys: list[tuple], nolabel: list[bool]):
     return draws, take, [r for r, flag in enumerate(nolabel) if flag]
 
 
+def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The arrays joined along their first axis; None when there are none."""
+    if len(arrays) < 2:
+        return arrays[0] if arrays else None
+    return np.concatenate(arrays)
+
+
 def _joined(draws: list[tuple], take, relabel: list[int], eye, n_target: int):
     """Each step, call every (draw, first rows) of `draws`, join the
     batches, gather the rows' own and relabel in place (see _row_plan). A
@@ -526,18 +543,17 @@ def _train(stack, pool, cells, cfg: TrainConfig, names, reference) -> np.ndarray
 
     # the losses: cross-entropy on soft labels and the masked loss on
     # cotrain's rows, then the L2-SP penalty of each weight added on its rows
-    penalties = []  # (rows, mu, the rows' parameters, their penalty gradient)
+    penalties = []  # (rows, mu, the rows' parameters)
     weights = [s.sp_weight for s, _ in cells]
     for mu in dict.fromkeys(w for w in weights if w is not None):
         at = [r for r, w in enumerate(weights) if w == mu]
         rows = slice(at[0], at[-1] + 1)
-        view = ModelParams._over(stack, stack.flat[rows])
-        penalties.append((rows, mu, view, ModelParams.zeros_like(view)))
+        penalties.append((rows, mu, ModelParams._over(stack, stack.flat[rows])))
 
-    def loss_fn(p, X, P, labels, out):
-        loss, grads = stack_loss_and_grad(p, X, P, labels, n, half, out)
-        for rows, mu, view, pen_grads in penalties:
-            pen, _ = sp_penalty(view, reference, mu, pen_grads)
+    def loss_fn(p, X, P, labels, ws):
+        loss, grads = stack_loss_and_grad(p, X, P, labels, n, half, ws)
+        for rows, mu, view in penalties:
+            pen, pen_grads = sp_penalty(view, reference, mu, ws)
             grads.flat[rows] += pen_grads.flat
             loss[rows] += pen
         return loss, grads

@@ -405,9 +405,9 @@ def test_a_settled_matrix_leaves_the_stack(monkeypatch):
     sizes, rotations = [], []
     sweep = analysis._jacobi_sweep
 
-    def spy(C, rounds, tol):
+    def spy(C, *args):
         before = C.copy()
-        rotated = sweep(C, rounds, tol)
+        rotated = sweep(C, *args)
         sizes.append(len(C))
         rotations.append(
             [not np.array_equal(x, y) for x, y in zip(before, C)]

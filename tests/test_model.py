@@ -255,7 +255,8 @@ def test_training_names_the_iteration_of_a_non_finite_gradient():
     params = init(3, [4], 2, seed=5)
     steps = iter(range(10))
 
-    def loss(p, X, out):
+    def loss(p, X, ws):
+        out = ws.params("grads", p)
         out.flat[:] = np.inf if next(steps) == 3 else 0.0
         return 0.0, out
 
@@ -357,8 +358,9 @@ def test_training_names_the_cell_of_a_stacked_failure():
 
     steps = iter(range(10))
 
-    def loss(p, X, out):
+    def loss(p, X, ws):
         assert X.shape == (3, 2, 3)
+        out = ws.params("grads", p)
         out.flat[:] = 0.0
         if next(steps) == 3:
             out.flat[2, 0] = np.inf
@@ -378,7 +380,8 @@ def test_training_names_the_cell_of_a_non_finite_loss_no_check_reads():
     stack = ModelParams.stack([init(3, [4], 2, seed=s) for s in (1, 2, 3)])
     steps = iter(range(10))
 
-    def loss(p, X, out):
+    def loss(p, X, ws):
+        out = ws.params("grads", p)
         out.flat[:] = 0.0
         at = next(steps)
         return np.array([0.0, np.inf if at >= 6 else 0.0, np.inf if at >= 4 else 0.0]), out

@@ -1,7 +1,9 @@
 """Fine-tuning strategies: validation, per-strategy post-conditions, the
 source-preservation penalty, the joint-batch masked loss, and evaluation.
 """
+import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
 
@@ -507,6 +509,162 @@ def test_any_stack_of_one_label_space_gives_each_cell_its_lone_bytes(
         assert_same_run(got, lone_run(strategy, seed))
 
 
+
+# ------------------------------------------ the step against its formulas
+# The step writes into its stack's workspace, with the ufuncs of the
+# out-of-place step below in the same order. These are that step's
+# formulas, each array made afresh; a stack trained through them and one
+# trained through the model's functions agree in every byte.
+
+
+def _ref_rows(b):
+    return b if b.ndim == 1 else b[:, None, :]
+
+
+def _ref_log_softmax(logits):
+    m = logits.max(axis=-1, keepdims=True)
+    shifted = logits - m
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _ref_cross_entropy(logits, P):
+    logp = _ref_log_softmax(logits)
+    n = logits.shape[-2]
+    loss = -(P * logp).sum(axis=-1).sum(axis=-1) / n
+    dlogits = np.exp(logp)
+    dlogits -= P
+    dlogits /= n
+    return loss, dlogits
+
+
+def _ref_masked_dlogits(logits, labels, n_target, split):
+    total_rows, label_count = logits.shape[-2:]
+    dlogits = np.zeros_like(logits)
+    total = np.zeros(logits.shape[:-2])
+    for rows, lo, hi in (
+        (slice(0, split), 0, n_target),
+        (slice(split, total_rows), n_target, label_count),
+    ):
+        sub = logits[..., rows, lo:hi]
+        if sub.shape[-2] == 0:
+            continue
+        li = labels[..., rows] - lo
+        logp = _ref_log_softmax(sub)
+        at = (np.arange(li.size), li.ravel())
+        total -= logp.reshape(-1, hi - lo)[at].reshape(li.shape).sum(axis=-1)
+        dsub = np.exp(logp)
+        dsub.reshape(-1, hi - lo)[at] -= 1.0
+        dlogits[..., rows, lo:hi] = dsub / total_rows
+    return total / total_rows, dlogits
+
+
+def _ref_stack_loss_and_grad(params, X, P, labels, n_target, split, ws):
+    acts, pres = [X], []
+    for w, b in params.layers:
+        z = acts[-1] @ w.swapaxes(-1, -2) + _ref_rows(b)
+        pres.append(z)
+        acts.append(np.maximum(z, 0.0))
+    wh, bh = params.head
+    logits = acts[-1] @ wh.swapaxes(-1, -2) + _ref_rows(bh)
+    soft = 0 if P is None else len(P)
+    halves = [] if P is None else [_ref_cross_entropy(logits[:soft], P)]
+    if labels is not None:
+        halves.append(_ref_masked_dlogits(logits[soft:], labels, n_target, split))
+    loss, dlogits = (np.concatenate(parts) for parts in zip(*halves))
+    grads = ModelParams.zeros_like(params)
+    np.matmul(dlogits.swapaxes(-1, -2), acts[-1], out=grads.head[0])
+    dlogits.sum(axis=-2, out=grads.head[1])
+    da = dlogits @ params.head[0]
+    for i in reversed(range(len(params.layers))):
+        dz = da * (pres[i] > 0)
+        gw, gb = grads.layers[i]
+        np.matmul(dz.swapaxes(-1, -2), acts[i], out=gw)
+        dz.sum(axis=-2, out=gb)
+        if i:
+            da = dz @ params.layers[i][0]
+    return loss, grads
+
+
+def _ref_sp_penalty(params, reference, mu, ws):
+    grads = ModelParams.zeros_like(params)
+    np.subtract(params.extractor, reference.extractor, out=grads.extractor)
+    value = 0.0
+    for dw, db in grads.layers:
+        w_part = (dw * dw).reshape(dw.shape[:-2] + (-1,)).sum(axis=-1)
+        value += w_part + (db * db).sum(axis=-1)
+    grads.extractor *= 2.0 * mu
+    return mu * value, grads
+
+
+def _ref_sgd_step(params, grads, velocity, cfg, lr, ws):
+    grads.weights += cfg.weight_decay * params.weights
+    v = velocity.flat
+    v *= cfg.momentum
+    v -= lr * grads.flat
+    params.flat += v
+
+
+#: The out-of-place step, by the name _train calls each function under.
+REFERENCE_STEP = {
+    "stack_loss_and_grad": _ref_stack_loss_and_grad,
+    "sp_penalty": _ref_sp_penalty,
+    "sgd_step": _ref_sgd_step,
+}
+
+
+def train_recording(world, cells, cfg, functions):
+    """finetune_cells of `cells` with training's step functions replaced by
+    `functions` (by name); the results and a sha256 of every stack's
+    parameters and velocity after every step."""
+    digest = hashlib.sha256()
+    sgd_step = functions.get("sgd_step", training.sgd_step)
+
+    def recorded(params, grads, velocity, *args):
+        sgd_step(params, grads, velocity, *args)
+        digest.update(params.flat.tobytes())
+        digest.update(velocity.flat.tobytes())
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, fn in functions.items():
+            patch.setattr(training, name, fn)
+        patch.setattr(training, "sgd_step", recorded)
+        results = finetune_cells(
+            world["pre"], world["train"], world["src"], cells, cfg, world["test"]
+        )
+    return results, digest.hexdigest()
+
+
+# 150 steps: past two index blocks, the learning rate dropping at 100 and
+# seqtrain's velocity restarting at 60
+LONG = replace(FAST, iterations=150, lr_drop_at=100)
+ONE_KIND = {
+    "l2": [Strategy.l2()],
+    "l2sp": [Strategy.l2sp(0.01)],
+    "xmixup": [Strategy.xmixup(MIX)],
+    "seqtrain": [Strategy.seqtrain(60)],
+    "cotrain": [Strategy.cotrain()],
+}
+TARGET_KINDS = [Strategy.l2(), Strategy.l2sp(0.01)]
+SOURCE_KINDS = [Strategy.xmixup(MIX), Strategy.seqtrain(60), Strategy.cotrain()]
+
+
+@pytest.mark.parametrize(
+    "kinds, S",
+    [(kinds, 1) for kinds in ONE_KIND.values()]
+    + [(kinds, S) for S in (5, 35) for kinds in (TARGET_KINDS, SOURCE_KINDS)],
+    ids=[f"{name}-1" for name in ONE_KIND]
+    + [f"{name}-{S}" for S in (5, 35) for name in ("target", "source")],
+)
+def test_a_stack_trains_to_the_bytes_of_the_out_of_place_step(world, kinds, S):
+    cells = [Cell(kinds[i % len(kinds)], i, world["plan"]) for i in range(S)]
+    got, got_steps = train_recording(world, cells, LONG, {})
+    want, want_steps = train_recording(world, cells, LONG, REFERENCE_STEP)
+    assert got_steps == want_steps
+    for g, w in zip(got, want):
+        assert g.params.flat.tobytes() == w.params.flat.tobytes()
+        assert np.array(g.trace).tobytes() == np.array(w.trace).tobytes()
+
+
 # ----------------------------------------------- batch kinds and row plan
 
 @pytest.mark.parametrize(
@@ -703,6 +861,59 @@ def test_a_stacks_per_step_calls_grow_with_s_only_by_its_per_cell_draws(
         calls = per_step_calls(kind, pool, S)
         assert calls["xmixup"] <= one["xmixup"], S
         assert calls["generator"] - one["generator"] <= (S - 1) * per_cell, S
+
+
+
+def per_step_bytes(world, strategy, S):
+    """The fewest bytes that a step of a stack of S cells of `strategy`
+    allocates at its peak past its batch draw, over the steps after the
+    first (which makes the stack's workspace), as tracemalloc counts them.
+    numpy's ufunc buffers are held at 16 elements meanwhile: they are never
+    longer than numpy's buffer size, whatever S, but shorter ones grow with
+    their operands and would hide an array that grows with S."""
+    peaks, mark = [], []
+    real = training._run_stack
+
+    def measured(params, cfg, loss_fn, batch_fn, *rest):
+        def draw():
+            if mark:
+                peaks.append(tracemalloc.get_traced_memory()[1] - mark[-1])
+            batch = batch_fn()
+            tracemalloc.reset_peak()
+            mark.append(tracemalloc.get_traced_memory()[0])
+            return batch
+
+        return real(params, cfg, loss_fn, draw, *rest)
+
+    cells = [Cell(strategy, seed, world["plan"]) for seed in range(S)]
+    with pytest.MonkeyPatch.context() as patch, np.errstate():
+        patch.setattr(training, "_run_stack", measured)
+        np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            finetune_cells(
+                world["pre"], world["train"], world["src"], cells, FAST, world["test"]
+            )
+        finally:
+            tracemalloc.stop()
+    return min(peaks[1:])
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        Strategy.l2(), Strategy.l2sp(0.01), Strategy.mixup_indomain(MIX),
+        Strategy.xmixup(MIX), Strategy.xmixup_nolabel(MIX), Strategy.seqtrain(15),
+        Strategy.cotrain(),
+    ],
+    ids=lambda s: s.kind.value,
+)
+def test_a_stacks_step_allocates_no_more_at_any_s(world, strategy):
+    # the step writes into its stack's workspace: no array of it has a row
+    # per model, so 35 models take fewer extra bytes than 35 floats
+    one = per_step_bytes(world, strategy, 1)
+    for S in (5, 35):
+        assert per_step_bytes(world, strategy, S) < one + 8 * 35, S
 
 
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
