@@ -177,13 +177,23 @@ class Lab:
     plan: PairingPlan | None
 
 
-def load_lab(out: Path, spec: DataSpec, with_plan: bool = True) -> Lab:
-    src_train, _, tgt_train, tgt_test = load_data(out, spec)
+def load_lab(out: Path, cfg: ExperimentConfig, with_plan: bool = True) -> Lab:
+    """The splits, the checkpoint and, with_plan, the plan, checked to fit
+    together and the checkpoint to be the architecture cfg pretrains."""
+    src_train, _, tgt_train, tgt_test = load_data(out, cfg.data)
     pretrained = load_params(_require(out / PRETRAINED, "pretrain"))
     if pretrained.d != src_train.d:
         raise DataError(
             f"{out / PRETRAINED} takes inputs of width {pretrained.d}, "
             f"the data has {src_train.d}"
+        )
+    widths = [pretrained.d] + [w.shape[0] for w, _ in pretrained.layers]
+    want = [cfg.data.d, *cfg.hidden]
+    if widths != want or pretrained.label_count != cfg.data.m:
+        raise DataError(
+            f"{out / PRETRAINED} holds layer widths {widths} and a head of "
+            f"{pretrained.label_count}, the config pretrains {want} and a head "
+            f"of {cfg.data.m}; rerun `pretrain` with this config"
         )
     plan = None
     if with_plan:
@@ -245,7 +255,7 @@ def _threshold(cfg: ExperimentConfig, tgt_train: Dataset) -> int:
 
 
 def step_pair(cfg: ExperimentConfig, out: Path) -> Output:
-    lab = load_lab(out, cfg.data, with_plan=False)
+    lab = load_lab(out, cfg, with_plan=False)
     threshold = _threshold(cfg, lab.tgt_train)
     sims = centroid_similarity(lab.pretrained, lab.src_train, lab.tgt_train)
     plan = expand_until_threshold(sims, lab.src_train.class_sizes(), threshold)
@@ -345,7 +355,7 @@ def step_finetune(
     out: Path,
     strategies: tuple[StrategyKind, ...] | None = None,
 ) -> Output:
-    lab = load_lab(out, cfg.data)
+    lab = load_lab(out, cfg)
     kinds = strategies if strategies is not None else cfg.strategies
     cells = [
         Cell(cfg.strategy_for(kind), seed, lab.plan)
@@ -529,7 +539,7 @@ def _grid_table(
 def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> Output:
     """Sweep cross-domain mixing strength: accuracy as a function of alpha
     with beta held fixed."""
-    lab = load_lab(out, cfg.data)
+    lab = load_lab(out, cfg)
     cells = [
         Cell(Strategy.xmixup(replace(cfg.mixup, alpha=alpha)), seed, lab.plan)
         for alpha in cfg.alpha_grid
@@ -545,7 +555,7 @@ def step_sweep_alpha(cfg: ExperimentConfig, out: Path) -> Output:
 
 def step_sweep_size(cfg: ExperimentConfig, out: Path) -> Output:
     """Sweep the selection threshold: accuracy as the auxiliary set grows."""
-    lab = load_lab(out, cfg.data, with_plan=False)
+    lab = load_lab(out, cfg, with_plan=False)
     grid = cfg.threshold_grid
     if not grid:
         base = len(lab.tgt_train)
@@ -570,7 +580,7 @@ def step_sweep_size(cfg: ExperimentConfig, out: Path) -> Output:
 def step_randomize_aux(cfg: ExperimentConfig, out: Path) -> Output:
     """Control experiment: centroid-paired vs randomly assigned auxiliary
     classes, same sample budget."""
-    lab = load_lab(out, cfg.data)
+    lab = load_lab(out, cfg)
     threshold = _threshold(cfg, lab.tgt_train)
     sizes = lab.src_train.class_sizes()
     strategy = Strategy.xmixup(cfg.mixup)

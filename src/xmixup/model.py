@@ -8,10 +8,11 @@ maps features to logits over the unified label space. Everything runs in
 All parameters of a model live in one flat buffer (see ModelParams). A
 training step makes no array that grows with its stack: forward_cache,
 the losses, backward_from_dlogits, sp_penalty (in training) and sgd_step
-write every array they make into one Workspace, which the training loop
-builds once per stack, and sgd_step updates velocity and parameters in
-place. Every array is written by the same ufuncs in the same order as the
-out-of-place formula, so it holds the same bits.
+write every array they make into one Workspace (a dict, one subscript an
+array), which the training loop builds once per stack, and sgd_step
+updates velocity and parameters in place. Every array is written by the
+same ufuncs in the same order as the out-of-place formula, so it holds the
+same bits.
 
 A stack of S models (ModelParams.stack) is one (S, P) buffer: every weight
 is an (S, out, in) view and every bias an (S, out) view, and row(s) is model
@@ -34,6 +35,7 @@ feature_blocks itself and holds one block.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -310,38 +312,34 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a, logits
 
 
-class Workspace:
+class Workspace(dict):
     """The arrays a training step writes, each made on first use and then
     overwritten in place by every later step: forward_cache's layer outputs
     and logits, the losses' temporaries, loss and dlogits,
     backward_from_dlogits' da, ReLU masks and gradient, sp_penalty's
     gradient and value temporaries, the velocity and sgd_step's update.
 
-    An array is found by its name and its shape, so a stack's steps, whose
-    shapes repeat, share one set of arrays, and after the first a step makes
-    no array that grows with the stack. Each function that takes a
+    A workspace is a dict, and a step reads each array with one subscript:
+    ws[name, shape] or ws[name, shape, dtype] is the array `name` of that
+    shape, and ws[name, params] the ModelParams `name` shaped like params
+    (keyed by the params object itself). A missing one is made, zeros, by
+    __missing__; a present one is found without running any Python code.
+    So a stack's steps, whose shapes and parameter objects repeat, share
+    one set of arrays, and after the first a step makes no array that
+    grows with the stack. Each function that takes a
     workspace builds one when given none, so a lone call runs the same code
     on arrays of its own. A result read out of a workspace (a loss, a
     gradient, logits) is overwritten by the next call that uses it.
     """
 
-    def __init__(self):
-        self._made: dict[tuple, object] = {}
-
-    def get(self, key: tuple, make, *args):
-        """The workspace's `key`, make(*args) the first time it is asked for."""
-        found = self._made.get(key)
-        if found is None:
-            found = self._made[key] = make(*args)
-        return found
-
-    def array(self, name, shape: tuple, dtype=float) -> np.ndarray:
-        """The array `name` of `shape`, zeros when first made."""
-        return self.get((name, shape), np.zeros, shape, dtype)
-
-    def params(self, name: str, like: ModelParams) -> ModelParams:
-        """The ModelParams `name` shaped like `like`, zeros when first made."""
-        return self.get((name, like.flat.shape), ModelParams.zeros_like, like)
+    def __missing__(self, key: tuple):
+        _, like, *dtype = key
+        if isinstance(like, ModelParams):
+            made = ModelParams.zeros_like(like)
+        else:
+            made = np.zeros(like, *dtype)
+        self[key] = made
+        return made
 
 
 def forward_cache(params: ModelParams, X: np.ndarray, ws: Workspace | None = None):
@@ -357,13 +355,13 @@ def forward_cache(params: ModelParams, X: np.ndarray, ws: Workspace | None = Non
     pres = []
     rows = acts[0].shape[:-1]
     for i, (w, b) in enumerate(params.layers):
-        z = ws.array(("pre", i), rows + w.shape[-2:-1])
+        z = ws[("pre", i), rows + w.shape[-2:-1]]
         np.matmul(acts[-1], w.swapaxes(-1, -2), out=z)
         z += _rows(b)
         pres.append(z)
-        acts.append(np.maximum(z, 0.0, out=ws.array(("act", i), z.shape)))
+        acts.append(np.maximum(z, 0.0, out=ws[("act", i), z.shape]))
     wh, bh = params.head
-    logits = ws.array("logits", rows + wh.shape[-2:-1])
+    logits = ws["logits", rows + wh.shape[-2:-1]]
     np.matmul(acts[-1], wh.swapaxes(-1, -2), out=logits)
     logits += _rows(bh)
     return acts, pres, acts[-1], logits
@@ -374,10 +372,10 @@ def log_softmax(logits: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     into ws (a new workspace when None)."""
     ws = Workspace() if ws is None else ws
     column = logits.shape[:-1] + (1,)
-    m = logits.max(axis=-1, keepdims=True, out=ws.array("row max", column))
-    logp = np.subtract(logits, m, out=ws.array("logp", logits.shape))
-    e = np.exp(logp, out=ws.array("exp", logits.shape))
-    total = e.sum(axis=-1, keepdims=True, out=ws.array("row sum", column))
+    m = logits.max(axis=-1, keepdims=True, out=ws["row max", column])
+    logp = np.subtract(logits, m, out=ws["logp", logits.shape])
+    e = np.exp(logp, out=ws["exp", logits.shape])
+    total = e.sum(axis=-1, keepdims=True, out=ws["row sum", column])
     logp -= np.log(total, out=total)
     return logp
 
@@ -391,19 +389,19 @@ def backward_from_dlogits(
     into ws (a new workspace when None); returns its gradient buffer.
     """
     ws = Workspace() if ws is None else ws
-    grads = ws.params("grads", params)
+    grads = ws["grads", params]
     np.matmul(dlogits.swapaxes(-1, -2), acts[-1], out=grads.head[0])
     dlogits.sum(axis=-2, out=grads.head[1])
     last = len(params.layers) - 1
-    da = np.matmul(dlogits, params.head[0], out=ws.array(("da", last), pres[last].shape))
+    da = np.matmul(dlogits, params.head[0], out=ws[("da", last), pres[last].shape])
     for i in reversed(range(len(params.layers))):
-        relu = np.greater(pres[i], 0, out=ws.array(("relu", i), pres[i].shape, bool))
+        relu = np.greater(pres[i], 0, out=ws[("relu", i), pres[i].shape, bool])
         dz = np.multiply(da, relu, out=da)
         gw, gb = grads.layers[i]
         np.matmul(dz.swapaxes(-1, -2), acts[i], out=gw)
         dz.sum(axis=-2, out=gb)
         if i:
-            da = ws.array(("da", i - 1), pres[i - 1].shape)
+            da = ws[("da", i - 1), pres[i - 1].shape]
             np.matmul(dz, params.layers[i][0], out=da)
     return grads
 
@@ -421,7 +419,7 @@ def numeric_error(message: str, values: np.ndarray, stacked: bool) -> NumericErr
 
 def _all_finite(values: np.ndarray, ws: Workspace) -> bool:
     """Whether every entry of values is finite, tested into an array of ws."""
-    return bool(np.isfinite(values, out=ws.array("finite", values.shape, bool)).all())
+    return bool(np.isfinite(values, out=ws["finite", values.shape, bool]).all())
 
 
 def check_soft_labels(P: np.ndarray, ws: Workspace | None = None):
@@ -433,7 +431,7 @@ def check_soft_labels(P: np.ndarray, ws: Workspace | None = None):
     """
     ws = Workspace() if ws is None else ws
     if P.min() >= -1e-12:
-        off = P.sum(axis=-1, out=ws.array("label sums", P.shape[:-1]))
+        off = P.sum(axis=-1, out=ws["label sums", P.shape[:-1]])
         off -= 1.0
         if np.abs(off, out=off).max() <= 1e-9:
             return
@@ -469,13 +467,6 @@ def loss_and_grad_arrays(
     return float(loss[0]), grads.row(0)
 
 
-def _loss_out(logits: np.ndarray, ws: Workspace, out) -> tuple[np.ndarray, np.ndarray]:
-    """The (loss, dlogits) arrays a loss of `logits` writes: `out`, or ws's."""
-    if out is not None:
-        return out
-    return ws.array("loss", logits.shape[:-2]), ws.array("dlogits", logits.shape)
-
-
 def cross_entropy(
     logits: np.ndarray, P: np.ndarray, ws: Workspace | None = None, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -485,12 +476,12 @@ def cross_entropy(
     workspace when None), as are the temporaries. Every row is computed on
     its own, so a batch of a stack gets the bits it gets alone."""
     ws = Workspace() if ws is None else ws
-    loss, dlogits = _loss_out(logits, ws, out)
+    loss, dlogits = out or (ws["loss", logits.shape[:-2]], ws["dlogits", logits.shape])
     logp = log_softmax(logits, ws)
     # the mean as sum / N, negated after: the same bits as -(P * logp)...mean()
     n = logits.shape[-2]
-    terms = np.multiply(P, logp, out=ws.array("terms", logits.shape))
-    rows = terms.sum(axis=-1, out=ws.array("row loss", logits.shape[:-1]))
+    terms = np.multiply(P, logp, out=ws["terms", logits.shape])
+    rows = terms.sum(axis=-1, out=ws["row loss", logits.shape[:-1]])
     np.negative(rows.sum(axis=-1, out=loss), out=loss)
     loss /= n
     np.exp(logp, out=dlogits)
@@ -516,7 +507,7 @@ def masked_dlogits(
     if not 0 <= split <= total_rows:
         raise ValueError(f"split {split} outside batch of {total_rows}")
     ws = Workspace() if ws is None else ws
-    total, dlogits = _loss_out(logits, ws, out)
+    total, dlogits = out or (ws["loss", logits.shape[:-2]], ws["dlogits", logits.shape])
     total.fill(0.0)
     dlogits.fill(0.0)
     for rows, lo, hi in (
@@ -527,27 +518,26 @@ def masked_dlogits(
         if sub.shape[-2] == 0:
             continue
         li = labels[..., rows]
-        at = np.subtract(li, lo, out=ws.array("label at", li.shape, np.intp))
+        at = np.subtract(li, lo, out=ws["label at", li.shape, np.intp])
         if at.size and (at.min() < 0 or at.max() >= hi - lo):
             raise ValueError("label outside its softmax block")
         logp = log_softmax(sub, ws)
-        # every row's own label entry, by its index into the flat logp
-        at += ws.get(("row starts", at.shape, hi - lo), _row_starts, at.shape, hi - lo)
-        own = np.take(logp.ravel(), at, out=ws.array("own", at.shape), mode="clip")
-        total -= own.sum(axis=-1, out=ws.array("own sum", at.shape[:-1]))
-        dsub = np.exp(logp, out=ws.array("exp", logp.shape)).ravel()
+        # every row's own label entry, by its index into the flat logp: the
+        # flat index of its row's first entry, kept by shape and width (the
+        # halves of an even batch share a shape), plus its label
+        starts = "row starts", at.shape, hi - lo
+        if starts not in ws:
+            ws[starts] = np.arange(0, at.size * (hi - lo), hi - lo).reshape(at.shape)
+        at += ws[starts]
+        own = np.take(logp.ravel(), at, out=ws["own", at.shape], mode="clip")
+        total -= own.sum(axis=-1, out=ws["own sum", at.shape[:-1]])
+        dsub = np.exp(logp, out=ws["exp", logp.shape]).ravel()
         np.take(dsub, at, out=own, mode="clip")
         own -= 1.0
         np.put(dsub, at, own, mode="clip")
         np.divide(dsub.reshape(logp.shape), total_rows, out=dlogits[..., rows, lo:hi])
     total /= total_rows
     return total, dlogits
-
-
-def _row_starts(shape: tuple, width: int) -> np.ndarray:
-    """The flat index of the first entry of every row of a shape + (width,)
-    array."""
-    return np.arange(0, math.prod(shape) * width, width).reshape(shape)
 
 
 def stack_loss_and_grad(
@@ -578,7 +568,7 @@ def stack_loss_and_grad(
         message = "non-finite logits (diverged parameters?)"
         raise numeric_error(message, logits, True)
     soft = 0 if P is None else len(P)
-    loss, dlogits = _loss_out(logits, ws, None)
+    loss, dlogits = ws["loss", logits.shape[:-2]], ws["dlogits", logits.shape]
     if P is not None:
         cross_entropy(logits[:soft], P, ws, (loss[:soft], dlogits[:soft]))
     if labels is not None:
@@ -615,7 +605,7 @@ def sgd_step(
     ws = Workspace() if ws is None else ws
     if not _all_finite(grads.flat, ws):
         raise numeric_error("non-finite gradient", grads.flat, grads.stacked)
-    update = ws.params("update", params)
+    update = ws["update", params]
     grads.weights += np.multiply(cfg.weight_decay, params.weights, out=update.weights)
     v = velocity.flat
     v *= cfg.momentum
@@ -648,22 +638,21 @@ def load_params(path) -> ModelParams:
     """Read a checkpoint written by save_params. A malformed one is a
     ParseError naming the file: a bad header, layers that do not chain, a
     payload of the wrong size or a non-finite parameter."""
-    data = Path(path).read_bytes()
-    head, _, rest = data.partition(b"\n")
-    if head != _CKPT_MAGIC:
+    # one line a readline, so a long header is read in linear time; past
+    # the end of the file a line is empty
+    f = io.BytesIO(Path(path).read_bytes())
+    if f.readline().removesuffix(b"\n") != _CKPT_MAGIC:
         raise ParseError("not a checkpoint file", line=1, path=path)
-    count_line, _, rest = rest.partition(b"\n")
     try:
-        n_layers = int(count_line)
+        n_layers = int(f.readline())
     except ValueError:
         raise ParseError("bad layer count", line=2, path=path) from None
     if n_layers < 1:
         raise ParseError(f"need at least one layer, got {n_layers}", line=2, path=path)
     shapes = []
     for i in range(n_layers + 1):
-        line, _, rest = rest.partition(b"\n")
         try:
-            out_dim, in_dim = (int(v) for v in line.split())
+            out_dim, in_dim = (int(v) for v in f.readline().split())
         except ValueError:
             raise ParseError("bad shape line", line=3 + i, path=path) from None
         if out_dim < 1 or in_dim < 1:
@@ -673,7 +662,7 @@ def load_params(path) -> ModelParams:
         shapes.append((out_dim, in_dim))
 
     try:
-        buf = np.frombuffer(rest, dtype="<f8")
+        buf = np.frombuffer(f.read(), dtype="<f8")
     except ValueError:
         raise ParseError("payload is not float64-aligned", path=path) from None
     if buf.size != sum(o * i + o for o, i in shapes):

@@ -39,9 +39,9 @@ alone.
   the stack's batch; a stack of one kind, one draw a row, takes them as is.
 - Losses. One call of model.stack_loss_and_grad, one forward and one
   backward, serves the stack, plus L2-SP's penalty. The step's arrays,
-  these and sgd_step's, live in one model.Workspace per stack, so a step
-  makes no array that grows with the stack and asks nothing of the
-  allocator's settings.
+  these and sgd_step's, live in one model.Workspace per stack, a dict read
+  by one subscript an array, so a step makes no array that grows with the
+  stack, asks nothing of the allocator's settings and runs no lookup code.
 - Schedules. Seqtrain's velocity and schedule restart at its first-phase
   budget; where schedules differ, each row takes its own rate.
 
@@ -202,10 +202,10 @@ def _run_stack(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None) -> np.nd
     The stack's one Workspace is built here and serves every step: each
     step draws a batch, a tuple of arrays, from batch_fn(), takes
     loss_fn(params, *batch, ws) -> (loss, grads), which writes the loss and
-    the gradients into ws, and makes one sgd_step at the step's entry of
-    lrs (a float, or an (S, 1) column of one rate per model) on ws's
-    velocity. `resets` maps an iteration to the rows whose velocity
-    restarts from zero before it.
+    the gradients into ws (ws["grads", params], say), and makes one
+    sgd_step at the step's entry of lrs (a float, or an (S, 1) column of
+    one rate per model) on ws["velocity", params]. `resets` maps an
+    iteration to the rows whose velocity restarts from zero before it.
 
     A diverging run overflows quietly: the checks of logits and gradients
     raise NumericError at the step they find a non-finite value, and a loss
@@ -222,7 +222,7 @@ def _run_stack(params, cfg, loss_fn, batch_fn, lrs, resets, cells=None) -> np.nd
         return NumericError(where, cell=cell)
 
     ws = Workspace()
-    velocity = ws.params("velocity", params)
+    velocity = ws["velocity", params]
     trace = np.empty((len(lrs),) + params.flat.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for it, lr in enumerate(lrs):
@@ -316,18 +316,18 @@ def sp_penalty(
     ws = Workspace() if ws is None else ws
     # the extractor difference, in place in the gradient's buffer, becomes
     # the gradient once scaled
-    grads = ws.params("sp grads", params)
+    grads = ws["sp grads", params]
     np.subtract(params.extractor, reference.extractor, out=grads.extractor)
     lead = params.flat.shape[:-1]
-    value = ws.array("sp value", lead)
+    value = ws["sp value", lead]
     value.fill(0.0)
     # np.square(x) rounds as x * x; it gives numpy one strided operand of a
     # stack's rows to buffer, 64 KiB at most, where x * x gives two
     for dw, db in grads.layers:
-        squares = np.square(dw, out=ws.array("sp squares", dw.shape))
-        w_part = squares.reshape(lead + (-1,)).sum(axis=-1, out=ws.array("sp w", lead))
-        squares = np.square(db, out=ws.array("sp squares", db.shape))
-        value += np.add(w_part, squares.sum(axis=-1, out=ws.array("sp b", lead)), out=w_part)
+        squares = np.square(dw, out=ws["sp squares", dw.shape])
+        w_part = squares.reshape(lead + (-1,)).sum(axis=-1, out=ws["sp w", lead])
+        squares = np.square(db, out=ws["sp squares", db.shape])
+        value += np.add(w_part, squares.sum(axis=-1, out=ws["sp b", lead]), out=w_part)
     grads.extractor *= 2.0 * mu
     return np.multiply(mu, value, out=value), grads
 

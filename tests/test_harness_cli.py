@@ -844,6 +844,39 @@ def test_artifacts_that_do_not_fit_are_data_errors(tmp_path, capsys):
     assert err.count("data error") == 2 and "target_test.csv has width 2" in err
 
 
+def test_a_checkpoint_of_another_architecture_is_a_data_error(tmp_path, capsys):
+    # the input width fits, so only the config can tell: at other hidden
+    # widths `pair` and `finetune` used to exit 0 on the checkpoint's
+    # extractor and stamp what they wrote with the other config's hash
+    config = mini_config(tmp_path, seeds=[0], strategies=["l2"])
+    out = tmp_path / "out"
+    for cmd in ("gen-data", "pretrain", "pair"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+    before = read_tree(out)
+    capsys.readouterr()
+    for hidden in ("[6,4]", "[8]", "[8,6,4]"):
+        for cmd in ("pair", "finetune"):
+            args = [cmd, "--config", str(config), "--out", str(out)]
+            assert main(args + ["--set", f"hidden={hidden}"]) == 3
+            err = capsys.readouterr().err
+            want = [3, *json.loads(hidden)]
+            assert (
+                "pretrained.ckpt holds layer widths [3, 8, 6] and a head of 8, "
+                f"the config pretrains {want} and a head of 8; "
+                "rerun `pretrain` with this config"
+            ) in err, err
+    # a head of another width, under the config's own hidden widths
+    checkpoint = out / "pretrained.ckpt"
+    save_params(init(3, [8, 6], 5, seed=0), checkpoint)
+    for cmd in ("pair", "finetune"):
+        assert main([cmd, "--config", str(config), "--out", str(out)]) == 3
+        assert "and a head of 5, the config pretrains [3, 8, 6] and a head of 8" in (
+            capsys.readouterr().err
+        )
+    checkpoint.write_bytes(before["pretrained.ckpt"])
+    assert read_tree(out) == before
+
+
 def test_a_split_header_of_an_absurd_class_count_is_a_data_error(tmp_path, capsys):
     # the count agrees across a domain's two splits, so only the config can
     # tell it is wrong; it used to end in numpy's "Unable to allocate 42.6 PiB"
@@ -887,7 +920,7 @@ def test_run_grid_returns_each_cell_as_if_trained_alone(tmp_path):
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
     cfg = config_from_json(json.loads(config.read_text()))
-    lab = load_lab(out, cfg.data)
+    lab = load_lab(out, cfg)
     other = random_plan(6, 8, lab.src_train.class_sizes(), 50, np.random.default_rng(3))
     mix = [MixupConfig(alpha=a, beta=2.0) for a in (1.0, 4.0)]
     cells = [  # interleaved kinds and plans: four groups of one to two cells
@@ -917,7 +950,7 @@ def mini_lab(tmp_path_factory):
     for cmd in ("gen-data", "pretrain", "pair"):
         assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
     cfg = config_from_json(json.loads(config.read_text()))
-    return cfg, load_lab(out, cfg.data)
+    return cfg, load_lab(out, cfg)
 
 
 def seven_strategies(cfg, lab, seeds):

@@ -4,13 +4,14 @@ Expected values marked "precomputed" were produced by an independent plain
 numpy transcription of the same formulas (matmul + relu + logsumexp and the
 momentum recursion) and are frozen here.
 """
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tests.conftest import flat, numeric_gradient
-from xmixup.errors import ConfigError, NumericError
+from xmixup.errors import ConfigError, NumericError, ParseError
 from xmixup.model import (
     CHUNK_BYTES,
     ModelParams,
@@ -256,7 +257,7 @@ def test_training_names_the_iteration_of_a_non_finite_gradient():
     steps = iter(range(10))
 
     def loss(p, X, ws):
-        out = ws.params("grads", p)
+        out = ws["grads", p]
         out.flat[:] = np.inf if next(steps) == 3 else 0.0
         return 0.0, out
 
@@ -360,7 +361,7 @@ def test_training_names_the_cell_of_a_stacked_failure():
 
     def loss(p, X, ws):
         assert X.shape == (3, 2, 3)
-        out = ws.params("grads", p)
+        out = ws["grads", p]
         out.flat[:] = 0.0
         if next(steps) == 3:
             out.flat[2, 0] = np.inf
@@ -381,7 +382,7 @@ def test_training_names_the_cell_of_a_non_finite_loss_no_check_reads():
     steps = iter(range(10))
 
     def loss(p, X, ws):
-        out = ws.params("grads", p)
+        out = ws["grads", p]
         out.flat[:] = 0.0
         at = next(steps)
         return np.array([0.0, np.inf if at >= 6 else 0.0, np.inf if at >= 4 else 0.0]), out
@@ -449,8 +450,6 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
 
 
 def test_checkpoint_rejects_foreign_or_truncated_files(tmp_path):
-    from xmixup.errors import ParseError
-
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ParseError):
@@ -462,6 +461,41 @@ def test_checkpoint_rejects_foreign_or_truncated_files(tmp_path):
     clipped.write_bytes(good.read_bytes()[:-7])
     with pytest.raises(ParseError):
         load_params(clipped)
+
+
+@pytest.mark.parametrize(
+    "data, message, line",
+    [
+        (b"XMIXUP-CKPT-2\n1\n", "not a checkpoint file", 1),
+        (b"XMIXUP-CKPT-1", "bad layer count", 2),
+        (b"XMIXUP-CKPT-1\n0\n", "need at least one layer, got 0", 2),
+        (b"XMIXUP-CKPT-1\n1\n4 3\n", "bad shape line", 4),
+        (b"XMIXUP-CKPT-1\n1\n4 3\n2 0\n", "layer widths must be positive", 4),
+        (b"XMIXUP-CKPT-1\n1\n4 3\n2 5\n", "layer 1 does not chain", 4),
+        (b"XMIXUP-CKPT-1\n1\n4 3\n2 4", "payload size mismatch", None),
+        (b"XMIXUP-CKPT-1\n1\n4 3\n2 4\n" + bytes(9), "not float64-aligned", None),
+    ],
+)
+def test_a_malformed_checkpoint_names_its_rule_and_line(tmp_path, data, message, line):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=message) as info:
+        load_params(path)
+    assert info.value.line == line and str(info.value).startswith(f"{path}: ")
+
+
+def test_a_long_checkpoint_header_is_refused_in_linear_time(tmp_path):
+    # a header of 400 000 layers over a payload of the wrong size: read by
+    # re-partitioning the rest of the file at every shape line, it took
+    # about 19 s of CPU on a 2-core x86 VM; line by line, under half a second
+    layers = 400_000
+    path = tmp_path / "long.ckpt"
+    header = b"XMIXUP-CKPT-1\n%d\n" % layers + b"1 1\n" * (layers + 1)
+    path.write_bytes(header + bytes(8))
+    start = time.process_time()
+    with pytest.raises(ParseError, match="payload size mismatch"):
+        load_params(path)
+    assert time.process_time() - start < 3.0
 
 
 # The default extractor: rows of width 4 through layers of 64 and 32, so a

@@ -20,6 +20,7 @@ from xmixup.mixup import CrossDomainPool, MixupConfig
 from xmixup.model import (
     ModelParams,
     TrainConfig,
+    Workspace,
     backward_from_dlogits,
     cross_entropy,
     forward_cache,
@@ -914,6 +915,48 @@ def test_a_stacks_step_allocates_no_more_at_any_s(world, strategy):
     one = per_step_bytes(world, strategy, 1)
     for S in (5, 35):
         assert per_step_bytes(world, strategy, S) < one + 8 * 35, S
+
+
+WORKSPACE_CODE = {f.__code__ for f in vars(Workspace).values() if callable(f)}
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [
+        [Strategy.l2sp(0.01), Strategy.l2sp(0.01), Strategy.l2sp(0.1)],
+        [Strategy.xmixup(MIX), Strategy.seqtrain(15), Strategy.cotrain()],
+    ],
+    ids=["l2sp", "mixed"],
+)
+def test_after_its_first_step_a_stack_runs_no_workspace_code(world, strategies):
+    # every array a step asks for is found by one dict subscript, which
+    # runs no Python frame: only the first step makes (and so runs
+    # Workspace.__missing__), however many steps follow
+    steps, ran = [0], []
+    real = training._run_stack
+
+    def profiled(params, cfg, loss_fn, batch_fn, *rest):
+        def draw():
+            steps[0] += 1
+            return batch_fn()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in WORKSPACE_CODE:
+                ran.append(steps[0])
+
+        sys.setprofile(profile)
+        try:
+            return real(params, cfg, loss_fn, draw, *rest)
+        finally:
+            sys.setprofile(None)
+
+    cfg = replace(FAST, iterations=2 * DRAW_BLOCK, lr_drop_at=DRAW_BLOCK)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_run_stack", profiled)
+        train_cells(world, strategies, [replace(cfg, seed=s) for s in range(3)])
+    assert steps[0] == 2 * DRAW_BLOCK
+    # step 0 is the loop's set-up, which makes the velocity
+    assert ran and max(ran) == 1, sorted(set(ran))
 
 
 BOUNDS = (1, 7, 60, 640, 2**31 + 3, 2**32 - 5)
