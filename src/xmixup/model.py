@@ -25,12 +25,12 @@ its own 2-D product, and the reductions add in the same order. Every model
 trained, pretrain included, takes its loss step through stack_loss_and_grad;
 loss_and_grad_arrays is that step for one model, as a stack of one.
 
-features, the extractor alone, runs a large batch in the row blocks of
-feature_blocks, so a pass over a source split holds its output and one
-block's layer outputs, not the split at every layer's width (see
-CHUNK_BYTES); it writes its output into an array the caller gives, and a
-caller that only reduces the features, as pairing's centroids do, runs
-feature_blocks itself and holds one block.
+features, the extractor alone, runs every batch in the row blocks of
+feature_blocks, none over CHUNK_BYTES at the widest layer, so a pass over a
+source split holds its output and one block's layer outputs, not the split
+at every layer's width; it writes its output into an array the caller
+gives, and a caller that only reduces the features, as pairing's centroids
+do, runs feature_blocks itself and holds one block.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ Layer = tuple[np.ndarray, np.ndarray]  # (W: out x in, b: out)
 # 40.0 to 40.5 MB, where one chunk per probe subset raised it to 41.3 MB;
 # the all-but-auxiliary probe then runs as 4 + 3 cells. On `large-source`
 # every probe is a chunk of one, and a features pass over the source split
-# runs as blocks of 2048 rows.
+# runs as blocks of at most 2048 rows.
 CHUNK_BYTES = 1 << 20
 
 
@@ -248,16 +248,14 @@ def _extract(
 
 
 def feature_blocks(params: ModelParams, n: int) -> Iterator[slice]:
-    """The row blocks of a features pass over n rows, in order, as slices:
-    CHUNK_BYTES // (8 * widest layer) rows each, the last block also taking
-    the rows left over, so fewer than two blocks' rows are one block."""
-    step = _block_rows(params)
-    starts = range(0, max(n - step + 1, 1), step)
-    return map(slice, starts, [*starts[1:], n])
-
-
-def _block_rows(params: ModelParams) -> int:
-    return max(1, CHUNK_BYTES // (8 * max(w.shape[-2] for w, _ in params.layers)))
+    """The row blocks of a features pass over n rows, in order, as slices.
+    With step = CHUNK_BYTES // (8 * widest layer), the rows are cut into
+    k = ceil(n / step) blocks with edges at n * i // k, so every block has
+    at most step rows and, once n is above step, at least half of them."""
+    step = max(1, CHUNK_BYTES // (8 * max(w.shape[-2] for w, _ in params.layers)))
+    k = max(1, -(-n // step))  # ceil(n / step), and one empty block at n = 0
+    edges = [n * i // k for i in range(k + 1)]
+    return map(slice, edges[:-1], edges[1:])
 
 
 def features(
@@ -267,15 +265,16 @@ def features(
     stack takes one batch per model, (S, N, d), or one shared (N, d). The
     output of a batch is written into `out` when one is given.
 
-    A batch runs in the blocks of feature_blocks, each block's last layer
-    written straight into the output, so a pass holds its output and the
-    other layer outputs of two blocks at a time. Each row gets the bits of
-    one pass over the whole batch as long as every block's gemm takes
-    BLAS's large-matrix path, as it does on the lab's shapes (tests check
-    the block edges). A short tail block would not: OpenBLAS gives a small
-    gemm (here, up to about 1200 outputs) a kernel that rounds differently,
-    and so it does for a 256-row block of a width-4 layer under a width-512
-    one.
+    A batch of any size runs in the blocks of feature_blocks, each block's
+    last layer written straight into the output, so a pass holds its output
+    and the other layer outputs of one block. Each row gets the bits of one
+    pass over the whole batch as long as every block's gemm takes BLAS's
+    large-matrix path, as it does on the lab's shapes, where a batch of more
+    than one block runs in blocks of at least 1024 rows (tests check the
+    block edges). A narrow layer would not: OpenBLAS gives a small gemm
+    (here, up to about 1200 outputs) a kernel that rounds differently, as
+    for a block of a width-4 layer under a width-512 one, and features one
+    wide (hidden [64, 1]) differ from one pass in some rows' last bits.
 
     Parameters too large for float64 overflow quietly and raise
     NumericError here, naming the model of a stack in `cell`.
@@ -283,8 +282,8 @@ def features(
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.d:
         raise ValueError(f"input dimension {x.shape[-1]} != model d {params.d}")
-    if x.ndim == 1 or out is None and x.shape[-2] < 2 * _block_rows(params):
-        a = _extract(params, x)
+    if x.ndim == 1:
+        out = _extract(params, x)
     else:
         n = x.shape[-2]
         if out is None:
@@ -292,11 +291,10 @@ def features(
             out = np.empty(lead + (n, params.feature_width))
         for rows in feature_blocks(params, n):
             _extract(params, x[..., rows, :], out[..., rows, :])
-        a = out
-    if not np.isfinite(a).all():
+    if not np.isfinite(out).all():
         message = "non-finite features (diverged parameters?)"
-        raise numeric_error(message, a, params.stacked)
-    return a
+        raise numeric_error(message, out, params.stacked)
+    return out
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

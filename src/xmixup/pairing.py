@@ -107,9 +107,10 @@ def compute_centroids(ds: Dataset, params: ModelParams) -> np.ndarray:
     overflows quietly; similarity rejects it.
 
     The features are summed a block of model.feature_blocks at a time, each
-    class's rows in row order, so the pass holds one block, not the split's
-    features. numpy's mean over axis 0 adds a class's rows in that order,
-    so each centroid has the bits of `features(params, X)[idx].mean(axis=0)`.
+    class's rows in row order, so the pass holds one block's layer outputs
+    (at most 2048 rows of the lab's extractor), not the split's features.
+    numpy's mean over axis 0 adds a class's rows in that order, so each
+    centroid has the bits of `features(params, X)[idx].mean(axis=0)`.
     A single column numpy sums pairwise instead: at feature width 1, where
     the split's features take no more bytes than its labels, each class's
     sum is that of numpy's own reduction over the whole pass.

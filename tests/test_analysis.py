@@ -290,11 +290,11 @@ def transposed_probe_head(F, y, k, cfg):
     return w, b
 
 
-# (S, k, N): the all-but-auxiliary probes of large-source and, as stacks of
-# 7 and 4, of the default data, whose small gemms BLAS rounds differently
-# when it reads the features transposed
+# (S, k, N): the all-but-auxiliary and auxiliary probes of large-source
+# and, as stacks of 7 and 4, of the default data, whose small gemms BLAS
+# rounds differently when it reads the features transposed
 @pytest.mark.parametrize(
-    "S,k,n", [(1, 14, 4480), (3, 14, 4480), (7, 6, 156), (4, 14, 364)]
+    "S,k,n", [(1, 14, 4480), (3, 14, 4480), (1, 6, 1920), (7, 6, 156), (4, 14, 364)]
 )
 def test_probe_heads_are_the_bytes_of_the_transposed_fit(S, k, n):
     rng = np.random.default_rng(S)

@@ -19,6 +19,7 @@ from xmixup.model import (
     forward,
     forward_cache,
     features,
+    feature_blocks,
     init,
     init_linear,
     learning_rate,
@@ -499,7 +500,7 @@ def test_a_long_checkpoint_header_is_refused_in_linear_time(tmp_path):
 
 
 # The default extractor: rows of width 4 through layers of 64 and 32, so a
-# features pass runs in blocks of CHUNK_BYTES // (8 * 64) rows.
+# features pass runs in blocks of at most CHUNK_BYTES // (8 * 64) rows.
 BLOCK = CHUNK_BYTES // (8 * 64)
 
 
@@ -512,37 +513,53 @@ def one_pass_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize(
+    "n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 3, 3 * BLOCK + 1]
+)
 def test_blocked_features_are_the_bytes_of_one_pass(n):
-    models = [init(4, [64, 32], 6, seed=s) for s in (1, 2, 3)]
-    stack = ModelParams.stack(models)
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, 4))
-    xs = rng.normal(size=(3, n, 4))
-    got = features(models[0], x)
-    assert got.shape == (n, 32)
-    assert got.tobytes() == one_pass_features(models[0], x).tobytes()
-    out = np.empty((n, 32))
-    assert features(models[0], x, out=out) is out
-    assert out.tobytes() == got.tobytes()
-    for inputs in (x, xs):  # one batch for every model, and one batch each
-        want = one_pass_features(stack, inputs)
-        assert features(stack, inputs).tobytes() == want.tobytes()
-        out = np.empty((3, n, 32))
-        assert features(stack, inputs, out=out).tobytes() == want.tobytes()
+    # the default extractor, and the width-2 features of pairing's centroid
+    # tests; features one wide are not the bits of one pass (see features)
+    for h in (32, 2):
+        models = [init(4, [64, h], 6, seed=s) for s in (1, 2, 3)]
+        stack = ModelParams.stack(models)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 4))
+        xs = rng.normal(size=(3, n, 4))
+        got = features(models[0], x)
+        assert got.shape == (n, h)
+        assert got.tobytes() == one_pass_features(models[0], x).tobytes()
+        out = np.empty((n, h))
+        assert features(models[0], x, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        for inputs in (x, xs):  # one batch for every model, and one batch each
+            want = one_pass_features(stack, inputs)
+            assert features(stack, inputs).tobytes() == want.tobytes()
+            out = np.empty((3, n, h))
+            assert features(stack, inputs, out=out).tobytes() == want.tobytes()
 
 
-def test_a_features_pass_holds_its_output_and_two_blocks():
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 1, 10**5])
+def test_feature_blocks_hold_at_most_a_block_and_at_least_half_of_one(n):
+    blocks = list(feature_blocks(init(4, [64, 32], 6, seed=0), n))
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [r.stop - r.start for r in blocks]
+    assert max(sizes) <= BLOCK
+    assert n <= BLOCK or 2 * min(sizes) >= BLOCK
+
+
+def test_a_features_pass_holds_its_output_and_one_block():
     params = init(4, [64, 32], 6, seed=0)
-    x = np.random.default_rng(0).normal(size=(4 * BLOCK, 4))
+    x = np.random.default_rng(0).normal(size=(2 * BLOCK - 1, 4))
     tracemalloc.start()
     try:
         out = features(params, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one pass over the rows held two arrays of 4 * BLOCK x 64
-    assert peak < out.nbytes + 2 * (BLOCK * 64 * 8)
+    # a block's first layer is at most BLOCK x 64 floats; one pass over
+    # every row would hold 2 * BLOCK - 1 x 64 of them
+    assert peak < out.nbytes + 1.1 * BLOCK * 64 * 8
 
 
 def test_a_blocked_pass_names_the_first_model_with_a_non_finite_feature():
